@@ -207,6 +207,14 @@ pub(crate) struct PendingTask {
 }
 
 impl PendingTask {
+    /// Parks `task` until `predecessors` satisfactions have arrived.
+    pub(crate) fn new(task: Task, predecessors: usize) -> Arc<Self> {
+        Arc::new(PendingTask {
+            remaining: AtomicUsize::new(predecessors),
+            slot: Mutex::new(Some(task)),
+        })
+    }
+
     /// Records that one predecessor completed. Returns the parked task iff
     /// this was the last outstanding predecessor.
     ///
@@ -1374,8 +1382,7 @@ impl TaskManager {
         queue.note_executed(core);
         self.cores[core].executed.fetch_add(1, Ordering::Relaxed);
         self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Relaxed);
-        match outcome {
-            Ok(TaskStatus::Done) => self.release_waiters(task.completion.complete()),
+        let dependents = match outcome {
             Ok(TaskStatus::Again) if task.options.repeat => {
                 // A repeat task re-entering its queue starts a fresh
                 // queueing interval; each run measures its own delay.
@@ -1384,8 +1391,10 @@ impl TaskManager {
                 let home = task.home;
                 self.queues[home.index()].requeue(task);
                 self.note_enqueued(home, &cpuset);
+                return true;
             }
-            Ok(TaskStatus::Again) => self.release_waiters(task.completion.complete()),
+            // A one-shot task returning `Again` is treated as `Done`.
+            Ok(TaskStatus::Done | TaskStatus::Again) => task.completion.complete(),
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<&str>()
@@ -1394,8 +1403,13 @@ impl TaskManager {
                     .unwrap_or_else(|| "<non-string panic payload>".to_owned());
                 // Dependents are released even on panic: a dependency is
                 // an ordering constraint, not a success gate.
-                self.release_waiters(task.completion.complete_panicked(msg));
+                task.completion.complete_panicked(msg)
             }
+        };
+        // Empty unless somebody registered on the completion: the common
+        // task ends with the one `swap` inside `complete`.
+        if !dependents.is_empty() {
+            self.release_waiters(dependents);
         }
         true
     }
@@ -1925,25 +1939,22 @@ impl SubmitSpec<'_> {
         let handle = TaskHandle {
             completion: self.completion.clone(),
         };
-        let deps: Vec<Arc<Completion>> = self.deps.iter().map(|h| h.completion.clone()).collect();
         let task = Task {
             body: self.body,
             options: self.options,
             cpuset: effective,
             home,
-            completion: self.completion.clone(),
+            completion: self.completion,
             submitted_at: mgr.latency.is_some().then(std::time::Instant::now),
         };
-        if deps.is_empty() {
+        if self.deps.is_empty() {
             mgr.dispatch(task);
             return handle;
         }
-        TaskManager::assert_acyclic(&self.completion, &deps);
-        self.completion.set_deps(deps.clone());
-        let pending = Arc::new(PendingTask {
-            remaining: AtomicUsize::new(deps.len()),
-            slot: Mutex::new(Some(task)),
-        });
+        let deps: Vec<Arc<Completion>> = self.deps.into_iter().map(|h| h.completion).collect();
+        TaskManager::assert_acyclic(&handle.completion, &deps);
+        handle.completion.set_deps(deps.clone());
+        let pending = PendingTask::new(task, deps.len());
         // A predecessor already complete at registration time will never
         // drain this waiter; satisfy its share here. Wherever the *last*
         // satisfaction lands — here or on a completion path — it releases
@@ -1952,7 +1963,9 @@ impl SubmitSpec<'_> {
             .iter()
             .filter(|dep| !dep.add_waiter(pending.clone()))
             .count();
-        mgr.release_waiters(vec![pending; already_complete]);
+        if already_complete > 0 {
+            mgr.release_waiters(vec![pending; already_complete]);
+        }
         handle
     }
 }
@@ -2861,6 +2874,50 @@ mod tests {
         assert!(doomed.wait().is_err());
         mgr.schedule(0);
         assert_eq!(dependent.wait(), Ok(()), "released despite the panic");
+    }
+
+    #[test]
+    fn dependents_spawned_against_a_running_scheduler_all_run_once() {
+        // The spawn-side registration races the predecessor's completion on
+        // another thread: whichever side wins, the dependent is released —
+        // by the drain or by `spawn` itself — exactly once.
+        let mgr = kwak_mgr();
+        let rounds = 2_000;
+        let runs = Arc::new(AtomicUsize::new(0));
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    mgr.schedule(0);
+                }
+            });
+            for _ in 0..rounds {
+                let pred = mgr
+                    .task(|_| TaskStatus::Done)
+                    .cpuset(CpuSet::single(0))
+                    .spawn();
+                let runs = runs.clone();
+                mgr.task(move |_| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    TaskStatus::Done
+                })
+                .cpuset(CpuSet::single(0))
+                .after(&pred)
+                .spawn();
+                // Dropping both handles here must not matter.
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while runs.load(Ordering::Relaxed) < rounds && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            stop.store(true, Ordering::Release);
+        });
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            rounds,
+            "a dependent was stranded"
+        );
+        assert_eq!(mgr.stats().total_waitlist_released(), rounds as u64);
     }
 
     #[test]
