@@ -7,7 +7,6 @@
 //!
 //! * the submit→schedule→complete round-trip per queue level (the real
 //!   analogue of one Table I row, single-threaded on the host);
-//! * the spinlock vs lock-free queue ablation (paper §VI future work);
 //! * Algorithm 2's unlocked-empty fast path vs a forced lock acquisition;
 //! * the cpuset/topology operations on the submit hot path;
 //! * batched dequeue: draining a backlog per-task vs per-pass
@@ -24,7 +23,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use madmpi::{mtlat, MpiImpl};
 use piom_cpuset::CpuSet;
 use piom_topology::presets;
-use pioman::{ManagerConfig, QueueBackend, TaskManager, TaskStatus};
+use pioman::{ManagerConfig, TaskManager, TaskStatus};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -45,35 +44,6 @@ fn bench_submit_schedule_levels(c: &mut Criterion) {
                     .cpuset(black_box(cpuset))
                     .spawn();
                 mgr.schedule(core);
-                assert!(h.is_complete());
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_backend_ablation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("queue_backend");
-    let topo = Arc::new(presets::kwak());
-    for (label, backend) in [
-        ("spinlock", QueueBackend::Spinlock),
-        ("lockfree", QueueBackend::LockFree),
-        ("mutex", QueueBackend::Mutex),
-    ] {
-        let mgr = TaskManager::with_config(
-            topo.clone(),
-            ManagerConfig {
-                queue_backend: backend,
-                ..ManagerConfig::default()
-            },
-        );
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let h = mgr
-                    .task(|_| TaskStatus::Done)
-                    .cpuset(CpuSet::single(0))
-                    .spawn();
-                mgr.schedule(0);
                 assert!(h.is_complete());
             })
         });
@@ -288,46 +258,33 @@ fn bench_park_wake(c: &mut Criterion) {
 }
 
 fn bench_phase_shift(c: &mut Criterion) {
-    // The windowed-vs-cumulative contention signal ablation: a quiet
-    // history, a contended burst, then post-shift adaptive ramp drains.
-    // `piom-harness bench` records the same shapes (and asserts the
-    // re-adaptation claims) into BENCH_pioman.json.
+    // The contention-window phase shift: a quiet history, a contended
+    // burst, then post-shift adaptive ramp drains. `piom-harness bench`
+    // records the same shape (and asserts the re-adaptation claims) into
+    // BENCH_pioman.json.
     let mut g = c.benchmark_group("phase_shift");
     g.sample_size(20);
-    let topo = Arc::new(presets::kwak());
-    for (label, signal) in [
-        ("windowed", pioman::SignalPolicy::Windowed),
-        ("cumulative", pioman::SignalPolicy::Cumulative),
-    ] {
-        let mgr = TaskManager::with_config(
-            topo.clone(),
-            ManagerConfig {
-                signal,
-                contention_half_life: scenarios::PHASE_HALF_LIFE,
-                ..ManagerConfig::default()
+    let mgr = TaskManager::new(Arc::new(presets::kwak()));
+    scenarios::phase_quiet_history(&mgr, 0);
+    g.bench_function("windowed", |b| {
+        // The burst runs in per-iteration setup (the vendored shim calls
+        // setup before every routine), so each measured drain genuinely
+        // follows a fresh contention phase change instead of the first
+        // iteration decaying the window for the rest.
+        b.iter_batched(
+            || {
+                scenarios::phase_burst(&mgr);
+                scenarios::submit_ramp(&mgr, 0);
             },
-        );
-        scenarios::phase_quiet_history(&mgr, 0);
-        g.bench_function(label, |b| {
-            // The burst runs in per-iteration setup (the vendored shim
-            // calls setup before every routine), so each measured drain
-            // genuinely follows a fresh contention phase change instead
-            // of the first iteration decaying the window for the rest.
-            b.iter_batched(
-                || {
-                    scenarios::phase_burst(&mgr);
-                    scenarios::submit_ramp(&mgr, 0);
-                },
-                |_| {
-                    assert_eq!(
-                        scenarios::adaptive_drain(&mgr, 0),
-                        scenarios::ADAPTIVE_RAMP_LOAD
-                    )
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
+            |_| {
+                assert_eq!(
+                    scenarios::adaptive_drain(&mgr, 0),
+                    scenarios::ADAPTIVE_RAMP_LOAD
+                )
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
@@ -346,7 +303,6 @@ fn bench_newmad_pingpong(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_submit_schedule_levels,
-    bench_backend_ablation,
     bench_empty_scan,
     bench_repeat_polling_task,
     bench_cpuset_topology_ops,

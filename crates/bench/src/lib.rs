@@ -1,8 +1,8 @@
 //! Benchmark-only crate: see `benches/`.
 //!
 //! * `benches/scheduler.rs` — real-thread microbenchmarks of the core
-//!   library: submit/schedule round-trips per queue level, spinlock vs
-//!   lock-free ablation, Algorithm 2's unlocked-empty fast path, cpuset and
+//!   library: submit/schedule round-trips per queue level, Algorithm 2's
+//!   unlocked-empty fast path, cpuset and
 //!   topology query costs, batched dequeue (`schedule_batch`), steal-vs-spin
 //!   under skewed load, contended global-vs-per-core queues from real
 //!   threads, and a NewMadeleine pingpong progressed by the engine.

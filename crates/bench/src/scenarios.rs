@@ -34,17 +34,11 @@ pub const HIGH_VARIANCE: &[&str] = &[
     // shared-runner noise of every other host-timed row.
     "newmad_bandwidth_ladder",
     "newmad_multirail_crossover",
-    "lockfree_vs_mutex",
-    "lockfree_vs_mutex_baseline",
-    "relaxed_vs_seqcst_contended",
-    "relaxed_vs_seqcst_contended_baseline",
     "stats_sharding_contended",
     "stats_sharding_contended_baseline",
-    // The manycore re-records of the two PR-5 ablations: same algorithms,
-    // 16 threads oversubscribed on the shared runner — scheduling jitter
-    // *is* the workload, so their quick-mode numbers swing hardest of all.
-    "relaxed_vs_seqcst_manycore",
-    "relaxed_vs_seqcst_manycore_baseline",
+    // The manycore re-record of the false-sharing ablation: 16 threads
+    // oversubscribed on the shared runner — scheduling jitter *is* the
+    // workload, so its quick-mode numbers swing hardest of all.
     "stats_sharding_manycore",
     "stats_sharding_manycore_baseline",
     "newmad_rail_ladder",
@@ -72,9 +66,7 @@ pub const TAIL_GATED: &[&str] = &[
     "adaptive_batch_ramp",
     "park_wake_latency",
     "phase_shift_ramp",
-    "phase_shift_ramp_cumulative",
     "qos_class_mix",
-    "qos_class_mix_spinlock",
     "qos_waitlist_chain",
     // The socket-tier scaling ladder: single-threaded deterministic
     // drains whose tail is exactly the spill/claim/steal path the
@@ -82,7 +74,6 @@ pub const TAIL_GATED: &[&str] = &[
     "steal_scaling_256",
     "steal_scaling_512",
     "steal_scaling_1024",
-    "phase_shift_ramp_auto",
 ];
 
 /// `true` if `name` is tagged [`TAIL_GATED`].
@@ -315,16 +306,12 @@ pub fn wait_until_parked(mgr: &TaskManager, core: usize) {
 /// Quiet-history rounds of the phase-shift scenario: each submits and
 /// adaptively drains a full ramp on the target core, accumulating
 /// *uncontended* lock acquisitions. Sized so the history dominates the
-/// later burst by well over the window's decay constant, which is what
-/// makes the cumulative ratio ossify (see `EXPERIMENTS.md`).
+/// later burst by well over the window's decay constant — the shape a
+/// cumulative ratio would ossify on.
 pub const PHASE_QUIET_ROUNDS: usize = 24;
 
 /// Contended rounds forming the burst phase of the phase-shift scenario.
 pub const PHASE_BURST_ROUNDS: usize = 4;
-
-/// Half-life (in samples) the phase-shift scenario configures, small
-/// enough that re-adaptation completes within one measured drain.
-pub const PHASE_HALF_LIFE: u32 = 8;
 
 /// Phase 1 of the phase-shift scenario: a long uncontended history of
 /// ramp drains on `core`.

@@ -16,10 +16,7 @@ use madmpi::{mtlat, MpiImpl};
 use piom_cpuset::CpuSet;
 use piom_topology::presets;
 use pioman::hist::Histogram;
-use pioman::{
-    ManagerConfig, Progression, ProgressionConfig, QueueBackend, SignalPolicy, TaskManager,
-    TaskStatus,
-};
+use pioman::{ManagerConfig, Progression, ProgressionConfig, TaskManager, TaskStatus};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -237,60 +234,21 @@ fn spin_home_drains_alone(opts: &BenchOptions) -> BenchResult {
 
 /// Contended submit/schedule: 4 real threads hammering the Global Queue.
 fn contended_global(opts: &BenchOptions) -> BenchResult {
-    contended(
-        "contended_global_queue",
-        opts,
-        false,
-        QueueBackend::Spinlock,
-    )
+    contended("contended_global_queue", opts, false)
 }
 
 /// The hierarchy counterpart: 4 real threads, each on its own Per-Core
 /// Queue — the contention the hierarchy removes.
 fn contended_percore(opts: &BenchOptions) -> BenchResult {
-    contended(
-        "contended_percore_queues",
-        opts,
-        true,
-        QueueBackend::Spinlock,
-    )
+    contended("contended_percore_queues", opts, true)
 }
 
-/// The queue-backend head-to-head: the *identical* contended global-queue
-/// workload run once over the real lock-free Michael–Scott backend and
-/// once over the old mutexed shim (kept as `QueueBackend::Mutex`). The
-/// two adjacent trajectory entries are the ablation the paper's §VI
-/// speculated about: `lockfree_vs_mutex` at parity or better than
-/// `lockfree_vs_mutex_baseline` means replacing the shim paid off.
-fn lockfree_vs_mutex(opts: &BenchOptions) -> [BenchResult; 2] {
-    [
-        contended("lockfree_vs_mutex", opts, false, QueueBackend::LockFree),
-        contended(
-            "lockfree_vs_mutex_baseline",
-            opts,
-            false,
-            QueueBackend::Mutex,
-        ),
-    ]
-}
-
-fn contended(
-    name: &'static str,
-    opts: &BenchOptions,
-    per_core: bool,
-    queue_backend: QueueBackend,
-) -> BenchResult {
+fn contended(name: &'static str, opts: &BenchOptions, per_core: bool) -> BenchResult {
     // Thread spawn/join dominates a single round-trip, so contended runs
     // use fewer, heavier iterations; the recorded mean is per inner op.
     let iters = (opts.iters / 10).max(5);
     let scaled = BenchOptions { iters, ..*opts };
-    let mgr = TaskManager::with_config(
-        Arc::new(presets::kwak()),
-        ManagerConfig {
-            queue_backend,
-            ..ManagerConfig::default()
-        },
-    );
+    let mgr = TaskManager::new(presets::kwak().into());
     let mut ops = 0;
     let mut r = measure(
         name,
@@ -391,36 +349,14 @@ fn park_wake_latency(opts: &BenchOptions) -> BenchResult {
     result
 }
 
-/// The contention phase-shift scenario, one arm per [`SignalPolicy`]:
-/// a long *uncontended* history (24 ramp drains), then a burst of real
-/// 4-thread contention on the Global Queue, then the timed post-shift
-/// ramp drains. The windowed arm asserts the signal's re-adaptation
-/// (burst registered, then decayed by the quiet drains); the cumulative
-/// arm asserts the opposite — the burst barely moves a ratio diluted by
-/// history, and whatever it did move never decays. See `EXPERIMENTS.md`
-/// ("Windowed vs cumulative contention ablation") for the recipe.
-///
-/// The two fixed arms pin `auto` off so [`scenarios::PHASE_HALF_LIFE`]
-/// stays the half-life actually in force; the `phase_shift_ramp_auto` arm
-/// turns the half-life auto-tuner loose on the same phase script and
-/// additionally asserts the tuned half-life landed inside the
-/// [`pioman::AUTO_HALF_LIFE_MIN`]`..=`[`pioman::AUTO_HALF_LIFE_MAX`]
-/// clamp — the re-adaptation-lag row of the auto-tuning satellite.
-fn phase_shift(
-    name: &'static str,
-    opts: &BenchOptions,
-    signal: SignalPolicy,
-    auto: bool,
-) -> BenchResult {
-    let mgr = TaskManager::with_config(
-        Arc::new(presets::kwak()),
-        ManagerConfig {
-            signal,
-            contention_half_life: scenarios::PHASE_HALF_LIFE,
-            auto_half_life: auto,
-            ..ManagerConfig::default()
-        },
-    );
+/// The contention phase-shift scenario: a long *uncontended* history (24
+/// ramp drains), then a burst of real 4-thread contention on the Global
+/// Queue, then the timed post-shift ramp drains. Asserts the windowed
+/// signal's re-adaptation (burst registered, then decayed by the quiet
+/// drains) and that the auto-tuned half-life stayed inside the
+/// [`pioman::AUTO_HALF_LIFE_MIN`]`..=`[`pioman::AUTO_HALF_LIFE_MAX`] clamp.
+fn phase_shift_ramp(opts: &BenchOptions) -> BenchResult {
+    let mgr = TaskManager::new(presets::kwak().into());
     scenarios::phase_quiet_history(&mgr, 0);
     scenarios::phase_burst(&mgr);
     // One budget computation folds the burst into the windowed signal.
@@ -429,7 +365,7 @@ fn phase_shift(
     let (_, burst_contended) = scenarios::path_lock_stats(&mgr, 0);
 
     let result = measure(
-        name,
+        "phase_shift_ramp",
         opts,
         || {
             scenarios::submit_ramp(&mgr, 0);
@@ -443,114 +379,28 @@ fn phase_shift(
         },
     );
 
-    // The ablation claim. Guarded on the burst having produced observable
-    // contention: a TTAS spinlock on an unloaded many-core host can win
-    // every race, in which case there is no phase change to react to.
+    // Guarded on the burst having produced observable contention: a TTAS
+    // spinlock on an unloaded many-core host can win every race, in which
+    // case there is no phase change to react to.
     if burst_contended > 0 {
         let rate_final = mgr.contention_rate(0);
-        match signal {
-            SignalPolicy::Windowed => {
-                assert!(
-                    rate_after_burst > 0.0,
-                    "windowed signal failed to register the contention burst"
-                );
-                assert!(
-                    rate_final < rate_after_burst,
-                    "windowed signal failed to re-adapt: {rate_final} after \
-                     the quiet drains vs {rate_after_burst} right after the burst"
-                );
-            }
-            SignalPolicy::Cumulative => {
-                assert!(
-                    rate_final > 0.0,
-                    "cumulative ratio can never decay back to zero"
-                );
-                assert!(
-                    rate_final <= rate_after_burst,
-                    "cumulative ratio only dilutes, it never climbs while quiet"
-                );
-            }
-        }
-    }
-    if auto {
-        // Whatever the host weather, the tuner may never escape its clamp.
-        let hl = mgr.contention_half_life(0);
         assert!(
-            (pioman::AUTO_HALF_LIFE_MIN..=pioman::AUTO_HALF_LIFE_MAX).contains(&hl),
-            "auto-tuned half-life {hl} escaped the clamp"
+            rate_after_burst > 0.0,
+            "windowed signal failed to register the contention burst"
+        );
+        assert!(
+            rate_final < rate_after_burst,
+            "windowed signal failed to re-adapt: {rate_final} after \
+             the quiet drains vs {rate_after_burst} right after the burst"
         );
     }
-    result
-}
-
-/// The memory-ordering ablation (PR 5): 4 real threads hammering
-/// push+pop rounds on the vendored Michael–Scott queue, once with the
-/// audited weakest-sound orderings ([`crossbeam::order::Tuned`], what the
-/// scheduler's lock-free backend runs) and once with every site upgraded
-/// to `SeqCst` ([`crossbeam::queue::SeqCstSegQueue`], the pre-PR-5
-/// behaviour). Identical algorithm, identical layout — the delta is the
-/// fences. Read the pair together like `lockfree_vs_mutex`.
-fn relaxed_vs_seqcst(opts: &BenchOptions) -> [BenchResult; 2] {
-    use crossbeam::order::{AlwaysSeqCst, Tuned};
-    // Op count large enough that thread spawn/join overhead (~100 µs per
-    // round) is noise against the measured queue ops, not the bulk of the
-    // mean.
-    [
-        ordering_round::<Tuned>("relaxed_vs_seqcst_contended", opts, 4, 4_096),
-        ordering_round::<AlwaysSeqCst>("relaxed_vs_seqcst_contended_baseline", opts, 4, 4_096),
-    ]
-}
-
-/// The manycore re-record of the memory-ordering ablation: the identical
-/// push+pop rounds at 16 threads — oversubscribed on the CI runner, which
-/// is the point: with more threads than cores every ordering site sits on
-/// a line other cores are actively invalidating, so the fence delta is
-/// priced under the cache pressure the 256–1024-core study cares about
-/// rather than the polite 4-thread regime. Fewer ops per thread keep the
-/// round duration near the 4-thread rows'.
-fn relaxed_vs_seqcst_manycore(opts: &BenchOptions) -> [BenchResult; 2] {
-    use crossbeam::order::{AlwaysSeqCst, Tuned};
-    [
-        ordering_round::<Tuned>("relaxed_vs_seqcst_manycore", opts, 16, 2_048),
-        ordering_round::<AlwaysSeqCst>("relaxed_vs_seqcst_manycore_baseline", opts, 16, 2_048),
-    ]
-}
-
-/// One arm of the memory-ordering ablation: `threads` real threads each
-/// pushing+popping `ops` items on the vendored Michael–Scott queue under
-/// ordering policy `P`. Shared by the 4-thread and 16-thread pairs.
-fn ordering_round<P: crossbeam::order::OrderPolicy>(
-    name: &'static str,
-    opts: &BenchOptions,
-    threads: u64,
-    ops: u64,
-) -> BenchResult {
-    use crossbeam::queue::SegQueue;
-    let iters = (opts.iters / 10).max(5);
-    let scaled = BenchOptions { iters, ..*opts };
-    let q: SegQueue<u64, P> = SegQueue::new();
-    let mut r = measure(
-        name,
-        &scaled,
-        || (),
-        || {
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let q = &q;
-                    s.spawn(move || {
-                        for i in 0..ops {
-                            q.push(t * ops + i);
-                            std::hint::black_box(q.pop());
-                        }
-                    });
-                }
-            });
-        },
+    // Whatever the host weather, the tuner may never escape its clamp.
+    let hl = mgr.contention_half_life(0);
+    assert!(
+        (pioman::AUTO_HALF_LIFE_MIN..=pioman::AUTO_HALF_LIFE_MAX).contains(&hl),
+        "auto-tuned half-life {hl} escaped the clamp"
     );
-    assert!(q.is_empty(), "each round pushes and pops equally");
-    // Per-op values: each inner iteration is one push + one pop.
-    r.scale_per_op((threads * ops * 2) as f64);
-    r
+    result
 }
 
 /// The false-sharing ablation (PR 5): 4 real threads each bumping a
@@ -561,8 +411,8 @@ fn ordering_round<P: crossbeam::order::OrderPolicy>(
 /// all cores. Both arms assert the final count, so the numbers are also
 /// correctness evidence. Read the pair together.
 fn stats_sharding(opts: &BenchOptions) -> [BenchResult; 2] {
-    // See relaxed_vs_seqcst: the increment is ~1 ns, so the op count must
-    // dwarf the ~100 µs/round scope setup for the delta to be readable.
+    // The increment is ~1 ns, so the op count must dwarf the ~100 µs/round
+    // scope setup for the delta to be readable.
     sharding_pair(
         [
             "stats_sharding_contended",
@@ -834,35 +684,14 @@ fn newmad_rail_ladder(opts: &BenchOptions) -> BenchResult {
     )
 }
 
-/// The QoS class-lane head-to-head: an identical 64-task backlog mixed
-/// across all four [`pioman::TaskClass`] tiers (half carrying EDF
-/// deadline ticks) preloaded on core 0 and drained by keypoints — once
-/// over the lock-free class lanes, once over the spinlocked sequential
-/// lanes. Two adjacent trajectory rows, same shape as
-/// `lockfree_vs_mutex`: parity or better for `qos_class_mix` means the
-/// tournament pop does not tax the hot path.
-fn qos_class_mix(opts: &BenchOptions) -> [BenchResult; 2] {
-    [
-        qos_mix_drain("qos_class_mix", opts, QueueBackend::LockFree),
-        qos_mix_drain("qos_class_mix_spinlock", opts, QueueBackend::Spinlock),
-    ]
-}
-
-fn qos_mix_drain(
-    name: &'static str,
-    opts: &BenchOptions,
-    queue_backend: QueueBackend,
-) -> BenchResult {
-    let mgr = TaskManager::with_config(
-        Arc::new(presets::kwak()),
-        ManagerConfig {
-            queue_backend,
-            ..ManagerConfig::default()
-        },
-    );
+/// The QoS class-lane drain: a 64-task backlog mixed across all four
+/// [`pioman::TaskClass`] tiers (half carrying EDF deadline ticks)
+/// preloaded on core 0 and drained by keypoints.
+fn qos_class_mix(opts: &BenchOptions) -> BenchResult {
+    let mgr = TaskManager::new(presets::kwak().into());
     let handles = std::cell::RefCell::new(Vec::new());
     let result = measure(
-        name,
+        "qos_class_mix",
         opts,
         || *handles.borrow_mut() = scenarios::submit_qos_mix(&mgr),
         || scenarios::drain_until_complete(&mgr, 0..1, &handles.borrow()),
@@ -978,11 +807,7 @@ fn steal_scaling(
 /// Runs the whole suite. The returned vector's order and names are stable:
 /// they are the `BENCH_pioman.json` keys future PRs diff against.
 pub fn run_suite(opts: &BenchOptions) -> Vec<BenchResult> {
-    let [lockfree, mutex_baseline] = lockfree_vs_mutex(opts);
-    let [relaxed, seqcst_baseline] = relaxed_vs_seqcst(opts);
     let [sharded, shared_baseline] = stats_sharding(opts);
-    let [qos_lockfree, qos_spinlock] = qos_class_mix(opts);
-    let [relaxed_many, seqcst_many_baseline] = relaxed_vs_seqcst_manycore(opts);
     let [sharded_many, shared_many_baseline] = stats_sharding_manycore(opts);
     vec![
         submit_schedule_percore(opts),
@@ -995,31 +820,17 @@ pub fn run_suite(opts: &BenchOptions) -> Vec<BenchResult> {
         newmad_pingpong(opts),
         newmad_bandwidth_ladder(opts),
         newmad_multirail_crossover(opts),
-        lockfree,
-        mutex_baseline,
         steal_half_backlog(opts),
         adaptive_batch_ramp(opts),
         park_wake_latency(opts),
-        phase_shift("phase_shift_ramp", opts, SignalPolicy::Windowed, false),
-        phase_shift(
-            "phase_shift_ramp_cumulative",
-            opts,
-            SignalPolicy::Cumulative,
-            false,
-        ),
-        relaxed,
-        seqcst_baseline,
+        phase_shift_ramp(opts),
         sharded,
         shared_baseline,
-        qos_lockfree,
-        qos_spinlock,
+        qos_class_mix(opts),
         qos_waitlist_chain(opts),
-        phase_shift("phase_shift_ramp_auto", opts, SignalPolicy::Windowed, true),
         steal_scaling("steal_scaling_256", opts, presets::dual_socket_256()),
         steal_scaling("steal_scaling_512", opts, presets::quad_socket_512()),
         steal_scaling("steal_scaling_1024", opts, presets::quad_socket_1024()),
-        relaxed_many,
-        seqcst_many_baseline,
         sharded_many,
         shared_many_baseline,
         newmad_rail_ladder(opts),
@@ -1066,26 +877,17 @@ mod tests {
             "newmad_pingpong",
             "newmad_bandwidth_ladder",
             "newmad_multirail_crossover",
-            "lockfree_vs_mutex",
-            "lockfree_vs_mutex_baseline",
             "steal_half_backlog",
             "adaptive_batch_ramp",
             "park_wake_latency",
             "phase_shift_ramp",
-            "phase_shift_ramp_cumulative",
-            "relaxed_vs_seqcst_contended",
-            "relaxed_vs_seqcst_contended_baseline",
             "stats_sharding_contended",
             "stats_sharding_contended_baseline",
             "qos_class_mix",
-            "qos_class_mix_spinlock",
             "qos_waitlist_chain",
-            "phase_shift_ramp_auto",
             "steal_scaling_256",
             "steal_scaling_512",
             "steal_scaling_1024",
-            "relaxed_vs_seqcst_manycore",
-            "relaxed_vs_seqcst_manycore_baseline",
             "stats_sharding_manycore",
             "stats_sharding_manycore_baseline",
             "newmad_rail_ladder",

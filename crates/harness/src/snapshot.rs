@@ -48,6 +48,32 @@ pub fn render_stats_json(stats: &ManagerStats) -> String {
         |q| q.lock_contended,
     );
 
+    // Per-socket overflow-tier families: depth, then the overflow lock.
+    socket_family(
+        &mut out,
+        stats,
+        "piom_socket_overflow_pending",
+        "gauge",
+        "Tasks currently in the socket's overflow queue.",
+        |s| s.overflow_pending as u64,
+    );
+    socket_family(
+        &mut out,
+        stats,
+        "piom_socket_overflow_lock_acquisitions_total",
+        "counter",
+        "Overflow spinlock acquisitions (one per spill batch, claim keypoint or overflow steal).",
+        |s| s.overflow_lock_acquisitions,
+    );
+    socket_family(
+        &mut out,
+        stats,
+        "piom_socket_overflow_lock_contended_total",
+        "counter",
+        "Overflow spinlock acquisitions that found the lock held.",
+        |s| s.overflow_lock_contended,
+    );
+
     // Per-core counter families.
     core_family(
         &mut out,
@@ -215,6 +241,31 @@ fn queue_family(
             q.id.index(),
             q.level,
             value(q)
+        );
+    }
+    out.push_str("  ] },\n");
+}
+
+fn socket_family(
+    out: &mut String,
+    stats: &ManagerStats,
+    name: &str,
+    kind: &str,
+    help: &str,
+    value: impl Fn(&pioman::SocketStats) -> u64,
+) {
+    let _ = writeln!(
+        out,
+        "  \"{name}\": {{ \"type\": \"{kind}\", \"help\": \"{help}\", \"samples\": ["
+    );
+    let last = stats.sockets.len().saturating_sub(1);
+    for (i, s) in stats.sockets.iter().enumerate() {
+        let sep = if i == last { "" } else { "," };
+        let _ = writeln!(
+            out,
+            "    {{ \"labels\": {{ \"socket\": \"{i}\", \"node\": \"{}\" }}, \"value\": {} }}{sep}",
+            s.node,
+            value(s)
         );
     }
     out.push_str("  ] },\n");
@@ -390,6 +441,9 @@ mod tests {
         for family in [
             "piom_queue_submitted_total",
             "piom_queue_executed_total",
+            "piom_socket_overflow_pending",
+            "piom_socket_overflow_lock_acquisitions_total",
+            "piom_socket_overflow_lock_contended_total",
             "piom_core_executed_total",
             "piom_class_executed_total",
             "piom_class_stolen_total",

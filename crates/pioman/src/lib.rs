@@ -15,8 +15,10 @@
 //!   topology (per-core → per-cache → per-chip → per-NUMA → global), so
 //!   locality is preserved and lock contention stays between neighbouring
 //!   cores (paper §III-A, Fig. 2);
-//! * dequeueing uses the paper's **Algorithm 2**: test emptiness without the
-//!   lock, lock only when the queue looks non-empty, re-check under the lock;
+//! * every queue — the per-node ones and the per-socket overflow — is the
+//!   paper's list behind a spinlock ([`spinlock::SpinLock`]), dequeued with
+//!   **Algorithm 2**: test emptiness without the lock, lock only when the
+//!   queue looks non-empty, re-check under the lock;
 //! * execution follows **Algorithm 1**: a core scans from its own per-core
 //!   queue up to the global queue, running everything it may;
 //! * the thread scheduler calls the task manager at **keypoints** — CPU
@@ -28,7 +30,7 @@
 //!   ([`TaskManager::schedule_batch`]), with the per-keypoint budget sized
 //!   adaptively from observed queue depth and a **phase-reactive windowed
 //!   contention signal** ([`TaskManager::adaptive_budget`],
-//!   [`ContentionWindow`], [`SignalPolicy`], [`BatchPolicy`]) — and idle
+//!   [`ContentionWindow`]) — and idle
 //!   cores **steal half** of the nearest eligible backlog by topological
 //!   distance instead of spinning, honoring each task's `CpuSet`
 //!   ([`ManagerConfig::steal`], [`SubmitSpec::on_core`]); parking is
@@ -82,7 +84,6 @@
 
 pub mod counters;
 pub mod hist;
-pub mod lockfree;
 pub mod spinlock;
 
 mod completion;
@@ -96,13 +97,15 @@ mod task;
 pub use completion::{TaskError, TaskHandle};
 pub use hist::{HistSnapshot, Histogram, PercentileSummary};
 pub use manager::{
-    HookPoint, ManagerConfig, QueueBackend, SubmitSpec, TaskManager, DEFAULT_BATCH,
-    DEFAULT_CONTENTION_HALF_LIFE, DEFAULT_CROSS_SOCKET_BACKLOG, DEFAULT_SPILL_THRESHOLD,
-    DEFAULT_STEAL_WAKE_BACKLOG, MAX_BATCH, MIN_BATCH,
+    HookPoint, ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_CONTENTION_HALF_LIFE,
+    DEFAULT_CROSS_SOCKET_BACKLOG, DEFAULT_SPILL_THRESHOLD, DEFAULT_STEAL_WAKE_BACKLOG, MAX_BATCH,
+    MIN_BATCH,
 };
-pub use progression::{BatchPolicy, Progression, ProgressionConfig, MAX_PROBE_STRIKES};
-pub use queue::QueueId;
-pub use signal::{ContentionWindow, SignalPolicy, AUTO_HALF_LIFE_MAX, AUTO_HALF_LIFE_MIN, FP_ONE};
+pub use progression::{Progression, ProgressionConfig, MAX_PROBE_STRIKES};
+pub use queue::{
+    place_deadline_lane, Classed, QueueId, SeqLanes, BACKGROUND_BYPASS_LIMIT, DL_LANES,
+};
+pub use signal::{ContentionWindow, AUTO_HALF_LIFE_MAX, AUTO_HALF_LIFE_MIN, FP_ONE};
 pub use stats::{ManagerStats, QueueStats, SocketStats};
 pub use task::{Task, TaskClass, TaskContext, TaskOptions, TaskStatus, CLASS_COUNT};
 

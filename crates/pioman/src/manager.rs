@@ -1,9 +1,8 @@
 //! The task manager: hierarchical queues + Algorithms 1 and 2.
 
 use crate::completion::Completion;
-use crate::lockfree::ClassLanes;
 use crate::queue::{QueueId, TaskQueue, SPAN_WORDS};
-use crate::signal::{ContentionWindow, SignalPolicy};
+use crate::signal::ContentionWindow;
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{Task, TaskClass, TaskContext, TaskFn, TaskOptions, TaskStatus, CLASS_COUNT};
 use crate::TaskHandle;
@@ -16,24 +15,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::Thread;
 
-/// Which storage backs the task queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// FIFO list + TTAS spinlock with double-checked dequeue (the paper's
-    /// implementation, §IV-A).
-    #[default]
-    Spinlock,
-    /// True lock-free Michael–Scott queue with epoch-based reclamation
-    /// (the paper's §VI "short term" future work; compared against
-    /// spinlocks and the mutexed baseline by the ablation benches).
-    LockFree,
-    /// OS mutex around a `VecDeque`, locked on every operation — the
-    /// shim that previously backed [`QueueBackend::LockFree`], kept as an
-    /// ablation baseline so `lockfree_vs_mutex` measures what replacing
-    /// it bought.
-    Mutex,
-}
-
 /// Smallest per-keypoint budget [`TaskManager::adaptive_budget`] returns:
 /// even an apparently-empty hierarchy gets a few slots, because work can
 /// land between the depth probe and the drain.
@@ -44,13 +25,13 @@ pub const MIN_BATCH: usize = 4;
 /// backlog, so shutdown/park checks stay responsive.
 pub const MAX_BATCH: usize = 256;
 
-/// The fixed per-keypoint budget used when adaptivity is off
-/// ([`BatchPolicy::Fixed`](crate::BatchPolicy)), and the cap
-/// [`TaskManager::adaptive_budget`] applies to cores that mostly run dry.
+/// The budget [`TaskManager::adaptive_budget`] gives a stealing core whose
+/// own path is empty, and the cap it applies to cores that mostly run dry.
 pub const DEFAULT_BATCH: usize = 32;
 
-/// Default [`ManagerConfig::contention_half_life`]: the windowed contention
-/// signal halves the weight of history every this many active samples.
+/// The half-life, in active samples, every core's contention window
+/// starts from before auto-tuning it to the workload's burst cadence
+/// ([`ContentionWindow::new_auto`]).
 pub const DEFAULT_CONTENTION_HALF_LIFE: u32 = 32;
 
 /// Default [`ManagerConfig::steal_wake_backlog`]: a queue reaching this
@@ -82,9 +63,6 @@ pub const DEFAULT_CROSS_SOCKET_BACKLOG: usize = 1;
 /// Task-manager construction options.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
-    /// Queue storage choice, compared head-to-head by the
-    /// `lockfree_vs_mutex` bench scenarios.
-    pub queue_backend: QueueBackend,
     /// Locality-aware work stealing: when a core's own hierarchy scan
     /// (Algorithm 1) finds nothing runnable, it probes the other queues in
     /// [`Topology::steal_order`] — nearest sibling first, deepest backlog
@@ -96,14 +74,6 @@ pub struct ManagerConfig {
     /// ([`TaskManager::park_probe`] always reports "park") and the
     /// backlog-triggered wake-ups.
     pub steal: bool,
-    /// Which contention signal sizes adaptive batch budgets (see
-    /// [`SignalPolicy`]): the decayed window (default) or the cumulative
-    /// PR-3 ratio kept for ablation.
-    pub signal: SignalPolicy,
-    /// Half-life, in active samples, of the windowed contention signal
-    /// ([`ContentionWindow::new`]). Smaller reacts faster to phase changes
-    /// but is noisier; ignored under [`SignalPolicy::Cumulative`].
-    pub contention_half_life: u32,
     /// Queue depth at enqueue time that triggers a steal-targeted wake of
     /// the nearest parked eligible worker ([`TaskManager::wake_for_steal`]).
     /// `usize::MAX` disables the escalation without disabling stealing.
@@ -117,7 +87,7 @@ pub struct ManagerConfig {
     pub latency_histogram: bool,
     /// The **per-socket overflow tier** (on by default): each NUMA node
     /// (falling back to chips, then the whole machine, on shallower trees)
-    /// gets a socket-shared set of lock-free class lanes. A per-core queue
+    /// gets a socket-shared overflow queue. A per-core queue
     /// whose depth crosses [`spill_threshold`](Self::spill_threshold)
     /// spills half its backlog there — lowest class first, QoS lanes
     /// preserved — instead of letting it age behind the queue's own core;
@@ -135,27 +105,17 @@ pub struct ManagerConfig {
     /// show before a thief crosses the interconnect for it; intra-socket
     /// victims are never gated. `1` = any visible remote work qualifies.
     pub cross_socket_backlog: usize,
-    /// Auto-tune each core's contention-window half-life from the observed
-    /// inter-burst gap (EWMA), so the window tracks the workload's own
-    /// phase cadence instead of a compile-time guess. **On by default**;
-    /// disable to pin [`contention_half_life`](Self::contention_half_life)
-    /// exactly (the ablation benches do, so fixed-vs-auto is measurable).
-    pub auto_half_life: bool,
 }
 
 impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig {
-            queue_backend: QueueBackend::default(),
             steal: true,
-            signal: SignalPolicy::default(),
-            contention_half_life: DEFAULT_CONTENTION_HALF_LIFE,
             steal_wake_backlog: DEFAULT_STEAL_WAKE_BACKLOG,
             latency_histogram: false,
             socket_overflow: true,
             spill_threshold: DEFAULT_SPILL_THRESHOLD,
             cross_socket_backlog: DEFAULT_CROSS_SOCKET_BACKLOG,
-            auto_half_life: true,
         }
     }
 }
@@ -276,7 +236,7 @@ struct CoreState {
     /// queue in the flat fallback.
     park_polls: AtomicU64,
     /// Decayed contention window feeding
-    /// [`TaskManager::adaptive_budget`] under [`SignalPolicy::Windowed`].
+    /// [`TaskManager::adaptive_budget`].
     window: ContentionWindow,
     /// Remotely-touched state, padded away from the owner-hot counters
     /// above (see the struct docs).
@@ -312,7 +272,7 @@ struct RemoteCoreState {
 }
 
 impl CoreState {
-    fn new(contention_half_life: u32, auto_half_life: bool) -> Self {
+    fn new() -> Self {
         CoreState {
             executed: AtomicU64::new(0),
             executed_class: Default::default(),
@@ -323,11 +283,7 @@ impl CoreState {
             park_hits: AtomicU64::new(0),
             park_misses: AtomicU64::new(0),
             park_polls: AtomicU64::new(0),
-            window: if auto_half_life {
-                ContentionWindow::new_auto(contention_half_life)
-            } else {
-                ContentionWindow::new(contention_half_life)
-            },
+            window: ContentionWindow::new_auto(DEFAULT_CONTENTION_HALF_LIFE),
             remote: CachePadded::new(RemoteCoreState {
                 parked: AtomicBool::new(false),
                 waker_present: AtomicBool::new(false),
@@ -364,9 +320,9 @@ fn span_snapshot(span: &[AtomicU64; SPAN_WORDS]) -> CpuSet {
 }
 
 /// One socket of the **per-socket overflow tier** (see
-/// [`ManagerConfig::socket_overflow`]): the overflow lanes deep member
+/// [`ManagerConfig::socket_overflow`]): the overflow queue deep member
 /// queues spill into, plus the socket-aggregated signals — pending hint,
-/// steal spans, parked-worker count — that let park probes, steal-targeted
+/// steal span, parked-worker count — that let park probes, steal-targeted
 /// wakes and cross-socket steal gates consult one padded block per socket
 /// instead of touching every member core's state.
 struct SocketTier {
@@ -375,17 +331,15 @@ struct SocketTier {
     node: u32,
     /// Cores the socket spans.
     cpuset: CpuSet,
-    /// The overflow lanes: the same lock-free [`ClassLanes`] the LockFree
-    /// queue backend uses, so spilled tasks keep their QoS class and
-    /// deadline lane across the spill (boxed: the lanes are several cache
-    /// lines of per-class queues, cold for every socket but the busy one).
-    overflow: Box<ClassLanes<Task>>,
-    /// Depth of `overflow` (racy hint, same contract as queue len hints).
-    overflow_len: CachePadded<AtomicUsize>,
-    /// Union of the cpusets of tasks spilled into `overflow`, decayed when
-    /// the overflow drains: gates claims and cross-socket overflow steals
-    /// the way a queue's steal span gates queue steals.
-    overflow_span: CachePadded<[AtomicU64; SPAN_WORDS]>,
+    /// The overflow: the same [`TaskQueue`] every topology node has, so
+    /// spilled tasks keep their QoS class and deadline lane across the
+    /// spill, a spill lands and a claim leaves in one lock acquisition
+    /// each, and a remote thief steals half in place. Its length hint
+    /// gates claims, steals and park probes without the lock; its steal
+    /// span (the union of the spilled tasks' cpusets, decayed in full
+    /// when the overflow drains — the queue is built over an empty own
+    /// cpuset) is the eligibility half of those gates.
+    overflow: TaskQueue,
     /// Tasks pending across the socket's member queues *and* overflow
     /// (racy signed hint — increments and decrements race, so transient
     /// negatives are possible and callers clamp at zero). The O(1) filter
@@ -408,13 +362,13 @@ struct SocketTier {
 }
 
 impl SocketTier {
-    fn new(node: u32, cpuset: CpuSet) -> Self {
+    fn new(node: u32, level: Level, cpuset: CpuSet) -> Self {
         SocketTier {
             node,
             cpuset,
-            overflow: Box::new(ClassLanes::new()),
-            overflow_len: CachePadded::new(AtomicUsize::new(0)),
-            overflow_span: CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))),
+            // One counter shard: nothing is submitted to or executed from
+            // an overflow (tasks are accounted to their home queues).
+            overflow: TaskQueue::new(QueueId(node), level, CpuSet::EMPTY, 1),
             pending: CachePadded::new(AtomicI64::new(0)),
             span: CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))),
             parked: AtomicU64::new(0),
@@ -445,24 +399,6 @@ impl SocketTier {
         }
         if self.pending.load(Ordering::Relaxed) > 0 {
             for (c, w) in cleared.iter().zip(self.span.iter()) {
-                if *c != 0 {
-                    w.fetch_or(*c, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Overflow-span decay on an overflow that drained empty. Unlike the
-    /// socket span there is no "own cpuset" exemption: a claim re-checks
-    /// nothing (it pops blind and bounces ineligible tasks home), so every
-    /// stale bit costs a wasted pop — clear them all.
-    fn maybe_decay_overflow_span(&self) {
-        let mut cleared = [0u64; SPAN_WORDS];
-        for (c, w) in cleared.iter_mut().zip(self.overflow_span.iter()) {
-            *c = w.swap(0, Ordering::Acquire);
-        }
-        if self.overflow_len.load(Ordering::Relaxed) != 0 {
-            for (c, w) in cleared.iter().zip(self.overflow_span.iter()) {
                 if *c != 0 {
                     w.fetch_or(*c, Ordering::Relaxed);
                 }
@@ -546,7 +482,7 @@ pub struct TaskManager {
 }
 
 impl TaskManager {
-    /// Creates a manager with default configuration (spinlock queues).
+    /// Creates a manager with default configuration.
     pub fn new(topo: Arc<Topology>) -> Arc<Self> {
         Self::with_config(topo, ManagerConfig::default())
     }
@@ -557,27 +493,11 @@ impl TaskManager {
         let queues = topo
             .iter()
             .map(|(id, node)| {
-                let qid = QueueId(id.index() as u32);
-                match config.queue_backend {
-                    QueueBackend::Spinlock => {
-                        TaskQueue::new_spin(qid, node.level, node.cpuset, n_cores)
-                    }
-                    QueueBackend::LockFree => {
-                        TaskQueue::new_lockfree(qid, node.level, node.cpuset, n_cores)
-                    }
-                    QueueBackend::Mutex => {
-                        TaskQueue::new_mutex(qid, node.level, node.cpuset, n_cores)
-                    }
-                }
+                TaskQueue::new(QueueId(id.index() as u32), node.level, node.cpuset, n_cores)
             })
             .collect();
         let cores = (0..n_cores)
-            .map(|_| {
-                CachePadded::new(CoreState::new(
-                    config.contention_half_life,
-                    config.auto_half_life,
-                ))
-            })
+            .map(|_| CachePadded::new(CoreState::new()))
             .collect();
         let wakers = (0..n_cores).map(|_| Mutex::new(None)).collect();
 
@@ -629,7 +549,10 @@ impl TaskManager {
         };
         let sockets: Vec<SocketTier> = socket_nodes
             .iter()
-            .map(|&id| SocketTier::new(id.index() as u32, topo.node(id).cpuset))
+            .map(|&id| {
+                let node = topo.node(id);
+                SocketTier::new(id.index() as u32, node.level, node.cpuset)
+            })
             .collect();
         let socket_overflow_active = config.socket_overflow && sockets.len() > 1;
         let core_socket: Vec<u32> = (0..n_cores)
@@ -776,72 +699,6 @@ impl TaskManager {
         }
     }
 
-    /// Submits a task runnable by any core in `cpuset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpuset` contains no core of this machine.
-    #[deprecated(since = "0.1.0", note = "use `mgr.task(body).cpuset(..).spawn()`")]
-    pub fn submit<F>(&self, body: F, cpuset: CpuSet, options: TaskOptions) -> TaskHandle
-    where
-        F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
-    {
-        self.task(body).cpuset(cpuset).options(options).spawn()
-    }
-
-    /// [`task_boxed`](Self::task_boxed) + [`SubmitSpec::spawn`] in one call.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mgr.task_boxed(body).cpuset(..).spawn()`"
-    )]
-    pub fn submit_boxed(&self, body: TaskFn, cpuset: CpuSet, options: TaskOptions) -> TaskHandle {
-        self.task_boxed(body)
-            .cpuset(cpuset)
-            .options(options)
-            .spawn()
-    }
-
-    /// Submits to the Global Queue: runnable by every core. Used when no
-    /// idle core was found at submission time (§IV-B).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mgr.task(body).spawn()` (every core is the default cpuset)"
-    )]
-    pub fn submit_global<F>(&self, body: F, options: TaskOptions) -> TaskHandle
-    where
-        F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
-    {
-        self.task(body).options(options).spawn()
-    }
-
-    /// Submits a task with a *home-core placement hint* (see
-    /// [`SubmitSpec::on_core`] for the placement contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `home` is outside the topology or not contained in
-    /// `cpuset` (a home the task may never run on would strand it).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mgr.task(body).cpuset(..).on_core(home).spawn()`"
-    )]
-    pub fn submit_on<F>(
-        &self,
-        body: F,
-        home: usize,
-        cpuset: CpuSet,
-        options: TaskOptions,
-    ) -> TaskHandle
-    where
-        F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
-    {
-        self.task(body)
-            .cpuset(cpuset)
-            .on_core(home)
-            .options(options)
-            .spawn()
-    }
-
     /// Common submission tail: enqueue the built task on its home queue and
     /// wake the cores that may run it. Shared by [`SubmitSpec::spawn`], the
     /// waitlist release path, and nothing else — requeues of *running*
@@ -886,9 +743,6 @@ impl TaskManager {
     /// Records `n` tasks leaving `queue`; a drain that (by the racy hint)
     /// empties the socket decays its span, mirroring the queue-level decay.
     fn note_removed(&self, queue: QueueId, n: usize) {
-        if n == 0 {
-            return;
-        }
         if let Some(s) = self.queue_socket[queue.index()] {
             self.note_removed_socket(s as usize, n);
         }
@@ -898,15 +752,16 @@ impl TaskManager {
     /// known (overflow pops).
     fn note_removed_socket(&self, s: usize, n: usize) {
         let sock = &self.sockets[s];
-        if sock.pending.fetch_sub(n as i64, Ordering::Relaxed) <= n as i64 {
+        if n > 0 && sock.pending.fetch_sub(n as i64, Ordering::Relaxed) <= n as i64 {
             sock.maybe_decay_span();
         }
     }
 
-    /// Moves half of `home`'s backlog into socket `s`'s overflow lanes,
-    /// lowest class first ([`TaskQueue::spill_lowest`]). Socket pending is
-    /// unchanged — the tasks stay in the socket — so only the overflow
-    /// depth, its span, and the lifetime spill counter move.
+    /// Moves half of `home`'s backlog into socket `s`'s overflow, lowest
+    /// class first ([`TaskQueue::spill_lowest`]): one lock acquisition on
+    /// the home queue to take the batch, one on the overflow to land it.
+    /// Socket pending is unchanged — the tasks stay in the socket — so
+    /// only the overflow (depth, span) and the lifetime spill counter move.
     fn spill(&self, home: QueueId, s: usize, depth: usize) {
         let quota = depth / 2;
         if quota == 0 {
@@ -916,53 +771,34 @@ impl TaskManager {
         batch.clear();
         let taken = self.queues[home.index()].spill_lowest(quota, &mut batch);
         let sock = &self.sockets[s];
-        for task in batch.drain(..) {
-            span_or(&sock.overflow_span, &task.cpuset);
-            sock.overflow.push(task);
-            sock.overflow_len.fetch_add(1, Ordering::Relaxed);
-        }
-        if taken > 0 {
-            sock.spilled.fetch_add(taken as u64, Ordering::Relaxed);
-        }
-        batch.clear();
+        sock.overflow.requeue_batch(&mut batch);
+        sock.spilled.fetch_add(taken as u64, Ordering::Relaxed);
         SCRATCH.set(batch);
     }
 
     /// Drains up to `max` tasks from `core`'s **own** socket overflow in
-    /// pop-policy order (highest class first, EDF within a class — the
-    /// [`ClassLanes`] pop) and runs them: the socket rung of the
-    /// core → socket → global walk. A popped task whose cpuset excludes
+    /// pop-policy order (highest class first, EDF within a class) under
+    /// **one** lock acquisition and runs them: the socket rung of the
+    /// core → socket → global walk. One pass — the pops are bounded by
+    /// the depth at arrival — and a popped task whose cpuset excludes
     /// `core` bounces to its home queue through the ordinary
-    /// [`run_task`](Self::run_task) requeue path. Returns bodies run.
-    fn claim_overflow(&self, core: usize, max: usize) -> usize {
+    /// [`run_task`](Self::run_task) requeue path. `batch` is the caller's
+    /// (drained) scratch. Returns bodies run.
+    fn claim_overflow(&self, core: usize, max: usize, batch: &mut Vec<Task>) -> usize {
         let s = self.core_socket[core] as usize;
         let sock = &self.sockets[s];
-        if max == 0
-            || sock.overflow_len.load(Ordering::Relaxed) == 0
-            || !span_admits(&sock.overflow_span, core)
-        {
+        let pass = sock.overflow.len_hint().min(max);
+        if pass == 0 || !sock.overflow.steal_span_admits(core) {
             return 0;
         }
+        batch.clear();
+        let taken = sock.overflow.dequeue_batch(pass, batch);
+        self.note_removed_socket(s, taken);
         let mut ran = 0;
-        // One pass: bound the pops by the depth at arrival so a stream of
-        // ineligible bounces cannot spin this keypoint.
-        let mut pass = sock.overflow_len.load(Ordering::Relaxed);
-        while ran < max && pass > 0 {
-            let Some(task) = sock.overflow.pop() else {
-                break;
-            };
-            pass -= 1;
-            sock.overflow_len.fetch_sub(1, Ordering::Relaxed);
-            self.note_removed_socket(s, 1);
-            let home = task.home;
-            if self.run_task(task, core, &self.queues[home.index()]) {
-                ran += 1;
-                sock.claimed.fetch_add(1, Ordering::Relaxed);
-            }
+        for task in batch.drain(..) {
+            ran += usize::from(self.run_task(task, core));
         }
-        if sock.overflow_len.load(Ordering::Relaxed) == 0 {
-            sock.maybe_decay_overflow_span();
-        }
+        sock.claimed.fetch_add(ran as u64, Ordering::Relaxed);
         ran
     }
 
@@ -1067,16 +903,14 @@ impl TaskManager {
                 let taken = queue.dequeue_batch(pass, &mut batch);
                 self.note_removed(queue.id, taken);
                 for task in batch.drain(..) {
-                    if self.run_task(task, core, queue) {
-                        ran += 1;
-                    }
+                    ran += usize::from(self.run_task(task, core));
                 }
             }
             // The socket rung of the core → socket → global walk: after
             // the socket node's own queue, drain what the socket's deep
             // member queues spilled.
             if self.socket_overflow_active && node.index() as u32 == socket_node && ran < max {
-                ran += self.claim_overflow(core, max - ran);
+                ran += self.claim_overflow(core, max - ran, &mut batch);
             }
         }
         batch.clear();
@@ -1100,12 +934,10 @@ impl TaskManager {
     ///   reserving 32 slots, and one facing 200 should not need 7 passes;
     /// * **the contention signal** on the path — when the queues' locks
     ///   are fought over, each acquisition is expensive, so the batch
-    ///   widens to amortize more tasks per acquisition. Under the default
-    ///   [`SignalPolicy::Windowed`] the widening tracks an exponentially-
-    ///   decayed *recent* contention rate ([`ContentionWindow`], sampled
-    ///   here on every call), so a phase change moves budgets within a few
-    ///   half-lives; [`SignalPolicy::Cumulative`] keeps the PR-3 lifetime
-    ///   ratio for ablation;
+    ///   widens to amortize more tasks per acquisition. The widening
+    ///   tracks an exponentially-decayed *recent* contention rate
+    ///   ([`ContentionWindow`], sampled here on every call), so a phase
+    ///   change moves budgets within a few half-lives;
     /// * **`steal_attempts_by_core` vs executions** — a core that probes
     ///   victims more often than it runs tasks is chronically starved;
     ///   it keeps a small cap ([`DEFAULT_BATCH`]) so it parks quickly
@@ -1140,30 +972,23 @@ impl TaskManager {
         for node in self.topo.path_to_root(core) {
             let queue = &self.queues[node.index()];
             depth += queue.len_hint();
-            if let Some((a, c)) = queue.lock_stats() {
-                acquisitions += a;
-                contended += c;
-            }
+            let (a, c) = queue.lock_stats();
+            acquisitions += a;
+            contended += c;
         }
         // The socket overflow is on this core's drain path too (the claim
         // rung of `schedule_batch`), so its depth sizes the budget alike.
+        // (Its lock is deliberately not part of the contention sample.)
         if self.socket_overflow_active {
             depth += self.sockets[self.core_socket[core] as usize]
-                .overflow_len
-                .load(Ordering::Relaxed);
+                .overflow
+                .len_hint();
         }
         // Sample the window on *every* budget computation (even an empty
         // path), so quiet keypoints keep decaying a stale contended-phase
         // rate instead of freezing it until the next backlog.
-        let boost = match self.config.signal {
-            SignalPolicy::Windowed => {
-                self.cores[core].window.observe(acquisitions, contended);
-                self.cores[core].window.boost()
-            }
-            SignalPolicy::Cumulative => {
-                1 + (8 * contended).checked_div(acquisitions).unwrap_or(0) as usize
-            }
-        };
+        self.cores[core].window.observe(acquisitions, contended);
+        let boost = self.cores[core].window.boost();
         if depth == 0 {
             return if self.config.steal {
                 DEFAULT_BATCH
@@ -1194,16 +1019,18 @@ impl TaskManager {
                     break;
                 };
                 self.note_removed(queue.id, 1);
-                if self.run_task(task, core, queue) {
+                if self.run_task(task, core) {
                     return true;
                 }
             }
             // Socket rung, single-task budget (see `schedule_batch`).
-            if self.socket_overflow_active
-                && node.index() as u32 == socket_node
-                && self.claim_overflow(core, 1) > 0
-            {
-                return true;
+            if self.socket_overflow_active && node.index() as u32 == socket_node {
+                let mut batch = SCRATCH.take();
+                let ran = self.claim_overflow(core, 1, &mut batch);
+                SCRATCH.set(batch);
+                if ran > 0 {
+                    return true;
+                }
             }
         }
         self.config.steal && self.steal_batch(core, 1) > 0
@@ -1229,8 +1056,9 @@ impl TaskManager {
     /// The scan is socket-major (strict core → socket → global locality):
     /// every victim inside the thief's own socket is exhausted before any
     /// remote socket is touched. At each remote socket the concentrated
-    /// *overflow* is probed first ([`steal_overflow`](Self::
-    /// steal_overflow)), then the socket's member queues — and both are
+    /// *overflow* is probed first
+    /// ([`steal_overflow`](Self::steal_overflow)), then the socket's
+    /// member queues — and both are
     /// gated on [`ManagerConfig::cross_socket_backlog`], so a thief only
     /// crosses the interconnect for an imbalance worth the traffic.
     fn steal_batch(&self, core: usize, max: usize) -> usize {
@@ -1247,7 +1075,7 @@ impl TaskManager {
         'sockets: for (s, order) in &self.steal_order[core] {
             let remote = *s != own;
             if remote && self.socket_overflow_active {
-                ran = self.steal_overflow(core, *s as usize, max);
+                ran = self.steal_overflow(core, *s as usize, max, &mut batch);
                 if ran > 0 {
                     break;
                 }
@@ -1275,19 +1103,7 @@ impl TaskManager {
                     let stolen = queue.try_steal_half(core, max, &mut batch);
                     if stolen > 0 {
                         self.note_removed(queue.id, stolen);
-                        self.cores[core]
-                            .stolen
-                            .fetch_add(stolen as u64, Ordering::Relaxed);
-                        self.cores[core]
-                            .steal_batches
-                            .fetch_add(1, Ordering::Relaxed);
-                        for task in batch.drain(..) {
-                            self.cores[core].stolen_class[task.options.class.index()]
-                                .fetch_add(1, Ordering::Relaxed);
-                            // try_steal_half only yields tasks whose cpuset
-                            // admits `core`, so this never requeues.
-                            self.run_task(task, core, queue);
-                        }
+                        self.run_stolen(core, &mut batch);
                         ran = stolen;
                         break 'sockets;
                     }
@@ -1300,61 +1116,50 @@ impl TaskManager {
         ran
     }
 
-    /// Steal-half against a **remote socket's overflow**: takes up to half
-    /// of the overflow's observed depth (bounded by `max`), runs the tasks
-    /// whose cpuset admits `core` and bounces the rest to their home
-    /// queues. Gated on [`ManagerConfig::cross_socket_backlog`] and the
-    /// overflow span, so an ineligible or trivial overflow costs two
-    /// relaxed loads. Returns tasks stolen and executed.
-    fn steal_overflow(&self, core: usize, s: usize, max: usize) -> usize {
+    /// Counts and runs one steal-half batch. `try_steal_half` only yields
+    /// tasks whose cpuset admits `core`, so none of them requeues.
+    fn run_stolen(&self, core: usize, batch: &mut Vec<Task>) {
+        let state = &self.cores[core];
+        state
+            .stolen
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        state.steal_batches.fetch_add(1, Ordering::Relaxed);
+        for task in batch.drain(..) {
+            state.stolen_class[task.options.class.index()].fetch_add(1, Ordering::Relaxed);
+            self.run_task(task, core);
+        }
+    }
+
+    /// Steal-half against a **remote socket's overflow**: the same
+    /// in-place [`TaskQueue::try_steal_half`] a member queue gets — half of
+    /// the tasks whose cpuset admits `core` (bounded by `max`), in pop
+    /// policy order, under one lock acquisition; tasks `core` may not run
+    /// stay in the overflow, in order. Gated on
+    /// [`ManagerConfig::cross_socket_backlog`] and the overflow span, so an
+    /// ineligible or trivial overflow costs two relaxed loads. Returns
+    /// tasks stolen and executed.
+    fn steal_overflow(&self, core: usize, s: usize, max: usize, batch: &mut Vec<Task>) -> usize {
         let sock = &self.sockets[s];
-        let depth = sock.overflow_len.load(Ordering::Relaxed);
-        if depth == 0
-            || depth < self.config.cross_socket_backlog.max(1)
-            || !span_admits(&sock.overflow_span, core)
+        if sock.overflow.len_hint() < self.config.cross_socket_backlog.max(1)
+            || !sock.overflow.steal_span_admits(core)
         {
             return 0;
         }
-        let quota = depth.div_ceil(2).min(max.max(1));
-        let mut ran = 0;
-        for _ in 0..quota {
-            let Some(task) = sock.overflow.pop() else {
-                break;
-            };
-            sock.overflow_len.fetch_sub(1, Ordering::Relaxed);
-            self.note_removed_socket(s, 1);
-            if task.cpuset.contains(core) {
-                self.cores[core].stolen.fetch_add(1, Ordering::Relaxed);
-                self.cores[core].stolen_class[task.options.class.index()]
-                    .fetch_add(1, Ordering::Relaxed);
-                sock.claimed.fetch_add(1, Ordering::Relaxed);
-                let home = task.home;
-                self.run_task(task, core, &self.queues[home.index()]);
-                ran += 1;
-            } else {
-                // The span over-approximated: this task cannot run here.
-                // Bounce it to its home queue, where its own cores (and
-                // correctly-targeted thieves) still see it.
-                let cpuset = task.cpuset;
-                let home = task.home;
-                self.queues[home.index()].requeue(task);
-                self.note_enqueued(home, &cpuset);
-            }
+        batch.clear();
+        let stolen = sock.overflow.try_steal_half(core, max, batch);
+        if stolen > 0 {
+            self.note_removed_socket(s, stolen);
+            sock.claimed.fetch_add(stolen as u64, Ordering::Relaxed);
+            self.run_stolen(core, batch);
         }
-        if ran > 0 {
-            self.cores[core]
-                .steal_batches
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if sock.overflow_len.load(Ordering::Relaxed) == 0 {
-            sock.maybe_decay_overflow_span();
-        }
-        ran
+        stolen
     }
 
-    /// Executes `task` on `core` if allowed; requeues it otherwise.
-    /// Returns `true` if the body ran.
-    fn run_task(&self, mut task: Task, core: usize, queue: &TaskQueue) -> bool {
+    /// Executes `task` on `core` if allowed; requeues it on its home queue
+    /// otherwise (the queue it was drawn from, or — for an overflow claim —
+    /// the one it spilled out of). Returns `true` if the body ran.
+    fn run_task(&self, mut task: Task, core: usize) -> bool {
+        let queue = &self.queues[task.home.index()];
         if !task.cpuset.contains(core) {
             // The queue's span covers the task's cpuset, but this particular
             // core was excluded by the submitter. Put it back for a sibling.
@@ -1388,9 +1193,8 @@ impl TaskManager {
                 // queueing interval; each run measures its own delay.
                 task.submitted_at = self.latency.is_some().then(std::time::Instant::now);
                 let cpuset = task.cpuset;
-                let home = task.home;
-                self.queues[home.index()].requeue(task);
-                self.note_enqueued(home, &cpuset);
+                queue.requeue(task);
+                self.note_enqueued(queue.id, &cpuset);
                 return true;
             }
             // A one-shot task returning `Again` is treated as `Done`.
@@ -1435,7 +1239,7 @@ impl TaskManager {
             + self
                 .sockets
                 .iter()
-                .map(|s| s.overflow_len.load(Ordering::Relaxed))
+                .map(|s| s.overflow.len_hint())
                 .sum::<usize>()
     }
 
@@ -1450,45 +1254,25 @@ impl TaskManager {
             return true;
         }
         let sock = &self.sockets[self.core_socket[core] as usize];
-        sock.overflow_len.load(Ordering::Relaxed) > 0 && span_admits(&sock.overflow_span, core)
+        sock.overflow.len_hint() > 0 && sock.overflow.steal_span_admits(core)
     }
 
     /// The current contention signal for `core`'s hierarchy path, in
     /// `0.0..=1.0`, **without** advancing the window: the decayed recent
-    /// rate under [`SignalPolicy::Windowed`], the lifetime
-    /// `contended / acquisitions` ratio under
-    /// [`SignalPolicy::Cumulative`]. Observability only — budgets read the
-    /// signal through [`adaptive_budget`](Self::adaptive_budget).
+    /// rate of contended lock acquisitions. Observability only — budgets
+    /// read the signal through [`adaptive_budget`](Self::adaptive_budget).
     pub fn contention_rate(&self, core: usize) -> f64 {
         debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        match self.config.signal {
-            SignalPolicy::Windowed => self.cores[core].window.rate(),
-            SignalPolicy::Cumulative => {
-                let (mut acquisitions, mut contended) = (0u64, 0u64);
-                for node in self.topo.path_to_root(core) {
-                    if let Some((a, c)) = self.queues[node.index()].lock_stats() {
-                        acquisitions += a;
-                        contended += c;
-                    }
-                }
-                if acquisitions == 0 {
-                    0.0
-                } else {
-                    contended as f64 / acquisitions as f64
-                }
-            }
-        }
+        self.cores[core].window.rate()
     }
 
-    /// The half-life (in samples) currently governing `core`'s windowed
-    /// contention signal: the configured
-    /// [`contention_half_life`](ManagerConfig::contention_half_life) when
-    /// [`auto_half_life`](ManagerConfig::auto_half_life) is off, the
-    /// auto-tuner's latest pick (clamped to
+    /// The half-life (in samples) currently governing `core`'s contention
+    /// window: the auto-tuner's latest pick, clamped to
     /// [`AUTO_HALF_LIFE_MIN`](crate::AUTO_HALF_LIFE_MIN)`..=`
-    /// [`AUTO_HALF_LIFE_MAX`](crate::AUTO_HALF_LIFE_MAX)) when it is on.
-    /// Observability only — the `phase_shift_ramp_auto` bench row reads it
-    /// to pin the tuner inside its clamp.
+    /// [`AUTO_HALF_LIFE_MAX`](crate::AUTO_HALF_LIFE_MAX)
+    /// ([`DEFAULT_CONTENTION_HALF_LIFE`] until the first contention
+    /// burst). Observability only — the `phase_shift_ramp` bench row reads
+    /// it to pin the tuner inside its clamp.
     pub fn contention_half_life(&self, core: usize) -> u64 {
         debug_assert!(core < self.topo.n_cores(), "core id out of range");
         self.cores[core].window.half_life()
@@ -1530,8 +1314,8 @@ impl TaskManager {
             let sock = &self.sockets[s as usize];
             let overflow_visible = |gate: usize| {
                 self.socket_overflow_active
-                    && sock.overflow_len.load(Ordering::Relaxed) >= gate
-                    && span_admits(&sock.overflow_span, core)
+                    && sock.overflow.len_hint() >= gate
+                    && sock.overflow.steal_span_admits(core)
             };
             if s == own {
                 // The own-socket overflow is directly claimable — no
@@ -1690,7 +1474,7 @@ impl TaskManager {
                 .queues
                 .iter()
                 .map(|q| {
-                    let (lock_acquisitions, lock_contended) = q.lock_stats().unwrap_or((0, 0));
+                    let (lock_acquisitions, lock_contended) = q.lock_stats();
                     QueueStats {
                         id: q.id,
                         level: q.level,
@@ -1714,16 +1498,22 @@ impl TaskManager {
             sockets: self
                 .sockets
                 .iter()
-                .map(|s| SocketStats {
-                    node: s.node as usize,
-                    cpuset: s.cpuset,
-                    overflow_pending: s.overflow_len.load(Ordering::Relaxed),
-                    overflow_span: span_snapshot(&s.overflow_span),
-                    pending_hint: s.pending.load(Ordering::Relaxed).max(0) as usize,
-                    span: span_snapshot(&s.span),
-                    parked: s.parked.load(Ordering::Relaxed),
-                    spilled: s.spilled.load(Ordering::Relaxed),
-                    claimed: s.claimed.load(Ordering::Relaxed),
+                .map(|s| {
+                    let (overflow_lock_acquisitions, overflow_lock_contended) =
+                        s.overflow.lock_stats();
+                    SocketStats {
+                        node: s.node as usize,
+                        cpuset: s.cpuset,
+                        overflow_pending: s.overflow.len_hint(),
+                        overflow_span: s.overflow.steal_span(),
+                        overflow_lock_acquisitions,
+                        overflow_lock_contended,
+                        pending_hint: s.pending.load(Ordering::Relaxed).max(0) as usize,
+                        span: span_snapshot(&s.span),
+                        parked: s.parked.load(Ordering::Relaxed),
+                        spilled: s.spilled.load(Ordering::Relaxed),
+                        claimed: s.claimed.load(Ordering::Relaxed),
+                    }
                 })
                 .collect(),
             wakeups_for_steal: self.per_core(|c| c.remote.steal_wakeups.load(Ordering::Relaxed)),
@@ -1797,7 +1587,6 @@ impl core::fmt::Debug for TaskManager {
         f.debug_struct("TaskManager")
             .field("topology", &self.topo.name())
             .field("queues", &self.queues.len())
-            .field("queue_backend", &self.config.queue_backend)
             .finish()
     }
 }
@@ -1808,8 +1597,7 @@ impl core::fmt::Debug for TaskManager {
 /// Defaults: runnable on **every** core (the Global Queue shape), placed on
 /// the smallest topology node covering its CPU set, one-shot,
 /// [`TaskClass::Interactive`], no deadline, no dependencies. Each method
-/// overrides one knob; the four deprecated `submit*` entry points are thin
-/// wrappers over this builder.
+/// overrides one knob.
 #[must_use = "a SubmitSpec does nothing until `.spawn()` is called"]
 pub struct SubmitSpec<'m> {
     mgr: &'m TaskManager,
@@ -2205,44 +1993,6 @@ mod tests {
     }
 
     #[test]
-    fn lockfree_backend_runs_tasks() {
-        let mgr = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                queue_backend: QueueBackend::LockFree,
-                ..ManagerConfig::default()
-            },
-        );
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::range(0..4))
-            .spawn();
-        assert!(mgr.schedule(2));
-        assert!(h.is_complete());
-        let qstats = &mgr.stats().queues;
-        assert!(qstats.iter().all(|q| q.lock_acquisitions == 0));
-    }
-
-    #[test]
-    fn mutex_backend_runs_tasks() {
-        let mgr = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                queue_backend: QueueBackend::Mutex,
-                ..ManagerConfig::default()
-            },
-        );
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::range(0..4))
-            .spawn();
-        assert!(mgr.schedule(2));
-        assert!(h.is_complete());
-        // The OS mutex is uninstrumented: no spinlock stats.
-        assert!(mgr.stats().queues.iter().all(|q| q.lock_acquisitions == 0));
-    }
-
-    #[test]
     fn latency_histogram_off_by_default() {
         let mgr = kwak_mgr();
         let h = mgr
@@ -2362,8 +2112,7 @@ mod tests {
         // An urgent polling task re-enqueues at its *class lane's* tail:
         // it still outranks lower classes on the next pop, but within the
         // Urgent lane it queues behind other urgent work instead of
-        // jumping the front (the PR-8 fix: requeue used to push urgent
-        // repeats at the steal-cursor front, starving same-class peers).
+        // jumping the front and starving same-class peers.
         let mgr = kwak_mgr();
         let order = Arc::new(Mutex::new(Vec::new()));
         let o = order.clone();
@@ -2628,25 +2377,6 @@ mod tests {
     }
 
     #[test]
-    fn lockfree_backend_steals_too() {
-        let mgr = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                queue_backend: QueueBackend::LockFree,
-                ..ManagerConfig::default()
-            },
-        );
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::from_iter([0, 1]))
-            .on_core(1)
-            .spawn();
-        assert!(mgr.schedule(0));
-        assert!(h.is_complete());
-        assert_eq!(mgr.stats().stolen_by_core[0], 1);
-    }
-
-    #[test]
     #[should_panic(expected = "not in cpuset")]
     fn submit_on_rejects_home_outside_cpuset() {
         let mgr = kwak_mgr();
@@ -2737,32 +2467,6 @@ mod tests {
         assert!(qstats.steal_span.contains(0));
         assert!(qstats.steal_span.contains(1));
         assert!(!qstats.steal_span.contains(2));
-    }
-
-    #[test]
-    fn windowed_budget_matches_cumulative_shape_on_quiet_queues() {
-        // With no contention both policies must produce the same budgets:
-        // depth-sized, clamped, DEFAULT_BATCH on an empty stealing path.
-        let windowed = kwak_mgr();
-        let cumulative = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                signal: SignalPolicy::Cumulative,
-                ..ManagerConfig::default()
-            },
-        );
-        for mgr in [&windowed, &cumulative] {
-            assert_eq!(mgr.adaptive_budget(0), DEFAULT_BATCH);
-            for _ in 0..100 {
-                mgr.task(|_| TaskStatus::Done)
-                    .cpuset(CpuSet::single(0))
-                    .spawn();
-            }
-            let b = mgr.adaptive_budget(0);
-            assert!((100..=MAX_BATCH).contains(&b), "budget {b} tracks depth");
-        }
-        assert_eq!(windowed.contention_rate(0), 0.0);
-        assert_eq!(cumulative.contention_rate(0), 0.0);
     }
 
     #[test]
@@ -3061,85 +2765,5 @@ mod tests {
             .spawn();
         mgr.schedule(0);
         assert!(mgr.stats().latency_by_class.is_none());
-    }
-
-    /// The four deprecated entry points stay behaviourally identical to
-    /// their builder expansions. This module is their only caller.
-    #[allow(deprecated)]
-    mod deprecated_wrappers {
-        use super::*;
-
-        #[test]
-        fn submit_matches_builder() {
-            let mgr = kwak_mgr();
-            let h = mgr.submit(
-                |_| TaskStatus::Done,
-                CpuSet::single(0),
-                TaskOptions::oneshot(),
-            );
-            assert!(mgr.schedule(0));
-            assert!(h.is_complete());
-        }
-
-        #[test]
-        fn submit_boxed_matches_builder() {
-            let mgr = kwak_mgr();
-            let h = mgr.submit_boxed(
-                Box::new(|_| TaskStatus::Done),
-                CpuSet::single(0),
-                TaskOptions::repeat(),
-            );
-            assert!(mgr.schedule(0));
-            assert!(h.is_complete(), "repeat + Done completes");
-        }
-
-        #[test]
-        fn submit_global_matches_builder() {
-            let mgr = kwak_mgr();
-            let h = mgr.submit_global(|_| TaskStatus::Done, TaskOptions::oneshot());
-            assert!(mgr.schedule(15), "visible from any core");
-            assert!(h.is_complete());
-        }
-
-        #[test]
-        fn submit_on_matches_builder() {
-            let mgr = kwak_mgr();
-            let h = mgr.submit_on(
-                |_| TaskStatus::Done,
-                1,
-                CpuSet::from_iter([0, 1]),
-                TaskOptions::oneshot(),
-            );
-            let home_q = mgr.topology().core_node(1).index();
-            assert_eq!(mgr.stats().queues[home_q].pending, 1, "homed on core 1");
-            assert!(mgr.schedule(1));
-            assert!(h.is_complete());
-        }
-
-        #[test]
-        fn urgent_option_forwarder_reaches_the_urgent_lane() {
-            let mgr = kwak_mgr();
-            let order = Arc::new(Mutex::new(Vec::new()));
-            let o = order.clone();
-            mgr.submit(
-                move |_| {
-                    o.lock().push("normal");
-                    TaskStatus::Done
-                },
-                CpuSet::single(0),
-                TaskOptions::oneshot(),
-            );
-            let o = order.clone();
-            mgr.submit(
-                move |_| {
-                    o.lock().push("urgent");
-                    TaskStatus::Done
-                },
-                CpuSet::single(0),
-                TaskOptions::oneshot().urgent(),
-            );
-            mgr.schedule(0);
-            assert_eq!(*order.lock(), vec!["urgent", "normal"]);
-        }
     }
 }

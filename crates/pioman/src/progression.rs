@@ -40,12 +40,6 @@ pub struct ProgressionConfig {
     /// Optional dedicated timer thread that unparks every worker at this
     /// period, independent of submissions.
     pub timer_period: Option<Duration>,
-    /// How the per-keypoint task budget (see [`TaskManager::hook_batch`])
-    /// is chosen each loop iteration: a worker drains at most that many
-    /// tasks per invocation, so a flood on one queue cannot keep a worker
-    /// away from its shutdown/park checks indefinitely. Queues are drained
-    /// in batches of up to the budget under one lock acquisition.
-    pub batch: BatchPolicy,
 }
 
 /// Upper bound on *consecutive* park probes that report stealable backlog
@@ -57,24 +51,9 @@ pub struct ProgressionConfig {
 /// parks anyway and the park-timeout/timer bound takes over.
 pub const MAX_PROBE_STRIKES: u32 = 3;
 
-/// Per-keypoint budget policy for progression workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPolicy {
-    /// Recompute the budget every keypoint from observed queue depth and
-    /// contention ([`TaskManager::adaptive_budget`]). The default: a
-    /// fixed budget either wastes passes on deep backlogs or reserves
-    /// slots shallow ones never fill.
-    #[default]
-    Adaptive,
-    /// A fixed budget per keypoint (clamped to at least 1). The pre-
-    /// adaptive behaviour — kept for the `adaptive_batch_ramp` ablation
-    /// and for callers that need strictly predictable drain sizes.
-    Fixed(usize),
-}
-
 impl ProgressionConfig {
     /// Workers for every core of the manager's topology, 100 µs park
-    /// timeout, no dedicated timer thread, adaptive batch budget.
+    /// timeout, no dedicated timer thread.
     pub fn all_cores(mgr: &TaskManager) -> Self {
         Self::for_cores((0..mgr.topology().n_cores()).collect::<Vec<_>>())
     }
@@ -85,7 +64,6 @@ impl ProgressionConfig {
             cores: cores.into(),
             park_timeout: Duration::from_micros(100),
             timer_period: None,
-            batch: BatchPolicy::Adaptive,
         }
     }
 }
@@ -122,7 +100,6 @@ impl Progression {
                 let shutdown = shutdown.clone();
                 let idle_loops = idle_loops.clone();
                 let park = config.park_timeout;
-                let policy = config.batch;
                 std::thread::Builder::new()
                     .name(format!("piom-worker-{core}"))
                     .spawn(move || {
@@ -133,11 +110,12 @@ impl Progression {
                         let mut probe_strikes = 0u32;
                         while !shutdown.load(Ordering::Acquire) {
                             // The worker *is* the idle loop: invoke the idle
-                            // keypoint; park when nothing was runnable.
-                            let budget = match policy {
-                                BatchPolicy::Fixed(n) => n.max(1),
-                                BatchPolicy::Adaptive => mgr.adaptive_budget(core),
-                            };
+                            // keypoint; park when nothing was runnable. The
+                            // budget is recomputed every keypoint from queue
+                            // depth and contention, so a flood on one queue
+                            // cannot keep the worker away from its
+                            // shutdown/park checks indefinitely.
+                            let budget = mgr.adaptive_budget(core);
                             let ran = mgr.hook_batch(HookPoint::Idle, core, budget) > 0;
                             if ran {
                                 probe_strikes = 0;
@@ -308,26 +286,6 @@ mod tests {
             .cpuset(CpuSet::single(0))
             .spawn();
         assert_eq!(h.wait(), Ok(()));
-    }
-
-    #[test]
-    fn fixed_batch_policy_still_progresses() {
-        let mgr = TaskManager::new(presets::symmetric(1, 1, 2).into());
-        let config = ProgressionConfig {
-            batch: BatchPolicy::Fixed(2),
-            ..ProgressionConfig::all_cores(&mgr)
-        };
-        let _prog = Progression::start(mgr.clone(), config);
-        let handles: Vec<_> = (0..20)
-            .map(|_| {
-                mgr.task(|_| TaskStatus::Done)
-                    .cpuset(CpuSet::from_iter([0, 1]))
-                    .spawn()
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.wait(), Ok(()));
-        }
     }
 
     #[test]

@@ -1,20 +1,27 @@
-//! Task queues: one per topology node, spinlock-protected or lock-free.
+//! Task queues: the paper's spinlocked list with Algorithm 2's unlocked
+//! emptiness test (§IV-A), one per topology node and one per socket
+//! overflow.
+//!
+//! There is one queue implementation. Tasks live in [`SeqLanes`] — plain
+//! `VecDeque` lanes per QoS class, popped under the policy documented on
+//! [`SeqLanes::pop`] — behind the instrumented TTAS [`SpinLock`], with the
+//! lane count mirrored into an unlocked length hint so an empty queue is
+//! detected without touching the lock. (Why no lock-free alternative:
+//! EXPERIMENTS.md, "Backend and knob cull".)
 //!
 //! # Layout (false-sharing pass, PR 5)
 //!
-//! A queue's hot atomics are touched by different cores in different
-//! roles: the *owner* drains the list, *thieves* read the length hint and
-//! the steal span (and take the steal cursor), and *submitters* bump the
-//! statistics counters. Each of those groups sits behind a
-//! [`CachePadded`] so one role's writes never evict the line another
-//! role is polling — and the `submitted`/`executed` statistics, which
-//! every core RMWs, are [`ShardedCounter`]s (per-slot padded,
-//! aggregated only on snapshot). `DESIGN.md` §6 has the full layout
-//! rationale; the `stats_sharding_contended` bench records the cost of
-//! the shared-counter alternative.
+//! A queue's hot words are touched by different cores in different roles:
+//! the *owner* and *thieves* take the lock, every *park probe* reads the
+//! length hint and the steal span, and *submitters* bump the statistics
+//! counters. Each of those groups sits behind a [`CachePadded`] so one
+//! role's writes never evict the line another role is polling — and the
+//! `submitted`/`executed` statistics, which every core RMWs, are
+//! [`ShardedCounter`]s (per-slot padded, aggregated only on snapshot).
+//! `DESIGN.md` §6 has the layout rationale; the `stats_sharding_contended`
+//! bench records the cost of the shared-counter alternative.
 
 use crate::counters::ShardedCounter;
-use crate::lockfree::{place_deadline_lane, ClassLanes, DL_LANES};
 use crate::spinlock::SpinLock;
 use crate::task::{Task, TaskClass, CLASS_COUNT};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -35,111 +42,126 @@ impl QueueId {
     }
 }
 
-/// Storage backing one queue. Since PR 8 every backend stores its tasks in
-/// per-class QoS lanes ([`TaskClass`]) and pops under the shared policy:
-/// strict class priority with the `Background` anti-starvation credit
-/// ([`crate::lockfree::BACKGROUND_BYPASS_LIMIT`]), earliest-deadline-first
-/// within a class ahead of the class's FIFO tasks. The locked backends run
-/// the policy sequentially over [`SeqLanes`] under their existing lock (no
-/// *new* lock acquisitions); the lock-free backend runs it over
-/// [`ClassLanes`] with zero locks on the enqueue/dequeue fast path.
-// The per-class `SeqLanes` put the `Spin` variant a few hundred bytes above
-// the `Mutex` one. Boxing it (clippy's suggestion) would add a pointer
-// chase to every pop on the *default* backend to slim an enum that is
-// constructed once per topology node and never moved; the arena happily
-// pays the footprint instead. (`LockFree` *is* boxed — its epoch collectors
-// are KiB-scale, a different regime.)
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    /// The paper's implementation: per-class lanes + spinlock, dequeued
-    /// with the double-checked Algorithm 2 (`len` is the unlocked
-    /// emptiness hint). The lock (owner + thieves) and the hint (read by
-    /// every park probe) are padded apart so probe traffic does not
-    /// contend the lock line.
-    Spin {
-        list: CachePadded<SpinLock<SeqLanes>>,
-        len: CachePadded<AtomicUsize>,
-    },
-    /// §VI future work: true lock-free class lanes over Michael–Scott
-    /// queues with epoch reclamation (vendored `crossbeam`) — compared
-    /// against the spinlock design by the ablation benchmarks. Boxed: the
-    /// embedded epoch collectors' cache-line-padded pin slots make the
-    /// lanes many KiB, which would bloat every `TaskQueue` in the arena
-    /// otherwise.
-    ///
-    /// `cursor` is the *steal cursor*: a small spinlocked deque holding
-    /// steal leftovers — the logical **front** of the queue. A
-    /// Michael–Scott queue cannot remove from the middle, so a steal pass
-    /// drains the lanes and parks everything it must leave behind here
-    /// *in policy order* instead of re-pushing at the tail (which rotated
-    /// the victim queue before PR 4). All dequeue paths consult the
-    /// cursor before the lanes *class by class*, so class priority
-    /// survives steals and intra-queue FIFO of non-stolen tasks is
-    /// preserved. `cursor_len` is the unlocked emptiness hint: the common
-    /// no-steal case pays one relaxed load, never the lock; `cursor_bg`
-    /// counts the `Background` tasks parked in the cursor so the
-    /// anti-starvation credit keeps ticking for them too. The cursor
-    /// (thief-owned) and its hints are padded away from the lanes so a
-    /// steal pass never bounces the line the owner's pop is reading — the
-    /// lanes' own hot words are padded inside `ClassLanes` itself.
-    ///
-    /// Urgent work no longer needs the cursor front: [`TaskClass::Urgent`]
-    /// *is* the front by class priority, so urgent enqueues (and urgent
-    /// repeat requeues) go through the lanes like everything else.
-    LockFree {
-        lanes: Box<ClassLanes<Task>>,
-        cursor: CachePadded<SpinLock<VecDeque<Task>>>,
-        cursor_len: CachePadded<AtomicUsize>,
-        cursor_bg: CachePadded<AtomicUsize>,
-    },
-    /// The pre-lock-free shim, kept as an ablation baseline: a plain OS
-    /// mutex around the sequential lanes, locked on **every** operation
-    /// including emptiness checks (no Algorithm-2 unlocked hint). This is
-    /// what `QueueBackend::LockFree` silently was before the real
-    /// lock-free queue landed; the `lockfree_vs_mutex` bench quantifies
-    /// the gap. Deliberately unpadded — it is the "what we had" baseline.
-    Mutex { list: std::sync::Mutex<SeqLanes> },
+/// How many higher-class pops may bypass a waiting [`TaskClass::Background`]
+/// task before the next pop serves `Background` regardless of priority.
+///
+/// This is the anti-starvation bound stated in docs/SCHEDULER.md ("QoS
+/// tiers") and pinned by the `qos_policy` tests. The credit is a plain
+/// counter mutated under the queue's lock, so the bound is *exact*: the
+/// `BACKGROUND_BYPASS_LIMIT + 1`-th pop while `Background` waits serves
+/// `Background`, however many cores are popping.
+pub const BACKGROUND_BYPASS_LIMIT: u32 = 16;
+
+/// Number of deadline (EDF) lanes per class in [`SeqLanes`].
+pub const DL_LANES: usize = 2;
+
+/// An element that carries QoS routing metadata: which class lane it
+/// belongs in and an optional EDF deadline (integer ticks).
+pub trait Classed {
+    /// The QoS class lane this element is enqueued into.
+    fn class(&self) -> TaskClass;
+    /// Optional deadline tick; `None` reads as "infinitely late" and the
+    /// element drains FIFO behind the class's deadline-carrying elements.
+    fn deadline(&self) -> Option<u64>;
 }
 
-/// Locks a poisoned-agnostic mutex (a panicking task body must not poison
-/// the scheduler).
-fn lock_lanes(list: &std::sync::Mutex<SeqLanes>) -> std::sync::MutexGuard<'_, SeqLanes> {
-    list.lock().unwrap_or_else(|e| e.into_inner())
+/// Picks which of a class's [`DL_LANES`] deadline lanes a push with
+/// `deadline` should append to, given each lane's tail deadline (`None` =
+/// lane empty).
+///
+/// The goal is to keep each lane individually sorted by deadline so the
+/// tournament pop (min over lane heads) is exact EDF. A lane is *eligible*
+/// when appending keeps it sorted: it is empty, or its tail deadline is
+/// `<= deadline`.
+///
+/// - If any non-empty lane is eligible, append to the one with the
+///   **greatest** tail (ties: lowest index) — the tightest fit, which
+///   preserves the other lanes' headroom for earlier deadlines.
+/// - Else if any lane is empty, take the lowest-indexed empty lane.
+/// - Else no append keeps sortedness (the deadline precedes every tail):
+///   append to the **smallest**-tail lane (ties: lowest index). That lane
+///   is now locally out of order and EDF degrades to best-effort until it
+///   drains — the documented trade for keeping the hot path heap-free.
+///
+/// Pure function: the sequential oracle in the `qos_policy` proptests
+/// re-derives this placement from the documented contract.
+pub fn place_deadline_lane(tails: [Option<u64>; DL_LANES], deadline: u64) -> usize {
+    let mut best_eligible: Option<(u64, usize)> = None;
+    let mut first_empty: Option<usize> = None;
+    let mut smallest: Option<(u64, usize)> = None;
+    for (i, t) in tails.iter().enumerate() {
+        match *t {
+            Some(tail) => {
+                if tail <= deadline && best_eligible.is_none_or(|(b, _)| tail > b) {
+                    best_eligible = Some((tail, i));
+                }
+                if smallest.is_none_or(|(s, _)| tail < s) {
+                    smallest = Some((tail, i));
+                }
+            }
+            None => {
+                if first_empty.is_none() {
+                    first_empty = Some(i);
+                }
+            }
+        }
+    }
+    if let Some((_, i)) = best_eligible {
+        i
+    } else if let Some(i) = first_empty {
+        i
+    } else {
+        smallest.map(|(_, i)| i).unwrap_or(0)
+    }
 }
 
-/// The sequential twin of [`ClassLanes`]: the same per-class lanes and the
-/// same pop policy (class priority + anti-starvation credit, EDF ahead of
-/// FIFO within a class, [`place_deadline_lane`] placement), implemented
-/// over plain `VecDeque`s for the backends that already hold a lock.
-/// Driven sequentially, the two are *behaviourally identical* — the
-/// `qos_policy` proptests pin all three backends against one oracle.
-pub(crate) struct SeqLanes {
-    classes: [SeqClassLane; CLASS_COUNT],
-    /// Anti-starvation credit (see
-    /// [`crate::lockfree::BACKGROUND_BYPASS_LIMIT`]): exact, since every
-    /// access happens under the backend's lock.
+/// The QoS lanes of one queue: per [`TaskClass`], a FIFO lane for
+/// deadline-less elements and [`DL_LANES`] deadline lanes, all plain
+/// `VecDeque`s — every access happens under the owning queue's lock (or,
+/// for the DES workloads that queue simulated requests in the same type,
+/// on the single simulation thread), so the policy is sequential, exact
+/// and deterministic. The `qos_policy` proptests pin it against an
+/// independent oracle.
+pub struct SeqLanes<T> {
+    classes: [SeqClassLane<T>; CLASS_COUNT],
+    /// Anti-starvation credit (see [`BACKGROUND_BYPASS_LIMIT`]).
     bg_credit: u32,
     len: usize,
 }
 
-#[derive(Default)]
-struct SeqClassLane {
-    fifo: VecDeque<Task>,
-    dl: [VecDeque<Task>; DL_LANES],
+struct SeqClassLane<T> {
+    fifo: VecDeque<T>,
+    dl: [VecDeque<T>; DL_LANES],
 }
 
-impl SeqClassLane {
+impl<T> Default for SeqClassLane<T> {
+    fn default() -> Self {
+        SeqClassLane {
+            fifo: VecDeque::new(),
+            dl: Default::default(),
+        }
+    }
+}
+
+impl<T> SeqClassLane<T> {
     fn is_empty(&self) -> bool {
         self.fifo.is_empty() && self.dl.iter().all(|l| l.is_empty())
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Task> {
+    fn iter(&self) -> impl Iterator<Item = &T> {
         self.dl.iter().flatten().chain(self.fifo.iter())
     }
 }
 
-impl SeqLanes {
-    pub(crate) fn new() -> Self {
+impl<T: Classed> Default for SeqLanes<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Classed> SeqLanes<T> {
+    /// Creates empty lanes.
+    pub fn new() -> Self {
         SeqLanes {
             classes: Default::default(),
             bg_credit: 0,
@@ -147,53 +169,58 @@ impl SeqLanes {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    /// Total element count across every lane.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Appends to the task's class lane: the deadline lane chosen by
+    /// `true` when no lane holds an element.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends to the element's class lane: the deadline lane chosen by
     /// [`place_deadline_lane`] when it carries a deadline, the class FIFO
     /// otherwise.
-    pub(crate) fn push(&mut self, task: Task) {
-        let lane = &mut self.classes[task.options.class.index()];
+    pub fn push(&mut self, value: T) {
+        let lane = &mut self.classes[value.class().index()];
         self.len += 1;
-        match task.options.deadline {
+        match value.deadline() {
             Some(d) => {
-                let tails =
-                    core::array::from_fn(|i| lane.dl[i].back().and_then(|t| t.options.deadline));
-                lane.dl[place_deadline_lane(tails, d)].push_back(task);
+                let tails = core::array::from_fn(|i| lane.dl[i].back().and_then(T::deadline));
+                lane.dl[place_deadline_lane(tails, d)].push_back(value);
             }
-            None => lane.fifo.push_back(task),
+            None => lane.fifo.push_back(value),
         }
     }
 
-    /// Pops the earliest-deadline task of `class` (tournament over the
-    /// deadline-lane fronts), falling back to the class FIFO.
-    pub(crate) fn pop_class(&mut self, class: TaskClass) -> Option<Task> {
+    /// Pops the earliest-deadline element of `class` (tournament over the
+    /// deadline-lane fronts, ties to the lower lane), falling back to the
+    /// class FIFO.
+    fn pop_class(&mut self, class: TaskClass) -> Option<T> {
         let lane = &mut self.classes[class.index()];
-        let heads: [Option<u64>; DL_LANES] = core::array::from_fn(|i| {
-            lane.dl[i]
-                .front()
-                .map(|t| t.options.deadline.unwrap_or(u64::MAX))
-        });
-        let task = match (heads[0], heads[1]) {
+        let heads: [Option<u64>; DL_LANES] =
+            core::array::from_fn(|i| lane.dl[i].front().map(|t| t.deadline().unwrap_or(u64::MAX)));
+        let value = match (heads[0], heads[1]) {
             (Some(a), Some(b)) => lane.dl[usize::from(a > b)].pop_front(),
             (Some(_), None) => lane.dl[0].pop_front(),
             (None, Some(_)) => lane.dl[1].pop_front(),
             (None, None) => lane.fifo.pop_front(),
         };
-        if task.is_some() {
+        if value.is_some() {
             self.len -= 1;
         }
-        task
+        value
     }
 
-    /// Pops the next task under the full QoS policy, mirroring
-    /// [`ClassLanes::pop`] exactly (sequentially the credit bound is
-    /// precise: the `BACKGROUND_BYPASS_LIMIT + 1`-th pop while
-    /// `Background` waits serves `Background`).
-    pub(crate) fn pop(&mut self) -> Option<Task> {
-        use crate::lockfree::BACKGROUND_BYPASS_LIMIT;
+    /// Pops the next element under the full QoS policy: strict class
+    /// priority ([`TaskClass::ALL`] order), earliest-deadline-first within
+    /// a class ahead of the class's FIFO elements — softened by the
+    /// anti-starvation credit: every pop that serves a higher class while
+    /// `Background` waits bumps the credit, and once it reaches
+    /// [`BACKGROUND_BYPASS_LIMIT`] the next pop serves `Background` first
+    /// and resets it.
+    pub fn pop(&mut self) -> Option<T> {
         let bg = TaskClass::Background.index();
         let order = if self.bg_credit >= BACKGROUND_BYPASS_LIMIT && !self.classes[bg].is_empty() {
             [
@@ -206,30 +233,51 @@ impl SeqLanes {
             TaskClass::ALL
         };
         for class in order {
-            if let Some(task) = self.pop_class(class) {
+            if let Some(value) = self.pop_class(class) {
                 if class == TaskClass::Background {
                     self.bg_credit = 0;
                 } else if !self.classes[bg].is_empty() {
                     self.bg_credit += 1;
                 }
-                return Some(task);
+                return Some(value);
             }
         }
         None
     }
 
+    /// Removes up to `quota` elements for a **socket-overflow spill**:
+    /// lowest class first (reverse [`TaskClass::ALL`] order), each class
+    /// drained in its own pop order (EDF ahead of FIFO, oldest first). A
+    /// spill is relocation, not service, so — like
+    /// [`steal_eligible`](SeqLanes::steal_eligible) — it skips the
+    /// anti-starvation credit. Evicting from the *bottom* of the priority
+    /// order keeps the work the pop policy would serve next on the
+    /// uncontended local queue; the excess that was going to wait anyway
+    /// is what gains from whole-socket visibility.
+    fn spill_lowest(&mut self, quota: usize, out: &mut Vec<T>) -> usize {
+        let mut n = 0;
+        'classes: for class in TaskClass::ALL.iter().rev() {
+            while n < quota {
+                let Some(value) = self.pop_class(*class) else {
+                    continue 'classes;
+                };
+                out.push(value);
+                n += 1;
+            }
+            break;
+        }
+        n
+    }
+}
+
+impl SeqLanes<Task> {
     /// Steal-half over the lanes: removes the
     /// `min(max, ceil(eligible / 2))` eligible tasks the *pop policy
     /// would serve first* (class priority, EDF ahead of FIFO, FIFO in
     /// order), leaving ineligible tasks in place and in order. Returns
     /// how many were taken. Deliberately skips the credit bookkeeping —
     /// a steal is relocation, not service.
-    pub(crate) fn steal_eligible(
-        &mut self,
-        thief: usize,
-        max: usize,
-        out: &mut Vec<Task>,
-    ) -> usize {
+    fn steal_eligible(&mut self, thief: usize, max: usize, out: &mut Vec<Task>) -> usize {
         let eligible = self
             .classes
             .iter()
@@ -287,12 +335,22 @@ impl SeqLanes {
 /// widest supported fabric (the 1024-core quad-socket preset).
 pub(crate) const SPAN_WORDS: usize = CpuSet::MAX_CPUS / 64;
 
-/// One hierarchical task queue.
+/// One task queue: a topology node's, or a socket's overflow.
 pub(crate) struct TaskQueue {
     pub(crate) id: QueueId,
     pub(crate) level: Level,
+    /// The cores whose hierarchy path includes this queue. Steal-span bits
+    /// inside it never decay ([`Self::maybe_decay_span`]); a socket
+    /// overflow passes [`CpuSet::EMPTY`] because *its* span gates claims,
+    /// where every stale bit costs a wasted lock acquisition.
     pub(crate) cpuset: CpuSet,
-    backend: Backend,
+    /// The paper's list + spinlock (§IV-A). Owner and thieves take the
+    /// lock; padded away from the hint so park-probe traffic does not
+    /// contend the lock line.
+    list: CachePadded<SpinLock<SeqLanes<Task>>>,
+    /// Algorithm 2's unlocked emptiness test: the lane count, published
+    /// under the lock and read without it.
+    len: CachePadded<AtomicUsize>,
     /// Tasks enqueued by submission — sharded: submitters are arbitrary
     /// threads, so each lands on its thread's padded slot.
     submitted: ShardedCounter,
@@ -318,46 +376,13 @@ pub(crate) struct TaskQueue {
 }
 
 impl TaskQueue {
-    pub(crate) fn new_spin(id: QueueId, level: Level, cpuset: CpuSet, shards: usize) -> Self {
+    pub(crate) fn new(id: QueueId, level: Level, cpuset: CpuSet, shards: usize) -> Self {
         TaskQueue {
             id,
             level,
             cpuset,
-            backend: Backend::Spin {
-                list: CachePadded::new(SpinLock::new(SeqLanes::new())),
-                len: CachePadded::new(AtomicUsize::new(0)),
-            },
-            submitted: ShardedCounter::new(shards),
-            executed: ShardedCounter::new(shards),
-            steal_span: Default::default(),
-        }
-    }
-
-    pub(crate) fn new_lockfree(id: QueueId, level: Level, cpuset: CpuSet, shards: usize) -> Self {
-        TaskQueue {
-            id,
-            level,
-            cpuset,
-            backend: Backend::LockFree {
-                lanes: Box::new(ClassLanes::new()),
-                cursor: CachePadded::new(SpinLock::new(VecDeque::new())),
-                cursor_len: CachePadded::new(AtomicUsize::new(0)),
-                cursor_bg: CachePadded::new(AtomicUsize::new(0)),
-            },
-            submitted: ShardedCounter::new(shards),
-            executed: ShardedCounter::new(shards),
-            steal_span: Default::default(),
-        }
-    }
-
-    pub(crate) fn new_mutex(id: QueueId, level: Level, cpuset: CpuSet, shards: usize) -> Self {
-        TaskQueue {
-            id,
-            level,
-            cpuset,
-            backend: Backend::Mutex {
-                list: std::sync::Mutex::new(SeqLanes::new()),
-            },
+            list: CachePadded::new(SpinLock::new(SeqLanes::new())),
+            len: CachePadded::new(AtomicUsize::new(0)),
             submitted: ShardedCounter::new(shards),
             executed: ShardedCounter::new(shards),
             steal_span: Default::default(),
@@ -368,7 +393,7 @@ impl TaskQueue {
     /// after the first task with a given span shape, the common case is
     /// relaxed loads only and zero RMWs.
     ///
-    /// Called **after** the backend push, never before: the decay path
+    /// Called **after** the push, never before: the decay path
     /// clears the span only when it observes the queue empty and restores
     /// whatever it cleared when it observes a concurrent enqueue — an
     /// ordering that can only lose a task's bits if those bits were
@@ -404,8 +429,8 @@ impl TaskQueue {
     /// * an enqueue whose `fetch_or` lands **after** the swap re-adds its
     ///   bits directly — nothing to restore;
     /// * an enqueue whose `fetch_or` (Release) landed **before** the swap
-    ///   (Acquire) synchronizes with it, and since [`note_span`]
-    ///   (Self::note_span) runs after the backend push, the re-check
+    ///   (Acquire) synchronizes with it, and since
+    ///   [`note_span`](Self::note_span) runs after the push, the re-check
     ///   below is then guaranteed to observe the push and restore the
     ///   captured bits;
     /// * the one interleaving that can still drop bits: an enqueuer
@@ -456,216 +481,106 @@ impl TaskQueue {
             && self.steal_span[core / 64].load(Ordering::Relaxed) & (1u64 << (core % 64)) != 0
     }
 
-    /// Appends a task to its class lane (tail of the lane; the deadline
-    /// lanes order by [`place_deadline_lane`]) and returns the queue depth
-    /// just after the append (a hint under the lock-free backend).
-    /// Class priority replaces the old urgent-to-the-front special case:
-    /// a [`TaskClass::Urgent`] task is served before every lower class by
-    /// the pop policy itself, under every backend. The returned depth
-    /// feeds the backlog-threshold check behind
-    /// [`wake_for_steal`](crate::TaskManager::wake_for_steal).
-    pub(crate) fn enqueue(&self, task: Task) -> usize {
-        self.submitted.add(1);
-        let span = task.cpuset;
-        let depth = match &self.backend {
-            Backend::Spin { list, len } => {
-                let mut guard = list.lock();
-                guard.push(task);
-                // Published while holding the lock; Relaxed — the hint may
-                // transiently read stale (including stale-empty) on weak
-                // memory, which is the same race Algorithm 2's unlocked
-                // test always had: correctness rides the lock (data) and
-                // the submission's unpark tokens (progress), never hint
-                // freshness.
-                len.store(guard.len(), Ordering::Relaxed);
-                guard.len()
-            }
-            Backend::LockFree {
-                lanes, cursor_len, ..
-            } => {
-                lanes.push(task);
-                lanes.len() + cursor_len.load(Ordering::Relaxed)
-            }
-            Backend::Mutex { list } => {
-                let mut guard = lock_lanes(list);
-                guard.push(task);
-                guard.len()
-            }
-        };
+    /// The frame around every insertion: `LOCK; insert; UNLOCK` with the
+    /// length hint published before the unlock, then the span fold.
+    /// Relaxed — the hint may transiently read stale (including
+    /// stale-empty) on weak memory, which is the same race Algorithm 2's
+    /// unlocked test always had: correctness rides the lock (data) and the
+    /// submission's unpark tokens (progress), never hint freshness. `span`
+    /// is the union of the inserted tasks' cpusets; returns the depth just
+    /// after the insertion.
+    fn with_lock(&self, span: &CpuSet, insert: impl FnOnce(&mut SeqLanes<Task>)) -> usize {
+        let mut guard = self.list.lock();
+        insert(&mut guard);
+        let depth = guard.len();
+        self.len.store(depth, Ordering::Relaxed);
+        drop(guard);
         // After the push, so the decay path's clear/restore protocol can
         // never drop the bits of a task already in the queue (note_span
         // docs walk the interleavings).
-        self.note_span(&span);
+        self.note_span(span);
         depth
+    }
+
+    /// Appends a task to its class lane (tail of the lane; the deadline
+    /// lanes order by [`place_deadline_lane`]) and returns the queue depth
+    /// just after the append, which feeds the backlog-threshold check
+    /// behind [`wake_for_steal`](crate::TaskManager::wake_for_steal).
+    pub(crate) fn enqueue(&self, task: Task) -> usize {
+        self.submitted.add(1);
+        self.requeue(task)
     }
 
     /// Re-enqueue a repeat task without counting a new submission. Goes
     /// through the same class lanes as a fresh enqueue — in particular an
-    /// urgent repeat task requeues at the *tail of the Urgent lane* (it
-    /// still preempts every lower class, but no longer cuts ahead of
-    /// older urgent work the way the pre-PR-8 cursor front did).
-    pub(crate) fn requeue(&self, task: Task) {
+    /// urgent repeat task requeues at the *tail of the Urgent lane*: it
+    /// still preempts every lower class, but does not cut ahead of older
+    /// urgent work. Returns the depth just after the append.
+    #[inline]
+    pub(crate) fn requeue(&self, task: Task) -> usize {
         let span = task.cpuset;
-        match &self.backend {
-            Backend::Spin { list, len } => {
-                let mut guard = list.lock();
-                guard.push(task);
-                len.store(guard.len(), Ordering::Relaxed);
-            }
-            Backend::LockFree { lanes, .. } => lanes.push(task),
-            Backend::Mutex { list } => lock_lanes(list).push(task),
-        }
-        self.note_span(&span);
+        self.with_lock(&span, |lanes| lanes.push(task))
     }
 
-    /// Removes the earliest-deadline eligible element of `class` from the
-    /// steal cursor (`None` deadline reads as "infinitely late", ties go
-    /// to the oldest), or `None` when the cursor holds no task of that
-    /// class.
-    fn take_first_of_class(guard: &mut VecDeque<Task>, class: TaskClass) -> Option<Task> {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, t) in guard.iter().enumerate() {
-            if t.options.class == class {
-                let d = t.options.deadline.unwrap_or(u64::MAX);
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, i));
-                }
-            }
+    /// [`requeue`](Self::requeue) for a whole batch under **one** lock
+    /// acquisition, in order — how a spill lands in the socket overflow.
+    pub(crate) fn requeue_batch(&self, tasks: &mut Vec<Task>) {
+        if !tasks.is_empty() {
+            let span = tasks.iter().fold(CpuSet::EMPTY, |s, t| s | t.cpuset);
+            self.with_lock(&span, |lanes| tasks.drain(..).for_each(|t| lanes.push(t)));
         }
-        best.and_then(|(_, i)| guard.remove(i))
-    }
-
-    /// One policy-ordered pop for the lock-free backend: for each class in
-    /// credit-adjusted priority order, the steal cursor (older, left-behind
-    /// tasks — the logical front) is consulted before the lanes. The
-    /// common no-steal case never touches the cursor lock: `cursor_len` is
-    /// the unlocked hint, so the whole pop is lock-free.
-    fn lockfree_pop_one(
-        lanes: &ClassLanes<Task>,
-        cursor: &SpinLock<VecDeque<Task>>,
-        cursor_len: &AtomicUsize,
-        cursor_bg: &AtomicUsize,
-    ) -> Option<Task> {
-        let bg_waiting = || {
-            !lanes.class_is_empty(TaskClass::Background) || cursor_bg.load(Ordering::Relaxed) > 0
-        };
-        let order = lanes.class_order_with(bg_waiting());
-        let mut served = None;
-        if cursor_len.load(Ordering::Relaxed) > 0 {
-            let mut guard = cursor.lock();
-            for class in order {
-                if let Some(t) = Self::take_first_of_class(&mut guard, class) {
-                    cursor_len.store(guard.len(), Ordering::Relaxed);
-                    if class == TaskClass::Background {
-                        cursor_bg.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    served = Some(t);
-                    break;
-                }
-                if let Some(t) = lanes.pop_class(class) {
-                    served = Some(t);
-                    break;
-                }
-            }
-        } else {
-            for class in order {
-                if let Some(t) = lanes.pop_class(class) {
-                    served = Some(t);
-                    break;
-                }
-            }
-        }
-        if let Some(t) = &served {
-            lanes.note_served(t.options.class, bg_waiting());
-        }
-        served
     }
 
     /// The paper's **Algorithm 2** (`Get_Task`): evaluate the queue content
     /// without holding the mutex; if non-empty, acquire and re-check.
     /// "This technique permits to avoid race conditions with a minimal
     /// overhead since the mutex is only held when the list contains tasks."
-    /// The dequeued task is whichever the QoS pop policy serves next (see
-    /// [`SeqLanes::pop`] / [`ClassLanes::pop`]); plain same-class FIFO
-    /// submissions drain in submission order exactly as before PR 8.
+    /// The dequeued task is whichever the QoS pop policy serves next
+    /// ([`SeqLanes::pop`]); plain same-class FIFO submissions drain in
+    /// submission order.
     pub(crate) fn try_dequeue(&self) -> Option<Task> {
-        let task = match &self.backend {
-            Backend::Spin { list, len } => {
-                // notempty(Queue) — unlocked peek.
-                if len.load(Ordering::Relaxed) == 0 {
-                    return None;
-                }
-                // LOCK(Queue); re-check; dequeue; UNLOCK(Queue).
-                let mut guard = list.lock();
-                let task = guard.pop();
-                len.store(guard.len(), Ordering::Relaxed);
-                task
-            }
-            Backend::LockFree {
-                lanes,
-                cursor,
-                cursor_len,
-                cursor_bg,
-            } => Self::lockfree_pop_one(lanes, cursor, cursor_len, cursor_bg),
-            Backend::Mutex { list } => lock_lanes(list).pop(),
-        };
-        if task.is_some() && self.len_hint() == 0 {
-            self.maybe_decay_span();
-        }
-        task
+        let mut out = None;
+        self.with_nonempty(|lanes| {
+            out = lanes.pop();
+            usize::from(out.is_some())
+        });
+        out
     }
 
-    /// Batched Algorithm 2: drains up to `max` tasks into `out` under a
-    /// *single* lock acquisition (the unlocked emptiness test still guards
-    /// the lock). Returns the number of tasks drained.
+    /// Algorithm 2's frame around every removal: the unlocked emptiness
+    /// test (`notempty(Queue)`), then `LOCK; re-check; remove; UNLOCK`
+    /// with the hint re-published under the lock, then span decay if the
+    /// removal left the queue empty. `remove` returns how many it took.
+    fn with_nonempty(&self, remove: impl FnOnce(&mut SeqLanes<Task>) -> usize) -> usize {
+        if self.len.load(Ordering::Relaxed) == 0 {
+            return 0;
+        }
+        let mut guard = self.list.lock();
+        let taken = remove(&mut guard);
+        let left = guard.len();
+        self.len.store(left, Ordering::Relaxed);
+        drop(guard);
+        if taken > 0 && left == 0 {
+            self.maybe_decay_span();
+        }
+        taken
+    }
+
+    /// Batched Algorithm 2: drains up to `max` tasks into `out`, in pop
+    /// policy order, under a *single* lock acquisition (the unlocked
+    /// emptiness test still guards the lock). Returns the number drained.
     ///
     /// This is the schedule-side half of batching: where `try_dequeue`
     /// re-acquires the spinlock once per task, a keypoint that finds a
     /// backlog of `n` tasks pays one acquisition for all of them.
     pub(crate) fn dequeue_batch(&self, max: usize, out: &mut Vec<Task>) -> usize {
-        let taken = match &self.backend {
-            Backend::Spin { list, len } => {
-                if len.load(Ordering::Relaxed) == 0 {
-                    return 0;
-                }
-                let mut guard = list.lock();
-                let take = guard.len().min(max);
-                for _ in 0..take {
-                    out.push(guard.pop().expect("len checked under the lock"));
-                }
-                len.store(guard.len(), Ordering::Relaxed);
-                take
+        self.with_nonempty(|lanes| {
+            let take = lanes.len().min(max);
+            for _ in 0..take {
+                out.push(lanes.pop().expect("len checked under the lock"));
             }
-            Backend::LockFree {
-                lanes,
-                cursor,
-                cursor_len,
-                cursor_bg,
-            } => {
-                let mut n = 0;
-                while n < max {
-                    let Some(task) = Self::lockfree_pop_one(lanes, cursor, cursor_len, cursor_bg)
-                    else {
-                        break;
-                    };
-                    out.push(task);
-                    n += 1;
-                }
-                n
-            }
-            Backend::Mutex { list } => {
-                let mut guard = lock_lanes(list);
-                let take = guard.len().min(max);
-                for _ in 0..take {
-                    out.push(guard.pop().expect("len checked under the lock"));
-                }
-                take
-            }
-        };
-        if taken > 0 && self.len_hint() == 0 {
-            self.maybe_decay_span();
-        }
-        taken
+            take
+        })
     }
 
     /// Batched stealing (*steal-half*): takes up to `max` of the tasks
@@ -680,175 +595,28 @@ impl TaskQueue {
     /// probes instead of `n` single-task probes (the per-probe premium
     /// PR 2's trajectory measured).
     ///
-    /// Ineligible tasks keep their queue positions under every backend.
-    /// Spin and Mutex scan the deque in place under the lock. The
-    /// lock-free backend cannot scan a Michael–Scott queue in place, so
-    /// its steal pass pops a bounded prefix and parks everything it must
-    /// leave behind in the *steal cursor* — the spinlocked logical front
-    /// that all dequeue paths drain first — in original order. Before
-    /// PR 4 the leftovers were re-pushed at the tail, rotating the victim
-    /// queue on every probe; the cursor removes that reordering (a
-    /// concurrent dequeue racing the steal pass itself may still observe
-    /// tasks out of order — intra-queue FIFO is only defined for
-    /// operations that don't overlap the steal).
+    /// The lanes are scanned in place under the lock
+    /// ([`SeqLanes::steal_eligible`]): ineligible tasks keep their queue
+    /// positions, and the tasks taken are the ones the pop policy would
+    /// have served first.
     pub(crate) fn try_steal_half(&self, thief: usize, max: usize, out: &mut Vec<Task>) -> usize {
         if max == 0 {
             return 0;
         }
-        let taken = match &self.backend {
-            Backend::Spin { list, len } => {
-                if len.load(Ordering::Relaxed) == 0 {
-                    return 0;
-                }
-                let mut guard = list.lock();
-                let taken = guard.steal_eligible(thief, max, out);
-                len.store(guard.len(), Ordering::Relaxed);
-                taken
-            }
-            Backend::Mutex { list } => lock_lanes(list).steal_eligible(thief, max, out),
-            Backend::LockFree {
-                lanes,
-                cursor,
-                cursor_len,
-                cursor_bg,
-            } => {
-                // Holding the cursor lock for the whole pass serializes
-                // thieves on this queue (stealing is the rare path) and
-                // lets the leftovers land at the logical front in order.
-                // The lanes drain in policy order (class priority, EDF
-                // ahead of FIFO), so the cursor's element order *is* the
-                // pop-policy order of the drained snapshot and the FIFO
-                // steal below takes the tasks the policy would serve
-                // first.
-                let mut guard = cursor.lock();
-                lanes.drain(|task| {
-                    guard.push_back(task);
-                    // Publish as we go: a racing dequeue that misses the
-                    // hint only loses to the ordinary pop race.
-                    cursor_len.store(guard.len(), Ordering::Relaxed);
-                });
-                let taken = Self::drain_half_eligible(&mut guard, thief, max, out);
-                cursor_len.store(guard.len(), Ordering::Relaxed);
-                cursor_bg.store(
-                    guard
-                        .iter()
-                        .filter(|t| t.options.class == TaskClass::Background)
-                        .count(),
-                    Ordering::Relaxed,
-                );
-                taken
-            }
-        };
-        if taken > 0 && self.len_hint() == 0 {
-            self.maybe_decay_span();
-        }
-        taken
+        self.with_nonempty(|lanes| lanes.steal_eligible(thief, max, out))
     }
 
-    /// Lock-free-backend steal body, applied to the steal cursor after the
-    /// lanes drained into it: removes the first (policy-ordered)
-    /// `min(max, ceil(eligible / 2))` eligible tasks, leaving ineligible
-    /// ones in place and in order.
-    fn drain_half_eligible(
-        guard: &mut VecDeque<Task>,
-        thief: usize,
-        max: usize,
-        out: &mut Vec<Task>,
-    ) -> usize {
-        let eligible = guard.iter().filter(|t| t.cpuset.contains(thief)).count();
-        if eligible == 0 {
-            return 0;
-        }
-        let quota = eligible.div_ceil(2).min(max);
-        let mut taken = 0;
-        let mut i = 0;
-        while taken < quota && i < guard.len() {
-            if guard[i].cpuset.contains(thief) {
-                out.push(guard.remove(i).expect("index checked"));
-                taken += 1;
-            } else {
-                i += 1;
-            }
-        }
-        taken
-    }
-
-    /// Removes up to `quota` tasks for a **socket-overflow spill**: lowest
-    /// class first (reverse [`TaskClass::ALL`] order), each class drained
-    /// in its own pop order (EDF ahead of FIFO, oldest first). A spill is
-    /// relocation, not service, so — like
-    /// [`steal_eligible`](SeqLanes::steal_eligible) — it skips the
-    /// anti-starvation credit. Evicting from the *bottom* of the priority
-    /// order keeps the work the pop policy would serve next on the
-    /// uncontended local queue; the excess that was going to wait anyway
-    /// is what gains from whole-socket visibility.
-    ///
-    /// The lock-free backend spills from the lanes only: tasks already
-    /// staged in the steal cursor are the logical front — the work most
-    /// likely to be served next — and stay put.
+    /// Removes up to `quota` tasks for a socket-overflow spill, lowest
+    /// class first ([`SeqLanes::spill_lowest`]).
     pub(crate) fn spill_lowest(&self, quota: usize, out: &mut Vec<Task>) -> usize {
-        if quota == 0 {
-            return 0;
-        }
-        let taken = match &self.backend {
-            Backend::Spin { list, len } => {
-                let mut guard = list.lock();
-                let n = Self::spill_lowest_seq(&mut guard, quota, out);
-                len.store(guard.len(), Ordering::Relaxed);
-                n
-            }
-            Backend::Mutex { list } => Self::spill_lowest_seq(&mut lock_lanes(list), quota, out),
-            Backend::LockFree { lanes, .. } => {
-                let mut n = 0;
-                'classes: for class in TaskClass::ALL.iter().rev() {
-                    while n < quota {
-                        let Some(task) = lanes.pop_class(*class) else {
-                            continue 'classes;
-                        };
-                        out.push(task);
-                        n += 1;
-                    }
-                    break;
-                }
-                n
-            }
-        };
-        if taken > 0 && self.len_hint() == 0 {
-            self.maybe_decay_span();
-        }
-        taken
+        self.with_nonempty(|lanes| lanes.spill_lowest(quota, out))
     }
 
-    /// [`spill_lowest`](Self::spill_lowest) body for the locked backends.
-    fn spill_lowest_seq(lanes: &mut SeqLanes, quota: usize, out: &mut Vec<Task>) -> usize {
-        let mut n = 0;
-        'classes: for class in TaskClass::ALL.iter().rev() {
-            while n < quota {
-                let Some(task) = lanes.pop_class(*class) else {
-                    continue 'classes;
-                };
-                out.push(task);
-                n += 1;
-            }
-            break;
-        }
-        n
-    }
-
-    /// Current length (hint; racy by nature). The Mutex backend pays a
-    /// lock acquisition here — exactly the cost Algorithm 2's unlocked
-    /// hint (Spin) and the atomic counter (LockFree) avoid. The hint
-    /// loads are Relaxed: no data is consumed through them (the lock or
-    /// the queue's own acquire edges publish the tasks), and the wake
-    /// paths that guarantee progress carry unpark tokens, not this value.
+    /// Current length (hint; racy by nature). Relaxed: no data is consumed
+    /// through it (the lock publishes the tasks), and the wake paths that
+    /// guarantee progress carry unpark tokens, not this value.
     pub(crate) fn len_hint(&self) -> usize {
-        match &self.backend {
-            Backend::Spin { len, .. } => len.load(Ordering::Relaxed),
-            Backend::LockFree {
-                lanes, cursor_len, ..
-            } => lanes.len() + cursor_len.load(Ordering::Relaxed),
-            Backend::Mutex { list } => lock_lanes(list).len(),
-        }
+        self.len.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the steal span as a [`CpuSet`] (see the field docs).
@@ -872,15 +640,9 @@ impl TaskQueue {
         self.executed.sum()
     }
 
-    /// Lock statistics, when the backend has an instrumented lock (the
-    /// Mutex backend's OS lock is not instrumented).
-    pub(crate) fn lock_stats(&self) -> Option<(u64, u64)> {
-        match &self.backend {
-            Backend::Spin { list, .. } => {
-                Some((list.acquisitions(), list.contended_acquisitions()))
-            }
-            Backend::LockFree { .. } | Backend::Mutex { .. } => None,
-        }
+    /// `(acquisitions, contended acquisitions)` of the queue's spinlock.
+    pub(crate) fn lock_stats(&self) -> (u64, u64) {
+        (self.list.acquisitions(), self.list.contended_acquisitions())
     }
 }
 
@@ -909,21 +671,65 @@ mod tests {
         }
     }
 
-    fn spin_queue() -> TaskQueue {
-        TaskQueue::new_spin(QueueId(0), Level::Core, CpuSet::single(0), 4)
+    fn queue() -> TaskQueue {
+        TaskQueue::new(QueueId(0), Level::Core, CpuSet::single(0), 4)
     }
 
-    fn lockfree_queue() -> TaskQueue {
-        TaskQueue::new_lockfree(QueueId(0), Level::Core, CpuSet::single(0), 4)
+    #[test]
+    fn placement_prefers_the_tightest_eligible_lane() {
+        // Non-empty eligible lanes: greatest tail wins (tightest fit).
+        assert_eq!(place_deadline_lane([Some(5), Some(8)], 10), 1);
+        assert_eq!(place_deadline_lane([Some(8), Some(5)], 10), 0);
+        // Ties break to the lowest index.
+        assert_eq!(place_deadline_lane([Some(7), Some(7)], 10), 0);
+        // An eligible non-empty lane beats an empty lane.
+        assert_eq!(place_deadline_lane([None, Some(3)], 10), 1);
+        // No eligible non-empty lane: lowest-indexed empty lane.
+        assert_eq!(place_deadline_lane([None, None], 10), 0);
+        assert_eq!(place_deadline_lane([Some(20), None], 10), 1);
+        // Nothing eligible, nothing empty: smallest tail (best-effort).
+        assert_eq!(place_deadline_lane([Some(20), Some(30)], 10), 0);
+        assert_eq!(place_deadline_lane([Some(30), Some(20)], 10), 1);
     }
 
-    fn mutex_queue() -> TaskQueue {
-        TaskQueue::new_mutex(QueueId(0), Level::Core, CpuSet::single(0), 4)
+    #[test]
+    fn seq_lanes_serve_any_classed_element_under_the_pop_policy() {
+        // The lanes are generic over `Classed` (the DES workloads queue
+        // simulated requests in them): class priority, EDF ahead of FIFO
+        // within a class, and the exact background bypass.
+        struct Item(TaskClass, Option<u64>, u32);
+        impl Classed for Item {
+            fn class(&self) -> TaskClass {
+                self.0
+            }
+            fn deadline(&self) -> Option<u64> {
+                self.1
+            }
+        }
+        let mut lanes = SeqLanes::new();
+        lanes.push(Item(TaskClass::Background, None, 999));
+        lanes.push(Item(TaskClass::Bulk, None, 100));
+        lanes.push(Item(TaskClass::Bulk, Some(30), 101));
+        lanes.push(Item(TaskClass::Bulk, Some(10), 102));
+        lanes.push(Item(TaskClass::Urgent, None, 103));
+        for i in 0..BACKGROUND_BYPASS_LIMIT {
+            lanes.push(Item(TaskClass::Interactive, None, i));
+        }
+        assert_eq!(lanes.len(), 5 + BACKGROUND_BYPASS_LIMIT as usize);
+        let order: Vec<u32> = core::iter::from_fn(|| lanes.pop().map(|it| it.2)).collect();
+        // Urgent, then 15 Interactive make 16 bypasses; Background is
+        // served next, then the last Interactive, then Bulk by deadline
+        // with the deadline-less element last.
+        let mut expected = vec![103];
+        expected.extend(0..BACKGROUND_BYPASS_LIMIT - 1);
+        expected.extend([999, BACKGROUND_BYPASS_LIMIT - 1, 102, 101, 100]);
+        assert_eq!(order, expected);
+        assert!(lanes.is_empty());
     }
 
     #[test]
     fn fifo_order_spin() {
-        let q = spin_queue();
+        let q = queue();
         for _ in 0..3 {
             q.enqueue(dummy_task(q.id));
         }
@@ -938,28 +744,17 @@ mod tests {
     }
 
     #[test]
-    fn fifo_order_lockfree() {
-        let q = lockfree_queue();
-        q.enqueue(dummy_task(q.id));
-        q.enqueue(dummy_task(q.id));
-        assert_eq!(q.len_hint(), 2);
-        assert!(q.try_dequeue().is_some());
-        assert!(q.try_dequeue().is_some());
-        assert!(q.try_dequeue().is_none());
-    }
-
-    #[test]
     fn empty_dequeue_never_locks() {
-        let q = spin_queue();
+        let q = queue();
         assert!(q.try_dequeue().is_none());
         // Algorithm 2's whole point: an empty queue is detected without a
         // single lock acquisition.
-        assert_eq!(q.lock_stats().unwrap().0, 0);
+        assert_eq!(q.lock_stats().0, 0);
     }
 
     #[test]
     fn requeue_does_not_count_as_submission() {
-        let q = spin_queue();
+        let q = queue();
         q.enqueue(dummy_task(q.id));
         let t = q.try_dequeue().unwrap();
         q.requeue(t);
@@ -968,48 +763,62 @@ mod tests {
     }
 
     #[test]
+    fn requeue_batch_locks_once_and_keeps_order() {
+        let q = queue();
+        let mut batch: Vec<Task> = (0..4)
+            .map(|i| task_for(q.id, CpuSet::from_iter([0, 10 + i])))
+            .collect();
+        q.requeue_batch(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(q.lock_stats().0, 1, "one acquisition for the whole batch");
+        assert_eq!(q.len_hint(), 4);
+        assert_eq!(q.submitted(), 0, "a relocation is not a submission");
+        assert!(
+            q.steal_span_admits(13),
+            "the batch's cpusets reach the span"
+        );
+        for marker in 10..14 {
+            assert!(q.try_dequeue().unwrap().cpuset().contains(marker));
+        }
+        q.requeue_batch(&mut batch);
+        assert_eq!(q.lock_stats().0, 5, "an empty batch takes no lock");
+    }
+
+    #[test]
     fn batch_drains_in_one_lock_acquisition() {
-        let q = spin_queue();
+        let q = queue();
         for _ in 0..5 {
             q.enqueue(dummy_task(q.id));
         }
-        let locks_before = q.lock_stats().unwrap().0;
+        let locks_before = q.lock_stats().0;
         let mut out = Vec::new();
         assert_eq!(q.dequeue_batch(8, &mut out), 5);
         assert_eq!(out.len(), 5);
         assert_eq!(q.len_hint(), 0);
         assert_eq!(
-            q.lock_stats().unwrap().0 - locks_before,
+            q.lock_stats().0 - locks_before,
             1,
             "a batch drain must lock exactly once"
         );
         // Draining an empty queue takes the unlocked fast path.
         assert_eq!(q.dequeue_batch(8, &mut out), 0);
-        assert_eq!(q.lock_stats().unwrap().0 - locks_before, 1);
+        assert_eq!(q.lock_stats().0 - locks_before, 1);
     }
 
     #[test]
     fn batch_respects_max() {
-        let q = spin_queue();
+        let q = queue();
         for _ in 0..5 {
             q.enqueue(dummy_task(q.id));
         }
         let mut out = Vec::new();
         assert_eq!(q.dequeue_batch(2, &mut out), 2);
         assert_eq!(q.len_hint(), 3);
-
-        let lf = lockfree_queue();
-        for _ in 0..5 {
-            lf.enqueue(dummy_task(lf.id));
-        }
-        let mut out = Vec::new();
-        assert_eq!(lf.dequeue_batch(2, &mut out), 2);
-        assert_eq!(lf.len_hint(), 3);
     }
 
     #[test]
     fn steal_skips_ineligible_tasks_without_reordering() {
-        let q = spin_queue();
+        let q = queue();
         q.enqueue(task_for(q.id, CpuSet::single(0)));
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
         q.enqueue(task_for(q.id, CpuSet::single(0)));
@@ -1025,59 +834,32 @@ mod tests {
     }
 
     #[test]
-    fn steal_lockfree_backend() {
-        let q = lockfree_queue();
-        q.enqueue(task_for(q.id, CpuSet::single(0)));
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        let mut out = Vec::new();
-        assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
-        assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 0);
-        assert_eq!(q.len_hint(), 1, "ineligible task survives the pass");
-    }
-
-    #[test]
-    fn fifo_order_mutex() {
-        let q = mutex_queue();
-        for _ in 0..3 {
-            q.enqueue(dummy_task(q.id));
-        }
-        assert_eq!(q.len_hint(), 3);
-        let mut n = 0;
-        while q.try_dequeue().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 3);
-        assert!(q.lock_stats().is_none(), "OS mutex is uninstrumented");
-    }
-
-    #[test]
     fn steal_half_takes_half_of_eligible_backlog() {
-        for q in [spin_queue(), mutex_queue()] {
-            // 6 eligible for thief 3, 2 not.
-            for i in 0..8 {
-                let set = if i % 4 == 3 {
-                    CpuSet::single(0)
-                } else {
-                    CpuSet::from_iter([0, 3])
-                };
-                q.enqueue(task_for(q.id, set));
-            }
-            let mut out = Vec::new();
-            assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 3);
-            assert!(out.iter().all(|t| t.cpuset().contains(3)));
-            assert_eq!(q.len_hint(), 5, "half the eligible + all ineligible stay");
-            // The survivors are still dequeuable in order by the home core.
-            let mut left = 0;
-            while q.try_dequeue().is_some() {
-                left += 1;
-            }
-            assert_eq!(left, 5);
+        let q = queue();
+        // 6 eligible for thief 3, 2 not.
+        for i in 0..8 {
+            let set = if i % 4 == 3 {
+                CpuSet::single(0)
+            } else {
+                CpuSet::from_iter([0, 3])
+            };
+            q.enqueue(task_for(q.id, set));
         }
+        let mut out = Vec::new();
+        assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 3);
+        assert!(out.iter().all(|t| t.cpuset().contains(3)));
+        assert_eq!(q.len_hint(), 5, "half the eligible + all ineligible stay");
+        // The survivors are still dequeuable in order by the home core.
+        let mut left = 0;
+        while q.try_dequeue().is_some() {
+            left += 1;
+        }
+        assert_eq!(left, 5);
     }
 
     #[test]
     fn steal_half_rounds_up_and_honours_max() {
-        let q = spin_queue();
+        let q = queue();
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 1])));
         let mut out = Vec::new();
         // ceil(1/2) = 1: a lone straggler is still stealable.
@@ -1100,36 +882,18 @@ mod tests {
 
     #[test]
     fn steal_half_on_empty_queue_never_locks() {
-        let q = spin_queue();
+        let q = queue();
         let mut out = Vec::new();
         assert_eq!(q.try_steal_half(1, usize::MAX, &mut out), 0);
-        assert_eq!(q.lock_stats().unwrap().0, 0);
+        assert_eq!(q.lock_stats().0, 0);
     }
 
     #[test]
-    fn steal_half_lockfree_keeps_ineligible_tasks() {
-        let q = lockfree_queue();
-        for i in 0..6 {
-            let set = if i % 2 == 0 {
-                CpuSet::from_iter([0, 2])
-            } else {
-                CpuSet::single(0)
-            };
-            q.enqueue(task_for(q.id, set));
-        }
-        let mut out = Vec::new();
-        // 3 eligible -> ceil(3/2) = 2 stolen, 1 re-pushed, 3 ineligible kept.
-        assert_eq!(q.try_steal_half(2, usize::MAX, &mut out), 2);
-        assert!(out.iter().all(|t| t.cpuset().contains(2)));
-        assert_eq!(q.len_hint(), 4);
-    }
-
-    #[test]
-    fn steal_lockfree_preserves_fifo_of_survivors() {
-        // The PR-4 steal cursor: stealing must not rotate the victim queue.
-        // Tag each task with a unique marker cpu (10+i) so the drain order
-        // is observable; even-indexed tasks are eligible for thief 3.
-        let q = lockfree_queue();
+    fn steal_preserves_fifo_of_survivors_ahead_of_newer_pushes() {
+        // Stealing must not rotate the victim queue. Tag each task with a
+        // unique marker cpu (10+i) so the drain order is observable;
+        // even-indexed tasks are eligible for thief 3.
+        let q = queue();
         for i in 0..6 {
             let mut set = CpuSet::from_iter([0, 10 + i]);
             if i % 2 == 0 {
@@ -1142,8 +906,10 @@ mod tests {
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 2);
         assert!(out[0].cpuset().contains(10));
         assert!(out[1].cpuset().contains(12));
+        // A task pushed after the steal drains later than every survivor.
+        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 16])));
         // Survivors drain in original submission order: 1, 3, 4, 5.
-        for expect in [11, 13, 14, 15] {
+        for expect in [11, 13, 14, 15, 16] {
             let t = q.try_dequeue().expect("survivor present");
             assert!(
                 t.cpuset().contains(expect),
@@ -1154,147 +920,95 @@ mod tests {
     }
 
     #[test]
-    fn steal_cursor_survivors_precede_newer_pushes() {
-        // Tasks left behind by a steal sit at the logical *front*: a task
-        // pushed after the steal must drain later than every survivor.
-        let q = lockfree_queue();
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3, 10])));
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3, 11])));
-        let mut out = Vec::new();
-        assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 12])));
-        let first = q.try_dequeue().unwrap();
-        assert!(
-            first.cpuset().contains(11),
-            "survivor drains before newer work"
-        );
-        assert!(q.try_dequeue().unwrap().cpuset().contains(12));
-    }
-
-    #[test]
-    fn urgent_class_preempts_queue_order_under_every_backend() {
-        // Class priority is the preemption mechanism since PR 8 (the old
-        // urgent bool mapped to a cursor/deque front): an Urgent task
+    fn urgent_class_preempts_queue_order() {
+        // Class priority is the preemption mechanism: an Urgent task
         // submitted after older Interactive work still drains first.
-        for q in [spin_queue(), lockfree_queue(), mutex_queue()] {
-            q.enqueue(task_for(q.id, CpuSet::from_iter([0, 10])));
-            q.enqueue(task_with(
-                q.id,
-                CpuSet::from_iter([0, 11]),
-                TaskOptions::oneshot().class(TaskClass::Urgent),
-            ));
-            assert_eq!(q.len_hint(), 2);
-            assert!(q.try_dequeue().unwrap().cpuset().contains(11));
-            assert!(q.try_dequeue().unwrap().cpuset().contains(10));
-        }
+        let q = queue();
+        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 10])));
+        q.enqueue(task_with(
+            q.id,
+            CpuSet::from_iter([0, 11]),
+            TaskOptions::oneshot().class(TaskClass::Urgent),
+        ));
+        assert_eq!(q.len_hint(), 2);
+        assert!(q.try_dequeue().unwrap().cpuset().contains(11));
+        assert!(q.try_dequeue().unwrap().cpuset().contains(10));
     }
 
     #[test]
     fn urgent_requeue_lands_at_its_class_lane_tail() {
-        // The satellite fix: an urgent repeat task requeues *behind* older
-        // urgent work (class-lane tail), not ahead of it the way the old
-        // cursor-front special case did — while still preempting every
-        // lower class.
-        for q in [spin_queue(), lockfree_queue(), mutex_queue()] {
-            q.enqueue(task_for(q.id, CpuSet::from_iter([0, 10])));
-            let urgent = TaskOptions::repeat().class(TaskClass::Urgent);
-            q.enqueue(task_with(q.id, CpuSet::from_iter([0, 11]), urgent));
-            let first = q.try_dequeue().unwrap();
-            assert!(first.cpuset().contains(11), "urgent preempts interactive");
-            q.enqueue(task_with(q.id, CpuSet::from_iter([0, 12]), urgent));
-            q.requeue(first);
-            // The freshly enqueued urgent task (12) is older in the lane
-            // than the requeued one (11); both beat the interactive task.
-            assert!(q.try_dequeue().unwrap().cpuset().contains(12));
-            assert!(q.try_dequeue().unwrap().cpuset().contains(11));
-            assert!(q.try_dequeue().unwrap().cpuset().contains(10));
-        }
+        // An urgent repeat task requeues *behind* older urgent work
+        // (class-lane tail), not ahead of it — while still preempting
+        // every lower class.
+        let q = queue();
+        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 10])));
+        let urgent = TaskOptions::repeat().class(TaskClass::Urgent);
+        q.enqueue(task_with(q.id, CpuSet::from_iter([0, 11]), urgent));
+        let first = q.try_dequeue().unwrap();
+        assert!(first.cpuset().contains(11), "urgent preempts interactive");
+        q.enqueue(task_with(q.id, CpuSet::from_iter([0, 12]), urgent));
+        q.requeue(first);
+        // The freshly enqueued urgent task (12) is older in the lane
+        // than the requeued one (11); both beat the interactive task.
+        assert!(q.try_dequeue().unwrap().cpuset().contains(12));
+        assert!(q.try_dequeue().unwrap().cpuset().contains(11));
+        assert!(q.try_dequeue().unwrap().cpuset().contains(10));
     }
 
     #[test]
-    fn deadlines_drain_edf_within_a_class_under_every_backend() {
-        for q in [spin_queue(), lockfree_queue(), mutex_queue()] {
-            let bulk = TaskOptions::oneshot().class(TaskClass::Bulk);
-            q.enqueue(task_with(q.id, CpuSet::from_iter([0, 10]), bulk));
-            q.enqueue(task_with(
-                q.id,
-                CpuSet::from_iter([0, 11]),
-                bulk.deadline(30),
-            ));
-            q.enqueue(task_with(
-                q.id,
-                CpuSet::from_iter([0, 12]),
-                bulk.deadline(10),
-            ));
-            q.enqueue(task_with(
-                q.id,
-                CpuSet::from_iter([0, 13]),
-                bulk.deadline(20),
-            ));
-            // EDF among deadline tasks, then the FIFO (deadline-less) task.
-            for marker in [12, 13, 11, 10] {
-                assert!(
-                    q.try_dequeue().unwrap().cpuset().contains(marker),
-                    "expected marker {marker}"
-                );
-            }
-            assert!(q.try_dequeue().is_none());
+    fn deadlines_drain_edf_within_a_class() {
+        let q = queue();
+        let bulk = TaskOptions::oneshot().class(TaskClass::Bulk);
+        q.enqueue(task_with(q.id, CpuSet::from_iter([0, 10]), bulk));
+        q.enqueue(task_with(
+            q.id,
+            CpuSet::from_iter([0, 11]),
+            bulk.deadline(30),
+        ));
+        q.enqueue(task_with(
+            q.id,
+            CpuSet::from_iter([0, 12]),
+            bulk.deadline(10),
+        ));
+        q.enqueue(task_with(
+            q.id,
+            CpuSet::from_iter([0, 13]),
+            bulk.deadline(20),
+        ));
+        // EDF among deadline tasks, then the FIFO (deadline-less) task.
+        for marker in [12, 13, 11, 10] {
+            assert!(
+                q.try_dequeue().unwrap().cpuset().contains(marker),
+                "expected marker {marker}"
+            );
         }
+        assert!(q.try_dequeue().is_none());
     }
 
     #[test]
     fn steal_takes_the_tasks_the_pop_policy_would_serve_first() {
         // 2 eligible tasks (quota 1): the thief must get the Urgent one,
         // not the older Interactive one — steals honour class priority.
-        for q in [spin_queue(), lockfree_queue(), mutex_queue()] {
-            q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-            q.enqueue(task_with(
-                q.id,
-                CpuSet::from_iter([0, 3]),
-                TaskOptions::oneshot().class(TaskClass::Urgent),
-            ));
-            let mut out = Vec::new();
-            assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
-            assert_eq!(out.pop().unwrap().options().class, TaskClass::Urgent);
-            assert_eq!(q.len_hint(), 1);
-            assert_eq!(
-                q.try_dequeue().unwrap().options().class,
-                TaskClass::Interactive
-            );
-        }
-    }
-
-    #[test]
-    fn lockfree_cursor_keeps_class_priority_for_leftovers() {
-        // A steal drains the lanes into the cursor; a Background leftover
-        // parked there must not be served ahead of fresher higher-class
-        // lane work (the cursor is consulted *per class*, not wholesale).
-        let q = lockfree_queue();
+        let q = queue();
+        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
         q.enqueue(task_with(
             q.id,
-            CpuSet::from_iter([0, 10]),
-            TaskOptions::oneshot().class(TaskClass::Background),
-        ));
-        q.enqueue(task_with(
-            q.id,
-            CpuSet::from_iter([0, 3, 11]),
-            TaskOptions::oneshot().class(TaskClass::Background),
+            CpuSet::from_iter([0, 3]),
+            TaskOptions::oneshot().class(TaskClass::Urgent),
         ));
         let mut out = Vec::new();
-        // Thief 3 takes the one eligible task; the other Background task
-        // is left parked in the cursor.
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
-        assert!(out.pop().unwrap().cpuset().contains(11));
-        // Fresh Interactive work submitted *after* the steal still beats
-        // the parked Background leftover.
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 12])));
-        assert!(q.try_dequeue().unwrap().cpuset().contains(12));
-        assert!(q.try_dequeue().unwrap().cpuset().contains(10));
+        assert_eq!(out.pop().unwrap().options().class, TaskClass::Urgent);
+        assert_eq!(q.len_hint(), 1);
+        assert_eq!(
+            q.try_dequeue().unwrap().options().class,
+            TaskClass::Interactive
+        );
     }
 
     #[test]
     fn steal_span_unions_enqueued_cpusets() {
-        let q = spin_queue();
+        let q = queue();
         assert!(!q.steal_span_admits(0), "empty queue admits nobody");
         q.enqueue(task_for(q.id, CpuSet::single(0)));
         assert!(q.steal_span_admits(0));
@@ -1306,22 +1020,21 @@ mod tests {
 
     #[test]
     fn steal_span_decays_when_a_wide_queue_drains_empty() {
-        // PR 5: the span is no longer a forever-monotone union. Draining a
-        // queue whose span grew wider than its own cpuset clears it, so
-        // the stale wide bits stop attracting park probes.
-        for q in [spin_queue(), lockfree_queue(), mutex_queue()] {
-            q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-            assert!(q.steal_span_admits(3));
-            assert!(q.try_dequeue().is_some());
-            assert!(
-                !q.steal_span_admits(3),
-                "drained-empty queue must drop the wide span bit"
-            );
-            assert!(!q.steal_span_admits(0), "the whole span resets");
-            // The span rebuilds from the next enqueue.
-            q.enqueue(task_for(q.id, CpuSet::from_iter([0, 5])));
-            assert!(q.steal_span_admits(5));
-        }
+        // The span is not a forever-monotone union. Draining a queue whose
+        // span grew wider than its own cpuset clears it, so the stale wide
+        // bits stop attracting park probes.
+        let q = queue();
+        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
+        assert!(q.steal_span_admits(3));
+        assert!(q.try_dequeue().is_some());
+        assert!(
+            !q.steal_span_admits(3),
+            "drained-empty queue must drop the wide span bit"
+        );
+        assert!(!q.steal_span_admits(0), "the whole span resets");
+        // The span rebuilds from the next enqueue.
+        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 5])));
+        assert!(q.steal_span_admits(5));
     }
 
     #[test]
@@ -1329,18 +1042,24 @@ mod tests {
         // Bits inside the queue's own cpuset can only attract cores whose
         // hierarchy path already includes this queue — clearing them would
         // buy nothing, so the drain-empty path skips the swap entirely.
-        let q = spin_queue(); // cpuset {0}
+        let q = queue(); // cpuset {0}
         q.enqueue(task_for(q.id, CpuSet::single(0)));
         assert!(q.try_dequeue().is_some());
         assert!(
             q.steal_span_admits(0),
             "narrow span survives the drain (decay gated on wider-than-cpuset)"
         );
+        // A socket overflow has no such cores (its span gates claims):
+        // built over the empty set, every bit decays.
+        let ovf = TaskQueue::new(QueueId(0), Level::NumaNode, CpuSet::EMPTY, 1);
+        ovf.enqueue(task_for(ovf.id, CpuSet::single(0)));
+        assert!(ovf.try_dequeue().is_some());
+        assert!(!ovf.steal_span_admits(0));
     }
 
     #[test]
     fn steal_span_decays_after_batch_and_steal_drains_too() {
-        let q = spin_queue();
+        let q = queue();
         for _ in 0..3 {
             q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
         }
@@ -1356,22 +1075,20 @@ mod tests {
 
     #[test]
     fn enqueue_reports_post_append_depth() {
-        for q in [spin_queue(), lockfree_queue(), mutex_queue()] {
-            assert_eq!(q.enqueue(dummy_task(q.id)), 1);
-            assert_eq!(q.enqueue(dummy_task(q.id)), 2);
-            q.try_dequeue();
-            assert_eq!(q.enqueue(dummy_task(q.id)), 2);
-        }
+        let q = queue();
+        assert_eq!(q.enqueue(dummy_task(q.id)), 1);
+        assert_eq!(q.enqueue(dummy_task(q.id)), 2);
+        q.try_dequeue();
+        assert_eq!(q.enqueue(dummy_task(q.id)), 2);
     }
 
     #[test]
     fn counters() {
-        let q = spin_queue();
+        let q = queue();
         q.enqueue(dummy_task(q.id));
         q.note_executed(0);
         assert_eq!(q.submitted(), 1);
         assert_eq!(q.executed(), 1);
-        assert!(q.lock_stats().is_some());
-        assert!(lockfree_queue().lock_stats().is_none());
+        assert_eq!(q.lock_stats(), (1, 0));
     }
 }

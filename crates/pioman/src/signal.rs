@@ -1,57 +1,20 @@
 //! Phase-reactive scheduler signals: the windowed contention rate behind
 //! [`TaskManager::adaptive_budget`](crate::TaskManager::adaptive_budget).
 //!
-//! PR 3's adaptive budgets widened batches from the **cumulative**
-//! `lock_contended / lock_acquisitions` ratio. A cumulative ratio ossifies:
+//! A *cumulative* `lock_contended / lock_acquisitions` ratio ossifies:
 //! after a million quiet acquisitions, a contention burst moves it by parts
 //! per thousand, and after a long contended phase a newly quiet system keeps
-//! paying bursty-phase budgets for just as long. [`ContentionWindow`] fixes
-//! both by tracking an **exponentially-decayed** rate with a configurable
-//! half-life ([`ManagerConfig::contention_half_life`](crate::ManagerConfig)),
-//! so the signal follows phase changes at a speed the operator chooses.
-//! [`SignalPolicy`] selects between the two — the cumulative variant is kept
-//! for the `phase_shift_ramp` ablation, not as a recommended mode.
+//! paying bursty-phase budgets for just as long. [`ContentionWindow`]
+//! tracks an **exponentially-decayed** rate instead, and every core's
+//! window auto-tunes its half-life from the workload's own burst cadence
+//! ([`ContentionWindow::new_auto`], seeded with
+//! [`DEFAULT_CONTENTION_HALF_LIFE`](crate::DEFAULT_CONTENTION_HALF_LIFE)),
+//! so the signal follows phase changes without an operator-chosen constant.
 //!
 //! Everything here is plain atomics (no locks, no floats on the sampling
-//! path); CI runs this module's tests under Miri alongside the lock-free
-//! queue.
+//! path); CI runs this module's tests under Miri.
 
 use core::sync::atomic::{AtomicU64, Ordering};
-
-/// How [`TaskManager::adaptive_budget`](crate::TaskManager::adaptive_budget)
-/// turns the spinlock contention counters into a batch-widening signal.
-///
-/// ```
-/// use pioman::{ManagerConfig, SignalPolicy, TaskManager};
-/// use piom_topology::presets;
-///
-/// // The default is the windowed signal with a 32-sample half-life…
-/// assert_eq!(ManagerConfig::default().signal, SignalPolicy::Windowed);
-///
-/// // …and the cumulative PR-3 variant stays available for ablation runs.
-/// let mgr = TaskManager::with_config(
-///     presets::kwak().into(),
-///     ManagerConfig {
-///         signal: SignalPolicy::Cumulative,
-///         ..ManagerConfig::default()
-///     },
-/// );
-/// assert_eq!(mgr.config().signal, SignalPolicy::Cumulative);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SignalPolicy {
-    /// Exponentially-decayed contention rate ([`ContentionWindow`]), sampled
-    /// every budget computation: recent acquisitions dominate, history older
-    /// than a few half-lives is forgotten. The default — budgets track the
-    /// *current* phase.
-    #[default]
-    Windowed,
-    /// The PR-3 behaviour: lifetime `lock_contended / lock_acquisitions`.
-    /// Kept for the `phase_shift_ramp` ablation; ossifies as history
-    /// accumulates (the longer the process runs, the less a phase change
-    /// moves the ratio).
-    Cumulative,
-}
 
 /// Fixed-point scale of [`ContentionWindow`] rates: `FP_ONE` represents a
 /// contention rate of 1.0 (every acquisition was fought over).
@@ -124,7 +87,7 @@ pub struct ContentionWindow {
     /// (see [`new_auto`](Self::new_auto)).
     auto: bool,
     /// The half-life `decay_k` was derived from (exposed for tests and the
-    /// `phase_shift_ramp_auto` bench; the adaptation writes both together).
+    /// `phase_shift_ramp` bench; the adaptation writes both together).
     half_life: AtomicU64,
     /// Active (winning, acquisition-advancing) samples seen: the
     /// adaptation's clock, so gaps are measured in the same unit as the
@@ -161,8 +124,7 @@ impl ContentionWindow {
     /// while one much faster forgets a phase before the next burst
     /// confirms it; half the gap keeps roughly two half-lives of memory
     /// between bursts — reactive, but not amnesiac. The fixed
-    /// [`new`](Self::new) constructor remains the override for operators
-    /// (and ablation benches) that want a pinned response curve.
+    /// [`new`](Self::new) constructor pins the response curve instead.
     ///
     /// ```
     /// use pioman::ContentionWindow;
@@ -300,9 +262,7 @@ impl ContentionWindow {
     }
 
     /// The batch-widening multiplier this rate maps to: ×1 when uncontended
-    /// up to ×9 when every recent acquisition was fought over — the same
-    /// range the cumulative PR-3 formula produced, so the two
-    /// [`SignalPolicy`] arms differ only in *what history* they weigh.
+    /// up to ×9 when every recent acquisition was fought over.
     pub fn boost(&self) -> usize {
         1 + ((8 * self.rate_fp()) >> 16) as usize
     }

@@ -30,7 +30,7 @@ pub struct QueueStats {
     pub executed: u64,
     /// Tasks currently enqueued (racy snapshot).
     pub pending: usize,
-    /// Spinlock acquisitions (0 for the lock-free backend).
+    /// Spinlock acquisitions.
     pub lock_acquisitions: u64,
     /// Acquisitions that found the lock held (contention indicator).
     pub lock_contended: u64,
@@ -45,12 +45,17 @@ pub struct SocketStats {
     pub node: usize,
     /// Cores the socket spans.
     pub cpuset: CpuSet,
-    /// Tasks currently in the socket's overflow lanes (racy snapshot).
+    /// Tasks currently in the socket's overflow queue (racy snapshot).
     pub overflow_pending: usize,
     /// Union of the cpusets of tasks spilled into the overflow (decays
     /// when the overflow drains) — the gate on claims and cross-socket
     /// overflow steals.
     pub overflow_span: CpuSet,
+    /// Acquisitions of the overflow queue's spinlock: one per spill batch,
+    /// one per claim keypoint, one per cross-socket overflow steal.
+    pub overflow_lock_acquisitions: u64,
+    /// Overflow-lock acquisitions that found the lock held.
+    pub overflow_lock_contended: u64,
     /// Socket-wide pending hint: tasks across the socket's member queues
     /// *and* overflow, clamped at zero (the raw counter is a racy signed
     /// hint).

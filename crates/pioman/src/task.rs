@@ -28,7 +28,7 @@ pub enum TaskStatus {
 ///
 /// Classes are served in **strict priority order** ([`TaskClass::Urgent`]
 /// first, [`TaskClass::Background`] last) with one bounded exception: after
-/// [`crate::lockfree::BACKGROUND_BYPASS_LIMIT`] higher-class pops that
+/// [`crate::BACKGROUND_BYPASS_LIMIT`] higher-class pops that
 /// bypassed a waiting `Background` task, the next pop serves `Background` —
 /// the starvation bound stated in docs/SCHEDULER.md ("QoS tiers"). Within a
 /// class, tasks drain FIFO, except that tasks carrying a
@@ -130,12 +130,6 @@ impl TaskOptions {
         self.deadline = Some(tick);
         self
     }
-
-    /// Marks the task preemptive.
-    #[deprecated(since = "0.1.0", note = "use `.class(TaskClass::Urgent)`")]
-    pub const fn urgent(self) -> Self {
-        self.class(TaskClass::Urgent)
-    }
 }
 
 /// Execution context handed to a task body.
@@ -185,7 +179,7 @@ impl Task {
     }
 }
 
-impl crate::lockfree::Classed for Task {
+impl crate::queue::Classed for Task {
     fn class(&self) -> TaskClass {
         self.options.class
     }
@@ -228,14 +222,5 @@ mod tests {
         assert!(TaskClass::Urgent < TaskClass::Interactive);
         assert!(TaskClass::Bulk < TaskClass::Background);
         assert_eq!(TaskClass::default(), TaskClass::Interactive);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn urgent_forwarder_maps_to_the_urgent_class() {
-        assert_eq!(
-            TaskOptions::oneshot().urgent(),
-            TaskOptions::oneshot().class(TaskClass::Urgent)
-        );
     }
 }

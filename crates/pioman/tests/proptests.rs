@@ -1,9 +1,9 @@
 //! Property tests: no task is ever lost, duplicated, or run on a forbidden
-//! core, across random topologies, cpusets, and backends.
+//! core, across random topologies and cpusets.
 
 use piom_cpuset::CpuSet;
 use piom_topology::TopologyBuilder;
-use pioman::{ManagerConfig, QueueBackend, TaskManager, TaskStatus};
+use pioman::{TaskManager, TaskStatus};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,14 +23,6 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
     })
 }
 
-fn arb_backend() -> impl Strategy<Value = QueueBackend> {
-    prop_oneof![
-        Just(QueueBackend::Spinlock),
-        Just(QueueBackend::LockFree),
-        Just(QueueBackend::Mutex),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -39,7 +31,6 @@ proptest! {
     #[test]
     fn no_task_lost_or_misplaced(
         shape in arb_shape(),
-        backend in arb_backend(),
         seeds in proptest::collection::vec(any::<u64>(), 1..40),
     ) {
         let topo = Arc::new(
@@ -50,7 +41,7 @@ proptest! {
                 .build(),
         );
         let n = topo.n_cores();
-        let mgr = TaskManager::with_config(topo.clone(), ManagerConfig { queue_backend: backend, ..ManagerConfig::default() });
+        let mgr = TaskManager::new(topo.clone());
 
         let run_counts: Vec<Arc<AtomicU64>> =
             (0..seeds.len()).map(|_| Arc::new(AtomicU64::new(0))).collect();
@@ -102,7 +93,6 @@ proptest! {
     #[test]
     fn repeat_tasks_run_exact_count(
         shape in arb_shape(),
-        backend in arb_backend(),
         k in 1u64..20,
     ) {
         let topo = Arc::new(
@@ -113,7 +103,7 @@ proptest! {
                 .build(),
         );
         let n = topo.n_cores();
-        let mgr = TaskManager::with_config(topo, ManagerConfig { queue_backend: backend, ..ManagerConfig::default() });
+        let mgr = TaskManager::new(topo);
         let runs = Arc::new(AtomicU64::new(0));
         let r = runs.clone();
         let h = mgr.task(move |_| {
@@ -138,11 +128,10 @@ proptest! {
     /// (Kept small: the test host has a single CPU.)
     #[test]
     fn concurrent_progression_completes_everything(
-        backend in arb_backend(),
         n_tasks in 1usize..60,
     ) {
         let topo = Arc::new(TopologyBuilder::new("p").cores_per_cache(4).build());
-        let mgr = TaskManager::with_config(topo, ManagerConfig { queue_backend: backend, ..ManagerConfig::default() });
+        let mgr = TaskManager::new(topo);
         let prog = pioman::Progression::start(
             mgr.clone(),
             pioman::ProgressionConfig::all_cores(&mgr),
@@ -162,30 +151,23 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The PR-4 steal-cursor guarantee, via the public API: stealing from
-    /// a lock-free queue must not reorder the tasks it leaves behind.
+    /// Stealing must not reorder the tasks it leaves behind (checked
+    /// through the public API).
     ///
     /// Tasks are homed on core 1 with per-task eligibility for the thief
     /// (core 0) drawn from the seed; a random number of steal probes run
     /// first, then the home core drains everything. Every execution logs
     /// `(core, submission index)`; the home core's subsequence — exactly
-    /// the non-stolen tasks — must appear in submission order. (Before the
-    /// cursor, each probe's pop/re-push pass rotated the survivors.)
+    /// the non-stolen tasks — must appear in submission order.
     /// Deterministic: single-threaded, keypoints driven by hand.
     #[test]
-    fn lockfree_steal_preserves_victim_fifo(
+    fn steal_half_preserves_victim_fifo(
         n_tasks in 1usize..48,
         eligibility in any::<u64>(),
         n_probes in 0usize..6,
     ) {
         let topo = Arc::new(TopologyBuilder::new("p").cores_per_cache(4).build());
-        let mgr = TaskManager::with_config(
-            topo,
-            ManagerConfig {
-                queue_backend: QueueBackend::LockFree,
-                ..ManagerConfig::default()
-            },
-        );
+        let mgr = TaskManager::new(topo);
         let log = Arc::new(std::sync::Mutex::new(Vec::<(usize, usize)>::new()));
         let mut bits = eligibility;
         let handles: Vec<_> = (0..n_tasks)
@@ -243,39 +225,25 @@ proptest! {
     }
 }
 
-/// Sizes for the interleaving proptest below, shrunk under Miri: CI's
-/// `cargo miri test -p pioman lockfree` matches this test by name, and
-/// the interpreter is orders of magnitude slower than native, so both
-/// the case count and the thread/task ranges stay small there.
-const INTERLEAVE_CASES: u32 = if cfg!(miri) { 2 } else { 64 };
-const MAX_INTERLEAVE_THREADS: usize = if cfg!(miri) { 3 } else { 4 };
-const MAX_TASKS_PER_PRODUCER: usize = if cfg!(miri) { 5 } else { 30 };
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(INTERLEAVE_CASES))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The lock-free backend under real-thread interleavings of push
-    /// (submission), pop (home-core drains), and steal (sibling drains):
-    /// no task lost, none duplicated. Producer threads home every task on
-    /// core 0 with a multi-core cpuset; consumer threads hammer keypoints
-    /// on *all* cores concurrently, so local batched pops race steal-half
-    /// probes on the same Michael–Scott queue throughout. The vendored
-    /// proptest RNG is seeded from the test name (deterministic), and
-    /// iterations are bounded by the case count below.
+    /// Real-thread interleavings of push (submission), pop (home-core
+    /// drains), and steal (sibling drains): no task lost, none
+    /// duplicated. Producer threads home every task on core 0 with a
+    /// multi-core cpuset; consumer threads hammer keypoints on *all*
+    /// cores concurrently, so local batched pops race steal-half probes
+    /// on the same queue throughout. The vendored proptest RNG is seeded
+    /// from the test name (deterministic), and iterations are bounded by
+    /// the case count above.
     #[test]
-    fn lockfree_backend_survives_push_pop_steal_interleaving(
-        n_producers in 1usize..MAX_INTERLEAVE_THREADS,
-        tasks_per_producer in 1usize..MAX_TASKS_PER_PRODUCER,
-        n_consumers in 1usize..MAX_INTERLEAVE_THREADS,
+    fn push_pop_steal_interleaving_loses_and_duplicates_nothing(
+        n_producers in 1usize..4,
+        tasks_per_producer in 1usize..30,
+        n_consumers in 1usize..4,
     ) {
         let topo = Arc::new(TopologyBuilder::new("p").cores_per_cache(4).build());
-        let mgr = TaskManager::with_config(
-            topo,
-            ManagerConfig {
-                queue_backend: QueueBackend::LockFree,
-                ..ManagerConfig::default()
-            },
-        );
+        let mgr = TaskManager::new(topo);
         let total = n_producers * tasks_per_producer;
         let runs = Arc::new(AtomicU64::new(0));
         let done = Arc::new(AtomicU64::new(0));
@@ -302,9 +270,7 @@ proptest! {
                 let done = done.clone();
                 s.spawn(move || {
                     // Each consumer sweeps every core, so home-core pops
-                    // and cross-core steals interleave freely. Yield on an
-                    // empty sweep: keeps Miri's deterministic scheduler
-                    // rotating instead of burning interpreter cycles.
+                    // and cross-core steals interleave freely.
                     while done.load(Ordering::SeqCst) == 0 {
                         let mut ran = 0;
                         for core in 0..4 {

@@ -2,7 +2,7 @@
 //!
 //! * a **sequential oracle** — an independent reimplementation of the
 //!   documented lane policy (docs/SCHEDULER.md, "QoS tiers") — must agree
-//!   with every backend on the exact service order of any single-threaded
+//!   with the scheduler on the exact service order of any single-threaded
 //!   push/pop interleaving (property-tested);
 //! * the anti-starvation bound is **exact** when driven sequentially: a
 //!   waiting `Background` task is served on the pop after
@@ -14,36 +14,25 @@
 use parking_lot::Mutex;
 use piom_cpuset::CpuSet;
 use piom_topology::TopologyBuilder;
-use pioman::lockfree::{BACKGROUND_BYPASS_LIMIT, DL_LANES};
-use pioman::{ManagerConfig, QueueBackend, TaskClass, TaskManager, TaskStatus, CLASS_COUNT};
+use pioman::{
+    ManagerConfig, TaskClass, TaskManager, TaskStatus, BACKGROUND_BYPASS_LIMIT, CLASS_COUNT,
+    DL_LANES,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-const BACKENDS: [QueueBackend; 3] = [
-    QueueBackend::Spinlock,
-    QueueBackend::LockFree,
-    QueueBackend::Mutex,
-];
-
 /// A single-core machine: every submission lands in core 0's queue, so the
 /// observed execution order *is* the queue's pop order.
-fn single_core_mgr(backend: QueueBackend) -> Arc<TaskManager> {
-    let topo = Arc::new(
+fn single_core_mgr() -> Arc<TaskManager> {
+    TaskManager::new(Arc::new(
         TopologyBuilder::new("one")
             .numa_nodes(1)
             .chips_per_numa(1)
             .cores_per_cache(1)
             .build(),
-    );
-    TaskManager::with_config(
-        topo,
-        ManagerConfig {
-            queue_backend: backend,
-            ..ManagerConfig::default()
-        },
-    )
+    ))
 }
 
 /// Independent sequential model of the lane policy. Deliberately written
@@ -170,15 +159,13 @@ fn decode_op(selector: usize, value: u64) -> Op {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every backend serves any sequential push/pop interleaving in
+    /// The scheduler serves any sequential push/pop interleaving in
     /// exactly the oracle's order.
     #[test]
     fn pop_policy_matches_the_sequential_oracle(
         raw_ops in proptest::collection::vec((0usize..6, 0u64..48), 1..80),
-        backend_idx in 0usize..3,
     ) {
-        let backend = BACKENDS[backend_idx];
-        let mgr = single_core_mgr(backend);
+        let mgr = single_core_mgr();
         let ran = Arc::new(Mutex::new(Vec::new()));
         let mut oracle = Oracle::default();
         let mut expected = Vec::new();
@@ -205,9 +192,9 @@ proptest! {
                 Op::Pop => {
                     if let Some(id) = oracle.pop() {
                         expected.push(id);
-                        prop_assert!(mgr.schedule_one(0), "oracle has work, so must {backend:?}");
+                        prop_assert!(mgr.schedule_one(0), "oracle has work, so must the queue");
                     } else {
-                        prop_assert!(!mgr.schedule_one(0), "oracle is empty, so must be {backend:?}");
+                        prop_assert!(!mgr.schedule_one(0), "oracle is empty, so must be the queue");
                     }
                 }
             }
@@ -218,7 +205,7 @@ proptest! {
             prop_assert!(mgr.schedule_one(0));
         }
         prop_assert!(!mgr.schedule_one(0));
-        prop_assert_eq!(&*ran.lock(), &expected, "{:?} diverged from the oracle", backend);
+        prop_assert_eq!(&*ran.lock(), &expected, "diverged from the oracle");
     }
 
     /// The oracle property *across the spill boundary* (PR 10): on a
@@ -231,10 +218,8 @@ proptest! {
     #[test]
     fn spill_and_claim_path_matches_the_sequential_oracle(
         raw_ops in proptest::collection::vec((0usize..6, 0u64..48), 1..120),
-        backend_idx in 0usize..3,
         threshold in 2usize..10,
     ) {
-        let backend = BACKENDS[backend_idx];
         let topo = Arc::new(
             TopologyBuilder::new("two-socket")
                 .numa_nodes(2)
@@ -245,7 +230,6 @@ proptest! {
         let mgr = TaskManager::with_config(
             topo,
             ManagerConfig {
-                queue_backend: backend,
                 steal: false,
                 spill_threshold: threshold,
                 ..ManagerConfig::default()
@@ -301,9 +285,9 @@ proptest! {
                 }
                 Op::Pop => {
                     if drive(&mut home, &mut ovf, &mut expected) {
-                        prop_assert!(mgr.schedule_one(0), "oracle has work, so must {backend:?}");
+                        prop_assert!(mgr.schedule_one(0), "oracle has work, so must the queue");
                     } else {
-                        prop_assert!(!mgr.schedule_one(0), "oracle is empty, so must be {backend:?}");
+                        prop_assert!(!mgr.schedule_one(0), "oracle is empty, so must be the queue");
                     }
                 }
             }
@@ -312,10 +296,7 @@ proptest! {
             prop_assert!(mgr.schedule_one(0));
         }
         prop_assert!(!mgr.schedule_one(0));
-        prop_assert_eq!(
-            &*ran.lock(), &expected,
-            "{:?} diverged across the spill boundary", backend
-        );
+        prop_assert_eq!(&*ran.lock(), &expected, "diverged across the spill boundary");
         let stats = mgr.stats();
         prop_assert_eq!(stats.total_spilled(), spilled_model, "spill count drifted");
         prop_assert_eq!(stats.total_claimed(), claimed_model, "claim count drifted");
@@ -323,78 +304,73 @@ proptest! {
 }
 
 #[test]
-fn background_bypass_bound_is_exact_under_every_backend() {
+fn background_bypass_bound_is_exact_when_driven_sequentially() {
     // 1 Background + (LIMIT + 8) Interactive tasks, popped one at a time:
     // the Background task must run as pop number LIMIT + 1 (0-indexed
     // position LIMIT) — after exactly LIMIT bypasses, before any further
     // Interactive work. This pins the starvation bound stated in
     // docs/SCHEDULER.md; a drift in either direction fails.
     let limit = BACKGROUND_BYPASS_LIMIT as usize;
-    for backend in BACKENDS {
-        let mgr = single_core_mgr(backend);
-        let ran: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+    let mgr = single_core_mgr();
+    let ran: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+    let r = ran.clone();
+    mgr.task(move |_| {
+        r.lock().push("background");
+        TaskStatus::Done
+    })
+    .cpuset(CpuSet::single(0))
+    .class(TaskClass::Background)
+    .spawn();
+    for _ in 0..limit + 8 {
         let r = ran.clone();
         mgr.task(move |_| {
-            r.lock().push("background");
+            r.lock().push("interactive");
             TaskStatus::Done
         })
         .cpuset(CpuSet::single(0))
-        .class(TaskClass::Background)
         .spawn();
-        for _ in 0..limit + 8 {
-            let r = ran.clone();
-            mgr.task(move |_| {
-                r.lock().push("interactive");
-                TaskStatus::Done
-            })
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        }
-        while mgr.schedule_one(0) {}
-        let order = ran.lock();
-        let position = order
-            .iter()
-            .position(|&name| name == "background")
-            .expect("background ran");
-        assert_eq!(
-            position, limit,
-            "{backend:?}: background served after exactly {limit} bypasses"
-        );
     }
+    while mgr.schedule_one(0) {}
+    let order = ran.lock();
+    let position = order
+        .iter()
+        .position(|&name| name == "background")
+        .expect("background ran");
+    assert_eq!(
+        position, limit,
+        "background served after exactly {limit} bypasses"
+    );
 }
 
 #[test]
-fn edf_tournament_order_is_deterministic_across_backends() {
+fn edf_tournament_order_is_deterministic_on_two_lanes() {
     // Deadlines 10, 5, 3 on two deadline lanes: 10 opens lane 0, 5 opens
     // lane 1 (lane 0's tail exceeds it), 3 queues behind 5 (no eligible or
     // empty lane; smallest tail wins). Tournament pop: 5, 3, 10 — the
-    // documented lane-approximate EDF, identical for every backend.
-    for backend in BACKENDS {
-        let mgr = single_core_mgr(backend);
-        let ran: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        for d in [10u64, 5, 3] {
-            let r = ran.clone();
-            mgr.task(move |_| {
-                r.lock().push(d);
-                TaskStatus::Done
-            })
-            .cpuset(CpuSet::single(0))
-            .class(TaskClass::Bulk)
-            .deadline(d)
-            .spawn();
-        }
-        while mgr.schedule_one(0) {}
-        assert_eq!(*ran.lock(), vec![5, 3, 10], "{backend:?}");
+    // documented lane-approximate EDF.
+    let mgr = single_core_mgr();
+    let ran: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    for d in [10u64, 5, 3] {
+        let r = ran.clone();
+        mgr.task(move |_| {
+            r.lock().push(d);
+            TaskStatus::Done
+        })
+        .cpuset(CpuSet::single(0))
+        .class(TaskClass::Bulk)
+        .deadline(d)
+        .spawn();
     }
+    while mgr.schedule_one(0) {}
+    assert_eq!(*ran.lock(), vec![5, 3, 10]);
 }
 
 #[test]
 fn racing_predecessor_completions_release_exactly_once() {
     // Two predecessors complete concurrently on two real threads; their
     // shared dependent must be dispatched exactly once. 200 rounds of the
-    // race, all three backends exercised round-robin.
+    // race.
     for round in 0..200 {
-        let backend = BACKENDS[round % BACKENDS.len()];
         let topo = Arc::new(
             TopologyBuilder::new("two")
                 .numa_nodes(1)
@@ -405,7 +381,6 @@ fn racing_predecessor_completions_release_exactly_once() {
         let mgr = TaskManager::with_config(
             topo,
             ManagerConfig {
-                queue_backend: backend,
                 steal: false, // keep each predecessor on its own core
                 ..ManagerConfig::default()
             },
@@ -458,7 +433,7 @@ fn chained_pipeline_preserves_order_and_counts_releases() {
     // a -> b -> c -> d across classes: each stage waits for the previous,
     // so the execution order is the chain order even though the classes
     // alone would reorder them.
-    let mgr = single_core_mgr(QueueBackend::Spinlock);
+    let mgr = single_core_mgr();
     let ran: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
     let push = |name: &'static str| {
         let r = ran.clone();

@@ -309,3 +309,86 @@ fn disabled_tier_never_spills_and_work_still_completes() {
     }
     assert_eq!(mgr.stats().total_claimed(), 0);
 }
+
+/// The overflow is an ordinary spinlocked queue, and its lock is
+/// observable: every spill batch lands under one acquisition, a claim
+/// keypoint takes at most one, and a cross-socket overflow steal takes
+/// one — stealing *in place*, so tasks whose cpuset excludes the thief
+/// stay in the overflow, in order, instead of bouncing to their home
+/// queue.
+#[test]
+fn overflow_lock_is_taken_once_per_batch_and_steals_leave_ineligible_tasks_in_place() {
+    let mgr = TaskManager::with_config(
+        presets::dual_socket_256().into(),
+        ManagerConfig {
+            spill_threshold: 8,
+            ..ManagerConfig::default()
+        },
+    );
+    let thief = 128; // first core of socket 1
+    let order: Arc<Mutex<Vec<(usize, usize)>>> = Arc::default();
+    // 16 same-class tasks homed on core 0; the even ones admit the thief.
+    // Every fourth enqueue from the 8th on spills the 4 oldest: the
+    // overflow ends up holding tasks 0..12, the home queue 12..16.
+    for i in 0..16 {
+        let cpuset = if i % 2 == 0 {
+            CpuSet::from_iter([0, 1, thief])
+        } else {
+            CpuSet::from_iter([0, 1])
+        };
+        let order = order.clone();
+        mgr.task(move |ctx| {
+            order.lock().unwrap().push((ctx.core, i));
+            TaskStatus::Done
+        })
+        .cpuset(cpuset)
+        .on_core(0)
+        .spawn();
+    }
+    let home = mgr.topology().core_node(0).index();
+    let stats = mgr.stats();
+    assert_eq!(stats.sockets[0].spilled, 12);
+    assert_eq!(stats.sockets[0].overflow_pending, 12);
+    assert_eq!(
+        stats.sockets[0].overflow_lock_acquisitions, 3,
+        "three spill batches, one overflow-lock acquisition each"
+    );
+
+    // The remote thief steals half of the 6 tasks that admit it.
+    assert!(mgr.schedule(thief));
+    let stats = mgr.stats();
+    assert_eq!(stats.stolen_by_core[thief], 3);
+    assert_eq!(stats.sockets[0].claimed, 3);
+    assert_eq!(stats.sockets[0].overflow_lock_acquisitions, 4);
+    assert_eq!(
+        stats.sockets[0].overflow_pending, 9,
+        "everything the thief could not or did not take is still there"
+    );
+    assert_eq!(
+        stats.queues[home].pending, 4,
+        "no ineligible task bounced to its home queue"
+    );
+
+    // A member core's keypoint claims the rest under one acquisition, in
+    // the order the tasks were spilled — the steal rotated nothing.
+    assert_eq!(mgr.schedule_batch(1, usize::MAX), 9);
+    let stats = mgr.stats();
+    assert_eq!(stats.sockets[0].overflow_lock_acquisitions, 5);
+    assert_eq!(stats.sockets[0].overflow_lock_contended, 0);
+    assert_eq!(stats.sockets[0].claimed, 12);
+    let order = order.lock().unwrap();
+    let ran_on = |core: usize| -> Vec<usize> {
+        order
+            .iter()
+            .filter(|&&(c, _)| c == core)
+            .map(|&(_, i)| i)
+            .collect()
+    };
+    assert_eq!(ran_on(thief), vec![0, 2, 4], "the oldest eligible half");
+    assert_eq!(ran_on(1), vec![1, 3, 5, 6, 7, 8, 9, 10, 11]);
+    drop(order);
+
+    // An empty overflow is detected by the unlocked hint: no acquisition.
+    mgr.schedule_batch(1, usize::MAX);
+    assert_eq!(mgr.stats().sockets[0].overflow_lock_acquisitions, 5);
+}

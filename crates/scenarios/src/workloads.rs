@@ -25,10 +25,8 @@ use newmadeleine::{CommEngine, EngineConfig};
 use piom_des::rng::SplitMix64;
 use piom_des::{Sim, SimTime};
 use piom_net::{Message, Network, RxHandler};
-use pioman::lockfree::BACKGROUND_BYPASS_LIMIT;
-use pioman::{TaskClass, CLASS_COUNT};
+use pioman::{Classed, SeqLanes, TaskClass, CLASS_COUNT};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// The registry, in trajectory order.
@@ -758,47 +756,30 @@ fn rdma_pull_fanin(p: &ScenarioParams, rec: &mut Recorder) {
 const QOS_CLASS_SHIFT: u32 = 61;
 const QOS_STAMP_MASK: u64 = (1 << QOS_CLASS_SHIFT) - 1;
 
-/// Per-responder class lanes, mirroring the scheduler's
-/// [`pioman::lockfree::ClassLanes`] semantics in the sequential DES:
-/// per-class FIFO lanes served in strict priority order, with the
-/// [`BACKGROUND_BYPASS_LIMIT`] anti-starvation credit hoisting a waiting
-/// `Background` request once enough higher-class requests bypassed it.
-struct QosLanes {
-    /// `(stamp, requester, size)` per parked request, one lane per class.
-    lanes: [VecDeque<(u64, usize, usize)>; CLASS_COUNT],
-    busy: bool,
-    credit: u32,
+/// One request parked at a responder. Queued in the scheduler's own
+/// [`SeqLanes`], so the mesh is served under the real pop policy — strict
+/// class priority plus the `Background` anti-starvation credit — not a
+/// model of it.
+struct QosRequest {
+    class: TaskClass,
+    stamp: u64,
+    requester: usize,
+    size: usize,
 }
 
-impl QosLanes {
-    /// [`pioman::lockfree::ClassLanes::pop`] on the simulated lanes:
-    /// class order honouring the credit, then the credit bookkeeping of
-    /// `note_served`.
-    fn pop(&mut self) -> Option<(TaskClass, (u64, usize, usize))> {
-        let bg = TaskClass::Background;
-        let bg_waiting = !self.lanes[bg.index()].is_empty();
-        let order = if self.credit >= BACKGROUND_BYPASS_LIMIT && bg_waiting {
-            [
-                TaskClass::Background,
-                TaskClass::Urgent,
-                TaskClass::Interactive,
-                TaskClass::Bulk,
-            ]
-        } else {
-            TaskClass::ALL
-        };
-        for class in order {
-            if let Some(req) = self.lanes[class.index()].pop_front() {
-                if class == bg {
-                    self.credit = 0;
-                } else if bg_waiting {
-                    self.credit += 1;
-                }
-                return Some((class, req));
-            }
-        }
+impl Classed for QosRequest {
+    fn class(&self) -> TaskClass {
+        self.class
+    }
+    fn deadline(&self) -> Option<u64> {
         None
     }
+}
+
+/// One responder: its parked requests and whether its CPU is serving.
+struct QosLanes {
+    lanes: SeqLanes<QosRequest>,
+    busy: bool,
 }
 
 /// Shared state of one QoS mesh run, `Rc`-cloned into the completion
@@ -813,8 +794,14 @@ struct QosCtx {
 /// Serves `node`'s lanes until they drain: pop by class policy, occupy
 /// the server CPU, respond, repeat from the completion event.
 fn qos_serve_next(ctx: &Rc<QosCtx>, sim: &mut Sim, node: usize) {
-    let popped = ctx.lanes.borrow_mut()[node].pop();
-    let Some((class, (stamp, requester, size))) = popped else {
+    let popped = ctx.lanes.borrow_mut()[node].lanes.pop();
+    let Some(QosRequest {
+        class,
+        stamp,
+        requester,
+        size,
+    }) = popped
+    else {
         ctx.lanes.borrow_mut()[node].busy = false;
         return;
     };
@@ -868,9 +855,8 @@ fn rpc_mesh_qos(focus: TaskClass, p: &ScenarioParams, rec: &mut Recorder) {
         lanes: RefCell::new(
             (0..nodes)
                 .map(|_| QosLanes {
-                    lanes: Default::default(),
+                    lanes: SeqLanes::new(),
                     busy: false,
-                    credit: 0,
                 })
                 .collect(),
         ),
@@ -895,7 +881,12 @@ fn rpc_mesh_qos(focus: TaskClass, p: &ScenarioParams, rec: &mut Recorder) {
         let idle = {
             let mut all = ctx2.lanes.borrow_mut();
             let l = &mut all[msg.dst];
-            l.lanes[class_idx].push_back((msg.tag & QOS_STAMP_MASK, msg.src, msg.size));
+            l.lanes.push(QosRequest {
+                class: TaskClass::ALL[class_idx],
+                stamp: msg.tag & QOS_STAMP_MASK,
+                requester: msg.src,
+                size: msg.size,
+            });
             !l.busy
         };
         if idle {

@@ -249,9 +249,10 @@ pub mod presets {
     }
 
     /// `quad-socket-1024`: 4 NUMA nodes × 4 chips × 4 caches × 16 cores —
-    /// the full 1024-core fabric, saturating [`CpuSet::MAX_CPUS`]
-    /// (`piom_cpuset::CpuSet::MAX_CPUS`). The hierarchical-stealing
-    /// acceptance test drains a starved socket on this shape.
+    /// the full 1024-core fabric, saturating
+    /// [`CpuSet::MAX_CPUS`](piom_cpuset::CpuSet::MAX_CPUS). The
+    /// hierarchical-stealing acceptance test drains a starved socket on
+    /// this shape.
     pub fn quad_socket_1024() -> Topology {
         TopologyBuilder::new("quad-socket-1024")
             .numa_nodes(4)
