@@ -104,8 +104,8 @@ impl OnlineStats {
 /// Both producers return it — the exact [`Percentiles`] reservoir here
 /// (small sample sets, test oracle) and the fixed-footprint sharded
 /// histogram in `pioman::hist` (hot-path capture) — so DES scenario
-/// reports, bench reports, and the stats snapshot all agree on what "a
-/// latency distribution" is.
+/// reports and the stats snapshot agree on what "a latency
+/// distribution" is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PercentileSummary {
     /// Number of samples summarized.

@@ -1,32 +1,31 @@
-//! The bench-regression gate: `piom-harness bench --compare <old.json>`.
+//! The trajectory regression gate: `piom-harness compare OLD NEW` and
+//! `piom-harness scenarios --compare OLD`.
 //!
-//! `BENCH_pioman.json` is a committed perf trajectory — every PR appends a
-//! run, so the numbers tell a story instead of asserting one. This module
-//! closes the loop: it diffs a fresh suite run against a baseline file,
-//! prints per-scenario percentage deltas, and **fails** (nonzero exit in
-//! the CLI) when any scenario's `mean_ns` grew past a threshold (default
-//! [`DEFAULT_THRESHOLD_PCT`]).
+//! `SCENARIOS_pioman.json` is a committed trajectory of the deterministic
+//! workload-scenario matrix. This module diffs a fresh run (or a second
+//! recorded file) against a baseline file, prints per-scenario percentage
+//! deltas, and **fails** (nonzero exit in the CLI) when any scenario's
+//! `mean_ns` grew past a threshold (default [`DEFAULT_THRESHOLD_PCT`]).
 //!
 //! Policy choices, spelled out because a gate is only useful when its
-//! verdicts are explainable (`EXPERIMENTS.md` walks a failure end-to-end):
+//! verdicts are explainable (`EXPERIMENTS.md`, "Scenario matrix"):
 //!
-//! * **new scenarios pass** — a PR adding benchmarks must not be punished
+//! * **new scenarios pass** — a PR adding scenarios must not be punished
 //!   for having no baseline; the row is reported as `new`;
 //! * **removed scenarios warn but do not fail** — dropping a scenario is
-//!   a review concern, not a perf regression; the report lists them;
+//!   a review concern, not a regression; the report lists them;
 //! * **`mean_ns` is gated everywhere; `p99_ns` is gated on the scenarios
-//!   tagged** [`bench::scenarios::TAIL_GATED`] — and only when *both*
-//!   sides carry it, so a v1 baseline degrades to mean-only gating with a
-//!   warning instead of a verdict (`iters`/`seed` describe methodology,
-//!   not performance, and `p50`/`p999` are recorded context, not gates:
-//!   the median moves with the mean, and a quick-mode p999 is a
-//!   one-sample coin flip);
+//!   registered as** [`piom_scenarios::Gate::Tail`] — and only when *both*
+//!   sides carry it, so a percentile-less baseline degrades to mean-only
+//!   gating with a warning instead of a verdict (`iters`/`seed` describe
+//!   methodology, and `p50`/`p999` are recorded context, not gates: the
+//!   median moves with the mean, and a p999 rests on a handful of
+//!   samples);
 //! * **the p99 gate gets [`P99_THRESHOLD_FACTOR`]× the scenario's mean
-//!   threshold** — tails are intrinsically noisier than means (one
-//!   descheduled iteration *is* the p99 at modest sample counts), and a
-//!   tail gate that cries wolf would be reverted within a week;
+//!   threshold** — a tail estimate rests on ~1% of the samples the mean
+//!   rests on, so it gets proportionally more room;
 //! * **a non-finite or non-positive current value fails outright** — a
-//!   NaN mean (e.g. a zero-iteration run) compares false against every
+//!   NaN mean (e.g. a zero-sample run) compares false against every
 //!   threshold, which without this rule would read as a pass.
 //!
 //! Parsing lives in [`crate::schema`] (shared with the emit side);
@@ -34,58 +33,37 @@
 //! garbage would make the gate lie.
 
 use crate::schema::{BaselineEntry, BenchResult};
+use piom_scenarios::{is_high_variance, is_tail_gated};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 pub use crate::schema::parse_trajectory;
 
 /// Default regression threshold: a scenario may be up to this many percent
-/// slower than the baseline before the gate fails. Generous on purpose —
-/// quick-mode runs on shared CI runners are noisy; the committed
-/// trajectory is regenerated with full iterations when it matters.
+/// slower than the baseline before the gate fails. The scenario matrix is
+/// deterministic, so against an unchanged model every delta is zero; the
+/// budget is for PRs that legitimately shift the model.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 20.0;
 
-/// Per-scenario wide threshold applied to scenarios tagged
-/// [`bench::scenarios::HIGH_VARIANCE`]: `newmad_pingpong` and the
-/// contended/single-round-trip rows swing ±40% (and worse) with runner
-/// load at quick iters, so gating them at the tight default would make
-/// the now-required gate flake on weather. The scheduler microbenches —
-/// the rows that actually move when someone breaks the hot path — stay on
-/// the tight base threshold; a genuine regression moves the *family*
-/// anyway (EXPERIMENTS.md, "Reading a regression-gate failure").
+/// Per-scenario wide threshold applied to scenarios registered as
+/// [`piom_scenarios::Gate::Wide`]: bursty, heavy-tailed or bimodal
+/// workloads whose mean a small model change legitimately swings, so
+/// gating them at the tight default would fail PRs on the workload's own
+/// shape. Tight unimodal scenarios stay on the base threshold.
 pub const WIDE_THRESHOLD_PCT: f64 = 75.0;
 
 /// The p99 gate's headroom multiplier over the scenario's mean threshold
 /// ([`scenario_threshold`]): a tail estimate rests on ~1% of the samples
 /// the mean rests on, so it gets proportionally more room before the
-/// verdict flips. 3× was chosen by replaying back-to-back quick runs on
-/// a loaded host: with median-of-three recording, tagged rows' p99
-/// jitter reached ~2× the mean's budget while their means stayed green,
-/// so 2× flaked on weather — whereas the regressions this gate exists
-/// for (a lost wake, a serialized drain, a once-per-batch stall) move
-/// p99 by hundreds of percent and clear 3× with room to spare.
+/// verdict flips — while the regressions this gate exists for (a lost
+/// wake, a serialized drain, a once-per-batch stall) move p99 by hundreds
+/// of percent and clear 3× with room to spare.
 pub const P99_THRESHOLD_FACTOR: f64 = 3.0;
 
-/// `true` when `name` gets the wide treatment: tagged
-/// [`bench::scenarios::HIGH_VARIANCE`] *or* registered as a
-/// [`piom_scenarios::Gate::Wide`] workload — one gate serves both
-/// trajectories (`BENCH_pioman.json` and `SCENARIOS_pioman.json`), so it
-/// consults both tag sources. Name collisions cannot alias: bench names
-/// and scenario names live in disjoint, reviewed lists.
-pub fn is_high_variance(name: &str) -> bool {
-    bench::scenarios::is_high_variance(name) || piom_scenarios::is_high_variance(name)
-}
-
-/// `true` when `name` gets the p99 tail gate: tagged
-/// [`bench::scenarios::TAIL_GATED`] or registered as a
-/// [`piom_scenarios::Gate::Tail`] workload.
-pub fn is_tail_gated(name: &str) -> bool {
-    bench::scenarios::is_tail_gated(name) || piom_scenarios::is_tail_gated(name)
-}
-
 /// The effective gate threshold for `name` given the base `threshold_pct`:
-/// high-variance scenarios get at least [`WIDE_THRESHOLD_PCT`] (an
-/// explicitly wider `--threshold` still wins), everything else the base.
+/// [`piom_scenarios::Gate::Wide`] scenarios get at least
+/// [`WIDE_THRESHOLD_PCT`] (an explicitly wider `--threshold` still wins),
+/// everything else the base.
 pub fn scenario_threshold(name: &str, threshold_pct: f64) -> f64 {
     if is_high_variance(name) {
         threshold_pct.max(WIDE_THRESHOLD_PCT)
@@ -97,7 +75,7 @@ pub fn scenario_threshold(name: &str, threshold_pct: f64) -> f64 {
 /// One scenario row of a comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioDelta {
-    /// Benchmark name (the JSON key).
+    /// Scenario name (the JSON key).
     pub name: String,
     /// Baseline `mean_ns`, if the scenario existed in the baseline.
     pub baseline_ns: Option<f64>,
@@ -131,9 +109,10 @@ impl ScenarioDelta {
 
     /// `true` when this row alone trips a gate at `threshold_pct`, after
     /// the per-scenario widening ([`scenario_threshold`]): the mean past
-    /// the threshold, or — on [`is_tail_gated`] rows where both sides
-    /// carry a p99 — the p99 past [`P99_THRESHOLD_FACTOR`]× the
-    /// threshold, or an [`invalid`](Self::invalid) measurement.
+    /// the threshold, or — on [`Gate::Tail`](piom_scenarios::Gate::Tail)
+    /// rows where both sides carry a p99 — the p99 past
+    /// [`P99_THRESHOLD_FACTOR`]× the threshold, or an
+    /// [`invalid`](Self::invalid) measurement.
     pub fn regressed(&self, threshold_pct: f64) -> bool {
         if self.invalid() {
             return true;
@@ -181,10 +160,10 @@ impl CompareReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "BENCH COMPARE — current vs baseline (gate: mean_ns regression > {:.1}%, \
+            "TRAJECTORY COMPARE — current vs baseline (gate: mean_ns regression > {:.1}%, \
              high-variance scenarios > {:.1}%, tail-gated p99 > {:.1}×)",
             self.threshold_pct,
-            scenario_threshold("newmad_pingpong", self.threshold_pct),
+            self.threshold_pct.max(WIDE_THRESHOLD_PCT),
             P99_THRESHOLD_FACTOR
         );
         let _ = writeln!(
@@ -285,9 +264,9 @@ pub fn compare(
 
 /// Compares two *parsed trajectory files* (`current` vs `baseline`) —
 /// the file-vs-file mode behind `piom-harness compare OLD NEW`, which
-/// lets CI gate the exact numbers an earlier bench step already
-/// recorded instead of paying for (and drifting from) a second suite
-/// run. Rows follow the current file's (alphabetical) key order.
+/// lets CI gate the exact numbers an earlier `scenarios --json` step
+/// already recorded instead of paying for a second matrix run. Rows
+/// follow the current file's (alphabetical) key order.
 pub fn compare_parsed(
     baseline: &BTreeMap<String, BaselineEntry>,
     current: &BTreeMap<String, BaselineEntry>,
@@ -444,36 +423,44 @@ mod tests {
 
     #[test]
     fn high_variance_scenarios_get_the_wide_threshold() {
-        let base = baseline(&[
-            ("newmad_pingpong", 1000.0),
-            ("schedule_batch_drain_64", 1000.0),
-        ]);
+        // `retry_storm` is registered Gate::Wide, `rpc_mesh_steady`
+        // Gate::Tail (tight mean threshold).
+        let base = baseline(&[("retry_storm", 1000.0), ("rpc_mesh_steady", 1000.0)]);
         // +50% is inside the wide budget but past the tight default…
         let current = [
-            result("newmad_pingpong", 1500.0),
-            result("schedule_batch_drain_64", 1000.0),
+            result("retry_storm", 1500.0),
+            result("rpc_mesh_steady", 1000.0),
         ];
         let report = compare(&base, &current, DEFAULT_THRESHOLD_PCT);
         assert!(report.gate_passes(), "high-variance row tolerated at +50%");
-        // …while the same +50% on a tight scheduler microbench fails.
+        // …and the header names the budget that row was actually held to.
+        let rendered = report.render();
+        assert!(
+            rendered.contains("> 20.0%, high-variance scenarios > 75.0%"),
+            "{rendered}"
+        );
+        // The same +50% on a tight scenario fails.
         let current = [
-            result("newmad_pingpong", 1000.0),
-            result("schedule_batch_drain_64", 1500.0),
+            result("retry_storm", 1000.0),
+            result("rpc_mesh_steady", 1500.0),
         ];
         assert!(!compare(&base, &current, DEFAULT_THRESHOLD_PCT).gate_passes());
-        // Past the wide budget the tagged row fails too.
+        // Past the wide budget the wide row fails too.
         let current = [
-            result("newmad_pingpong", 2000.0),
-            result("schedule_batch_drain_64", 1000.0),
+            result("retry_storm", 2000.0),
+            result("rpc_mesh_steady", 1000.0),
         ];
         assert!(!compare(&base, &current, DEFAULT_THRESHOLD_PCT).gate_passes());
-        // An explicitly wider --threshold still wins over the tag.
-        assert_eq!(scenario_threshold("newmad_pingpong", 90.0), 90.0);
+        // An explicitly wider --threshold still wins over the gate class.
+        assert_eq!(scenario_threshold("retry_storm", 90.0), 90.0);
+        assert!(compare(&base, &current, 90.0)
+            .render()
+            .contains("high-variance scenarios > 90.0%"));
         assert_eq!(
-            scenario_threshold("newmad_pingpong", DEFAULT_THRESHOLD_PCT),
+            scenario_threshold("retry_storm", DEFAULT_THRESHOLD_PCT),
             WIDE_THRESHOLD_PCT
         );
-        assert_eq!(scenario_threshold("schedule_batch_drain_64", 20.0), 20.0);
+        assert_eq!(scenario_threshold("rpc_mesh_steady", 20.0), 20.0);
     }
 
     #[test]
@@ -488,8 +475,8 @@ mod tests {
         // A tail-gated scenario whose p99 exploded but whose mean held:
         // against a v1 baseline there is nothing to hold the p99 to, so
         // the row passes with the "v1 base" degradation note.
-        let base = baseline(&[("schedule_batch_drain_64", 1000.0)]);
-        let mut r = result("schedule_batch_drain_64", 1000.0);
+        let base = baseline(&[("rpc_mesh_steady", 1000.0)]);
+        let mut r = result("rpc_mesh_steady", 1000.0);
         r.p99_ns = 50_000.0;
         let report = compare(&base, &[r], DEFAULT_THRESHOLD_PCT);
         assert!(report.gate_passes(), "no baseline p99, no p99 verdict");
@@ -498,16 +485,16 @@ mod tests {
         assert!(rendered.contains("(v1 base)"));
         assert!(rendered.contains("predate schema v2"));
         // The mean gate still works against the same v1 baseline.
-        let slow = result("schedule_batch_drain_64", 1300.0);
+        let slow = result("rpc_mesh_steady", 1300.0);
         assert!(!compare(&base, &[slow], DEFAULT_THRESHOLD_PCT).gate_passes());
     }
 
     #[test]
     fn v2_vs_v2_p99_only_regression_fails_tail_gated_rows() {
-        let base = baseline_v2(&[("schedule_batch_drain_64", 1000.0), ("other", 1000.0)]);
+        let base = baseline_v2(&[("rpc_mesh_steady", 1000.0), ("other", 1000.0)]);
         // Mean steady, p99 past 3× the 20% threshold (baseline p99 is
         // 2000 under the fixture shape; +61% > 60% budget).
-        let mut r = result("schedule_batch_drain_64", 1000.0);
+        let mut r = result("rpc_mesh_steady", 1000.0);
         r.p99_ns = 3_220.0;
         let report = compare(&base, &[r.clone()], DEFAULT_THRESHOLD_PCT);
         assert!(!report.gate_passes(), "tail-only regression must fail");
@@ -516,11 +503,11 @@ mod tests {
         // though +59% would fail the *mean* gate: the factor is real.
         r.p99_ns = 3_180.0;
         assert!(compare(&base, &[r], DEFAULT_THRESHOLD_PCT).gate_passes());
-        // An untagged scenario never fails on p99 alone.
+        // A name outside the registry never fails on p99 alone.
         let mut other = result("other", 1000.0);
         other.p99_ns = 50_000.0;
         let report = compare(&base, &[other], DEFAULT_THRESHOLD_PCT);
-        assert!(report.gate_passes(), "p99 is advisory off the tagged set");
+        assert!(report.gate_passes(), "p99 is advisory off the Tail class");
         assert!(
             report.rows[0].p99_delta_pct.unwrap() > 1000.0,
             "…but the delta is still computed and reported"
@@ -529,31 +516,21 @@ mod tests {
 
     #[test]
     fn scenario_registry_tags_feed_the_gate() {
-        // Workload rows inherit their gate class from the scenario
-        // registry, unioned with the bench tag lists.
+        // Rows take their gate class from the scenario registry; a name it
+        // does not know is held tight, on the mean only.
         assert!(is_high_variance("retry_storm"));
         assert!(!is_tail_gated("retry_storm"));
         assert!(is_tail_gated("rpc_mesh_steady"));
-        assert!(is_high_variance("newmad_pingpong"), "bench tags still hold");
+        assert!(!is_high_variance("other") && !is_tail_gated("other"));
         assert_eq!(
-            scenario_threshold("retry_storm", DEFAULT_THRESHOLD_PCT),
-            WIDE_THRESHOLD_PCT
-        );
-        assert_eq!(
-            scenario_threshold("rpc_mesh_steady", DEFAULT_THRESHOLD_PCT),
+            scenario_threshold("other", DEFAULT_THRESHOLD_PCT),
             DEFAULT_THRESHOLD_PCT
         );
-        // A p99-only regression on a Tail-class workload fails the gate
-        // exactly like a TAIL_GATED bench row (same fixture shape as
-        // v2_vs_v2_p99_only_regression_fails_tail_gated_rows).
-        let base = baseline_v2(&[("rpc_mesh_steady", 1000.0)]);
-        let mut r = result("rpc_mesh_steady", 1000.0);
-        r.p99_ns = 3_220.0;
-        assert!(!compare(&base, &[r], DEFAULT_THRESHOLD_PCT).gate_passes());
-        // While a Wide-class workload tolerates +50% on the mean.
+        // A Wide-class workload is never held to its p99: the tail *is*
+        // the workload.
         let base = baseline_v2(&[("retry_storm", 1000.0)]);
         let mut r = result("retry_storm", 1500.0);
-        r.p99_ns = 2_000.0;
+        r.p99_ns = 50_000.0;
         assert!(compare(&base, &[r], DEFAULT_THRESHOLD_PCT).gate_passes());
     }
 

@@ -6,7 +6,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod compare;
 pub mod scen;
 pub mod schema;

@@ -1,29 +1,21 @@
 //! CLI entry: `piom-harness <experiment>` prints one (or `all`) of the
 //! paper's tables/figures regenerated on the simulated testbeds;
-//! `piom-harness bench [--json] [--quick] [--out PATH] [--compare OLD.json
-//! [--threshold PCT]]` measures the real-thread scheduler hot paths
-//! (writing the `BENCH_pioman.json` perf trajectory with `--json`, and
-//! gating against a baseline trajectory with `--compare` — exit 1 when any
-//! scenario regressed past the threshold); `piom-harness compare OLD NEW`
-//! applies the same gate to two already-recorded trajectory files without
-//! re-running the suite; `piom-harness stats [--json]` runs the
-//! demo workload with the submit→execute latency histogram armed and
-//! prints the counter snapshot (Prometheus-text-shaped JSON with
-//! `--json`); `piom-harness scenarios [--json] [--quick] [--filter NAME]
-//! [--seed N] [--out PATH] [--compare OLD.json [--threshold PCT]]` runs
-//! the deterministic workload-scenario matrix (writing the
-//! `SCENARIOS_pioman.json` trajectory with `--json` and gating it with
-//! `--compare`, same schema and gate as the benches).
+//! `piom-harness scenarios [--json] [--quick] [--filter NAME] [--seed N]
+//! [--out PATH] [--compare OLD.json [--threshold PCT]]` runs the
+//! deterministic workload-scenario matrix (writing the
+//! `SCENARIOS_pioman.json` trajectory with `--json`, and gating against a
+//! baseline trajectory with `--compare` — exit 1 when any scenario
+//! regressed past the threshold); `piom-harness compare OLD NEW` applies
+//! the same gate to two already-recorded trajectory files without
+//! re-running the matrix; `piom-harness stats [--json]` runs the demo
+//! workload with the submit→execute latency histogram armed and prints the
+//! counter snapshot (Prometheus-text-shaped JSON with `--json`).
 
-use piom_harness::{bench, compare, scen, schema, snapshot};
+use piom_harness::{compare, scen, schema, snapshot};
 use piom_scenarios::{Scenario, ScenarioParams};
 
 fn usage() -> ! {
     eprintln!("usage: piom-harness <experiment>");
-    eprintln!(
-        "       piom-harness bench [--json] [--quick] [--out PATH] \
-         [--compare OLD.json] [--threshold PCT]"
-    );
     eprintln!("       piom-harness compare OLD.json NEW.json [--threshold PCT]");
     eprintln!("       piom-harness stats [--json]");
     eprintln!(
@@ -68,8 +60,8 @@ fn load_trajectory(path: &str) -> std::collections::BTreeMap<String, schema::Bas
 }
 
 /// `piom-harness compare OLD NEW [--threshold PCT]`: diff two recorded
-/// trajectory files without re-running the suite (CI gates the numbers
-/// its bench step just wrote). Exit 1 when the gate fails.
+/// trajectory files without re-running the matrix (CI gates the numbers
+/// its `scenarios --json` step just wrote). Exit 1 when the gate fails.
 fn run_compare(args: &[String]) {
     let mut paths = Vec::new();
     let mut threshold_pct = compare::DEFAULT_THRESHOLD_PCT;
@@ -209,77 +201,10 @@ fn run_scenarios(args: &[String]) {
     }
 }
 
-fn run_bench(args: &[String]) {
-    let mut json = false;
-    let mut opts = bench::BenchOptions::full();
-    let mut out_path = String::from("BENCH_pioman.json");
-    let mut baseline_path: Option<String> = None;
-    let mut threshold_pct = compare::DEFAULT_THRESHOLD_PCT;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--quick" => opts = bench::BenchOptions::quick(),
-            "--out" => match it.next() {
-                Some(p) => {
-                    out_path = p.clone();
-                    // Naming an output file is asking for the file.
-                    json = true;
-                }
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--compare" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => {
-                    eprintln!("--compare requires a baseline JSON path");
-                    std::process::exit(2);
-                }
-            },
-            "--threshold" => match it.next().and_then(|p| p.parse::<f64>().ok()) {
-                Some(pct) if pct >= 0.0 => threshold_pct = pct,
-                _ => {
-                    eprintln!("--threshold requires a non-negative percentage");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown bench flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    // Read the baseline *before* the (slow) suite run, so a bad path or a
-    // corrupt file fails in milliseconds.
-    let baseline = baseline_path.map(|path| load_trajectory(&path));
-    let results = bench::run_suite(&opts);
-    print!("{}", bench::render_text(&results));
-    if json {
-        if let Err(e) = std::fs::write(&out_path, bench::render_json(&results)) {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {out_path}");
-    }
-    if let Some(baseline) = baseline {
-        let report = compare::compare(&baseline, &results, threshold_pct);
-        print!("{}", report.render());
-        if !report.gate_passes() {
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();
-    }
-    if args[0] == "bench" {
-        run_bench(&args[1..]);
-        return;
     }
     if args[0] == "compare" {
         run_compare(&args[1..]);

@@ -2,12 +2,10 @@
 //!
 //! `piom_scenarios` owns the workloads and reports each run as a
 //! [`ScenarioReport`] in the shared [`pioman::hist::PercentileSummary`]
-//! vocabulary;
-//! this module is the thin adapter that turns those reports into
-//! [`BenchResult`] rows so the *existing* schema-v2 renderer and compare
-//! gate apply unchanged — `SCENARIOS_pioman.json` is the same file format
-//! as `BENCH_pioman.json`, gated by the same machinery, differing only in
-//! what a row means (simulated workload latency, not measured ns/op).
+//! vocabulary; this module is the thin adapter that turns those reports
+//! into [`BenchResult`] rows for the schema-v2 renderer and the compare
+//! gate — the rows of `SCENARIOS_pioman.json` (simulated workload
+//! latency).
 //!
 //! The dependency points this way (harness → scenarios) on purpose: the
 //! scenario crate must stay buildable without the harness, so it speaks

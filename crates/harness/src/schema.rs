@@ -1,12 +1,8 @@
-//! The `BENCH_pioman.json` schema, owned in one place.
-//!
-//! Until PR 6, `bench.rs` hand-formatted the trajectory JSON and
-//! `compare.rs` re-parsed it with a second hand-rolled parser — two
-//! copies of the same schema that could (and once nearly did) drift.
-//! This module is now the single owner of both halves: [`BenchResult`]
-//! is the emit-side record, [`render_json`] writes it, [`BaselineEntry`]
-//! is the parse-side record, [`parse_trajectory`] reads it, and the
-//! round-trip tests below pin that `parse(render(x))` loses nothing.
+//! The trajectory-file schema (`SCENARIOS_pioman.json`), owned in one
+//! place: [`BenchResult`] is the emit-side record, [`render_json`] writes
+//! it, [`BaselineEntry`] is the parse-side record, [`parse_trajectory`]
+//! reads it, and the round-trip tests below pin that `parse(render(x))`
+//! loses nothing — emit and parse cannot drift.
 //!
 //! # Schema v2
 //!
@@ -23,7 +19,7 @@
 //! version marker. [`parse_trajectory`] accepts both generations:
 //! percentiles come back as `Option`s, `None` meaning a v1 file, and the
 //! compare gate falls back to mean-only gating for such rows (warning,
-//! not failing — an old committed baseline must stay comparable).
+//! not failing — a hand-written or old baseline must stay comparable).
 //! Unknown extra numeric fields are ignored on parse, so the schema can
 //! grow again without breaking older binaries' gates.
 //!
@@ -33,46 +29,33 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One measured benchmark: the unit of the `BENCH_pioman.json` schema
+/// One trajectory row: the unit of the schema
 /// (v2: `name → {mean_ns, p50_ns, p99_ns, p999_ns, iters, seed}`).
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// Stable benchmark identifier (the JSON key).
+    /// Stable scenario identifier (the JSON key).
     pub name: &'static str,
-    /// Mean wall-clock nanoseconds per iteration (exact, not
-    /// bucket-resolved — computed from the summed total).
+    /// Mean nanoseconds per sample (exact, not bucket-resolved —
+    /// computed from the summed total).
     pub mean_ns: f64,
-    /// Median per-iteration nanoseconds (histogram-resolved, ~3%).
+    /// Median per-sample nanoseconds (histogram-resolved, ~3%).
     pub p50_ns: f64,
-    /// 99th-percentile per-iteration nanoseconds.
+    /// 99th-percentile per-sample nanoseconds.
     pub p99_ns: f64,
-    /// 99.9th-percentile per-iteration nanoseconds (recorded for the
+    /// 99.9th-percentile per-sample nanoseconds (recorded for the
     /// trajectory; not gated — see `compare`).
     pub p999_ns: f64,
-    /// Iterations measured.
+    /// Samples measured.
     pub iters: u64,
     /// Seed the run was configured with.
     pub seed: u64,
-}
-
-impl BenchResult {
-    /// Rescales every nanosecond field by `1/ops` — the contended
-    /// scenarios time a round of `ops` inner operations per iteration and
-    /// record per-op values, and the percentiles must scale with the mean
-    /// or the trajectory would mix units.
-    pub fn scale_per_op(&mut self, ops: f64) {
-        self.mean_ns /= ops;
-        self.p50_ns /= ops;
-        self.p99_ns /= ops;
-        self.p999_ns /= ops;
-    }
 }
 
 /// One parsed baseline scenario. `mean_ns` is mandatory in every schema
 /// generation; the percentiles are `None` when the file predates v2.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineEntry {
-    /// Mean nanoseconds per iteration.
+    /// Mean nanoseconds per sample.
     pub mean_ns: f64,
     /// Median, if the file carries v2 percentiles.
     pub p50_ns: Option<f64>,
@@ -110,9 +93,9 @@ impl BaselineEntry {
     }
 }
 
-/// Serializes a suite run as the `BENCH_pioman.json` document (schema
-/// v2). Percentiles are written with `{:.1}` like the mean: sub-0.1 ns
-/// resolution is below both clock and bucket resolution.
+/// Serializes a matrix run as the trajectory document (schema v2).
+/// Percentiles are written with `{:.1}` like the mean: sub-0.1 ns
+/// resolution is below bucket resolution.
 pub fn render_json(results: &[BenchResult]) -> String {
     let mut out = String::from("{\n");
     for (i, r) in results.iter().enumerate() {
@@ -128,7 +111,7 @@ pub fn render_json(results: &[BenchResult]) -> String {
     out
 }
 
-/// Parses a `BENCH_pioman.json` document of either schema generation into
+/// Parses a trajectory document of either schema generation into
 /// `name → `[`BaselineEntry`].
 ///
 /// Accepts one outer JSON object whose values are flat objects of numeric
@@ -375,13 +358,14 @@ mod tests {
 
     #[test]
     fn v1_documents_still_parse_as_mean_only() {
-        // The exact shape v1 render_json committed to BENCH_pioman.json.
+        // The percentile-less shape hand-written baselines use
+        // (`tests/scenarios_cli.rs`).
         let json = r#"{
-  "submit_schedule_percore": { "mean_ns": 639.0, "iters": 2000, "seed": 42 },
-  "newmad_pingpong": { "mean_ns": 1886199.8, "iters": 200, "seed": 42 }
+  "rpc_mesh_steady": { "mean_ns": 639.0, "iters": 2000, "seed": 42 },
+  "retry_storm": { "mean_ns": 1886199.8, "iters": 200, "seed": 42 }
 }"#;
         let parsed = parse_trajectory(json).unwrap();
-        let e = parsed["submit_schedule_percore"];
+        let e = parsed["rpc_mesh_steady"];
         assert!((e.mean_ns - 639.0).abs() < 1e-9);
         assert!(e.is_v1() && e.p50_ns.is_none() && e.p999_ns.is_none());
     }
@@ -407,16 +391,6 @@ mod tests {
             parse_trajectory(r#"{ "x": { "mean_ns": 1 }, "x": { "mean_ns": 2 } }"#).is_err(),
             "duplicate keys"
         );
-    }
-
-    #[test]
-    fn scale_per_op_keeps_units_consistent() {
-        let mut r = result("contended", 1000.0);
-        r.scale_per_op(10.0);
-        assert_eq!(r.mean_ns, 100.0);
-        assert_eq!(r.p50_ns, 90.0);
-        assert_eq!(r.p99_ns, 200.0);
-        assert_eq!(r.p999_ns, 400.0);
     }
 
     #[test]

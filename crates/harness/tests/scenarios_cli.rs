@@ -1,20 +1,22 @@
-//! Integration coverage for `piom-harness scenarios`: the workload matrix
-//! must emit valid schema-v2 JSON (checked through `schema::validate_json`
-//! *and* the trajectory parser), reproduce byte-identically under one
-//! seed, diverge under another, gate through `--compare`, and treat an
-//! unmatched `--filter` as an error — a typo must never read as an
-//! empty-but-green matrix.
+//! Integration coverage for the `piom-harness` subcommands. `scenarios`:
+//! the workload matrix must emit valid schema-v2 JSON (checked through
+//! `schema::validate_json` *and* the trajectory parser), reproduce
+//! byte-identically under one seed, diverge under another, gate through
+//! `--compare`, and treat an unmatched `--filter` as an error — a typo
+//! must never read as an empty-but-green matrix. `compare`: the
+//! file-vs-file gate and its exit codes. `stats`: the
+//! Prometheus-text-shaped counter export. And `bench`, which is gone.
 
 use std::process::Command;
 
-fn scenarios_cmd() -> Command {
+fn harness() -> Command {
     Command::new(env!("CARGO_BIN_EXE_piom-harness"))
 }
 
 /// Runs `scenarios --quick --json --out <path> [extra args]` and returns
 /// the written JSON.
 fn scenarios_json_at(path: &std::path::Path, extra: &[&str]) -> String {
-    let out = scenarios_cmd()
+    let out = harness()
         .args(["scenarios", "--quick", "--json", "--out"])
         .arg(path)
         .args(extra)
@@ -65,7 +67,7 @@ fn scenarios_json_is_valid_schema_v2_and_byte_deterministic() {
 
 #[test]
 fn unmatched_filter_exits_nonzero() {
-    let out = scenarios_cmd()
+    let out = harness()
         .args(["scenarios", "--quick", "--filter", "no_such_scenario_zzz"])
         .output()
         .expect("spawn piom-harness scenarios --filter");
@@ -81,7 +83,7 @@ fn unmatched_filter_exits_nonzero() {
     );
 
     // A matching filter runs exactly the selected subset.
-    let out = scenarios_cmd()
+    let out = harness()
         .args(["scenarios", "--quick", "--filter", "fanin"])
         .output()
         .expect("spawn piom-harness scenarios --filter fanin");
@@ -103,7 +105,7 @@ fn scenarios_compare_gates_against_a_baseline() {
     // deterministic matrix diffed against itself passes at delta zero.
     let baseline = dir.join("base.json");
     scenarios_json_at(&baseline, &[]);
-    let out = scenarios_cmd()
+    let out = harness()
         .args(["scenarios", "--quick", "--compare"])
         .arg(&baseline)
         .output()
@@ -124,7 +126,7 @@ fn scenarios_compare_gates_against_a_baseline() {
         "{\n  \"rpc_mesh_steady\": { \"mean_ns\": 0.001, \"iters\": 1, \"seed\": 42 }\n}\n",
     )
     .unwrap();
-    let out = scenarios_cmd()
+    let out = harness()
         .args(["scenarios", "--quick", "--compare"])
         .arg(&regressing)
         .output()
@@ -136,7 +138,7 @@ fn scenarios_compare_gates_against_a_baseline() {
     // A corrupt baseline fails fast (exit 2), before any simulating.
     let corrupt = dir.join("corrupt.json");
     std::fs::write(&corrupt, "not json").unwrap();
-    let out = scenarios_cmd()
+    let out = harness()
         .args(["scenarios", "--quick", "--compare"])
         .arg(&corrupt)
         .output()
@@ -154,10 +156,116 @@ fn scenarios_rejects_unknown_flags_and_bad_values() {
         &["scenarios", "--filter"],
         &["scenarios", "--threshold", "-3"],
     ] {
-        let out = scenarios_cmd()
+        let out = harness()
             .args(bad)
             .output()
             .expect("spawn piom-harness scenarios (bad args)");
         assert_eq!(out.status.code(), Some(2), "args {bad:?} must be rejected");
     }
+}
+
+#[test]
+fn compare_subcommand_diffs_two_files_without_benching() {
+    let dir = std::env::temp_dir().join(format!("piom-cmpfiles-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let old = dir.join("old.json");
+    let new = dir.join("new.json");
+    std::fs::write(
+        &old,
+        "{\n  \"a\": { \"mean_ns\": 100.0, \"iters\": 1, \"seed\": 42 },\n  \
+           \"b\": { \"mean_ns\": 100.0, \"iters\": 1, \"seed\": 42 }\n}\n",
+    )
+    .unwrap();
+    std::fs::write(
+        &new,
+        "{\n  \"a\": { \"mean_ns\": 90.0, \"iters\": 1, \"seed\": 42 },\n  \
+           \"b\": { \"mean_ns\": 180.0, \"iters\": 1, \"seed\": 42 }\n}\n",
+    )
+    .unwrap();
+
+    // b regressed +80%: default gate fails...
+    let out = harness()
+        .arg("compare")
+        .args([&old, &new])
+        .output()
+        .expect("spawn piom-harness compare");
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(stdout.contains("gate: FAIL"), "{stdout}");
+    assert!(
+        !stdout.contains("SCENARIO MATRIX"),
+        "file mode must not run the matrix:\n{stdout}"
+    );
+
+    // ...but a looser threshold passes.
+    let out = harness()
+        .arg("compare")
+        .args([&old, &new])
+        .args(["--threshold", "100"])
+        .output()
+        .expect("spawn piom-harness compare");
+    assert!(out.status.success());
+
+    // Wrong arity is a usage error.
+    let out = harness()
+        .arg("compare")
+        .arg(&old)
+        .output()
+        .expect("spawn piom-harness compare");
+    assert_eq!(out.status.code(), Some(2));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stats_subcommand_exports_prometheus_shaped_json() {
+    let out = harness()
+        .args(["stats", "--json"])
+        .output()
+        .expect("spawn piom-harness stats --json");
+    assert!(
+        out.status.success(),
+        "stats exited {:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = String::from_utf8(out.stdout).unwrap();
+    piom_harness::schema::validate_json(&json).expect("stats --json must emit valid JSON");
+    for marker in [
+        "\"piom_task_latency_ns\": { \"type\": \"histogram\"",
+        "\"le\": \"+Inf\"",
+        "\"piom_core_executed_total\"",
+        "\"hook\": \"timer\"",
+    ] {
+        assert!(json.contains(marker), "missing {marker}:\n{json}");
+    }
+
+    // Bare `stats` prints the human-readable summary with percentiles.
+    let out = harness()
+        .arg("stats")
+        .output()
+        .expect("spawn piom-harness stats");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(text.contains("p99="), "missing percentiles:\n{text}");
+
+    // Unknown flags are a usage error.
+    let out = harness()
+        .args(["stats", "--frobnicate"])
+        .output()
+        .expect("spawn piom-harness stats");
+    assert_eq!(out.status.code(), Some(2));
+}
+
+/// The `bench` subcommand was deleted with its absolute-ns gate: the name
+/// now falls through to the experiment table like any other unknown word.
+#[test]
+fn bench_is_an_unknown_experiment() {
+    let out = harness()
+        .args(["bench", "--quick"])
+        .output()
+        .expect("spawn piom-harness");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(stderr.contains("unknown experiment \"bench\""), "{stderr}");
 }

@@ -18,8 +18,9 @@
 //! `Relaxed` counter never promised a linearizable read). Once writers
 //! quiesce, the sum equals the true total; the
 //! `sharded_counter_matches_shadow_total` proptest pins that against a
-//! shadow single-atomic under threaded load, and the
-//! `stats_sharding_contended` bench records what the sharding buys.
+//! shadow single-atomic under threaded load. (What the sharding buys was
+//! last measured at parity on a 2-vCPU host — EXPERIMENTS.md, "Retired
+//! rows".)
 
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use crossbeam::utils::CachePadded;
@@ -58,8 +59,8 @@ pub struct ShardedCounter {
     shards: Box<[CachePadded<AtomicU64>]>,
     /// `shards.len() - 1`; the slot count is rounded up to a power of two
     /// so slot folding is a mask, not a runtime division — the increment
-    /// is on task-execution hot paths, and a `div` per bump measurably
-    /// drags the `stats_sharding_contended` bench.
+    /// is on task-execution hot paths, where a `div` per bump is
+    /// measurable.
     mask: usize,
 }
 

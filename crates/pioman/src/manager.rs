@@ -48,8 +48,8 @@ pub const DEFAULT_STEAL_WAKE_BACKLOG: usize = 8;
 /// (each spill moves half the queue into the overflow tier and the
 /// drain claims it back — measurably slower than a local batched drain
 /// for small backlogs, which is exactly the regime below this default).
-/// Many-core saturation setups lower it; the `steal_scaling_*` bench
-/// ladder pins 16 so a 256-task backlog engages the tier.
+/// Many-core saturation setups lower it; the scaling ladder in
+/// `tests/socket_tier.rs` pins 16 so a 256-task backlog engages the tier.
 pub const DEFAULT_SPILL_THRESHOLD: usize = 512;
 
 /// Default [`ManagerConfig::cross_socket_backlog`]: the minimum observed
@@ -68,8 +68,8 @@ pub struct ManagerConfig {
     /// [`Topology::steal_order`] — nearest sibling first, deepest backlog
     /// first within a distance tier — and takes **half** of the eligible
     /// backlog of the first victim that has any (steal-half; every stolen
-    /// task's [`CpuSet`] admits the thief). Enabled by default; the
-    /// steal-vs-spin benchmarks flip it off for comparison. Disabling it
+    /// task's [`CpuSet`] admits the thief). Enabled by default; tests flip
+    /// it off for the no-steal control arm. Disabling it
     /// also disables the steal-aware park machinery
     /// ([`TaskManager::park_probe`] always reports "park") and the
     /// backlog-triggered wake-ups.
@@ -83,7 +83,7 @@ pub struct ManagerConfig {
     /// as [`ManagerStats::latency`](crate::ManagerStats). **Off by
     /// default**: enabling it puts two `Instant` clock reads and a few
     /// relaxed RMWs on every task execution — cheap, but not free, and
-    /// the scheduler's own benches must not pay for their observability.
+    /// a run that never reads the histogram must not pay for it.
     pub latency_histogram: bool,
     /// The **per-socket overflow tier** (on by default): each NUMA node
     /// (falling back to chips, then the whole machine, on shallower trees)
@@ -203,13 +203,13 @@ impl core::fmt::Debug for PendingTask {
 /// Before PR 5 these lived in seven parallel `Vec<AtomicU64>`s: per-core
 /// *indexing* without per-core *isolation* — cores 0..16 shared the same
 /// handful of cache lines, so every `executed` bump on core 3 evicted the
-/// line core 2's counters sat on (false sharing; measured by the
-/// `stats_sharding_contended` bench). Grouping a core's counters into one
-/// padded block keeps all of its hot-path RMWs on a line no other core
-/// writes — with one deliberate split: the fields *other* cores touch
-/// while this core is busy (`remote`) sit on their own padded line, so a
-/// `wake_for_steal` scan polling parked flags never pulls the line this
-/// core's executor is hammering with `executed`/`steal_attempts` RMWs.
+/// line core 2's counters sat on (false sharing). Grouping a core's
+/// counters into one padded block keeps all of its hot-path RMWs on a
+/// line no other core writes — with one deliberate split: the fields
+/// *other* cores touch while this core is busy (`remote`) sit on their
+/// own padded line, so a `wake_for_steal` scan polling parked flags never
+/// pulls the line this core's executor is hammering with
+/// `executed`/`steal_attempts` RMWs.
 #[derive(Debug)]
 struct CoreState {
     /// Tasks executed on this core (the paper's distribution measurements).
@@ -1271,8 +1271,8 @@ impl TaskManager {
     /// [`AUTO_HALF_LIFE_MIN`](crate::AUTO_HALF_LIFE_MIN)`..=`
     /// [`AUTO_HALF_LIFE_MAX`](crate::AUTO_HALF_LIFE_MAX)
     /// ([`DEFAULT_CONTENTION_HALF_LIFE`] until the first contention
-    /// burst). Observability only — the `phase_shift_ramp` bench row reads
-    /// it to pin the tuner inside its clamp.
+    /// burst). Observability only — the manager's phase-shift unit test
+    /// reads it to pin the tuner inside its clamp.
     pub fn contention_half_life(&self, core: usize) -> u64 {
         debug_assert!(core < self.topo.n_cores(), "core id out of range");
         self.cores[core].window.half_life()
@@ -2190,6 +2190,114 @@ mod tests {
     }
 
     #[test]
+    fn empty_scan_takes_no_lock_on_any_queue_or_overflow() {
+        // Algorithm 2 at manager level: a keypoint over an empty machine —
+        // path walk, overflow claim rung and steal probe included — reads
+        // unlocked length hints only.
+        let mgr = kwak_mgr();
+        for _ in 0..3 {
+            assert!(!mgr.schedule(7));
+        }
+        let stats = mgr.stats();
+        for q in &stats.queues {
+            assert_eq!(q.lock_acquisitions, 0, "queue {:?} was locked", q.id);
+        }
+        for s in &stats.sockets {
+            assert_eq!(s.overflow_lock_acquisitions, 0, "socket {}", s.node);
+        }
+    }
+
+    #[test]
+    fn contention_signal_registers_a_burst_then_decays_through_the_manager() {
+        // The phase shift, through the real manager: a long uncontended
+        // history on core 0, a burst of 4 real threads fighting over the
+        // Global Queue (on every core's path), then quiet drains again.
+        // `contention_rate` / `contention_half_life` are observability
+        // accessors with no other caller; this test keeps them honest.
+        const RAMP: usize = 256;
+        let mgr = kwak_mgr();
+        let quiet_drain = || {
+            for _ in 0..RAMP {
+                mgr.task(|_| TaskStatus::Done)
+                    .cpuset(CpuSet::single(0))
+                    .spawn();
+            }
+            let mut ran = 0;
+            loop {
+                let budget = mgr.adaptive_budget(0);
+                match mgr.schedule_batch(0, budget) {
+                    0 => break,
+                    n => ran += n,
+                }
+            }
+            assert_eq!(ran, RAMP, "adaptive budgets must drain the whole ramp");
+        };
+        let path_contended = || -> u64 {
+            let stats = mgr.stats();
+            mgr.topology()
+                .path_to_root(0)
+                .map(|node| stats.queues[node.index()].lock_contended)
+                .sum()
+        };
+        for _ in 0..24 {
+            quiet_drain();
+        }
+        assert_eq!(path_contended(), 0, "a single thread cannot contend");
+        assert_eq!(mgr.contention_rate(0), 0.0);
+
+        // Four threads each enqueue a backlog on the Global Queue, then
+        // drain it in whole-queue batches: long lock holds for the
+        // stragglers' enqueues to run into. A barrier lines the threads
+        // up, core 0's window is sampled after every round like a worker
+        // keypoint would, and rounds repeat until the lock was observably
+        // fought over — a TTAS spinlock can win every race for a while.
+        let start = std::sync::Barrier::new(4);
+        for _ in 0..64 {
+            std::thread::scope(|s| {
+                for core in 0..4 {
+                    let (mgr, start) = (&mgr, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let handles: Vec<_> = (0..256)
+                            .map(|_| mgr.task(|_| TaskStatus::Done).spawn())
+                            .collect();
+                        while handles.iter().any(|h| !h.is_complete()) {
+                            mgr.schedule(core);
+                        }
+                    });
+                }
+            });
+            let _ = mgr.adaptive_budget(0);
+            if path_contended() > 0 {
+                break;
+            }
+        }
+        let burst_contended = path_contended();
+        let rate_after_burst = mgr.contention_rate(0);
+        for _ in 0..8 {
+            quiet_drain();
+        }
+        if burst_contended > 0 {
+            assert!(
+                rate_after_burst > 0.0,
+                "the window failed to register {burst_contended} contended acquisitions"
+            );
+            let rate_final = mgr.contention_rate(0);
+            assert!(
+                rate_final < rate_after_burst,
+                "the window failed to re-adapt: {rate_final} after the quiet \
+                 drains vs {rate_after_burst} right after the burst"
+            );
+        }
+        // Whatever the host weather, the tuner may never escape its clamp.
+        let hl = mgr.contention_half_life(0);
+        assert!(
+            (crate::AUTO_HALF_LIFE_MIN..=crate::AUTO_HALF_LIFE_MAX).contains(&hl),
+            "auto-tuned half-life {hl} escaped the clamp"
+        );
+    }
+
+    #[test]
     fn starved_core_completes_backlog_via_steal_half() {
         // The satellite scenario: every task is homed on core 1's queue but
         // cores {0, 1} may run them. Core 1 never schedules (it is "busy
@@ -2218,6 +2326,7 @@ mod tests {
         let stats = mgr.stats();
         assert_eq!(stats.stolen_by_core[0], 16);
         assert_eq!(stats.executed_by_core[0], 16);
+        assert_eq!(stats.executed_by_core[1], 0, "the home core never ran");
         assert_eq!(stats.stolen_batch_by_core[0], 5);
         assert!(stats.steal_attempts_by_core[0] >= 5);
         assert_eq!(stats.total_stolen(), 16);

@@ -18,8 +18,8 @@
 //! role's writes never evict the line another role is polling — and the
 //! `submitted`/`executed` statistics, which every core RMWs, are
 //! [`ShardedCounter`]s (per-slot padded, aggregated only on snapshot).
-//! `DESIGN.md` §6 has the layout rationale; the `stats_sharding_contended`
-//! bench records the cost of the shared-counter alternative.
+//! `DESIGN.md` §6 has the layout rationale; the last measured cost of the
+//! shared-counter alternative is in EXPERIMENTS.md, "Retired rows".
 
 use crate::counters::ShardedCounter;
 use crate::spinlock::SpinLock;

@@ -86,8 +86,8 @@ pub struct ContentionWindow {
     /// Whether the half-life auto-tunes from the observed burst cadence
     /// (see [`new_auto`](Self::new_auto)).
     auto: bool,
-    /// The half-life `decay_k` was derived from (exposed for tests and the
-    /// `phase_shift_ramp` bench; the adaptation writes both together).
+    /// The half-life `decay_k` was derived from (exposed for tests; the
+    /// adaptation writes both together).
     half_life: AtomicU64,
     /// Active (winning, acquisition-advancing) samples seen: the
     /// adaptation's clock, so gaps are measured in the same unit as the

@@ -5,8 +5,9 @@
 //!
 //! Everything here drives keypoints by hand — no progression workers, no
 //! timing dependence. The counters asserted (`spilled`, `claimed`,
-//! `park_probe_polls`) are the same ones the `steal_scaling` bench
-//! family records.
+//! `park_probe_polls`) are exact per run; what the same paths *cost* is
+//! the repo benchmark's `burst_mixed` workload and its
+//! `pioman.spill_claim_ns_per_task` / `steal_ns_per_task` probes.
 
 use piom_cpuset::CpuSet;
 use piom_topology::presets;
@@ -77,6 +78,75 @@ fn full_miss_park_probe_polls_exactly_one_aggregate_per_socket() {
     // with probes × sockets, never with cores.
     assert!(!mgr.park_probe(0));
     assert_eq!(mgr.stats().park_probe_polls[0], 2 * n_sockets);
+}
+
+/// The scaling ladder, 256 → 512 → 1024 cores: a 256-task machine-wide
+/// backlog homed on a starved core 0 with a low spill threshold, so
+/// dispatch pushes most of it through the socket tier. The drain cast is
+/// core 1 (a home-socket sibling, claiming from the overflow) plus the
+/// first core of every remote socket (cross-socket thieves), so one drain
+/// exercises spill, claim *and* steal on the same backlog at every rung.
+/// Afterwards a park probe from the last core must miss after consulting
+/// exactly one aggregate per socket — the O(sockets) bound, and (a stale
+/// socket span would read as a hit) span decay after a full drain.
+#[test]
+fn scaling_ladder_spills_claims_and_steals_in_one_drain_at_every_rung() {
+    for (name, topo) in [
+        ("dual_socket_256", presets::dual_socket_256()),
+        ("quad_socket_512", presets::quad_socket_512()),
+        ("quad_socket_1024", presets::quad_socket_1024()),
+    ] {
+        let mgr = TaskManager::with_config(
+            topo.into(),
+            ManagerConfig {
+                spill_threshold: 16,
+                ..ManagerConfig::default()
+            },
+        );
+        let n_cores = mgr.topology().n_cores();
+        let sockets = mgr.stats().sockets;
+        assert!(sockets.len() >= 2, "{name} must be multi-socket");
+        let mut drainers = vec![1];
+        drainers.extend(
+            sockets
+                .iter()
+                .filter(|s| !s.cpuset.contains(0))
+                .map(|s| s.cpuset.iter().next().expect("socket has cores")),
+        );
+
+        let handles: Vec<_> = (0..256)
+            .map(|_| {
+                mgr.task(|_| TaskStatus::Done)
+                    .cpuset(CpuSet::first_n(n_cores))
+                    .on_core(0)
+                    .spawn()
+            })
+            .collect();
+        let mut rounds = 0;
+        while handles.iter().any(|h| !h.is_complete()) {
+            for &core in &drainers {
+                mgr.schedule(core);
+            }
+            rounds += 1;
+            assert!(rounds <= 256, "{name}: no drain via cores {drainers:?}");
+        }
+
+        let stats = mgr.stats();
+        assert!(stats.total_spilled() > 0, "{name}: the backlog must spill");
+        assert!(stats.total_claimed() > 0, "{name}: spills drain via claims");
+        assert!(stats.total_stolen() > 0, "{name}: the residue is stolen");
+        assert_eq!(stats.executed_by_core[0], 0, "{name}: core 0 is starved");
+        let polls_before = stats.total_park_probe_polls();
+        assert!(
+            !mgr.park_probe(n_cores - 1),
+            "{name}: a drained fabric must probe as empty (stale aggregate?)"
+        );
+        assert_eq!(
+            mgr.stats().total_park_probe_polls() - polls_before,
+            sockets.len() as u64,
+            "{name}: a full miss costs exactly one poll per socket"
+        );
+    }
 }
 
 /// Spill escalation end-to-end with stealing disabled, isolating the

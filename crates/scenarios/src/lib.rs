@@ -1,10 +1,10 @@
 //! The scenario registry: named, parameterized, seedable DES workloads.
 //!
-//! The microbench trajectory (`BENCH_pioman.json`) watches the *scheduler
-//! hot paths*; nothing so far watched *workload behaviour* — an incast
-//! collapse, a retry storm amplifying itself, a straggler fattening every
-//! gather — regressions that leave ns/op untouched. This crate is that
-//! missing surface: a registry of production-shaped traffic patterns, each
+//! The repo benchmark (`benchmark/`) times the *scheduler and engine hot
+//! paths*; it does not watch *workload behaviour* — an incast collapse, a
+//! retry storm amplifying itself, a straggler fattening every gather —
+//! regressions that leave ns/op untouched. This crate is that surface: a
+//! registry of production-shaped traffic patterns, each
 //! a deterministic discrete-event simulation (`piom_des::Sim` +
 //! `piom_net::Network`, server CPU costs from `piom_machine::CostModel`)
 //! that records one latency sample per request into a
@@ -16,8 +16,8 @@
 //! time, [`piom_des::rng::SplitMix64`] jitter, no ambient entropy, no
 //! wall clock — so two runs with the same seed produce *byte-identical*
 //! JSON rows (pinned by `tests/determinism.rs`), and the
-//! `SCENARIOS_pioman.json` baseline gates CI exactly, through the same
-//! `piom-harness` schema-v2 + compare machinery as the benches.
+//! `SCENARIOS_pioman.json` baseline gates CI exactly, through the
+//! `piom-harness` schema-v2 + compare machinery.
 //!
 //! # Quick start
 //!
@@ -44,18 +44,16 @@ mod workloads;
 pub use cluster::{Cluster, Server, ServerCosts};
 
 /// How the compare gate should hold a scenario's row
-/// (`piom-harness compare` maps these onto the same per-scenario
-/// thresholds the bench gate uses).
+/// (`piom-harness compare` maps these onto its per-scenario thresholds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// Tight unimodal distribution: gate the mean at the tight default
-    /// *and* the p99 at `P99_THRESHOLD_FACTOR`× (the `TAIL_GATED`
-    /// treatment) — a fattened tail here is a real model regression.
+    /// *and* the p99 at `P99_THRESHOLD_FACTOR`× — a fattened tail here
+    /// is a real model regression.
     Tail,
     /// Intrinsically bursty / heavy-tailed / bimodal distribution: gate
-    /// the mean at the wide threshold only (the `HIGH_VARIANCE`
-    /// treatment) — the tail *is* the workload, and a small model change
-    /// legitimately swings it.
+    /// the mean at the wide threshold only — the tail *is* the workload,
+    /// and a small model change legitimately swings it.
     Wide,
 }
 
@@ -260,14 +258,14 @@ pub fn matching(filter: &str) -> Vec<&'static Scenario> {
         .collect()
 }
 
-/// `true` if `name` is a registered scenario with [`Gate::Wide`] — the
-/// compare machinery unions this with `bench::scenarios::HIGH_VARIANCE`.
+/// `true` if `name` is a registered scenario with [`Gate::Wide`]: the
+/// compare gate holds its mean to the wide threshold.
 pub fn is_high_variance(name: &str) -> bool {
     find(name).is_some_and(|s| s.gate == Gate::Wide)
 }
 
-/// `true` if `name` is a registered scenario with [`Gate::Tail`] — the
-/// compare machinery unions this with `bench::scenarios::TAIL_GATED`.
+/// `true` if `name` is a registered scenario with [`Gate::Tail`]: the
+/// compare gate holds its p99 as well as its mean.
 pub fn is_tail_gated(name: &str) -> bool {
     find(name).is_some_and(|s| s.gate == Gate::Tail)
 }
