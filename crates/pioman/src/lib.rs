@@ -28,9 +28,8 @@
 //! * beyond the paper, the scan is **batched** — a keypoint that finds a
 //!   backlog drains a whole pass under one lock acquisition
 //!   ([`TaskManager::schedule_batch`]), with the per-keypoint budget sized
-//!   adaptively from observed queue depth and a **phase-reactive windowed
-//!   contention signal** ([`TaskManager::adaptive_budget`],
-//!   [`ContentionWindow`]) — and idle
+//!   to the backlog visible on the core's path
+//!   ([`TaskManager::adaptive_budget`]) — and idle
 //!   cores **steal half** of the nearest eligible backlog by topological
 //!   distance instead of spinning, honoring each task's `CpuSet`
 //!   ([`ManagerConfig::steal`], [`SubmitSpec::on_core`]); parking is
@@ -90,22 +89,19 @@ mod completion;
 mod manager;
 mod progression;
 mod queue;
-mod signal;
 mod stats;
 mod task;
 
 pub use completion::{TaskError, TaskHandle};
 pub use hist::{HistSnapshot, Histogram, PercentileSummary};
 pub use manager::{
-    HookPoint, ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_CONTENTION_HALF_LIFE,
-    DEFAULT_CROSS_SOCKET_BACKLOG, DEFAULT_SPILL_THRESHOLD, DEFAULT_STEAL_WAKE_BACKLOG, MAX_BATCH,
-    MIN_BATCH,
+    HookPoint, ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_SPILL_THRESHOLD,
+    MAX_BATCH, MIN_BATCH, STEAL_WAKE_BACKLOG,
 };
 pub use progression::{Progression, ProgressionConfig, MAX_PROBE_STRIKES};
 pub use queue::{
     place_deadline_lane, Classed, QueueId, SeqLanes, BACKGROUND_BYPASS_LIMIT, DL_LANES,
 };
-pub use signal::{ContentionWindow, AUTO_HALF_LIFE_MAX, AUTO_HALF_LIFE_MIN, FP_ONE};
 pub use stats::{ManagerStats, QueueStats, SocketStats};
 pub use task::{Task, TaskClass, TaskContext, TaskOptions, TaskStatus, CLASS_COUNT};
 

@@ -1,8 +1,7 @@
 //! The task manager: hierarchical queues + Algorithms 1 and 2.
 
 use crate::completion::Completion;
-use crate::queue::{QueueId, TaskQueue, SPAN_WORDS};
-use crate::signal::ContentionWindow;
+use crate::queue::{QueueId, Span, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{Task, TaskClass, TaskContext, TaskFn, TaskOptions, TaskStatus, CLASS_COUNT};
 use crate::TaskHandle;
@@ -26,23 +25,17 @@ pub const MIN_BATCH: usize = 4;
 pub const MAX_BATCH: usize = 256;
 
 /// The budget [`TaskManager::adaptive_budget`] gives a stealing core whose
-/// own path is empty, and the cap it applies to cores that mostly run dry.
+/// own path is empty: room for one steal-half batch.
 pub const DEFAULT_BATCH: usize = 32;
 
-/// The half-life, in active samples, every core's contention window
-/// starts from before auto-tuning it to the workload's burst cadence
-/// ([`ContentionWindow::new_auto`]).
-pub const DEFAULT_CONTENTION_HALF_LIFE: u32 = 32;
-
-/// Default [`ManagerConfig::steal_wake_backlog`]: a queue reaching this
-/// depth at enqueue time triggers a steal-targeted wake-up
-/// ([`TaskManager::wake_for_steal`]).
-pub const DEFAULT_STEAL_WAKE_BACKLOG: usize = 8;
+/// A queue reaching this depth at enqueue time triggers a steal-targeted
+/// wake-up ([`TaskManager::wake_for_steal`]).
+pub const STEAL_WAKE_BACKLOG: usize = 8;
 
 /// Default [`ManagerConfig::spill_threshold`]: a per-core queue reaching
 /// this depth at enqueue time spills half its backlog (lowest class first)
 /// into its socket's overflow tier. Sized well above
-/// [`DEFAULT_STEAL_WAKE_BACKLOG`] *and* [`MAX_BATCH`]: wake-ups and
+/// [`STEAL_WAKE_BACKLOG`] *and* [`MAX_BATCH`]: wake-ups and
 /// steal-half probes get first crack at an imbalance, and a backlog a
 /// single keypoint budget can clear never pays the spill round-trip
 /// (each spill moves half the queue into the overflow tier and the
@@ -51,14 +44,6 @@ pub const DEFAULT_STEAL_WAKE_BACKLOG: usize = 8;
 /// Many-core saturation setups lower it; the scaling ladder in
 /// `tests/socket_tier.rs` pins 16 so a 256-task backlog engages the tier.
 pub const DEFAULT_SPILL_THRESHOLD: usize = 512;
-
-/// Default [`ManagerConfig::cross_socket_backlog`]: the minimum observed
-/// backlog (queue depth or overflow depth) a *remote-socket* victim must
-/// show before a thief crosses the interconnect for it. `1` keeps the
-/// pre-hierarchy behaviour — any visible remote work is worth a probe —
-/// which suits latency-bound workloads; throughput-bound many-core setups
-/// raise it so only meaningful imbalances pay the cross-NUMA traffic.
-pub const DEFAULT_CROSS_SOCKET_BACKLOG: usize = 1;
 
 /// Task-manager construction options.
 #[derive(Debug, Clone)]
@@ -74,10 +59,6 @@ pub struct ManagerConfig {
     /// ([`TaskManager::park_probe`] always reports "park") and the
     /// backlog-triggered wake-ups.
     pub steal: bool,
-    /// Queue depth at enqueue time that triggers a steal-targeted wake of
-    /// the nearest parked eligible worker ([`TaskManager::wake_for_steal`]).
-    /// `usize::MAX` disables the escalation without disabling stealing.
-    pub steal_wake_backlog: usize,
     /// Record every task's submit→execute latency into a per-core sharded
     /// histogram ([`crate::hist::Histogram`], one slot per core), exposed
     /// as [`ManagerStats::latency`](crate::ManagerStats). **Off by
@@ -85,37 +66,26 @@ pub struct ManagerConfig {
     /// relaxed RMWs on every task execution — cheap, but not free, and
     /// a run that never reads the histogram must not pay for it.
     pub latency_histogram: bool,
-    /// The **per-socket overflow tier** (on by default): each NUMA node
-    /// (falling back to chips, then the whole machine, on shallower trees)
-    /// gets a socket-shared overflow queue. A per-core queue
-    /// whose depth crosses [`spill_threshold`](Self::spill_threshold)
-    /// spills half its backlog there — lowest class first, QoS lanes
-    /// preserved — instead of letting it age behind the queue's own core;
-    /// idle keypoints drain the overflow between their socket-node queue
+    /// Per-core queue depth, observed at enqueue time, that triggers a
+    /// spill into the **per-socket overflow tier**: each NUMA node
+    /// (falling back to chips on shallower trees) has a socket-shared
+    /// overflow queue, and a queue below it whose depth crosses this
+    /// threshold spills half its backlog there — lowest class first, QoS
+    /// lanes preserved — instead of letting it age behind the queue's own
+    /// core; keypoints drain the overflow between their socket-node queue
     /// and the Global Queue (core → socket → global), and thieves prefer a
     /// remote socket's concentrated overflow to picking through its member
-    /// queues. On single-socket topologies the tier is inert regardless of
-    /// this flag (there is no "whole socket" distinct from the machine).
-    pub socket_overflow: bool,
-    /// Per-core queue depth, observed at enqueue time, that triggers a
-    /// spill into the socket overflow tier (see
-    /// [`socket_overflow`](Self::socket_overflow)).
+    /// queues. On single-socket topologies the tier is inert (there is no
+    /// "whole socket" distinct from the machine).
     pub spill_threshold: usize,
-    /// Minimum backlog a remote-socket victim (queue or overflow) must
-    /// show before a thief crosses the interconnect for it; intra-socket
-    /// victims are never gated. `1` = any visible remote work qualifies.
-    pub cross_socket_backlog: usize,
 }
 
 impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig {
             steal: true,
-            steal_wake_backlog: DEFAULT_STEAL_WAKE_BACKLOG,
             latency_histogram: false,
-            socket_overflow: true,
             spill_threshold: DEFAULT_SPILL_THRESHOLD,
-            cross_socket_backlog: DEFAULT_CROSS_SOCKET_BACKLOG,
         }
     }
 }
@@ -198,18 +168,12 @@ impl core::fmt::Debug for PendingTask {
     }
 }
 
-/// Per-core scheduler state, one cache-line-padded block per core.
-///
-/// Before PR 5 these lived in seven parallel `Vec<AtomicU64>`s: per-core
-/// *indexing* without per-core *isolation* — cores 0..16 shared the same
-/// handful of cache lines, so every `executed` bump on core 3 evicted the
-/// line core 2's counters sat on (false sharing). Grouping a core's
-/// counters into one padded block keeps all of its hot-path RMWs on a
-/// line no other core writes — with one deliberate split: the fields
-/// *other* cores touch while this core is busy (`remote`) sit on their
-/// own padded line, so a `wake_for_steal` scan polling parked flags never
-/// pulls the line this core's executor is hammering with
-/// `executed`/`steal_attempts` RMWs.
+/// Per-core scheduler state, one cache-line-padded block per core: all of
+/// a core's hot-path RMWs stay on a line no other core writes — with one
+/// deliberate split: the fields *other* cores touch while this core is
+/// busy (`remote`) sit on their own padded line, so a `wake_for_steal`
+/// scan polling parked flags never pulls the line this core's executor is
+/// hammering with `executed`/`steal_attempts` RMWs.
 #[derive(Debug)]
 struct CoreState {
     /// Tasks executed on this core (the paper's distribution measurements).
@@ -235,9 +199,6 @@ struct CoreState {
     /// tier (the scaling study's headline assertion), one poll per victim
     /// queue in the flat fallback.
     park_polls: AtomicU64,
-    /// Decayed contention window feeding
-    /// [`TaskManager::adaptive_budget`].
-    window: ContentionWindow,
     /// Remotely-touched state, padded away from the owner-hot counters
     /// above (see the struct docs).
     remote: CachePadded<RemoteCoreState>,
@@ -283,7 +244,6 @@ impl CoreState {
             park_hits: AtomicU64::new(0),
             park_misses: AtomicU64::new(0),
             park_polls: AtomicU64::new(0),
-            window: ContentionWindow::new_auto(DEFAULT_CONTENTION_HALF_LIFE),
             remote: CachePadded::new(RemoteCoreState {
                 parked: AtomicBool::new(false),
                 waker_present: AtomicBool::new(false),
@@ -293,44 +253,18 @@ impl CoreState {
     }
 }
 
-/// OR a cpuset into an atomic span-word array — the same protocol as
-/// [`TaskQueue`]'s steal span: words already covering the bits are
-/// skipped, new bits publish with `Release` so a decay's `Acquire` swap
-/// that captures them also sees the push they describe.
-fn span_or(span: &[AtomicU64; SPAN_WORDS], set: &CpuSet) {
-    for (word, &bits) in span.iter().zip(set.as_words()) {
-        if bits != 0 && word.load(Ordering::Relaxed) & bits != bits {
-            word.fetch_or(bits, Ordering::Release);
-        }
-    }
-}
-
-/// `true` if `core`'s bit is set in the span (one relaxed load).
-fn span_admits(span: &[AtomicU64; SPAN_WORDS], core: usize) -> bool {
-    core < CpuSet::MAX_CPUS && span[core / 64].load(Ordering::Relaxed) & (1u64 << (core % 64)) != 0
-}
-
-/// Relaxed snapshot of a span-word array as a [`CpuSet`].
-fn span_snapshot(span: &[AtomicU64; SPAN_WORDS]) -> CpuSet {
-    let mut words = [0u64; SPAN_WORDS];
-    for (w, a) in words.iter_mut().zip(span.iter()) {
-        *w = a.load(Ordering::Relaxed);
-    }
-    CpuSet::from_words(words)
-}
-
 /// One socket of the **per-socket overflow tier** (see
-/// [`ManagerConfig::socket_overflow`]): the overflow queue deep member
+/// [`ManagerConfig::spill_threshold`]): the overflow queue deep member
 /// queues spill into, plus the socket-aggregated signals — pending hint,
 /// steal span, parked-worker count — that let park probes, steal-targeted
 /// wakes and cross-socket steal gates consult one padded block per socket
 /// instead of touching every member core's state.
-struct SocketTier {
+pub(super) struct SocketTier {
     /// Arena index of the topology node this socket aggregates (a NUMA
     /// node; a chip or the machine root on trees without that level).
-    node: u32,
+    pub(super) node: u32,
     /// Cores the socket spans.
-    cpuset: CpuSet,
+    pub(super) cpuset: CpuSet,
     /// The overflow: the same [`TaskQueue`] every topology node has, so
     /// spilled tasks keep their QoS class and deadline lane across the
     /// spill, a spill lands and a claim leaves in one lock acquisition
@@ -339,30 +273,31 @@ struct SocketTier {
     /// span (the union of the spilled tasks' cpusets, decayed in full
     /// when the overflow drains — the queue is built over an empty own
     /// cpuset) is the eligibility half of those gates.
-    overflow: TaskQueue,
+    pub(super) overflow: TaskQueue,
     /// Tasks pending across the socket's member queues *and* overflow
     /// (racy signed hint — increments and decrements race, so transient
     /// negatives are possible and callers clamp at zero). The O(1) filter
     /// a *remote* core's park probe reads instead of scanning this
     /// socket's member queues.
-    pending: CachePadded<AtomicI64>,
+    pub(super) pending: CachePadded<AtomicI64>,
     /// Union of enqueued task cpusets across member queues and overflow,
-    /// decayed when `pending` drains: the eligibility half of the remote
-    /// park-probe filter.
-    span: CachePadded<[AtomicU64; SPAN_WORDS]>,
+    /// decayed when `pending` drains (only bits outside `cpuset` — in-socket
+    /// bits attract member cores, whose probes re-check the member
+    /// queues): the eligibility half of the remote park-probe filter.
+    pub(super) span: CachePadded<Span>,
     /// Parked progression workers among this socket's cores, maintained
     /// alongside the per-core flags: lets a steal-targeted wake skip a
     /// fully-busy socket's whole candidate run in O(1).
-    parked: AtomicU64,
+    pub(super) parked: AtomicU64,
     /// Tasks spilled into this socket's overflow (lifetime counter).
-    spilled: AtomicU64,
+    pub(super) spilled: AtomicU64,
     /// Tasks claimed out of the overflow and run (lifetime counter; claims
     /// by member cores and steals by remote cores both count).
-    claimed: AtomicU64,
+    pub(super) claimed: AtomicU64,
 }
 
 impl SocketTier {
-    fn new(node: u32, level: Level, cpuset: CpuSet) -> Self {
+    pub(super) fn new(node: u32, level: Level, cpuset: CpuSet) -> Self {
         SocketTier {
             node,
             cpuset,
@@ -370,39 +305,10 @@ impl SocketTier {
             // an overflow (tasks are accounted to their home queues).
             overflow: TaskQueue::new(QueueId(node), level, CpuSet::EMPTY, 1),
             pending: CachePadded::new(AtomicI64::new(0)),
-            span: CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))),
+            span: Default::default(),
             parked: AtomicU64::new(0),
             spilled: AtomicU64::new(0),
             claimed: AtomicU64::new(0),
-        }
-    }
-
-    /// Socket-span decay, mirroring [`TaskQueue`]'s: when the pending hint
-    /// says the socket drained and the span grew wider than the socket's
-    /// own cpuset (the only bits that can mislead — in-cpuset bits only
-    /// attract member cores, whose probes re-check the member queues), the
-    /// span clears, restoring if work raced in. Same bounded race budget
-    /// as the queue-level decay: the span gates advisory probes only.
-    fn maybe_decay_span(&self) {
-        let own = self.cpuset.as_words();
-        if self
-            .span
-            .iter()
-            .zip(own)
-            .all(|(w, &own_bits)| w.load(Ordering::Relaxed) & !own_bits == 0)
-        {
-            return;
-        }
-        let mut cleared = [0u64; SPAN_WORDS];
-        for (c, w) in cleared.iter_mut().zip(self.span.iter()) {
-            *c = w.swap(0, Ordering::Acquire);
-        }
-        if self.pending.load(Ordering::Relaxed) > 0 {
-            for (c, w) in cleared.iter().zip(self.span.iter()) {
-                if *c != 0 {
-                    w.fetch_or(*c, Ordering::Relaxed);
-                }
-            }
         }
     }
 }
@@ -420,8 +326,8 @@ pub struct TaskManager {
     topo: Arc<Topology>,
     /// One queue per topology node, indexed by node arena index.
     queues: Vec<TaskQueue>,
-    /// Per-core hot counters + parked flag + contention window, each core
-    /// on its own cache line (see [`CoreState`]).
+    /// Per-core hot counters + parked flag, each core on its own cache
+    /// line (see [`CoreState`]).
     cores: Vec<CachePadded<CoreState>>,
     /// Hook invocation counters, indexed by `HookPoint::index`.
     hook_counts: [AtomicU64; 3],
@@ -446,10 +352,9 @@ pub struct TaskManager {
     /// by nearest-span distance (ties by id). The O(sockets) scan behind
     /// park probes and the cross-socket half of the steal path.
     socket_order: Vec<Vec<u32>>,
-    /// Whether the overflow tier is live: configured on *and* the tree
-    /// actually has more than one socket (single-socket machines have no
-    /// "whole socket" distinct from the machine, so the tier would only
-    /// duplicate the Global Queue).
+    /// Whether the overflow tier is live: the tree has more than one
+    /// socket (single-socket machines have no "whole socket" distinct from
+    /// the machine, so the tier would only duplicate the Global Queue).
     socket_overflow_active: bool,
     /// Count of set `CoreState::parked` flags, maintained alongside them:
     /// the O(1) short-circuit that keeps
@@ -554,7 +459,7 @@ impl TaskManager {
                 SocketTier::new(id.index() as u32, node.level, node.cpuset)
             })
             .collect();
-        let socket_overflow_active = config.socket_overflow && sockets.len() > 1;
+        let socket_overflow_active = sockets.len() > 1;
         let core_socket: Vec<u32> = (0..n_cores)
             .map(|c| queue_socket[topo.core_node(c).index()].expect("core outside every socket"))
             .collect();
@@ -562,16 +467,8 @@ impl TaskManager {
             .map(|c| {
                 let mut order: Vec<u32> = (0..sockets.len() as u32).collect();
                 // Own socket lands first naturally: the core is inside its
-                // own socket's span, so its nearest-span distance is 0.
-                order.sort_by_cached_key(|&s| {
-                    let d = sockets[s as usize]
-                        .cpuset
-                        .iter()
-                        .map(|other| topo.distance(c, other))
-                        .min()
-                        .unwrap_or(usize::MAX);
-                    (d, s)
-                });
+                // own socket's span, so its distance is 0.
+                order.sort_by_cached_key(|&s| (topo.node_distance(c, socket_nodes[s as usize]), s));
                 order
             })
             .collect();
@@ -640,11 +537,6 @@ impl TaskManager {
     /// The topology the queues are mapped onto.
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topo
-    }
-
-    /// The configuration used at construction.
-    pub fn config(&self) -> &ManagerConfig {
-        &self.config
     }
 
     /// Starts building a task submission: the one entry point behind every
@@ -724,7 +616,7 @@ impl TaskManager {
         // are visibly not keeping up, so recruit the nearest parked thief
         // (which may be eligible only for *older* tasks in the backlog and
         // hence missed by the cpuset-targeted wake above).
-        if self.config.steal && depth >= self.config.steal_wake_backlog {
+        if self.config.steal && depth >= STEAL_WAKE_BACKLOG {
             self.wake_for_steal(home);
         }
     }
@@ -732,17 +624,17 @@ impl TaskManager {
     /// Records `cpuset`'s task landing on `queue` in the queue's socket
     /// aggregates (pending hint + socket span). Queues above every socket
     /// node (the Global Queue) have no socket to account to.
-    fn note_enqueued(&self, queue: QueueId, cpuset: &CpuSet) {
+    pub(super) fn note_enqueued(&self, queue: QueueId, cpuset: &CpuSet) {
         if let Some(s) = self.queue_socket[queue.index()] {
             let sock = &self.sockets[s as usize];
             sock.pending.fetch_add(1, Ordering::Relaxed);
-            span_or(&sock.span, cpuset);
+            sock.span.fold(cpuset);
         }
     }
 
     /// Records `n` tasks leaving `queue`; a drain that (by the racy hint)
-    /// empties the socket decays its span, mirroring the queue-level decay.
-    fn note_removed(&self, queue: QueueId, n: usize) {
+    /// empties the socket decays its span ([`Span::decay`]).
+    pub(super) fn note_removed(&self, queue: QueueId, n: usize) {
         if let Some(s) = self.queue_socket[queue.index()] {
             self.note_removed_socket(s as usize, n);
         }
@@ -753,7 +645,8 @@ impl TaskManager {
     fn note_removed_socket(&self, s: usize, n: usize) {
         let sock = &self.sockets[s];
         if n > 0 && sock.pending.fetch_sub(n as i64, Ordering::Relaxed) <= n as i64 {
-            sock.maybe_decay_span();
+            sock.span
+                .decay(&sock.cpuset, || sock.pending.load(Ordering::Relaxed) > 0);
         }
     }
 
@@ -762,7 +655,7 @@ impl TaskManager {
     /// the home queue to take the batch, one on the overflow to land it.
     /// Socket pending is unchanged — the tasks stay in the socket — so
     /// only the overflow (depth, span) and the lifetime spill counter move.
-    fn spill(&self, home: QueueId, s: usize, depth: usize) {
+    pub(super) fn spill(&self, home: QueueId, s: usize, depth: usize) {
         let quota = depth / 2;
         if quota == 0 {
             return;
@@ -784,11 +677,11 @@ impl TaskManager {
     /// `core` bounces to its home queue through the ordinary
     /// [`run_task`](Self::run_task) requeue path. `batch` is the caller's
     /// (drained) scratch. Returns bodies run.
-    fn claim_overflow(&self, core: usize, max: usize, batch: &mut Vec<Task>) -> usize {
+    pub(super) fn claim_overflow(&self, core: usize, max: usize, batch: &mut Vec<Task>) -> usize {
         let s = self.core_socket[core] as usize;
         let sock = &self.sockets[s];
         let pass = sock.overflow.len_hint().min(max);
-        if pass == 0 || !sock.overflow.steal_span_admits(core) {
+        if pass == 0 || !sock.overflow.steal_span.admits(core) {
             return 0;
         }
         batch.clear();
@@ -805,7 +698,7 @@ impl TaskManager {
     /// Dispatches every waitlisted task whose last outstanding predecessor
     /// just completed: the release half of [`SubmitSpec::after`], called
     /// with the waiter list drained by the predecessor's completion.
-    fn release_waiters(&self, waiters: Vec<Arc<PendingTask>>) {
+    pub(super) fn release_waiters(&self, waiters: Vec<Arc<PendingTask>>) {
         for waiter in waiters {
             if let Some(mut task) = waiter.satisfy_one() {
                 self.released_class[task.options.class.index()].fetch_add(1, Ordering::Relaxed);
@@ -852,8 +745,8 @@ impl TaskManager {
     /// first processes local tasks and scans upper queues" description.
     ///
     /// When the scan runs dry and stealing is enabled, the core probes the
-    /// other queues nearest-first and takes one eligible task (see
-    /// [`ManagerConfig::steal`]).
+    /// other queues nearest-first and takes half of the first eligible
+    /// backlog (see [`ManagerConfig::steal`]).
     ///
     /// Returns `true` if at least one task body was executed.
     pub fn schedule(&self, core: usize) -> bool {
@@ -921,27 +814,19 @@ impl TaskManager {
         ran
     }
 
-    /// Computes an adaptive per-keypoint task budget for `core`, replacing
-    /// the fixed [`DEFAULT_BATCH`]: sized from the observed depth of the
-    /// queues on `core`'s hierarchy path, widened when their locks show
-    /// contention, and capped low for cores whose steal history says they
-    /// mostly run dry. Always within [`MIN_BATCH`]`..=`[`MAX_BATCH`].
+    /// The per-keypoint task budget for `core`: the backlog visible on its
+    /// drain path — the queues from its Per-Core Queue up to the Global
+    /// Queue plus its own socket's overflow — clamped to
+    /// [`MIN_BATCH`]`..=`[`MAX_BATCH`]. A keypoint facing 3 tasks has no
+    /// business reserving 32 slots, and one facing 200 should not need 7
+    /// passes.
     ///
-    /// The signals and the reasoning:
-    ///
-    /// * **queue depth** — the budget should cover the backlog actually
-    ///   visible, not a guess: a keypoint facing 3 tasks has no business
-    ///   reserving 32 slots, and one facing 200 should not need 7 passes;
-    /// * **the contention signal** on the path — when the queues' locks
-    ///   are fought over, each acquisition is expensive, so the batch
-    ///   widens to amortize more tasks per acquisition. The widening
-    ///   tracks an exponentially-decayed *recent* contention rate
-    ///   ([`ContentionWindow`], sampled here on every call), so a phase
-    ///   change moves budgets within a few half-lives;
-    /// * **`steal_attempts_by_core` vs executions** — a core that probes
-    ///   victims more often than it runs tasks is chronically starved;
-    ///   it keeps a small cap ([`DEFAULT_BATCH`]) so it parks quickly
-    ///   instead of reserving budget it will not use.
+    /// Nothing widens it further: [`schedule_batch`](Self::schedule_batch)
+    /// drains each queue at most one pass (its length at arrival) under
+    /// one lock acquisition whatever the budget, so a budget above the
+    /// visible depth could only admit tasks that arrived after this probe
+    /// — which the caller's next keypoint runs anyway (`docs/SCHEDULER.md`
+    /// §4; the measurements are in EXPERIMENTS.md, "Closing cut").
     ///
     /// A core whose own path is *empty* does not get the floor: its
     /// keypoint falls through to the steal-half probe, and a budget of
@@ -962,78 +847,24 @@ impl TaskManager {
     /// for _ in 0..100 {
     ///     mgr.task(|_| TaskStatus::Done).cpuset(CpuSet::single(0)).spawn();
     /// }
-    /// assert!(mgr.adaptive_budget(0) >= 100); // budget tracks the backlog
+    /// assert_eq!(mgr.adaptive_budget(0), 100); // the budget is the backlog
     /// ```
     pub fn adaptive_budget(&self, core: usize) -> usize {
         debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        let mut depth = 0usize;
-        let mut acquisitions = 0u64;
-        let mut contended = 0u64;
-        for node in self.topo.path_to_root(core) {
-            let queue = &self.queues[node.index()];
-            depth += queue.len_hint();
-            let (a, c) = queue.lock_stats();
-            acquisitions += a;
-            contended += c;
-        }
-        // The socket overflow is on this core's drain path too (the claim
-        // rung of `schedule_batch`), so its depth sizes the budget alike.
-        // (Its lock is deliberately not part of the contention sample.)
+        let mut depth: usize = self
+            .topo
+            .path_to_root(core)
+            .map(|node| self.queues[node.index()].len_hint())
+            .sum();
         if self.socket_overflow_active {
             depth += self.sockets[self.core_socket[core] as usize]
                 .overflow
                 .len_hint();
         }
-        // Sample the window on *every* budget computation (even an empty
-        // path), so quiet keypoints keep decaying a stale contended-phase
-        // rate instead of freezing it until the next backlog.
-        self.cores[core].window.observe(acquisitions, contended);
-        let boost = self.cores[core].window.boost();
-        if depth == 0 {
-            return if self.config.steal {
-                DEFAULT_BATCH
-            } else {
-                MIN_BATCH
-            };
+        match depth {
+            0 if self.config.steal => DEFAULT_BATCH,
+            _ => depth.clamp(MIN_BATCH, MAX_BATCH),
         }
-        let starved = {
-            let probes = self.cores[core].steal_attempts.load(Ordering::Relaxed);
-            let executed = self.cores[core].executed.load(Ordering::Relaxed);
-            probes > executed.saturating_add(MIN_BATCH as u64)
-        };
-        let cap = if starved { DEFAULT_BATCH } else { MAX_BATCH };
-        depth.saturating_mul(boost).clamp(MIN_BATCH, cap)
-    }
-
-    /// Runs at most one task visible from `core` (deepest queue first),
-    /// with the same steal fallback as [`schedule`](Self::schedule).
-    /// Returns `true` if a task body was executed.
-    pub fn schedule_one(&self, core: usize) -> bool {
-        let socket_node = self.sockets[self.core_socket[core] as usize].node;
-        for node in self.topo.path_to_root(core) {
-            let queue = &self.queues[node.index()];
-            // Bounded retry: skip over tasks this core may not run.
-            let pass = queue.len_hint();
-            for _ in 0..pass {
-                let Some(task) = queue.try_dequeue() else {
-                    break;
-                };
-                self.note_removed(queue.id, 1);
-                if self.run_task(task, core) {
-                    return true;
-                }
-            }
-            // Socket rung, single-task budget (see `schedule_batch`).
-            if self.socket_overflow_active && node.index() as u32 == socket_node {
-                let mut batch = SCRATCH.take();
-                let ran = self.claim_overflow(core, 1, &mut batch);
-                SCRATCH.set(batch);
-                if ran > 0 {
-                    return true;
-                }
-            }
-        }
-        self.config.steal && self.steal_batch(core, 1) > 0
     }
 
     /// One steal probe for `core`: visit the victim queues nearest-first
@@ -1058,9 +889,7 @@ impl TaskManager {
     /// remote socket is touched. At each remote socket the concentrated
     /// *overflow* is probed first
     /// ([`steal_overflow`](Self::steal_overflow)), then the socket's
-    /// member queues — and both are
-    /// gated on [`ManagerConfig::cross_socket_backlog`], so a thief only
-    /// crosses the interconnect for an imbalance worth the traffic.
+    /// member queues.
     fn steal_batch(&self, core: usize, max: usize) -> usize {
         if max == 0 {
             return 0;
@@ -1069,18 +898,15 @@ impl TaskManager {
             .steal_attempts
             .fetch_add(1, Ordering::Relaxed);
         let own = self.core_socket[core];
-        let cross_gate = self.config.cross_socket_backlog.max(1);
         let mut batch = SCRATCH.take();
         let mut ran = 0;
         'sockets: for (s, order) in &self.steal_order[core] {
-            let remote = *s != own;
-            if remote && self.socket_overflow_active {
+            if *s != own && self.socket_overflow_active {
                 ran = self.steal_overflow(core, *s as usize, max, &mut batch);
                 if ran > 0 {
                     break;
                 }
             }
-            let gate = if remote { cross_gate } else { 1 };
             let mut tier_start = 0;
             while tier_start < order.len() {
                 let distance = order[tier_start].1;
@@ -1094,7 +920,7 @@ impl TaskManager {
                 let mut tier: Vec<(u32, usize)> = order[tier_start..tier_end]
                     .iter()
                     .map(|&(qi, _)| (qi, self.queues[qi as usize].len_hint()))
-                    .filter(|&(_, depth)| depth >= gate)
+                    .filter(|&(_, depth)| depth > 0)
                     .collect();
                 tier.sort_by_key(|&(qi, depth)| (core::cmp::Reverse(depth), qi));
                 for (qi, _) in tier {
@@ -1134,15 +960,18 @@ impl TaskManager {
     /// in-place [`TaskQueue::try_steal_half`] a member queue gets — half of
     /// the tasks whose cpuset admits `core` (bounded by `max`), in pop
     /// policy order, under one lock acquisition; tasks `core` may not run
-    /// stay in the overflow, in order. Gated on
-    /// [`ManagerConfig::cross_socket_backlog`] and the overflow span, so an
-    /// ineligible or trivial overflow costs two relaxed loads. Returns
-    /// tasks stolen and executed.
-    fn steal_overflow(&self, core: usize, s: usize, max: usize, batch: &mut Vec<Task>) -> usize {
+    /// stay in the overflow, in order. Gated on the overflow's length hint
+    /// and span, so an empty or ineligible overflow costs two relaxed
+    /// loads. Returns tasks stolen and executed.
+    pub(super) fn steal_overflow(
+        &self,
+        core: usize,
+        s: usize,
+        max: usize,
+        batch: &mut Vec<Task>,
+    ) -> usize {
         let sock = &self.sockets[s];
-        if sock.overflow.len_hint() < self.config.cross_socket_backlog.max(1)
-            || !sock.overflow.steal_span_admits(core)
-        {
+        if sock.overflow.len_hint() == 0 || !sock.overflow.steal_span.admits(core) {
             return 0;
         }
         batch.clear();
@@ -1254,28 +1083,7 @@ impl TaskManager {
             return true;
         }
         let sock = &self.sockets[self.core_socket[core] as usize];
-        sock.overflow.len_hint() > 0 && sock.overflow.steal_span_admits(core)
-    }
-
-    /// The current contention signal for `core`'s hierarchy path, in
-    /// `0.0..=1.0`, **without** advancing the window: the decayed recent
-    /// rate of contended lock acquisitions. Observability only — budgets
-    /// read the signal through [`adaptive_budget`](Self::adaptive_budget).
-    pub fn contention_rate(&self, core: usize) -> f64 {
-        debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        self.cores[core].window.rate()
-    }
-
-    /// The half-life (in samples) currently governing `core`'s contention
-    /// window: the auto-tuner's latest pick, clamped to
-    /// [`AUTO_HALF_LIFE_MIN`](crate::AUTO_HALF_LIFE_MIN)`..=`
-    /// [`AUTO_HALF_LIFE_MAX`](crate::AUTO_HALF_LIFE_MAX)
-    /// ([`DEFAULT_CONTENTION_HALF_LIFE`] until the first contention
-    /// burst). Observability only — the manager's phase-shift unit test
-    /// reads it to pin the tuner inside its clamp.
-    pub fn contention_half_life(&self, core: usize) -> u64 {
-        debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        self.cores[core].window.half_life()
+        sock.overflow.len_hint() > 0 && sock.overflow.steal_span.admits(core)
     }
 
     /// The steal-aware park check: `true` if some victim queue (a queue
@@ -1308,40 +1116,28 @@ impl TaskManager {
             return false;
         }
         let own = self.core_socket[core];
-        let cross_gate = self.config.cross_socket_backlog.max(1);
         for &s in &self.socket_order[core] {
             self.cores[core].park_polls.fetch_add(1, Ordering::Relaxed);
             let sock = &self.sockets[s as usize];
-            let overflow_visible = |gate: usize| {
-                self.socket_overflow_active
-                    && sock.overflow.len_hint() >= gate
-                    && sock.overflow.steal_span_admits(core)
+            // An overflow is directly claimable (own socket) or stealable
+            // (remote) — no confirmation needed beyond its span.
+            let overflow_visible = self.socket_overflow_active
+                && sock.overflow.len_hint() > 0
+                && sock.overflow.steal_span.admits(core);
+            // The own socket's aggregate counts this core's own-path work
+            // too, which is drainable but not *stealable*: confirm it
+            // against the member queues. `steal_order`'s own group is
+            // exactly the off-path member queues.
+            let aggregate_hit = || {
+                sock.pending.load(Ordering::Relaxed) > 0
+                    && sock.span.admits(core)
+                    && (s != own
+                        || self.steal_order[core][0].1.iter().any(|&(qi, _)| {
+                            let queue = &self.queues[qi as usize];
+                            queue.len_hint() > 0 && queue.steal_span.admits(core)
+                        }))
             };
-            if s == own {
-                // The own-socket overflow is directly claimable — no
-                // confirmation needed beyond its span.
-                if overflow_visible(1) {
-                    self.cores[core].park_hits.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                if sock.pending.load(Ordering::Relaxed) > 0 && span_admits(&sock.span, core) {
-                    // Confirm against the member queues: the aggregate
-                    // counts this core's own-path work too, which is
-                    // drainable but not *stealable*. `steal_order`'s own
-                    // group is exactly the off-path member queues.
-                    let (_, member_victims) = &self.steal_order[core][0];
-                    for &(qi, _) in member_victims {
-                        let queue = &self.queues[qi as usize];
-                        if queue.len_hint() > 0 && queue.steal_span_admits(core) {
-                            self.cores[core].park_hits.fetch_add(1, Ordering::Relaxed);
-                            return true;
-                        }
-                    }
-                }
-            } else if overflow_visible(cross_gate)
-                || (sock.pending.load(Ordering::Relaxed) >= cross_gate as i64
-                    && span_admits(&sock.span, core))
-            {
+            if overflow_visible || aggregate_hit() {
                 self.cores[core].park_hits.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
@@ -1355,7 +1151,7 @@ impl TaskManager {
     ///
     /// This is the escalation half of steal-aware parking: the ordinary
     /// submission wake targets the *new* task's cpuset, but a queue whose
-    /// depth has crossed [`ManagerConfig::steal_wake_backlog`] holds older
+    /// depth has crossed [`STEAL_WAKE_BACKLOG`] holds older
     /// tasks too, and the nearest core able to help with *those* may not
     /// be in the new task's set at all. Candidates are scanned in the
     /// queue's precomputed nearest-first order
@@ -1397,7 +1193,7 @@ impl TaskManager {
             for &core in cores {
                 let core = core as usize;
                 if self.cores[core].remote.parked.load(Ordering::SeqCst)
-                    && q.steal_span_admits(core)
+                    && q.steal_span.admits(core)
                 {
                     if let Some(t) = self.wakers[core].lock().as_ref() {
                         t.unpark();
@@ -1479,7 +1275,7 @@ impl TaskManager {
                         id: q.id,
                         level: q.level,
                         cpuset: q.cpuset,
-                        steal_span: q.steal_span(),
+                        steal_span: q.steal_span.snapshot(),
                         submitted: q.submitted(),
                         executed: q.executed(),
                         pending: q.len_hint(),
@@ -1505,11 +1301,11 @@ impl TaskManager {
                         node: s.node as usize,
                         cpuset: s.cpuset,
                         overflow_pending: s.overflow.len_hint(),
-                        overflow_span: s.overflow.steal_span(),
+                        overflow_span: s.overflow.steal_span.snapshot(),
                         overflow_lock_acquisitions,
                         overflow_lock_contended,
                         pending_hint: s.pending.load(Ordering::Relaxed).max(0) as usize,
-                        span: span_snapshot(&s.span),
+                        span: s.span.snapshot(),
                         parked: s.parked.load(Ordering::Relaxed),
                         spilled: s.spilled.load(Ordering::Relaxed),
                         claimed: s.claimed.load(Ordering::Relaxed),
@@ -1567,7 +1363,7 @@ impl TaskManager {
     /// have a worker to unpark, so a machine-wide submission on a
     /// workerless (or sparsely-workered) manager is a read-only sweep,
     /// not `n_cores` mutex round-trips per enqueue.
-    fn wake_cores(&self, cpuset: CpuSet) {
+    pub(super) fn wake_cores(&self, cpuset: CpuSet) {
         for core in cpuset.iter() {
             if core >= self.wakers.len() {
                 break;
@@ -1775,7 +1571,7 @@ mod tests {
     use piom_topology::presets;
     use std::sync::atomic::AtomicUsize;
 
-    fn kwak_mgr() -> Arc<TaskManager> {
+    pub(super) fn kwak_mgr() -> Arc<TaskManager> {
         TaskManager::new(presets::kwak().into())
     }
 
@@ -1936,7 +1732,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_one_runs_exactly_one() {
+    fn budget_of_one_runs_exactly_one() {
         let mgr = kwak_mgr();
         let h1 = mgr
             .task(|_| TaskStatus::Done)
@@ -1946,12 +1742,12 @@ mod tests {
             .task(|_| TaskStatus::Done)
             .cpuset(CpuSet::single(0))
             .spawn();
-        assert!(mgr.schedule_one(0));
+        assert_eq!(mgr.schedule_batch(0, 1), 1);
         assert!(h1.is_complete());
         assert!(!h2.is_complete());
-        assert!(mgr.schedule_one(0));
+        assert_eq!(mgr.schedule_batch(0, 1), 1);
         assert!(h2.is_complete());
-        assert!(!mgr.schedule_one(0));
+        assert_eq!(mgr.schedule_batch(0, 1), 0);
     }
 
     #[test]
@@ -2145,7 +1941,7 @@ mod tests {
         assert_eq!(*order.lock(), vec!["urgent-poll", "normal", "urgent-poll"]);
     }
 
-    fn no_steal_mgr() -> Arc<TaskManager> {
+    pub(super) fn no_steal_mgr() -> Arc<TaskManager> {
         TaskManager::with_config(
             presets::kwak().into(),
             ManagerConfig {
@@ -2208,12 +2004,9 @@ mod tests {
     }
 
     #[test]
-    fn contention_signal_registers_a_burst_then_decays_through_the_manager() {
-        // The phase shift, through the real manager: a long uncontended
-        // history on core 0, a burst of 4 real threads fighting over the
-        // Global Queue (on every core's path), then quiet drains again.
-        // `contention_rate` / `contention_half_life` are observability
-        // accessors with no other caller; this test keeps them honest.
+    fn quiet_ramps_never_contend_and_a_four_thread_burst_runs_exactly_once() {
+        // A long single-threaded history on core 0, then 4 real threads
+        // fighting over the Global Queue (on every core's path).
         const RAMP: usize = 256;
         let mgr = kwak_mgr();
         let quiet_drain = || {
@@ -2232,69 +2025,80 @@ mod tests {
             }
             assert_eq!(ran, RAMP, "adaptive budgets must drain the whole ramp");
         };
-        let path_contended = || -> u64 {
-            let stats = mgr.stats();
-            mgr.topology()
-                .path_to_root(0)
-                .map(|node| stats.queues[node.index()].lock_contended)
-                .sum()
-        };
         for _ in 0..24 {
             quiet_drain();
         }
-        assert_eq!(path_contended(), 0, "a single thread cannot contend");
-        assert_eq!(mgr.contention_rate(0), 0.0);
+        let stats = mgr.stats();
+        let path_contended: u64 = mgr
+            .topology()
+            .path_to_root(0)
+            .map(|node| stats.queues[node.index()].lock_contended)
+            .sum();
+        assert_eq!(path_contended, 0, "a single thread cannot contend");
 
         // Four threads each enqueue a backlog on the Global Queue, then
         // drain it in whole-queue batches: long lock holds for the
-        // stragglers' enqueues to run into. A barrier lines the threads
-        // up, core 0's window is sampled after every round like a worker
-        // keypoint would, and rounds repeat until the lock was observably
-        // fought over — a TTAS spinlock can win every race for a while.
+        // stragglers' enqueues to run into. A barrier lines the threads up.
         let start = std::sync::Barrier::new(4);
-        for _ in 0..64 {
-            std::thread::scope(|s| {
-                for core in 0..4 {
-                    let (mgr, start) = (&mgr, &start);
-                    s.spawn(move || {
-                        start.wait();
-                        let handles: Vec<_> = (0..256)
-                            .map(|_| mgr.task(|_| TaskStatus::Done).spawn())
-                            .collect();
-                        while handles.iter().any(|h| !h.is_complete()) {
-                            mgr.schedule(core);
-                        }
-                    });
-                }
-            });
-            let _ = mgr.adaptive_budget(0);
-            if path_contended() > 0 {
-                break;
+        std::thread::scope(|s| {
+            for core in 0..4 {
+                let (mgr, start) = (&mgr, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let handles: Vec<_> = (0..256)
+                        .map(|_| mgr.task(|_| TaskStatus::Done).spawn())
+                        .collect();
+                    while handles.iter().any(|h| !h.is_complete()) {
+                        mgr.schedule(core);
+                    }
+                });
             }
-        }
-        let burst_contended = path_contended();
-        let rate_after_burst = mgr.contention_rate(0);
-        for _ in 0..8 {
-            quiet_drain();
-        }
-        if burst_contended > 0 {
-            assert!(
-                rate_after_burst > 0.0,
-                "the window failed to register {burst_contended} contended acquisitions"
+        });
+        let stats = mgr.stats();
+        assert_eq!(stats.total_submitted(), (24 * RAMP + 4 * 256) as u64);
+        assert_eq!(stats.total_executed(), stats.total_submitted());
+    }
+
+    #[test]
+    fn budget_is_the_visible_backlog_and_one_keypoint_drains_it() {
+        // Path depths split across core 0's per-core queue, its NUMA-level
+        // queue and — threshold lowered so the per-core queue spills — its
+        // own socket's overflow. Stealing is off so nothing but the path
+        // feeds the keypoint.
+        for depth in [0usize, 1, 4, 5, 100, 256, 300] {
+            let mgr = TaskManager::with_config(
+                presets::kwak().into(),
+                ManagerConfig {
+                    steal: false,
+                    spill_threshold: 32,
+                    ..ManagerConfig::default()
+                },
             );
-            let rate_final = mgr.contention_rate(0);
-            assert!(
-                rate_final < rate_after_burst,
-                "the window failed to re-adapt: {rate_final} after the quiet \
-                 drains vs {rate_after_burst} right after the burst"
+            for i in 0..depth {
+                let numa = CpuSet::range(0..4);
+                let spec = mgr.task(|_| TaskStatus::Done).cpuset(numa);
+                if i % 2 == 0 { spec.on_core(0) } else { spec }.spawn();
+            }
+            let stats = mgr.stats();
+            let numa_queue = mgr
+                .topology()
+                .path_to_root(0)
+                .nth(1)
+                .expect("kwak has NUMA nodes");
+            assert_eq!(stats.queues[numa_queue.index()].pending, depth / 2);
+            assert_eq!(stats.total_spilled() > 0, depth >= 100, "depth {depth}");
+            assert_eq!(mgr.pending_tasks(), depth);
+
+            let budget = mgr.adaptive_budget(0);
+            assert_eq!(budget, depth.clamp(MIN_BATCH, MAX_BATCH), "depth {depth}");
+            assert_eq!(
+                mgr.schedule_batch(0, budget),
+                depth.min(MAX_BATCH),
+                "one keypoint at the budget drains the visible backlog (depth {depth})"
             );
         }
-        // Whatever the host weather, the tuner may never escape its clamp.
-        let hl = mgr.contention_half_life(0);
-        assert!(
-            (crate::AUTO_HALF_LIFE_MIN..=crate::AUTO_HALF_LIFE_MAX).contains(&hl),
-            "auto-tuned half-life {hl} escaped the clamp"
-        );
+        // With stealing on, the empty path gets room for a steal-half batch.
+        assert_eq!(kwak_mgr().adaptive_budget(0), DEFAULT_BATCH);
     }
 
     #[test]
@@ -2359,7 +2163,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_one_steals_at_most_one_task() {
+    fn budget_of_one_steals_at_most_one_task() {
         let mgr = kwak_mgr();
         for _ in 0..8 {
             mgr.task(|_| TaskStatus::Done)
@@ -2367,7 +2171,7 @@ mod tests {
                 .on_core(1)
                 .spawn();
         }
-        assert!(mgr.schedule_one(0));
+        assert_eq!(mgr.schedule_batch(0, 1), 1);
         let stats = mgr.stats();
         assert_eq!(stats.stolen_by_core[0], 1, "budget 1 caps the half quota");
         assert_eq!(mgr.pending_tasks(), 7);
@@ -2606,11 +2410,11 @@ mod tests {
             .spawn();
         // Only the predecessor is enqueued; the dependent is parked.
         assert_eq!(mgr.pending_tasks(), 1);
-        assert!(mgr.schedule_one(0), "runs the predecessor");
+        assert_eq!(mgr.schedule_batch(0, 1), 1, "runs the predecessor");
         assert!(first.is_complete());
         assert!(!second.is_complete());
         assert_eq!(mgr.pending_tasks(), 1, "release re-enqueued the dependent");
-        assert!(mgr.schedule_one(0));
+        assert_eq!(mgr.schedule_batch(0, 1), 1);
         assert!(second.is_complete());
         assert_eq!(mgr.stats().waitlist_released_by_class, [0, 1, 0, 0]);
     }

@@ -11,7 +11,7 @@
 //! timer thread plays the role of the timer interrupt, bounding the latency
 //! of event detection even when wake-ups race.
 //!
-//! Parking is **steal-aware** (PR 4): before sleeping, a worker publishes
+//! Parking is **steal-aware**: before sleeping, a worker publishes
 //! its parked flag, re-checks its own path ([`TaskManager::has_work_for`])
 //! and then runs the cheap [`TaskManager::park_probe`] over its victim
 //! queues — a hit sends it back to the keypoint (where the steal path will
@@ -45,10 +45,10 @@ pub struct ProgressionConfig {
 /// Upper bound on *consecutive* park probes that report stealable backlog
 /// without the following keypoint actually running anything. The probe's
 /// span filter may over-approximate the live backlog (see
-/// [`TaskManager::park_probe`]; since PR 5 it decays when the queue
-/// drains empty, but bits for tasks still enqueued can also mislead a
-/// core those tasks exclude); after this many fruitless hits the worker
-/// parks anyway and the park-timeout/timer bound takes over.
+/// [`TaskManager::park_probe`]; it decays when the queue drains empty,
+/// but bits for tasks still enqueued can also mislead a core those tasks
+/// exclude); after this many fruitless hits the worker parks anyway and
+/// the park-timeout/timer bound takes over.
 pub const MAX_PROBE_STRIKES: u32 = 3;
 
 impl ProgressionConfig {
@@ -111,10 +111,10 @@ impl Progression {
                         while !shutdown.load(Ordering::Acquire) {
                             // The worker *is* the idle loop: invoke the idle
                             // keypoint; park when nothing was runnable. The
-                            // budget is recomputed every keypoint from queue
-                            // depth and contention, so a flood on one queue
-                            // cannot keep the worker away from its
-                            // shutdown/park checks indefinitely.
+                            // budget is the backlog visible now, capped at
+                            // MAX_BATCH, so a flood on one queue cannot
+                            // keep the worker away from its shutdown/park
+                            // checks indefinitely.
                             let budget = mgr.adaptive_budget(core);
                             let ran = mgr.hook_batch(HookPoint::Idle, core, budget) > 0;
                             if ran {

@@ -9,7 +9,7 @@
 //! detected without touching the lock. (Why no lock-free alternative:
 //! EXPERIMENTS.md, "Backend and knob cull".)
 //!
-//! # Layout (false-sharing pass, PR 5)
+//! # Layout
 //!
 //! A queue's hot words are touched by different cores in different roles:
 //! the *owner* and *thieves* take the lock, every *park probe* reads the
@@ -330,19 +330,122 @@ impl SeqLanes<Task> {
     }
 }
 
-/// Width of the steal-span bitmask in 64-bit words — one bit per possible
-/// CPU, matching [`CpuSet::MAX_CPUS`] so the span can admit any core of the
+/// Width of a [`Span`] in 64-bit words — one bit per possible CPU,
+/// matching [`CpuSet::MAX_CPUS`] so a span can admit any core of the
 /// widest supported fabric (the 1024-core quad-socket preset).
-pub(crate) const SPAN_WORDS: usize = CpuSet::MAX_CPUS / 64;
+const SPAN_WORDS: usize = CpuSet::MAX_CPUS / 64;
+
+/// A decaying union of task cpusets, kept as atomic words so
+/// [`admits`](Self::admits) is a single relaxed load: the cpuset filter
+/// behind park probes, steal-targeted wake-ups and overflow claims. Every
+/// [`TaskQueue`] has one (its *steal span*, over the tasks enqueued there)
+/// and so does every socket aggregate of the manager.
+///
+/// A core outside the span can never take work from the container it
+/// describes, whatever the depth, so probing it is pointless. The span may
+/// over-approximate the *current* backlog — that only costs a wasted
+/// probe, never a lost task (the steal path re-checks real task cpusets
+/// under the victim's lock) — and it is not a monotone union: a drain that
+/// empties the container clears it ([`decay`](Self::decay)), so one that
+/// once held wide-cpuset tasks stops attracting probes forever.
+#[derive(Default)]
+pub(crate) struct Span([AtomicU64; SPAN_WORDS]);
+
+impl Span {
+    /// ORs `set` into the span. Word-skipping: after the first task with a
+    /// given span shape, the common case is relaxed loads only and zero
+    /// RMWs.
+    ///
+    /// Must be called **after** the tasks it describes are visible to
+    /// `decay`'s `still_pending` (after the push published the length),
+    /// never before: `decay` restores what it cleared only when it
+    /// observes pending work, so bits published ahead of their task could
+    /// be cleared for good. The cost of folding late is that a probe
+    /// racing the enqueue may transiently miss the new task (a wasted
+    /// park, and the submission's own wake path covers it), never a stuck
+    /// one. The `fetch_or` is Release, pairing with `decay`'s Acquire swap.
+    pub(crate) fn fold(&self, set: &CpuSet) {
+        for (word, &bits) in self.0.iter().zip(set.as_words()) {
+            if bits != 0 && word.load(Ordering::Relaxed) & bits != bits {
+                word.fetch_or(bits, Ordering::Release);
+            }
+        }
+    }
+
+    /// `true` if `core`'s bit is set (one relaxed load): some task with
+    /// `core` in its cpuset was folded in and the span has not decayed
+    /// since.
+    pub(crate) fn admits(&self, core: usize) -> bool {
+        core < CpuSet::MAX_CPUS
+            && self.0[core / 64].load(Ordering::Relaxed) & (1u64 << (core % 64)) != 0
+    }
+
+    /// Relaxed snapshot of the span as a [`CpuSet`].
+    pub(crate) fn snapshot(&self) -> CpuSet {
+        CpuSet::from_words(core::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
+    }
+
+    /// Clears the span after a removal that (by the caller's hint) left
+    /// the container empty — unless nothing in it is wider than `own`, the
+    /// container's own cpuset: in-cpuset bits only attract cores whose
+    /// path (or socket) already includes the container, so their staleness
+    /// misleads nobody and the swap is skipped. `still_pending` re-reads
+    /// the caller's pending hint after the clear.
+    ///
+    /// Concurrency: the clear is a `swap(0)` per word followed by the
+    /// `still_pending` re-check; if a task slipped in, every cleared bit
+    /// is OR-ed straight back. The race budget, spelled out:
+    ///
+    /// * an enqueue whose `fetch_or` lands **after** the swap re-adds its
+    ///   bits directly — nothing to restore;
+    /// * an enqueue whose `fetch_or` (Release) landed **before** the swap
+    ///   (Acquire) synchronizes with it, and since [`fold`](Self::fold)
+    ///   runs after the push, the re-check is then guaranteed to observe
+    ///   the push and restore the captured bits;
+    /// * the one interleaving that can still drop bits: an enqueuer
+    ///   *skips* its `fetch_or` because the word-check read bits some
+    ///   earlier task set, and this drain clears them before the new
+    ///   task leaves. Closing that would take a store-load fence on the
+    ///   enqueue hot path, and the miss is strictly bounded: the span
+    ///   only gates *advisory* probes (park probe, `wake_for_steal`
+    ///   escalation, overflow claim gate) — the submission itself already
+    ///   unparked every core in the task's cpuset with an unforgeable
+    ///   token, the steal path never consults the span, and the next
+    ///   enqueue (or park timeout / timer) re-covers the escalation. A
+    ///   dropped bit can cost a bounded wasted park, never a lost task or
+    ///   wake. (`vendor/interleave/tests/socket_span.rs` is the model.)
+    pub(crate) fn decay(&self, own: &CpuSet, still_pending: impl FnOnce() -> bool) {
+        if self
+            .0
+            .iter()
+            .zip(own.as_words())
+            .all(|(w, &own_bits)| w.load(Ordering::Relaxed) & !own_bits == 0)
+        {
+            return;
+        }
+        let mut cleared = [0u64; SPAN_WORDS];
+        for (c, w) in cleared.iter_mut().zip(self.0.iter()) {
+            *c = w.swap(0, Ordering::Acquire);
+        }
+        if still_pending() {
+            // fetch_or also preserves bits added in between.
+            for (c, w) in cleared.iter().zip(self.0.iter()) {
+                if *c != 0 {
+                    w.fetch_or(*c, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+}
 
 /// One task queue: a topology node's, or a socket's overflow.
 pub(crate) struct TaskQueue {
     pub(crate) id: QueueId,
     pub(crate) level: Level,
     /// The cores whose hierarchy path includes this queue. Steal-span bits
-    /// inside it never decay ([`Self::maybe_decay_span`]); a socket
-    /// overflow passes [`CpuSet::EMPTY`] because *its* span gates claims,
-    /// where every stale bit costs a wasted lock acquisition.
+    /// inside it never decay ([`Span::decay`]); a socket overflow passes
+    /// [`CpuSet::EMPTY`] because *its* span gates claims, where every
+    /// stale bit costs a wasted lock acquisition.
     pub(crate) cpuset: CpuSet,
     /// The paper's list + spinlock (§IV-A). Owner and thieves take the
     /// lock; padded away from the hint so park-probe traffic does not
@@ -357,22 +460,12 @@ pub(crate) struct TaskQueue {
     /// Task executions drawn from this queue — sharded by the *executing
     /// core*, so each core's increment stays on its own line.
     executed: ShardedCounter,
-    /// The *steal span*: a union of the cpusets of the tasks enqueued
-    /// here, kept as [`SPAN_WORDS`] atomic words so
-    /// [`steal_span_admits`](Self::steal_span_admits) is a single relaxed
-    /// load. This is the cpuset filter behind the park probe and
-    /// steal-targeted wake-ups: a core outside the span can never steal
-    /// from this queue, whatever its depth, so probing it is pointless.
-    /// It may over-approximate the *current* backlog — an
-    /// over-approximation only costs a wasted probe, never a lost task
-    /// (the steal path re-checks real task cpusets under the victim's
-    /// lock) — but since PR 5 it is no longer a *monotone* union: a
-    /// drain that leaves the queue empty clears any bits wider than the
-    /// queue's own cpuset ([`Self::maybe_decay_span`]), so a queue that
-    /// once held wide-cpuset tasks stops attracting park probes forever.
-    /// Padded: every about-to-park core reads these words while
+    /// Union of the cpusets of the tasks enqueued here: the filter the
+    /// park probe and [`wake_for_steal`](crate::TaskManager::wake_for_steal)
+    /// consult before treating this queue's backlog as stealable by a
+    /// core. Padded: every about-to-park core reads these words while
     /// enqueuers OR into them.
-    steal_span: CachePadded<[AtomicU64; SPAN_WORDS]>,
+    pub(crate) steal_span: CachePadded<Span>,
 }
 
 impl TaskQueue {
@@ -389,98 +482,6 @@ impl TaskQueue {
         }
     }
 
-    /// Folds `set` into the steal span (see the field docs). Word-skipping:
-    /// after the first task with a given span shape, the common case is
-    /// relaxed loads only and zero RMWs.
-    ///
-    /// Called **after** the push, never before: the decay path
-    /// clears the span only when it observes the queue empty and restores
-    /// whatever it cleared when it observes a concurrent enqueue — an
-    /// ordering that can only lose a task's bits if those bits were
-    /// published before the task itself existed in the queue. Folding
-    /// after the push closes that window; the cost is that a probe racing
-    /// the enqueue may transiently miss the new task (a wasted park, and
-    /// the submission's own wake path covers it), never a stuck one.
-    ///
-    /// The `fetch_or` is Release, pairing with the decay's Acquire swap:
-    /// when a decaying drain captures this enqueue's bits, it is
-    /// guaranteed to also see the push's length update and restore them
-    /// (see [`maybe_decay_span`](Self::maybe_decay_span) for the full
-    /// race budget, including the one narrow case that can still drop
-    /// bits and why it is bounded).
-    fn note_span(&self, set: &CpuSet) {
-        for (word, &bits) in self.steal_span.iter().zip(set.as_words()) {
-            if bits != 0 && word.load(Ordering::Relaxed) & bits != bits {
-                word.fetch_or(bits, Ordering::Release);
-            }
-        }
-    }
-
-    /// Steal-span decay: when a dequeue leaves the queue empty and the
-    /// span has grown *wider than the queue's own cpuset* (the only case
-    /// in which staleness misleads anyone — bits inside the cpuset can
-    /// only attract cores whose own path already includes this queue),
-    /// clear it so stale wide spans stop attracting park probes.
-    ///
-    /// Concurrency: the clear is a `swap(0)` per word followed by an
-    /// emptiness re-check; if a task slipped in, every cleared bit is
-    /// OR-ed straight back. The race budget, spelled out:
-    ///
-    /// * an enqueue whose `fetch_or` lands **after** the swap re-adds its
-    ///   bits directly — nothing to restore;
-    /// * an enqueue whose `fetch_or` (Release) landed **before** the swap
-    ///   (Acquire) synchronizes with it, and since
-    ///   [`note_span`](Self::note_span) runs after the push, the re-check
-    ///   below is then guaranteed to observe the push and restore the
-    ///   captured bits;
-    /// * the one interleaving that can still drop bits: an enqueuer
-    ///   *skips* its `fetch_or` because the word-check read bits some
-    ///   earlier task set, and this drain clears them before the new
-    ///   task leaves. Closing that would take a store-load fence on the
-    ///   enqueue hot path, and the miss is strictly bounded: the span
-    ///   only gates the *advisory* park probe and `wake_for_steal`
-    ///   escalation — the submission itself already unparked every core
-    ///   in the task's cpuset with an unforgeable token, the steal path
-    ///   never consults the span, and the next enqueue (or park
-    ///   timeout / timer) re-covers the escalation. A dropped bit can
-    ///   cost a bounded wasted park, never a lost task or wake.
-    fn maybe_decay_span(&self) {
-        let own = self.cpuset.as_words();
-        if self
-            .steal_span
-            .iter()
-            .zip(own)
-            .all(|(w, &own_bits)| w.load(Ordering::Relaxed) & !own_bits == 0)
-        {
-            return; // nothing wider than the cpuset: staleness is harmless
-        }
-        let mut cleared = [0u64; SPAN_WORDS];
-        for (c, w) in cleared.iter_mut().zip(self.steal_span.iter()) {
-            // Acquire pairs with note_span's Release fetch_or: capturing
-            // an enqueue's bits makes its push visible to the re-check.
-            *c = w.swap(0, Ordering::Acquire);
-        }
-        if self.len_hint() != 0 {
-            // A concurrent enqueue raced the clear: restore everything we
-            // took (fetch_or also preserves bits added in between).
-            for (c, w) in cleared.iter().zip(self.steal_span.iter()) {
-                if *c != 0 {
-                    w.fetch_or(*c, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// `true` if some task with `core` in its cpuset was enqueued here and
-    /// the span has not decayed since the queue last drained — the O(1)
-    /// lock-free filter the park probe and
-    /// [`wake_for_steal`](crate::TaskManager::wake_for_steal) consult
-    /// before treating this queue's backlog as stealable by `core`.
-    pub(crate) fn steal_span_admits(&self, core: usize) -> bool {
-        core < CpuSet::MAX_CPUS
-            && self.steal_span[core / 64].load(Ordering::Relaxed) & (1u64 << (core % 64)) != 0
-    }
-
     /// The frame around every insertion: `LOCK; insert; UNLOCK` with the
     /// length hint published before the unlock, then the span fold.
     /// Relaxed — the hint may transiently read stale (including
@@ -495,10 +496,8 @@ impl TaskQueue {
         let depth = guard.len();
         self.len.store(depth, Ordering::Relaxed);
         drop(guard);
-        // After the push, so the decay path's clear/restore protocol can
-        // never drop the bits of a task already in the queue (note_span
-        // docs walk the interleavings).
-        self.note_span(span);
+        // After the push: see `Span::fold`.
+        self.steal_span.fold(span);
         depth
     }
 
@@ -531,26 +530,14 @@ impl TaskQueue {
         }
     }
 
-    /// The paper's **Algorithm 2** (`Get_Task`): evaluate the queue content
-    /// without holding the mutex; if non-empty, acquire and re-check.
+    /// The paper's **Algorithm 2** (`Get_Task`), as the frame around every
+    /// removal: evaluate the queue content without holding the mutex
+    /// (`notempty(Queue)`); if non-empty, `LOCK; re-check; remove; UNLOCK`.
     /// "This technique permits to avoid race conditions with a minimal
     /// overhead since the mutex is only held when the list contains tasks."
-    /// The dequeued task is whichever the QoS pop policy serves next
-    /// ([`SeqLanes::pop`]); plain same-class FIFO submissions drain in
-    /// submission order.
-    pub(crate) fn try_dequeue(&self) -> Option<Task> {
-        let mut out = None;
-        self.with_nonempty(|lanes| {
-            out = lanes.pop();
-            usize::from(out.is_some())
-        });
-        out
-    }
-
-    /// Algorithm 2's frame around every removal: the unlocked emptiness
-    /// test (`notempty(Queue)`), then `LOCK; re-check; remove; UNLOCK`
-    /// with the hint re-published under the lock, then span decay if the
-    /// removal left the queue empty. `remove` returns how many it took.
+    /// The hint is re-published under the lock, and a removal that left
+    /// the queue empty decays the steal span. `remove` returns how many
+    /// it took.
     fn with_nonempty(&self, remove: impl FnOnce(&mut SeqLanes<Task>) -> usize) -> usize {
         if self.len.load(Ordering::Relaxed) == 0 {
             return 0;
@@ -561,18 +548,17 @@ impl TaskQueue {
         self.len.store(left, Ordering::Relaxed);
         drop(guard);
         if taken > 0 && left == 0 {
-            self.maybe_decay_span();
+            self.steal_span.decay(&self.cpuset, || self.len_hint() != 0);
         }
         taken
     }
 
-    /// Batched Algorithm 2: drains up to `max` tasks into `out`, in pop
-    /// policy order, under a *single* lock acquisition (the unlocked
-    /// emptiness test still guards the lock). Returns the number drained.
-    ///
-    /// This is the schedule-side half of batching: where `try_dequeue`
-    /// re-acquires the spinlock once per task, a keypoint that finds a
-    /// backlog of `n` tasks pays one acquisition for all of them.
+    /// Batched Algorithm 2: drains up to `max` tasks into `out` under a
+    /// *single* lock acquisition (the unlocked emptiness test still guards
+    /// the lock), in the order the QoS pop policy serves them
+    /// ([`SeqLanes::pop`]; plain same-class submissions drain FIFO).
+    /// Returns the number drained: a keypoint that finds a backlog of `n`
+    /// tasks pays one acquisition for all of them, not one per task.
     pub(crate) fn dequeue_batch(&self, max: usize, out: &mut Vec<Task>) -> usize {
         self.with_nonempty(|lanes| {
             let take = lanes.len().min(max);
@@ -617,15 +603,6 @@ impl TaskQueue {
     /// guarantee progress carry unpark tokens, not this value.
     pub(crate) fn len_hint(&self) -> usize {
         self.len.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the steal span as a [`CpuSet`] (see the field docs).
-    pub(crate) fn steal_span(&self) -> CpuSet {
-        let mut words = [0u64; SPAN_WORDS];
-        for (w, a) in words.iter_mut().zip(self.steal_span.iter()) {
-            *w = a.load(Ordering::Relaxed);
-        }
-        CpuSet::from_words(words)
     }
 
     pub(crate) fn note_executed(&self, core: usize) {
@@ -673,6 +650,13 @@ mod tests {
 
     fn queue() -> TaskQueue {
         TaskQueue::new(QueueId(0), Level::Core, CpuSet::single(0), 4)
+    }
+
+    /// Algorithm 2 for one task: whichever the pop policy serves next.
+    fn pop(q: &TaskQueue) -> Option<Task> {
+        let mut out = Vec::new();
+        q.dequeue_batch(1, &mut out);
+        out.pop()
     }
 
     #[test]
@@ -735,18 +719,18 @@ mod tests {
         }
         assert_eq!(q.len_hint(), 3);
         let mut n = 0;
-        while q.try_dequeue().is_some() {
+        while pop(&q).is_some() {
             n += 1;
         }
         assert_eq!(n, 3);
         assert_eq!(q.len_hint(), 0);
-        assert!(q.try_dequeue().is_none());
+        assert!(pop(&q).is_none());
     }
 
     #[test]
     fn empty_dequeue_never_locks() {
         let q = queue();
-        assert!(q.try_dequeue().is_none());
+        assert!(pop(&q).is_none());
         // Algorithm 2's whole point: an empty queue is detected without a
         // single lock acquisition.
         assert_eq!(q.lock_stats().0, 0);
@@ -756,7 +740,7 @@ mod tests {
     fn requeue_does_not_count_as_submission() {
         let q = queue();
         q.enqueue(dummy_task(q.id));
-        let t = q.try_dequeue().unwrap();
+        let t = pop(&q).unwrap();
         q.requeue(t);
         assert_eq!(q.submitted(), 1);
         assert_eq!(q.len_hint(), 1);
@@ -774,11 +758,11 @@ mod tests {
         assert_eq!(q.len_hint(), 4);
         assert_eq!(q.submitted(), 0, "a relocation is not a submission");
         assert!(
-            q.steal_span_admits(13),
+            q.steal_span.admits(13),
             "the batch's cpusets reach the span"
         );
         for marker in 10..14 {
-            assert!(q.try_dequeue().unwrap().cpuset().contains(marker));
+            assert!(pop(&q).unwrap().cpuset().contains(marker));
         }
         q.requeue_batch(&mut batch);
         assert_eq!(q.lock_stats().0, 5, "an empty batch takes no lock");
@@ -829,8 +813,8 @@ mod tests {
         // ...and the two ineligible ones stay, in order, still dequeuable.
         assert_eq!(q.len_hint(), 2);
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 0);
-        assert!(q.try_dequeue().is_some());
-        assert!(q.try_dequeue().is_some());
+        assert!(pop(&q).is_some());
+        assert!(pop(&q).is_some());
     }
 
     #[test]
@@ -851,7 +835,7 @@ mod tests {
         assert_eq!(q.len_hint(), 5, "half the eligible + all ineligible stay");
         // The survivors are still dequeuable in order by the home core.
         let mut left = 0;
-        while q.try_dequeue().is_some() {
+        while pop(&q).is_some() {
             left += 1;
         }
         assert_eq!(left, 5);
@@ -910,13 +894,13 @@ mod tests {
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 16])));
         // Survivors drain in original submission order: 1, 3, 4, 5.
         for expect in [11, 13, 14, 15, 16] {
-            let t = q.try_dequeue().expect("survivor present");
+            let t = pop(&q).expect("survivor present");
             assert!(
                 t.cpuset().contains(expect),
                 "queue was reordered: expected marker {expect}"
             );
         }
-        assert!(q.try_dequeue().is_none());
+        assert!(pop(&q).is_none());
     }
 
     #[test]
@@ -931,8 +915,8 @@ mod tests {
             TaskOptions::oneshot().class(TaskClass::Urgent),
         ));
         assert_eq!(q.len_hint(), 2);
-        assert!(q.try_dequeue().unwrap().cpuset().contains(11));
-        assert!(q.try_dequeue().unwrap().cpuset().contains(10));
+        assert!(pop(&q).unwrap().cpuset().contains(11));
+        assert!(pop(&q).unwrap().cpuset().contains(10));
     }
 
     #[test]
@@ -944,15 +928,15 @@ mod tests {
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 10])));
         let urgent = TaskOptions::repeat().class(TaskClass::Urgent);
         q.enqueue(task_with(q.id, CpuSet::from_iter([0, 11]), urgent));
-        let first = q.try_dequeue().unwrap();
+        let first = pop(&q).unwrap();
         assert!(first.cpuset().contains(11), "urgent preempts interactive");
         q.enqueue(task_with(q.id, CpuSet::from_iter([0, 12]), urgent));
         q.requeue(first);
         // The freshly enqueued urgent task (12) is older in the lane
         // than the requeued one (11); both beat the interactive task.
-        assert!(q.try_dequeue().unwrap().cpuset().contains(12));
-        assert!(q.try_dequeue().unwrap().cpuset().contains(11));
-        assert!(q.try_dequeue().unwrap().cpuset().contains(10));
+        assert!(pop(&q).unwrap().cpuset().contains(12));
+        assert!(pop(&q).unwrap().cpuset().contains(11));
+        assert!(pop(&q).unwrap().cpuset().contains(10));
     }
 
     #[test]
@@ -978,11 +962,11 @@ mod tests {
         // EDF among deadline tasks, then the FIFO (deadline-less) task.
         for marker in [12, 13, 11, 10] {
             assert!(
-                q.try_dequeue().unwrap().cpuset().contains(marker),
+                pop(&q).unwrap().cpuset().contains(marker),
                 "expected marker {marker}"
             );
         }
-        assert!(q.try_dequeue().is_none());
+        assert!(pop(&q).is_none());
     }
 
     #[test]
@@ -1000,22 +984,19 @@ mod tests {
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
         assert_eq!(out.pop().unwrap().options().class, TaskClass::Urgent);
         assert_eq!(q.len_hint(), 1);
-        assert_eq!(
-            q.try_dequeue().unwrap().options().class,
-            TaskClass::Interactive
-        );
+        assert_eq!(pop(&q).unwrap().options().class, TaskClass::Interactive);
     }
 
     #[test]
     fn steal_span_unions_enqueued_cpusets() {
         let q = queue();
-        assert!(!q.steal_span_admits(0), "empty queue admits nobody");
+        assert!(!q.steal_span.admits(0), "empty queue admits nobody");
         q.enqueue(task_for(q.id, CpuSet::single(0)));
-        assert!(q.steal_span_admits(0));
-        assert!(!q.steal_span_admits(3));
+        assert!(q.steal_span.admits(0));
+        assert!(!q.steal_span.admits(3));
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        assert!(q.steal_span_admits(3));
-        assert!(!q.steal_span_admits(255), "unseen cores stay excluded");
+        assert!(q.steal_span.admits(3));
+        assert!(!q.steal_span.admits(255), "unseen cores stay excluded");
     }
 
     #[test]
@@ -1025,16 +1006,16 @@ mod tests {
         // bits stop attracting park probes.
         let q = queue();
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        assert!(q.steal_span_admits(3));
-        assert!(q.try_dequeue().is_some());
+        assert!(q.steal_span.admits(3));
+        assert!(pop(&q).is_some());
         assert!(
-            !q.steal_span_admits(3),
+            !q.steal_span.admits(3),
             "drained-empty queue must drop the wide span bit"
         );
-        assert!(!q.steal_span_admits(0), "the whole span resets");
+        assert!(!q.steal_span.admits(0), "the whole span resets");
         // The span rebuilds from the next enqueue.
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 5])));
-        assert!(q.steal_span_admits(5));
+        assert!(q.steal_span.admits(5));
     }
 
     #[test]
@@ -1044,17 +1025,17 @@ mod tests {
         // buy nothing, so the drain-empty path skips the swap entirely.
         let q = queue(); // cpuset {0}
         q.enqueue(task_for(q.id, CpuSet::single(0)));
-        assert!(q.try_dequeue().is_some());
+        assert!(pop(&q).is_some());
         assert!(
-            q.steal_span_admits(0),
+            q.steal_span.admits(0),
             "narrow span survives the drain (decay gated on wider-than-cpuset)"
         );
         // A socket overflow has no such cores (its span gates claims):
         // built over the empty set, every bit decays.
         let ovf = TaskQueue::new(QueueId(0), Level::NumaNode, CpuSet::EMPTY, 1);
         ovf.enqueue(task_for(ovf.id, CpuSet::single(0)));
-        assert!(ovf.try_dequeue().is_some());
-        assert!(!ovf.steal_span_admits(0));
+        assert!(pop(&ovf).is_some());
+        assert!(!ovf.steal_span.admits(0));
     }
 
     #[test]
@@ -1065,12 +1046,12 @@ mod tests {
         }
         let mut out = Vec::new();
         q.dequeue_batch(8, &mut out);
-        assert!(!q.steal_span_admits(3), "batch drain decays the span");
+        assert!(!q.steal_span.admits(3), "batch drain decays the span");
 
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
         out.clear();
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
-        assert!(!q.steal_span_admits(3), "a steal that empties decays too");
+        assert!(!q.steal_span.admits(3), "a steal that empties decays too");
     }
 
     #[test]
@@ -1078,7 +1059,7 @@ mod tests {
         let q = queue();
         assert_eq!(q.enqueue(dummy_task(q.id)), 1);
         assert_eq!(q.enqueue(dummy_task(q.id)), 2);
-        q.try_dequeue();
+        pop(&q);
         assert_eq!(q.enqueue(dummy_task(q.id)), 2);
     }
 

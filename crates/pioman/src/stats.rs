@@ -37,7 +37,7 @@ pub struct QueueStats {
 }
 
 /// Counters of one socket of the per-socket overflow tier
-/// ([`ManagerConfig::socket_overflow`](crate::ManagerConfig)).
+/// ([`ManagerConfig::spill_threshold`](crate::ManagerConfig)).
 #[derive(Debug, Clone)]
 pub struct SocketStats {
     /// Arena index of the topology node this socket aggregates (a NUMA
@@ -95,9 +95,9 @@ pub struct ManagerStats {
     pub stolen_batch_by_core: Vec<u64>,
     /// Pre-park steal probes per core that *hit* — found a victim queue
     /// with backlog whose steal span admits the prober — sending the
-    /// worker back to another keypoint instead of parking. The
-    /// steal-aware-parking half of PR 4: with stealing disabled this is
-    /// always zero ([`park_probe`](crate::TaskManager::park_probe)).
+    /// worker back to another keypoint instead of parking. With stealing
+    /// disabled this is always zero
+    /// ([`park_probe`](crate::TaskManager::park_probe)).
     pub park_probe_hits: Vec<u64>,
     /// Pre-park steal probes per core that found nothing stealable, so
     /// the worker parked. `hits / (hits + misses)` is how often the probe
@@ -116,7 +116,7 @@ pub struct ManagerStats {
     /// Steal-targeted wake-ups *received* per core: how often
     /// [`wake_for_steal`](crate::TaskManager::wake_for_steal) chose this
     /// parked core as the nearest eligible thief for a queue whose depth
-    /// crossed [`ManagerConfig::steal_wake_backlog`](crate::ManagerConfig).
+    /// crossed [`STEAL_WAKE_BACKLOG`](crate::STEAL_WAKE_BACKLOG).
     pub wakeups_for_steal: Vec<u64>,
     /// Invocations of the idle hook.
     pub hook_idle: u64,

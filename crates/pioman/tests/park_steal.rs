@@ -216,17 +216,11 @@ fn wake_for_steal_unparks_the_nearest_eligible_parked_core() {
 }
 
 /// The automatic escalation: with stealing on, a submission burst that
-/// crosses `steal_wake_backlog` recruits a parked distant worker whose
+/// crosses `STEAL_WAKE_BACKLOG` recruits a parked distant worker whose
 /// core is in the tasks' cpuset, and the backlog drains without a timer.
 #[test]
 fn backlog_threshold_recruits_a_parked_thief_end_to_end() {
-    let mgr = TaskManager::with_config(
-        presets::kwak().into(),
-        ManagerConfig {
-            steal_wake_backlog: 4,
-            ..ManagerConfig::default()
-        },
-    );
+    let mgr = TaskManager::new(presets::kwak().into());
     let config = ProgressionConfig {
         park_timeout: Duration::from_secs(3600),
         timer_period: None,

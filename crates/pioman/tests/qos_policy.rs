@@ -192,9 +192,9 @@ proptest! {
                 Op::Pop => {
                     if let Some(id) = oracle.pop() {
                         expected.push(id);
-                        prop_assert!(mgr.schedule_one(0), "oracle has work, so must the queue");
+                        prop_assert_eq!(mgr.schedule_batch(0, 1), 1, "oracle has work, so must the queue");
                     } else {
-                        prop_assert!(!mgr.schedule_one(0), "oracle is empty, so must be the queue");
+                        prop_assert_eq!(mgr.schedule_batch(0, 1), 0, "oracle is empty, so must be the queue");
                     }
                 }
             }
@@ -202,9 +202,9 @@ proptest! {
         // Drain what is left; the tails must agree too.
         while let Some(id) = oracle.pop() {
             expected.push(id);
-            prop_assert!(mgr.schedule_one(0));
+            prop_assert_eq!(mgr.schedule_batch(0, 1), 1);
         }
-        prop_assert!(!mgr.schedule_one(0));
+        prop_assert_eq!(mgr.schedule_batch(0, 1), 0);
         prop_assert_eq!(&*ran.lock(), &expected, "diverged from the oracle");
     }
 
@@ -285,17 +285,17 @@ proptest! {
                 }
                 Op::Pop => {
                     if drive(&mut home, &mut ovf, &mut expected) {
-                        prop_assert!(mgr.schedule_one(0), "oracle has work, so must the queue");
+                        prop_assert_eq!(mgr.schedule_batch(0, 1), 1, "oracle has work, so must the queue");
                     } else {
-                        prop_assert!(!mgr.schedule_one(0), "oracle is empty, so must be the queue");
+                        prop_assert_eq!(mgr.schedule_batch(0, 1), 0, "oracle is empty, so must be the queue");
                     }
                 }
             }
         }
         while drive(&mut home, &mut ovf, &mut expected) {
-            prop_assert!(mgr.schedule_one(0));
+            prop_assert_eq!(mgr.schedule_batch(0, 1), 1);
         }
-        prop_assert!(!mgr.schedule_one(0));
+        prop_assert_eq!(mgr.schedule_batch(0, 1), 0);
         prop_assert_eq!(&*ran.lock(), &expected, "diverged across the spill boundary");
         let stats = mgr.stats();
         prop_assert_eq!(stats.total_spilled(), spilled_model, "spill count drifted");
@@ -330,7 +330,7 @@ fn background_bypass_bound_is_exact_when_driven_sequentially() {
         .cpuset(CpuSet::single(0))
         .spawn();
     }
-    while mgr.schedule_one(0) {}
+    while mgr.schedule_batch(0, 1) == 1 {}
     let order = ran.lock();
     let position = order
         .iter()
@@ -361,7 +361,7 @@ fn edf_tournament_order_is_deterministic_on_two_lanes() {
         .deadline(d)
         .spawn();
     }
-    while mgr.schedule_one(0) {}
+    while mgr.schedule_batch(0, 1) == 1 {}
     assert_eq!(*ran.lock(), vec![5, 3, 10]);
 }
 
@@ -464,7 +464,7 @@ fn chained_pipeline_preserves_order_and_counts_releases() {
         .cpuset(CpuSet::single(0))
         .after(&c)
         .spawn();
-    while mgr.schedule_one(0) {}
+    while mgr.schedule_batch(0, 1) == 1 {}
     assert!(d.is_complete());
     assert_eq!(
         *ran.lock(),

@@ -1,7 +1,7 @@
 //! Deterministic coverage of the per-socket overflow tier (PR 10,
 //! `docs/SCHEDULER.md` "Hierarchy"): spill escalation, the
-//! core → socket → global claim rung, cross-socket gating, the starved
-//! 1024-core fabric, and the O(sockets) pre-park probe.
+//! core → socket → global claim rung, the starved 1024-core fabric, and
+//! the O(sockets) pre-park probe.
 //!
 //! Everything here drives keypoints by hand — no progression workers, no
 //! timing dependence. The counters asserted (`spilled`, `claimed`,
@@ -309,60 +309,19 @@ fn keypoint_drains_core_then_socket_overflow_then_global() {
     assert!(order[boundary_ovf..].iter().all(|&l| l == "global"));
 }
 
-/// `cross_socket_backlog` gates both halves of a remote socket — member
-/// queues *and* overflow: a trivial imbalance is invisible to remote
-/// probes and thieves, a real one is seen and drained.
-#[test]
-fn cross_socket_gate_hides_small_imbalances() {
-    let mgr = TaskManager::with_config(
-        presets::dual_socket_256().into(),
-        ManagerConfig {
-            cross_socket_backlog: 8,
-            ..ManagerConfig::default()
-        },
-    );
-    let thief = 128; // first core of socket 1
-    let spawn_n = |n: usize| -> Vec<_> {
-        (0..n)
-            .map(|_| {
-                mgr.task(|_| TaskStatus::Done)
-                    .cpuset(CpuSet::from_iter([0, thief]))
-                    .on_core(0)
-                    .spawn()
-            })
-            .collect()
-    };
-
-    let small = spawn_n(4);
-    assert!(
-        !mgr.park_probe(thief),
-        "4 pending < cross_socket_backlog: not worth the interconnect"
-    );
-    assert!(!mgr.schedule(thief), "the thief's steal scan is gated too");
-
-    let _more = spawn_n(8); // 12 pending now: over the gate
-    assert!(mgr.park_probe(thief), "a real imbalance is visible");
-    assert!(mgr.schedule(thief), "and stealable");
-    assert!(mgr.stats().stolen_by_core[thief] > 0);
-
-    while small.iter().any(|h| !h.is_complete()) {
-        mgr.schedule(thief);
-        mgr.schedule(0);
-    }
-}
-
-/// The config gate: with `socket_overflow` off the tier is fully inert —
-/// no spills, no claims — and the pre-PR-10 paths still drain everything.
+/// One socket ⇒ tier inert: a tree with a single socket has no "whole
+/// socket" distinct from the machine, so even at threshold 1 nothing
+/// spills or is claimed — and the queue paths still drain everything.
 #[test]
 fn disabled_tier_never_spills_and_work_still_completes() {
     let mgr = TaskManager::with_config(
-        presets::quad_socket_1024().into(),
+        presets::symmetric(1, 1, 2).into(),
         ManagerConfig {
-            socket_overflow: false,
             spill_threshold: 1,
             ..ManagerConfig::default()
         },
     );
+    assert_eq!(mgr.stats().sockets.len(), 1);
     let handles: Vec<_> = (0..32)
         .map(|_| {
             mgr.task(|_| TaskStatus::Done)

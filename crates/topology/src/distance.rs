@@ -118,7 +118,7 @@ impl Topology {
         let mut victims: Vec<(NodeId, usize)> = self
             .node_ids()
             .filter(|id| !on_path.contains(id))
-            .map(|id| (id, self.nearest_span_distance(core, &self.node(id).cpuset)))
+            .map(|id| (id, self.node_distance(core, id)))
             .collect();
         victims.sort_by_key(|&(id, nearest)| {
             (nearest, core::cmp::Reverse(self.node(id).depth), id.index())
@@ -143,29 +143,33 @@ impl Topology {
     ///
     /// Panics if `id` is outside this topology's arena.
     pub fn cores_by_distance_from_node(&self, id: NodeId) -> Vec<usize> {
-        let span = self.node(id).cpuset;
         let mut cores: Vec<usize> = (0..self.n_cores()).collect();
-        // The key costs O(|span|); cache it per core instead of recomputing
-        // on every comparison — the manager ranks thieves around *every*
-        // queue at construction, which is quadratic-ish on a 1024-core
-        // fabric without the cache.
-        cores.sort_by_cached_key(|&c| (self.nearest_span_distance(c, &span), c));
+        cores.sort_by_cached_key(|&c| (self.node_distance(c, id), c));
         cores
     }
 
-    /// The [`Locality`] distance from `origin` to the *nearest* in-range
-    /// core of `span` (`usize::MAX` for an empty/foreign span) — the
-    /// shared kernel of [`steal_order_with_distance`](Self::
-    /// steal_order_with_distance) (ranking victim queues around a thief)
-    /// and [`cores_by_distance_from_node`](Self::
-    /// cores_by_distance_from_node) (ranking candidate thieves around a
-    /// queue), so the two orders can never disagree on what "near" means.
-    fn nearest_span_distance(&self, origin: usize, span: &piom_cpuset::CpuSet) -> usize {
-        span.iter()
-            .filter(|&c| c < self.n_cores())
-            .map(|c| self.distance(origin, c))
-            .min()
-            .unwrap_or(usize::MAX)
+    /// The [`Locality`] distance from `core` to the *nearest* core node
+    /// `id` spans, in O(1): distance is the level of the common ancestor,
+    /// so a subtree that contains `core` is at 0 (it contains `core`
+    /// itself) and every core of one that does not shares the same common
+    /// ancestor with `core` — the span's first core stands for all of
+    /// them. The one kernel behind
+    /// [`steal_order_with_distance`](Self::steal_order_with_distance)
+    /// (victim queues around a thief),
+    /// [`cores_by_distance_from_node`](Self::cores_by_distance_from_node)
+    /// (candidate thieves around a queue) and the task manager's socket
+    /// visit order, so the three can never disagree on what "near" means.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range or `id` is outside the arena.
+    pub fn node_distance(&self, core: usize, id: NodeId) -> usize {
+        let span = &self.node(id).cpuset;
+        if span.contains(core) {
+            return 0;
+        }
+        let first = span.first().expect("a topology node spans a core");
+        self.distance(core, first)
     }
 }
 

@@ -13,8 +13,9 @@
 //!   guarantees do not hinge on the preset dimensions being friendly.
 //!
 //! The distance checks recompute span distances from the public pairwise
-//! [`Topology::distance`] metric, independently of the crate's internal
-//! `nearest_span_distance`, so a bug there cannot vouch for itself.
+//! [`Topology::distance`] metric over the whole span, independently of
+//! [`Topology::node_distance`]'s O(1) shortcut, so a bug there cannot
+//! vouch for itself.
 
 use piom_cpuset::CpuSet;
 use piom_topology::{presets, Level, NodeId, Topology, TopologyBuilder};
