@@ -14,6 +14,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::Thread;
 
+mod park;
+mod socket;
+mod submit;
+
+use socket::SocketTier;
+pub(crate) use submit::PendingTask;
+pub use submit::SubmitSpec;
+
 /// Smallest per-keypoint budget [`TaskManager::adaptive_budget`] returns:
 /// even an apparently-empty hierarchy gets a few slots, because work can
 /// land between the depth probe and the drain.
@@ -120,54 +128,6 @@ impl HookPoint {
     }
 }
 
-/// A task parked on the **dependency waitlist**: submitted with
-/// [`SubmitSpec::after`] while at least one predecessor was still pending.
-///
-/// One `PendingTask` is registered as a waiter on *every* pending
-/// predecessor's completion; each completion drain calls
-/// [`satisfy_one`](Self::satisfy_one), and the call that observes the last
-/// outstanding predecessor takes the task out of the slot — exactly once,
-/// however the predecessor completions race.
-pub(crate) struct PendingTask {
-    /// Predecessors not yet known complete. The releasing decrement is the
-    /// one that brings this to zero.
-    remaining: AtomicUsize,
-    /// The parked task, taken by the single releasing decrement.
-    slot: Mutex<Option<Task>>,
-}
-
-impl PendingTask {
-    /// Parks `task` until `predecessors` satisfactions have arrived.
-    pub(crate) fn new(task: Task, predecessors: usize) -> Arc<Self> {
-        Arc::new(PendingTask {
-            remaining: AtomicUsize::new(predecessors),
-            slot: Mutex::new(Some(task)),
-        })
-    }
-
-    /// Records that one predecessor completed. Returns the parked task iff
-    /// this was the last outstanding predecessor.
-    ///
-    /// `AcqRel`: the decrement that wins publication-wise also acquires
-    /// every earlier decrementer's view, so the released task observes all
-    /// of its predecessors' side effects.
-    pub(crate) fn satisfy_one(&self) -> Option<Task> {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.slot.lock().take()
-        } else {
-            None
-        }
-    }
-}
-
-impl core::fmt::Debug for PendingTask {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("PendingTask")
-            .field("remaining", &self.remaining.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
 /// Per-core scheduler state, one cache-line-padded block per core: all of
 /// a core's hot-path RMWs stay on a line no other core writes — with one
 /// deliberate split: the fields *other* cores touch while this core is
@@ -249,66 +209,6 @@ impl CoreState {
                 waker_present: AtomicBool::new(false),
                 steal_wakeups: AtomicU64::new(0),
             }),
-        }
-    }
-}
-
-/// One socket of the **per-socket overflow tier** (see
-/// [`ManagerConfig::spill_threshold`]): the overflow queue deep member
-/// queues spill into, plus the socket-aggregated signals — pending hint,
-/// steal span, parked-worker count — that let park probes, steal-targeted
-/// wakes and cross-socket steal gates consult one padded block per socket
-/// instead of touching every member core's state.
-pub(super) struct SocketTier {
-    /// Arena index of the topology node this socket aggregates (a NUMA
-    /// node; a chip or the machine root on trees without that level).
-    pub(super) node: u32,
-    /// Cores the socket spans.
-    pub(super) cpuset: CpuSet,
-    /// The overflow: the same [`TaskQueue`] every topology node has, so
-    /// spilled tasks keep their QoS class and deadline lane across the
-    /// spill, a spill lands and a claim leaves in one lock acquisition
-    /// each, and a remote thief steals half in place. Its length hint
-    /// gates claims, steals and park probes without the lock; its steal
-    /// span (the union of the spilled tasks' cpusets, decayed in full
-    /// when the overflow drains — the queue is built over an empty own
-    /// cpuset) is the eligibility half of those gates.
-    pub(super) overflow: TaskQueue,
-    /// Tasks pending across the socket's member queues *and* overflow
-    /// (racy signed hint — increments and decrements race, so transient
-    /// negatives are possible and callers clamp at zero). The O(1) filter
-    /// a *remote* core's park probe reads instead of scanning this
-    /// socket's member queues.
-    pub(super) pending: CachePadded<AtomicI64>,
-    /// Union of enqueued task cpusets across member queues and overflow,
-    /// decayed when `pending` drains (only bits outside `cpuset` — in-socket
-    /// bits attract member cores, whose probes re-check the member
-    /// queues): the eligibility half of the remote park-probe filter.
-    pub(super) span: CachePadded<Span>,
-    /// Parked progression workers among this socket's cores, maintained
-    /// alongside the per-core flags: lets a steal-targeted wake skip a
-    /// fully-busy socket's whole candidate run in O(1).
-    pub(super) parked: AtomicU64,
-    /// Tasks spilled into this socket's overflow (lifetime counter).
-    pub(super) spilled: AtomicU64,
-    /// Tasks claimed out of the overflow and run (lifetime counter; claims
-    /// by member cores and steals by remote cores both count).
-    pub(super) claimed: AtomicU64,
-}
-
-impl SocketTier {
-    pub(super) fn new(node: u32, level: Level, cpuset: CpuSet) -> Self {
-        SocketTier {
-            node,
-            cpuset,
-            // One counter shard: nothing is submitted to or executed from
-            // an overflow (tasks are accounted to their home queues).
-            overflow: TaskQueue::new(QueueId(node), level, CpuSet::EMPTY, 1),
-            pending: CachePadded::new(AtomicI64::new(0)),
-            span: Default::default(),
-            parked: AtomicU64::new(0),
-            spilled: AtomicU64::new(0),
-            claimed: AtomicU64::new(0),
         }
     }
 }
@@ -539,201 +439,6 @@ impl TaskManager {
         &self.topo
     }
 
-    /// Starts building a task submission: the one entry point behind every
-    /// submission shape (see [`SubmitSpec`]).
-    ///
-    /// The default spec is an [`Interactive`](TaskClass::Interactive)
-    /// one-shot task runnable on every core, enqueued — as the paper's
-    /// §III-A prescribes — on the smallest topology node covering its CPU
-    /// set; every knob is a chained method:
-    ///
-    /// ```
-    /// use pioman::{TaskClass, TaskManager, TaskStatus};
-    /// use piom_cpuset::CpuSet;
-    /// use piom_topology::presets;
-    ///
-    /// let mgr = TaskManager::new(presets::kwak().into());
-    /// let first = mgr
-    ///     .task(|_| TaskStatus::Done)
-    ///     .cpuset(CpuSet::range(0..4))
-    ///     .class(TaskClass::Bulk)
-    ///     .deadline(7)
-    ///     .spawn();
-    /// // Runs only after `first` completes, on core 2's own queue.
-    /// let second = mgr
-    ///     .task(|_| TaskStatus::Done)
-    ///     .cpuset(CpuSet::range(0..4))
-    ///     .on_core(2)
-    ///     .after(&first)
-    ///     .spawn();
-    /// while !second.is_complete() {
-    ///     mgr.schedule(2);
-    /// }
-    /// ```
-    pub fn task<F>(&self, body: F) -> SubmitSpec<'_>
-    where
-        F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
-    {
-        self.task_boxed(Box::new(body))
-    }
-
-    /// [`task`](Self::task) for an already-boxed body (avoids double boxing
-    /// when the caller stores `TaskFn`s).
-    pub fn task_boxed(&self, body: TaskFn) -> SubmitSpec<'_> {
-        SubmitSpec {
-            mgr: self,
-            body,
-            cpuset: None,
-            home: None,
-            options: TaskOptions::oneshot(),
-            deps: Vec::new(),
-            completion: Completion::new(),
-        }
-    }
-
-    /// Common submission tail: enqueue the built task on its home queue and
-    /// wake the cores that may run it. Shared by [`SubmitSpec::spawn`], the
-    /// waitlist release path, and nothing else — requeues of *running*
-    /// tasks go through [`TaskQueue::requeue`] directly.
-    fn dispatch(&self, task: Task) {
-        let effective = task.cpuset;
-        let home = task.home;
-        let depth = self.queues[home.index()].enqueue(task);
-        self.note_enqueued(home, &effective);
-        // Spill escalation: a queue *below* its socket node that out-runs
-        // the spill threshold moves half its backlog (lowest class first)
-        // into the socket overflow, where every member core's hierarchy
-        // walk — not just thieves — can drain it.
-        if self.socket_overflow_active && depth >= self.config.spill_threshold {
-            if let Some(s) = self.queue_socket[home.index()] {
-                if home.index() as u32 != self.sockets[s as usize].node {
-                    self.spill(home, s as usize, depth);
-                }
-            }
-        }
-        self.wake_cores(effective);
-        // Backlog escalation: the queue is deep enough that its own cores
-        // are visibly not keeping up, so recruit the nearest parked thief
-        // (which may be eligible only for *older* tasks in the backlog and
-        // hence missed by the cpuset-targeted wake above).
-        if self.config.steal && depth >= STEAL_WAKE_BACKLOG {
-            self.wake_for_steal(home);
-        }
-    }
-
-    /// Records `cpuset`'s task landing on `queue` in the queue's socket
-    /// aggregates (pending hint + socket span). Queues above every socket
-    /// node (the Global Queue) have no socket to account to.
-    pub(super) fn note_enqueued(&self, queue: QueueId, cpuset: &CpuSet) {
-        if let Some(s) = self.queue_socket[queue.index()] {
-            let sock = &self.sockets[s as usize];
-            sock.pending.fetch_add(1, Ordering::Relaxed);
-            sock.span.fold(cpuset);
-        }
-    }
-
-    /// Records `n` tasks leaving `queue`; a drain that (by the racy hint)
-    /// empties the socket decays its span ([`Span::decay`]).
-    pub(super) fn note_removed(&self, queue: QueueId, n: usize) {
-        if let Some(s) = self.queue_socket[queue.index()] {
-            self.note_removed_socket(s as usize, n);
-        }
-    }
-
-    /// [`note_removed`](Self::note_removed) when the socket is already
-    /// known (overflow pops).
-    fn note_removed_socket(&self, s: usize, n: usize) {
-        let sock = &self.sockets[s];
-        if n > 0 && sock.pending.fetch_sub(n as i64, Ordering::Relaxed) <= n as i64 {
-            sock.span
-                .decay(&sock.cpuset, || sock.pending.load(Ordering::Relaxed) > 0);
-        }
-    }
-
-    /// Moves half of `home`'s backlog into socket `s`'s overflow, lowest
-    /// class first ([`TaskQueue::spill_lowest`]): one lock acquisition on
-    /// the home queue to take the batch, one on the overflow to land it.
-    /// Socket pending is unchanged — the tasks stay in the socket — so
-    /// only the overflow (depth, span) and the lifetime spill counter move.
-    pub(super) fn spill(&self, home: QueueId, s: usize, depth: usize) {
-        let quota = depth / 2;
-        if quota == 0 {
-            return;
-        }
-        let mut batch = SCRATCH.take();
-        batch.clear();
-        let taken = self.queues[home.index()].spill_lowest(quota, &mut batch);
-        let sock = &self.sockets[s];
-        sock.overflow.requeue_batch(&mut batch);
-        sock.spilled.fetch_add(taken as u64, Ordering::Relaxed);
-        SCRATCH.set(batch);
-    }
-
-    /// Drains up to `max` tasks from `core`'s **own** socket overflow in
-    /// pop-policy order (highest class first, EDF within a class) under
-    /// **one** lock acquisition and runs them: the socket rung of the
-    /// core → socket → global walk. One pass — the pops are bounded by
-    /// the depth at arrival — and a popped task whose cpuset excludes
-    /// `core` bounces to its home queue through the ordinary
-    /// [`run_task`](Self::run_task) requeue path. `batch` is the caller's
-    /// (drained) scratch. Returns bodies run.
-    pub(super) fn claim_overflow(&self, core: usize, max: usize, batch: &mut Vec<Task>) -> usize {
-        let s = self.core_socket[core] as usize;
-        let sock = &self.sockets[s];
-        let pass = sock.overflow.len_hint().min(max);
-        if pass == 0 || !sock.overflow.steal_span.admits(core) {
-            return 0;
-        }
-        batch.clear();
-        let taken = sock.overflow.dequeue_batch(pass, batch);
-        self.note_removed_socket(s, taken);
-        let mut ran = 0;
-        for task in batch.drain(..) {
-            ran += usize::from(self.run_task(task, core));
-        }
-        sock.claimed.fetch_add(ran as u64, Ordering::Relaxed);
-        ran
-    }
-
-    /// Dispatches every waitlisted task whose last outstanding predecessor
-    /// just completed: the release half of [`SubmitSpec::after`], called
-    /// with the waiter list drained by the predecessor's completion.
-    pub(super) fn release_waiters(&self, waiters: Vec<Arc<PendingTask>>) {
-        for waiter in waiters {
-            if let Some(mut task) = waiter.satisfy_one() {
-                self.released_class[task.options.class.index()].fetch_add(1, Ordering::Relaxed);
-                // Queueing delay starts now: while parked the task was not
-                // schedulable, so the wait on predecessors is not charged
-                // to the queues.
-                task.submitted_at = self.latency.is_some().then(std::time::Instant::now);
-                self.dispatch(task);
-            }
-        }
-    }
-
-    /// Panics iff making `new` depend on `deps` would close a dependency
-    /// cycle: depth-first walk of the recorded dependency edges
-    /// ([`Completion::deps_snapshot`]) looking for `new` itself. Called at
-    /// spawn time, before any waiter is registered, so a rejected
-    /// submission has no side effects on its predecessors.
-    fn assert_acyclic(new: &Arc<Completion>, deps: &[Arc<Completion>]) {
-        let mut visited: Vec<*const Completion> = Vec::new();
-        let mut stack: Vec<Arc<Completion>> = deps.to_vec();
-        while let Some(c) = stack.pop() {
-            if Arc::ptr_eq(&c, new) {
-                panic!("dependency cycle: a task cannot (transitively) run after itself");
-            }
-            let p = Arc::as_ptr(&c);
-            if visited.contains(&p) {
-                continue;
-            }
-            visited.push(p);
-            // Completed predecessors have empty snapshots: the walk only
-            // follows edges that can still delay anything.
-            stack.extend(c.deps_snapshot());
-        }
-    }
-
     /// The paper's **Algorithm 1** (`Task Schedule`), invoked from scheduler
     /// keypoints: starting at `core`'s Per-Core Queue and walking up to the
     /// Global Queue, run every task found. Repeat tasks that report
@@ -956,34 +661,6 @@ impl TaskManager {
         }
     }
 
-    /// Steal-half against a **remote socket's overflow**: the same
-    /// in-place [`TaskQueue::try_steal_half`] a member queue gets — half of
-    /// the tasks whose cpuset admits `core` (bounded by `max`), in pop
-    /// policy order, under one lock acquisition; tasks `core` may not run
-    /// stay in the overflow, in order. Gated on the overflow's length hint
-    /// and span, so an empty or ineligible overflow costs two relaxed
-    /// loads. Returns tasks stolen and executed.
-    pub(super) fn steal_overflow(
-        &self,
-        core: usize,
-        s: usize,
-        max: usize,
-        batch: &mut Vec<Task>,
-    ) -> usize {
-        let sock = &self.sockets[s];
-        if sock.overflow.len_hint() == 0 || !sock.overflow.steal_span.admits(core) {
-            return 0;
-        }
-        batch.clear();
-        let stolen = sock.overflow.try_steal_half(core, max, batch);
-        if stolen > 0 {
-            self.note_removed_socket(s, stolen);
-            sock.claimed.fetch_add(stolen as u64, Ordering::Relaxed);
-            self.run_stolen(core, batch);
-        }
-        stolen
-    }
-
     /// Executes `task` on `core` if allowed; requeues it on its home queue
     /// otherwise (the queue it was drawn from, or — for an overflow claim —
     /// the one it spilled out of). Returns `true` if the body ran.
@@ -1086,164 +763,6 @@ impl TaskManager {
         sock.overflow.len_hint() > 0 && sock.overflow.steal_span.admits(core)
     }
 
-    /// The steal-aware park check: `true` if some victim queue (a queue
-    /// *not* on `core`'s hierarchy path) holds backlog that `core` may be
-    /// able to steal, so the caller should run another keypoint instead of
-    /// parking.
-    ///
-    /// The scan is deliberately cheap — it must run on every
-    /// about-to-park decision — and under the socket tier it is
-    /// **`O(sockets)`, not `O(cores)`**: each socket is one padded block
-    /// of aggregates (pending hint + span), so a remote socket costs two
-    /// relaxed loads regardless of how many member queues it has. Only the
-    /// prober's *own* socket, whose aggregate cannot distinguish work on
-    /// the prober's own path (not stealable) from a sibling's (stealable),
-    /// confirms a positive aggregate with the per-queue scan — bounded by
-    /// that one socket's victim group. The spans may over-approximate, so
-    /// a hit is a *hint*: the next keypoint's steal probe re-checks real
-    /// task cpusets under the victim's lock, and
-    /// [`Progression`](crate::Progression) workers bound consecutive
-    /// fruitless hits so a stale span cannot spin a worker forever.
-    ///
-    /// Returns `false` without probing when stealing is disabled. Updates
-    /// the `park_probe_hits` / `park_probe_misses` /
-    /// `park_probe_polls` counters in [`ManagerStats`] (`park_probe_polls`
-    /// counts socket aggregates consulted — the scaling study's
-    /// O(sockets) assertion reads it directly).
-    pub fn park_probe(&self, core: usize) -> bool {
-        debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        if !self.config.steal {
-            return false;
-        }
-        let own = self.core_socket[core];
-        for &s in &self.socket_order[core] {
-            self.cores[core].park_polls.fetch_add(1, Ordering::Relaxed);
-            let sock = &self.sockets[s as usize];
-            // An overflow is directly claimable (own socket) or stealable
-            // (remote) — no confirmation needed beyond its span.
-            let overflow_visible = self.socket_overflow_active
-                && sock.overflow.len_hint() > 0
-                && sock.overflow.steal_span.admits(core);
-            // The own socket's aggregate counts this core's own-path work
-            // too, which is drainable but not *stealable*: confirm it
-            // against the member queues. `steal_order`'s own group is
-            // exactly the off-path member queues.
-            let aggregate_hit = || {
-                sock.pending.load(Ordering::Relaxed) > 0
-                    && sock.span.admits(core)
-                    && (s != own
-                        || self.steal_order[core][0].1.iter().any(|&(qi, _)| {
-                            let queue = &self.queues[qi as usize];
-                            queue.len_hint() > 0 && queue.steal_span.admits(core)
-                        }))
-            };
-            if overflow_visible || aggregate_hit() {
-                self.cores[core].park_hits.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        self.cores[core].park_misses.fetch_add(1, Ordering::Relaxed);
-        false
-    }
-
-    /// Wakes the nearest parked worker eligible to steal from `queue`,
-    /// returning the woken core.
-    ///
-    /// This is the escalation half of steal-aware parking: the ordinary
-    /// submission wake targets the *new* task's cpuset, but a queue whose
-    /// depth has crossed [`STEAL_WAKE_BACKLOG`] holds older
-    /// tasks too, and the nearest core able to help with *those* may not
-    /// be in the new task's set at all. Candidates are scanned in the
-    /// queue's precomputed nearest-first order
-    /// ([`Topology::cores_by_distance_from_node`]); a candidate is woken
-    /// when it is parked and the queue's steal span admits it. Each wake
-    /// increments the woken core's `wakeups_for_steal` counter in
-    /// [`ManagerStats`].
-    ///
-    /// Called automatically on threshold-crossing enqueues; public so
-    /// embedders driving their own keypoints can escalate by hand.
-    ///
-    /// ```
-    /// use pioman::TaskManager;
-    /// use piom_topology::presets;
-    ///
-    /// let mgr = TaskManager::new(presets::kwak().into());
-    /// let home = mgr.stats().queues[mgr.topology().core_node(0).index()].id;
-    /// // No progression workers are running, so nobody is parked and
-    /// // there is nothing to wake.
-    /// assert_eq!(mgr.wake_for_steal(home), None);
-    /// assert_eq!(mgr.stats().total_wakeups_for_steal(), 0);
-    /// ```
-    pub fn wake_for_steal(&self, queue: QueueId) -> Option<usize> {
-        // Nobody parked (the common overload shape: every worker busy) —
-        // skip the candidate scan entirely so a deep queue under a
-        // submission hammer pays one load per enqueue, not O(cores).
-        if self.parked_count.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let q = &self.queues[queue.index()];
-        for (s, cores) in &self.wake_order[queue.index()] {
-            // Socket-aggregated recruitment: a socket with every worker
-            // busy skips its whole candidate run on one padded load,
-            // keeping the scan O(sockets) in the common overload shape
-            // instead of polling each member's parked flag.
-            if self.sockets[*s as usize].parked.load(Ordering::SeqCst) == 0 {
-                continue;
-            }
-            for &core in cores {
-                let core = core as usize;
-                if self.cores[core].remote.parked.load(Ordering::SeqCst)
-                    && q.steal_span.admits(core)
-                {
-                    if let Some(t) = self.wakers[core].lock().as_ref() {
-                        t.unpark();
-                        self.cores[core]
-                            .remote
-                            .steal_wakeups
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Some(core);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// `true` if `core`'s progression worker has announced it is parked
-    /// (racy hint — see [`Progression`](crate::Progression) for the
-    /// publication ordering).
-    pub fn is_parked(&self, core: usize) -> bool {
-        debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        self.cores[core].remote.parked.load(Ordering::SeqCst)
-    }
-
-    /// Publishes `core`'s parked state. Workers set it *before* their
-    /// final pre-park work checks, so an enqueue racing the park either
-    /// is seen by the checks or sees the flag and unparks the worker.
-    pub(crate) fn note_parked(&self, core: usize, parked: bool) {
-        if self.cores[core]
-            .remote
-            .parked
-            .swap(parked, Ordering::SeqCst)
-            != parked
-        {
-            // Keep the aggregate count in step with the flag transition.
-            // The count is published before/after the flag consistently
-            // enough for its only consumer, the wake_for_steal
-            // short-circuit: a racing enqueue that misses a just-parking
-            // worker is the same bounded race as missing the flag itself
-            // (covered by the unpark-token ordering argument).
-            let sock = &self.sockets[self.core_socket[core] as usize];
-            if parked {
-                self.parked_count.fetch_add(1, Ordering::SeqCst);
-                sock.parked.fetch_add(1, Ordering::SeqCst);
-            } else {
-                self.parked_count.fetch_sub(1, Ordering::SeqCst);
-                sock.parked.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-
     /// Maps every core's padded state block to one snapshot value.
     fn per_core<T>(&self, f: impl Fn(&CoreState) -> T) -> Vec<T> {
         self.cores.iter().map(|c| f(c)).collect()
@@ -1332,50 +851,6 @@ impl TaskManager {
                 .map(|hs| hs.iter().map(|h| h.snapshot()).collect()),
         }
     }
-
-    /// Registers the calling progression worker as the runner for `core`
-    /// so submissions can unpark it. Returns the previous registrant.
-    pub(crate) fn register_waker(&self, core: usize, thread: Thread) -> Option<Thread> {
-        // Presence first: a submitter that reads `true` before the slot
-        // fills pays one harmless mutex peek; one that reads `false`
-        // after it fills cannot exist.
-        self.cores[core]
-            .remote
-            .waker_present
-            .store(true, Ordering::SeqCst);
-        self.wakers[core].lock().replace(thread)
-    }
-
-    /// Removes the waker registration for `core`.
-    pub(crate) fn unregister_waker(&self, core: usize) {
-        self.wakers[core].lock().take();
-        self.cores[core]
-            .remote
-            .waker_present
-            .store(false, Ordering::SeqCst);
-    }
-
-    /// Unparks every registered worker whose core may run a new task.
-    ///
-    /// Cost discipline (the 1024-core scaling study's submit path): a
-    /// core without a registered worker is skipped on one `waker_present`
-    /// load — the waker mutex is only touched for cores that actually
-    /// have a worker to unpark, so a machine-wide submission on a
-    /// workerless (or sparsely-workered) manager is a read-only sweep,
-    /// not `n_cores` mutex round-trips per enqueue.
-    pub(super) fn wake_cores(&self, cpuset: CpuSet) {
-        for core in cpuset.iter() {
-            if core >= self.wakers.len() {
-                break;
-            }
-            if !self.cores[core].remote.waker_present.load(Ordering::SeqCst) {
-                continue;
-            }
-            if let Some(t) = self.wakers[core].lock().as_ref() {
-                t.unpark();
-            }
-        }
-    }
 }
 
 impl core::fmt::Debug for TaskManager {
@@ -1384,184 +859,6 @@ impl core::fmt::Debug for TaskManager {
             .field("topology", &self.topo.name())
             .field("queues", &self.queues.len())
             .finish()
-    }
-}
-
-/// A task submission being built: created by [`TaskManager::task`],
-/// finished by [`spawn`](Self::spawn).
-///
-/// Defaults: runnable on **every** core (the Global Queue shape), placed on
-/// the smallest topology node covering its CPU set, one-shot,
-/// [`TaskClass::Interactive`], no deadline, no dependencies. Each method
-/// overrides one knob.
-#[must_use = "a SubmitSpec does nothing until `.spawn()` is called"]
-pub struct SubmitSpec<'m> {
-    mgr: &'m TaskManager,
-    body: TaskFn,
-    cpuset: Option<CpuSet>,
-    home: Option<usize>,
-    options: TaskOptions,
-    deps: Vec<TaskHandle>,
-    /// Created with the spec (not at spawn) so [`handle`](Self::handle) can
-    /// hand out references to the not-yet-spawned task — which is what
-    /// makes dependency cycles *expressible*, and why
-    /// [`spawn`](Self::spawn) checks for them.
-    completion: Arc<Completion>,
-}
-
-impl SubmitSpec<'_> {
-    /// Restricts execution to `cpuset` ("a CPU set is attached to the task
-    /// so as to avoid unwanted cores to execute it", paper §III). The set
-    /// is intersected with the machine's cores; the task is enqueued on
-    /// the smallest topology node covering the result unless
-    /// [`on_core`](Self::on_core) pins a home.
-    pub fn cpuset(mut self, cpuset: CpuSet) -> Self {
-        self.cpuset = Some(cpuset);
-        self
-    }
-
-    /// Pins the task's *home* to `core`'s Per-Core Queue instead of the
-    /// smallest node covering its CPU set.
-    ///
-    /// `core` names the core expected to run the task (it dequeues from
-    /// its local queue with an uncontended lock), while the CPU set names
-    /// every core *allowed* to — if the home falls behind, those cores
-    /// steal the backlog in [`Topology::steal_order`] (nearest sibling
-    /// first). Without a home, a multi-core cpuset lands in a shared queue
-    /// whose lock every allowed core hits on the fast path; a home keeps
-    /// the fast path private and pays the shared-lock cost only when
-    /// stealing actually happens.
-    ///
-    /// A repeat task re-enqueues on its home queue after every run, even a
-    /// stolen one, so a transient imbalance does not permanently migrate
-    /// polling work away from its preferred core.
-    pub fn on_core(mut self, core: usize) -> Self {
-        self.home = Some(core);
-        self
-    }
-
-    /// Sets the QoS class lane (default [`TaskClass::Interactive`]; see
-    /// [`TaskClass`] for the service order and the starvation bound).
-    pub fn class(mut self, class: TaskClass) -> Self {
-        self.options.class = class;
-        self
-    }
-
-    /// Sets the deadline tick: within its class the task drains
-    /// earliest-deadline-first, ahead of the class's no-deadline tasks
-    /// (see [`TaskOptions::deadline`]). Never overrides class priority.
-    pub fn deadline(mut self, tick: u64) -> Self {
-        self.options.deadline = Some(tick);
-        self
-    }
-
-    /// Marks the task repetitive: re-enqueued after each run until the
-    /// body returns [`TaskStatus::Done`] (the paper's polling option).
-    pub fn repeat(mut self) -> Self {
-        self.options.repeat = true;
-        self
-    }
-
-    /// Replaces the whole option block at once (repeat + class +
-    /// deadline), for callers that already hold a [`TaskOptions`].
-    pub fn options(mut self, options: TaskOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Adds a dependency: the task stays parked on the **waitlist** until
-    /// `predecessor` completes (or panics — a dependency is an ordering
-    /// constraint, not a success gate; see `docs/SCHEDULER.md`). May be
-    /// chained to wait on several predecessors; the task is released by
-    /// the last one to finish.
-    pub fn after(mut self, predecessor: &TaskHandle) -> Self {
-        self.deps.push(predecessor.clone());
-        self
-    }
-
-    /// The handle of the task being built, available *before*
-    /// [`spawn`](Self::spawn). Useful for wiring graphs where a
-    /// predecessor's body needs the successor's handle.
-    pub fn handle(&self) -> TaskHandle {
-        TaskHandle {
-            completion: self.completion.clone(),
-        }
-    }
-
-    /// Builds the task and hands it to the scheduler: enqueued immediately
-    /// when it has no pending dependencies, parked on the waitlist
-    /// otherwise. Returns the same handle as [`handle`](Self::handle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the CPU set selects no core of this machine, if
-    /// [`on_core`](Self::on_core) named a core outside the topology or
-    /// outside the CPU set, or if the [`after`](Self::after) edges would
-    /// close a dependency cycle (checked before any waiter is registered,
-    /// so a rejected spawn leaves its predecessors untouched).
-    pub fn spawn(self) -> TaskHandle {
-        let mgr = self.mgr;
-        let requested = self.cpuset.unwrap_or_else(|| mgr.topo.all_cores());
-        let effective = requested & mgr.topo.all_cores();
-        let home = if let Some(core) = self.home {
-            assert!(
-                core < mgr.topo.n_cores(),
-                "home core {core} outside topology"
-            );
-            assert!(
-                effective.contains(core),
-                "home core {core} not in cpuset {requested}"
-            );
-            QueueId(mgr.topo.core_node(core).index() as u32)
-        } else {
-            let node = mgr
-                .topo
-                .smallest_covering(&effective)
-                .unwrap_or_else(|| panic!("cpuset {requested} selects no core of this machine"));
-            QueueId(node.index() as u32)
-        };
-        let handle = TaskHandle {
-            completion: self.completion.clone(),
-        };
-        let task = Task {
-            body: self.body,
-            options: self.options,
-            cpuset: effective,
-            home,
-            completion: self.completion,
-            submitted_at: mgr.latency.is_some().then(std::time::Instant::now),
-        };
-        if self.deps.is_empty() {
-            mgr.dispatch(task);
-            return handle;
-        }
-        let deps: Vec<Arc<Completion>> = self.deps.into_iter().map(|h| h.completion).collect();
-        TaskManager::assert_acyclic(&handle.completion, &deps);
-        handle.completion.set_deps(deps.clone());
-        let pending = PendingTask::new(task, deps.len());
-        // A predecessor already complete at registration time will never
-        // drain this waiter; satisfy its share here. Wherever the *last*
-        // satisfaction lands — here or on a completion path — it releases
-        // the task exactly once.
-        let already_complete = deps
-            .iter()
-            .filter(|dep| !dep.add_waiter(pending.clone()))
-            .count();
-        if already_complete > 0 {
-            mgr.release_waiters(vec![pending; already_complete]);
-        }
-        handle
-    }
-}
-
-impl core::fmt::Debug for SubmitSpec<'_> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("SubmitSpec")
-            .field("cpuset", &self.cpuset)
-            .field("home", &self.home)
-            .field("options", &self.options)
-            .field("deps", &self.deps.len())
-            .finish_non_exhaustive()
     }
 }
 
@@ -1688,25 +985,6 @@ mod tests {
             assert!(mgr.schedule(core));
             assert!(h.is_complete());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "selects no core")]
-    fn empty_cpuset_panics() {
-        let mgr = kwak_mgr();
-        let _ = mgr.task(|_| TaskStatus::Done).cpuset(CpuSet::EMPTY).spawn();
-    }
-
-    #[test]
-    fn foreign_cores_are_masked() {
-        let mgr = kwak_mgr();
-        // Core 100 does not exist on kwak; the effective set is {1}.
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::from_iter([1, 100]))
-            .spawn();
-        assert!(mgr.schedule(1));
-        assert!(h.is_complete());
     }
 
     #[test]
@@ -2290,86 +1568,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not in cpuset")]
-    fn submit_on_rejects_home_outside_cpuset() {
-        let mgr = kwak_mgr();
-        let _ = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(3))
-            .on_core(2)
-            .spawn();
-    }
-
-    #[test]
-    fn park_probe_sees_distant_stealable_backlog() {
-        let mgr = kwak_mgr();
-        // Nothing anywhere: every probe misses.
-        assert!(!mgr.park_probe(0));
-        // Backlog homed across the interconnect, stealable by core 0.
-        for _ in 0..4 {
-            mgr.task(|_| TaskStatus::Done)
-                .cpuset(CpuSet::from_iter([0, 12]))
-                .on_core(12)
-                .spawn();
-        }
-        assert!(mgr.park_probe(0), "distant victim backlog must be seen");
-        let stats = mgr.stats();
-        assert_eq!(stats.park_probe_hits[0], 1);
-        assert_eq!(stats.park_probe_misses[0], 1);
-    }
-
-    #[test]
-    fn park_probe_ignores_backlog_outside_the_steal_span() {
-        let mgr = kwak_mgr();
-        for _ in 0..4 {
-            mgr.task(|_| TaskStatus::Done)
-                .cpuset(CpuSet::single(3))
-                .spawn();
-        }
-        // Core 2 may never run core-3-only work: the span filter must
-        // reject the queue without a hit, so the worker parks instead of
-        // spinning on unstealable backlog.
-        assert!(!mgr.park_probe(2));
-        assert_eq!(mgr.stats().park_probe_misses[2], 1);
-        assert_eq!(mgr.stats().park_probe_hits[2], 0);
-        // Core 3 itself has the work on its own path — the probe is about
-        // *victim* queues only and still misses (path queues are excluded).
-        assert!(!mgr.park_probe(3));
-    }
-
-    #[test]
-    fn park_probe_disabled_with_stealing() {
-        let mgr = no_steal_mgr();
-        mgr.task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::from_iter([0, 1]))
-            .on_core(1)
-            .spawn();
-        assert!(!mgr.park_probe(0), "no stealing: always park");
-        let stats = mgr.stats();
-        assert_eq!(stats.total_park_probe_hits(), 0);
-        assert_eq!(
-            stats.total_park_probe_misses(),
-            0,
-            "disabled probes are not counted as misses"
-        );
-    }
-
-    #[test]
-    fn wake_for_steal_without_workers_is_a_no_op() {
-        let mgr = kwak_mgr();
-        for _ in 0..16 {
-            mgr.task(|_| TaskStatus::Done)
-                .cpuset(CpuSet::from_iter([0, 1]))
-                .on_core(1)
-                .spawn();
-        }
-        let home = mgr.stats().queues[mgr.topology().core_node(1).index()].id;
-        assert_eq!(mgr.wake_for_steal(home), None);
-        assert_eq!(mgr.stats().total_wakeups_for_steal(), 0);
-        assert!(!mgr.is_parked(0));
-    }
-
-    #[test]
     fn queue_stats_expose_the_steal_span() {
         let mgr = kwak_mgr();
         mgr.task(|_| TaskStatus::Done)
@@ -2394,214 +1592,6 @@ mod tests {
         let stats = mgr.stats();
         assert_eq!(stats.executed_by_core[3], 10);
         assert_eq!(stats.executed_by_core.iter().sum::<u64>(), 10);
-    }
-
-    #[test]
-    fn dependent_task_waits_for_its_predecessor() {
-        let mgr = kwak_mgr();
-        let first = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        let second = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .after(&first)
-            .spawn();
-        // Only the predecessor is enqueued; the dependent is parked.
-        assert_eq!(mgr.pending_tasks(), 1);
-        assert_eq!(mgr.schedule_batch(0, 1), 1, "runs the predecessor");
-        assert!(first.is_complete());
-        assert!(!second.is_complete());
-        assert_eq!(mgr.pending_tasks(), 1, "release re-enqueued the dependent");
-        assert_eq!(mgr.schedule_batch(0, 1), 1);
-        assert!(second.is_complete());
-        assert_eq!(mgr.stats().waitlist_released_by_class, [0, 1, 0, 0]);
-    }
-
-    #[test]
-    fn dependent_on_completed_predecessor_dispatches_immediately() {
-        let mgr = kwak_mgr();
-        let first = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        mgr.schedule(0);
-        assert!(first.is_complete());
-        let second = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .after(&first)
-            .spawn();
-        assert_eq!(mgr.pending_tasks(), 1, "no parking on a finished task");
-        mgr.schedule(0);
-        assert!(second.is_complete());
-        assert_eq!(mgr.stats().total_waitlist_released(), 1);
-    }
-
-    #[test]
-    fn dependent_waits_for_every_predecessor() {
-        let mgr = kwak_mgr();
-        let a = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        let b = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(1))
-            .spawn();
-        let joined = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::from_iter([0, 1]))
-            .after(&a)
-            .after(&b)
-            .spawn();
-        mgr.schedule(0);
-        assert!(a.is_complete());
-        assert!(!joined.is_complete());
-        assert!(
-            !mgr.has_work_for(0),
-            "one of two predecessors done: still parked"
-        );
-        // Running b releases the join; the same keypoint's upward scan may
-        // already execute it (the release re-enqueues on the {0,1} queue,
-        // which is on core 1's path above its per-core queue).
-        mgr.schedule(1);
-        assert!(b.is_complete());
-        let _ = mgr.schedule(0) || mgr.schedule(1);
-        assert!(joined.is_complete());
-        assert_eq!(mgr.stats().total_waitlist_released(), 1);
-    }
-
-    #[test]
-    fn panicked_predecessor_still_releases_dependents() {
-        // A dependency is an ordering constraint, not a success gate:
-        // pipelines drain even when a stage fails.
-        let mgr = kwak_mgr();
-        let doomed = mgr
-            .task(|_| panic!("stage failed"))
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        let dependent = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .after(&doomed)
-            .spawn();
-        mgr.schedule(0);
-        assert!(doomed.wait().is_err());
-        mgr.schedule(0);
-        assert_eq!(dependent.wait(), Ok(()), "released despite the panic");
-    }
-
-    #[test]
-    fn dependents_spawned_against_a_running_scheduler_all_run_once() {
-        // The spawn-side registration races the predecessor's completion on
-        // another thread: whichever side wins, the dependent is released —
-        // by the drain or by `spawn` itself — exactly once.
-        let mgr = kwak_mgr();
-        let rounds = 2_000;
-        let runs = Arc::new(AtomicUsize::new(0));
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                while !stop.load(Ordering::Acquire) {
-                    mgr.schedule(0);
-                }
-            });
-            for _ in 0..rounds {
-                let pred = mgr
-                    .task(|_| TaskStatus::Done)
-                    .cpuset(CpuSet::single(0))
-                    .spawn();
-                let runs = runs.clone();
-                mgr.task(move |_| {
-                    runs.fetch_add(1, Ordering::Relaxed);
-                    TaskStatus::Done
-                })
-                .cpuset(CpuSet::single(0))
-                .after(&pred)
-                .spawn();
-                // Dropping both handles here must not matter.
-            }
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-            while runs.load(Ordering::Relaxed) < rounds && std::time::Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            stop.store(true, Ordering::Release);
-        });
-        assert_eq!(
-            runs.load(Ordering::Relaxed),
-            rounds,
-            "a dependent was stranded"
-        );
-        assert_eq!(mgr.stats().total_waitlist_released(), rounds as u64);
-    }
-
-    #[test]
-    fn repeat_predecessor_releases_only_on_done() {
-        let mgr = kwak_mgr();
-        let mut polls = 0;
-        let poll = mgr
-            .task(move |_| {
-                polls += 1;
-                if polls == 3 {
-                    TaskStatus::Done
-                } else {
-                    TaskStatus::Again
-                }
-            })
-            .cpuset(CpuSet::single(0))
-            .repeat()
-            .spawn();
-        let dependent = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .after(&poll)
-            .spawn();
-        mgr.schedule(0); // poll 1: Again — no release
-        mgr.schedule(0); // poll 2: Again — no release
-        assert!(!dependent.is_complete());
-        assert_eq!(mgr.stats().total_waitlist_released(), 0);
-        mgr.schedule(0); // poll 3: Done — release
-        mgr.schedule(0);
-        assert!(dependent.is_complete());
-        assert_eq!(mgr.stats().total_waitlist_released(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "dependency cycle")]
-    fn dependency_cycle_rejected_at_spawn() {
-        let mgr = kwak_mgr();
-        // `handle()` makes the cycle expressible: b waits on a's future
-        // handle, then a tries to wait on b.
-        let spec_a = mgr.task(|_| TaskStatus::Done).cpuset(CpuSet::single(0));
-        let ha = spec_a.handle();
-        let hb = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .after(&ha)
-            .spawn();
-        let _ = spec_a.after(&hb).spawn();
-    }
-
-    #[test]
-    #[should_panic(expected = "dependency cycle")]
-    fn self_dependency_rejected_at_spawn() {
-        let mgr = kwak_mgr();
-        let spec = mgr.task(|_| TaskStatus::Done).cpuset(CpuSet::single(0));
-        let own = spec.handle();
-        let _ = spec.after(&own).spawn();
-    }
-
-    #[test]
-    fn spec_handle_is_the_spawned_handle() {
-        let mgr = kwak_mgr();
-        let spec = mgr.task(|_| TaskStatus::Done).cpuset(CpuSet::single(0));
-        let early = spec.handle();
-        let spawned = spec.spawn();
-        assert!(!early.is_complete());
-        mgr.schedule(0);
-        assert!(early.is_complete() && spawned.is_complete());
     }
 
     #[test]

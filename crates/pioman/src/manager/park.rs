@@ -1,0 +1,283 @@
+//! Steal-aware parking and wake-ups: the pre-park probe, steal-targeted
+//! wakes, the parked flags and the waker registry.
+
+use super::*;
+
+impl TaskManager {
+    /// The steal-aware park check: `true` if some victim queue (a queue
+    /// *not* on `core`'s hierarchy path) holds backlog that `core` may be
+    /// able to steal, so the caller should run another keypoint instead of
+    /// parking.
+    ///
+    /// The scan is deliberately cheap — it must run on every
+    /// about-to-park decision — and under the socket tier it is
+    /// **`O(sockets)`, not `O(cores)`**: each socket is one padded block
+    /// of aggregates (pending hint + span), so a remote socket costs two
+    /// relaxed loads regardless of how many member queues it has. Only the
+    /// prober's *own* socket, whose aggregate cannot distinguish work on
+    /// the prober's own path (not stealable) from a sibling's (stealable),
+    /// confirms a positive aggregate with the per-queue scan — bounded by
+    /// that one socket's victim group. The spans may over-approximate, so
+    /// a hit is a *hint*: the next keypoint's steal probe re-checks real
+    /// task cpusets under the victim's lock, and
+    /// [`Progression`](crate::Progression) workers bound consecutive
+    /// fruitless hits so a stale span cannot spin a worker forever.
+    ///
+    /// Returns `false` without probing when stealing is disabled. Updates
+    /// the `park_probe_hits` / `park_probe_misses` /
+    /// `park_probe_polls` counters in [`ManagerStats`] (`park_probe_polls`
+    /// counts socket aggregates consulted — the scaling study's
+    /// O(sockets) assertion reads it directly).
+    pub fn park_probe(&self, core: usize) -> bool {
+        debug_assert!(core < self.topo.n_cores(), "core id out of range");
+        if !self.config.steal {
+            return false;
+        }
+        let own = self.core_socket[core];
+        for &s in &self.socket_order[core] {
+            self.cores[core].park_polls.fetch_add(1, Ordering::Relaxed);
+            let sock = &self.sockets[s as usize];
+            // An overflow is directly claimable (own socket) or stealable
+            // (remote) — no confirmation needed beyond its span.
+            let overflow_visible = self.socket_overflow_active
+                && sock.overflow.len_hint() > 0
+                && sock.overflow.steal_span.admits(core);
+            // The own socket's aggregate counts this core's own-path work
+            // too, which is drainable but not *stealable*: confirm it
+            // against the member queues. `steal_order`'s own group is
+            // exactly the off-path member queues.
+            let aggregate_hit = || {
+                sock.pending.load(Ordering::Relaxed) > 0
+                    && sock.span.admits(core)
+                    && (s != own
+                        || self.steal_order[core][0].1.iter().any(|&(qi, _)| {
+                            let queue = &self.queues[qi as usize];
+                            queue.len_hint() > 0 && queue.steal_span.admits(core)
+                        }))
+            };
+            if overflow_visible || aggregate_hit() {
+                self.cores[core].park_hits.fetch_add(1, Ordering::Relaxed);
+                return true;
+            }
+        }
+        self.cores[core].park_misses.fetch_add(1, Ordering::Relaxed);
+        false
+    }
+
+    /// Wakes the nearest parked worker eligible to steal from `queue`,
+    /// returning the woken core.
+    ///
+    /// This is the escalation half of steal-aware parking: the ordinary
+    /// submission wake targets the *new* task's cpuset, but a queue whose
+    /// depth has crossed [`STEAL_WAKE_BACKLOG`] holds older
+    /// tasks too, and the nearest core able to help with *those* may not
+    /// be in the new task's set at all. Candidates are scanned in the
+    /// queue's precomputed nearest-first order
+    /// ([`Topology::cores_by_distance_from_node`]); a candidate is woken
+    /// when it is parked and the queue's steal span admits it. Each wake
+    /// increments the woken core's `wakeups_for_steal` counter in
+    /// [`ManagerStats`].
+    ///
+    /// Called automatically on threshold-crossing enqueues; public so
+    /// embedders driving their own keypoints can escalate by hand.
+    ///
+    /// ```
+    /// use pioman::TaskManager;
+    /// use piom_topology::presets;
+    ///
+    /// let mgr = TaskManager::new(presets::kwak().into());
+    /// let home = mgr.stats().queues[mgr.topology().core_node(0).index()].id;
+    /// // No progression workers are running, so nobody is parked and
+    /// // there is nothing to wake.
+    /// assert_eq!(mgr.wake_for_steal(home), None);
+    /// assert_eq!(mgr.stats().total_wakeups_for_steal(), 0);
+    /// ```
+    pub fn wake_for_steal(&self, queue: QueueId) -> Option<usize> {
+        // Nobody parked (the common overload shape: every worker busy) —
+        // skip the candidate scan entirely so a deep queue under a
+        // submission hammer pays one load per enqueue, not O(cores).
+        if self.parked_count.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        let q = &self.queues[queue.index()];
+        for (s, cores) in &self.wake_order[queue.index()] {
+            // Socket-aggregated recruitment: a socket with every worker
+            // busy skips its whole candidate run on one padded load,
+            // keeping the scan O(sockets) in the common overload shape
+            // instead of polling each member's parked flag.
+            if self.sockets[*s as usize].parked.load(Ordering::SeqCst) == 0 {
+                continue;
+            }
+            for &core in cores {
+                let core = core as usize;
+                if self.cores[core].remote.parked.load(Ordering::SeqCst)
+                    && q.steal_span.admits(core)
+                {
+                    if let Some(t) = self.wakers[core].lock().as_ref() {
+                        t.unpark();
+                        self.cores[core]
+                            .remote
+                            .steal_wakeups
+                            .fetch_add(1, Ordering::Relaxed);
+                        return Some(core);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// `true` if `core`'s progression worker has announced it is parked
+    /// (racy hint — see [`Progression`](crate::Progression) for the
+    /// publication ordering).
+    pub fn is_parked(&self, core: usize) -> bool {
+        debug_assert!(core < self.topo.n_cores(), "core id out of range");
+        self.cores[core].remote.parked.load(Ordering::SeqCst)
+    }
+
+    /// Publishes `core`'s parked state. Workers set it *before* their
+    /// final pre-park work checks, so an enqueue racing the park either
+    /// is seen by the checks or sees the flag and unparks the worker.
+    pub(crate) fn note_parked(&self, core: usize, parked: bool) {
+        if self.cores[core]
+            .remote
+            .parked
+            .swap(parked, Ordering::SeqCst)
+            != parked
+        {
+            // Keep the aggregate count in step with the flag transition.
+            // The count is published before/after the flag consistently
+            // enough for its only consumer, the wake_for_steal
+            // short-circuit: a racing enqueue that misses a just-parking
+            // worker is the same bounded race as missing the flag itself
+            // (covered by the unpark-token ordering argument).
+            let sock = &self.sockets[self.core_socket[core] as usize];
+            if parked {
+                self.parked_count.fetch_add(1, Ordering::SeqCst);
+                sock.parked.fetch_add(1, Ordering::SeqCst);
+            } else {
+                self.parked_count.fetch_sub(1, Ordering::SeqCst);
+                sock.parked.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Registers the calling progression worker as the runner for `core`
+    /// so submissions can unpark it. Returns the previous registrant.
+    pub(crate) fn register_waker(&self, core: usize, thread: Thread) -> Option<Thread> {
+        // Presence first: a submitter that reads `true` before the slot
+        // fills pays one harmless mutex peek; one that reads `false`
+        // after it fills cannot exist.
+        self.cores[core]
+            .remote
+            .waker_present
+            .store(true, Ordering::SeqCst);
+        self.wakers[core].lock().replace(thread)
+    }
+
+    /// Removes the waker registration for `core`.
+    pub(crate) fn unregister_waker(&self, core: usize) {
+        self.wakers[core].lock().take();
+        self.cores[core]
+            .remote
+            .waker_present
+            .store(false, Ordering::SeqCst);
+    }
+
+    /// Unparks every registered worker whose core may run a new task.
+    ///
+    /// Cost discipline (the 1024-core scaling study's submit path): a
+    /// core without a registered worker is skipped on one `waker_present`
+    /// load — the waker mutex is only touched for cores that actually
+    /// have a worker to unpark, so a machine-wide submission on a
+    /// workerless (or sparsely-workered) manager is a read-only sweep,
+    /// not `n_cores` mutex round-trips per enqueue.
+    pub(super) fn wake_cores(&self, cpuset: CpuSet) {
+        for core in cpuset.iter() {
+            if core >= self.wakers.len() {
+                break;
+            }
+            if !self.cores[core].remote.waker_present.load(Ordering::SeqCst) {
+                continue;
+            }
+            if let Some(t) = self.wakers[core].lock().as_ref() {
+                t.unpark();
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{kwak_mgr, no_steal_mgr};
+    use super::*;
+
+    #[test]
+    fn park_probe_sees_distant_stealable_backlog() {
+        let mgr = kwak_mgr();
+        // Nothing anywhere: every probe misses.
+        assert!(!mgr.park_probe(0));
+        // Backlog homed across the interconnect, stealable by core 0.
+        for _ in 0..4 {
+            mgr.task(|_| TaskStatus::Done)
+                .cpuset(CpuSet::from_iter([0, 12]))
+                .on_core(12)
+                .spawn();
+        }
+        assert!(mgr.park_probe(0), "distant victim backlog must be seen");
+        let stats = mgr.stats();
+        assert_eq!(stats.park_probe_hits[0], 1);
+        assert_eq!(stats.park_probe_misses[0], 1);
+    }
+
+    #[test]
+    fn park_probe_ignores_backlog_outside_the_steal_span() {
+        let mgr = kwak_mgr();
+        for _ in 0..4 {
+            mgr.task(|_| TaskStatus::Done)
+                .cpuset(CpuSet::single(3))
+                .spawn();
+        }
+        // Core 2 may never run core-3-only work: the span filter must
+        // reject the queue without a hit, so the worker parks instead of
+        // spinning on unstealable backlog.
+        assert!(!mgr.park_probe(2));
+        assert_eq!(mgr.stats().park_probe_misses[2], 1);
+        assert_eq!(mgr.stats().park_probe_hits[2], 0);
+        // Core 3 itself has the work on its own path — the probe is about
+        // *victim* queues only and still misses (path queues are excluded).
+        assert!(!mgr.park_probe(3));
+    }
+
+    #[test]
+    fn park_probe_disabled_with_stealing() {
+        let mgr = no_steal_mgr();
+        mgr.task(|_| TaskStatus::Done)
+            .cpuset(CpuSet::from_iter([0, 1]))
+            .on_core(1)
+            .spawn();
+        assert!(!mgr.park_probe(0), "no stealing: always park");
+        let stats = mgr.stats();
+        assert_eq!(stats.total_park_probe_hits(), 0);
+        assert_eq!(
+            stats.total_park_probe_misses(),
+            0,
+            "disabled probes are not counted as misses"
+        );
+    }
+
+    #[test]
+    fn wake_for_steal_without_workers_is_a_no_op() {
+        let mgr = kwak_mgr();
+        for _ in 0..16 {
+            mgr.task(|_| TaskStatus::Done)
+                .cpuset(CpuSet::from_iter([0, 1]))
+                .on_core(1)
+                .spawn();
+        }
+        let home = mgr.stats().queues[mgr.topology().core_node(1).index()].id;
+        assert_eq!(mgr.wake_for_steal(home), None);
+        assert_eq!(mgr.stats().total_wakeups_for_steal(), 0);
+        assert!(!mgr.is_parked(0));
+    }
+}
