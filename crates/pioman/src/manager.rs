@@ -134,7 +134,7 @@ impl HookPoint {
 /// busy (`remote`) sit on their own padded line, so a `wake_for_steal`
 /// scan polling parked flags never pulls the line this core's executor is
 /// hammering with `executed`/`steal_attempts` RMWs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CoreState {
     /// Tasks executed on this core (the paper's distribution measurements).
     executed: AtomicU64,
@@ -167,7 +167,7 @@ struct CoreState {
 /// The slice of a core's state that *other* cores read or write: the
 /// parked flag (polled by every `wake_for_steal` candidate scan) and the
 /// steal-wakeup counter (bumped by the waking thread).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RemoteCoreState {
     /// Whether this core's progression worker is currently parked (racy
     /// hint; published by the worker just *before* its final pre-park
@@ -190,27 +190,6 @@ struct RemoteCoreState {
     /// Steal-targeted wake-ups received by this core's worker (written by
     /// the *waking* core).
     steal_wakeups: AtomicU64,
-}
-
-impl CoreState {
-    fn new() -> Self {
-        CoreState {
-            executed: AtomicU64::new(0),
-            executed_class: Default::default(),
-            stolen: AtomicU64::new(0),
-            stolen_class: Default::default(),
-            steal_attempts: AtomicU64::new(0),
-            steal_batches: AtomicU64::new(0),
-            park_hits: AtomicU64::new(0),
-            park_misses: AtomicU64::new(0),
-            park_polls: AtomicU64::new(0),
-            remote: CachePadded::new(RemoteCoreState {
-                parked: AtomicBool::new(false),
-                waker_present: AtomicBool::new(false),
-                steal_wakeups: AtomicU64::new(0),
-            }),
-        }
-    }
 }
 
 /// One socket group in a core's victim scan: the socket id plus its member
@@ -301,9 +280,7 @@ impl TaskManager {
                 TaskQueue::new(QueueId(id.index() as u32), node.level, node.cpuset, n_cores)
             })
             .collect();
-        let cores = (0..n_cores)
-            .map(|_| CachePadded::new(CoreState::new()))
-            .collect();
+        let cores = (0..n_cores).map(|_| Default::default()).collect();
         let wakers = (0..n_cores).map(|_| Mutex::new(None)).collect();
 
         // Socket detection: NUMA nodes are the natural spill/steal

@@ -407,13 +407,14 @@ impl Span {
     ///   earlier task set, and this drain clears them before the new
     ///   task leaves. Closing that would take a store-load fence on the
     ///   enqueue hot path, and the miss is strictly bounded: the span
-    ///   only gates *advisory* probes (park probe, `wake_for_steal`
-    ///   escalation, overflow claim gate) — the submission itself already
-    ///   unparked every core in the task's cpuset with an unforgeable
-    ///   token, the steal path never consults the span, and the next
-    ///   enqueue (or park timeout / timer) re-covers the escalation. A
-    ///   dropped bit can cost a bounded wasted park, never a lost task or
-    ///   wake. (`vendor/interleave/tests/socket_span.rs` is the model.)
+    ///   only gates the *advisory* park probe and `wake_for_steal`
+    ///   escalation — the submission itself already unparked every core
+    ///   in the task's cpuset with an unforgeable token, the steal path
+    ///   never consults the span, and the next enqueue (or park
+    ///   timeout / timer) re-covers the escalation. A dropped bit can
+    ///   cost a bounded wasted park, never a lost task or wake.
+    ///
+    /// `vendor/interleave/tests/socket_span.rs` is the model.
     pub(crate) fn decay(&self, own: &CpuSet, still_pending: impl FnOnce() -> bool) {
         if self
             .0
@@ -425,6 +426,8 @@ impl Span {
         }
         let mut cleared = [0u64; SPAN_WORDS];
         for (c, w) in cleared.iter_mut().zip(self.0.iter()) {
+            // Acquire pairs with `fold`'s Release fetch_or: capturing an
+            // enqueue's bits makes its push visible to the re-check.
             *c = w.swap(0, Ordering::Acquire);
         }
         if still_pending() {
