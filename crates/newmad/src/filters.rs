@@ -104,13 +104,13 @@ pub fn send_filtered(
     size: usize,
 ) -> ReqHandle {
     let out_size = filter.output_size(size);
-    let handle = ReqHandle::new_public();
+    let handle = ReqHandle::new();
     let engine = engine.clone();
     let h2 = handle.clone();
     sim.schedule(filter.cpu_time(size), move |sim| {
         let inner = engine.isend(sim, dst, app_tag, out_size);
         let h3 = h2.clone();
-        inner.on_complete(sim, move |sim| h3.complete_public(sim));
+        inner.on_complete(sim, move |sim| h3.complete(sim));
     });
     handle
 }
@@ -118,8 +118,8 @@ pub fn send_filtered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests_support::pair_with_params;
     use crate::EngineConfig;
+    use piom_net::Network;
 
     #[test]
     fn output_sizes_and_costs() {
@@ -165,7 +165,9 @@ mod tests {
                 aggregation: false,
                 ..EngineConfig::newmadeleine()
             };
-            let (_net, a, b, mut sim) = pair_with_params(cfg, NetParams::tcp_ethernet());
+            let net = Network::new(2, 2, NetParams::tcp_ethernet());
+            let a = CommEngine::new(0, net.clone(), cfg.clone());
+            let (b, mut sim) = (CommEngine::new(1, net, cfg), Sim::new());
             let size = 256 * 1024;
             let r = b.irecv(&mut sim, 0, 9);
             send_filtered(&a, &mut sim, filter, 1, 9, size);

@@ -37,22 +37,39 @@
 //! [`EngineStats::payload_bytes_copied`] counts every payload byte the
 //! engine copies; the default configuration keeps it at **zero** (the
 //! regression tests in `tests/zero_copy.rs` pin this), and the
-//! [`EngineConfig::copy_on_pack`] ablation switch re-enables the old
-//! flatten-on-pack behaviour so the counter is demonstrably live.
+//! [`EngineConfig::copy_on_pack`] ablation switch flattens aggregates on
+//! pack instead, so the counter is demonstrably live.
 //!
 //! # Pipelined progression
 //!
-//! The optimization layer no longer stops-and-waits on "some rail idle":
-//! each destination has a bounded in-flight window
+//! Each destination has a bounded in-flight window
 //! ([`EngineConfig::pipeline_window`]) of eager packets submitted to the
 //! NICs; while the window is full, submissions pool (that queueing *is*
-//! the aggregation opportunity of Fig. 1), and a drain callback scheduled
-//! at the NIC's exact [`piom_net::Network::rail_eta`] re-flushes the pool
-//! the moment a slot frees — pack(n+1) overlaps send(n) without waiting
-//! for the next poll. Large rendezvous payloads stream as
+//! the aggregation opportunity of Fig. 1), and a drain timer armed at the
+//! packet's exact [`rails::RailView::rail_eta`] re-flushes the pool the
+//! moment a slot frees — pack(n+1) overlaps send(n) without waiting for
+//! the next poll. Large rendezvous payloads stream as
 //! [`EngineConfig::rndv_chunk`]-sized DATA chunks planned by
 //! [`rails::stripe_plan`], so CTS→data streaming overlaps packing and
 //! spreads across rails.
+//!
+//! # Core and drivers
+//!
+//! The protocol is one state machine, [`protocol::Core`]: plain data
+//! (matching queues, pools, windows, rendezvous tables, statistics) with
+//! no simulator, sharing or callback in it. Its entry points take `now`
+//! and a [`protocol::Fabric`] — the rail state [`rails`] reads plus four
+//! effects (`transmit`, `rdma_read`, `arm_timer`, `complete`) that the
+//! fabric must apply synchronously and in call order, because the next
+//! rail choice and every drain-timer instant are read back from the rail
+//! state right after a `transmit`.
+//!
+//! A driver supplies everything else: how the core is shared, what a
+//! request handle is (the core stores it opaquely and returns it in
+//! `complete`), and when completion callbacks run. [`CommEngine`] is the
+//! discrete-event driver: one `Rc<RefCell<Core>>`, the simulated
+//! [`Network`] as fabric, [`ReqHandle`]s as handles, callbacks run after
+//! the core call has returned so they may re-enter the engine.
 //!
 //! [`Bytes`]: bytes::Bytes
 //! [`Rope`]: bytes::Rope
@@ -60,17 +77,18 @@
 
 #![warn(missing_docs)]
 
-use bytes::{Buf, Bytes, BytesMut, Rope};
+use bytes::{Bytes, Rope};
 use piom_des::{Sim, SimTime};
 use piom_net::{Message, Network};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 pub mod filters;
+pub mod protocol;
 pub mod rails;
 pub mod wire;
-use wire::{EagerPart, Wire};
+use protocol::{Core, Fabric, Outgoing, PullId, Timer};
+use rails::{NodeRails, RailView};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -101,10 +119,10 @@ pub struct EngineConfig {
     /// rail. See [`rails::stripe_crossover`] for the math behind the
     /// default.
     pub stripe_threshold: usize,
-    /// Ablation: flatten aggregate payloads with memcpy (the pre-zero-copy
-    /// behaviour) instead of chaining shared segments. Every copied byte
-    /// lands in [`EngineStats::payload_bytes_copied`], which is how the
-    /// zero-copy regression tests prove the counter is live.
+    /// Ablation: flatten aggregate payloads with memcpy instead of
+    /// chaining shared segments. Every copied byte lands in
+    /// [`EngineStats::payload_bytes_copied`], which is how the zero-copy
+    /// regression tests prove the counter is live.
     pub copy_on_pack: bool,
 }
 
@@ -135,15 +153,12 @@ impl EngineConfig {
     /// aggregation, single-rail data, stop-and-wait submission.
     pub fn baseline_mpi() -> Self {
         EngineConfig {
-            eager_threshold: 16 * 1024,
             rdma_rendezvous: true,
             aggregation: false,
-            max_packet: 64 * 1024,
             multirail_data: false,
             pipeline_window: 1,
             rndv_chunk: usize::MAX,
-            stripe_threshold: 32 * 1024,
-            copy_on_pack: false,
+            ..Self::default()
         }
     }
 }
@@ -161,29 +176,16 @@ struct ReqState {
 }
 
 /// Handle to an asynchronous operation (the `MPI_Request` analogue).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ReqHandle {
     st: Rc<RefCell<ReqState>>,
 }
 
 impl ReqHandle {
-    fn new() -> Self {
-        ReqHandle {
-            st: Rc::new(RefCell::new(ReqState::default())),
-        }
-    }
-
-    /// Creates a detached handle completed by [`complete_public`]
+    /// Creates a detached handle, finished by [`complete`](Self::complete)
     /// (building block for composite operations like filtered sends).
-    ///
-    /// [`complete_public`]: ReqHandle::complete_public
-    pub fn new_public() -> Self {
-        Self::new()
-    }
-
-    /// Completes a handle created with [`ReqHandle::new_public`].
-    pub fn complete_public(&self, sim: &mut Sim) {
-        self.complete(sim);
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// `true` once the operation finished.
@@ -202,11 +204,11 @@ impl ReqHandle {
         self.st.borrow().payload.clone()
     }
 
-    fn set_payload(&self, payload: Rope) {
-        self.st.borrow_mut().payload = Some(payload);
-    }
-
     /// Registers a callback run at completion (immediately if already done).
+    ///
+    /// A callback may call back into the engine that completed the request
+    /// (post a receive, send, poll): the engine runs callbacks only after
+    /// its own state is released.
     pub fn on_complete<F: FnOnce(&mut Sim) + 'static>(&self, sim: &mut Sim, f: F) {
         let already = self.st.borrow().complete;
         if already {
@@ -216,81 +218,26 @@ impl ReqHandle {
         }
     }
 
-    fn complete(&self, sim: &mut Sim) {
-        let cbs = {
-            let mut st = self.st.borrow_mut();
-            if st.complete {
-                return;
-            }
-            st.complete = true;
-            st.completed_at = Some(sim.now());
-            std::mem::take(&mut st.callbacks)
-        };
-        for cb in cbs {
+    /// Marks the operation finished and runs its callbacks (first call
+    /// only; later calls do nothing).
+    pub fn complete(&self, sim: &mut Sim) {
+        for cb in self.finish(sim.now(), None) {
             cb(sim);
         }
     }
-}
 
-struct PostedRecv {
-    src: usize,
-    app_tag: u64,
-    req: ReqHandle,
-}
-
-struct PendingEager {
-    dst: usize,
-    app_tag: u64,
-    size: usize,
-    /// Real payload (zero-copy reference), when the caller attached one.
-    data: Option<Bytes>,
-}
-
-enum SendRndv {
-    /// Two-sided: waiting for the CTS.
-    AwaitCts {
-        dst: usize,
-        size: usize,
-        data: Option<Bytes>,
-    },
-    /// RDMA-read: waiting for the FIN.
-    AwaitFin,
-}
-
-/// The fields of a decoded RTS that drive the receiver's accept path.
-struct RtsFrame {
-    sender_req: u32,
-    size: u64,
-    rdma: bool,
-}
-
-struct RecvRndv {
-    req: ReqHandle,
-    /// Full payload size announced by the RTS.
-    expected: u64,
-    /// Chunk count, learned from the first DATA header (`of`); the sender
-    /// decides the chunking, so the receiver must not guess it.
-    total: Option<u32>,
-    /// Arrived chunks, any order: `(index, payload)`.
-    chunks: Vec<(u32, Rope)>,
-}
-
-/// Unexpected-message record (arrived before a matching recv was posted).
-enum Unexpected {
-    Eager {
-        src: usize,
-        app_tag: u64,
-        payload: Rope,
-    },
-    Rts {
-        src: usize,
-        app_tag: u64,
-        sender_req: u32,
-        size: u64,
-        rdma: bool,
-        /// RDMA flavour: the exposed source buffer the receiver will pull.
-        payload: Rope,
-    },
+    /// Records completion at `at` and returns the callbacks now due
+    /// (none on a repeated call).
+    fn finish(&self, at: SimTime, payload: Option<Rope>) -> Vec<ReqCallback> {
+        let mut st = self.st.borrow_mut();
+        if st.complete {
+            return Vec::new();
+        }
+        st.complete = true;
+        st.completed_at = Some(at);
+        st.payload = payload;
+        std::mem::take(&mut st.callbacks)
+    }
 }
 
 /// Aggregate engine statistics.
@@ -314,9 +261,9 @@ pub struct EngineStats {
     /// Packets dropped because the wire header did not parse. A corrupt
     /// packet degrades the link, it must not kill the process.
     pub undecodable_packets: u64,
-    /// Well-formed control packets dropped as stale: CTS/FIN for unknown
-    /// or already-resolved requests, DATA for unknown transfers,
-    /// duplicate or out-of-range DATA chunks.
+    /// Well-formed control packets dropped as stale: a second copy of a
+    /// live RTS, CTS/FIN for unknown or already-resolved requests, DATA
+    /// for unknown transfers, duplicate or out-of-range DATA chunks.
     pub stale_control_packets: u64,
     /// Times the flush loop held packing because every pooled
     /// destination's in-flight window was full (the pooling that creates
@@ -326,29 +273,71 @@ pub struct EngineStats {
     pub data_chunks_sent: u64,
 }
 
-struct Eng {
-    node: usize,
-    net: Rc<Network>,
-    cfg: EngineConfig,
-    /// Arrived, waiting for a poll to be processed (the NIC rx queue).
-    rx_pending: VecDeque<Message>,
-    posted: Vec<PostedRecv>,
-    unexpected: Vec<Unexpected>,
-    /// Eager messages waiting in the optimization layer's per-dst pools.
-    send_pool: Vec<PendingEager>,
-    /// Eager/aggregate packets currently in flight per destination
-    /// (bounded by `cfg.pipeline_window`).
-    inflight: HashMap<usize, usize>,
-    next_req: u32,
-    send_rndv: HashMap<u32, (ReqHandle, SendRndv)>,
-    recv_rndv: HashMap<(usize, u32), RecvRndv>,
-    stats: EngineStats,
-}
-
-/// One node's communication engine.
+/// One node's communication engine: the DES driver of a [`Core`].
+///
+/// Clones, the NIC rx handlers and the scheduled timer events all share
+/// the one core cell.
 #[derive(Clone)]
 pub struct CommEngine {
-    eng: Rc<RefCell<Eng>>,
+    node: usize,
+    net: Rc<Network>,
+    core: Rc<RefCell<Core<ReqHandle>>>,
+}
+
+/// [`Fabric`] over the simulator for the length of one core call.
+struct Io<'a> {
+    sim: &'a mut Sim,
+    engine: &'a CommEngine,
+    rails: NodeRails<'a>,
+    /// Callbacks of the requests this call finished; they run once the
+    /// core is released.
+    due: Vec<ReqCallback>,
+}
+
+impl RailView for Io<'_> {
+    fn n_rails(&self) -> usize {
+        self.rails.n_rails()
+    }
+    fn rail_eta(&self, rail: usize, now: u64) -> u64 {
+        self.rails.rail_eta(rail, now)
+    }
+    fn tx_cost(&self, len: usize) -> u64 {
+        self.rails.tx_cost(len)
+    }
+}
+
+impl Fabric<ReqHandle> for Io<'_> {
+    fn transmit(&mut self, dst: usize, rail: usize, size: usize, frame: Rope) {
+        let msg = Message {
+            src: self.engine.node,
+            dst,
+            rail,
+            tag: 0,
+            size,
+            data: Some(frame),
+        };
+        self.engine.net.send(self.sim, msg);
+    }
+
+    fn rdma_read(&mut self, target: usize, rail: usize, size: usize, id: PullId) {
+        let (engine, node) = (self.engine.clone(), self.engine.node);
+        let landed =
+            move |sim: &mut Sim| engine.drive(sim, |core, _, io| core.on_rdma_done(io, id));
+        self.engine
+            .net
+            .rdma_read(self.sim, node, target, rail, size, landed);
+    }
+
+    fn arm_timer(&mut self, at: u64, what: Timer<ReqHandle>) {
+        let engine = self.engine.clone();
+        self.sim.schedule_abs(SimTime::from_ns(at), move |sim| {
+            engine.drive(sim, |core, now, io| core.on_timer(now, io, what));
+        });
+    }
+
+    fn complete(&mut self, req: ReqHandle, payload: Option<Rope>) {
+        self.due.extend(req.finish(self.sim.now(), payload));
+    }
 }
 
 impl CommEngine {
@@ -359,46 +348,55 @@ impl CommEngine {
     ///
     /// Panics if `cfg.pipeline_window == 0` (nothing could ever transmit).
     pub fn new(node: usize, net: Rc<Network>, cfg: EngineConfig) -> Self {
-        assert!(cfg.pipeline_window > 0, "pipeline_window must be >= 1");
-        let engine = CommEngine {
-            eng: Rc::new(RefCell::new(Eng {
-                node,
-                net: net.clone(),
-                cfg,
-                rx_pending: VecDeque::new(),
-                posted: Vec::new(),
-                unexpected: Vec::new(),
-                send_pool: Vec::new(),
-                inflight: HashMap::new(),
-                next_req: 1,
-                send_rndv: HashMap::new(),
-                recv_rndv: HashMap::new(),
-                stats: EngineStats::default(),
-            })),
-        };
+        let core = Rc::new(RefCell::new(Core::new(cfg)));
         for rail in 0..net.n_rails() {
-            let eng = engine.eng.clone();
+            let core = core.clone();
             net.nic(node, rail)
                 .set_rx_handler(Rc::new(move |_sim, msg| {
-                    eng.borrow_mut().rx_pending.push_back(msg);
+                    let frame = msg.data.unwrap_or_default();
+                    core.borrow_mut().on_frame(msg.src, frame);
                 }));
         }
-        engine
+        CommEngine { node, net, core }
+    }
+
+    /// Runs one core call with the simulator as its fabric, then — with
+    /// the core released, so that a callback may re-enter this engine —
+    /// the callbacks of the requests the call finished, in order.
+    fn drive<T>(
+        &self,
+        sim: &mut Sim,
+        call: impl FnOnce(&mut Core<ReqHandle>, u64, &mut Io) -> T,
+    ) -> T {
+        let now = sim.now().as_ns();
+        let (net, node) = (&*self.net, self.node);
+        let mut io = Io {
+            sim,
+            engine: self,
+            rails: NodeRails { net, node },
+            due: Vec::new(),
+        };
+        let out = call(&mut self.core.borrow_mut(), now, &mut io);
+        let Io { sim, due, .. } = io;
+        for cb in due {
+            cb(sim);
+        }
+        out
     }
 
     /// This engine's node id.
     pub fn node(&self) -> usize {
-        self.eng.borrow().node
+        self.node
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> EngineStats {
-        self.eng.borrow().stats
+        self.core.borrow().stats()
     }
 
     /// Arrived-but-unprocessed packet count (what polling would find).
     pub fn rx_backlog(&self) -> usize {
-        self.eng.borrow().rx_pending.len()
+        self.core.borrow().rx_backlog()
     }
 
     /// Non-blocking send of `size` bytes tagged `app_tag` to `dst`.
@@ -408,7 +406,7 @@ impl CommEngine {
     /// completes when the payload has left this node (eager / two-sided) or
     /// when the receiver's FIN is processed (RDMA-read rendezvous).
     pub fn isend(&self, sim: &mut Sim, dst: usize, app_tag: u64, size: usize) -> ReqHandle {
-        self.isend_inner(sim, dst, app_tag, size, None)
+        self.submit(sim, dst, app_tag, size, None)
     }
 
     /// Like [`isend`](Self::isend), but carries real payload bytes
@@ -417,11 +415,10 @@ impl CommEngine {
     /// buffer — zero-copy on every path (eager, aggregated, rendezvous,
     /// striped).
     pub fn isend_bytes(&self, sim: &mut Sim, dst: usize, app_tag: u64, data: Bytes) -> ReqHandle {
-        let size = data.len();
-        self.isend_inner(sim, dst, app_tag, size, Some(data))
+        self.submit(sim, dst, app_tag, data.len(), Some(data))
     }
 
-    fn isend_inner(
+    fn submit(
         &self,
         sim: &mut Sim,
         dst: usize,
@@ -429,111 +426,23 @@ impl CommEngine {
         size: usize,
         data: Option<Bytes>,
     ) -> ReqHandle {
-        let eager = size <= self.eng.borrow().cfg.eager_threshold;
-        if eager {
-            let req = ReqHandle::new();
-            {
-                let mut e = self.eng.borrow_mut();
-                e.send_pool.push(PendingEager {
-                    dst,
-                    app_tag,
-                    size,
-                    data,
-                });
-            }
-            // Submission flushes immediately; poll() and window-drain
-            // callbacks also flush, which is what batches flows when the
-            // NICs are saturated.
-            self.flush_sends(sim);
-            // Eager sends complete at submission (buffered semantics).
-            req.complete(sim);
-            req
-        } else {
-            let req = ReqHandle::new();
-            let (rts, rail, rts_payload) = {
-                let mut e = self.eng.borrow_mut();
-                let id = e.next_req;
-                e.next_req += 1;
-                e.stats.rendezvous_started += 1;
-                let rdma = e.cfg.rdma_rendezvous;
-                // RDMA flavour: the RTS carries a reference to the exposed
-                // source buffer (modelling memory registration — the
-                // descriptor rides the control packet, the bytes move in
-                // the simulated rdma_read); two-sided keeps the buffer
-                // until CTS and streams it as DATA chunks.
-                let (state, rts_payload) = if rdma {
-                    (
-                        SendRndv::AwaitFin,
-                        data.clone().map(Rope::from).unwrap_or_default(),
-                    )
-                } else {
-                    (SendRndv::AwaitCts { dst, size, data }, Rope::new())
-                };
-                e.send_rndv.insert(id, (req.clone(), state));
-                let rail = rails::pick_rail(&e.net, sim.now(), e.node);
-                (
-                    Wire::Rts {
-                        req: id,
-                        app_tag,
-                        size: size as u64,
-                        rdma,
-                    },
-                    rail,
-                    rts_payload,
-                )
-            };
-            self.send_frame(sim, dst, rail, rts, 0, rts_payload);
-            req
-        }
+        let req = ReqHandle::new();
+        let msg = Outgoing {
+            dst,
+            app_tag,
+            size,
+            data,
+        };
+        self.drive(sim, |core, now, io| core.isend(now, io, msg, req.clone()));
+        req
     }
 
     /// Non-blocking receive matching `(src, app_tag)`.
     pub fn irecv(&self, sim: &mut Sim, src: usize, app_tag: u64) -> ReqHandle {
         let req = ReqHandle::new();
-        // Check the unexpected queue first.
-        let hit = {
-            let mut e = self.eng.borrow_mut();
-            let pos = e.unexpected.iter().position(|u| match u {
-                Unexpected::Eager {
-                    src: s, app_tag: t, ..
-                } => *s == src && *t == app_tag,
-                Unexpected::Rts {
-                    src: s, app_tag: t, ..
-                } => *s == src && *t == app_tag,
-            });
-            pos.map(|i| e.unexpected.remove(i))
-        };
-        match hit {
-            Some(Unexpected::Eager { payload, .. }) => {
-                if !payload.is_empty() {
-                    req.set_payload(payload);
-                }
-                req.complete(sim);
-            }
-            Some(Unexpected::Rts {
-                src,
-                sender_req,
-                size,
-                rdma,
-                payload,
-                ..
-            }) => self.accept_rts(
-                sim,
-                src,
-                RtsFrame {
-                    sender_req,
-                    size,
-                    rdma,
-                },
-                req.clone(),
-                payload,
-            ),
-            None => self.eng.borrow_mut().posted.push(PostedRecv {
-                src,
-                app_tag,
-                req: req.clone(),
-            }),
-        }
+        self.drive(sim, |core, now, io| {
+            core.irecv(now, io, src, app_tag, req.clone())
+        });
         req
     }
 
@@ -543,488 +452,9 @@ impl CommEngine {
     /// This is the entry point a PIOMan polling task (or an MPI wait loop)
     /// calls repeatedly.
     pub fn poll(&self, sim: &mut Sim) -> bool {
-        let mut did = false;
-        loop {
-            let msg = self.eng.borrow_mut().rx_pending.pop_front();
-            let Some(msg) = msg else { break };
-            did = true;
-            self.eng.borrow_mut().stats.packets_processed += 1;
-            self.process(sim, msg);
-        }
-        self.flush_sends(sim);
-        if !did {
-            self.eng.borrow_mut().stats.empty_polls += 1;
-        }
-        did
-    }
-
-    fn process(&self, sim: &mut Sim, msg: Message) {
-        // The frame is a rope: header segment(s) up front, payload behind.
-        // Decoding consumes exactly the header and leaves the payload in
-        // place — no flattening, no copy.
-        let mut frame = msg.data.unwrap_or_default();
-        let Some(wire) = Wire::decode(&mut frame) else {
-            // Satellite fix: a corrupt packet is a counted drop, not a
-            // process abort.
-            self.eng.borrow_mut().stats.undecodable_packets += 1;
-            return;
-        };
-        match wire {
-            Wire::Eager { app_tag, size } => {
-                let payload = if frame.remaining() == size as usize {
-                    frame
-                } else {
-                    Rope::new() // size-only simulation frame
-                };
-                self.deliver_eager(sim, msg.src, app_tag, payload);
-            }
-            Wire::EagerAggregate { parts } => {
-                let total: usize = parts.iter().map(|p| p.size as usize).sum();
-                let with_data = total > 0 && frame.remaining() == total;
-                for p in parts {
-                    let payload = if with_data {
-                        frame.split_to(p.size as usize)
-                    } else {
-                        Rope::new()
-                    };
-                    self.deliver_eager(sim, msg.src, p.app_tag, payload);
-                }
-            }
-            Wire::Rts {
-                req,
-                app_tag,
-                size,
-                rdma,
-            } => {
-                let posted = {
-                    let mut e = self.eng.borrow_mut();
-                    let pos = e
-                        .posted
-                        .iter()
-                        .position(|r| r.src == msg.src && r.app_tag == app_tag);
-                    pos.map(|i| e.posted.remove(i))
-                };
-                match posted {
-                    Some(r) => self.accept_rts(
-                        sim,
-                        msg.src,
-                        RtsFrame {
-                            sender_req: req,
-                            size,
-                            rdma,
-                        },
-                        r.req,
-                        frame,
-                    ),
-                    None => self.eng.borrow_mut().unexpected.push(Unexpected::Rts {
-                        src: msg.src,
-                        app_tag,
-                        sender_req: req,
-                        size,
-                        rdma,
-                        payload: frame,
-                    }),
-                }
-            }
-            Wire::Cts { req } => {
-                // Check-then-remove: a stale or duplicate CTS must not
-                // destroy live rendezvous state.
-                let entry = {
-                    let mut e = self.eng.borrow_mut();
-                    match e.send_rndv.get(&req) {
-                        Some((_, SendRndv::AwaitCts { .. })) => e.send_rndv.remove(&req),
-                        _ => {
-                            e.stats.stale_control_packets += 1;
-                            None
-                        }
-                    }
-                };
-                if let Some((handle, SendRndv::AwaitCts { dst, size, data })) = entry {
-                    self.send_rndv_data(sim, dst, req, size, data, handle);
-                }
-            }
-            Wire::Data { req, chunk, of } => {
-                let done = {
-                    let mut e = self.eng.borrow_mut();
-                    let key = (msg.src, req);
-                    let stale = match e.recv_rndv.get(&key) {
-                        None => true,
-                        Some(st) => {
-                            of == 0
-                                || chunk >= of
-                                || st.total.is_some_and(|t| t != of)
-                                || st.chunks.iter().any(|(c, _)| *c == chunk)
-                        }
-                    };
-                    if stale {
-                        e.stats.stale_control_packets += 1;
-                        None
-                    } else {
-                        let st = e.recv_rndv.get_mut(&key).expect("checked above");
-                        st.total = Some(of);
-                        st.chunks.push((chunk, frame));
-                        if st.chunks.len() as u32 == of {
-                            Some(e.recv_rndv.remove(&key).expect("present"))
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some(mut st) = done {
-                    // Reassemble in offset order by chaining the chunk
-                    // ropes — shared segments, no copy.
-                    st.chunks.sort_by_key(|(c, _)| *c);
-                    let mut payload = Rope::new();
-                    for (_, part) in st.chunks {
-                        payload.append(part);
-                    }
-                    if payload.len() as u64 == st.expected {
-                        st.req.set_payload(payload);
-                    }
-                    st.req.complete(sim);
-                }
-            }
-            Wire::Fin { req } => {
-                let entry = {
-                    let mut e = self.eng.borrow_mut();
-                    match e.send_rndv.get(&req) {
-                        Some((_, SendRndv::AwaitFin)) => e.send_rndv.remove(&req),
-                        _ => {
-                            e.stats.stale_control_packets += 1;
-                            None
-                        }
-                    }
-                };
-                if let Some((handle, _)) = entry {
-                    handle.complete(sim);
-                }
-            }
-        }
-    }
-
-    fn deliver_eager(&self, sim: &mut Sim, src: usize, app_tag: u64, payload: Rope) {
-        let posted = {
-            let mut e = self.eng.borrow_mut();
-            let pos = e
-                .posted
-                .iter()
-                .position(|r| r.src == src && r.app_tag == app_tag);
-            pos.map(|i| e.posted.remove(i))
-        };
-        match posted {
-            Some(r) => {
-                if !payload.is_empty() {
-                    r.req.set_payload(payload);
-                }
-                r.req.complete(sim);
-            }
-            None => self.eng.borrow_mut().unexpected.push(Unexpected::Eager {
-                src,
-                app_tag,
-                payload,
-            }),
-        }
-    }
-
-    /// Receiver side of an RTS: reply CTS (two-sided) or pull via RDMA.
-    fn accept_rts(
-        &self,
-        sim: &mut Sim,
-        src: usize,
-        rts: RtsFrame,
-        recv_req: ReqHandle,
-        rts_payload: Rope,
-    ) {
-        let RtsFrame {
-            sender_req,
-            size,
-            rdma,
-        } = rts;
-        if rdma {
-            // RDMA-read rendezvous: the receiver pulls the payload; no
-            // sender CPU involved. FIN tells the sender it may reuse the
-            // buffer. The RTS carried a reference to the exposed buffer;
-            // it becomes the received payload when the read lands.
-            let (net, node, rail) = {
-                let e = self.eng.borrow();
-                let rail = rails::pick_rail(&e.net, sim.now(), e.node);
-                (e.net.clone(), e.node, rail)
-            };
-            let this = self.clone();
-            net.rdma_read(sim, node, src, rail, size as usize, move |sim| {
-                if rts_payload.len() as u64 == size {
-                    recv_req.set_payload(rts_payload);
-                }
-                recv_req.complete(sim);
-                this.send_wire(sim, src, rail, Wire::Fin { req: sender_req });
-            });
-        } else {
-            let rail = {
-                let mut e = self.eng.borrow_mut();
-                // The *sender* decides the chunking (stripe plan against
-                // its local rail load); the receiver just counts chunks
-                // against the `of` field of the DATA headers.
-                e.recv_rndv.insert(
-                    (src, sender_req),
-                    RecvRndv {
-                        req: recv_req,
-                        expected: size,
-                        total: None,
-                        chunks: Vec::new(),
-                    },
-                );
-                rails::pick_rail(&e.net, sim.now(), e.node)
-            };
-            self.send_wire(sim, src, rail, Wire::Cts { req: sender_req });
-        }
-    }
-
-    /// Sender side after CTS: stream the payload as chunked DATA packets
-    /// along the stripe plan (multirail + chunk pipelining).
-    fn send_rndv_data(
-        &self,
-        sim: &mut Sim,
-        dst: usize,
-        req: u32,
-        size: usize,
-        data: Option<Bytes>,
-        handle: ReqHandle,
-    ) {
-        let (plan, net, node) = {
-            let e = self.eng.borrow();
-            (
-                rails::stripe_plan(&e.net, sim.now(), e.node, size, &e.cfg),
-                e.net.clone(),
-                e.node,
-            )
-        };
-        let of = plan.len() as u32;
-        for (i, c) in plan.iter().enumerate() {
-            // Zero-copy: each chunk is a shared window over the source.
-            let payload = match &data {
-                Some(b) => Rope::from(b.slice(c.offset..c.offset + c.len)),
-                None => Rope::new(),
-            };
-            self.eng.borrow_mut().stats.data_chunks_sent += 1;
-            self.send_frame(
-                sim,
-                dst,
-                c.rail,
-                Wire::Data {
-                    req,
-                    chunk: i as u32,
-                    of,
-                },
-                c.len,
-                payload,
-            );
-        }
-        // The sender's buffer is free once the NIC engines have streamed
-        // everything out; rail_eta right after submission is the exact
-        // drain instant of the last chunk on each used rail.
-        let done_at = plan
-            .iter()
-            .map(|c| net.rail_eta(sim.now(), node, c.rail))
-            .max()
-            .expect("at least one chunk");
-        sim.schedule_abs(done_at, move |sim| handle.complete(sim));
-    }
-
-    /// Flushes the aggregation pools under the per-destination pipeline
-    /// window: each iteration emits one wire packet (singleton or greedy
-    /// aggregate up to `max_packet`) for the first pooled destination with
-    /// a free window slot. While every pooled destination's window is
-    /// full, submissions keep pooling — that queueing is precisely the
-    /// aggregation opportunity of Fig. 1 — and the drain callback armed at
-    /// each packet's exact NIC drain time re-flushes the pool without
-    /// waiting for the next poll (pack(n+1) overlaps send(n)).
-    fn flush_sends(&self, sim: &mut Sim) {
-        loop {
-            let pick = {
-                let e = self.eng.borrow();
-                let w = e.cfg.pipeline_window;
-                e.send_pool
-                    .iter()
-                    .map(|p| p.dst)
-                    .find(|d| e.inflight.get(d).copied().unwrap_or(0) < w)
-            };
-            let Some(dst) = pick else {
-                let mut e = self.eng.borrow_mut();
-                if !e.send_pool.is_empty() {
-                    e.stats.pipeline_stalls += 1;
-                }
-                break;
-            };
-            // Pop one packet's worth of messages for `dst`, in submission
-            // order: a singleton when aggregation is off, else everything
-            // that fits under max_packet. Data-carrying and size-only
-            // messages never mix in one aggregate (the payload rope is
-            // the concatenation of the parts, so part sizes must account
-            // for every byte).
-            let batch: Vec<PendingEager> = {
-                let mut e = self.eng.borrow_mut();
-                let aggregate = e.cfg.aggregation;
-                let max = e.cfg.max_packet;
-                let mut batch: Vec<PendingEager> = Vec::new();
-                let mut bytes = 0usize;
-                let mut i = 0;
-                while i < e.send_pool.len() {
-                    if e.send_pool[i].dst != dst {
-                        i += 1;
-                        continue;
-                    }
-                    if batch.is_empty() {
-                        bytes = e.send_pool[i].size;
-                        batch.push(e.send_pool.remove(i));
-                        if !aggregate {
-                            break;
-                        }
-                        continue;
-                    }
-                    let cand = &e.send_pool[i];
-                    if cand.data.is_some() != batch[0].data.is_some() || bytes + cand.size > max {
-                        break;
-                    }
-                    bytes += cand.size;
-                    batch.push(e.send_pool.remove(i));
-                }
-                batch
-            };
-            debug_assert!(!batch.is_empty());
-            self.emit_eager_packet(sim, dst, batch);
-        }
-    }
-
-    /// Emits one eager wire packet for `batch` (singleton or aggregate),
-    /// charges the destination's in-flight window, and arms the drain
-    /// callback at the packet's exact NIC drain time.
-    fn emit_eager_packet(&self, sim: &mut Sim, dst: usize, batch: Vec<PendingEager>) {
-        let payload_len: usize = batch.iter().map(|p| p.size).sum();
-        let (wire, payload) = {
-            let mut e = self.eng.borrow_mut();
-            let mut payload = Rope::new();
-            if e.cfg.copy_on_pack {
-                // Ablation: flatten into one fresh buffer (the old
-                // behaviour). Counted, so tests can prove the zero-copy
-                // counter is live.
-                let mut flat = BytesMut::with_capacity(payload_len);
-                for p in &batch {
-                    if let Some(d) = &p.data {
-                        flat.extend_from_slice(d);
-                        e.stats.payload_bytes_copied += d.len() as u64;
-                    }
-                }
-                if !flat.is_empty() {
-                    payload.push(flat.freeze());
-                }
-            } else {
-                // Zero-copy: chain the callers' buffers.
-                for p in &batch {
-                    if let Some(d) = &p.data {
-                        payload.push(d.clone());
-                    }
-                }
-            }
-            let wire = if batch.len() == 1 {
-                Wire::Eager {
-                    app_tag: batch[0].app_tag,
-                    size: batch[0].size as u32,
-                }
-            } else {
-                e.stats.aggregate_packets += 1;
-                e.stats.aggregated_messages += batch.len() as u64;
-                Wire::EagerAggregate {
-                    parts: batch
-                        .iter()
-                        .map(|p| EagerPart {
-                            app_tag: p.app_tag,
-                            size: p.size as u32,
-                        })
-                        .collect(),
-                }
-            };
-            (wire, payload)
-        };
-        let rail = {
-            let e = self.eng.borrow();
-            rails::pick_rail(&e.net, sim.now(), e.node)
-        };
-        self.send_frame(sim, dst, rail, wire, payload_len, payload);
-        let eta = {
-            let mut e = self.eng.borrow_mut();
-            *e.inflight.entry(dst).or_insert(0) += 1;
-            e.net.rail_eta(sim.now(), e.node, rail)
-        };
-        let this = self.clone();
-        sim.schedule_abs(eta, move |sim| {
-            {
-                let mut e = this.eng.borrow_mut();
-                let slot = e.inflight.get_mut(&dst).expect("window tracked");
-                *slot -= 1;
-                if *slot == 0 {
-                    e.inflight.remove(&dst);
-                }
-            }
-            this.flush_sends(sim);
-        });
-    }
-
-    /// Sends a pure control packet (header only, no payload bytes).
-    fn send_wire(&self, sim: &mut Sim, dst: usize, rail: usize, wire: Wire) {
-        self.send_frame(sim, dst, rail, wire, 0, Rope::new());
-    }
-
-    /// Submits one wire frame: header segment + payload rope, chained
-    /// without copying. `payload_len` drives the simulated byte time (the
-    /// rope may be empty in size-only experiments, or — for RDMA RTS —
-    /// carry a buffer reference that does not ride the wire).
-    fn send_frame(
-        &self,
-        sim: &mut Sim,
-        dst: usize,
-        rail: usize,
-        wire: Wire,
-        payload_len: usize,
-        payload: Rope,
-    ) {
-        let (net, node) = {
-            let mut e = self.eng.borrow_mut();
-            e.stats.packets_sent += 1;
-            (e.net.clone(), e.node)
-        };
-        let header = wire.encode();
-        let size = payload_len + header.len();
-        let mut frame = Rope::from(header);
-        frame.append(payload);
-        net.send(
-            sim,
-            Message {
-                src: node,
-                dst,
-                rail,
-                tag: 0,
-                size,
-                data: Some(frame),
-            },
-        );
+        self.drive(sim, |core, now, io| core.poll(now, io))
     }
 }
 
 #[cfg(test)]
 mod tests;
-
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use super::*;
-    use piom_net::NetParams;
-
-    pub(crate) fn pair_with_params(
-        cfg: EngineConfig,
-        params: NetParams,
-    ) -> (Rc<Network>, CommEngine, CommEngine, Sim) {
-        let net = Network::new(2, 2, params);
-        let a = CommEngine::new(0, net.clone(), cfg.clone());
-        let b = CommEngine::new(1, net.clone(), cfg);
-        (net, a, b, Sim::new())
-    }
-}

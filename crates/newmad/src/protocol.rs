@@ -1,0 +1,623 @@
+//! The protocol state machine as plain data (no simulator, no sharing).
+//!
+//! [`Core`] owns one node's matching queues, aggregation pools, pipeline
+//! windows and rendezvous tables. Every entry point is given `now` in
+//! nanoseconds and a [`Fabric`]: the rail state the scheduler reads plus
+//! the four effects the protocol produces. The core never calls back into
+//! its caller, so a driver decides alone how it is shared and what a
+//! request handle `R` is; the core only stores `R` and hands it back in
+//! [`Fabric::complete`].
+
+use crate::rails::{self, RailView};
+use crate::wire::{EagerPart, Wire};
+use crate::{EngineConfig, EngineStats};
+use bytes::{Buf, Bytes, BytesMut, Rope};
+use std::collections::{HashMap, VecDeque};
+
+/// Names one pending RDMA pull: `(sender node, sender's request id)`.
+pub type PullId = (usize, u32);
+
+/// What an armed timer means when it fires (see [`Core::on_timer`]).
+pub enum Timer<R> {
+    /// An eager packet to `dst` left the NIC: a window slot is free.
+    WindowDrained {
+        /// Destination whose in-flight window shrinks.
+        dst: usize,
+    },
+    /// The last DATA chunk of a two-sided send left the NIC.
+    SendDrained {
+        /// The send request to complete.
+        req: R,
+    },
+}
+
+/// The one seam between the protocol and whatever moves its bytes.
+///
+/// Effects must be applied **synchronously and in call order**: the core
+/// picks the rail for packet *n+1* from [`RailView::rail_eta`] as it reads
+/// *after* packet *n* was transmitted, and arms each drain timer at the
+/// eta it reads right after its own `transmit`. Only what `complete`
+/// triggers outside the core (callbacks, wake-ups) may wait until the
+/// core call has returned.
+pub trait Fabric<R>: RailView {
+    /// Submits `frame` to `rail` towards `dst`; `size` is the byte count
+    /// the wire is charged for.
+    fn transmit(&mut self, dst: usize, rail: usize, size: usize, frame: Rope);
+    /// Starts a one-sided read of `size` bytes from `target`; the driver
+    /// answers with [`Core::on_rdma_done`]`(id)` when the data has landed.
+    fn rdma_read(&mut self, target: usize, rail: usize, size: usize, id: PullId);
+    /// Asks for [`Core::on_timer`]`(what)` at instant `at`.
+    fn arm_timer(&mut self, at: u64, what: Timer<R>);
+    /// `req` is finished; receives carry the peer's payload, if any.
+    fn complete(&mut self, req: R, payload: Option<Rope>);
+}
+
+/// One message handed to [`Core::isend`].
+pub struct Outgoing {
+    /// Destination node.
+    pub dst: usize,
+    /// Application tag the receiver matches on.
+    pub app_tag: u64,
+    /// Payload size in bytes.
+    pub size: usize,
+    /// Real payload (zero-copy reference), when the caller attached one.
+    pub data: Option<Bytes>,
+}
+
+struct PostedRecv<R> {
+    src: usize,
+    app_tag: u64,
+    req: R,
+}
+
+enum SendRndv {
+    /// Two-sided: holding the message until the CTS.
+    AwaitCts(Outgoing),
+    /// RDMA-read: waiting for the FIN.
+    AwaitFin,
+}
+
+/// The fields of a decoded RTS that drive the receiver's accept path.
+struct RtsFrame {
+    sender_req: u32,
+    size: u64,
+    rdma: bool,
+}
+
+struct RecvRndv<R> {
+    req: R,
+    /// Full payload size announced by the RTS.
+    expected: u64,
+    /// Chunk count, learned from the first DATA header (`of`); the sender
+    /// decides the chunking, so the receiver must not guess it.
+    total: Option<u32>,
+    /// Arrived chunks, any order: `(index, payload)`.
+    chunks: Vec<(u32, Rope)>,
+}
+
+/// An RDMA read in flight (receiver side).
+struct RdmaPull<R> {
+    req: R,
+    rail: usize,
+    size: u64,
+    /// The exposed source buffer the RTS carried a reference to.
+    payload: Rope,
+}
+
+/// Unexpected-message record (arrived before a matching recv was posted).
+struct Unexpected {
+    src: usize,
+    app_tag: u64,
+    /// `Some` for a parked RTS, `None` for an eager message.
+    rts: Option<RtsFrame>,
+    /// Eager: the message. RDMA RTS: the exposed source buffer the
+    /// receiver will pull.
+    payload: Rope,
+}
+
+/// One node's protocol state.
+pub struct Core<R> {
+    cfg: EngineConfig,
+    /// Arrived, waiting for a poll to be processed (the NIC rx queue).
+    rx_pending: VecDeque<(usize, Rope)>,
+    posted: Vec<PostedRecv<R>>,
+    unexpected: Vec<Unexpected>,
+    /// Eager messages waiting in the optimization layer's per-dst pools.
+    send_pool: Vec<Outgoing>,
+    /// Eager/aggregate packets currently in flight per destination
+    /// (bounded by `cfg.pipeline_window`).
+    inflight: HashMap<usize, usize>,
+    next_req: u32,
+    send_rndv: HashMap<u32, (R, SendRndv)>,
+    recv_rndv: HashMap<PullId, RecvRndv<R>>,
+    rdma_pulls: HashMap<PullId, RdmaPull<R>>,
+    stats: EngineStats,
+}
+
+impl<R> Core<R> {
+    /// Creates one node's empty protocol state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.pipeline_window == 0` (nothing could ever transmit).
+    pub fn new(cfg: EngineConfig) -> Self {
+        assert!(cfg.pipeline_window > 0, "pipeline_window must be >= 1");
+        Core {
+            cfg,
+            rx_pending: VecDeque::new(),
+            posted: Vec::new(),
+            unexpected: Vec::new(),
+            send_pool: Vec::new(),
+            inflight: HashMap::new(),
+            next_req: 1,
+            send_rndv: HashMap::new(),
+            recv_rndv: HashMap::new(),
+            rdma_pulls: HashMap::new(),
+            stats: EngineStats::default(),
+        }
+    }
+
+    /// Statistics snapshot.
+    pub fn stats(&self) -> EngineStats {
+        self.stats
+    }
+
+    /// Arrived-but-unprocessed frame count (what [`poll`](Self::poll)
+    /// would find).
+    pub fn rx_backlog(&self) -> usize {
+        self.rx_pending.len()
+    }
+
+    /// Queues a frame that arrived from `src` until the next
+    /// [`poll`](Self::poll).
+    pub fn on_frame(&mut self, src: usize, frame: Rope) {
+        self.rx_pending.push_back((src, frame));
+    }
+
+    /// Starts sending `msg`; `req` completes when the payload has left
+    /// this node (eager / two-sided) or when the receiver's FIN is
+    /// processed (RDMA-read rendezvous).
+    pub fn isend(&mut self, now: u64, fab: &mut impl Fabric<R>, msg: Outgoing, req: R) {
+        if msg.size <= self.cfg.eager_threshold {
+            self.send_pool.push(msg);
+            // Submission flushes immediately; poll() and window-drain
+            // timers also flush, which is what batches flows when the
+            // NICs are saturated.
+            self.flush_sends(now, fab);
+            // Eager sends complete at submission (buffered semantics).
+            fab.complete(req, None);
+            return;
+        }
+        let id = self.next_req;
+        self.next_req += 1;
+        self.stats.rendezvous_started += 1;
+        let rdma = self.cfg.rdma_rendezvous;
+        let dst = msg.dst;
+        let rts = Wire::Rts {
+            req: id,
+            app_tag: msg.app_tag,
+            size: msg.size as u64,
+            rdma,
+        };
+        // RDMA flavour: the RTS carries a reference to the exposed source
+        // buffer (modelling memory registration — the descriptor rides the
+        // control packet, the bytes move in the fabric's rdma_read);
+        // two-sided keeps the buffer until CTS and streams it as DATA
+        // chunks.
+        let (state, rts_payload) = if rdma {
+            let exposed = msg.data.map(Rope::from).unwrap_or_default();
+            (SendRndv::AwaitFin, exposed)
+        } else {
+            (SendRndv::AwaitCts(msg), Rope::new())
+        };
+        self.send_rndv.insert(id, (req, state));
+        let rail = rails::pick_rail_in(fab, now);
+        self.send_frame(fab, dst, rail, rts, 0, rts_payload);
+    }
+
+    /// Posts a receive matching `(src, app_tag)`.
+    pub fn irecv(&mut self, now: u64, fab: &mut impl Fabric<R>, src: usize, app_tag: u64, req: R) {
+        // Check the unexpected queue first.
+        let pos = self
+            .unexpected
+            .iter()
+            .position(|u| u.src == src && u.app_tag == app_tag);
+        match pos.map(|i| self.unexpected.remove(i)) {
+            Some(Unexpected {
+                rts: Some(rts),
+                payload,
+                ..
+            }) => self.accept_rts(now, fab, src, rts, req, payload),
+            Some(u) => fab.complete(req, Some(u.payload).filter(|p| !p.is_empty())),
+            None => self.posted.push(PostedRecv { src, app_tag, req }),
+        }
+    }
+
+    /// Makes progress: processes every queued frame and flushes the send
+    /// pools. Returns `true` if any frame was processed.
+    pub fn poll(&mut self, now: u64, fab: &mut impl Fabric<R>) -> bool {
+        let mut did = false;
+        while let Some((src, frame)) = self.rx_pending.pop_front() {
+            did = true;
+            self.stats.packets_processed += 1;
+            self.process(now, fab, src, frame);
+        }
+        self.flush_sends(now, fab);
+        if !did {
+            self.stats.empty_polls += 1;
+        }
+        did
+    }
+
+    /// A timer armed through [`Fabric::arm_timer`] fired.
+    pub fn on_timer(&mut self, now: u64, fab: &mut impl Fabric<R>, what: Timer<R>) {
+        match what {
+            Timer::WindowDrained { dst } => {
+                let slot = self.inflight.get_mut(&dst).expect("window tracked");
+                *slot -= 1;
+                if *slot == 0 {
+                    self.inflight.remove(&dst);
+                }
+                self.flush_sends(now, fab);
+            }
+            Timer::SendDrained { req } => fab.complete(req, None),
+        }
+    }
+
+    /// The read started by [`Fabric::rdma_read`]`(.., id)` has landed:
+    /// complete the receive and tell the sender it may reuse its buffer.
+    pub fn on_rdma_done(&mut self, fab: &mut impl Fabric<R>, id: PullId) {
+        let pull = self.rdma_pulls.remove(&id).expect("pull tracked");
+        let whole = pull.payload.len() as u64 == pull.size;
+        fab.complete(pull.req, whole.then_some(pull.payload));
+        let (src, sender_req) = id;
+        self.send_wire(fab, src, pull.rail, Wire::Fin { req: sender_req });
+    }
+
+    fn take_posted(&mut self, src: usize, app_tag: u64) -> Option<R> {
+        let pos = self
+            .posted
+            .iter()
+            .position(|r| r.src == src && r.app_tag == app_tag)?;
+        Some(self.posted.remove(pos).req)
+    }
+
+    fn process(&mut self, now: u64, fab: &mut impl Fabric<R>, src: usize, mut frame: Rope) {
+        // The frame is a rope: header segment(s) up front, payload behind.
+        // Decoding consumes exactly the header and leaves the payload in
+        // place — no flattening, no copy.
+        let Some(wire) = Wire::decode(&mut frame) else {
+            // A corrupt packet degrades the link; it must not kill the
+            // process.
+            self.stats.undecodable_packets += 1;
+            return;
+        };
+        match wire {
+            Wire::Eager { app_tag, size } => {
+                let payload = if frame.remaining() == size as usize {
+                    frame
+                } else {
+                    Rope::new() // size-only simulation frame
+                };
+                self.deliver_eager(fab, src, app_tag, payload);
+            }
+            Wire::EagerAggregate { parts } => {
+                let total: usize = parts.iter().map(|p| p.size as usize).sum();
+                let with_data = total > 0 && frame.remaining() == total;
+                for p in parts {
+                    let payload = if with_data {
+                        frame.split_to(p.size as usize)
+                    } else {
+                        Rope::new()
+                    };
+                    self.deliver_eager(fab, src, p.app_tag, payload);
+                }
+            }
+            Wire::Rts {
+                req,
+                app_tag,
+                size,
+                rdma,
+            } => {
+                // Check before matching: a second copy of a live RTS must
+                // not consume another posted receive nor overwrite the
+                // first one's rendezvous state.
+                let key = (src, req);
+                let parked = |u: &Unexpected| {
+                    u.src == src && u.rts.as_ref().is_some_and(|r| r.sender_req == req)
+                };
+                if self.recv_rndv.contains_key(&key)
+                    || self.rdma_pulls.contains_key(&key)
+                    || self.unexpected.iter().any(parked)
+                {
+                    self.stats.stale_control_packets += 1;
+                    return;
+                }
+                let rts = RtsFrame {
+                    sender_req: req,
+                    size,
+                    rdma,
+                };
+                match self.take_posted(src, app_tag) {
+                    Some(recv) => self.accept_rts(now, fab, src, rts, recv, frame),
+                    None => self.unexpected.push(Unexpected {
+                        src,
+                        app_tag,
+                        rts: Some(rts),
+                        payload: frame,
+                    }),
+                }
+            }
+            Wire::Cts { req } => {
+                // Check-then-remove: a stale or duplicate CTS must not
+                // destroy live rendezvous state.
+                if !matches!(self.send_rndv.get(&req), Some((_, SendRndv::AwaitCts(_)))) {
+                    self.stats.stale_control_packets += 1;
+                    return;
+                }
+                if let Some((handle, SendRndv::AwaitCts(msg))) = self.send_rndv.remove(&req) {
+                    self.send_rndv_data(now, fab, req, msg, handle);
+                }
+            }
+            Wire::Data { req, chunk, of } => {
+                let key = (src, req);
+                let stale = match self.recv_rndv.get(&key) {
+                    None => true,
+                    Some(st) => {
+                        of == 0
+                            || chunk >= of
+                            || st.total.is_some_and(|t| t != of)
+                            || st.chunks.iter().any(|(c, _)| *c == chunk)
+                    }
+                };
+                if stale {
+                    self.stats.stale_control_packets += 1;
+                    return;
+                }
+                let st = self.recv_rndv.get_mut(&key).expect("checked above");
+                st.total = Some(of);
+                st.chunks.push((chunk, frame));
+                if st.chunks.len() as u32 != of {
+                    return;
+                }
+                let mut st = self.recv_rndv.remove(&key).expect("present");
+                // Reassemble in offset order by chaining the chunk ropes —
+                // shared segments, no copy.
+                st.chunks.sort_by_key(|(c, _)| *c);
+                let mut payload = Rope::new();
+                for (_, part) in st.chunks {
+                    payload.append(part);
+                }
+                let whole = payload.len() as u64 == st.expected;
+                fab.complete(st.req, whole.then_some(payload));
+            }
+            Wire::Fin { req } => match self.send_rndv.get(&req) {
+                Some((_, SendRndv::AwaitFin)) => {
+                    let (handle, _) = self.send_rndv.remove(&req).expect("checked above");
+                    fab.complete(handle, None);
+                }
+                _ => self.stats.stale_control_packets += 1,
+            },
+        }
+    }
+
+    fn deliver_eager(&mut self, fab: &mut impl Fabric<R>, src: usize, app_tag: u64, payload: Rope) {
+        match self.take_posted(src, app_tag) {
+            Some(req) => fab.complete(req, Some(payload).filter(|p| !p.is_empty())),
+            None => self.unexpected.push(Unexpected {
+                src,
+                app_tag,
+                rts: None,
+                payload,
+            }),
+        }
+    }
+
+    /// Receiver side of an RTS: reply CTS (two-sided) or pull via RDMA.
+    fn accept_rts(
+        &mut self,
+        now: u64,
+        fab: &mut impl Fabric<R>,
+        src: usize,
+        rts: RtsFrame,
+        req: R,
+        payload: Rope,
+    ) {
+        let key = (src, rts.sender_req);
+        let rail = rails::pick_rail_in(fab, now);
+        if rts.rdma {
+            // RDMA-read rendezvous: the receiver pulls the payload; no
+            // sender CPU involved. FIN tells the sender it may reuse the
+            // buffer. The RTS carried a reference to the exposed buffer;
+            // it becomes the received payload when the read lands.
+            let pull = RdmaPull {
+                req,
+                rail,
+                size: rts.size,
+                payload,
+            };
+            self.rdma_pulls.insert(key, pull);
+            fab.rdma_read(src, rail, rts.size as usize, key);
+        } else {
+            // The *sender* decides the chunking (stripe plan against its
+            // local rail load); the receiver just counts chunks against
+            // the `of` field of the DATA headers.
+            let st = RecvRndv {
+                req,
+                expected: rts.size,
+                total: None,
+                chunks: Vec::new(),
+            };
+            self.recv_rndv.insert(key, st);
+            self.send_wire(fab, src, rail, Wire::Cts { req: key.1 });
+        }
+    }
+
+    /// Sender side after CTS: stream the payload as chunked DATA packets
+    /// along the stripe plan (multirail + chunk pipelining).
+    fn send_rndv_data(
+        &mut self,
+        now: u64,
+        fab: &mut impl Fabric<R>,
+        req: u32,
+        msg: Outgoing,
+        handle: R,
+    ) {
+        let plan = rails::stripe_plan_in(fab, now, msg.size, &self.cfg);
+        let of = plan.len() as u32;
+        for (i, c) in plan.iter().enumerate() {
+            // Zero-copy: each chunk is a shared window over the source.
+            let payload = match &msg.data {
+                Some(b) => Rope::from(b.slice(c.offset..c.offset + c.len)),
+                None => Rope::new(),
+            };
+            self.stats.data_chunks_sent += 1;
+            let chunk = i as u32;
+            let wire = Wire::Data { req, chunk, of };
+            self.send_frame(fab, msg.dst, c.rail, wire, c.len, payload);
+        }
+        // The sender's buffer is free once the NIC engines have streamed
+        // everything out; rail_eta right after submission is the exact
+        // drain instant of the last chunk on each used rail.
+        let done_at = plan
+            .iter()
+            .map(|c| fab.rail_eta(c.rail, now))
+            .max()
+            .expect("at least one chunk");
+        fab.arm_timer(done_at, Timer::SendDrained { req: handle });
+    }
+
+    /// Flushes the aggregation pools under the per-destination pipeline
+    /// window: each iteration emits one wire packet (singleton or greedy
+    /// aggregate up to `max_packet`) for the first pooled destination with
+    /// a free window slot. While every pooled destination's window is
+    /// full, submissions keep pooling — that queueing is precisely the
+    /// aggregation opportunity of Fig. 1 — and the drain timer armed at
+    /// each packet's exact NIC drain time re-flushes the pool without
+    /// waiting for the next poll (pack(n+1) overlaps send(n)).
+    fn flush_sends(&mut self, now: u64, fab: &mut impl Fabric<R>) {
+        loop {
+            let w = self.cfg.pipeline_window;
+            let pick = self
+                .send_pool
+                .iter()
+                .map(|p| p.dst)
+                .find(|d| self.inflight.get(d).copied().unwrap_or(0) < w);
+            let Some(dst) = pick else {
+                if !self.send_pool.is_empty() {
+                    self.stats.pipeline_stalls += 1;
+                }
+                break;
+            };
+            // Pop one packet's worth of messages for `dst`, in submission
+            // order: a singleton when aggregation is off, else everything
+            // that fits under max_packet. Data-carrying and size-only
+            // messages never mix in one aggregate (the payload rope is
+            // the concatenation of the parts, so part sizes must account
+            // for every byte).
+            let mut batch: Vec<Outgoing> = Vec::new();
+            let mut bytes = 0usize;
+            let mut i = 0;
+            while i < self.send_pool.len() {
+                if self.send_pool[i].dst != dst {
+                    i += 1;
+                    continue;
+                }
+                if batch.is_empty() {
+                    bytes = self.send_pool[i].size;
+                    batch.push(self.send_pool.remove(i));
+                    if !self.cfg.aggregation {
+                        break;
+                    }
+                    continue;
+                }
+                let cand = &self.send_pool[i];
+                if cand.data.is_some() != batch[0].data.is_some()
+                    || bytes + cand.size > self.cfg.max_packet
+                {
+                    break;
+                }
+                bytes += cand.size;
+                batch.push(self.send_pool.remove(i));
+            }
+            debug_assert!(!batch.is_empty());
+            self.emit_eager_packet(now, fab, batch);
+        }
+    }
+
+    /// Emits one eager wire packet for `batch` (singleton or aggregate),
+    /// charges the destination's in-flight window, and arms the drain
+    /// timer at the packet's exact NIC drain time.
+    fn emit_eager_packet(&mut self, now: u64, fab: &mut impl Fabric<R>, batch: Vec<Outgoing>) {
+        let dst = batch[0].dst;
+        let payload_len: usize = batch.iter().map(|p| p.size).sum();
+        let mut payload = Rope::new();
+        if self.cfg.copy_on_pack {
+            // Ablation: flatten into one fresh buffer. Counted, so tests
+            // can prove the zero-copy counter is live.
+            let mut flat = BytesMut::with_capacity(payload_len);
+            for d in batch.iter().filter_map(|p| p.data.as_ref()) {
+                flat.extend_from_slice(d);
+                self.stats.payload_bytes_copied += d.len() as u64;
+            }
+            if !flat.is_empty() {
+                payload.push(flat.freeze());
+            }
+        } else {
+            // Zero-copy: chain the callers' buffers.
+            for d in batch.iter().filter_map(|p| p.data.as_ref()) {
+                payload.push(d.clone());
+            }
+        }
+        let wire = if batch.len() == 1 {
+            Wire::Eager {
+                app_tag: batch[0].app_tag,
+                size: batch[0].size as u32,
+            }
+        } else {
+            self.stats.aggregate_packets += 1;
+            self.stats.aggregated_messages += batch.len() as u64;
+            Wire::EagerAggregate {
+                parts: batch
+                    .iter()
+                    .map(|p| EagerPart {
+                        app_tag: p.app_tag,
+                        size: p.size as u32,
+                    })
+                    .collect(),
+            }
+        };
+        let rail = rails::pick_rail_in(fab, now);
+        self.send_frame(fab, dst, rail, wire, payload_len, payload);
+        *self.inflight.entry(dst).or_insert(0) += 1;
+        // Per-packet eta, read after this packet's own transmit: the slot
+        // frees exactly when *this* packet has left the NIC.
+        fab.arm_timer(fab.rail_eta(rail, now), Timer::WindowDrained { dst });
+    }
+
+    /// Sends a pure control packet (header only, no payload bytes).
+    fn send_wire(&mut self, fab: &mut impl Fabric<R>, dst: usize, rail: usize, wire: Wire) {
+        self.send_frame(fab, dst, rail, wire, 0, Rope::new());
+    }
+
+    /// Submits one wire frame: header segment + payload rope, chained
+    /// without copying. `payload_len` drives the charged byte time (the
+    /// rope may be empty in size-only experiments, or — for RDMA RTS —
+    /// carry a buffer reference that does not ride the wire).
+    fn send_frame(
+        &mut self,
+        fab: &mut impl Fabric<R>,
+        dst: usize,
+        rail: usize,
+        wire: Wire,
+        payload_len: usize,
+        payload: Rope,
+    ) {
+        self.stats.packets_sent += 1;
+        let header = wire.encode();
+        let size = payload_len + header.len();
+        let mut frame = Rope::from(header);
+        frame.append(payload);
+        fab.transmit(dst, rail, size, frame);
+    }
+}

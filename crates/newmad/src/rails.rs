@@ -1,12 +1,14 @@
 //! Multirail striping scheduler (paper §IV-B, "multirail distribution").
 //!
 //! NewMadeleine's optimization layer does not just *use* several rails; it
-//! schedules over them. This module is that scheduler, promoted from the
-//! old `multirail_aggregation` example into engine code:
+//! schedules over them. This module is that scheduler. It reads rail
+//! state through the three-method [`RailView`]; [`pick_rail`] and
+//! [`stripe_plan`] are the same functions over a simulated
+//! [`piom_net::Network`]:
 //!
 //! * [`pick_rail`] — least-loaded rail selection for eager/control
 //!   packets, driven by the exact per-rail drain time
-//!   [`piom_net::Network::rail_eta`] (occupancy tracking, not round-robin:
+//!   [`RailView::rail_eta`] (occupancy tracking, not round-robin:
 //!   a rail still streaming a rendezvous chunk is charged for it);
 //! * [`stripe_plan`] — splits a rendezvous payload into chunks of at most
 //!   `rndv_chunk` bytes and water-fills them across rails, so a transfer
@@ -50,13 +52,49 @@ pub struct StripeChunk {
     pub len: usize,
 }
 
+/// What the scheduler reads of one node's rails. Times are nanoseconds.
+pub trait RailView {
+    /// Number of rails (at least one).
+    fn n_rails(&self) -> usize;
+    /// Instant at which everything submitted to `rail` so far has left the
+    /// NIC, i.e. when a packet submitted at `now` would start streaming.
+    fn rail_eta(&self, rail: usize, now: u64) -> u64;
+    /// Time one packet of `len` bytes occupies a rail's send engine.
+    fn tx_cost(&self, len: usize) -> u64;
+}
+
+/// `node`'s rails on a simulated [`Network`].
+pub(crate) struct NodeRails<'a> {
+    pub(crate) net: &'a Network,
+    pub(crate) node: usize,
+}
+
+impl RailView for NodeRails<'_> {
+    fn n_rails(&self) -> usize {
+        self.net.n_rails()
+    }
+    fn rail_eta(&self, rail: usize, now: u64) -> u64 {
+        let now = SimTime::from_ns(now);
+        self.net.rail_eta(now, self.node, rail).as_ns()
+    }
+    fn tx_cost(&self, len: usize) -> u64 {
+        let p = self.net.params();
+        p.occupancy().as_ns() + p.byte_time(len).as_ns()
+    }
+}
+
 /// Least-loaded rail for a packet submitted at `now` from `node`: the rail
 /// whose send engine drains earliest (ties go to the lowest index, keeping
 /// the choice deterministic).
 pub fn pick_rail(net: &Network, now: SimTime, node: usize) -> usize {
-    (0..net.n_rails())
-        .min_by_key(|&r| (net.rail_eta(now, node, r), r))
-        .expect("network has at least one rail")
+    pick_rail_in(&NodeRails { net, node }, now.as_ns())
+}
+
+/// [`pick_rail`] over any [`RailView`].
+pub fn pick_rail_in(view: &impl RailView, now: u64) -> usize {
+    (0..view.n_rails())
+        .min_by_key(|&r| (view.rail_eta(r, now), r))
+        .expect("at least one rail")
 }
 
 /// Plans a rendezvous transfer of `size` bytes from `node` at `now`.
@@ -79,10 +117,20 @@ pub fn stripe_plan(
     size: usize,
     cfg: &EngineConfig,
 ) -> Vec<StripeChunk> {
-    let rails = net.n_rails();
+    stripe_plan_in(&NodeRails { net, node }, now.as_ns(), size, cfg)
+}
+
+/// [`stripe_plan`] over any [`RailView`].
+pub fn stripe_plan_in(
+    view: &impl RailView,
+    now: u64,
+    size: usize,
+    cfg: &EngineConfig,
+) -> Vec<StripeChunk> {
+    let rails = view.n_rails();
     if !cfg.multirail_data || rails < 2 || size < cfg.stripe_threshold {
         return vec![StripeChunk {
-            rail: pick_rail(net, now, node),
+            rail: pick_rail_in(view, now),
             offset: 0,
             len: size,
         }];
@@ -93,10 +141,7 @@ pub fn stripe_plan(
         .min(size.max(1)); // never plan zero-length chunks
     let base = size / n;
     let rem = size % n;
-    let p = net.params();
-    let mut eta: Vec<u64> = (0..rails)
-        .map(|r| net.rail_eta(now, node, r).as_ns())
-        .collect();
+    let mut eta: Vec<u64> = (0..rails).map(|r| view.rail_eta(r, now)).collect();
     let mut plan = Vec::with_capacity(n);
     let mut offset = 0;
     for i in 0..n {
@@ -104,7 +149,7 @@ pub fn stripe_plan(
         let rail = (0..rails)
             .min_by_key(|&r| (eta[r], r))
             .expect("rails >= 2 here");
-        eta[rail] += p.occupancy().as_ns() + p.byte_time(len).as_ns();
+        eta[rail] += view.tx_cost(len);
         plan.push(StripeChunk { rail, offset, len });
         offset += len;
     }

@@ -1,6 +1,7 @@
 //! Engine unit tests: protocol correctness under explicit polling.
 
 use super::*;
+use crate::wire::Wire;
 use piom_net::NetParams;
 
 fn pair(cfg: EngineConfig) -> (Rc<Network>, CommEngine, CommEngine, Sim) {

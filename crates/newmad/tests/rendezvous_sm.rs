@@ -4,7 +4,7 @@
 //! against an explicit event timeline (who completed, when, in what order)
 //! and against the stale-drop counters, so protocol-state bugs show up as
 //! ordering or counting failures rather than flaky hangs. Adversarial
-//! cases inject raw wire frames (duplicate CTS/DATA/FIN, out-of-range
+//! cases inject raw wire frames (duplicate RTS/CTS/DATA/FIN, out-of-range
 //! chunks) straight into the NIC rx path, bypassing the sender engine.
 //!
 //! These tests also run under Miri in CI: the reassembly path juggles
@@ -12,7 +12,7 @@
 
 use bytes::{Bytes, Rope};
 use newmadeleine::wire::Wire;
-use newmadeleine::{CommEngine, EngineConfig, EngineStats};
+use newmadeleine::{CommEngine, EngineConfig, EngineStats, ReqHandle};
 use piom_des::{Sim, SimTime};
 use piom_net::{Message, NetParams, Network};
 use std::cell::RefCell;
@@ -255,6 +255,84 @@ fn duplicate_fin_after_rdma_completion_is_stale() {
     inject(&net, &mut sim, 1, 0, Wire::Fin { req: 1 }, &[]);
     drive(&mut sim, &[&a, &b], SimTime::from_us(50));
     assert_eq!(a.stats().stale_control_packets, before + 1);
+}
+
+/// A second copy of a live RTS is a counted drop: it must neither match
+/// the next posted receive nor overwrite the first one's rendezvous state.
+fn duplicate_rts_is_stale(cfg: EngineConfig) {
+    let size = BULK / 4;
+    let rts = |req| Wire::Rts {
+        req,
+        app_tag: 1,
+        size: size as u64,
+        rdma: cfg.rdma_rendezvous,
+    };
+    let (net, a, b, mut sim) = pair(cfg.clone());
+    let r1 = b.irecv(&mut sim, 0, 1);
+    let r2 = b.irecv(&mut sim, 0, 1);
+    let s1 = a.isend(&mut sim, 1, 1, size); // first rendezvous => req 1
+    inject(&net, &mut sim, 0, 1, rts(1), &[]); // same rail, right behind
+    drive(&mut sim, &[&a, &b], BULK_SPAN);
+    assert!(s1.is_complete() && r1.is_complete());
+    assert!(!r2.is_complete(), "the copy ate the second receive");
+    assert_eq!(b.stats().stale_control_packets, 1);
+    assert_eq!(a.stats().stale_control_packets, 0, "no second CTS/FIN");
+
+    // The receive the copy would have eaten still takes the next message.
+    let s2 = a.isend(&mut sim, 1, 1, size);
+    drive(&mut sim, &[&a, &b], BULK_SPAN);
+    assert!(s2.is_complete() && r2.is_complete());
+
+    // Same while the original is parked unexpected (no receive posted).
+    let s3 = a.isend(&mut sim, 1, 1, size);
+    inject(&net, &mut sim, 0, 1, rts(3), &[]);
+    drive(&mut sim, &[&a, &b], SimTime::from_us(100));
+    assert_eq!(b.stats().stale_control_packets, 2);
+    let r3 = b.irecv(&mut sim, 0, 1);
+    let r4 = b.irecv(&mut sim, 0, 1);
+    drive(&mut sim, &[&a, &b], BULK_SPAN);
+    assert!(s3.is_complete() && r3.is_complete() && !r4.is_complete());
+    assert_eq!(a.stats().stale_control_packets, 0);
+}
+
+#[test]
+fn duplicate_rts_is_stale_two_sided() {
+    duplicate_rts_is_stale(EngineConfig::newmadeleine());
+}
+
+#[test]
+fn duplicate_rts_is_stale_rdma() {
+    duplicate_rts_is_stale(EngineConfig::baseline_mpi());
+}
+
+#[test]
+fn completion_callback_may_reenter_its_engine() {
+    // The callback of a finished receive posts a further receive and a
+    // send on the engine that is completing it, from every place a
+    // receive can finish: eager delivery, the last DATA chunk, the RDMA
+    // read landing.
+    let presets = [EngineConfig::newmadeleine(), EngineConfig::baseline_mpi()];
+    for (cfg, size) in presets
+        .into_iter()
+        .flat_map(|c| [(c.clone(), 64), (c, BULK / 4)])
+    {
+        let (_net, a, b, mut sim) = pair(cfg);
+        let posted: Rc<RefCell<Option<(ReqHandle, ReqHandle)>>> = Rc::default();
+        let (b2, slot) = (b.clone(), posted.clone());
+        let first = b.irecv(&mut sim, 0, 1);
+        first.on_complete(&mut sim, move |sim| {
+            let next = b2.irecv(sim, 0, 2);
+            let reply = b2.isend(sim, 0, 3, size);
+            *slot.borrow_mut() = Some((next, reply));
+        });
+        let back = a.irecv(&mut sim, 1, 3);
+        a.isend(&mut sim, 1, 1, size);
+        a.isend(&mut sim, 1, 2, size);
+        drive(&mut sim, &[&a, &b], BULK_SPAN);
+        let (next, reply) = posted.borrow_mut().take().expect("callback ran");
+        assert!(first.is_complete() && next.is_complete());
+        assert!(reply.is_complete() && back.is_complete());
+    }
 }
 
 #[test]
