@@ -42,13 +42,17 @@
 //!
 //! # Pipelined progression
 //!
-//! Each destination has a bounded in-flight window
+//! Each destination is one *flow*: a bounded in-flight window
 //! ([`EngineConfig::pipeline_window`]) of eager packets submitted to the
-//! NICs; while the window is full, submissions pool (that queueing *is*
-//! the aggregation opportunity of Fig. 1), and a drain timer armed at the
-//! packet's exact [`rails::RailView::rail_eta`] re-flushes the pool the
-//! moment a slot frees — pack(n+1) overlaps send(n) without waiting for
-//! the next poll. Large rendezvous payloads stream as
+//! NICs, and the queue of messages pooled behind it while it is full
+//! (that queueing *is* the aggregation opportunity of Fig. 1). A flush
+//! looks at the flows' heads only — the flow with a free slot and the
+//! oldest pooled message leaves first, one packet cut off its front — so
+//! a submission into a full window costs a push, not a walk of everything
+//! pooled. A drain timer armed at each packet's exact
+//! [`rails::RailView::rail_eta`] re-flushes the moment a slot frees —
+//! pack(n+1) overlaps send(n) without waiting for the next poll. Large
+//! rendezvous payloads stream as
 //! [`EngineConfig::rndv_chunk`]-sized DATA chunks planned by
 //! [`rails::stripe_plan`], so CTS→data streaming overlaps packing and
 //! spreads across rails.
@@ -56,7 +60,7 @@
 //! # Core and drivers
 //!
 //! The protocol is one state machine, [`protocol::Core`]: plain data
-//! (matching queues, pools, windows, rendezvous tables, statistics) with
+//! (matching queues, per-destination flows, rendezvous tables, statistics) with
 //! no simulator, sharing or callback in it. Its entry points take `now`
 //! and a [`protocol::Fabric`] — the rail state [`rails`] reads plus four
 //! effects (`transmit`, `rdma_read`, `arm_timer`, `complete`) that the
@@ -258,8 +262,10 @@ pub struct EngineStats {
     /// Payload bytes the engine copied (0 on the zero-copy paths; only
     /// the [`EngineConfig::copy_on_pack`] ablation raises it).
     pub payload_bytes_copied: u64,
-    /// Packets dropped because the wire header did not parse. A corrupt
-    /// packet degrades the link, it must not kill the process.
+    /// Packets dropped because the wire header did not parse, or because
+    /// an eager body was neither empty (size-only frame) nor as long as
+    /// its header announced. A corrupt packet degrades the link, it must
+    /// not kill the process.
     pub undecodable_packets: u64,
     /// Well-formed control packets dropped as stale: a second copy of a
     /// live RTS, CTS/FIN for unknown or already-resolved requests, DATA
@@ -401,8 +407,8 @@ impl CommEngine {
 
     /// Non-blocking send of `size` bytes tagged `app_tag` to `dst`.
     ///
-    /// Small messages go through the eager path (and the aggregation pool
-    /// when enabled); large ones start a rendezvous. The returned handle
+    /// Small messages go through the eager path (pooled in their
+    /// destination's flow while its window is full); large ones start a rendezvous. The returned handle
     /// completes when the payload has left this node (eager / two-sided) or
     /// when the receiver's FIN is processed (RDMA-read rendezvous).
     pub fn isend(&self, sim: &mut Sim, dst: usize, app_tag: u64, size: usize) -> ReqHandle {
@@ -447,7 +453,7 @@ impl CommEngine {
     }
 
     /// Makes progress: processes every packet in the NIC receive queues and
-    /// flushes the send pools. Returns `true` if any packet was processed.
+    /// flushes the eager flows. Returns `true` if any packet was processed.
     ///
     /// This is the entry point a PIOMan polling task (or an MPI wait loop)
     /// calls repeatedly.

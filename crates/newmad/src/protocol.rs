@@ -1,12 +1,12 @@
 //! The protocol state machine as plain data (no simulator, no sharing).
 //!
-//! [`Core`] owns one node's matching queues, aggregation pools, pipeline
-//! windows and rendezvous tables. Every entry point is given `now` in
-//! nanoseconds and a [`Fabric`]: the rail state the scheduler reads plus
-//! the four effects the protocol produces. The core never calls back into
-//! its caller, so a driver decides alone how it is shared and what a
-//! request handle `R` is; the core only stores `R` and hands it back in
-//! [`Fabric::complete`].
+//! [`Core`] owns one node's matching queues, per-destination eager flows
+//! (pooled messages + pipeline window) and rendezvous tables. Every entry
+//! point is given `now` in nanoseconds and a [`Fabric`]: the rail state
+//! the scheduler reads plus the four effects the protocol produces. The
+//! core never calls back into its caller, so a driver decides alone how it
+//! is shared and what a request handle `R` is; the core only stores `R`
+//! and hands it back in [`Fabric::complete`].
 
 use crate::rails::{self, RailView};
 use crate::wire::{EagerPart, Wire};
@@ -115,6 +115,17 @@ struct Unexpected {
     payload: Rope,
 }
 
+/// One destination's eager traffic in the optimization layer.
+#[derive(Default)]
+struct Flow {
+    /// Eager/aggregate packets currently in flight (bounded by
+    /// `cfg.pipeline_window`).
+    inflight: usize,
+    /// Messages pooled while the window is full, oldest first, each with
+    /// its submission sequence number (the order across flows).
+    pool: VecDeque<(u64, Outgoing)>,
+}
+
 /// One node's protocol state.
 pub struct Core<R> {
     cfg: EngineConfig,
@@ -122,11 +133,12 @@ pub struct Core<R> {
     rx_pending: VecDeque<(usize, Rope)>,
     posted: Vec<PostedRecv<R>>,
     unexpected: Vec<Unexpected>,
-    /// Eager messages waiting in the optimization layer's per-dst pools.
-    send_pool: Vec<Outgoing>,
-    /// Eager/aggregate packets currently in flight per destination
-    /// (bounded by `cfg.pipeline_window`).
-    inflight: HashMap<usize, usize>,
+    /// Eager flows, indexed by destination node (ids are small and dense).
+    flows: Vec<Flow>,
+    /// Messages pooled over all flows.
+    pooled: usize,
+    /// Sequence number of the next pooled message.
+    next_seq: u64,
     next_req: u32,
     send_rndv: HashMap<u32, (R, SendRndv)>,
     recv_rndv: HashMap<PullId, RecvRndv<R>>,
@@ -147,8 +159,9 @@ impl<R> Core<R> {
             rx_pending: VecDeque::new(),
             posted: Vec::new(),
             unexpected: Vec::new(),
-            send_pool: Vec::new(),
-            inflight: HashMap::new(),
+            flows: Vec::new(),
+            pooled: 0,
+            next_seq: 0,
             next_req: 1,
             send_rndv: HashMap::new(),
             recv_rndv: HashMap::new(),
@@ -179,7 +192,12 @@ impl<R> Core<R> {
     /// processed (RDMA-read rendezvous).
     pub fn isend(&mut self, now: u64, fab: &mut impl Fabric<R>, msg: Outgoing, req: R) {
         if msg.size <= self.cfg.eager_threshold {
-            self.send_pool.push(msg);
+            if msg.dst >= self.flows.len() {
+                self.flows.resize_with(msg.dst + 1, Flow::default);
+            }
+            self.flows[msg.dst].pool.push_back((self.next_seq, msg));
+            self.next_seq += 1;
+            self.pooled += 1;
             // Submission flushes immediately; poll() and window-drain
             // timers also flush, which is what batches flows when the
             // NICs are saturated.
@@ -233,8 +251,8 @@ impl<R> Core<R> {
         }
     }
 
-    /// Makes progress: processes every queued frame and flushes the send
-    /// pools. Returns `true` if any frame was processed.
+    /// Makes progress: processes every queued frame and flushes the eager
+    /// flows. Returns `true` if any frame was processed.
     pub fn poll(&mut self, now: u64, fab: &mut impl Fabric<R>) -> bool {
         let mut did = false;
         while let Some((src, frame)) = self.rx_pending.pop_front() {
@@ -253,11 +271,7 @@ impl<R> Core<R> {
     pub fn on_timer(&mut self, now: u64, fab: &mut impl Fabric<R>, what: Timer<R>) {
         match what {
             Timer::WindowDrained { dst } => {
-                let slot = self.inflight.get_mut(&dst).expect("window tracked");
-                *slot -= 1;
-                if *slot == 0 {
-                    self.inflight.remove(&dst);
-                }
+                self.flows[dst].inflight -= 1;
                 self.flush_sends(now, fab);
             }
             Timer::SendDrained { req } => fab.complete(req, None),
@@ -293,17 +307,23 @@ impl<R> Core<R> {
             return;
         };
         match wire {
+            // An eager body is either every announced byte or, in a
+            // size-only simulation frame, no byte at all; anything in
+            // between is a truncated or padded frame.
             Wire::Eager { app_tag, size } => {
-                let payload = if frame.remaining() == size as usize {
-                    frame
-                } else {
-                    Rope::new() // size-only simulation frame
-                };
-                self.deliver_eager(fab, src, app_tag, payload);
+                if !frame.is_empty() && frame.remaining() != size as usize {
+                    self.stats.undecodable_packets += 1;
+                    return;
+                }
+                self.deliver_eager(fab, src, app_tag, frame);
             }
             Wire::EagerAggregate { parts } => {
                 let total: usize = parts.iter().map(|p| p.size as usize).sum();
-                let with_data = total > 0 && frame.remaining() == total;
+                let with_data = !frame.is_empty();
+                if with_data && frame.remaining() != total {
+                    self.stats.undecodable_packets += 1;
+                    return;
+                }
                 for p in parts {
                     let payload = if with_data {
                         frame.split_to(p.size as usize)
@@ -487,60 +507,49 @@ impl<R> Core<R> {
         fab.arm_timer(done_at, Timer::SendDrained { req: handle });
     }
 
-    /// Flushes the aggregation pools under the per-destination pipeline
-    /// window: each iteration emits one wire packet (singleton or greedy
-    /// aggregate up to `max_packet`) for the first pooled destination with
-    /// a free window slot. While every pooled destination's window is
-    /// full, submissions keep pooling — that queueing is precisely the
-    /// aggregation opportunity of Fig. 1 — and the drain timer armed at
-    /// each packet's exact NIC drain time re-flushes the pool without
-    /// waiting for the next poll (pack(n+1) overlaps send(n)).
+    /// Flushes the flows under their pipeline windows: each iteration
+    /// emits one wire packet (singleton or greedy aggregate up to
+    /// `max_packet`) for the flow that has a free window slot and the
+    /// oldest head — the first pooled message, in submission order, that
+    /// may leave. While every pooled flow's window is full, submissions
+    /// keep pooling — that queueing is precisely the aggregation
+    /// opportunity of Fig. 1 — and the drain timer armed at each packet's
+    /// exact NIC drain time re-flushes without waiting for the next poll
+    /// (pack(n+1) overlaps send(n)).
     fn flush_sends(&mut self, now: u64, fab: &mut impl Fabric<R>) {
-        loop {
+        while self.pooled > 0 {
             let w = self.cfg.pipeline_window;
             let pick = self
-                .send_pool
+                .flows
                 .iter()
-                .map(|p| p.dst)
-                .find(|d| self.inflight.get(d).copied().unwrap_or(0) < w);
-            let Some(dst) = pick else {
-                if !self.send_pool.is_empty() {
-                    self.stats.pipeline_stalls += 1;
-                }
-                break;
+                .enumerate()
+                .filter(|(_, f)| f.inflight < w)
+                .filter_map(|(dst, f)| Some((f.pool.front()?.0, dst)))
+                .min();
+            let Some((_, dst)) = pick else {
+                self.stats.pipeline_stalls += 1;
+                return;
             };
-            // Pop one packet's worth of messages for `dst`, in submission
-            // order: a singleton when aggregation is off, else everything
-            // that fits under max_packet. Data-carrying and size-only
-            // messages never mix in one aggregate (the payload rope is
-            // the concatenation of the parts, so part sizes must account
-            // for every byte).
-            let mut batch: Vec<Outgoing> = Vec::new();
-            let mut bytes = 0usize;
-            let mut i = 0;
-            while i < self.send_pool.len() {
-                if self.send_pool[i].dst != dst {
-                    i += 1;
-                    continue;
-                }
-                if batch.is_empty() {
-                    bytes = self.send_pool[i].size;
-                    batch.push(self.send_pool.remove(i));
-                    if !self.cfg.aggregation {
+            // Pop one packet's worth of the flow, in submission order: a
+            // singleton when aggregation is off, else everything that
+            // fits under max_packet. Data-carrying and size-only messages
+            // never mix in one aggregate (the payload rope is the
+            // concatenation of the parts, so part sizes must account for
+            // every byte).
+            let pool = &mut self.flows[dst].pool;
+            let (_, first) = pool.pop_front().expect("picked by its head");
+            let (with_data, mut bytes) = (first.data.is_some(), first.size);
+            let mut batch = vec![first];
+            if self.cfg.aggregation {
+                while let Some((_, m)) = pool.front() {
+                    if m.data.is_some() != with_data || bytes + m.size > self.cfg.max_packet {
                         break;
                     }
-                    continue;
+                    bytes += m.size;
+                    batch.push(pool.pop_front().expect("peeked").1);
                 }
-                let cand = &self.send_pool[i];
-                if cand.data.is_some() != batch[0].data.is_some()
-                    || bytes + cand.size > self.cfg.max_packet
-                {
-                    break;
-                }
-                bytes += cand.size;
-                batch.push(self.send_pool.remove(i));
             }
-            debug_assert!(!batch.is_empty());
+            self.pooled -= batch.len();
             self.emit_eager_packet(now, fab, batch);
         }
     }
@@ -589,7 +598,7 @@ impl<R> Core<R> {
         };
         let rail = rails::pick_rail_in(fab, now);
         self.send_frame(fab, dst, rail, wire, payload_len, payload);
-        *self.inflight.entry(dst).or_insert(0) += 1;
+        self.flows[dst].inflight += 1;
         // Per-packet eta, read after this packet's own transmit: the slot
         // frees exactly when *this* packet has left the NIC.
         fab.arm_timer(fab.rail_eta(rail, now), Timer::WindowDrained { dst });

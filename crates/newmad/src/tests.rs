@@ -330,3 +330,48 @@ fn stats_track_polls() {
     assert!(!a.poll(&mut sim));
     assert_eq!(a.stats().empty_polls, 1);
 }
+
+/// The repo benchmark's `engine_stream` round (64 messages, per 16:
+/// 10 × 64 B, 3 × 4 KiB, 2 × 64 KiB, 1 × 1 MiB), driven event by event:
+/// its packet, aggregation, stall, chunk and event counts are exact and
+/// do not depend on the order inside a group.
+#[test]
+fn stream_round_has_an_exact_shape() {
+    const SIZES: [usize; 4] = [64, 4 << 10, 64 << 10, 1 << 20];
+    let group = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3];
+    let bufs =
+        SIZES.map(|len| Bytes::from((0..len).map(|k| (k * 7 + len) as u8).collect::<Vec<_>>()));
+    let ascending: Vec<usize> = group.iter().cycle().take(64).copied().collect();
+    // Large first, and rotated so that a group starts mid-class.
+    let mut shuffled: Vec<usize> = ascending.iter().rev().copied().collect();
+    shuffled.rotate_left(5);
+    for plan in [ascending, shuffled] {
+        let (_net, tx, rx, mut sim) = pair(EngineConfig::newmadeleine());
+        let recvs: Vec<ReqHandle> = (0..64).map(|t| rx.irecv(&mut sim, 0, t)).collect();
+        let sends: Vec<ReqHandle> = (0..64u64)
+            .zip(&plan)
+            .map(|(t, &class)| tx.isend_bytes(&mut sim, 1, t, bufs[class].clone()))
+            .collect();
+        while sim.step() {
+            for e in [&rx, &tx] {
+                if e.rx_backlog() > 0 {
+                    e.poll(&mut sim);
+                }
+            }
+        }
+        assert!(sends.iter().all(ReqHandle::is_complete));
+        for (r, &class) in recvs.iter().zip(&plan) {
+            assert_eq!(r.payload().expect("delivered"), bufs[class].to_vec());
+        }
+        let (a, b) = (tx.stats(), rx.stats());
+        assert_eq!(a.packets_sent + b.packets_sent, 59);
+        assert_eq!(a.packets_processed + b.packets_processed, 59);
+        assert_eq!((a.aggregated_messages, a.aggregate_packets), (50, 1));
+        assert_eq!(a.pipeline_stalls, 50);
+        assert_eq!((a.rendezvous_started, a.data_chunks_sent), (12, 32));
+        assert_eq!(sim.events_executed(), 133);
+        assert_eq!(a.payload_bytes_copied + b.payload_bytes_copied, 0);
+        assert_eq!(a.undecodable_packets + b.undecodable_packets, 0);
+        assert_eq!(a.stale_control_packets + b.stale_control_packets, 0);
+    }
+}

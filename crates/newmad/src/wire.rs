@@ -80,6 +80,8 @@ const K_RTS: u8 = 3;
 const K_CTS: u8 = 4;
 const K_DATA: u8 = 5;
 const K_FIN: u8 = 6;
+/// Longest header whose length does not depend on its content (the RTS).
+const MAX_FIXED_HEADER: usize = 1 + 21;
 
 impl Wire {
     /// Exact encoded header length in bytes.
@@ -94,9 +96,22 @@ impl Wire {
         }
     }
 
-    /// Serializes the header.
+    /// Serializes the header: one allocation for the fixed-size headers
+    /// (built on the stack, copied once into their shared buffer); only
+    /// an aggregate, whose length depends on its part count, grows a
+    /// buffer and freezes it.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.header_len());
+        if let Wire::EagerAggregate { .. } = self {
+            let mut b = BytesMut::with_capacity(self.header_len());
+            self.put(&mut b);
+            return b.freeze();
+        }
+        let mut raw = [0u8; MAX_FIXED_HEADER];
+        self.put(&mut &mut raw[..]);
+        Bytes::copy_from_slice(&raw[..self.header_len()])
+    }
+
+    fn put(&self, b: &mut impl BufMut) {
         match self {
             Wire::Eager { app_tag, size } => {
                 b.put_u8(K_EAGER);
@@ -138,7 +153,6 @@ impl Wire {
                 b.put_u32(*req);
             }
         }
-        b.freeze()
     }
 
     /// Parses a header off the front of `raw`, consuming exactly the
