@@ -1,27 +1,21 @@
 //! CLI entry: `piom-harness <experiment>` prints one (or `all`) of the
 //! paper's tables/figures regenerated on the simulated testbeds;
-//! `piom-harness scenarios [--json] [--quick] [--filter NAME] [--seed N]
-//! [--out PATH] [--compare OLD.json [--threshold PCT]]` runs the
-//! deterministic workload-scenario matrix (writing the
-//! `SCENARIOS_pioman.json` trajectory with `--json`, and gating against a
-//! baseline trajectory with `--compare` — exit 1 when any scenario
-//! regressed past the threshold); `piom-harness compare OLD NEW` applies
-//! the same gate to two already-recorded trajectory files without
-//! re-running the matrix; `piom-harness stats [--json]` runs the demo
-//! workload with the submit→execute latency histogram armed and prints the
-//! counter snapshot (Prometheus-text-shaped JSON with `--json`).
+//! `piom-harness scenarios [--quick] [--filter NAME] [--seed N] [--out
+//! PATH]` runs the deterministic workload-scenario matrix and prints its
+//! table, writing the trajectory JSON to `PATH` when asked (the committed
+//! `SCENARIOS_pioman.json` is gated by the tier-1 test
+//! `committed_matrix_reproduces_exactly`, not by this binary);
+//! `piom-harness stats [--json]` runs the demo workload with the
+//! submit→execute latency histogram armed and prints the counter snapshot
+//! (Prometheus-text-shaped JSON with `--json`).
 
-use piom_harness::{compare, scen, schema, snapshot};
+use piom_harness::{scen, schema, snapshot};
 use piom_scenarios::{Scenario, ScenarioParams};
 
 fn usage() -> ! {
     eprintln!("usage: piom-harness <experiment>");
-    eprintln!("       piom-harness compare OLD.json NEW.json [--threshold PCT]");
     eprintln!("       piom-harness stats [--json]");
-    eprintln!(
-        "       piom-harness scenarios [--json] [--quick] [--filter NAME] [--seed N] \
-         [--out PATH] [--compare OLD.json] [--threshold PCT]"
-    );
+    eprintln!("       piom-harness scenarios [--quick] [--filter NAME] [--seed N] [--out PATH]");
     eprintln!("experiments: {}", piom_harness::EXPERIMENTS.join(", "));
     std::process::exit(2);
 }
@@ -47,70 +41,18 @@ fn run_stats(args: &[String]) {
     }
 }
 
-/// Reads and parses a trajectory file, exiting 2 on any failure.
-fn load_trajectory(path: &str) -> std::collections::BTreeMap<String, schema::BaselineEntry> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {path}: {e}");
-        std::process::exit(2);
-    });
-    schema::parse_trajectory(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse baseline {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// `piom-harness compare OLD NEW [--threshold PCT]`: diff two recorded
-/// trajectory files without re-running the matrix (CI gates the numbers
-/// its `scenarios --json` step just wrote). Exit 1 when the gate fails.
-fn run_compare(args: &[String]) {
-    let mut paths = Vec::new();
-    let mut threshold_pct = compare::DEFAULT_THRESHOLD_PCT;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold" => match it.next().and_then(|p| p.parse::<f64>().ok()) {
-                Some(pct) if pct >= 0.0 => threshold_pct = pct,
-                _ => {
-                    eprintln!("--threshold requires a non-negative percentage");
-                    std::process::exit(2);
-                }
-            },
-            p if !p.starts_with("--") => paths.push(p.to_owned()),
-            other => {
-                eprintln!("unknown compare flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        eprintln!("compare needs exactly two trajectory files (old, new)");
-        std::process::exit(2);
-    };
-    let baseline = load_trajectory(old_path);
-    let current = load_trajectory(new_path);
-    let report = compare::compare_parsed(&baseline, &current, threshold_pct);
-    print!("{}", report.render());
-    if !report.gate_passes() {
-        std::process::exit(1);
-    }
-}
-
 /// `piom-harness scenarios [...]`: run the workload-scenario matrix
-/// deterministically and (optionally) write/gate the
-/// `SCENARIOS_pioman.json` trajectory. An unmatched `--filter` exits 2:
-/// a typo must not read as an empty-but-green matrix.
+/// deterministically, print its table, and write the trajectory to
+/// `--out PATH` if given (there is no default path). An unmatched
+/// `--filter` exits 2: a typo must not read as an empty-but-green matrix.
 fn run_scenarios(args: &[String]) {
-    let mut json = false;
     let mut quick = false;
     let mut seed: u64 = 42;
     let mut filter: Option<String> = None;
-    let mut out_path = String::from("SCENARIOS_pioman.json");
-    let mut baseline_path: Option<String> = None;
-    let mut threshold_pct = compare::DEFAULT_THRESHOLD_PCT;
+    let mut out_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--quick" => quick = true,
             "--seed" => match it.next().and_then(|p| p.parse::<u64>().ok()) {
                 Some(s) => seed = s,
@@ -127,27 +69,9 @@ fn run_scenarios(args: &[String]) {
                 }
             },
             "--out" => match it.next() {
-                Some(p) => {
-                    out_path = p.clone();
-                    // Naming an output file is asking for the file.
-                    json = true;
-                }
+                Some(p) => out_path = Some(p.clone()),
                 None => {
                     eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--compare" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => {
-                    eprintln!("--compare requires a baseline JSON path");
-                    std::process::exit(2);
-                }
-            },
-            "--threshold" => match it.next().and_then(|p| p.parse::<f64>().ok()) {
-                Some(pct) if pct >= 0.0 => threshold_pct = pct,
-                _ => {
-                    eprintln!("--threshold requires a non-negative percentage");
                     std::process::exit(2);
                 }
             },
@@ -175,8 +99,6 @@ fn run_scenarios(args: &[String]) {
         }
         None => piom_scenarios::registry().iter().collect(),
     };
-    // Read the baseline before running, so a bad path fails immediately.
-    let baseline = baseline_path.map(|path| load_trajectory(&path));
     let params = if quick {
         ScenarioParams::quick(seed)
     } else {
@@ -184,20 +106,13 @@ fn run_scenarios(args: &[String]) {
     };
     let reports = scen::run_matrix(&selected, &params);
     print!("{}", scen::render_text(&selected, &reports));
-    let results: Vec<_> = reports.iter().map(scen::to_bench_result).collect();
-    if json {
-        if let Err(e) = std::fs::write(&out_path, schema::render_json(&results)) {
-            eprintln!("cannot write {out_path}: {e}");
+    if let Some(path) = out_path {
+        let rows: Vec<_> = reports.iter().map(scen::to_row).collect();
+        if let Err(e) = std::fs::write(&path, schema::render_json(&rows)) {
+            eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         }
-        println!("wrote {out_path}");
-    }
-    if let Some(baseline) = baseline {
-        let report = compare::compare(&baseline, &results, threshold_pct);
-        print!("{}", report.render());
-        if !report.gate_passes() {
-            std::process::exit(1);
-        }
+        println!("wrote {path}");
     }
 }
 
@@ -205,10 +120,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();
-    }
-    if args[0] == "compare" {
-        run_compare(&args[1..]);
-        return;
     }
     if args[0] == "stats" {
         run_stats(&args[1..]);

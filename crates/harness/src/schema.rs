@@ -1,27 +1,17 @@
 //! The trajectory-file schema (`SCENARIOS_pioman.json`), owned in one
-//! place: [`BenchResult`] is the emit-side record, [`render_json`] writes
-//! it, [`BaselineEntry`] is the parse-side record, [`parse_trajectory`]
-//! reads it, and the round-trip tests below pin that `parse(render(x))`
-//! loses nothing — emit and parse cannot drift.
+//! place: [`Row`] is the record, [`render_json`] writes it,
+//! [`parse_trajectory`] reads it back, and the round-trip tests below pin
+//! that `parse(render(x)) == x` — emit and parse cannot drift.
 //!
-//! # Schema v2
-//!
-//! Version 1 recorded one number per scenario (`name → {mean_ns, iters,
-//! seed}`). Version 2 records the *distribution* the paper's
-//! responsiveness argument actually lives in:
+//! One JSON object maps each scenario name to exactly six fields:
 //!
 //! ```json
-//! "scenario": { "mean_ns": 512.3, "p50_ns": 490, "p99_ns": 1180,
-//!               "p999_ns": 2310, "iters": 2000, "seed": 42 }
+//! "scenario": { "mean_ns": 512.3, "p50_ns": 490.0, "p99_ns": 1180.0,
+//!               "p999_ns": 2310.0, "iters": 2000, "seed": 42 }
 //! ```
 //!
-//! There is no explicit version field — the percentile keys *are* the
-//! version marker. [`parse_trajectory`] accepts both generations:
-//! percentiles come back as `Option`s, `None` meaning a v1 file, and the
-//! compare gate falls back to mean-only gating for such rows (warning,
-//! not failing — a hand-written or old baseline must stay comparable).
-//! Unknown extra numeric fields are ignored on parse, so the schema can
-//! grow again without breaking older binaries' gates.
+//! The parser is strict: a missing field, an unknown field, or an
+//! `iters`/`seed` that is not an exact `u64` is an error.
 //!
 //! Everything is hand-rolled (the workspace is offline, no serde); names
 //! are plain identifiers so no escaping is needed.
@@ -29,21 +19,20 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One trajectory row: the unit of the schema
-/// (v2: `name → {mean_ns, p50_ns, p99_ns, p999_ns, iters, seed}`).
-#[derive(Debug, Clone)]
-pub struct BenchResult {
+/// One trajectory row, both what [`render_json`] writes and what
+/// [`parse_trajectory`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
     /// Stable scenario identifier (the JSON key).
-    pub name: &'static str,
+    pub name: String,
     /// Mean nanoseconds per sample (exact, not bucket-resolved —
     /// computed from the summed total).
     pub mean_ns: f64,
-    /// Median per-sample nanoseconds (histogram-resolved, ~3%).
+    /// Median per-sample nanoseconds (histogram-resolved, ~1.6 %).
     pub p50_ns: f64,
     /// 99th-percentile per-sample nanoseconds.
     pub p99_ns: f64,
-    /// 99.9th-percentile per-sample nanoseconds (recorded for the
-    /// trajectory; not gated — see `compare`).
+    /// 99.9th-percentile per-sample nanoseconds.
     pub p999_ns: f64,
     /// Samples measured.
     pub iters: u64,
@@ -51,55 +40,13 @@ pub struct BenchResult {
     pub seed: u64,
 }
 
-/// One parsed baseline scenario. `mean_ns` is mandatory in every schema
-/// generation; the percentiles are `None` when the file predates v2.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BaselineEntry {
-    /// Mean nanoseconds per sample.
-    pub mean_ns: f64,
-    /// Median, if the file carries v2 percentiles.
-    pub p50_ns: Option<f64>,
-    /// 99th percentile, if present (the gated tail).
-    pub p99_ns: Option<f64>,
-    /// 99.9th percentile, if present.
-    pub p999_ns: Option<f64>,
-}
-
-impl BaselineEntry {
-    /// A v2 entry (all percentiles present).
-    pub fn v2(mean_ns: f64, p50_ns: f64, p99_ns: f64, p999_ns: f64) -> Self {
-        BaselineEntry {
-            mean_ns,
-            p50_ns: Some(p50_ns),
-            p99_ns: Some(p99_ns),
-            p999_ns: Some(p999_ns),
-        }
-    }
-
-    /// A v1 entry (mean only).
-    pub fn v1(mean_ns: f64) -> Self {
-        BaselineEntry {
-            mean_ns,
-            p50_ns: None,
-            p99_ns: None,
-            p999_ns: None,
-        }
-    }
-
-    /// `true` when this row predates schema v2 (no percentile fields) —
-    /// the compare gate then falls back to mean-only for it.
-    pub fn is_v1(&self) -> bool {
-        self.p99_ns.is_none()
-    }
-}
-
-/// Serializes a matrix run as the trajectory document (schema v2).
-/// Percentiles are written with `{:.1}` like the mean: sub-0.1 ns
-/// resolution is below bucket resolution.
-pub fn render_json(results: &[BenchResult]) -> String {
+/// Serializes a matrix run as the trajectory document, rows in the given
+/// order. Latencies are written with `{:.1}`: sub-0.1 ns resolution is
+/// below bucket resolution.
+pub fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
+    for (i, r) in rows.iter().enumerate() {
+        let comma = if i + 1 == rows.len() { "" } else { "," };
         let _ = writeln!(
             out,
             "  \"{}\": {{ \"mean_ns\": {:.1}, \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \
@@ -111,43 +58,60 @@ pub fn render_json(results: &[BenchResult]) -> String {
     out
 }
 
-/// Parses a trajectory document of either schema generation into
-/// `name → `[`BaselineEntry`].
+/// Parses a trajectory document into its rows, in document order.
 ///
 /// Accepts one outer JSON object whose values are flat objects of numeric
-/// fields, with arbitrary whitespace — the shape every [`render_json`]
-/// since v1 emits, so hand-edited and historical baselines still parse.
-/// Rejects anything else with a description of where parsing stopped:
-/// silently comparing against garbage would make the gate lie.
+/// fields, with arbitrary whitespace.
 ///
 /// # Errors
 ///
-/// Malformed JSON, non-flat values, duplicate scenario names, or a
-/// scenario without `mean_ns`.
-pub fn parse_trajectory(json: &str) -> Result<BTreeMap<String, BaselineEntry>, String> {
+/// Malformed JSON, non-flat values, duplicate scenario names or fields, a
+/// row missing one of the six fields or carrying any other, or an
+/// `iters`/`seed` that is not an unsigned integer fitting a `u64`.
+pub fn parse_trajectory(json: &str) -> Result<Vec<Row>, String> {
     let mut p = Parser {
         bytes: json.as_bytes(),
         pos: 0,
     };
-    let mut map = BTreeMap::new();
+    let mut rows: Vec<Row> = Vec::new();
     p.expect(b'{')?;
     if !p.peek_is(b'}') {
         loop {
             let name = p.string()?;
             p.expect(b':')?;
-            let fields = p.flat_object()?;
-            let mean_ns = *fields
-                .get("mean_ns")
-                .ok_or_else(|| format!("scenario {name:?} has no mean_ns field"))?;
-            let entry = BaselineEntry {
-                mean_ns,
-                p50_ns: fields.get("p50_ns").copied(),
-                p99_ns: fields.get("p99_ns").copied(),
-                p999_ns: fields.get("p999_ns").copied(),
-            };
-            if map.insert(name.clone(), entry).is_some() {
+            if rows.iter().any(|r| r.name == name) {
                 return Err(format!("duplicate scenario {name:?}"));
             }
+            let mut fields = p.flat_object()?;
+            let mut take = |key: &str| {
+                fields
+                    .remove(key)
+                    .ok_or_else(|| format!("scenario {name:?} has no {key:?} field"))
+            };
+            let (mean, p50, p99, p999, iters, seed) = (
+                take("mean_ns")?,
+                take("p50_ns")?,
+                take("p99_ns")?,
+                take("p999_ns")?,
+                take("iters")?,
+                take("seed")?,
+            );
+            if let Some(extra) = fields.keys().next() {
+                return Err(format!("scenario {name:?} has unknown field {extra:?}"));
+            }
+            let int = |key: &str, tok: &str| {
+                tok.parse::<u64>()
+                    .map_err(|_| format!("scenario {name:?}: {key} {tok} is not a u64"))
+            };
+            rows.push(Row {
+                mean_ns: mean.parse().expect("validated by Parser::number"),
+                p50_ns: p50.parse().expect("validated by Parser::number"),
+                p99_ns: p99.parse().expect("validated by Parser::number"),
+                p999_ns: p999.parse().expect("validated by Parser::number"),
+                iters: int("iters", iters)?,
+                seed: int("seed", seed)?,
+                name,
+            });
             if !p.eat(b',') {
                 break;
             }
@@ -158,7 +122,7 @@ pub fn parse_trajectory(json: &str) -> Result<BTreeMap<String, BaselineEntry>, S
     if p.pos != p.bytes.len() {
         return Err(format!("trailing content at byte {}", p.pos));
     }
-    Ok(map)
+    Ok(rows)
 }
 
 /// Validates that `json` is one syntactically well-formed JSON value
@@ -191,7 +155,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while self
             .bytes
@@ -242,7 +206,9 @@ impl Parser<'_> {
         Err("unterminated string".into())
     }
 
-    fn number(&mut self) -> Result<f64, String> {
+    /// One number, returned as its source token once it parses as an
+    /// `f64` (callers wanting an integer re-parse the token exactly).
+    fn number(&mut self) -> Result<&'a str, String> {
         self.skip_ws();
         let start = self.pos;
         while self
@@ -254,20 +220,22 @@ impl Parser<'_> {
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
-            .and_then(|s| s.parse().ok())
+            .filter(|s| s.parse::<f64>().is_ok())
             .ok_or_else(|| format!("expected a number at byte {start}"))
     }
 
-    /// `{ "key": number, ... }` with no nesting — the per-scenario value
-    /// shape of every trajectory schema generation.
-    fn flat_object(&mut self) -> Result<BTreeMap<String, f64>, String> {
+    /// `{ "key": number, ... }` with no nesting and no repeated key — the
+    /// per-scenario value shape.
+    fn flat_object(&mut self) -> Result<BTreeMap<String, &'a str>, String> {
         let mut fields = BTreeMap::new();
         self.expect(b'{')?;
         if !self.peek_is(b'}') {
             loop {
                 let key = self.string()?;
                 self.expect(b':')?;
-                fields.insert(key, self.number()?);
+                if fields.insert(key.clone(), self.number()?).is_some() {
+                    return Err(format!("duplicate field {key:?}"));
+                }
                 if !self.eat(b',') {
                     break;
                 }
@@ -329,11 +297,11 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn result(name: &'static str, mean_ns: f64) -> BenchResult {
-        BenchResult {
-            name,
+    fn row(name: &str, mean_ns: f64) -> Row {
+        Row {
+            name: name.to_owned(),
             mean_ns,
-            p50_ns: mean_ns * 0.9,
+            p50_ns: mean_ns * 0.5,
             p99_ns: mean_ns * 2.0,
             p999_ns: mean_ns * 4.0,
             iters: 10,
@@ -343,54 +311,46 @@ mod tests {
 
     #[test]
     fn render_parse_roundtrip_loses_nothing() {
-        let results = [result("a_bench", 123.4), result("b_bench", 5.0)];
-        let parsed = parse_trajectory(&render_json(&results)).unwrap();
-        assert_eq!(parsed.len(), 2);
-        for r in &results {
-            let e = parsed[r.name];
-            assert!((e.mean_ns - r.mean_ns).abs() < 0.05, "mean survives");
-            assert!((e.p50_ns.unwrap() - r.p50_ns).abs() < 0.05);
-            assert!((e.p99_ns.unwrap() - r.p99_ns).abs() < 0.05);
-            assert!((e.p999_ns.unwrap() - r.p999_ns).abs() < 0.05);
-            assert!(!e.is_v1());
-        }
-    }
-
-    #[test]
-    fn v1_documents_still_parse_as_mean_only() {
-        // The percentile-less shape hand-written baselines use
-        // (`tests/scenarios_cli.rs`).
-        let json = r#"{
-  "rpc_mesh_steady": { "mean_ns": 639.0, "iters": 2000, "seed": 42 },
-  "retry_storm": { "mean_ns": 1886199.8, "iters": 200, "seed": 42 }
-}"#;
-        let parsed = parse_trajectory(json).unwrap();
-        let e = parsed["rpc_mesh_steady"];
-        assert!((e.mean_ns - 639.0).abs() < 1e-9);
-        assert!(e.is_v1() && e.p50_ns.is_none() && e.p999_ns.is_none());
-    }
-
-    #[test]
-    fn unknown_numeric_fields_are_ignored() {
-        let json = r#"{ "x": { "mean_ns": 1.0, "p99_ns": 2.0, "frobs": 9 } }"#;
-        let e = parse_trajectory(json).unwrap()["x"];
-        assert_eq!(e.p99_ns, Some(2.0));
-        assert!(!e.is_v1(), "p99 alone is enough to gate the tail");
+        let mut extreme = row("c_bench", 2.0);
+        extreme.iters = u64::MAX;
+        extreme.seed = u64::MAX;
+        let rows = vec![row("b_bench", 123.4), row("a_bench", 5.0), extreme];
+        // Exact equality, document order kept (not sorted by name), and
+        // `u64::MAX` survives: the integers never pass through an f64.
+        assert_eq!(parse_trajectory(&render_json(&rows)).unwrap(), rows);
     }
 
     #[test]
     fn parse_rejects_malformed_documents() {
+        let full = r#""mean_ns": 1, "p50_ns": 1, "p99_ns": 1, "p999_ns": 1"#;
+        let doc = |fields: &str| format!("{{ \"x\": {{ {fields} }} }}");
+        let ok = doc(&format!(r#"{full}, "iters": 3, "seed": 9007199254740993"#));
+        assert_eq!(
+            parse_trajectory(&ok).unwrap()[0].seed,
+            9_007_199_254_740_993
+        );
+
         assert!(parse_trajectory("").is_err());
         assert!(parse_trajectory("[]").is_err());
-        assert!(
-            parse_trajectory(r#"{ "x": { "iters": 3 } }"#).is_err(),
-            "no mean_ns"
-        );
-        assert!(parse_trajectory(r#"{ "x": { "mean_ns": 1 } } trailing"#).is_err());
-        assert!(
-            parse_trajectory(r#"{ "x": { "mean_ns": 1 }, "x": { "mean_ns": 2 } }"#).is_err(),
-            "duplicate keys"
-        );
+        for bad in [
+            // A row missing any of the six keys.
+            doc(r#""mean_ns": 1"#),
+            doc(&format!(r#"{full}, "iters": 3"#)),
+            doc(r#""p50_ns": 1, "p99_ns": 1, "p999_ns": 1, "iters": 3, "seed": 4"#),
+            // Any other key, or a repeated one.
+            doc(&format!(r#"{full}, "iters": 3, "seed": 4, "frobs": 9"#)),
+            doc(&format!(r#"{full}, "iters": 3, "seed": 4, "seed": 4"#)),
+            // iters/seed must be exact u64s.
+            doc(&format!(r#"{full}, "iters": 3.5, "seed": 4"#)),
+            doc(&format!(r#"{full}, "iters": -3, "seed": 4"#)),
+            doc(&format!(r#"{full}, "iters": 3, "seed": 1e3"#)),
+            doc(&format!(r#"{full}, "iters": 3, "seed": 18446744073709551616"#)),
+            // Trailing content and duplicate scenarios.
+            format!("{ok} trailing"),
+            format!("{{ \"x\": {{ {full}, \"iters\": 3, \"seed\": 4 }}, \"x\": {{ {full}, \"iters\": 3, \"seed\": 4 }} }}"),
+        ] {
+            assert!(parse_trajectory(&bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

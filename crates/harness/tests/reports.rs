@@ -3,6 +3,7 @@
 //! and the binary must behave sanely on good and bad arguments.
 
 use std::process::Command;
+use std::sync::OnceLock;
 
 /// Every individual experiment name (everything `run` accepts except the
 /// `all` aggregate, which is checked separately).
@@ -14,11 +15,28 @@ fn individual_experiments() -> Vec<&'static str> {
         .collect()
 }
 
+/// The report for `name`. Every individual report is regenerated once and
+/// shared by the tests below: each regenerator is seconds of DES in a
+/// debug build.
+fn report(name: &str) -> &'static str {
+    static REPORTS: OnceLock<Vec<(&str, Option<String>)>> = OnceLock::new();
+    REPORTS
+        .get_or_init(|| {
+            individual_experiments()
+                .into_iter()
+                .map(|name| (name, piom_harness::run(name)))
+                .collect()
+        })
+        .iter()
+        .find(|(n, _)| *n == name)
+        .and_then(|(_, r)| r.as_deref())
+        .unwrap_or_else(|| panic!("EXPERIMENTS lists {name:?} but run() rejects it"))
+}
+
 #[test]
 fn every_experiment_returns_a_nonempty_report() {
     for name in individual_experiments() {
-        let report = piom_harness::run(name)
-            .unwrap_or_else(|| panic!("EXPERIMENTS lists {name:?} but run() rejects it"));
+        let report = report(name);
         assert!(
             report.trim().len() > 40,
             "report for {name:?} suspiciously short: {report:?}"
@@ -43,7 +61,7 @@ fn reports_carry_their_paper_labels() {
         ("fig7", "FIG. 7"),
         ("ablation-hierarchy", "ABLATION"),
     ] {
-        let report = piom_harness::run(name).unwrap();
+        let report = report(name);
         assert!(
             report.contains(expected),
             "report for {name:?} is missing its {expected:?} heading"
@@ -56,7 +74,7 @@ fn figure_reports_contain_numeric_data() {
     // Each figure is a table of numbers; a report of headings only would be
     // well-formed-looking but empty. Require at least one fractional value.
     for name in ["fig4", "fig5", "fig6", "fig7"] {
-        let report = piom_harness::run(name).unwrap();
+        let report = report(name);
         let numeric_lines = report
             .lines()
             .filter(|l| l.split_whitespace().any(|w| w.parse::<f64>().is_ok()))
@@ -73,8 +91,8 @@ fn run_is_deterministic() {
     // Regenerators are seeded; two runs must render identical reports.
     for name in ["table1", "fig4"] {
         assert_eq!(
-            piom_harness::run(name),
-            piom_harness::run(name),
+            piom_harness::run(name).as_deref(),
+            Some(report(name)),
             "{name:?} report is not deterministic"
         );
     }
@@ -82,15 +100,14 @@ fn run_is_deterministic() {
 
 #[test]
 fn all_aggregates_every_individual_report() {
+    // `all` is exactly the individual reports, in EXPERIMENTS order.
     let all = piom_harness::run("all").unwrap();
-    for name in individual_experiments() {
-        let report = piom_harness::run(name).unwrap();
-        let first_line = report.lines().next().unwrap();
-        assert!(
-            all.contains(first_line),
-            "aggregate report is missing the {name:?} section"
-        );
-    }
+    let joined: Vec<&str> = individual_experiments().into_iter().map(report).collect();
+    assert_eq!(
+        all,
+        joined.join("\n"),
+        "aggregate report is not the sections joined"
+    );
 }
 
 #[test]

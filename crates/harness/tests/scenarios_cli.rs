@@ -1,23 +1,48 @@
 //! Integration coverage for the `piom-harness` subcommands. `scenarios`:
-//! the workload matrix must emit valid schema-v2 JSON (checked through
-//! `schema::validate_json` *and* the trajectory parser), reproduce
-//! byte-identically under one seed, diverge under another, gate through
-//! `--compare`, and treat an unmatched `--filter` as an error — a typo
-//! must never read as an empty-but-green matrix. `compare`: the
-//! file-vs-file gate and its exit codes. `stats`: the
-//! Prometheus-text-shaped counter export. And `bench`, which is gone.
+//! the committed `SCENARIOS_pioman.json` must reproduce byte for byte
+//! (the exact gate), the CLI must write valid trajectory JSON only where
+//! `--out` says, reproduce byte-identically under one seed, diverge under
+//! another, and treat an unmatched `--filter` as an error — a typo must
+//! never read as an empty-but-green matrix. `stats`: the
+//! Prometheus-text-shaped counter export. And `bench` and `compare`,
+//! which are gone.
 
+use piom_harness::{scen, schema};
+use piom_scenarios::{Scenario, ScenarioParams};
 use std::process::Command;
 
 fn harness() -> Command {
     Command::new(env!("CARGO_BIN_EXE_piom-harness"))
 }
 
-/// Runs `scenarios --quick --json --out <path> [extra args]` and returns
-/// the written JSON.
+/// The scenario gate: the full preset at seed 42, rendered in-process,
+/// must be byte-equal to the committed file. The matrix is a pure
+/// function of (code, params, seed), so there is no tolerance; a red run
+/// names every row that moved. If the move is intended, regenerate with
+/// `piom-harness scenarios --out SCENARIOS_pioman.json` and say why in
+/// CHANGES.md.
+#[test]
+fn committed_matrix_reproduces_exactly() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SCENARIOS_pioman.json");
+    let committed = std::fs::read_to_string(path).expect("read SCENARIOS_pioman.json");
+    let scenarios: Vec<&Scenario> = piom_scenarios::registry().iter().collect();
+    let rows: Vec<_> = scen::run_matrix(&scenarios, &ScenarioParams::full(42))
+        .iter()
+        .map(scen::to_row)
+        .collect();
+    if let Err(table) = scen::explain_mismatch(&committed, &schema::render_json(&rows)) {
+        panic!(
+            "{table}\nIf this change is intended, regenerate the file with \
+             `piom-harness scenarios --out SCENARIOS_pioman.json` and say why in CHANGES.md."
+        );
+    }
+}
+
+/// Runs `scenarios --quick --out <path> [extra args]` and returns the
+/// written JSON.
 fn scenarios_json_at(path: &std::path::Path, extra: &[&str]) -> String {
     let out = harness()
-        .args(["scenarios", "--quick", "--json", "--out"])
+        .args(["scenarios", "--quick", "--out"])
         .arg(path)
         .args(extra)
         .output()
@@ -43,25 +68,48 @@ fn scenarios_json_is_valid_schema_v2_and_byte_deterministic() {
     let path = dir.join("SCENARIOS_pioman.json");
 
     let json = scenarios_json_at(&path, &[]);
-    piom_harness::schema::validate_json(&json).expect("scenarios --json must emit valid JSON");
-    let parsed = piom_harness::schema::parse_trajectory(&json).expect("and a valid trajectory");
-    assert!(parsed.len() >= 8, "matrix needs >= 8 scenarios:\n{json}");
-    for (name, entry) in &parsed {
-        assert!(!entry.is_v1(), "{name} must carry v2 percentiles");
-        assert!(entry.mean_ns > 0.0, "{name} mean must be positive");
+    schema::validate_json(&json).expect("scenarios --out must write valid JSON");
+    let rows = schema::parse_trajectory(&json).expect("and a valid trajectory");
+    assert!(rows.len() >= 8, "matrix needs >= 8 scenarios:\n{json}");
+    for r in &rows {
+        assert!(r.mean_ns > 0.0, "{} mean must be positive", r.name);
+        assert_eq!(r.seed, 42, "{}", r.name);
     }
     for name in ["incast_fanin", "retry_storm", "rpc_mesh_steady"] {
-        assert!(parsed.contains_key(name), "missing {name}:\n{json}");
+        assert!(
+            rows.iter().any(|r| r.name == name),
+            "missing {name}:\n{json}"
+        );
     }
 
     // The determinism contract, at the file level: same seed ⇒ the same
-    // bytes (this is what lets CI diff against a committed baseline
-    // exactly); a different seed ⇒ different measurements.
+    // bytes (what lets the committed matrix be gated exactly); a
+    // different seed ⇒ different measurements.
     let again = scenarios_json_at(&path, &[]);
     assert_eq!(json, again, "same seed must reproduce byte-identically");
     let reseeded = scenarios_json_at(&path, &["--seed", "7"]);
     assert_ne!(json, reseeded, "a different seed must change the rows");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Without `--out` nothing is written: the CLI has no default path, so a
+/// quick or filtered run can never overwrite the committed matrix.
+#[test]
+fn scenarios_without_out_writes_no_file() {
+    let dir = std::env::temp_dir().join(format!("piom-scen-noout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = harness()
+        .args(["scenarios", "--quick"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn piom-harness scenarios --quick");
+    assert!(out.status.success());
+    assert!(
+        !dir.join("SCENARIOS_pioman.json").exists(),
+        "scenarios without --out wrote a trajectory file"
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -97,64 +145,16 @@ fn unmatched_filter_exits_nonzero() {
 }
 
 #[test]
-fn scenarios_compare_gates_against_a_baseline() {
-    let dir = std::env::temp_dir().join(format!("piom-scen-cmp-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Record a baseline, then compare a same-seed rerun against it: a
-    // deterministic matrix diffed against itself passes at delta zero.
-    let baseline = dir.join("base.json");
-    scenarios_json_at(&baseline, &[]);
-    let out = harness()
-        .args(["scenarios", "--quick", "--compare"])
-        .arg(&baseline)
-        .output()
-        .expect("spawn piom-harness scenarios --compare");
-    assert!(
-        out.status.success(),
-        "self-compare must pass: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(stdout.contains("gate: PASS"), "missing verdict:\n{stdout}");
-
-    // A baseline claiming a scenario used to be absurdly fast: the rerun
-    // regresses past any threshold and exits 1.
-    let regressing = dir.join("regressing.json");
-    std::fs::write(
-        &regressing,
-        "{\n  \"rpc_mesh_steady\": { \"mean_ns\": 0.001, \"iters\": 1, \"seed\": 42 }\n}\n",
-    )
-    .unwrap();
-    let out = harness()
-        .args(["scenarios", "--quick", "--compare"])
-        .arg(&regressing)
-        .output()
-        .expect("spawn piom-harness scenarios --compare");
-    assert_eq!(out.status.code(), Some(1), "regression must exit nonzero");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(stdout.contains("gate: FAIL"), "missing verdict:\n{stdout}");
-
-    // A corrupt baseline fails fast (exit 2), before any simulating.
-    let corrupt = dir.join("corrupt.json");
-    std::fs::write(&corrupt, "not json").unwrap();
-    let out = harness()
-        .args(["scenarios", "--quick", "--compare"])
-        .arg(&corrupt)
-        .output()
-        .expect("spawn piom-harness scenarios --compare corrupt");
-    assert_eq!(out.status.code(), Some(2));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn scenarios_rejects_unknown_flags_and_bad_values() {
     for bad in [
         &["scenarios", "--frobnicate"][..],
         &["scenarios", "--seed", "not-a-number"],
         &["scenarios", "--filter"],
-        &["scenarios", "--threshold", "-3"],
+        &["scenarios", "--out"],
+        // The deleted noise-budget and default-path flags.
+        &["scenarios", "--json"],
+        &["scenarios", "--compare", "x"],
+        &["scenarios", "--threshold", "5"],
     ] {
         let out = harness()
             .args(bad)
@@ -162,59 +162,6 @@ fn scenarios_rejects_unknown_flags_and_bad_values() {
             .expect("spawn piom-harness scenarios (bad args)");
         assert_eq!(out.status.code(), Some(2), "args {bad:?} must be rejected");
     }
-}
-
-#[test]
-fn compare_subcommand_diffs_two_files_without_benching() {
-    let dir = std::env::temp_dir().join(format!("piom-cmpfiles-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let old = dir.join("old.json");
-    let new = dir.join("new.json");
-    std::fs::write(
-        &old,
-        "{\n  \"a\": { \"mean_ns\": 100.0, \"iters\": 1, \"seed\": 42 },\n  \
-           \"b\": { \"mean_ns\": 100.0, \"iters\": 1, \"seed\": 42 }\n}\n",
-    )
-    .unwrap();
-    std::fs::write(
-        &new,
-        "{\n  \"a\": { \"mean_ns\": 90.0, \"iters\": 1, \"seed\": 42 },\n  \
-           \"b\": { \"mean_ns\": 180.0, \"iters\": 1, \"seed\": 42 }\n}\n",
-    )
-    .unwrap();
-
-    // b regressed +80%: default gate fails...
-    let out = harness()
-        .arg("compare")
-        .args([&old, &new])
-        .output()
-        .expect("spawn piom-harness compare");
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(stdout.contains("gate: FAIL"), "{stdout}");
-    assert!(
-        !stdout.contains("SCENARIO MATRIX"),
-        "file mode must not run the matrix:\n{stdout}"
-    );
-
-    // ...but a looser threshold passes.
-    let out = harness()
-        .arg("compare")
-        .args([&old, &new])
-        .args(["--threshold", "100"])
-        .output()
-        .expect("spawn piom-harness compare");
-    assert!(out.status.success());
-
-    // Wrong arity is a usage error.
-    let out = harness()
-        .arg("compare")
-        .arg(&old)
-        .output()
-        .expect("spawn piom-harness compare");
-    assert_eq!(out.status.code(), Some(2));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -257,15 +204,21 @@ fn stats_subcommand_exports_prometheus_shaped_json() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// The `bench` subcommand was deleted with its absolute-ns gate: the name
-/// now falls through to the experiment table like any other unknown word.
+/// The `bench` subcommand was deleted with its absolute-ns gate and
+/// `compare` with the noise-budget gate: both names now fall through to
+/// the experiment table like any other unknown word.
 #[test]
 fn bench_is_an_unknown_experiment() {
-    let out = harness()
-        .args(["bench", "--quick"])
-        .output()
-        .expect("spawn piom-harness");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(stderr.contains("unknown experiment \"bench\""), "{stderr}");
+    for gone in ["bench", "compare"] {
+        let out = harness()
+            .args([gone, "--quick"])
+            .output()
+            .expect("spawn piom-harness");
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            stderr.contains(&format!("unknown experiment {gone:?}")),
+            "{stderr}"
+        );
+    }
 }

@@ -15,9 +15,10 @@
 //! run is a pure function of `(code, params, seed)` — integer simulated
 //! time, [`piom_des::rng::SplitMix64`] jitter, no ambient entropy, no
 //! wall clock — so two runs with the same seed produce *byte-identical*
-//! JSON rows (pinned by `tests/determinism.rs`), and the
-//! `SCENARIOS_pioman.json` baseline gates CI exactly, through the
-//! `piom-harness` schema-v2 + compare machinery.
+//! JSON rows (pinned by `tests/determinism.rs`). The committed
+//! `SCENARIOS_pioman.json` is therefore gated exactly: `piom-harness`'s
+//! tier-1 test `committed_matrix_reproduces_exactly` re-renders the full
+//! preset at seed 42 and requires the same bytes, no tolerance.
 //!
 //! # Quick start
 //!
@@ -43,20 +44,6 @@ mod workloads;
 
 pub use cluster::{Cluster, Server, ServerCosts};
 
-/// How the compare gate should hold a scenario's row
-/// (`piom-harness compare` maps these onto its per-scenario thresholds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
-    /// Tight unimodal distribution: gate the mean at the tight default
-    /// *and* the p99 at `P99_THRESHOLD_FACTOR`× — a fattened tail here
-    /// is a real model regression.
-    Tail,
-    /// Intrinsically bursty / heavy-tailed / bimodal distribution: gate
-    /// the mean at the wide threshold only — the tail *is* the workload,
-    /// and a small model change legitimately swings it.
-    Wide,
-}
-
 /// Shared knobs of every scenario run. Each scenario derives its own
 /// internal sizes from these two scale parameters plus the seed, so
 /// `quick` and `full` exercise the same shapes at different volumes.
@@ -74,7 +61,7 @@ pub struct ScenarioParams {
 
 impl ScenarioParams {
     /// The full preset recorded into the committed `SCENARIOS_pioman.json`
-    /// trajectory and gated in CI.
+    /// trajectory (at seed 42) and gated exactly in tier-1.
     pub fn full(seed: u64) -> Self {
         ScenarioParams {
             seed,
@@ -157,16 +144,14 @@ impl<'a> Recorder<'a> {
     }
 }
 
-/// One registered workload: a name, a gate class, and a run function that
-/// builds its simulation and records one latency sample (nanoseconds of
-/// *simulated* time) per request into the recorder.
+/// One registered workload: a name and a run function that builds its
+/// simulation and records one latency sample (nanoseconds of *simulated*
+/// time) per request into the recorder.
 pub struct Scenario {
     /// Stable identifier — the JSON key of its trajectory row.
     pub name: &'static str,
     /// One-line description shown by `piom-harness scenarios`.
     pub about: &'static str,
-    /// Which gate treatment the compare machinery applies.
-    pub gate: Gate,
     run: fn(&ScenarioParams, &mut Recorder),
 }
 
@@ -183,7 +168,6 @@ impl Scenario {
         let throughput = rec.throughput();
         ScenarioReport {
             name: self.name,
-            gate: self.gate,
             seed: params.seed,
             summary: hist.snapshot().summary(),
             throughput,
@@ -204,7 +188,6 @@ impl std::fmt::Debug for Scenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scenario")
             .field("name", &self.name)
-            .field("gate", &self.gate)
             .finish()
     }
 }
@@ -219,17 +202,15 @@ pub struct ClassThroughput {
     pub per_ms: f64,
 }
 
-/// One scenario's result row: the schema-v2 fields
+/// One scenario's result row: the trajectory fields
 /// (`mean/p50/p99/p999/iters/seed`) in the shared vocabulary, ready for
-/// `piom-harness` to render and gate with no new formats, plus the
+/// `piom-harness` to render with no new formats, plus the
 /// throughput-per-class rows (text table only — the JSON trajectory
-/// stays pure schema-v2, whose compare semantics are ns/op percentiles).
+/// carries the latency distribution alone).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioReport {
     /// Scenario name (the JSON key).
     pub name: &'static str,
-    /// Gate treatment of this row.
-    pub gate: Gate,
     /// Seed the run was configured with.
     pub seed: u64,
     /// The latency distribution (count doubles as the row's `iters`).
@@ -256,18 +237,6 @@ pub fn matching(filter: &str) -> Vec<&'static Scenario> {
         .iter()
         .filter(|s| s.name.contains(filter))
         .collect()
-}
-
-/// `true` if `name` is a registered scenario with [`Gate::Wide`]: the
-/// compare gate holds its mean to the wide threshold.
-pub fn is_high_variance(name: &str) -> bool {
-    find(name).is_some_and(|s| s.gate == Gate::Wide)
-}
-
-/// `true` if `name` is a registered scenario with [`Gate::Tail`]: the
-/// compare gate holds its p99 as well as its mean.
-pub fn is_tail_gated(name: &str) -> bool {
-    find(name).is_some_and(|s| s.gate == Gate::Tail)
 }
 
 /// Mixes the scenario name into the run seed so every scenario draws an
@@ -313,19 +282,6 @@ mod tests {
         assert!(matching("zzz_nothing").is_empty());
         let fanin = matching("fanin");
         assert!(fanin.iter().any(|s| s.name == "incast_fanin"));
-    }
-
-    #[test]
-    fn gate_tags_partition_the_registry() {
-        for s in registry() {
-            assert!(
-                is_high_variance(s.name) ^ is_tail_gated(s.name),
-                "{} must be exactly one of wide/tail",
-                s.name
-            );
-        }
-        assert!(!is_high_variance("not_registered"));
-        assert!(!is_tail_gated("not_registered"));
     }
 
     #[test]

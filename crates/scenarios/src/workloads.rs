@@ -9,7 +9,7 @@
 //! * all arithmetic is integer nanoseconds or IEEE basic-op `f64`
 //!   (add/sub/mul/div) — **no transcendentals** (`ln`, `powf`, `sin`),
 //!   whose libm implementations differ across hosts and would break the
-//!   byte-identical contract the gate rests on. Heavy tails come from
+//!   byte-identical contract the exact gate rests on. Heavy tails come from
 //!   geometric bit draws, the day curve from an integer multiplier table;
 //! * one latency sample (nanoseconds of *simulated* time) per request
 //!   goes to the recorder; the fold into `pioman::hist` happens in
@@ -20,7 +20,7 @@
 //! afterwards.
 
 use crate::cluster::{stamped_latency, Cluster, Server, ServerCosts};
-use crate::{Gate, Recorder, Scenario, ScenarioParams};
+use crate::{Recorder, Scenario, ScenarioParams};
 use newmadeleine::{CommEngine, EngineConfig};
 use piom_des::rng::SplitMix64;
 use piom_des::{Sim, SimTime};
@@ -34,91 +34,76 @@ pub(crate) static REGISTRY: &[Scenario] = &[
     Scenario {
         name: "incast_fanin",
         about: "synchronized many-endpoint fan-in rounds queueing on one server",
-        gate: Gate::Wide,
         run: incast_fanin,
     },
     Scenario {
         name: "bursty_onoff",
         about: "on/off burst clients against one server (burst drains are the tail)",
-        gate: Gate::Wide,
         run: bursty_onoff,
     },
     Scenario {
         name: "diurnal_wave",
         about: "a day-curve arrival trace: near-critical peak hours, idle troughs",
-        gate: Gate::Wide,
         run: diurnal_wave,
     },
     Scenario {
         name: "heavy_tail_mix",
         about: "mice-and-elephants size mix head-of-line blocking one NIC engine",
-        gate: Gate::Wide,
         run: heavy_tail_mix,
     },
     Scenario {
         name: "straggler_shuffle",
         about: "scatter/gather rounds where 1-in-16 worker draws run 10x slow",
-        gate: Gate::Wide,
         run: straggler_shuffle,
     },
     Scenario {
         name: "retry_storm",
         about: "server outage window; timed-out clients retry with backoff",
-        gate: Gate::Wide,
         run: retry_storm,
     },
     Scenario {
         name: "multirail_stripe",
         about: "newmad rendezvous transfers striped over 4 rails by the engine's scheduler",
-        gate: Gate::Tail,
         run: multirail_stripe,
     },
     Scenario {
         name: "rpc_mesh_steady",
         about: "steady random pairwise request/response RPCs (the tight baseline)",
-        gate: Gate::Tail,
         run: rpc_mesh_steady,
     },
     Scenario {
         name: "rdma_pull_fanin",
         about: "one-sided RDMA pulls from many peers (contention-free floor)",
-        gate: Gate::Tail,
         run: rdma_pull_fanin,
     },
     Scenario {
         name: "rpc_mesh_qos_urgent",
         about: "the RPC mesh under QoS class lanes: the Urgent slice's RTTs",
-        gate: Gate::Tail,
         run: rpc_mesh_qos_urgent,
     },
     Scenario {
         name: "rpc_mesh_qos_interactive",
         about: "the RPC mesh under QoS class lanes: the Interactive slice's RTTs",
-        gate: Gate::Tail,
         run: rpc_mesh_qos_interactive,
     },
     Scenario {
         name: "rpc_mesh_qos_bulk",
         about: "the RPC mesh under QoS class lanes: the Bulk slice's RTTs",
-        gate: Gate::Wide,
         run: rpc_mesh_qos_bulk,
     },
     Scenario {
         name: "rpc_mesh_qos_background",
         about: "the RPC mesh under QoS class lanes: the Background slice's RTTs",
-        gate: Gate::Wide,
         run: rpc_mesh_qos_background,
     },
     Scenario {
         name: "incast_fanin_2048",
         about: "the incast ramp at 2048 synchronized senders (fabric-scale fan-in)",
-        gate: Gate::Wide,
         run: incast_fanin_2048,
     },
     Scenario {
         name: "rpc_mesh_steady_2048",
         about: "the steady RPC mesh across 2048 endpoints (fabric-scale baseline)",
-        gate: Gate::Tail,
         run: rpc_mesh_steady_2048,
     },
 ];
@@ -655,7 +640,7 @@ const RPC_RESPONSE: u64 = 1 << 63;
 
 /// A steady random mesh of request/response RPCs between `endpoints`
 /// nodes: light utilization everywhere, so the distribution is the tight
-/// unimodal baseline the tail gate holds hardest. Recorded: full RTT
+/// unimodal baseline the queueing rows are read against. Recorded: full RTT
 /// (request send → response arrival).
 fn rpc_mesh_steady(p: &ScenarioParams, rec: &mut Recorder) {
     rpc_mesh_core("rpc_mesh_steady", p.endpoints.clamp(2, 16), p, rec);
@@ -830,9 +815,10 @@ fn qos_serve_next(ctx: &Rc<QosCtx>, sim: &mut Sim, node: usize) {
 /// wrappers simulate the *identical* traffic — same name-seeded streams,
 /// classes dealt 2:3:2:1 (urgent:interactive:bulk:background) from the
 /// precompute stream — and each records only its own class's RTT slice,
-/// so the four trajectory rows decompose one workload by tier: the
-/// priority classes must stay tight (`Gate::Tail`) while `Bulk` and
-/// `Background` absorb the queueing (`Gate::Wide`). Every row reports
+/// so the four trajectory rows decompose one workload by tier: strict
+/// class priority keeps the `Urgent` and `Interactive` tails tight while
+/// `Bulk` and `Background` absorb the queueing (pinned by
+/// `qos_mesh_tiers_order_by_class`). Every row reports
 /// the *full* per-class completion throughput of the shared workload
 /// (latency samples carry the focus class, sibling slices go through
 /// [`Recorder::note_completions`]), so the four throughput vectors are
