@@ -269,7 +269,7 @@ impl core::fmt::Debug for TaskHandle {
 mod tests {
     use super::*;
     use crate::queue::QueueId;
-    use crate::task::{Task, TaskOptions, TaskStatus};
+    use crate::task::{Task, TaskOptions, TaskSet, TaskStatus};
     use core::sync::atomic::AtomicUsize;
     use piom_cpuset::CpuSet;
     use std::sync::mpsc;
@@ -291,7 +291,7 @@ mod tests {
         let task = Task {
             body: Box::new(|_| TaskStatus::Done),
             options: TaskOptions::oneshot(),
-            cpuset: CpuSet::single(0),
+            cpuset: TaskSet::new(&CpuSet::single(0)),
             home: QueueId(0),
             completion: Completion::new(),
             submitted_at: None,
@@ -331,6 +331,7 @@ mod tests {
     #[test]
     fn no_waiter_completion_is_one_word_and_no_slow_block() {
         assert!(core::mem::size_of::<Completion>() <= 24);
+        assert!(core::mem::size_of::<Task>() <= 96, "a task moves by value");
         let c = Completion::new();
         let h = handle(&c);
         assert!(h.poll().is_none() && !h.is_complete());

@@ -4,13 +4,13 @@
 //! A single `AtomicU64` counter that every core increments is a shared
 //! cache line by construction: each `fetch_add` pulls the line exclusive,
 //! so under load the counter serializes cores that are otherwise touching
-//! disjoint data — the queue-level `submitted`/`executed` counters had
-//! exactly that shape (every submitter and every executing core RMWs the
-//! same word). [`ShardedCounter`] splits the count across cache-padded
-//! slots — each thread (or an explicitly-chosen slot, e.g. the executing
-//! core) increments its own line — and sums the slots only when a
-//! snapshot is taken ([`TaskManager::stats`](crate::TaskManager::stats)),
-//! which is the rare path by design.
+//! disjoint data — the queue-level `executed` counter has exactly that
+//! shape (every executing core RMWs the same word). [`ShardedCounter`]
+//! splits the count across cache-padded slots — each thread (or an
+//! explicitly-chosen slot, e.g. the executing core) increments its own
+//! line — and sums the slots only when a snapshot is taken
+//! ([`TaskManager::stats`](crate::TaskManager::stats)), which is the rare
+//! path by design.
 //!
 //! The trade is exactness of *concurrent* snapshots: the sum is taken
 //! slot by slot, so a snapshot racing increments may miss in-flight ones

@@ -3,7 +3,9 @@
 use crate::completion::Completion;
 use crate::queue::{QueueId, Span, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
-use crate::task::{Task, TaskClass, TaskContext, TaskFn, TaskOptions, TaskStatus, CLASS_COUNT};
+use crate::task::{
+    Task, TaskClass, TaskContext, TaskFn, TaskOptions, TaskSet, TaskStatus, CLASS_COUNT,
+};
 use crate::TaskHandle;
 use core::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use crossbeam::utils::CachePadded;
@@ -133,18 +135,14 @@ impl HookPoint {
 /// deliberate split: the fields *other* cores touch while this core is
 /// busy (`remote`) sit on their own padded line, so a `wake_for_steal`
 /// scan polling parked flags never pulls the line this core's executor is
-/// hammering with `executed`/`steal_attempts` RMWs.
+/// hammering with `executed_class`/`steal_attempts` RMWs.
 #[derive(Debug, Default)]
 struct CoreState {
-    /// Tasks executed on this core (the paper's distribution measurements).
-    executed: AtomicU64,
     /// Tasks executed on this core, split by [`TaskClass`] lane (indexed by
-    /// [`TaskClass::index`]). Sums to `executed`.
+    /// [`TaskClass::index`]); their sum is the core's execution count (the
+    /// paper's distribution measurements).
     executed_class: [AtomicU64; CLASS_COUNT],
-    /// Tasks stolen (and run) by this core.
-    stolen: AtomicU64,
-    /// Tasks stolen by this core, split by [`TaskClass`] lane. Sums to
-    /// `stolen`.
+    /// Tasks stolen (and run) by this core, split by [`TaskClass`] lane.
     stolen_class: [AtomicU64; CLASS_COUNT],
     /// Steal probes by this core (a probe is one empty hierarchy scan).
     steal_attempts: AtomicU64,
@@ -461,8 +459,18 @@ impl TaskManager {
     /// assert_eq!(mgr.schedule_batch(0, 6), 0);
     /// ```
     pub fn schedule_batch(&self, core: usize, max: usize) -> usize {
+        self.keypoint(None, core, max).0
+    }
+
+    /// [`schedule_batch`](Self::schedule_batch), counted as hook `at`, and
+    /// whether it only put back tasks `core` may not run, each queue passed
+    /// whole: it ran none and took fewer than `max` (a cut pass takes `max`).
+    pub(crate) fn keypoint(&self, at: Option<HookPoint>, core: usize, max: usize) -> (usize, bool) {
+        if let Some(point) = at {
+            self.hook_counts[point.index()].fetch_add(1, Ordering::Relaxed);
+        }
         debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        let mut ran = 0;
+        let (mut ran, mut took) = (0, 0);
         let socket_node = self.sockets[self.core_socket[core] as usize].node;
         let mut batch = SCRATCH.take();
         for node in self.topo.path_to_root(core) {
@@ -477,6 +485,7 @@ impl TaskManager {
                 batch.clear();
                 let taken = queue.dequeue_batch(pass, &mut batch);
                 self.note_removed(queue.id, taken);
+                took += taken;
                 for task in batch.drain(..) {
                     ran += usize::from(self.run_task(task, core));
                 }
@@ -485,7 +494,8 @@ impl TaskManager {
             // the socket node's own queue, drain what the socket's deep
             // member queues spilled.
             if self.socket_overflow_active && node.index() as u32 == socket_node && ran < max {
-                ran += self.claim_overflow(core, max - ran, &mut batch);
+                let (claimed, taken) = self.claim_overflow(core, max - ran, &mut batch);
+                (ran, took) = (ran + claimed, took + taken);
             }
         }
         batch.clear();
@@ -493,7 +503,7 @@ impl TaskManager {
         if ran == 0 && self.config.steal {
             ran += self.steal_batch(core, max);
         }
-        ran
+        (ran, ran == 0 && 0 < took && took < max)
     }
 
     /// The per-keypoint task budget for `core`: the backlog visible on its
@@ -628,9 +638,6 @@ impl TaskManager {
     /// tasks whose cpuset admits `core`, so none of them requeues.
     fn run_stolen(&self, core: usize, batch: &mut Vec<Task>) {
         let state = &self.cores[core];
-        state
-            .stolen
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         state.steal_batches.fetch_add(1, Ordering::Relaxed);
         for task in batch.drain(..) {
             state.stolen_class[task.options.class.index()].fetch_add(1, Ordering::Relaxed);
@@ -646,9 +653,9 @@ impl TaskManager {
         if !task.cpuset.contains(core) {
             // The queue's span covers the task's cpuset, but this particular
             // core was excluded by the submitter. Put it back for a sibling.
-            let cpuset = task.cpuset;
+            let set = task.cpuset.local();
             queue.requeue(task);
-            self.note_enqueued(queue.id, &cpuset);
+            self.note_enqueued(queue.id, &set);
             return false;
         }
         let class = task.options.class;
@@ -668,16 +675,15 @@ impl TaskManager {
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| (task.body)(&ctx)));
         queue.note_executed(core);
-        self.cores[core].executed.fetch_add(1, Ordering::Relaxed);
         self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Relaxed);
         let dependents = match outcome {
             Ok(TaskStatus::Again) if task.options.repeat => {
                 // A repeat task re-entering its queue starts a fresh
                 // queueing interval; each run measures its own delay.
                 task.submitted_at = self.latency.is_some().then(std::time::Instant::now);
-                let cpuset = task.cpuset;
+                let set = task.cpuset.local();
                 queue.requeue(task);
-                self.note_enqueued(queue.id, &cpuset);
+                self.note_enqueued(queue.id, &set);
                 return true;
             }
             // A one-shot task returning `Again` is treated as `Done`.
@@ -708,11 +714,10 @@ impl TaskManager {
 
     /// [`hook`](Self::hook) with a task budget: records the keypoint and
     /// runs [`schedule_batch`](Self::schedule_batch). Progression workers
-    /// use this so one keypoint invocation cannot monopolize a core when a
-    /// large backlog arrives at once.
+    /// keypoint the same way so one invocation cannot monopolize a core
+    /// when a large backlog arrives at once.
     pub fn hook_batch(&self, point: HookPoint, core: usize, max: usize) -> usize {
-        self.hook_counts[point.index()].fetch_add(1, Ordering::Relaxed);
-        self.schedule_batch(core, max)
+        self.keypoint(Some(point), core, max).0
     }
 
     /// Total tasks currently enqueued anywhere — queues and socket
@@ -743,6 +748,11 @@ impl TaskManager {
     /// Maps every core's padded state block to one snapshot value.
     fn per_core<T>(&self, f: impl Fn(&CoreState) -> T) -> Vec<T> {
         self.cores.iter().map(|c| f(c)).collect()
+    }
+
+    /// Sums a per-core per-class counter array into one value per core.
+    fn core_totals(&self, f: impl Fn(&CoreState) -> &[AtomicU64; CLASS_COUNT]) -> Vec<u64> {
+        self.per_core(|c| f(c).iter().map(|n| n.load(Ordering::Relaxed)).sum())
     }
 
     /// Folds a per-core per-class counter array into class totals.
@@ -780,8 +790,8 @@ impl TaskManager {
                     }
                 })
                 .collect(),
-            executed_by_core: self.per_core(|c| c.executed.load(Ordering::Relaxed)),
-            stolen_by_core: self.per_core(|c| c.stolen.load(Ordering::Relaxed)),
+            executed_by_core: self.core_totals(|c| &c.executed_class),
+            stolen_by_core: self.core_totals(|c| &c.stolen_class),
             steal_attempts_by_core: self.per_core(|c| c.steal_attempts.load(Ordering::Relaxed)),
             stolen_batch_by_core: self.per_core(|c| c.steal_batches.load(Ordering::Relaxed)),
             park_probe_hits: self.per_core(|c| c.park_hits.load(Ordering::Relaxed)),
@@ -1312,6 +1322,15 @@ mod tests {
         let stats = mgr.stats();
         assert_eq!(stats.total_submitted(), (24 * RAMP + 4 * 256) as u64);
         assert_eq!(stats.total_executed(), stats.total_submitted());
+        // The per-core totals are derived from the per-class splits, and
+        // agree with the per-queue counts.
+        let by_core: u64 = stats.executed_by_core.iter().sum();
+        assert_eq!(by_core, stats.executed_by_class.iter().sum::<u64>());
+        assert_eq!(by_core, stats.total_executed());
+        assert_eq!(
+            stats.total_stolen(),
+            stats.stolen_by_class.iter().sum::<u64>()
+        );
     }
 
     #[test]

@@ -191,9 +191,9 @@ impl TaskManager {
     /// load — the waker mutex is only touched for cores that actually
     /// have a worker to unpark, so a machine-wide submission on a
     /// workerless (or sparsely-workered) manager is a read-only sweep,
-    /// not `n_cores` mutex round-trips per enqueue.
-    pub(super) fn wake_cores(&self, cpuset: CpuSet) {
-        for core in cpuset.iter() {
+    /// not `n_cores` mutex round-trips per enqueue; the walk visits set bits only.
+    pub(super) fn wake_cores(&self, set: &TaskSet<CpuSet>) {
+        for core in set.cores() {
             if core >= self.wakers.len() {
                 break;
             }

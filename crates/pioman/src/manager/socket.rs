@@ -65,14 +65,14 @@ impl SocketTier {
 }
 
 impl TaskManager {
-    /// Records `cpuset`'s task landing on `queue` in the queue's socket
+    /// Records `set`'s task landing on `queue` in the queue's socket
     /// aggregates (pending hint + socket span). Queues above every socket
     /// node (the Global Queue) have no socket to account to.
-    pub(super) fn note_enqueued(&self, queue: QueueId, cpuset: &CpuSet) {
+    pub(super) fn note_enqueued(&self, queue: QueueId, set: &TaskSet<CpuSet>) {
         if let Some(s) = self.queue_socket[queue.index()] {
             let sock = &self.sockets[s as usize];
             sock.pending.fetch_add(1, Ordering::Relaxed);
-            sock.span.fold(cpuset);
+            sock.span.fold(set.words());
         }
     }
 
@@ -120,13 +120,18 @@ impl TaskManager {
     /// the depth at arrival — and a popped task whose cpuset excludes
     /// `core` bounces to its home queue through the ordinary
     /// [`run_task`](Self::run_task) requeue path. `batch` is the caller's
-    /// (drained) scratch. Returns bodies run.
-    pub(super) fn claim_overflow(&self, core: usize, max: usize, batch: &mut Vec<Task>) -> usize {
+    /// (drained) scratch. Returns `(bodies run, tasks taken)`.
+    pub(super) fn claim_overflow(
+        &self,
+        core: usize,
+        max: usize,
+        batch: &mut Vec<Task>,
+    ) -> (usize, usize) {
         let s = self.core_socket[core] as usize;
         let sock = &self.sockets[s];
         let pass = sock.overflow.len_hint().min(max);
         if pass == 0 || !sock.overflow.steal_span.admits(core) {
-            return 0;
+            return (0, 0);
         }
         batch.clear();
         let taken = sock.overflow.dequeue_batch(pass, batch);
@@ -136,7 +141,7 @@ impl TaskManager {
             ran += usize::from(self.run_task(task, core));
         }
         sock.claimed.fetch_add(ran as u64, Ordering::Relaxed);
-        ran
+        (ran, taken)
     }
 
     /// Steal-half against a **remote socket's overflow**: the same

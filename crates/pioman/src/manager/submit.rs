@@ -109,10 +109,10 @@ impl TaskManager {
     /// waitlist release path, and nothing else — requeues of *running*
     /// tasks go through [`TaskQueue::requeue`] directly.
     fn dispatch(&self, task: Task) {
-        let effective = task.cpuset;
+        let set = task.cpuset.local();
         let home = task.home;
         let depth = self.queues[home.index()].enqueue(task);
-        self.note_enqueued(home, &effective);
+        self.note_enqueued(home, &set);
         // Spill escalation: a queue *below* its socket node that out-runs
         // the spill threshold moves half its backlog (lowest class first)
         // into the socket overflow, where every member core's hierarchy
@@ -124,7 +124,7 @@ impl TaskManager {
                 }
             }
         }
-        self.wake_cores(effective);
+        self.wake_cores(&set);
         // Backlog escalation: the queue is deep enough that its own cores
         // are visibly not keeping up, so recruit the nearest parked thief
         // (which may be eligible only for *older* tasks in the backlog and
@@ -313,7 +313,7 @@ impl SubmitSpec<'_> {
         let task = Task {
             body: self.body,
             options: self.options,
-            cpuset: effective,
+            cpuset: TaskSet::new(&effective),
             home,
             completion: self.completion,
             submitted_at: mgr.latency.is_some().then(std::time::Instant::now),

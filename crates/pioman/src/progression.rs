@@ -12,8 +12,9 @@
 //! of event detection even when wake-ups race.
 //!
 //! Parking is **steal-aware**: before sleeping, a worker publishes
-//! its parked flag, re-checks its own path ([`TaskManager::has_work_for`])
-//! and then runs the cheap [`TaskManager::park_probe`] over its victim
+//! its parked flag, re-checks its own path ([`TaskManager::has_work_for`],
+//! unless its keypoint only bounced tasks its core may not run) and then
+//! runs the cheap [`TaskManager::park_probe`] over its victim
 //! queues — a hit sends it back to the keypoint (where the steal path will
 //! take the backlog) instead of to sleep, so a remote imbalance is picked
 //! up in probe time rather than a park-timeout/timer period. Because the
@@ -37,8 +38,8 @@ pub struct ProgressionConfig {
     /// Upper bound on how long an idle worker sleeps before re-checking its
     /// queues (the "timer interrupt" period of last resort).
     pub park_timeout: Duration,
-    /// Optional dedicated timer thread that unparks every worker at this
-    /// period, independent of submissions.
+    /// Optional timer thread running every configured core's [`HookPoint::TimerInterrupt`]
+    /// keypoint itself at this period, independent of submissions; it unparks no worker.
     pub timer_period: Option<Duration>,
 }
 
@@ -116,8 +117,9 @@ impl Progression {
                             // keep the worker away from its shutdown/park
                             // checks indefinitely.
                             let budget = mgr.adaptive_budget(core);
-                            let ran = mgr.hook_batch(HookPoint::Idle, core, budget) > 0;
-                            if ran {
+                            let (ran, bounce_only) =
+                                mgr.keypoint(Some(HookPoint::Idle), core, budget);
+                            if ran > 0 {
                                 probe_strikes = 0;
                                 continue;
                             }
@@ -126,8 +128,10 @@ impl Progression {
                             // checks: an enqueue racing them either is seen
                             // by a check or sees the flag and unparks us
                             // (worst case a stale token, never a lost wake).
+                            // A bounce-only keypoint saw the whole path: a
+                            // runnable submission since has its own token.
                             mgr.note_parked(core, true);
-                            if mgr.has_work_for(core) {
+                            if !bounce_only && mgr.has_work_for(core) {
                                 mgr.note_parked(core, false);
                                 continue;
                             }
@@ -164,8 +168,8 @@ impl Progression {
                 .spawn(move || {
                     while !shutdown.load(Ordering::Acquire) {
                         std::thread::sleep(period);
-                        // Unpark everyone: the cheap software analogue of a
-                        // broadcast timer interrupt.
+                        // A broadcast timer interrupt in software: this
+                        // thread runs each core's keypoint; nobody is woken.
                         for &core in &cores {
                             mgr.hook(HookPoint::TimerInterrupt, core);
                         }

@@ -13,16 +13,16 @@
 //!
 //! A queue's hot words are touched by different cores in different roles:
 //! the *owner* and *thieves* take the lock, every *park probe* reads the
-//! length hint and the steal span, and *submitters* bump the statistics
-//! counters. Each of those groups sits behind a [`CachePadded`] so one
-//! role's writes never evict the line another role is polling — and the
-//! `submitted`/`executed` statistics, which every core RMWs, are
-//! [`ShardedCounter`]s (per-slot padded, aggregated only on snapshot).
-//! `DESIGN.md` §6 has the layout rationale; the last measured cost of the
-//! shared-counter alternative is in EXPERIMENTS.md, "Retired rows".
+//! length hint and the steal span, and *executing cores* bump `executed`.
+//! Each of those groups sits behind a [`CachePadded`] so one role's writes
+//! never evict the line another role is polling; `executed`, which every
+//! core RMWs, is a [`ShardedCounter`], and `submitted` sits in the lock's
+//! block, written by the holder only. `DESIGN.md` §6 has the layout
+//! rationale; the last measured cost of the shared-counter alternative is
+//! in EXPERIMENTS.md, "Retired rows".
 
 use crate::counters::ShardedCounter;
-use crate::spinlock::SpinLock;
+use crate::spinlock::{bump, SpinLock};
 use crate::task::{Task, TaskClass, CLASS_COUNT};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crossbeam::utils::CachePadded;
@@ -364,8 +364,8 @@ impl Span {
     /// racing the enqueue may transiently miss the new task (a wasted
     /// park, and the submission's own wake path covers it), never a stuck
     /// one. The `fetch_or` is Release, pairing with `decay`'s Acquire swap.
-    pub(crate) fn fold(&self, set: &CpuSet) {
-        for (word, &bits) in self.0.iter().zip(set.as_words()) {
+    pub(crate) fn fold(&self, (first, words): (usize, &[u64])) {
+        for (word, &bits) in self.0[first..].iter().zip(words) {
             if bits != 0 && word.load(Ordering::Relaxed) & bits != bits {
                 word.fetch_or(bits, Ordering::Release);
             }
@@ -450,16 +450,14 @@ pub(crate) struct TaskQueue {
     /// [`CpuSet::EMPTY`] because *its* span gates claims, where every
     /// stale bit costs a wasted lock acquisition.
     pub(crate) cpuset: CpuSet,
-    /// The paper's list + spinlock (§IV-A). Owner and thieves take the
-    /// lock; padded away from the hint so park-probe traffic does not
-    /// contend the lock line.
-    list: CachePadded<SpinLock<SeqLanes<Task>>>,
+    /// The paper's list + spinlock (§IV-A), and the count of tasks enqueued
+    /// by submission, which only the holder writes ([`bump`]). Owner and
+    /// thieves take the lock; padded away from the hint so park-probe
+    /// traffic does not contend the lock line.
+    list: CachePadded<(SpinLock<SeqLanes<Task>>, AtomicU64)>,
     /// Algorithm 2's unlocked emptiness test: the lane count, published
     /// under the lock and read without it.
     len: CachePadded<AtomicUsize>,
-    /// Tasks enqueued by submission — sharded: submitters are arbitrary
-    /// threads, so each lands on its thread's padded slot.
-    submitted: ShardedCounter,
     /// Task executions drawn from this queue — sharded by the *executing
     /// core*, so each core's increment stays on its own line.
     executed: ShardedCounter,
@@ -477,9 +475,8 @@ impl TaskQueue {
             id,
             level,
             cpuset,
-            list: CachePadded::new(SpinLock::new(SeqLanes::new())),
+            list: CachePadded::new((SpinLock::new(SeqLanes::new()), AtomicU64::new(0))),
             len: CachePadded::new(AtomicUsize::new(0)),
-            submitted: ShardedCounter::new(shards),
             executed: ShardedCounter::new(shards),
             steal_span: Default::default(),
         }
@@ -493,8 +490,8 @@ impl TaskQueue {
     /// submission's unpark tokens (progress), never hint freshness. `span`
     /// is the union of the inserted tasks' cpusets; returns the depth just
     /// after the insertion.
-    fn with_lock(&self, span: &CpuSet, insert: impl FnOnce(&mut SeqLanes<Task>)) -> usize {
-        let mut guard = self.list.lock();
+    fn with_lock(&self, span: (usize, &[u64]), insert: impl FnOnce(&mut SeqLanes<Task>)) -> usize {
+        let mut guard = self.list.0.lock();
         insert(&mut guard);
         let depth = guard.len();
         self.len.store(depth, Ordering::Relaxed);
@@ -509,8 +506,10 @@ impl TaskQueue {
     /// just after the append, which feeds the backlog-threshold check
     /// behind [`wake_for_steal`](crate::TaskManager::wake_for_steal).
     pub(crate) fn enqueue(&self, task: Task) -> usize {
-        self.submitted.add(1);
-        self.requeue(task)
+        self.with_lock(task.cpuset.local().words(), |lanes| {
+            lanes.push(task);
+            bump(&self.list.1);
+        })
     }
 
     /// Re-enqueue a repeat task without counting a new submission. Goes
@@ -520,16 +519,17 @@ impl TaskQueue {
     /// urgent work. Returns the depth just after the append.
     #[inline]
     pub(crate) fn requeue(&self, task: Task) -> usize {
-        let span = task.cpuset;
-        self.with_lock(&span, |lanes| lanes.push(task))
+        self.with_lock(task.cpuset.local().words(), |lanes| lanes.push(task))
     }
 
     /// [`requeue`](Self::requeue) for a whole batch under **one** lock
     /// acquisition, in order — how a spill lands in the socket overflow.
     pub(crate) fn requeue_batch(&self, tasks: &mut Vec<Task>) {
         if !tasks.is_empty() {
-            let span = tasks.iter().fold(CpuSet::EMPTY, |s, t| s | t.cpuset);
-            self.with_lock(&span, |lanes| tasks.drain(..).for_each(|t| lanes.push(t)));
+            let span = tasks.iter().fold(CpuSet::EMPTY, |s, t| s | t.cpuset());
+            self.with_lock((0, span.as_words()), |lanes| {
+                tasks.drain(..).for_each(|t| lanes.push(t))
+            });
         }
     }
 
@@ -545,7 +545,7 @@ impl TaskQueue {
         if self.len.load(Ordering::Relaxed) == 0 {
             return 0;
         }
-        let mut guard = self.list.lock();
+        let mut guard = self.list.0.lock();
         let taken = remove(&mut guard);
         let left = guard.len();
         self.len.store(left, Ordering::Relaxed);
@@ -613,7 +613,7 @@ impl TaskQueue {
     }
 
     pub(crate) fn submitted(&self) -> u64 {
-        self.submitted.sum()
+        self.list.1.load(Ordering::Relaxed)
     }
 
     pub(crate) fn executed(&self) -> u64 {
@@ -622,7 +622,8 @@ impl TaskQueue {
 
     /// `(acquisitions, contended acquisitions)` of the queue's spinlock.
     pub(crate) fn lock_stats(&self) -> (u64, u64) {
-        (self.list.acquisitions(), self.list.contended_acquisitions())
+        let lock = &self.list.0;
+        (lock.acquisitions(), lock.contended_acquisitions())
     }
 }
 
@@ -630,7 +631,7 @@ impl TaskQueue {
 mod tests {
     use super::*;
     use crate::completion::Completion;
-    use crate::task::{TaskOptions, TaskStatus};
+    use crate::task::{TaskOptions, TaskSet, TaskStatus};
 
     fn dummy_task(home: QueueId) -> Task {
         task_for(home, CpuSet::single(0))
@@ -644,7 +645,7 @@ mod tests {
         Task {
             body: Box::new(|_| TaskStatus::Done),
             options,
-            cpuset,
+            cpuset: TaskSet::new(&cpuset),
             home,
             completion: Completion::new(),
             submitted_at: None,

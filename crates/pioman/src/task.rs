@@ -150,11 +150,64 @@ pub struct TaskContext<'a> {
 /// countdown until a poll succeeds).
 pub type TaskFn = Box<dyn FnMut(&TaskContext<'_>) -> TaskStatus + Send>;
 
+/// A task's CPU set, small because a [`Task`] moves by value: a set within
+/// two adjacent mask words (any set on a ≤ 128-core machine) is those two
+/// words, any other is boxed once, at submission. What outlives the task's
+/// move into a queue is a [`local`](TaskSet::local) copy, `W` = `CpuSet`.
+pub(crate) enum TaskSet<W = Box<CpuSet>> {
+    /// `(base, bits)`: cores `base..base + 128`, `base` a multiple of 64.
+    Window(u16, [u64; 2]),
+    Wide(W),
+}
+
+impl<W: core::borrow::Borrow<CpuSet> + From<CpuSet>> TaskSet<W> {
+    pub(crate) fn new(set: &CpuSet) -> Self {
+        let words = set.as_words();
+        let w = (set.first().unwrap_or(0) / 64).min(words.len() - 2);
+        match set.last() {
+            Some(c) if c / 64 > w + 1 => TaskSet::Wide(W::from(*set)),
+            _ => TaskSet::Window((w * 64) as u16, [words[w], words[w + 1]]),
+        }
+    }
+
+    /// The set by value, allocating nothing.
+    pub(crate) fn local(&self) -> TaskSet<CpuSet> {
+        match self {
+            TaskSet::Window(base, bits) => TaskSet::Window(*base, *bits),
+            TaskSet::Wide(set) => TaskSet::Wide(*set.borrow()),
+        }
+    }
+
+    pub(crate) fn contains(&self, core: usize) -> bool {
+        let (first, words) = self.words();
+        let i = core.wrapping_sub(first * 64);
+        i / 64 < words.len() && words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// `(index of the first word, the words from it on)`, as span folds read.
+    pub(crate) fn words(&self) -> (usize, &[u64]) {
+        match self {
+            TaskSet::Window(base, bits) => (usize::from(*base) / 64, bits),
+            TaskSet::Wide(set) => (0, set.borrow().as_words()),
+        }
+    }
+
+    /// The set's cores, ascending: the set bits of each word.
+    pub(crate) fn cores(&self) -> impl Iterator<Item = usize> + '_ {
+        let (first, words) = self.words();
+        words.iter().enumerate().flat_map(move |(i, &w)| {
+            let next = |w: &u64| Some(w & (w - 1)).filter(|&w| w != 0);
+            core::iter::successors(Some(w).filter(|&w| w != 0), next)
+                .map(move |w| (first + i) * 64 + w.trailing_zeros() as usize)
+        })
+    }
+}
+
 /// A schedulable task, as stored in the hierarchical queues.
 pub struct Task {
     pub(crate) body: TaskFn,
     pub(crate) options: TaskOptions,
-    pub(crate) cpuset: CpuSet,
+    pub(crate) cpuset: TaskSet,
     /// Queue the task lives in; repeat tasks re-enqueue here.
     pub(crate) home: QueueId,
     pub(crate) completion: Arc<Completion>,
@@ -170,7 +223,10 @@ pub struct Task {
 impl Task {
     /// The CPU set the submitter attached.
     pub fn cpuset(&self) -> CpuSet {
-        self.cpuset
+        let (first, words) = self.cpuset.words();
+        let mut all = [0; CpuSet::MAX_CPUS / 64];
+        all[first..first + words.len()].copy_from_slice(words);
+        CpuSet::from_words(all)
     }
 
     /// The options the submitter attached.
@@ -192,7 +248,7 @@ impl core::fmt::Debug for Task {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Task")
             .field("options", &self.options)
-            .field("cpuset", &self.cpuset)
+            .field("cpuset", &self.cpuset())
             .field("home", &self.home)
             .finish_non_exhaustive()
     }
@@ -201,6 +257,7 @@ impl core::fmt::Debug for Task {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn options_constructors() {
@@ -222,5 +279,55 @@ mod tests {
         assert!(TaskClass::Urgent < TaskClass::Interactive);
         assert!(TaskClass::Bulk < TaskClass::Background);
         assert_eq!(TaskClass::default(), TaskClass::Interactive);
+    }
+
+    /// Singles, ranges and sparse sets up to 300 ids wide (both arms of
+    /// [`TaskSet`]), sets touching words 0 and 15, and random masks.
+    fn arb_cpuset() -> impl Strategy<Value = CpuSet> {
+        let shape = (0u8..5, 0usize..CpuSet::MAX_CPUS, 1usize..300, any::<u64>());
+        shape.prop_map(|(kind, lo, width, seed)| {
+            let hi = (lo + width).min(CpuSet::MAX_CPUS);
+            match kind {
+                0 => CpuSet::single(lo),
+                1 => CpuSet::range(lo..hi),
+                2 => (lo..hi)
+                    .filter(|&c| seed.rotate_left(c as u32) & 1 == 1)
+                    .collect(),
+                3 => CpuSet::from_iter([lo % 64, CpuSet::MAX_CPUS - 1 - width % 64]),
+                _ => CpuSet::from_words(core::array::from_fn(|i| seed.rotate_left(7 * i as u32))),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn task_set_is_the_cpuset(s in arb_cpuset()) {
+            let task = Task {
+                body: Box::new(|_| TaskStatus::Done),
+                options: TaskOptions::oneshot(),
+                cpuset: TaskSet::new(&s),
+                home: QueueId(0),
+                completion: Completion::new(),
+                submitted_at: None,
+            };
+            prop_assert_eq!(task.cpuset(), s);
+            let set = &task.cpuset;
+            for c in 0..CpuSet::MAX_CPUS + 64 {
+                prop_assert_eq!(set.contains(c), s.contains(c), "core {}", c);
+            }
+            // Folds and the wake walk read the copy kept past the task's move.
+            let local = set.local();
+            prop_assert_eq!(local.words(), set.words());
+            let span = crate::queue::Span::default();
+            span.fold(local.words());
+            prop_assert_eq!(span.snapshot(), s, "a span fold sees the whole set");
+            let woken: Vec<usize> = local.cores().collect();
+            prop_assert_eq!(woken, s.iter().collect::<Vec<_>>());
+            let base_word = (s.first().unwrap_or(0) / 64).min(CpuSet::MAX_CPUS / 64 - 2);
+            let window = s.last().is_none_or(|l| l / 64 <= base_word + 1);
+            prop_assert_eq!(matches!(set, TaskSet::Window(..)), window);
+        }
     }
 }

@@ -12,7 +12,7 @@
 
 use piom_cpuset::CpuSet;
 use piom_topology::presets;
-use pioman::{ManagerConfig, Progression, ProgressionConfig, TaskManager, TaskStatus};
+use pioman::{ManagerConfig, Progression, ProgressionConfig, TaskManager, TaskStatus, MAX_BATCH};
 use std::time::{Duration, Instant};
 
 /// Spins until `cond` holds, failing the test after a generous bound.
@@ -100,6 +100,78 @@ fn park_probe_stops_hitting_after_wide_span_decays() {
         "span rebuilt narrow"
     );
     assert_eq!(mgr.schedule_batch(12, usize::MAX), 4, "no task was lost");
+}
+
+/// A worker whose path holds only a task it may not run still parks. Core
+/// 5's NUMA queue (cores 4–7) holds a task for cores {4, 6}: every idle
+/// keypoint of worker 5 takes it and puts it back. That backlog is not work
+/// for core 5, so the worker must go on to its park probe and sleep, not
+/// spin on the bounced task.
+#[test]
+fn worker_parks_when_its_path_holds_only_tasks_it_may_not_run() {
+    let mgr = TaskManager::new(presets::kwak().into());
+    let config = ProgressionConfig {
+        park_timeout: Duration::from_millis(1),
+        timer_period: None,
+        ..ProgressionConfig::for_cores(vec![5])
+    };
+    let prog = Progression::start(mgr.clone(), config);
+    wait_for("worker 5 to park", || mgr.is_parked(5));
+    // Idle keypoints and park-probe misses per second over a 200 ms window.
+    let rates = || {
+        let (loops, misses) = (prog.idle_loops(), mgr.stats().park_probe_misses[5]);
+        let t0 = Instant::now();
+        std::thread::sleep(Duration::from_millis(200));
+        let secs = t0.elapsed().as_secs_f64();
+        let misses = mgr.stats().park_probe_misses[5] - misses;
+        ((prog.idle_loops() - loops) as f64 / secs, misses)
+    };
+    let (baseline, _) = rates();
+    let _foreign = mgr
+        .task(|_| TaskStatus::Done)
+        .cpuset(CpuSet::from_iter([4, 6]))
+        .spawn();
+    let (loops, misses) = rates();
+    assert!(misses >= 10, "worker 5 parked {misses} times in 200 ms");
+    assert!(
+        loops <= 3.0 * baseline.max(1.0),
+        "worker 5 spun: {loops:.0} idle keypoints/s against {baseline:.0} with no task"
+    );
+    assert_eq!(
+        mgr.pending_tasks(),
+        1,
+        "the task is still there for core 4 or 6"
+    );
+}
+
+/// The other side of that rule: a keypoint whose budget cut a pass short
+/// has not seen the whole path. With more than [`MAX_BATCH`] tasks for
+/// cores {4, 6} ahead of one that core 5 may run, worker 5's first keypoint
+/// only bounces; it must re-check its path and reach the runnable task,
+/// not park for its (here unbounded) timeout with the wake already spent.
+#[test]
+fn worker_reaches_a_runnable_task_behind_a_full_budget_of_foreign_ones() {
+    let mgr = TaskManager::new(presets::kwak().into());
+    let config = ProgressionConfig {
+        park_timeout: Duration::from_secs(3600),
+        timer_period: None,
+        ..ProgressionConfig::for_cores(vec![5])
+    };
+    let _prog = Progression::start(mgr.clone(), config);
+    wait_for("worker 5 to park", || mgr.is_parked(5));
+    for _ in 0..MAX_BATCH + 44 {
+        mgr.task(|_| TaskStatus::Done)
+            .cpuset(CpuSet::from_iter([4, 6]))
+            .spawn();
+    }
+    let runnable = mgr
+        .task(|_| TaskStatus::Done)
+        .cpuset(CpuSet::from_iter([4, 5, 6]))
+        .spawn();
+    wait_for("the task behind the foreign ones", || {
+        runnable.is_complete()
+    });
+    assert_eq!(mgr.stats().executed_by_core[5], 1);
 }
 
 /// The lost-wake probe for the weakened orderings: hammer the exact race
