@@ -121,9 +121,8 @@ struct Flow {
     /// Eager/aggregate packets currently in flight (bounded by
     /// `cfg.pipeline_window`).
     inflight: usize,
-    /// Messages pooled while the window is full, oldest first, each with
-    /// its submission sequence number (the order across flows).
-    pool: VecDeque<(u64, Outgoing)>,
+    /// Messages pooled while the window is full, oldest first.
+    pool: VecDeque<Outgoing>,
 }
 
 /// One node's protocol state.
@@ -137,8 +136,6 @@ pub struct Core<R> {
     flows: Vec<Flow>,
     /// Messages pooled over all flows.
     pooled: usize,
-    /// Sequence number of the next pooled message.
-    next_seq: u64,
     next_req: u32,
     send_rndv: HashMap<u32, (R, SendRndv)>,
     recv_rndv: HashMap<PullId, RecvRndv<R>>,
@@ -161,7 +158,6 @@ impl<R> Core<R> {
             unexpected: Vec::new(),
             flows: Vec::new(),
             pooled: 0,
-            next_seq: 0,
             next_req: 1,
             send_rndv: HashMap::new(),
             recv_rndv: HashMap::new(),
@@ -195,8 +191,7 @@ impl<R> Core<R> {
             if msg.dst >= self.flows.len() {
                 self.flows.resize_with(msg.dst + 1, Flow::default);
             }
-            self.flows[msg.dst].pool.push_back((self.next_seq, msg));
-            self.next_seq += 1;
+            self.flows[msg.dst].pool.push_back(msg);
             self.pooled += 1;
             // Submission flushes immediately; poll() and window-drain
             // timers also flush, which is what batches flows when the
@@ -509,24 +504,22 @@ impl<R> Core<R> {
 
     /// Flushes the flows under their pipeline windows: each iteration
     /// emits one wire packet (singleton or greedy aggregate up to
-    /// `max_packet`) for the flow that has a free window slot and the
-    /// oldest head — the first pooled message, in submission order, that
-    /// may leave. While every pooled flow's window is full, submissions
-    /// keep pooling — that queueing is precisely the aggregation
-    /// opportunity of Fig. 1 — and the drain timer armed at each packet's
-    /// exact NIC drain time re-flushes without waiting for the next poll
-    /// (pack(n+1) overlaps send(n)).
+    /// `max_packet`) for a flow that has pooled messages and a free window
+    /// slot. Every entry point changes one flow and then flushes to this
+    /// fixed point, so at most one flow is ever eligible. While every
+    /// pooled flow's window is full, submissions keep pooling — that
+    /// queueing is precisely the aggregation opportunity of Fig. 1 — and
+    /// the drain timer armed at each packet's exact NIC drain time
+    /// re-flushes without waiting for the next poll (pack(n+1) overlaps
+    /// send(n)).
     fn flush_sends(&mut self, now: u64, fab: &mut impl Fabric<R>) {
         while self.pooled > 0 {
             let w = self.cfg.pipeline_window;
             let pick = self
                 .flows
                 .iter()
-                .enumerate()
-                .filter(|(_, f)| f.inflight < w)
-                .filter_map(|(dst, f)| Some((f.pool.front()?.0, dst)))
-                .min();
-            let Some((_, dst)) = pick else {
+                .position(|f| f.inflight < w && !f.pool.is_empty());
+            let Some(dst) = pick else {
                 self.stats.pipeline_stalls += 1;
                 return;
             };
@@ -537,16 +530,16 @@ impl<R> Core<R> {
             // concatenation of the parts, so part sizes must account for
             // every byte).
             let pool = &mut self.flows[dst].pool;
-            let (_, first) = pool.pop_front().expect("picked by its head");
+            let first = pool.pop_front().expect("picked as non-empty");
             let (with_data, mut bytes) = (first.data.is_some(), first.size);
             let mut batch = vec![first];
             if self.cfg.aggregation {
-                while let Some((_, m)) = pool.front() {
+                while let Some(m) = pool.front() {
                     if m.data.is_some() != with_data || bytes + m.size > self.cfg.max_packet {
                         break;
                     }
                     bytes += m.size;
-                    batch.push(pool.pop_front().expect("peeked").1);
+                    batch.push(pool.pop_front().expect("peeked"));
                 }
             }
             self.pooled -= batch.len();

@@ -1,9 +1,8 @@
 //! Fixed-footprint latency histograms: per-slot cache-padded recording,
 //! log-bucketed (HDR-style) resolution, folded on snapshot.
 //!
-//! The scheduler's statistics so far are monotone *counts*
-//! ([`ShardedCounter`](crate::counters::ShardedCounter)); this module
-//! adds the *distribution* companion. A [`Histogram`] records `u64`
+//! The scheduler's other statistics are monotone *counts*; this module
+//! is their *distribution* companion. A [`Histogram`] records `u64`
 //! samples (nanoseconds, in every current use) into a fixed array of
 //! buckets whose width grows with magnitude: values below
 //! 2^[`SUB_BITS`] get exact unit buckets, and every power of two above
@@ -13,26 +12,40 @@
 //! layout, sized here at [`BUCKETS`] slots (15 KiB of `AtomicU64`s per
 //! shard, see `DESIGN.md` §7 for the resolution/footprint trade).
 //!
-//! Concurrency follows the `ShardedCounter` pattern exactly: the
-//! structure is sharded over cache-padded slots, [`Histogram::record`]
-//! is a handful of `Relaxed` RMWs on the calling thread's own lines
-//! (lock-free, no allocation, no ordering obligations), and
-//! [`Histogram::snapshot`] folds the shards slot by slot with the same
-//! racy-hint contract — exact once writers quiesce, possibly missing
-//! in-flight samples while they race. The `hist_shard` interleave model
-//! (with its planted-bug twin) and the `shard_fold_matches_single_shard`
+//! Concurrency: the structure is sharded over cache-padded slots,
+//! [`Histogram::record`] is a handful of `Relaxed` RMWs on the calling
+//! thread's own lines (lock-free, no allocation, no ordering
+//! obligations), and [`Histogram::snapshot`] folds the shards slot by
+//! slot with a racy-hint contract — exact once writers quiesce, possibly
+//! missing in-flight samples while they race. The `hist_shard`
+//! interleave model (with its planted-bug twin) and the
+//! `shard_fold_matches_single_shard`
 //! proptest pin the fold; the `quantiles_match_exact_reservoir` proptest
 //! pins the bucket math against the exact reservoir in
 //! [`piom_des::stats::Percentiles`] as sequential oracle.
 
-use core::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use crossbeam::utils::CachePadded;
 
-use crate::counters::thread_slot;
 // The shared result vocabulary and its exact-oracle producer both live in
 // `piom_des::stats`; re-exported here so scheduler-side consumers (and the
 // proptests pinning the bucket math) need only this crate.
 pub use piom_des::stats::{PercentileSummary, Percentiles};
+
+/// Monotonically-assigned per-thread slot hint, so each thread settles on
+/// one shard instead of hashing per call.
+static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Relaxed);
+}
+
+/// This thread's stable shard-slot hint: one thread always lands on the
+/// same slot of every [`Histogram`].
+#[inline]
+fn thread_slot() -> usize {
+    THREAD_SLOT.with(|s| *s)
+}
 
 /// Sub-bucket resolution: each power-of-two range above `2^SUB_BITS` is
 /// split into `2^SUB_BITS` buckets, so the widest bucket spanning a value
@@ -157,7 +170,7 @@ impl Shard {
 pub struct Histogram {
     shards: Box<[CachePadded<Shard>]>,
     /// `shards.len() - 1`; power-of-two slot count so slot folding is a
-    /// mask — same rationale as `ShardedCounter`.
+    /// mask, not a runtime division on the recording path.
     mask: usize,
 }
 
@@ -195,8 +208,8 @@ impl Histogram {
     }
 
     /// Folds every slot into an owned [`HistSnapshot`]. Racy against
-    /// in-flight `record`s exactly like `ShardedCounter::sum`; exact once
-    /// writers quiesce.
+    /// in-flight `record`s like a `Relaxed` load of a single atomic;
+    /// exact once writers quiesce.
     pub fn snapshot(&self) -> HistSnapshot {
         let mut snap = HistSnapshot::empty();
         for shard in self.shards.iter() {
@@ -233,7 +246,7 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         HistSnapshot {
             buckets: vec![0; BUCKETS],
             count: 0,

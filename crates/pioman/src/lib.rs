@@ -81,7 +81,6 @@
 
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod hist;
 pub mod spinlock;
 

@@ -1,6 +1,7 @@
 //! The task manager: hierarchical queues + Algorithms 1 and 2.
 
 use crate::completion::Completion;
+use crate::hist::{HistSnapshot, Histogram};
 use crate::queue::{QueueId, Span, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{
@@ -69,8 +70,10 @@ pub struct ManagerConfig {
     /// ([`TaskManager::park_probe`] always reports "park") and the
     /// backlog-triggered wake-ups.
     pub steal: bool,
-    /// Record every task's submit→execute latency into a per-core sharded
-    /// histogram ([`crate::hist::Histogram`], one slot per core), exposed
+    /// Record every task's submit→execute latency into its class's
+    /// per-core sharded histogram ([`crate::hist::Histogram`], one slot
+    /// per core), exposed as
+    /// [`ManagerStats::latency_by_class`](crate::ManagerStats) and, merged,
     /// as [`ManagerStats::latency`](crate::ManagerStats). **Off by
     /// default**: enabling it puts two `Instant` clock reads and a few
     /// relaxed RMWs on every task execution — cheap, but not free, and
@@ -246,14 +249,12 @@ pub struct TaskManager {
     /// runs are grouped so a socket whose [`SocketTier::parked`] count is
     /// zero skips its whole run in one load.
     wake_order: Vec<Vec<(u32, Vec<u32>)>>,
-    /// Submit→execute latency histogram, one shard per core, present only
-    /// when [`ManagerConfig::latency_histogram`] is set. The executing core
-    /// records into its own shard, so concurrent workers never contend.
-    latency: Option<crate::hist::Histogram>,
-    /// Per-class latency histograms (same sharding as `latency`), armed
-    /// together with it: each run records into the overall histogram *and*
-    /// its class's, so per-class tails are visible without re-deriving.
-    latency_class: Option<Box<[crate::hist::Histogram; CLASS_COUNT]>>,
+    /// Submit→execute latency histograms, one per [`TaskClass`] with one
+    /// shard per core, present only when
+    /// [`ManagerConfig::latency_histogram`] is set. A run records into its
+    /// class's histogram, in the executing core's own shard, so concurrent
+    /// workers never contend; the overall distribution is their merge.
+    latency: Option<Box<[Histogram; CLASS_COUNT]>>,
     /// Dependency-waitlist releases per [`TaskClass`]: tasks parked by
     /// [`SubmitSpec::after`] that re-entered the queues because their last
     /// predecessor completed. Manager-level (not per-core sharded): a
@@ -274,9 +275,7 @@ impl TaskManager {
         let n_cores = topo.n_cores();
         let queues = topo
             .iter()
-            .map(|(id, node)| {
-                TaskQueue::new(QueueId(id.index() as u32), node.level, node.cpuset, n_cores)
-            })
+            .map(|(id, node)| TaskQueue::new(QueueId(id.index() as u32), node.level, node.cpuset))
             .collect();
         let cores = (0..n_cores).map(|_| Default::default()).collect();
         let wakers = (0..n_cores).map(|_| Mutex::new(None)).collect();
@@ -398,12 +397,7 @@ impl TaskManager {
             wake_order,
             latency: config
                 .latency_histogram
-                .then(|| crate::hist::Histogram::new(n_cores)),
-            latency_class: config.latency_histogram.then(|| {
-                Box::new(std::array::from_fn(|_| {
-                    crate::hist::Histogram::new(n_cores)
-                }))
-            }),
+                .then(|| Box::new(std::array::from_fn(|_| Histogram::new(n_cores)))),
             released_class: CachePadded::new(Default::default()),
             config,
         })
@@ -483,7 +477,7 @@ impl TaskManager {
             let pass = queue.len_hint().min(max - ran);
             if pass > 0 {
                 batch.clear();
-                let taken = queue.dequeue_batch(pass, &mut batch);
+                let taken = queue.dequeue_batch(pass, core, &mut batch);
                 self.note_removed(queue.id, taken);
                 took += taken;
                 for task in batch.drain(..) {
@@ -662,19 +656,15 @@ impl TaskManager {
         // Queueing delay ends here: the task is committed to run on this
         // core. Record into the executing core's shard, `take()`ing the
         // stamp so a panic in the body cannot double-count.
-        if let (Some(hist), Some(t0)) = (&self.latency, task.submitted_at.take()) {
+        if let (Some(by_class), Some(t0)) = (&self.latency, task.submitted_at.take()) {
             let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            hist.record_at(core, nanos);
-            if let Some(by_class) = &self.latency_class {
-                by_class[class.index()].record_at(core, nanos);
-            }
+            by_class[class.index()].record_at(core, nanos);
         }
         let ctx = TaskContext {
             core,
             manager: self,
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| (task.body)(&ctx)));
-        queue.note_executed(core);
         self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Relaxed);
         let dependents = match outcome {
             Ok(TaskStatus::Again) if task.options.repeat => {
@@ -771,6 +761,10 @@ impl TaskManager {
 
     /// Snapshot of per-queue and per-core counters.
     pub fn stats(&self) -> ManagerStats {
+        let latency_by_class: Option<Vec<HistSnapshot>> = self
+            .latency
+            .as_ref()
+            .map(|hs| hs.iter().map(|h| h.snapshot()).collect());
         ManagerStats {
             queues: self
                 .queues
@@ -814,7 +808,7 @@ impl TaskManager {
                         span: s.span.snapshot(),
                         parked: s.parked.load(Ordering::Relaxed),
                         spilled: s.spilled.load(Ordering::Relaxed),
-                        claimed: s.claimed.load(Ordering::Relaxed),
+                        claimed: s.overflow.executed(),
                     }
                 })
                 .collect(),
@@ -831,11 +825,13 @@ impl TaskManager {
                 }
                 totals
             },
-            latency: self.latency.as_ref().map(|h| h.snapshot()),
-            latency_by_class: self
-                .latency_class
-                .as_ref()
-                .map(|hs| hs.iter().map(|h| h.snapshot()).collect()),
+            latency: latency_by_class.as_ref().map(|snaps| {
+                snaps.iter().fold(HistSnapshot::empty(), |mut all, s| {
+                    all.merge(s);
+                    all
+                })
+            }),
+            latency_by_class,
         }
     }
 }
@@ -906,6 +902,11 @@ mod tests {
         assert_eq!(mgr.pending_tasks(), 1, "task was requeued, not lost");
         assert!(mgr.schedule(6));
         assert!(h.is_complete());
+        // The bounce counts once, on the NUMA #1 queue core 6 ran it from.
+        let stats = mgr.stats();
+        let numa = mgr.topology().path_to_root(6).nth(1).expect("NUMA node");
+        assert_eq!(stats.queues[numa.index()].executed, 1);
+        assert_eq!(stats.queues.iter().map(|q| q.executed).sum::<u64>(), 1);
     }
 
     #[test]
@@ -1327,6 +1328,9 @@ mod tests {
         let by_core: u64 = stats.executed_by_core.iter().sum();
         assert_eq!(by_core, stats.executed_by_class.iter().sum::<u64>());
         assert_eq!(by_core, stats.total_executed());
+        // The holder-written hand-out counts lose nothing under 4 threads.
+        let by_queue: u64 = stats.queues.iter().map(|q| q.executed).sum();
+        assert_eq!(by_queue, stats.total_executed());
         assert_eq!(
             stats.total_stolen(),
             stats.stolen_by_class.iter().sum::<u64>()
@@ -1649,11 +1653,20 @@ mod tests {
         assert_eq!(by_class[TaskClass::Urgent.index()].count(), 1);
         assert_eq!(by_class[TaskClass::Interactive.index()].count(), 1);
         assert_eq!(by_class[TaskClass::Bulk.index()].count(), 0);
+        let latency = stats.latency.expect("overall histogram");
         assert_eq!(
-            stats.latency.expect("overall histogram").count(),
+            latency.count(),
             2,
             "overall histogram still counts every run"
         );
+        // The overall histogram is the merge of the per-class ones.
+        let mut merged = by_class[0].clone();
+        by_class[1..].iter().for_each(|s| merged.merge(s));
+        assert_eq!(latency.count(), merged.count());
+        assert_eq!(latency.sum(), merged.sum());
+        assert_eq!(latency.min(), merged.min());
+        assert_eq!(latency.max(), merged.max());
+        assert!(latency.nonzero_buckets().eq(merged.nonzero_buckets()));
     }
 
     #[test]

@@ -23,7 +23,8 @@ pub(super) struct SocketTier {
     /// gates claims, steals and park probes without the lock; its steal
     /// span (the union of the spilled tasks' cpusets, decayed in full
     /// when the overflow drains — the queue is built over an empty own
-    /// cpuset) is the eligibility half of those gates.
+    /// cpuset) is the eligibility half of those gates. Its hand-out count
+    /// (`executed`) is the socket's `claimed`.
     pub(super) overflow: TaskQueue,
     /// Tasks pending across the socket's member queues *and* overflow
     /// (racy signed hint — increments and decrements race, so transient
@@ -42,9 +43,6 @@ pub(super) struct SocketTier {
     pub(super) parked: AtomicU64,
     /// Tasks spilled into this socket's overflow (lifetime counter).
     pub(super) spilled: AtomicU64,
-    /// Tasks claimed out of the overflow and run (lifetime counter; claims
-    /// by member cores and steals by remote cores both count).
-    pub(super) claimed: AtomicU64,
 }
 
 impl SocketTier {
@@ -52,14 +50,11 @@ impl SocketTier {
         SocketTier {
             node,
             cpuset,
-            // One counter shard: nothing is submitted to or executed from
-            // an overflow (tasks are accounted to their home queues).
-            overflow: TaskQueue::new(QueueId(node), level, CpuSet::EMPTY, 1),
+            overflow: TaskQueue::new(QueueId(node), level, CpuSet::EMPTY),
             pending: CachePadded::new(AtomicI64::new(0)),
             span: Default::default(),
             parked: AtomicU64::new(0),
             spilled: AtomicU64::new(0),
-            claimed: AtomicU64::new(0),
         }
     }
 }
@@ -134,13 +129,12 @@ impl TaskManager {
             return (0, 0);
         }
         batch.clear();
-        let taken = sock.overflow.dequeue_batch(pass, batch);
+        let taken = sock.overflow.dequeue_batch(pass, core, batch);
         self.note_removed_socket(s, taken);
         let mut ran = 0;
         for task in batch.drain(..) {
             ran += usize::from(self.run_task(task, core));
         }
-        sock.claimed.fetch_add(ran as u64, Ordering::Relaxed);
         (ran, taken)
     }
 
@@ -166,7 +160,6 @@ impl TaskManager {
         let stolen = sock.overflow.try_steal_half(core, max, batch);
         if stolen > 0 {
             self.note_removed_socket(s, stolen);
-            sock.claimed.fetch_add(stolen as u64, Ordering::Relaxed);
             self.run_stolen(core, batch);
         }
         stolen

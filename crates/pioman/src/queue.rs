@@ -12,16 +12,13 @@
 //! # Layout
 //!
 //! A queue's hot words are touched by different cores in different roles:
-//! the *owner* and *thieves* take the lock, every *park probe* reads the
-//! length hint and the steal span, and *executing cores* bump `executed`.
-//! Each of those groups sits behind a [`CachePadded`] so one role's writes
-//! never evict the line another role is polling; `executed`, which every
-//! core RMWs, is a [`ShardedCounter`], and `submitted` sits in the lock's
-//! block, written by the holder only. `DESIGN.md` §6 has the layout
-//! rationale; the last measured cost of the shared-counter alternative is
-//! in EXPERIMENTS.md, "Retired rows".
+//! the *owner* and *thieves* take the lock, and every *park probe* reads
+//! the length hint and the steal span. Each of those groups sits behind a
+//! [`CachePadded`] so one role's writes never evict the line another role
+//! is polling. The queue's counts, `submitted` and `executed`, sit in the
+//! lock's block and only the holder writes them, so they add no line and
+//! no locked RMW. `DESIGN.md` §6 has the layout rationale.
 
-use crate::counters::ShardedCounter;
 use crate::spinlock::{bump, SpinLock};
 use crate::task::{Task, TaskClass, CLASS_COUNT};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -450,17 +447,15 @@ pub(crate) struct TaskQueue {
     /// [`CpuSet::EMPTY`] because *its* span gates claims, where every
     /// stale bit costs a wasted lock acquisition.
     pub(crate) cpuset: CpuSet,
-    /// The paper's list + spinlock (§IV-A), and the count of tasks enqueued
-    /// by submission, which only the holder writes ([`bump`]). Owner and
-    /// thieves take the lock; padded away from the hint so park-probe
-    /// traffic does not contend the lock line.
-    list: CachePadded<(SpinLock<SeqLanes<Task>>, AtomicU64)>,
+    /// The paper's list + spinlock (§IV-A), then two counts only the
+    /// holder writes ([`bump`]): tasks enqueued by submission, and tasks
+    /// handed to a core allowed to run them. Owner and thieves take the
+    /// lock; padded away from the hint so park-probe traffic does not
+    /// contend the lock line.
+    list: CachePadded<(SpinLock<SeqLanes<Task>>, AtomicU64, AtomicU64)>,
     /// Algorithm 2's unlocked emptiness test: the lane count, published
     /// under the lock and read without it.
     len: CachePadded<AtomicUsize>,
-    /// Task executions drawn from this queue — sharded by the *executing
-    /// core*, so each core's increment stays on its own line.
-    executed: ShardedCounter,
     /// Union of the cpusets of the tasks enqueued here: the filter the
     /// park probe and [`wake_for_steal`](crate::TaskManager::wake_for_steal)
     /// consult before treating this queue's backlog as stealable by a
@@ -470,14 +465,17 @@ pub(crate) struct TaskQueue {
 }
 
 impl TaskQueue {
-    pub(crate) fn new(id: QueueId, level: Level, cpuset: CpuSet, shards: usize) -> Self {
+    pub(crate) fn new(id: QueueId, level: Level, cpuset: CpuSet) -> Self {
         TaskQueue {
             id,
             level,
             cpuset,
-            list: CachePadded::new((SpinLock::new(SeqLanes::new()), AtomicU64::new(0))),
+            list: CachePadded::new((
+                SpinLock::new(SeqLanes::new()),
+                AtomicU64::new(0),
+                AtomicU64::new(0),
+            )),
             len: CachePadded::new(AtomicUsize::new(0)),
-            executed: ShardedCounter::new(shards),
             steal_span: Default::default(),
         }
     }
@@ -508,7 +506,7 @@ impl TaskQueue {
     pub(crate) fn enqueue(&self, task: Task) -> usize {
         self.with_lock(task.cpuset.local().words(), |lanes| {
             lanes.push(task);
-            bump(&self.list.1);
+            bump(&self.list.1, 1);
         })
     }
 
@@ -562,12 +560,20 @@ impl TaskQueue {
     /// ([`SeqLanes::pop`]; plain same-class submissions drain FIFO).
     /// Returns the number drained: a keypoint that finds a backlog of `n`
     /// tasks pays one acquisition for all of them, not one per task.
-    pub(crate) fn dequeue_batch(&self, max: usize, out: &mut Vec<Task>) -> usize {
+    ///
+    /// The drained tasks `core` may run count as `executed` here, under
+    /// the lock; the others bounce to their home queue and count where
+    /// they finally run.
+    pub(crate) fn dequeue_batch(&self, max: usize, core: usize, out: &mut Vec<Task>) -> usize {
         self.with_nonempty(|lanes| {
             let take = lanes.len().min(max);
+            let mut runnable = 0;
             for _ in 0..take {
-                out.push(lanes.pop().expect("len checked under the lock"));
+                let task = lanes.pop().expect("len checked under the lock");
+                runnable += u64::from(task.cpuset.contains(core));
+                out.push(task);
             }
+            bump(&self.list.2, runnable);
             take
         })
     }
@@ -587,12 +593,17 @@ impl TaskQueue {
     /// The lanes are scanned in place under the lock
     /// ([`SeqLanes::steal_eligible`]): ineligible tasks keep their queue
     /// positions, and the tasks taken are the ones the pop policy would
-    /// have served first.
+    /// have served first. Every task taken may run on `thief`, so all of
+    /// them count as `executed`.
     pub(crate) fn try_steal_half(&self, thief: usize, max: usize, out: &mut Vec<Task>) -> usize {
         if max == 0 {
             return 0;
         }
-        self.with_nonempty(|lanes| lanes.steal_eligible(thief, max, out))
+        self.with_nonempty(|lanes| {
+            let taken = lanes.steal_eligible(thief, max, out);
+            bump(&self.list.2, taken as u64);
+            taken
+        })
     }
 
     /// Removes up to `quota` tasks for a socket-overflow spill, lowest
@@ -608,16 +619,12 @@ impl TaskQueue {
         self.len.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn note_executed(&self, core: usize) {
-        self.executed.add_at(core, 1);
-    }
-
     pub(crate) fn submitted(&self) -> u64 {
         self.list.1.load(Ordering::Relaxed)
     }
 
     pub(crate) fn executed(&self) -> u64 {
-        self.executed.sum()
+        self.list.2.load(Ordering::Relaxed)
     }
 
     /// `(acquisitions, contended acquisitions)` of the queue's spinlock.
@@ -653,13 +660,13 @@ mod tests {
     }
 
     fn queue() -> TaskQueue {
-        TaskQueue::new(QueueId(0), Level::Core, CpuSet::single(0), 4)
+        TaskQueue::new(QueueId(0), Level::Core, CpuSet::single(0))
     }
 
     /// Algorithm 2 for one task: whichever the pop policy serves next.
     fn pop(q: &TaskQueue) -> Option<Task> {
         let mut out = Vec::new();
-        q.dequeue_batch(1, &mut out);
+        q.dequeue_batch(1, 0, &mut out);
         out.pop()
     }
 
@@ -780,7 +787,7 @@ mod tests {
         }
         let locks_before = q.lock_stats().0;
         let mut out = Vec::new();
-        assert_eq!(q.dequeue_batch(8, &mut out), 5);
+        assert_eq!(q.dequeue_batch(8, 0, &mut out), 5);
         assert_eq!(out.len(), 5);
         assert_eq!(q.len_hint(), 0);
         assert_eq!(
@@ -789,7 +796,7 @@ mod tests {
             "a batch drain must lock exactly once"
         );
         // Draining an empty queue takes the unlocked fast path.
-        assert_eq!(q.dequeue_batch(8, &mut out), 0);
+        assert_eq!(q.dequeue_batch(8, 0, &mut out), 0);
         assert_eq!(q.lock_stats().0 - locks_before, 1);
     }
 
@@ -800,7 +807,7 @@ mod tests {
             q.enqueue(dummy_task(q.id));
         }
         let mut out = Vec::new();
-        assert_eq!(q.dequeue_batch(2, &mut out), 2);
+        assert_eq!(q.dequeue_batch(2, 0, &mut out), 2);
         assert_eq!(q.len_hint(), 3);
     }
 
@@ -1036,7 +1043,7 @@ mod tests {
         );
         // A socket overflow has no such cores (its span gates claims):
         // built over the empty set, every bit decays.
-        let ovf = TaskQueue::new(QueueId(0), Level::NumaNode, CpuSet::EMPTY, 1);
+        let ovf = TaskQueue::new(QueueId(0), Level::NumaNode, CpuSet::EMPTY);
         ovf.enqueue(task_for(ovf.id, CpuSet::single(0)));
         assert!(pop(&ovf).is_some());
         assert!(!ovf.steal_span.admits(0));
@@ -1049,7 +1056,7 @@ mod tests {
             q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
         }
         let mut out = Vec::new();
-        q.dequeue_batch(8, &mut out);
+        q.dequeue_batch(8, 0, &mut out);
         assert!(!q.steal_span.admits(3), "batch drain decays the span");
 
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
@@ -1071,9 +1078,52 @@ mod tests {
     fn counters() {
         let q = queue();
         q.enqueue(dummy_task(q.id));
-        q.note_executed(0);
-        assert_eq!(q.submitted(), 1);
-        assert_eq!(q.executed(), 1);
-        assert_eq!(q.lock_stats(), (1, 0));
+        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
+        q.enqueue(task_for(q.id, CpuSet::single(3)));
+        let mut out = Vec::new();
+        assert_eq!(q.dequeue_batch(3, 0, &mut out), 3);
+        assert_eq!(q.submitted(), 3);
+        assert_eq!(
+            q.executed(),
+            2,
+            "a hand-out counts only if core 0 may run it"
+        );
+        q.requeue_batch(&mut out);
+        assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
+        assert_eq!(q.executed(), 3, "a stolen task always counts");
+        assert_eq!(q.lock_stats(), (6, 0));
+    }
+
+    #[test]
+    fn hand_outs_are_counted_exactly_across_threads() {
+        // `submitted` and `executed` are a plain load + store under the
+        // lock: threads enqueueing, draining and stealing at once lose no
+        // count. A barrier lines the threads up.
+        let q = TaskQueue::new(QueueId(0), Level::Chip, CpuSet::range(0..4));
+        let per = if cfg!(miri) { 20 } else { 2_000 };
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for core in 0..3 {
+                let (q, start) = (&q, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut out = Vec::new();
+                    for i in 0..per {
+                        q.enqueue(task_for(q.id, CpuSet::range(0..4)));
+                        if i % 2 == 0 {
+                            q.dequeue_batch(2, core, &mut out);
+                        } else {
+                            q.try_steal_half(core, 2, &mut out);
+                        }
+                        out.clear();
+                    }
+                });
+            }
+        });
+        let mut out = Vec::new();
+        q.dequeue_batch(usize::MAX, 3, &mut out);
+        assert_eq!(q.len_hint(), 0);
+        assert_eq!(q.submitted(), 3 * per);
+        assert_eq!(q.executed(), 3 * per);
     }
 }

@@ -68,9 +68,9 @@ impl<T> SpinLock<T> {
                 backoff = (backoff * 2).min(64);
             }
         }
-        bump(&self.acquisitions);
+        bump(&self.acquisitions, 1);
         if spun {
-            bump(&self.contended);
+            bump(&self.contended, 1);
         }
         SpinGuard { lock: self }
     }
@@ -82,7 +82,7 @@ impl<T> SpinLock<T> {
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
         {
-            bump(&self.acquisitions);
+            bump(&self.acquisitions, 1);
             Some(SpinGuard { lock: self })
         } else {
             None
@@ -115,11 +115,11 @@ impl<T> SpinLock<T> {
     }
 }
 
-/// `+= 1` on a counter only a lock's holder writes: a relaxed load + store, not a locked
+/// `+= n` on a counter only a lock's holder writes: a relaxed load + store, not a locked
 /// RMW. No count is lost, as the lock's `Acquire` swap / `Release` store orders the holders.
 #[inline]
-pub(crate) fn bump(counter: &AtomicU64) {
-    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+pub(crate) fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 impl<T: core::fmt::Debug> core::fmt::Debug for SpinLock<T> {

@@ -26,7 +26,9 @@ pub struct QueueStats {
     pub steal_span: CpuSet,
     /// Tasks submitted directly to this queue.
     pub submitted: u64,
-    /// Task executions drawn from this queue (repeat runs count each time).
+    /// Tasks this queue handed to a core allowed to run them, counted
+    /// under its lock at hand-out (repeat runs count each time). Exact
+    /// once the keypoints that took them have returned.
     pub executed: u64,
     /// Tasks currently enqueued (racy snapshot).
     pub pending: usize,
@@ -68,7 +70,8 @@ pub struct SocketStats {
     /// Tasks ever spilled from a deep member queue into the overflow.
     pub spilled: u64,
     /// Tasks ever claimed out of the overflow and run (member-core claims
-    /// and remote-socket overflow steals both count).
+    /// and remote-socket overflow steals both count): the overflow
+    /// queue's own hand-out count, the overflow's `executed`.
     pub claimed: u64,
 }
 
@@ -135,24 +138,23 @@ pub struct ManagerStats {
     /// [`SubmitSpec::after`](crate::SubmitSpec::after) that re-entered the
     /// queues because their last predecessor completed (or panicked).
     pub waitlist_released_by_class: [u64; crate::task::CLASS_COUNT],
-    /// Submit→execute latency distribution across all task runs, folded
-    /// from the per-core shards — present only when the manager was built
-    /// with [`ManagerConfig::latency_histogram`](crate::ManagerConfig)
+    /// Submit→execute latency distribution across all task runs: the
+    /// merge of `latency_by_class`, present only when the manager was
+    /// built with [`ManagerConfig::latency_histogram`](crate::ManagerConfig)
     /// set. Nanoseconds from `spawn` (or a repeat task's re-enqueue, or a
     /// waitlist release) to the moment a core committed to running the
     /// body.
     pub latency: Option<crate::hist::HistSnapshot>,
     /// Per-class submit→execute latency distributions, indexed by
     /// [`TaskClass::index`](crate::TaskClass::index); armed together with
-    /// `latency`. Each run records into its class's histogram *and* the
-    /// overall one.
+    /// `latency`. Each run records into its class's histogram only.
     pub latency_by_class: Option<Vec<crate::hist::HistSnapshot>>,
 }
 
 impl ManagerStats {
-    /// Total task executions across all queues.
+    /// Total task runs: the sum of `executed_by_class`.
     pub fn total_executed(&self) -> u64 {
-        self.queues.iter().map(|q| q.executed).sum()
+        self.executed_by_class.iter().sum()
     }
 
     /// Total submissions across all queues.

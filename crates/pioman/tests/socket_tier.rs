@@ -136,6 +136,18 @@ fn scaling_ladder_spills_claims_and_steals_in_one_drain_at_every_rung() {
         assert!(stats.total_claimed() > 0, "{name}: spills drain via claims");
         assert!(stats.total_stolen() > 0, "{name}: the residue is stolen");
         assert_eq!(stats.executed_by_core[0], 0, "{name}: core 0 is starved");
+        // Each run counts once, on the queue or the overflow that handed
+        // it out: a spilled-then-claimed task counts as a claim only.
+        let by_queue: u64 = stats.queues.iter().map(|q| q.executed).sum();
+        assert_eq!(
+            by_queue + stats.total_claimed(),
+            stats.total_executed(),
+            "{name}: queue hand-outs + overflow claims = runs"
+        );
+        assert_eq!(
+            stats.total_executed(),
+            stats.executed_by_class.iter().sum::<u64>()
+        );
         let polls_before = stats.total_park_probe_polls();
         assert!(
             !mgr.park_probe(n_cores - 1),
