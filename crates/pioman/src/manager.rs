@@ -2,13 +2,13 @@
 
 use crate::completion::Completion;
 use crate::hist::{HistSnapshot, Histogram};
-use crate::queue::{QueueId, Span, TaskQueue};
+use crate::queue::{QueueId, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{
     Task, TaskClass, TaskContext, TaskFn, TaskOptions, TaskSet, TaskStatus, CLASS_COUNT,
 };
 use crate::TaskHandle;
-use core::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use piom_cpuset::CpuSet;
@@ -155,10 +155,8 @@ struct CoreState {
     park_hits: AtomicU64,
     /// Park probes that found nothing stealable (the worker parked).
     park_misses: AtomicU64,
-    /// Socket aggregates consulted by park probes: the work a pre-park
-    /// scan actually performs, `O(sockets)` per probe under the overflow
-    /// tier (the scaling study's headline assertion), one poll per victim
-    /// queue in the flat fallback.
+    /// Containers (socket overflows and victim queues) consulted by park
+    /// probes: the work a pre-park scan actually performs.
     park_polls: AtomicU64,
     /// Remotely-touched state, padded away from the owner-hot counters
     /// above (see the struct docs).
@@ -214,9 +212,8 @@ pub struct TaskManager {
     /// Progression workers to unpark when work arrives, one slot per core.
     wakers: Vec<Mutex<Option<Thread>>>,
     /// Per-core victim scan, socket-major: the core's own socket's victim
-    /// queues first (the old flat order restricted to the socket), then
-    /// each remote socket's in [`socket_order`](Self::socket_order)
-    /// sequence. Within a socket group the entries keep the
+    /// queues first, then each remote socket's, nearest socket first (ties
+    /// by id). Within a socket group the entries keep the
     /// [`Topology::steal_order_with_distance`] order: equal distances form
     /// a *tier*, re-ranked by observed queue depth at probe time.
     steal_order: Vec<Vec<SocketVictimGroup>>,
@@ -228,10 +225,6 @@ pub struct TaskManager {
     /// Each queue's socket id (`None` only for queues *above* every
     /// socket node — the Global Queue on multi-socket trees).
     queue_socket: Vec<Option<u32>>,
-    /// Per-core socket visit order: own socket first, then remote sockets
-    /// by nearest-span distance (ties by id). The O(sockets) scan behind
-    /// park probes and the cross-socket half of the steal path.
-    socket_order: Vec<Vec<u32>>,
     /// Whether the overflow tier is live: the tree has more than one
     /// socket (single-socket machines have no "whole socket" distinct from
     /// the machine, so the tier would only duplicate the Global Queue).
@@ -245,10 +238,8 @@ pub struct TaskManager {
     parked_count: AtomicU64,
     /// Per-queue wake order: every core sorted nearest-first from the
     /// queue's span ([`Topology::cores_by_distance_from_node`]), scanned by
-    /// [`wake_for_steal`](Self::wake_for_steal). Consecutive same-socket
-    /// runs are grouped so a socket whose [`SocketTier::parked`] count is
-    /// zero skips its whole run in one load.
-    wake_order: Vec<Vec<(u32, Vec<u32>)>>,
+    /// [`wake_for_steal`](Self::wake_for_steal).
+    wake_order: Vec<Vec<u32>>,
     /// Submit→execute latency histograms, one per [`TaskClass`] with one
     /// shard per core, present only when
     /// [`ManagerConfig::latency_histogram`] is set. A run records into its
@@ -337,19 +328,14 @@ impl TaskManager {
         let core_socket: Vec<u32> = (0..n_cores)
             .map(|c| queue_socket[topo.core_node(c).index()].expect("core outside every socket"))
             .collect();
-        let socket_order: Vec<Vec<u32>> = (0..n_cores)
+        let steal_order: Vec<Vec<SocketVictimGroup>> = (0..n_cores)
             .map(|c| {
                 let mut order: Vec<u32> = (0..sockets.len() as u32).collect();
                 // Own socket lands first naturally: the core is inside its
                 // own socket's span, so its distance is 0.
                 order.sort_by_cached_key(|&s| (topo.node_distance(c, socket_nodes[s as usize]), s));
-                order
-            })
-            .collect();
-        let steal_order: Vec<Vec<SocketVictimGroup>> = (0..n_cores)
-            .map(|c| {
                 let mut groups: Vec<SocketVictimGroup> =
-                    socket_order[c].iter().map(|&s| (s, Vec::new())).collect();
+                    order.into_iter().map(|s| (s, Vec::new())).collect();
                 let slot: std::collections::HashMap<u32, usize> = groups
                     .iter()
                     .enumerate()
@@ -370,15 +356,10 @@ impl TaskManager {
         let wake_order = topo
             .node_ids()
             .map(|id| {
-                let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-                for c in topo.cores_by_distance_from_node(id) {
-                    let s = core_socket[c];
-                    match groups.last_mut() {
-                        Some((gs, cores)) if *gs == s => cores.push(c as u32),
-                        _ => groups.push((s, vec![c as u32])),
-                    }
-                }
-                groups
+                topo.cores_by_distance_from_node(id)
+                    .into_iter()
+                    .map(|c| c as u32)
+                    .collect()
             })
             .collect();
         Arc::new(TaskManager {
@@ -391,7 +372,6 @@ impl TaskManager {
             sockets,
             core_socket,
             queue_socket,
-            socket_order,
             socket_overflow_active,
             parked_count: AtomicU64::new(0),
             wake_order,
@@ -477,9 +457,7 @@ impl TaskManager {
             let pass = queue.len_hint().min(max - ran);
             if pass > 0 {
                 batch.clear();
-                let taken = queue.dequeue_batch(pass, core, &mut batch);
-                self.note_removed(queue.id, taken);
-                took += taken;
+                took += queue.dequeue_batch(pass, core, &mut batch);
                 for task in batch.drain(..) {
                     ran += usize::from(self.run_task(task, core));
                 }
@@ -614,7 +592,6 @@ impl TaskManager {
                     batch.clear();
                     let stolen = queue.try_steal_half(core, max, &mut batch);
                     if stolen > 0 {
-                        self.note_removed(queue.id, stolen);
                         self.run_stolen(core, &mut batch);
                         ran = stolen;
                         break 'sockets;
@@ -647,9 +624,7 @@ impl TaskManager {
         if !task.cpuset.contains(core) {
             // The queue's span covers the task's cpuset, but this particular
             // core was excluded by the submitter. Put it back for a sibling.
-            let set = task.cpuset.local();
             queue.requeue(task);
-            self.note_enqueued(queue.id, &set);
             return false;
         }
         let class = task.options.class;
@@ -665,15 +640,14 @@ impl TaskManager {
             manager: self,
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| (task.body)(&ctx)));
-        self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Relaxed);
+        // Release: `stats` reads this before the queue lengths (see there).
+        self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Release);
         let dependents = match outcome {
             Ok(TaskStatus::Again) if task.options.repeat => {
                 // A repeat task re-entering its queue starts a fresh
                 // queueing interval; each run measures its own delay.
                 task.submitted_at = self.latency.is_some().then(std::time::Instant::now);
-                let set = task.cpuset.local();
                 queue.requeue(task);
-                self.note_enqueued(queue.id, &set);
                 return true;
             }
             // A one-shot task returning `Again` is treated as `Done`.
@@ -740,27 +714,26 @@ impl TaskManager {
         self.cores.iter().map(|c| f(c)).collect()
     }
 
-    /// Sums a per-core per-class counter array into one value per core.
-    fn core_totals(&self, f: impl Fn(&CoreState) -> &[AtomicU64; CLASS_COUNT]) -> Vec<u64> {
-        self.per_core(|c| f(c).iter().map(|n| n.load(Ordering::Relaxed)).sum())
-    }
-
-    /// Folds a per-core per-class counter array into class totals.
-    fn class_totals(
+    /// Loads a per-core per-class counter array, one row per core.
+    /// Acquire: see [`stats`](Self::stats).
+    fn per_core_class(
         &self,
         f: impl Fn(&CoreState) -> &[AtomicU64; CLASS_COUNT],
-    ) -> [u64; CLASS_COUNT] {
-        let mut totals = [0u64; CLASS_COUNT];
-        for core in &self.cores {
-            for (total, counter) in totals.iter_mut().zip(f(core).iter()) {
-                *total += counter.load(Ordering::Relaxed);
-            }
-        }
-        totals
+    ) -> Vec<[u64; CLASS_COUNT]> {
+        self.per_core(|c| core::array::from_fn(|i| f(c)[i].load(Ordering::Acquire)))
     }
 
     /// Snapshot of per-queue and per-core counters.
+    ///
+    /// Read order: the run counters first, then each queue's `pending`
+    /// before its `submitted`, so a one-shot task never counts as both
+    /// run and pending, nor as pending but not yet submitted
+    /// (`docs/SCHEDULER.md` §6).
     pub fn stats(&self) -> ManagerStats {
+        // Acquire pairs with the Release bump in `run_task`: every run
+        // read here has its dequeue visible to the `pending` reads below.
+        let executed = self.per_core_class(|c| &c.executed_class);
+        let stolen = self.per_core_class(|c| &c.stolen_class);
         let latency_by_class: Option<Vec<HistSnapshot>> = self
             .latency
             .as_ref()
@@ -770,6 +743,7 @@ impl TaskManager {
                 .queues
                 .iter()
                 .map(|q| {
+                    let pending = q.pending();
                     let (lock_acquisitions, lock_contended) = q.lock_stats();
                     QueueStats {
                         id: q.id,
@@ -778,14 +752,14 @@ impl TaskManager {
                         steal_span: q.steal_span.snapshot(),
                         submitted: q.submitted(),
                         executed: q.executed(),
-                        pending: q.len_hint(),
+                        pending,
                         lock_acquisitions,
                         lock_contended,
                     }
                 })
                 .collect(),
-            executed_by_core: self.core_totals(|c| &c.executed_class),
-            stolen_by_core: self.core_totals(|c| &c.stolen_class),
+            executed_by_core: core_totals(&executed),
+            stolen_by_core: core_totals(&stolen),
             steal_attempts_by_core: self.per_core(|c| c.steal_attempts.load(Ordering::Relaxed)),
             stolen_batch_by_core: self.per_core(|c| c.steal_batches.load(Ordering::Relaxed)),
             park_probe_hits: self.per_core(|c| c.park_hits.load(Ordering::Relaxed)),
@@ -804,9 +778,6 @@ impl TaskManager {
                         overflow_span: s.overflow.steal_span.snapshot(),
                         overflow_lock_acquisitions,
                         overflow_lock_contended,
-                        pending_hint: s.pending.load(Ordering::Relaxed).max(0) as usize,
-                        span: s.span.snapshot(),
-                        parked: s.parked.load(Ordering::Relaxed),
                         spilled: s.spilled.load(Ordering::Relaxed),
                         claimed: s.overflow.executed(),
                     }
@@ -816,8 +787,8 @@ impl TaskManager {
             hook_idle: self.hook_counts[0].load(Ordering::Relaxed),
             hook_context_switch: self.hook_counts[1].load(Ordering::Relaxed),
             hook_timer: self.hook_counts[2].load(Ordering::Relaxed),
-            executed_by_class: self.class_totals(|c| &c.executed_class),
-            stolen_by_class: self.class_totals(|c| &c.stolen_class),
+            executed_by_class: class_totals(&executed),
+            stolen_by_class: class_totals(&stolen),
             waitlist_released_by_class: {
                 let mut totals = [0u64; CLASS_COUNT];
                 for (total, counter) in totals.iter_mut().zip(self.released_class.iter()) {
@@ -834,6 +805,19 @@ impl TaskManager {
             latency_by_class,
         }
     }
+}
+
+/// Sums per-core per-class rows into one value per core.
+fn core_totals(rows: &[[u64; CLASS_COUNT]]) -> Vec<u64> {
+    rows.iter().map(|row| row.iter().sum()).collect()
+}
+
+/// Folds per-core per-class rows into class totals.
+fn class_totals(rows: &[[u64; CLASS_COUNT]]) -> [u64; CLASS_COUNT] {
+    rows.iter().fold([0; CLASS_COUNT], |mut totals, row| {
+        totals.iter_mut().zip(row).for_each(|(t, n)| *t += n);
+        totals
+    })
 }
 
 impl core::fmt::Debug for TaskManager {
@@ -1334,6 +1318,41 @@ mod tests {
         assert_eq!(
             stats.total_stolen(),
             stats.stolen_by_class.iter().sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn snapshot_never_counts_a_task_twice() {
+        // One thread spawns one-shot tasks for core 1 and drains them
+        // while this one snapshots: a task run between two of the
+        // snapshot's reads counts as run or as pending, never both.
+        const SNAPSHOTS: usize = 20_000;
+        let mgr = kwak_mgr();
+        let stop = AtomicBool::new(false);
+        let over = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    for _ in 0..8 {
+                        mgr.task(|_| TaskStatus::Done)
+                            .cpuset(CpuSet::single(1))
+                            .spawn();
+                    }
+                    mgr.schedule_batch(1, 8);
+                }
+            });
+            let over = (0..SNAPSHOTS)
+                .filter(|_| {
+                    let stats = mgr.stats();
+                    let pending: usize = stats.queues.iter().map(|q| q.pending).sum();
+                    stats.total_executed() + pending as u64 > stats.total_submitted()
+                })
+                .count();
+            stop.store(true, Ordering::Relaxed);
+            over
+        });
+        assert_eq!(
+            over, 0,
+            "{over} of {SNAPSHOTS} snapshots counted a task twice"
         );
     }
 

@@ -4,64 +4,53 @@
 use super::*;
 
 impl TaskManager {
-    /// The steal-aware park check: `true` if some victim queue (a queue
-    /// *not* on `core`'s hierarchy path) holds backlog that `core` may be
-    /// able to steal, so the caller should run another keypoint instead of
-    /// parking.
+    /// The steal-aware park check: `true` if a socket overflow or a victim
+    /// queue (a queue *not* on `core`'s hierarchy path) holds backlog whose
+    /// steal span admits `core`, so the caller should run another keypoint
+    /// instead of parking.
     ///
-    /// The scan is deliberately cheap — it must run on every
-    /// about-to-park decision — and under the socket tier it is
-    /// **`O(sockets)`, not `O(cores)`**: each socket is one padded block
-    /// of aggregates (pending hint + span), so a remote socket costs two
-    /// relaxed loads regardless of how many member queues it has. Only the
-    /// prober's *own* socket, whose aggregate cannot distinguish work on
-    /// the prober's own path (not stealable) from a sibling's (stealable),
-    /// confirms a positive aggregate with the per-queue scan — bounded by
-    /// that one socket's victim group. The spans may over-approximate, so
-    /// a hit is a *hint*: the next keypoint's steal probe re-checks real
+    /// The probe is the steal scan's gates without the lock: it walks the
+    /// same socket-major victim list a steal probe walks, and at each
+    /// socket asks the overflow (when the tier is active), then each
+    /// victim queue, the two relaxed loads Algorithm 2 asks before
+    /// locking — `len_hint() > 0` and `steal_span.admits(core)`.
+    /// A full miss therefore costs one poll per active overflow plus one
+    /// per queue off `core`'s path. The spans may over-approximate, so a
+    /// hit is a *hint*: the next keypoint's steal probe re-checks real
     /// task cpusets under the victim's lock, and
     /// [`Progression`](crate::Progression) workers bound consecutive
     /// fruitless hits so a stale span cannot spin a worker forever.
     ///
     /// Returns `false` without probing when stealing is disabled. Updates
-    /// the `park_probe_hits` / `park_probe_misses` /
-    /// `park_probe_polls` counters in [`ManagerStats`] (`park_probe_polls`
-    /// counts socket aggregates consulted — the scaling study's
-    /// O(sockets) assertion reads it directly).
+    /// the `park_probe_hits` / `park_probe_misses` / `park_probe_polls`
+    /// counters in [`ManagerStats`] (`park_probe_polls` counts the
+    /// containers consulted).
     pub fn park_probe(&self, core: usize) -> bool {
         debug_assert!(core < self.topo.n_cores(), "core id out of range");
         if !self.config.steal {
             return false;
         }
-        let own = self.core_socket[core];
-        for &s in &self.socket_order[core] {
-            self.cores[core].park_polls.fetch_add(1, Ordering::Relaxed);
-            let sock = &self.sockets[s as usize];
-            // An overflow is directly claimable (own socket) or stealable
-            // (remote) — no confirmation needed beyond its span.
-            let overflow_visible = self.socket_overflow_active
-                && sock.overflow.len_hint() > 0
-                && sock.overflow.steal_span.admits(core);
-            // The own socket's aggregate counts this core's own-path work
-            // too, which is drainable but not *stealable*: confirm it
-            // against the member queues. `steal_order`'s own group is
-            // exactly the off-path member queues.
-            let aggregate_hit = || {
-                sock.pending.load(Ordering::Relaxed) > 0
-                    && sock.span.admits(core)
-                    && (s != own
-                        || self.steal_order[core][0].1.iter().any(|&(qi, _)| {
-                            let queue = &self.queues[qi as usize];
-                            queue.len_hint() > 0 && queue.steal_span.admits(core)
-                        }))
-            };
-            if overflow_visible || aggregate_hit() {
-                self.cores[core].park_hits.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        self.cores[core].park_misses.fetch_add(1, Ordering::Relaxed);
-        false
+        let mut polls = 0;
+        let hit = self.steal_order[core].iter().any(|(s, victims)| {
+            let overflow = &self.sockets[*s as usize].overflow;
+            self.socket_overflow_active
+                .then_some(overflow)
+                .into_iter()
+                .chain(victims.iter().map(|&(qi, _)| &self.queues[qi as usize]))
+                .any(|queue| {
+                    polls += 1;
+                    queue.len_hint() > 0 && queue.steal_span.admits(core)
+                })
+        });
+        let state = &self.cores[core];
+        state.park_polls.fetch_add(polls, Ordering::Relaxed);
+        let outcome = if hit {
+            &state.park_hits
+        } else {
+            &state.park_misses
+        };
+        outcome.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Wakes the nearest parked worker eligible to steal from `queue`,
@@ -100,27 +89,16 @@ impl TaskManager {
             return None;
         }
         let q = &self.queues[queue.index()];
-        for (s, cores) in &self.wake_order[queue.index()] {
-            // Socket-aggregated recruitment: a socket with every worker
-            // busy skips its whole candidate run on one padded load,
-            // keeping the scan O(sockets) in the common overload shape
-            // instead of polling each member's parked flag.
-            if self.sockets[*s as usize].parked.load(Ordering::SeqCst) == 0 {
-                continue;
-            }
-            for &core in cores {
-                let core = core as usize;
-                if self.cores[core].remote.parked.load(Ordering::SeqCst)
-                    && q.steal_span.admits(core)
-                {
-                    if let Some(t) = self.wakers[core].lock().as_ref() {
-                        t.unpark();
-                        self.cores[core]
-                            .remote
-                            .steal_wakeups
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Some(core);
-                    }
+        for &core in &self.wake_order[queue.index()] {
+            let core = core as usize;
+            if self.cores[core].remote.parked.load(Ordering::SeqCst) && q.steal_span.admits(core) {
+                if let Some(t) = self.wakers[core].lock().as_ref() {
+                    t.unpark();
+                    self.cores[core]
+                        .remote
+                        .steal_wakeups
+                        .fetch_add(1, Ordering::Relaxed);
+                    return Some(core);
                 }
             }
         }
@@ -145,19 +123,14 @@ impl TaskManager {
             .swap(parked, Ordering::SeqCst)
             != parked
         {
-            // Keep the aggregate count in step with the flag transition.
-            // The count is published before/after the flag consistently
-            // enough for its only consumer, the wake_for_steal
-            // short-circuit: a racing enqueue that misses a just-parking
-            // worker is the same bounded race as missing the flag itself
-            // (covered by the unpark-token ordering argument).
-            let sock = &self.sockets[self.core_socket[core] as usize];
+            // Keep the count in step with the flag transition. A parking
+            // worker publishes both before its final work check, so a
+            // waker that reads the count as zero enqueued before that
+            // check and the worker sees the work (the `steal_wake` model).
             if parked {
                 self.parked_count.fetch_add(1, Ordering::SeqCst);
-                sock.parked.fetch_add(1, Ordering::SeqCst);
             } else {
                 self.parked_count.fetch_sub(1, Ordering::SeqCst);
-                sock.parked.fetch_sub(1, Ordering::SeqCst);
             }
         }
     }

@@ -112,7 +112,6 @@ impl TaskManager {
         let set = task.cpuset.local();
         let home = task.home;
         let depth = self.queues[home.index()].enqueue(task);
-        self.note_enqueued(home, &set);
         // Spill escalation: a queue *below* its socket node that out-runs
         // the spill threshold moves half its backlog (lowest class first)
         // into the socket overflow, where every member core's hierarchy

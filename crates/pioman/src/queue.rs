@@ -335,8 +335,7 @@ const SPAN_WORDS: usize = CpuSet::MAX_CPUS / 64;
 /// A decaying union of task cpusets, kept as atomic words so
 /// [`admits`](Self::admits) is a single relaxed load: the cpuset filter
 /// behind park probes, steal-targeted wake-ups and overflow claims. Every
-/// [`TaskQueue`] has one (its *steal span*, over the tasks enqueued there)
-/// and so does every socket aggregate of the manager.
+/// [`TaskQueue`] has one: its *steal span*, over the tasks enqueued there.
 ///
 /// A core outside the span can never take work from the container it
 /// describes, whatever the depth, so probing it is pointless. The span may
@@ -382,12 +381,11 @@ impl Span {
         CpuSet::from_words(core::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
     }
 
-    /// Clears the span after a removal that (by the caller's hint) left
-    /// the container empty — unless nothing in it is wider than `own`, the
-    /// container's own cpuset: in-cpuset bits only attract cores whose
-    /// path (or socket) already includes the container, so their staleness
-    /// misleads nobody and the swap is skipped. `still_pending` re-reads
-    /// the caller's pending hint after the clear.
+    /// Clears the span after a removal that left the queue empty — unless
+    /// nothing in it is wider than `own`, the queue's own cpuset: in-cpuset
+    /// bits only attract cores whose path already includes the queue, so
+    /// their staleness misleads nobody and the swap is skipped.
+    /// `still_pending` re-reads the queue's length hint after the clear.
     ///
     /// Concurrency: the clear is a `swap(0)` per word followed by the
     /// `still_pending` re-check; if a task slipped in, every cleared bit
@@ -411,7 +409,7 @@ impl Span {
     ///   timeout / timer) re-covers the escalation. A dropped bit can
     ///   cost a bounded wasted park, never a lost task or wake.
     ///
-    /// `vendor/interleave/tests/socket_span.rs` is the model.
+    /// `vendor/interleave/tests/queue_span.rs` is the model.
     pub(crate) fn decay(&self, own: &CpuSet, still_pending: impl FnOnce() -> bool) {
         if self
             .0
@@ -481,18 +479,20 @@ impl TaskQueue {
     }
 
     /// The frame around every insertion: `LOCK; insert; UNLOCK` with the
-    /// length hint published before the unlock, then the span fold.
-    /// Relaxed — the hint may transiently read stale (including
-    /// stale-empty) on weak memory, which is the same race Algorithm 2's
-    /// unlocked test always had: correctness rides the lock (data) and the
-    /// submission's unpark tokens (progress), never hint freshness. `span`
-    /// is the union of the inserted tasks' cpusets; returns the depth just
-    /// after the insertion.
+    /// length hint published before the unlock, then the span fold. The
+    /// hint may transiently read stale (including stale-empty) on weak
+    /// memory, which is the same race Algorithm 2's unlocked test always
+    /// had: correctness rides the lock (data) and the submission's unpark
+    /// tokens (progress), never hint freshness. The store is Release only
+    /// so that [`pending`](Self::pending) sees the `submitted` count the
+    /// same critical section wrote (free on x86-64). `span` is the union
+    /// of the inserted tasks' cpusets; returns the depth just after the
+    /// insertion.
     fn with_lock(&self, span: (usize, &[u64]), insert: impl FnOnce(&mut SeqLanes<Task>)) -> usize {
         let mut guard = self.list.0.lock();
         insert(&mut guard);
         let depth = guard.len();
-        self.len.store(depth, Ordering::Relaxed);
+        self.len.store(depth, Ordering::Release);
         drop(guard);
         // After the push: see `Span::fold`.
         self.steal_span.fold(span);
@@ -546,7 +546,7 @@ impl TaskQueue {
         let mut guard = self.list.0.lock();
         let taken = remove(&mut guard);
         let left = guard.len();
-        self.len.store(left, Ordering::Relaxed);
+        self.len.store(left, Ordering::Release);
         drop(guard);
         if taken > 0 && left == 0 {
             self.steal_span.decay(&self.cpuset, || self.len_hint() != 0);
@@ -617,6 +617,13 @@ impl TaskQueue {
     /// guarantee progress carry unpark tokens, not this value.
     pub(crate) fn len_hint(&self) -> usize {
         self.len.load(Ordering::Relaxed)
+    }
+
+    /// The length hint for a stats snapshot: Acquire, pairing with the
+    /// Release stores under the lock, so a `submitted` read after it
+    /// counts every task it shows.
+    pub(crate) fn pending(&self) -> usize {
+        self.len.load(Ordering::Acquire)
     }
 
     pub(crate) fn submitted(&self) -> u64 {

@@ -42,7 +42,7 @@ pub struct QueueStats {
 /// ([`ManagerConfig::spill_threshold`](crate::ManagerConfig)).
 #[derive(Debug, Clone)]
 pub struct SocketStats {
-    /// Arena index of the topology node this socket aggregates (a NUMA
+    /// Arena index of the topology node this socket stands for (a NUMA
     /// node, or a chip / the machine root on shallower trees).
     pub node: usize,
     /// Cores the socket spans.
@@ -58,15 +58,6 @@ pub struct SocketStats {
     pub overflow_lock_acquisitions: u64,
     /// Overflow-lock acquisitions that found the lock held.
     pub overflow_lock_contended: u64,
-    /// Socket-wide pending hint: tasks across the socket's member queues
-    /// *and* overflow, clamped at zero (the raw counter is a racy signed
-    /// hint).
-    pub pending_hint: usize,
-    /// Union of enqueued task cpusets across the socket (decays when the
-    /// socket drains) — the eligibility half of the O(sockets) park probe.
-    pub span: CpuSet,
-    /// Currently-parked progression workers among the socket's cores.
-    pub parked: u64,
     /// Tasks ever spilled from a deep member queue into the overflow.
     pub spilled: u64,
     /// Tasks ever claimed out of the overflow and run (member-core claims
@@ -107,10 +98,9 @@ pub struct ManagerStats {
     /// saved a park/unpark round-trip (plus up to a park-timeout of
     /// latency) per idle episode.
     pub park_probe_misses: Vec<u64>,
-    /// Socket aggregates consulted by pre-park probes, per core: a probe
-    /// that misses everywhere costs exactly `sockets.len()` polls under
-    /// the overflow tier — the scaling study's O(sockets) assertion reads
-    /// this counter.
+    /// Containers consulted by pre-park probes, per core: a probe that
+    /// misses everywhere polls every socket overflow (when the tier is
+    /// active) and every queue off the core's hierarchy path.
     pub park_probe_polls: Vec<u64>,
     /// Per-socket overflow-tier counters, indexed by socket id (empty
     /// only on managers built before any topology — never in practice;
@@ -202,7 +192,7 @@ impl ManagerStats {
         self.sockets.iter().map(|s| s.claimed).sum()
     }
 
-    /// Total socket aggregates consulted by pre-park probes, across cores.
+    /// Total containers consulted by pre-park probes, across cores.
     pub fn total_park_probe_polls(&self) -> u64 {
         self.park_probe_polls.iter().sum()
     }

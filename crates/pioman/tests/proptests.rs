@@ -2,8 +2,8 @@
 //! core, across random topologies and cpusets.
 
 use piom_cpuset::CpuSet;
-use piom_topology::TopologyBuilder;
-use pioman::{TaskManager, TaskStatus};
+use piom_topology::{presets, Topology, TopologyBuilder};
+use pioman::{TaskClass, TaskManager, TaskStatus, CLASS_COUNT};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,6 +21,86 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         chips,
         cores,
     })
+}
+
+/// One random one-shot task: a base core and offsets from it (its
+/// cpuset, wrapped onto the machine), which of those cores is its pinned
+/// home (none when the index is past the set) and its class index.
+type Placement = (usize, Vec<usize>, usize, usize);
+
+fn arb_placement() -> impl Strategy<Value = Placement> {
+    (
+        any::<usize>(),
+        proptest::collection::vec(0usize..24, 1..4),
+        0usize..5,
+        0usize..CLASS_COUNT,
+    )
+}
+
+/// Spawns `tasks` on `mgr` as placed, running nothing.
+fn place(mgr: &TaskManager, tasks: &[Placement]) {
+    let n = mgr.topology().n_cores();
+    for (base, offsets, home, class) in tasks {
+        let cores: Vec<usize> = offsets.iter().map(|o| (base % n + o) % n).collect();
+        let spec = mgr
+            .task(|_| TaskStatus::Done)
+            .cpuset(CpuSet::from_iter(cores.iter().copied()))
+            .class(TaskClass::ALL[*class]);
+        match cores.get(*home) {
+            Some(&core) => spec.on_core(core),
+            None => spec,
+        }
+        .spawn();
+    }
+}
+
+/// For every core whose own path is empty, the park probe over `tasks`
+/// hits iff a second manager holding the same placement runs a task at
+/// that core's next keypoint — which can then only be a steal.
+fn assert_probe_predicts_the_steal(topo: Topology, tasks: &[Placement]) {
+    let topo = Arc::new(topo);
+    let n = topo.n_cores();
+    let [probed, runner] = [0, 1].map(|_| {
+        let mgr = TaskManager::new(topo.clone());
+        place(&mgr, tasks);
+        mgr
+    });
+    for core in 0..n {
+        if probed.has_work_for(core) {
+            continue;
+        }
+        let ran = runner.schedule(core);
+        prop_assert_eq!(probed.park_probe(core), ran, "core {}", core);
+        if ran {
+            // Back to the same placement without a 256-core rebuild: a
+            // keypoint that ran nothing left it as it was; one that ran
+            // drains the rest and places again. The steal path reads
+            // queue contents, and overflow spans, which decay in full.
+            while runner.pending_tasks() > 0 {
+                (0..n).for_each(|c| {
+                    runner.schedule(c);
+                });
+            }
+            place(&runner, tasks);
+        }
+    }
+}
+
+proptest! {
+    // Two 256-core managers per case: about 0.2 s each in a debug build.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The park probe is the steal scan's gates without the lock: with no
+    /// keypoint run yet every span is exact, so it must agree with the
+    /// steal it predicts — on the 4-socket 16-core host and across the
+    /// 256-core dual-socket preset.
+    #[test]
+    fn park_probe_agrees_with_the_steal_it_predicts(
+        tasks in proptest::collection::vec(arb_placement(), 1..32),
+    ) {
+        assert_probe_predicts_the_steal(presets::kwak(), &tasks);
+        assert_probe_predicts_the_steal(presets::dual_socket_256(), &tasks);
+    }
 }
 
 proptest! {
