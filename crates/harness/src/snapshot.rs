@@ -93,12 +93,6 @@ pub fn render_stats_json(stats: &ManagerStats) -> String {
         "Steal probes per core, successful or not.",
         &stats.steal_attempts_by_core,
     );
-    core_family(
-        &mut out,
-        "piom_core_steal_wakeups_total",
-        "Steal-targeted wake-ups received per core.",
-        &stats.wakeups_for_steal,
-    );
 
     // Per-QoS-class counter families (label set: `class`).
     class_family(

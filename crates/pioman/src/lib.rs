@@ -34,8 +34,8 @@
 //!   distance instead of spinning, honoring each task's `CpuSet`
 //!   ([`ManagerConfig::steal`], [`SubmitSpec::on_core`]); parking is
 //!   **steal-aware**: a worker probes victim backlogs before sleeping
-//!   ([`TaskManager::park_probe`]) and deep queues recruit the nearest
-//!   parked thief ([`TaskManager::wake_for_steal`]);
+//!   ([`TaskManager::park_probe`]), and a submission wakes exactly the
+//!   workers whose cores its task may run on;
 //! * every submission goes through one **builder**
 //!   ([`TaskManager::task`] → [`SubmitSpec::spawn`]) carrying the task's
 //!   **QoS class** ([`TaskClass`]: per-queue lanes served in strict
@@ -95,7 +95,7 @@ pub use completion::{TaskError, TaskHandle};
 pub use hist::{HistSnapshot, Histogram, PercentileSummary};
 pub use manager::{
     HookPoint, ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_SPILL_THRESHOLD,
-    MAX_BATCH, MIN_BATCH, STEAL_WAKE_BACKLOG,
+    MAX_BATCH, MIN_BATCH,
 };
 pub use progression::{Progression, ProgressionConfig, MAX_PROBE_STRIKES};
 pub use queue::{

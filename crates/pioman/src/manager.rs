@@ -39,14 +39,9 @@ pub const MAX_BATCH: usize = 256;
 /// own path is empty: room for one steal-half batch.
 pub const DEFAULT_BATCH: usize = 32;
 
-/// A queue reaching this depth at enqueue time triggers a steal-targeted
-/// wake-up ([`TaskManager::wake_for_steal`]).
-pub const STEAL_WAKE_BACKLOG: usize = 8;
-
 /// Default [`ManagerConfig::spill_threshold`]: a per-core queue reaching
 /// this depth at enqueue time spills half its backlog (lowest class first)
-/// into its socket's overflow tier. Sized well above
-/// [`STEAL_WAKE_BACKLOG`] *and* [`MAX_BATCH`]: wake-ups and
+/// into its socket's overflow tier. Sized well above [`MAX_BATCH`]:
 /// steal-half probes get first crack at an imbalance, and a backlog a
 /// single keypoint budget can clear never pays the spill round-trip
 /// (each spill moves half the queue into the overflow tier and the
@@ -66,9 +61,8 @@ pub struct ManagerConfig {
     /// backlog of the first victim that has any (steal-half; every stolen
     /// task's [`CpuSet`] admits the thief). Enabled by default; tests flip
     /// it off for the no-steal control arm. Disabling it
-    /// also disables the steal-aware park machinery
-    /// ([`TaskManager::park_probe`] always reports "park") and the
-    /// backlog-triggered wake-ups.
+    /// also disables the steal-aware park probe
+    /// ([`TaskManager::park_probe`] always reports "park").
     pub steal: bool,
     /// Record every task's submit→execute latency into its class's
     /// per-core sharded histogram ([`crate::hist::Histogram`], one slot
@@ -135,10 +129,10 @@ impl HookPoint {
 
 /// Per-core scheduler state, one cache-line-padded block per core: all of
 /// a core's hot-path RMWs stay on a line no other core writes — with one
-/// deliberate split: the fields *other* cores touch while this core is
-/// busy (`remote`) sit on their own padded line, so a `wake_for_steal`
-/// scan polling parked flags never pulls the line this core's executor is
-/// hammering with `executed_class`/`steal_attempts` RMWs.
+/// deliberate split: the flag *other* cores read on every submission
+/// (`waker_present`) sits on its own padded line, so a submitter's load
+/// never pulls the line this core's executor is hammering with
+/// `executed_class`/`steal_attempts` RMWs.
 #[derive(Debug, Default)]
 struct CoreState {
     /// Tasks executed on this core, split by [`TaskClass`] lane (indexed by
@@ -158,23 +152,6 @@ struct CoreState {
     /// Containers (socket overflows and victim queues) consulted by park
     /// probes: the work a pre-park scan actually performs.
     park_polls: AtomicU64,
-    /// Remotely-touched state, padded away from the owner-hot counters
-    /// above (see the struct docs).
-    remote: CachePadded<RemoteCoreState>,
-}
-
-/// The slice of a core's state that *other* cores read or write: the
-/// parked flag (polled by every `wake_for_steal` candidate scan) and the
-/// steal-wakeup counter (bumped by the waking thread).
-#[derive(Debug, Default)]
-struct RemoteCoreState {
-    /// Whether this core's progression worker is currently parked (racy
-    /// hint; published by the worker just *before* its final pre-park
-    /// checks so a racing [`TaskManager::wake_for_steal`] errs toward an
-    /// extra unpark token, never a missed one). `SeqCst`: one half of the
-    /// Dekker-style park/wake handshake — see the ordering table in
-    /// `docs/SCHEDULER.md` and the `vendor/interleave` park_wake model.
-    parked: AtomicBool,
     /// Whether a progression worker is registered for this core at all —
     /// the cheap pre-check that lets [`TaskManager::wake_cores`] skip the
     /// waker mutex for workerless cores. At 1024 cores a machine-wide
@@ -184,11 +161,9 @@ struct RemoteCoreState {
     /// is removed, so a `false` read genuinely means no waker — the only
     /// race window is a worker between registration and its first
     /// keypoint scan, and that scan sees any task the skipped wake would
-    /// have flagged.
-    waker_present: AtomicBool,
-    /// Steal-targeted wake-ups received by this core's worker (written by
-    /// the *waking* core).
-    steal_wakeups: AtomicU64,
+    /// have flagged. Padded away from the owner-hot counters above (see
+    /// the struct docs).
+    waker_present: CachePadded<AtomicBool>,
 }
 
 /// One socket group in a core's victim scan: the socket id plus its member
@@ -204,11 +179,14 @@ pub struct TaskManager {
     topo: Arc<Topology>,
     /// One queue per topology node, indexed by node arena index.
     queues: Vec<TaskQueue>,
-    /// Per-core hot counters + parked flag, each core on its own cache
-    /// line (see [`CoreState`]).
+    /// Per-core hot counters + waker-presence flag, each core on its own
+    /// cache line (see [`CoreState`]).
     cores: Vec<CachePadded<CoreState>>,
-    /// Hook invocation counters, indexed by `HookPoint::index`.
-    hook_counts: [AtomicU64; 3],
+    /// Hook invocation counters, indexed by `HookPoint::index`. Padded:
+    /// a worker bumps one on every keypoint, and the read-mostly fields
+    /// every submission loads (`queues`, `config`, …) must not share its
+    /// line.
+    hook_counts: CachePadded<[AtomicU64; 3]>,
     /// Progression workers to unpark when work arrives, one slot per core.
     wakers: Vec<Mutex<Option<Thread>>>,
     /// Per-core victim scan, socket-major: the core's own socket's victim
@@ -229,17 +207,6 @@ pub struct TaskManager {
     /// socket (single-socket machines have no "whole socket" distinct from
     /// the machine, so the tier would only duplicate the Global Queue).
     socket_overflow_active: bool,
-    /// Count of set `CoreState::parked` flags, maintained alongside them:
-    /// the O(1) short-circuit that keeps
-    /// [`wake_for_steal`](Self::wake_for_steal) off the submit hot path
-    /// while a deep queue is being hammered and every worker is busy (the
-    /// common overload shape). `SeqCst` with the flag transitions so the
-    /// deterministic park tests can rely on flag-then-count agreement.
-    parked_count: AtomicU64,
-    /// Per-queue wake order: every core sorted nearest-first from the
-    /// queue's span ([`Topology::cores_by_distance_from_node`]), scanned by
-    /// [`wake_for_steal`](Self::wake_for_steal).
-    wake_order: Vec<Vec<u32>>,
     /// Submit→execute latency histograms, one per [`TaskClass`] with one
     /// shard per core, present only when
     /// [`ManagerConfig::latency_histogram`] is set. A run records into its
@@ -353,15 +320,6 @@ impl TaskManager {
                 groups
             })
             .collect();
-        let wake_order = topo
-            .node_ids()
-            .map(|id| {
-                topo.cores_by_distance_from_node(id)
-                    .into_iter()
-                    .map(|c| c as u32)
-                    .collect()
-            })
-            .collect();
         Arc::new(TaskManager {
             topo,
             queues,
@@ -373,8 +331,6 @@ impl TaskManager {
             core_socket,
             queue_socket,
             socket_overflow_active,
-            parked_count: AtomicU64::new(0),
-            wake_order,
             latency: config
                 .latency_histogram
                 .then(|| Box::new(std::array::from_fn(|_| Histogram::new(n_cores)))),
@@ -783,7 +739,6 @@ impl TaskManager {
                     }
                 })
                 .collect(),
-            wakeups_for_steal: self.per_core(|c| c.remote.steal_wakeups.load(Ordering::Relaxed)),
             hook_idle: self.hook_counts[0].load(Ordering::Relaxed),
             hook_context_switch: self.hook_counts[1].load(Ordering::Relaxed),
             hook_timer: self.hook_counts[2].load(Ordering::Relaxed),

@@ -1,5 +1,5 @@
-//! Steal-aware parking and wake-ups: the pre-park probe, steal-targeted
-//! wakes, the parked flags and the waker registry.
+//! Steal-aware parking and wake-ups: the pre-park probe, the waker
+//! registry and the submission's wake of the cores a task may run on.
 
 use super::*;
 
@@ -53,98 +53,13 @@ impl TaskManager {
         hit
     }
 
-    /// Wakes the nearest parked worker eligible to steal from `queue`,
-    /// returning the woken core.
-    ///
-    /// This is the escalation half of steal-aware parking: the ordinary
-    /// submission wake targets the *new* task's cpuset, but a queue whose
-    /// depth has crossed [`STEAL_WAKE_BACKLOG`] holds older
-    /// tasks too, and the nearest core able to help with *those* may not
-    /// be in the new task's set at all. Candidates are scanned in the
-    /// queue's precomputed nearest-first order
-    /// ([`Topology::cores_by_distance_from_node`]); a candidate is woken
-    /// when it is parked and the queue's steal span admits it. Each wake
-    /// increments the woken core's `wakeups_for_steal` counter in
-    /// [`ManagerStats`].
-    ///
-    /// Called automatically on threshold-crossing enqueues; public so
-    /// embedders driving their own keypoints can escalate by hand.
-    ///
-    /// ```
-    /// use pioman::TaskManager;
-    /// use piom_topology::presets;
-    ///
-    /// let mgr = TaskManager::new(presets::kwak().into());
-    /// let home = mgr.stats().queues[mgr.topology().core_node(0).index()].id;
-    /// // No progression workers are running, so nobody is parked and
-    /// // there is nothing to wake.
-    /// assert_eq!(mgr.wake_for_steal(home), None);
-    /// assert_eq!(mgr.stats().total_wakeups_for_steal(), 0);
-    /// ```
-    pub fn wake_for_steal(&self, queue: QueueId) -> Option<usize> {
-        // Nobody parked (the common overload shape: every worker busy) —
-        // skip the candidate scan entirely so a deep queue under a
-        // submission hammer pays one load per enqueue, not O(cores).
-        if self.parked_count.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let q = &self.queues[queue.index()];
-        for &core in &self.wake_order[queue.index()] {
-            let core = core as usize;
-            if self.cores[core].remote.parked.load(Ordering::SeqCst) && q.steal_span.admits(core) {
-                if let Some(t) = self.wakers[core].lock().as_ref() {
-                    t.unpark();
-                    self.cores[core]
-                        .remote
-                        .steal_wakeups
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Some(core);
-                }
-            }
-        }
-        None
-    }
-
-    /// `true` if `core`'s progression worker has announced it is parked
-    /// (racy hint — see [`Progression`](crate::Progression) for the
-    /// publication ordering).
-    pub fn is_parked(&self, core: usize) -> bool {
-        debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        self.cores[core].remote.parked.load(Ordering::SeqCst)
-    }
-
-    /// Publishes `core`'s parked state. Workers set it *before* their
-    /// final pre-park work checks, so an enqueue racing the park either
-    /// is seen by the checks or sees the flag and unparks the worker.
-    pub(crate) fn note_parked(&self, core: usize, parked: bool) {
-        if self.cores[core]
-            .remote
-            .parked
-            .swap(parked, Ordering::SeqCst)
-            != parked
-        {
-            // Keep the count in step with the flag transition. A parking
-            // worker publishes both before its final work check, so a
-            // waker that reads the count as zero enqueued before that
-            // check and the worker sees the work (the `steal_wake` model).
-            if parked {
-                self.parked_count.fetch_add(1, Ordering::SeqCst);
-            } else {
-                self.parked_count.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-
     /// Registers the calling progression worker as the runner for `core`
     /// so submissions can unpark it. Returns the previous registrant.
     pub(crate) fn register_waker(&self, core: usize, thread: Thread) -> Option<Thread> {
         // Presence first: a submitter that reads `true` before the slot
         // fills pays one harmless mutex peek; one that reads `false`
         // after it fills cannot exist.
-        self.cores[core]
-            .remote
-            .waker_present
-            .store(true, Ordering::SeqCst);
+        self.cores[core].waker_present.store(true, Ordering::SeqCst);
         self.wakers[core].lock().replace(thread)
     }
 
@@ -152,12 +67,16 @@ impl TaskManager {
     pub(crate) fn unregister_waker(&self, core: usize) {
         self.wakers[core].lock().take();
         self.cores[core]
-            .remote
             .waker_present
             .store(false, Ordering::SeqCst);
     }
 
     /// Unparks every registered worker whose core may run a new task.
+    ///
+    /// This is the whole no-lost-wake argument: every submission unparks
+    /// every registered worker in its cpuset after the enqueue, and a
+    /// token delivered before that worker's `park_timeout` call makes the
+    /// call return at once — whatever pre-park checks it ran in between.
     ///
     /// Cost discipline (the 1024-core scaling study's submit path): a
     /// core without a registered worker is skipped on one `waker_present`
@@ -170,7 +89,7 @@ impl TaskManager {
             if core >= self.wakers.len() {
                 break;
             }
-            if !self.cores[core].remote.waker_present.load(Ordering::SeqCst) {
+            if !self.cores[core].waker_present.load(Ordering::SeqCst) {
                 continue;
             }
             if let Some(t) = self.wakers[core].lock().as_ref() {
@@ -237,20 +156,5 @@ mod tests {
             0,
             "disabled probes are not counted as misses"
         );
-    }
-
-    #[test]
-    fn wake_for_steal_without_workers_is_a_no_op() {
-        let mgr = kwak_mgr();
-        for _ in 0..16 {
-            mgr.task(|_| TaskStatus::Done)
-                .cpuset(CpuSet::from_iter([0, 1]))
-                .on_core(1)
-                .spawn();
-        }
-        let home = mgr.stats().queues[mgr.topology().core_node(1).index()].id;
-        assert_eq!(mgr.wake_for_steal(home), None);
-        assert_eq!(mgr.stats().total_wakeups_for_steal(), 0);
-        assert!(!mgr.is_parked(0));
     }
 }

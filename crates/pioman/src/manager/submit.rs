@@ -124,13 +124,6 @@ impl TaskManager {
             }
         }
         self.wake_cores(&set);
-        // Backlog escalation: the queue is deep enough that its own cores
-        // are visibly not keeping up, so recruit the nearest parked thief
-        // (which may be eligible only for *older* tasks in the backlog and
-        // hence missed by the cpuset-targeted wake above).
-        if self.config.steal && depth >= STEAL_WAKE_BACKLOG {
-            self.wake_for_steal(home);
-        }
     }
 
     /// Dispatches every waitlisted task whose last outstanding predecessor

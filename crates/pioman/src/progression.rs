@@ -11,15 +11,18 @@
 //! timer thread plays the role of the timer interrupt, bounding the latency
 //! of event detection even when wake-ups race.
 //!
-//! Parking is **steal-aware**: before sleeping, a worker publishes
-//! its parked flag, re-checks its own path ([`TaskManager::has_work_for`],
-//! unless its keypoint only bounced tasks its core may not run) and then
-//! runs the cheap [`TaskManager::park_probe`] over its victim
-//! queues — a hit sends it back to the keypoint (where the steal path will
-//! take the backlog) instead of to sleep, so a remote imbalance is picked
-//! up in probe time rather than a park-timeout/timer period. Because the
-//! probe's span filter may over-approximate, consecutive fruitless hits
-//! are bounded ([`MAX_PROBE_STRIKES`]) before the worker parks anyway.
+//! Parking is **steal-aware**: before sleeping, a worker re-checks its
+//! own path ([`TaskManager::has_work_for`], unless its keypoint only
+//! bounced tasks its core may not run) and then runs the cheap
+//! [`TaskManager::park_probe`] over its victim queues — a hit sends it
+//! back to the keypoint (where the steal path will take the backlog)
+//! instead of to sleep, so a remote imbalance is picked up in probe time
+//! rather than a park-timeout/timer period. Because the probe's span
+//! filter may over-approximate, consecutive fruitless hits are bounded
+//! ([`MAX_PROBE_STRIKES`]) before the worker parks anyway. None of these
+//! checks is needed for a wake-up to arrive: a submission unparks every
+//! registered worker in its task's cpuset, and a token that lands before
+//! `park_timeout` makes it return at once.
 //! The full submit → batch → steal → park/wake lifecycle, with its
 //! invariants, is documented in `docs/SCHEDULER.md`.
 
@@ -124,15 +127,12 @@ impl Progression {
                                 continue;
                             }
                             idle_loops.fetch_add(1, Ordering::Relaxed);
-                            // Publish parked intent *before* the final work
-                            // checks: an enqueue racing them either is seen
-                            // by a check or sees the flag and unparks us
-                            // (worst case a stale token, never a lost wake).
-                            // A bounce-only keypoint saw the whole path: a
-                            // runnable submission since has its own token.
-                            mgr.note_parked(core, true);
+                            // Work on the path — arrived since, or behind a
+                            // pass the budget cut short: run another
+                            // keypoint. A bounce-only keypoint saw the whole
+                            // path: a runnable submission since has its own
+                            // unpark token.
                             if !bounce_only && mgr.has_work_for(core) {
-                                mgr.note_parked(core, false);
                                 continue;
                             }
                             // The steal-aware park check: a hit means a
@@ -144,15 +144,12 @@ impl Progression {
                             // fruitless hits the worker parks anyway and
                             // the park timeout / timer takes over.
                             if probe_strikes < MAX_PROBE_STRIKES && mgr.park_probe(core) {
-                                mgr.note_parked(core, false);
                                 probe_strikes += 1;
                                 continue;
                             }
                             std::thread::park_timeout(park);
-                            mgr.note_parked(core, false);
                             probe_strikes = 0;
                         }
-                        mgr.note_parked(core, false);
                         mgr.unregister_waker(core);
                     })
                     .expect("spawn progression worker")

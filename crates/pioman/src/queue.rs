@@ -402,12 +402,11 @@ impl Span {
     ///   earlier task set, and this drain clears them before the new
     ///   task leaves. Closing that would take a store-load fence on the
     ///   enqueue hot path, and the miss is strictly bounded: the span
-    ///   only gates the *advisory* park probe and `wake_for_steal`
-    ///   escalation — the submission itself already unparked every core
-    ///   in the task's cpuset with an unforgeable token, the steal path
-    ///   never consults the span, and the next enqueue (or park
-    ///   timeout / timer) re-covers the escalation. A dropped bit can
-    ///   cost a bounded wasted park, never a lost task or wake.
+    ///   only gates the *advisory* park probe — the submission itself
+    ///   already unparked every core in the task's cpuset with an
+    ///   unforgeable token, and the steal path never consults the span.
+    ///   A dropped bit can cost a bounded wasted park, never a lost task
+    ///   or wake.
     ///
     /// `vendor/interleave/tests/queue_span.rs` is the model.
     pub(crate) fn decay(&self, own: &CpuSet, still_pending: impl FnOnce() -> bool) {
@@ -455,9 +454,8 @@ pub(crate) struct TaskQueue {
     /// under the lock and read without it.
     len: CachePadded<AtomicUsize>,
     /// Union of the cpusets of the tasks enqueued here: the filter the
-    /// park probe and [`wake_for_steal`](crate::TaskManager::wake_for_steal)
-    /// consult before treating this queue's backlog as stealable by a
-    /// core. Padded: every about-to-park core reads these words while
+    /// park probe consults before treating this queue's backlog as
+    /// stealable by a core. Padded: every about-to-park core reads these words while
     /// enqueuers OR into them.
     pub(crate) steal_span: CachePadded<Span>,
 }
@@ -501,8 +499,7 @@ impl TaskQueue {
 
     /// Appends a task to its class lane (tail of the lane; the deadline
     /// lanes order by [`place_deadline_lane`]) and returns the queue depth
-    /// just after the append, which feeds the backlog-threshold check
-    /// behind [`wake_for_steal`](crate::TaskManager::wake_for_steal).
+    /// just after the append, which feeds the spill-threshold check.
     pub(crate) fn enqueue(&self, task: Task) -> usize {
         self.with_lock(task.cpuset.local().words(), |lanes| {
             lanes.push(task);

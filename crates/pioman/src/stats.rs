@@ -17,9 +17,8 @@ pub struct QueueStats {
     /// Cores this queue serves.
     pub cpuset: CpuSet,
     /// The queue's *steal span*: the union of the cpusets of the tasks
-    /// enqueued here. This is the filter the park probe and
-    /// [`wake_for_steal`](crate::TaskManager::wake_for_steal) consult;
-    /// it may over-approximate the currently-enqueued tasks (stale bits
+    /// enqueued here. This is the filter the park probe
+    /// ([`park_probe`](crate::TaskManager::park_probe)) consults; it may over-approximate the currently-enqueued tasks (stale bits
     /// cost a wasted probe, never a misplaced task), but *decays*: a
     /// dequeue that leaves the queue empty clears bits wider than the
     /// queue's own cpuset, so stale wide spans stop attracting probes.
@@ -106,11 +105,6 @@ pub struct ManagerStats {
     /// only on managers built before any topology — never in practice;
     /// single-socket machines still report their one inert socket).
     pub sockets: Vec<SocketStats>,
-    /// Steal-targeted wake-ups *received* per core: how often
-    /// [`wake_for_steal`](crate::TaskManager::wake_for_steal) chose this
-    /// parked core as the nearest eligible thief for a queue whose depth
-    /// crossed [`STEAL_WAKE_BACKLOG`](crate::STEAL_WAKE_BACKLOG).
-    pub wakeups_for_steal: Vec<u64>,
     /// Invocations of the idle hook.
     pub hook_idle: u64,
     /// Invocations of the context-switch hook.
@@ -172,11 +166,6 @@ impl ManagerStats {
         self.park_probe_misses.iter().sum()
     }
 
-    /// Total steal-targeted wake-ups delivered, across cores.
-    pub fn total_wakeups_for_steal(&self) -> u64 {
-        self.wakeups_for_steal.iter().sum()
-    }
-
     /// Total dependency-waitlist releases, across classes.
     pub fn total_waitlist_released(&self) -> u64 {
         self.waitlist_released_by_class.iter().sum()
@@ -229,7 +218,6 @@ mod tests {
             park_probe_misses: vec![0; n],
             park_probe_polls: vec![0; n],
             sockets: vec![],
-            wakeups_for_steal: vec![0; n],
             hook_idle: 0,
             hook_context_switch: 0,
             hook_timer: 0,

@@ -64,10 +64,13 @@ fn live_mib_after_new(topo: &Arc<Topology>, config: ManagerConfig) -> f64 {
 #[test]
 fn quad_socket_1024_manager_heap_stays_within_budget() {
     let topo: Arc<Topology> = presets::quad_socket_1024().into();
+    // 17.5 MiB, mostly the per-core victim orders. With one more
+    // O(queues × cores) table (every core, per queue) it read 21.9 MiB:
+    // the budget sits between, so such a table cannot come back unnoticed.
     let default = live_mib_after_new(&topo, ManagerConfig::default());
     assert!(
-        default <= 32.0,
-        "default config: {default:.1} MiB live after new, budget 32 MiB"
+        default <= 20.0,
+        "default config: {default:.1} MiB live after new, budget 20 MiB"
     );
     let armed = live_mib_after_new(
         &topo,

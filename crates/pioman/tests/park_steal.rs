@@ -7,13 +7,20 @@
 //! without waiting for a timer keypoint") is asserted with zero timing
 //! dependence. The live-`Progression` tests then pin the same contract on
 //! real worker threads, with bounded waits only on *observable* state
-//! (parked flags, task completion), never on sleeps standing in for
+//! (park-probe misses, task completion), never on sleeps standing in for
 //! scheduling decisions.
 
 use piom_cpuset::CpuSet;
 use piom_topology::presets;
-use pioman::{ManagerConfig, Progression, ProgressionConfig, TaskManager, TaskStatus, MAX_BATCH};
+use pioman::{Progression, ProgressionConfig, TaskManager, TaskStatus, MAX_BATCH};
 use std::time::{Duration, Instant};
+
+/// `true` once `core`'s worker has had a park probe miss: it has run every
+/// pre-park check and is parked or about to call `park_timeout`. With no
+/// work anywhere it may run, that is where the worker stays.
+fn parked(mgr: &TaskManager, core: usize) -> bool {
+    mgr.stats().park_probe_misses[core] > 0
+}
 
 /// Spins until `cond` holds, failing the test after a generous bound.
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
@@ -116,7 +123,7 @@ fn worker_parks_when_its_path_holds_only_tasks_it_may_not_run() {
         ..ProgressionConfig::for_cores(vec![5])
     };
     let prog = Progression::start(mgr.clone(), config);
-    wait_for("worker 5 to park", || mgr.is_parked(5));
+    wait_for("worker 5 to park", || parked(&mgr, 5));
     // Idle keypoints and park-probe misses per second over a 200 ms window.
     let rates = || {
         let (loops, misses) = (prog.idle_loops(), mgr.stats().park_probe_misses[5]);
@@ -158,7 +165,7 @@ fn worker_reaches_a_runnable_task_behind_a_full_budget_of_foreign_ones() {
         ..ProgressionConfig::for_cores(vec![5])
     };
     let _prog = Progression::start(mgr.clone(), config);
-    wait_for("worker 5 to park", || mgr.is_parked(5));
+    wait_for("worker 5 to park", || parked(&mgr, 5));
     for _ in 0..MAX_BATCH + 44 {
         mgr.task(|_| TaskStatus::Done)
             .cpuset(CpuSet::from_iter([4, 6]))
@@ -174,15 +181,15 @@ fn worker_reaches_a_runnable_task_behind_a_full_budget_of_foreign_ones() {
     assert_eq!(mgr.stats().executed_by_core[5], 1);
 }
 
-/// The lost-wake probe for the weakened orderings: hammer the exact race
-/// the park/wake handshake must close — a submission landing at the very
-/// moment the worker decides to park. Each round waits for the worker to
-/// be *observably parked* (the worst case: every pre-park check already
+/// The lost-wake probe: hammer the exact race the wake protocol must close
+/// — a submission landing at the very moment the worker decides to park.
+/// Each even round waits for the worker to be *observably parked* (a park
+/// probe miss since the previous submission: every pre-park check already
 /// ran), submits, and requires completion with the timer disabled and the
-/// park timeout far past the test bound — only a delivered wake-up can
-/// finish the round. The `vendor/interleave` `park_wake` model proves the
-/// same protocol exhaustively over all interleavings; this test pins the
-/// real implementation against the real parker.
+/// park timeout far past the test bound — only a delivered unpark token
+/// can finish the round. This is the one pin on the wake protocol: every
+/// submission unparks the registered workers in its cpuset, and a token
+/// that lands before `park_timeout` makes it return at once.
 #[test]
 fn submission_racing_a_parking_worker_never_loses_the_wake() {
     let mgr = TaskManager::new(presets::kwak().into());
@@ -192,13 +199,18 @@ fn submission_racing_a_parking_worker_never_loses_the_wake() {
         ..ProgressionConfig::for_cores(vec![3])
     };
     let _prog = Progression::start(mgr.clone(), config);
+    let misses = || mgr.stats().park_probe_misses[3];
+    // Misses counted before the previous submission: the worker's first
+    // miss after running that task is past this count.
+    let mut before = 0;
     for round in 0..200 {
         // Alternate between racing an already-parked worker and racing the
         // park decision itself (submitting the instant the worker's queue
-        // runs dry, before it can publish the flag).
+        // runs dry, before its pre-park checks have run).
         if round % 2 == 0 {
-            wait_for("worker 3 to park", || mgr.is_parked(3));
+            wait_for("worker 3 to park", || misses() > before);
         }
+        before = misses();
         let h = mgr
             .task(|_| TaskStatus::Done)
             .cpuset(CpuSet::single(3))
@@ -229,69 +241,21 @@ fn live_worker_steals_distant_backlog_without_timer() {
                 .spawn()
         })
         .collect();
-    for h in handles {
-        assert_eq!(h.wait(), Ok(()));
-    }
+    // Bounded: a lost wake fails here instead of hanging on `wait()`.
+    wait_for("the backlog to drain", || {
+        handles.iter().all(|h| h.is_complete())
+    });
     let stats = mgr.stats();
     assert_eq!(stats.hook_timer, 0, "no timer keypoint fired");
     assert_eq!(stats.stolen_by_core[0], 16);
 }
 
-/// `wake_for_steal` in isolation: a parked worker whose own core is *not*
-/// in any new submission's cpuset is still recruited when a queue it can
-/// steal from crosses the backlog threshold. Stealing is disabled in the
-/// manager config so the worker genuinely parks (its keypoints cannot
-/// steal), isolating the wake mechanism from the drain mechanism.
+/// The submission's own wake, end to end: a parked distant worker whose
+/// core is in the tasks' cpuset is unparked by the submissions themselves
+/// (`wake_cores`), finds nothing on its own path, and drains the backlog
+/// homed on core 0 (which has no worker) by stealing — without a timer.
 #[test]
-fn wake_for_steal_unparks_the_nearest_eligible_parked_core() {
-    let mgr = TaskManager::with_config(
-        presets::kwak().into(),
-        ManagerConfig {
-            steal: false,
-            ..ManagerConfig::default()
-        },
-    );
-    let config = ProgressionConfig {
-        park_timeout: Duration::from_secs(3600),
-        timer_period: None,
-        ..ProgressionConfig::for_cores(vec![1])
-    };
-    let _prog = Progression::start(mgr.clone(), config);
-    wait_for("worker 1 to park", || mgr.is_parked(1));
-
-    // Backlog on core 0's queue, stealable by cores {0, 1}. With stealing
-    // off, nothing triggers automatically; the steal span still records
-    // core 1 as eligible.
-    for _ in 0..16 {
-        mgr.task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::from_iter([0, 1]))
-            .on_core(0)
-            .spawn();
-    }
-
-    // Every submission above unparked worker 1 (its core is in the
-    // cpuset), so the parked flag read here may be stale either way: the
-    // worker may still be about to wake, or be mid-keypoint. The wake call
-    // itself is the one observation that cannot be stale — poll it until
-    // it finds the worker parked again. It may only ever pick core 1, and
-    // the one hit that ends the wait is the one wake-up counted.
-    let home = mgr.stats().queues[mgr.topology().core_node(0).index()].id;
-    wait_for("wake_for_steal to find worker 1 parked", || {
-        let woken = mgr.wake_for_steal(home);
-        assert!(
-            matches!(woken, None | Some(1)),
-            "core 1 is the only parked core the queue's span admits, got {woken:?}"
-        );
-        woken.is_some()
-    });
-    assert_eq!(mgr.stats().wakeups_for_steal[1], 1);
-}
-
-/// The automatic escalation: with stealing on, a submission burst that
-/// crosses `STEAL_WAKE_BACKLOG` recruits a parked distant worker whose
-/// core is in the tasks' cpuset, and the backlog drains without a timer.
-#[test]
-fn backlog_threshold_recruits_a_parked_thief_end_to_end() {
+fn submission_wakes_a_parked_thief_in_the_task_cpuset_end_to_end() {
     let mgr = TaskManager::new(presets::kwak().into());
     let config = ProgressionConfig {
         park_timeout: Duration::from_secs(3600),
@@ -299,7 +263,7 @@ fn backlog_threshold_recruits_a_parked_thief_end_to_end() {
         ..ProgressionConfig::for_cores(vec![8])
     };
     let _prog = Progression::start(mgr.clone(), config);
-    wait_for("worker 8 to park", || mgr.is_parked(8));
+    wait_for("worker 8 to park", || parked(&mgr, 8));
 
     let handles: Vec<_> = (0..16)
         .map(|_| {
@@ -309,13 +273,11 @@ fn backlog_threshold_recruits_a_parked_thief_end_to_end() {
                 .spawn()
         })
         .collect();
-    for h in handles {
-        assert_eq!(h.wait(), Ok(()));
-    }
+    // Bounded: a lost wake fails here instead of hanging on `wait()`.
+    wait_for("the backlog to drain", || {
+        handles.iter().all(|h| h.is_complete())
+    });
     let stats = mgr.stats();
     assert_eq!(stats.hook_timer, 0, "no timer keypoint fired");
-    assert_eq!(
-        stats.stolen_by_core[8], 16,
-        "the recruited thief drained it"
-    );
+    assert_eq!(stats.stolen_by_core[8], 16, "the woken thief drained it");
 }

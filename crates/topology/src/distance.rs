@@ -54,7 +54,7 @@ impl Topology {
                 // when the tree actually has NUMA nodes. Short-circuiting
                 // scan (a NUMA node sits right after the root in the arena)
                 // keeps this O(1) on multi-socket fabrics — `distance` is
-                // the inner loop of the steal/wake order precomputation.
+                // the inner loop of the steal order precomputation.
                 if self.iter().any(|(_, n)| n.level == Level::NumaNode) {
                     Locality::CrossNuma
                 } else {
@@ -126,28 +126,6 @@ impl Topology {
         victims
     }
 
-    /// Every core of the machine sorted by increasing [`Locality`] distance
-    /// from node `id`'s span (the distance to the *nearest* core the node
-    /// covers; ties broken by core id). Cores inside the span come first,
-    /// at distance 0.
-    ///
-    /// This is the steal-wake counterpart of
-    /// [`steal_order_with_distance`](Self::steal_order_with_distance): that
-    /// method ranks *victim queues* around a thief core, while this one
-    /// ranks *candidate thieves* around a backlogged queue. The task
-    /// manager precomputes it per queue at construction so
-    /// [`wake_for_steal`](../pioman) can pick the nearest parked worker
-    /// with a single ordered scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is outside this topology's arena.
-    pub fn cores_by_distance_from_node(&self, id: NodeId) -> Vec<usize> {
-        let mut cores: Vec<usize> = (0..self.n_cores()).collect();
-        cores.sort_by_cached_key(|&c| (self.node_distance(c, id), c));
-        cores
-    }
-
     /// The [`Locality`] distance from `core` to the *nearest* core node
     /// `id` spans, in O(1): distance is the level of the common ancestor,
     /// so a subtree that contains `core` is at 0 (it contains `core`
@@ -155,10 +133,8 @@ impl Topology {
     /// ancestor with `core` — the span's first core stands for all of
     /// them. The one kernel behind
     /// [`steal_order_with_distance`](Self::steal_order_with_distance)
-    /// (victim queues around a thief),
-    /// [`cores_by_distance_from_node`](Self::cores_by_distance_from_node)
-    /// (candidate thieves around a queue) and the task manager's socket
-    /// visit order, so the three can never disagree on what "near" means.
+    /// (victim queues around a thief) and the task manager's socket visit
+    /// order, so the two can never disagree on what "near" means.
     ///
     /// # Panics
     ///
@@ -277,29 +253,6 @@ mod tests {
                 assert!(w[0].1 <= w[1].1, "tiers never get closer again");
             }
         }
-    }
-
-    #[test]
-    fn cores_by_distance_from_node_ranks_span_first_then_outward() {
-        let t = presets::kwak();
-        // NUMA #1 spans cores 4-7: its own cores lead (distance 0, id
-        // order), every other core follows at CrossNuma distance in id
-        // order, and the ranking never gets closer again.
-        let numa1 = t.core_node(5); // per-core node of 5…
-        let numa1 = t.node(numa1).parent.unwrap(); // …whose parent is NUMA #1
-        let order = t.cores_by_distance_from_node(numa1);
-        assert_eq!(order.len(), t.n_cores());
-        assert_eq!(&order[..4], &[4, 5, 6, 7], "span cores first");
-        let span = t.node(numa1).cpuset;
-        let dist = |c: usize| span.iter().map(|s| t.distance(c, s)).min().unwrap();
-        for w in order.windows(2) {
-            assert!(dist(w[0]) <= dist(w[1]), "ordering must be monotone");
-        }
-        // A per-core node: the core itself leads, NUMA siblings next.
-        let core3 = t.core_node(3);
-        let order = t.cores_by_distance_from_node(core3);
-        assert_eq!(order[0], 3);
-        assert_eq!(&order[1..4], &[0, 1, 2], "same-NUMA siblings before remote");
     }
 
     #[test]

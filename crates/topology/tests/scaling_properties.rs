@@ -6,9 +6,6 @@
 //! * [`Topology::steal_order`] is a **permutation of the off-path nodes**
 //!   whose nearest-span distances are non-decreasing — the property the
 //!   manager's distance-tiered victim scan rides on;
-//! * [`Topology::cores_by_distance_from_node`] is a **permutation of all
-//!   cores** sorted by distance to the node's span — the property the
-//!   steal-targeted wake scan rides on;
 //! * random builder shapes (proptest) satisfy the same invariants, so the
 //!   guarantees do not hinge on the preset dimensions being friendly.
 //!
@@ -102,25 +99,6 @@ fn assert_steal_order_invariants(topo: &Topology, origin: usize) {
     assert_eq!(bare, order.iter().map(|&(id, _)| id).collect::<Vec<_>>());
 }
 
-fn assert_wake_order_invariants(topo: &Topology, node: NodeId) {
-    let order = topo.cores_by_distance_from_node(node);
-    // Permutation of all cores.
-    let seen: HashSet<usize> = order.iter().copied().collect();
-    assert_eq!(order.len(), topo.n_cores());
-    assert_eq!(seen.len(), topo.n_cores(), "wake order repeats a core");
-    // Non-decreasing distance to the node's span under the public metric.
-    let span = topo.node(node).cpuset;
-    let mut prev = 0usize;
-    for &core in &order {
-        let d = span_distance(topo, core, &span);
-        assert!(
-            d >= prev,
-            "wake order of node {node:?} jumps back from {prev} to {d} at core {core}"
-        );
-        prev = d;
-    }
-}
-
 #[test]
 fn ladder_presets_build_with_expected_shapes() {
     let expect = [
@@ -183,27 +161,6 @@ fn steal_order_is_a_distance_sorted_permutation_up_to_1024_cores() {
     }
 }
 
-#[test]
-fn wake_order_is_a_distance_sorted_permutation_up_to_1024_cores() {
-    for topo in ladder() {
-        // Exhaustive over non-core nodes on small machines; structural
-        // sample (root + one node per level per socket) on the fabrics.
-        let nodes: Vec<NodeId> = if topo.n_nodes() <= 64 {
-            topo.node_ids().collect()
-        } else {
-            let mut picks = vec![topo.root()];
-            for level in [Level::NumaNode, Level::Chip, Level::Cache, Level::Core] {
-                let at = topo.nodes_at_level(level);
-                picks.extend(at.iter().step_by((at.len() / 4).max(1)).copied());
-            }
-            picks
-        };
-        for node in nodes {
-            assert_wake_order_invariants(&topo, node);
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -237,7 +194,5 @@ proptest! {
         }
         let origin = origin_seed % topo.n_cores();
         assert_steal_order_invariants(&topo, origin);
-        assert_wake_order_invariants(&topo, topo.core_node(origin));
-        assert_wake_order_invariants(&topo, topo.root());
     }
 }
