@@ -1,25 +1,34 @@
-//! Task completion tracking: poll, block, or actively schedule while waiting.
+//! A task's heap block and its completion: poll, block, or actively
+//! schedule while waiting.
 //!
-//! Since PR 8 a completion is also the release point of the **dependency
-//! waitlist**: tasks submitted with `.after(&handle)` park in a
+//! A completion is also the release point of the **dependency waitlist**:
+//! tasks submitted with `.after(&handle)` park in a
 //! [`PendingTask`](crate::manager) registered here as a waiter, and the
 //! completion path drains the waiter list exactly once — whether the
 //! predecessor finished or panicked (a dependent is *released*, never
 //! cancelled, so pipelines drain instead of wedging).
 
 use crate::manager::PendingTask;
-use core::sync::atomic::{AtomicU8, Ordering};
+use crate::task::{TaskContext, TaskStatus};
+use core::cell::UnsafeCell;
+use core::mem::{take, ManuallyDrop};
+use core::ptr::NonNull;
+use core::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-// The state word: a phase in the low bits, plus `SLOW`.
-const PENDING: u8 = 0;
-const DONE: u8 = 1;
-const PANICKED: u8 = 2;
-const PHASE: u8 = 0b11;
+// The state word: a phase in the low bits, `SLOW`, and the reference count.
+const PENDING: usize = 0;
+const DONE: usize = 1;
+const PANICKED: usize = 2;
+const PHASE: usize = 0b11;
 /// Somebody registered interest in the slow block while the task was
 /// pending: the completer must lock it, notify and drain.
-const SLOW: u8 = 0b100;
+const SLOW: usize = 0b100;
+/// One reference (the task's, a handle's or the slow path's): `refs * REF`.
+const REF: usize = 0b1000;
 
 /// Error returned by [`TaskHandle::wait`] family when the task body panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,30 +45,32 @@ impl core::fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
-/// Shared completion state between a task and its handle: one atomic word
-/// plus a slow block that exists only once somebody needs it.
+/// A task body: `FnMut` because repeat tasks carry state between runs.
+type Body = dyn FnMut(&TaskContext<'_>) -> TaskStatus + Send;
+
+/// One task's heap block: the completion header, then the body inline (a
+/// zero-sized `F` leaves the header alone). The task ([`TaskBody`], the
+/// only way to the body) and each [`TaskHandle`] hold one reference,
+/// counted in `state`; the last one out frees the block. The body is
+/// dropped before completion is published. A task nobody waits on or
+/// depends on completes with one `fetch_add` — no lock, no syscall, no
+/// allocation; the slow block exists only once somebody registers (a
+/// blocking `wait`, an `.after()` dependent, `set_deps`) or a body panics.
 ///
-/// A task nobody blocks on, depends on or makes depend on anything — the
-/// common case — completes with a single `swap` on `state`: no lock, no
-/// wake-up syscall, no allocation. Everything else goes through the slow
-/// block, allocated by whoever first registers interest (a blocking
-/// [`TaskHandle::wait`], an `.after()` dependent, [`set_deps`](Self::set_deps))
-/// or by a panic that has a message to leave behind.
-///
-/// The handshake is two read-modify-writes on `state`, which are totally
-/// ordered: a registrant does `lock(slow); fetch_or(SLOW)`, the completer
-/// does `swap(final)` and, iff the previous word had `SLOW`, `lock(slow)` +
-/// notify + drain. If the `fetch_or` comes first the completer sees `SLOW`
-/// and its drain — serialized behind the registrant by the slow mutex —
-/// includes the registration; if the `swap` comes first the registrant sees
-/// a final phase and is told "already complete". Never both, never neither.
-/// The registrant holds the slow mutex *across* its `fetch_or`, so the
-/// completer cannot drain (or notify) between the announcement and the
-/// push (or the `Condvar::wait` that releases the mutex): no stranded
-/// dependent, no lost wake.
-pub(crate) struct Completion {
-    state: AtomicU8,
+/// The handshake is two totally ordered RMWs on `state`: a registrant does
+/// `lock(slow); fetch_or(SLOW)`, the completer `fetch_add(phase − REF)`
+/// and, iff the previous word had `SLOW`, `lock(slow)` + notify + drain.
+/// The registration is drained or told "already complete", never both or
+/// neither, and holding the mutex across its `fetch_or`, the registrant
+/// cannot lose its push (or park) to the drain (or notify). The completer
+/// has dropped its reference by then, so the slow path holds its own:
+/// added under the mutex by the registrant that sets `SLOW`, dropped by
+/// the completer after the drain.
+struct Block<F: ?Sized> {
+    state: AtomicUsize,
     slow: OnceLock<Box<Slow>>,
+    /// Touched only through the [`TaskBody`], which drops it in place.
+    body: UnsafeCell<ManuallyDrop<F>>,
 }
 
 struct Slow {
@@ -76,20 +87,12 @@ struct SlowInner {
     /// Dependents parked on this task (`.after(&handle)`), drained exactly
     /// once by the completion path.
     dependents: Vec<Arc<PendingTask>>,
-    /// The completions *this* task waits on, recorded at spawn for the
-    /// submit-time cycle check and cleared on completion (breaking the
-    /// `Arc` chains so finished pipelines free their graph).
-    deps: Vec<Arc<Completion>>,
+    /// The tasks *this* task waits on, recorded at spawn for the cycle
+    /// check and dropped on completion, so finished pipelines free.
+    deps: Vec<TaskHandle>,
 }
 
-impl Completion {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Completion {
-            state: AtomicU8::new(PENDING),
-            slow: OnceLock::new(),
-        })
-    }
-
+impl Block<Body> {
     fn slow(&self) -> &Slow {
         self.slow.get_or_init(|| {
             Box::new(Slow {
@@ -99,87 +102,42 @@ impl Completion {
         })
     }
 
-    /// The registrant half of the handshake: locks the slow block and
-    /// announces it to the completer. `None` means the task is already
-    /// complete and nothing registered now would ever be drained or woken.
+    /// The registrant half of the handshake, called holding a reference:
+    /// locks the slow block and announces it to the completer. `None`
+    /// means the task is already complete and nothing registered now would
+    /// ever be drained or woken.
     ///
-    /// `AcqRel`: Acquire pairs with the completer's `swap`, so a registrant
-    /// told "already complete" observes the task's side effects; Release
-    /// publishes the slow block's initialization to the completer that
-    /// reads `SLOW`.
+    /// `AcqRel`: Acquire pairs with the completer's `fetch_add`, so a
+    /// registrant told "already complete" observes the task's side effects;
+    /// Release publishes the slow block's initialization to the completer
+    /// that reads `SLOW`.
     fn register(&self) -> Option<MutexGuard<'_, SlowInner>> {
         let guard = self.slow().inner.lock();
         let prev = self.state.fetch_or(SLOW, Ordering::AcqRel);
-        (prev & PHASE == PENDING).then_some(guard)
-    }
-
-    /// Registers a dependent to be released when this task completes.
-    /// Returns `false` if this task is already complete — the caller must
-    /// satisfy the dependency directly (the waiter will never be drained).
-    pub(crate) fn add_waiter(&self, waiter: Arc<PendingTask>) -> bool {
-        match self.register() {
-            Some(mut slow) => {
-                slow.dependents.push(waiter);
-                true
-            }
-            None => false,
+        if prev & PHASE != PENDING {
+            return None;
         }
-    }
-
-    /// Records the dependency edges of the task owning this completion
-    /// (spawn-time bookkeeping for the cycle check).
-    pub(crate) fn set_deps(&self, deps: Vec<Arc<Completion>>) {
-        if let Some(mut slow) = self.register() {
-            slow.deps = deps;
-        }
-    }
-
-    /// Snapshot of the pending dependency edges (empty once complete).
-    pub(crate) fn deps_snapshot(&self) -> Vec<Arc<Completion>> {
-        self.slow
-            .get()
-            .map(|slow| slow.inner.lock().deps.clone())
-            .unwrap_or_default()
-    }
-
-    /// The completer half of the handshake: publish the final phase and,
-    /// only if somebody registered, wake blocked handles, drop the
-    /// dependency edges and hand the drained dependents to the caller for
-    /// release. Each dependent appears in exactly one drain.
-    ///
-    /// `AcqRel`: Release makes the task's side effects (and the panic
-    /// message) happen-before any Acquire observation of the final phase;
-    /// Acquire pairs with the registrants' `fetch_or`.
-    fn finish(&self, phase: u8) -> Vec<Arc<PendingTask>> {
-        let prev = self.state.swap(phase, Ordering::AcqRel);
-        debug_assert_eq!(prev & PHASE, PENDING, "a task completes once");
         if prev & SLOW == 0 {
-            return Vec::new();
+            // The slow path's reference. Relaxed, like a clone: the caller's
+            // keeps the block alive, and the completer reads the count only
+            // after taking the mutex held here.
+            self.state.fetch_add(REF, Ordering::Relaxed);
         }
-        let slow = self.slow.get().expect("SLOW is set after the block");
+        Some(guard)
+    }
+
+    /// Wakes blocked handles and empties the slow block: the dependency
+    /// edges are dropped, the dependents returned.
+    fn drain(&self) -> Vec<Arc<PendingTask>> {
+        let slow = self.slow();
         let mut inner = slow.inner.lock();
         slow.condvar.notify_all();
-        inner.deps.clear();
-        std::mem::take(&mut inner.dependents)
+        let (deps, dependents) = (take(&mut inner.deps), take(&mut inner.dependents));
+        drop((inner, deps));
+        dependents
     }
 
-    /// Marks the task done. Returns the dependents to release; the
-    /// scheduler dispatches them (`run_task`'s completion path).
-    #[must_use = "the drained waiters must be dispatched"]
-    pub(crate) fn complete(&self) -> Vec<Arc<PendingTask>> {
-        self.finish(DONE)
-    }
-
-    /// Marks the task panicked. Dependents are still released — a
-    /// dependency is an ordering constraint, not a success gate — so the
-    /// returned waiters must be dispatched exactly like [`Self::complete`].
-    #[must_use = "the drained waiters must be dispatched"]
-    pub(crate) fn complete_panicked(&self, message: String) -> Vec<Arc<PendingTask>> {
-        self.slow().inner.lock().message = Some(message);
-        self.finish(PANICKED)
-    }
-
-    fn phase(&self) -> u8 {
+    fn phase(&self) -> usize {
         self.state.load(Ordering::Acquire) & PHASE
     }
 
@@ -198,24 +156,222 @@ impl Completion {
     }
 }
 
+/// Drops `n` references to `block`, freeing it on the last. `AcqRel`: the
+/// holders' uses of the block happen-before the free.
+///
+/// # Safety
+///
+/// The caller owns `n` live references and touches the block no more.
+unsafe fn release(block: NonNull<Block<Body>>, n: usize) {
+    // SAFETY: the caller's references keep the block alive up to this RMW.
+    let prev = unsafe { block.as_ref() }
+        .state
+        .fetch_sub(n * REF, Ordering::AcqRel);
+    if prev / REF == n {
+        // SAFETY: those were the last references, so nobody else can reach
+        // the block; it came from a `Box`, and the body is already dropped
+        // (the task's reference goes only after it).
+        drop(unsafe { Box::from_raw(block.as_ptr()) });
+    }
+}
+
+/// The task's own reference to its block and the only way to the body.
+/// Unique, so running and dropping the body need no synchronization.
+pub(crate) struct TaskBody(NonNull<Block<Body>>);
+
+// SAFETY: the body is `Send` and only this unique reference touches it;
+// the header is shared through an atomic word and a mutex.
+unsafe impl Send for TaskBody {}
+
+impl TaskBody {
+    /// Allocates the block for `body` holding two references, the task's
+    /// and the returned handle's, counted by the initializing store.
+    pub(crate) fn new<F>(body: F) -> (TaskBody, TaskHandle)
+    where
+        F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
+    {
+        let block: Box<Block<Body>> = Box::new(Block {
+            state: AtomicUsize::new(PENDING | (2 * REF)),
+            slow: OnceLock::new(),
+            body: UnsafeCell::new(ManuallyDrop::new(body)),
+        });
+        let ptr = NonNull::from(Box::leak(block));
+        (TaskBody(ptr), TaskHandle { ptr })
+    }
+
+    /// Drops the body in place; its panic, if any, is returned.
+    ///
+    /// # Safety
+    ///
+    /// Called once, as this `TaskBody`'s last use of the body.
+    unsafe fn drop_body(&mut self) -> std::thread::Result<()> {
+        // SAFETY: the task's reference keeps the block alive, this unique
+        // `TaskBody` is the only way to the body, and the caller's contract
+        // makes this its one drop.
+        catch_unwind(AssertUnwindSafe(|| unsafe {
+            ManuallyDrop::drop(&mut *self.0.as_ref().body.get());
+        }))
+    }
+
+    /// Runs the body once.
+    pub(crate) fn run(&mut self, ctx: &TaskContext<'_>) -> TaskStatus {
+        // SAFETY: the task's reference keeps the block alive; this unique
+        // `TaskBody` is the only way to the body, which only `finish` and
+        // `drop` (consuming it) drop.
+        let body = unsafe { &mut *self.0.as_ref().body.get() };
+        (**body)(ctx)
+    }
+
+    /// Completes the task after its last run: drops the body, publishes the
+    /// phase (`PANICKED` if `panic` holds the run's payload or the drop
+    /// panicked) and releases the task's reference in one `fetch_add`. Only
+    /// if somebody registered does it wake blocked handles and drop the
+    /// dependency edges; the drained dependents go to the caller, to be
+    /// dispatched even after a panic (a dependency orders, it does not gate).
+    ///
+    /// `AcqRel`: Release makes the task's side effects, the body's drop and
+    /// the panic message happen-before any Acquire observation of the phase;
+    /// Acquire pairs with the registrants' `fetch_or` and the handles' drops.
+    #[must_use = "the drained waiters must be dispatched"]
+    pub(crate) fn finish(self, panic: Option<Box<dyn Any + Send>>) -> Vec<Arc<PendingTask>> {
+        let mut this = ManuallyDrop::new(self);
+        // SAFETY: `self` is consumed here; nothing runs the body again.
+        let dropped = unsafe { this.drop_body() };
+        // SAFETY: the task's reference keeps the block alive up to the
+        // `fetch_add`, and the slow path's (if `SLOW`) after it.
+        let block = unsafe { this.0.as_ref() };
+        let phase = match panic.or(dropped.err()) {
+            None => DONE,
+            Some(payload) => {
+                let message = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .or_else(|| payload.downcast_ref::<String>().cloned());
+                block.slow().inner.lock().message = message;
+                PANICKED
+            }
+        };
+        let prev = block
+            .state
+            .fetch_add(phase.wrapping_sub(REF), Ordering::AcqRel);
+        debug_assert_eq!(prev & PHASE, PENDING, "a task completes once");
+        if prev & SLOW == 0 {
+            if prev / REF == 1 {
+                // SAFETY: that was the last reference (see `release`).
+                drop(unsafe { Box::from_raw(this.0.as_ptr()) });
+            }
+            return Vec::new();
+        }
+        let dependents = block.drain();
+        // SAFETY: the slow path's reference, not touched again.
+        unsafe { release(this.0, 1) };
+        dependents
+    }
+}
+
+/// A task dropped unrun (its manager went away, its spec was never
+/// spawned) drops its body and its reference; its handles stay pending. It
+/// also drops what its slow block holds — dependents it can never release,
+/// its own dependency edges — which would otherwise keep cycles alive.
+impl Drop for TaskBody {
+    fn drop(&mut self) {
+        // SAFETY: `self` is being dropped; nothing runs the body again.
+        let _ = unsafe { self.drop_body() };
+        // SAFETY: the task's reference keeps the block alive.
+        let block = unsafe { self.0.as_ref() };
+        // `SLOW` set here keeps a later registrant from adding a slow-path
+        // reference nobody would drop; the drain's mutex waits out one still
+        // adding it.
+        let slow = block.state.fetch_or(SLOW, Ordering::AcqRel) & SLOW != 0;
+        if slow {
+            drop(block.drain());
+        }
+        // SAFETY: the task's reference, and the slow path's if there is one.
+        unsafe { release(self.0, 1 + usize::from(slow)) };
+    }
+}
+
 /// Handle to a submitted task.
 ///
 /// Cloneable; all clones observe the same completion. Dropping handles does
 /// not cancel the task.
-#[derive(Clone)]
 pub struct TaskHandle {
-    pub(crate) completion: Arc<Completion>,
+    ptr: NonNull<Block<Body>>,
+}
+
+// SAFETY: a handle touches only the header — an atomic word and a mutex
+// over `Send` contents — never the body, and frees the block only as its
+// last reference, once the body is gone.
+unsafe impl Send for TaskHandle {}
+// SAFETY: as for `Send`; every header access goes through `&self`.
+unsafe impl Sync for TaskHandle {}
+// The body's `UnsafeCell` is out of a handle's reach, and the header is
+// atomics and mutexes, which an unwinding panic leaves consistent.
+impl std::panic::UnwindSafe for TaskHandle {}
+impl std::panic::RefUnwindSafe for TaskHandle {}
+
+impl Clone for TaskHandle {
+    fn clone(&self) -> Self {
+        // Relaxed: this handle's reference keeps the block alive.
+        self.block().state.fetch_add(REF, Ordering::Relaxed);
+        TaskHandle { ptr: self.ptr }
+    }
+}
+
+impl Drop for TaskHandle {
+    fn drop(&mut self) {
+        // SAFETY: this handle's reference, not touched again.
+        unsafe { release(self.ptr, 1) };
+    }
 }
 
 impl TaskHandle {
+    fn block(&self) -> &Block<Body> {
+        // SAFETY: this handle's reference keeps the block alive.
+        unsafe { self.ptr.as_ref() }
+    }
+
+    /// The block's address: equal for handles to the same task.
+    pub(crate) fn addr(&self) -> *const u8 {
+        self.ptr.as_ptr().cast()
+    }
+
+    /// Registers a dependent to be released when this task completes.
+    /// Returns `false` if this task is already complete — the caller must
+    /// satisfy the dependency directly (the waiter will never be drained).
+    pub(crate) fn add_waiter(&self, waiter: Arc<PendingTask>) -> bool {
+        match self.block().register() {
+            Some(mut slow) => {
+                slow.dependents.push(waiter);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Records the dependency edges of this task (spawn-time bookkeeping
+    /// for the cycle check).
+    pub(crate) fn set_deps(&self, deps: Vec<TaskHandle>) {
+        if let Some(mut slow) = self.block().register() {
+            slow.deps = deps;
+        }
+    }
+
+    /// Snapshot of the pending dependency edges (empty once complete).
+    pub(crate) fn deps_snapshot(&self) -> Vec<TaskHandle> {
+        self.block()
+            .slow
+            .get()
+            .map(|slow| slow.inner.lock().deps.clone())
+            .unwrap_or_default()
+    }
+
     /// `true` once the task has run to completion (or panicked).
     pub fn is_complete(&self) -> bool {
-        self.completion.phase() != PENDING
+        self.block().phase() != PENDING
     }
 
     /// Non-blocking check: `None` while pending, otherwise the outcome.
     pub fn poll(&self) -> Option<Result<(), TaskError>> {
-        self.completion.result_now()
+        self.block().result_now()
     }
 
     /// Blocks the calling thread until completion.
@@ -225,19 +381,20 @@ impl TaskHandle {
     /// progress (§V-B). Somebody else must run the task; see
     /// [`TaskHandle::wait_active`] for the self-progressing variant.
     pub fn wait(&self) -> Result<(), TaskError> {
-        if let Some(r) = self.completion.result_now() {
+        let block = self.block();
+        if let Some(r) = block.result_now() {
             return r;
         }
-        if let Some(mut slow) = self.completion.register() {
+        if let Some(mut slow) = block.register() {
             // `register` announced this waiter while holding the slow
             // mutex, which `Condvar::wait` releases only once parked: the
             // completer's notify (under that mutex) cannot fall in between.
-            let condvar = &self.completion.slow().condvar;
-            while self.completion.phase() == PENDING {
+            let condvar = &block.slow().condvar;
+            while block.phase() == PENDING {
                 condvar.wait(&mut slow);
             }
         }
-        self.completion.result_now().expect("phase is final")
+        block.result_now().expect("phase is final")
     }
 
     /// Actively waits: repeatedly runs the scheduler for `core` until this
@@ -246,7 +403,7 @@ impl TaskHandle {
     /// communication may overlap".
     pub fn wait_active(&self, manager: &crate::TaskManager, core: usize) -> Result<(), TaskError> {
         loop {
-            if let Some(r) = self.completion.result_now() {
+            if let Some(r) = self.block().result_now() {
                 return r;
             }
             if !manager.schedule(core) {
@@ -269,8 +426,8 @@ impl core::fmt::Debug for TaskHandle {
 mod tests {
     use super::*;
     use crate::queue::QueueId;
-    use crate::task::{Task, TaskOptions, TaskSet, TaskStatus};
-    use core::sync::atomic::AtomicUsize;
+    use crate::task::{Task, TaskOptions, TaskSet};
+    use crate::TaskManager;
     use piom_cpuset::CpuSet;
     use std::sync::mpsc;
     use std::thread;
@@ -280,20 +437,27 @@ mod tests {
     /// or a release was lost.
     const DEADLINE: Duration = Duration::from_secs(60);
 
-    fn handle(c: &Arc<Completion>) -> TaskHandle {
-        TaskHandle {
-            completion: c.clone(),
-        }
+    /// A block with a zero-sized body: the header alone.
+    fn block() -> (TaskBody, TaskHandle) {
+        TaskBody::new(|_| TaskStatus::Done)
+    }
+
+    fn panic_payload(message: &'static str) -> Option<Box<dyn Any + Send>> {
+        Some(Box::new(message))
+    }
+
+    /// References the block counts: tasks, handles and the slow path's.
+    fn refs(h: &TaskHandle) -> usize {
+        h.block().state.load(Ordering::Relaxed) / REF
     }
 
     /// A dependent parked on one predecessor.
     fn dependent() -> Arc<PendingTask> {
         let task = Task {
-            body: Box::new(|_| TaskStatus::Done),
+            body: block().0,
             options: TaskOptions::oneshot(),
             cpuset: TaskSet::new(&CpuSet::single(0)),
             home: QueueId(0),
-            completion: Completion::new(),
             submitted_at: None,
         };
         PendingTask::new(task, 1)
@@ -318,11 +482,10 @@ mod tests {
 
     #[test]
     fn poll_transitions() {
-        let c = Completion::new();
-        let h = handle(&c);
+        let (body, h) = block();
         assert!(!h.is_complete());
         assert!(h.poll().is_none());
-        assert!(c.complete().is_empty());
+        assert!(body.finish(None).is_empty());
         assert!(h.is_complete());
         assert_eq!(h.poll(), Some(Ok(())));
         assert_eq!(h.wait(), Ok(()));
@@ -330,29 +493,34 @@ mod tests {
 
     #[test]
     fn no_waiter_completion_is_one_word_and_no_slow_block() {
-        assert!(core::mem::size_of::<Completion>() <= 24);
-        assert!(core::mem::size_of::<Task>() <= 96, "a task moves by value");
-        let c = Completion::new();
-        let h = handle(&c);
+        assert!(core::mem::size_of::<Block<()>>() <= 24, "a body-less block");
+        assert!(core::mem::size_of::<Task>() <= 88, "a task moves by value");
+        let (body, h) = block();
+        assert_eq!(refs(&h), 2, "the task's and the handle's");
         assert!(h.poll().is_none() && !h.is_complete());
-        assert!(c.deps_snapshot().is_empty());
-        assert!(c.complete().is_empty());
+        assert!(h.deps_snapshot().is_empty());
+        assert!(body.finish(None).is_empty());
         assert_eq!(h.poll(), Some(Ok(())));
         // Waiting on, or registering with, a finished task needs no slow
         // block either way; only the first one may not have created it.
         assert_eq!(h.wait(), Ok(()));
         assert!(
-            c.slow.get().is_none(),
+            h.block().slow.get().is_none(),
             "the fast path allocated a slow block"
         );
-        assert_eq!(c.state.load(Ordering::Relaxed), DONE);
+        assert_eq!(h.block().state.load(Ordering::Relaxed), DONE | REF);
+    }
+
+    #[test]
+    fn a_handle_keeps_its_auto_traits() {
+        fn shareable<T: Send + Sync + std::panic::UnwindSafe + std::panic::RefUnwindSafe>() {}
+        shareable::<TaskHandle>();
     }
 
     #[test]
     fn panic_message_reaches_wait_and_poll() {
-        let c = Completion::new();
-        let h = handle(&c);
-        assert!(c.complete_panicked("boom".into()).is_empty());
+        let (body, h) = block();
+        assert!(body.finish(panic_payload("boom")).is_empty());
         let err = h.wait().unwrap_err();
         assert_eq!(err.message, "boom");
         assert!(err.to_string().contains("boom"));
@@ -361,93 +529,120 @@ mod tests {
 
     #[test]
     fn clones_share_state() {
-        let c = Completion::new();
-        let h1 = handle(&c);
+        let (body, h1) = block();
         let h2 = h1.clone();
-        let _ = c.complete();
+        assert_eq!(refs(&h1), 3);
+        let _ = body.finish(None);
         assert!(h1.is_complete() && h2.is_complete());
+        drop(h2);
+        assert_eq!(refs(&h1), 1, "the last handle frees the block");
     }
 
     #[test]
     fn handle_dropped_before_completion() {
-        let c = Completion::new();
-        drop(handle(&c));
-        assert!(c.complete().is_empty());
-        assert!(c.slow.get().is_none());
+        let (body, h) = block();
+        let probe = h.clone();
+        drop(h);
+        assert!(body.finish(None).is_empty());
+        assert_eq!(refs(&probe), 1);
+        assert!(probe.block().slow.get().is_none());
     }
 
     #[test]
     fn registered_dependent_is_drained_by_done_and_by_panic() {
         for panicked in [false, true] {
-            let c = Completion::new();
+            let (body, h) = block();
             let d = dependent();
-            assert!(c.add_waiter(d.clone()));
-            let drained = if panicked {
-                c.complete_panicked("stage failed".into())
+            assert!(h.add_waiter(d.clone()));
+            assert_eq!(refs(&h), 3, "the registrant added the slow path's");
+            let drained = body.finish(if panicked {
+                panic_payload("stage failed")
             } else {
-                c.complete()
-            };
+                None
+            });
+            assert_eq!(refs(&h), 1, "the slow path dropped its reference");
             assert_eq!(drained.len(), 1);
             assert!(Arc::ptr_eq(&drained[0], &d));
             assert!(drained[0].satisfy_one().is_some());
             // The registrant-loses arm: told "already complete", never
             // drained.
-            assert!(!c.add_waiter(dependent()));
-            assert!(c.slow().inner.lock().dependents.is_empty());
+            assert!(!h.add_waiter(dependent()));
+            assert!(h.block().slow().inner.lock().dependents.is_empty());
+            assert_eq!(refs(&h), 1);
         }
     }
 
     #[test]
     fn dependency_edges_are_freed_on_completion() {
-        let pred = Completion::new();
-        let c = Completion::new();
-        c.set_deps(vec![pred.clone()]);
-        assert_eq!(c.deps_snapshot().len(), 1);
-        assert_eq!(Arc::strong_count(&pred), 2);
-        assert!(c.complete().is_empty());
-        assert!(c.deps_snapshot().is_empty());
-        assert_eq!(Arc::strong_count(&pred), 1, "the edge was dropped");
+        let (_pred_body, pred) = block();
+        let (body, h) = block();
+        h.set_deps(vec![pred.clone()]);
+        assert_eq!(h.deps_snapshot().len(), 1);
+        assert_eq!(refs(&pred), 3);
+        assert!(body.finish(None).is_empty());
+        assert!(h.deps_snapshot().is_empty());
+        assert_eq!(refs(&pred), 2, "the edge was dropped");
+    }
+
+    #[test]
+    fn a_task_dropped_unrun_releases_its_dependents_and_edges() {
+        let (pred_body, pred) = block();
+        let (body, h) = block();
+        let d = dependent();
+        assert!(h.add_waiter(d.clone()));
+        h.set_deps(vec![pred.clone()]);
+        drop(body);
+        assert!(!h.is_complete(), "a dropped task is not complete");
+        assert_eq!(Arc::strong_count(&d), 1, "the dependent was let go");
+        assert_eq!(refs(&pred), 2, "the edge was dropped");
+        assert_eq!(refs(&h), 1, "the task's and the slow path's went");
+        // A later registrant adds no reference nobody would drop.
+        assert!(h.add_waiter(dependent()));
+        assert_eq!(refs(&h), 1);
+        drop(pred_body);
+        assert_eq!(refs(&pred), 1);
     }
 
     #[test]
     fn parked_waiter_is_woken() {
-        let c = Completion::new();
-        let h = handle(&c);
+        let (body, h) = block();
+        let probe = h.clone();
         let (tx, rx) = mpsc::channel();
         let waiter = thread::spawn(move || tx.send(h.wait()).unwrap());
         // Force the waiter-first arm: `SLOW` appears while the waiter holds
-        // the slow mutex, which `complete` can only take once the waiter
-        // is parked in `Condvar::wait`.
-        while c.state.load(Ordering::Acquire) & SLOW == 0 {
+        // the slow mutex, which `finish` can only take once the waiter is
+        // parked in `Condvar::wait`.
+        while probe.block().state.load(Ordering::Acquire) & SLOW == 0 {
             thread::yield_now();
         }
-        assert!(c.complete().is_empty());
+        assert!(body.finish(None).is_empty());
         assert_eq!(rx.recv_timeout(DEADLINE), Ok(Ok(())), "lost wake");
         waiter.join().unwrap();
+        assert_eq!(refs(&probe), 1);
     }
 
     #[test]
     fn blocking_waiters_racing_complete_never_miss_the_wake() {
         const WAITERS: usize = 3;
-        let rounds = 2_000;
-        let completions: Arc<Vec<Arc<Completion>>> =
-            Arc::new((0..rounds).map(|_| Completion::new()).collect());
+        let rounds = if cfg!(miri) { 20 } else { 2_000 };
+        let (bodies, handles): (Vec<_>, Vec<_>) = (0..rounds).map(|_| block()).unzip();
+        let handles = Arc::new(handles);
         let (tx, rx) = mpsc::channel();
         // One rendezvous counter per waiter, each paired with the completer.
         let arrived: Arc<Vec<AtomicUsize>> =
             Arc::new((0..WAITERS).map(|_| AtomicUsize::new(0)).collect());
         let mut threads = Vec::new();
         for w in 0..WAITERS {
-            let (cs, arrived, tx) = (completions.clone(), arrived.clone(), tx.clone());
+            let (hs, arrived, tx) = (handles.clone(), arrived.clone(), tx.clone());
             threads.push(thread::spawn(move || {
-                for (round, c) in cs.iter().enumerate() {
+                for (round, h) in hs.iter().enumerate() {
                     rendezvous(&arrived[w], round);
-                    assert_eq!(handle(c).wait().is_err(), round % 2 == 1);
+                    assert_eq!(h.clone().wait().is_err(), round % 2 == 1);
                 }
                 tx.send(()).unwrap();
             }));
         }
-        for (round, c) in completions.iter().enumerate() {
+        for (round, body) in bodies.into_iter().enumerate() {
             for a in arrived.iter() {
                 rendezvous(a, round);
             }
@@ -455,11 +650,7 @@ mod tests {
             for _ in 0..round % 8 {
                 core::hint::spin_loop();
             }
-            let _ = if round % 2 == 1 {
-                c.complete_panicked("odd".into())
-            } else {
-                c.complete()
-            };
+            let _ = body.finish((round % 2 == 1).then(|| Box::new("odd") as Box<dyn Any + Send>));
         }
         for _ in 0..WAITERS {
             rx.recv_timeout(DEADLINE)
@@ -468,13 +659,14 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        assert!(handles.iter().all(|h| refs(h) == 1), "a reference leaked");
     }
 
     #[test]
     fn dependent_registration_racing_completion_is_released_exactly_once() {
-        let rounds = 10_000;
-        let preds: Arc<Vec<Arc<Completion>>> =
-            Arc::new((0..rounds).map(|_| Completion::new()).collect());
+        let rounds = if cfg!(miri) { 50 } else { 10_000 };
+        let (bodies, preds): (Vec<_>, Vec<_>) = (0..rounds).map(|_| block()).unzip();
+        let preds = Arc::new(preds);
         let arrived = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
         let registrant = {
@@ -495,13 +687,13 @@ mod tests {
             })
         };
         let mut drained = 0;
-        for (round, pred) in preds.iter().enumerate() {
+        for (round, body) in bodies.into_iter().enumerate() {
             rendezvous(&arrived, round);
             // Sweep the completer across the registrant's lock + fetch_or.
             for _ in 0..round % 64 {
                 core::hint::spin_loop();
             }
-            for d in pred.complete() {
+            for d in body.finish(None) {
                 drained += 1;
                 assert!(d.satisfy_one().is_some(), "drained twice");
             }
@@ -515,13 +707,113 @@ mod tests {
         // sum (and the per-release asserts above).
         assert_eq!(drained + direct, rounds);
         for pred in preds.iter() {
-            if let Some(slow) = pred.slow.get() {
+            if let Some(slow) = pred.block().slow.get() {
                 assert!(slow.inner.lock().dependents.is_empty(), "stranded");
             }
+            assert_eq!(refs(pred), 1, "a reference leaked");
         }
-        assert!(
-            drained > 0 && direct > 0,
-            "{drained} drained, {direct} direct"
-        );
+        if !cfg!(miri) {
+            assert!(
+                drained > 0 && direct > 0,
+                "{drained} drained, {direct} direct"
+            );
+        }
+    }
+
+    /// A kwak manager and a thread running its tasks until `stop`.
+    fn with_runner(f: impl FnOnce(&TaskManager)) {
+        let mgr = TaskManager::new(piom_topology::presets::kwak().into());
+        let stop = core::sync::atomic::AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    mgr.schedule(0);
+                }
+            });
+            f(&mgr);
+            stop.store(true, Ordering::Release);
+        });
+    }
+
+    #[test]
+    fn a_handle_that_sees_done_finds_the_body_dropped() {
+        let rounds = if cfg!(miri) { 5 } else { 1_000 };
+        with_runner(|mgr| {
+            for _ in 0..rounds {
+                let token = Arc::new(());
+                let captured = token.clone();
+                let h = mgr
+                    .task(move |_| {
+                        let _ = &captured;
+                        TaskStatus::Done
+                    })
+                    .cpuset(CpuSet::single(0))
+                    .spawn();
+                while !h.is_complete() {
+                    core::hint::spin_loop();
+                }
+                assert_eq!(Arc::strong_count(&token), 1, "body outlived Done");
+            }
+        });
+    }
+
+    #[test]
+    fn a_repeat_body_survives_its_again_runs() {
+        let mgr = TaskManager::new(piom_topology::presets::kwak().into());
+        let token = Arc::new(());
+        let captured = token.clone();
+        let mut runs = 0;
+        let h = mgr
+            .task(move |_| {
+                let _ = &captured;
+                runs += 1;
+                if runs == 3 {
+                    TaskStatus::Done
+                } else {
+                    TaskStatus::Again
+                }
+            })
+            .cpuset(CpuSet::single(0))
+            .repeat()
+            .spawn();
+        for _ in 0..2 {
+            assert!(mgr.schedule_batch(0, 1) == 1 && !h.is_complete());
+            assert_eq!(
+                Arc::strong_count(&token),
+                2,
+                "an Again run dropped the body"
+            );
+        }
+        assert_eq!(mgr.schedule_batch(0, 1), 1);
+        assert_eq!(h.poll(), Some(Ok(())), "the state survived: third run");
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn a_panic_in_the_body_drop_is_reported_like_a_body_panic() {
+        struct PanicsOnDrop;
+        impl Drop for PanicsOnDrop {
+            fn drop(&mut self) {
+                panic!("drop failed");
+            }
+        }
+        let mgr = TaskManager::new(piom_topology::presets::kwak().into());
+        let guard = PanicsOnDrop;
+        let doomed = mgr
+            .task(move |_| {
+                let _ = &guard;
+                TaskStatus::Done
+            })
+            .cpuset(CpuSet::single(0))
+            .spawn();
+        let dependent = mgr
+            .task(|_| TaskStatus::Done)
+            .cpuset(CpuSet::single(0))
+            .after(&doomed)
+            .spawn();
+        assert_eq!(mgr.schedule_batch(0, 1), 1);
+        assert_eq!(doomed.wait().unwrap_err().message, "drop failed");
+        assert_eq!(mgr.schedule_batch(0, 1), 1);
+        assert_eq!(dependent.poll(), Some(Ok(())), "released despite the panic");
     }
 }

@@ -1,12 +1,10 @@
 //! The task manager: hierarchical queues + Algorithms 1 and 2.
 
-use crate::completion::Completion;
+use crate::completion::TaskBody;
 use crate::hist::{HistSnapshot, Histogram};
 use crate::queue::{QueueId, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
-use crate::task::{
-    Task, TaskClass, TaskContext, TaskFn, TaskOptions, TaskSet, TaskStatus, CLASS_COUNT,
-};
+use crate::task::{Task, TaskClass, TaskContext, TaskOptions, TaskSet, TaskStatus, CLASS_COUNT};
 use crate::TaskHandle;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crossbeam::utils::CachePadded;
@@ -39,30 +37,20 @@ pub const MAX_BATCH: usize = 256;
 /// own path is empty: room for one steal-half batch.
 pub const DEFAULT_BATCH: usize = 32;
 
-/// Default [`ManagerConfig::spill_threshold`]: a per-core queue reaching
-/// this depth at enqueue time spills half its backlog (lowest class first)
-/// into its socket's overflow tier. Sized well above [`MAX_BATCH`]:
-/// steal-half probes get first crack at an imbalance, and a backlog a
-/// single keypoint budget can clear never pays the spill round-trip
-/// (each spill moves half the queue into the overflow tier and the
-/// drain claims it back — measurably slower than a local batched drain
-/// for small backlogs, which is exactly the regime below this default).
-/// Many-core saturation setups lower it; the scaling ladder in
-/// `tests/socket_tier.rs` pins 16 so a 256-task backlog engages the tier.
+/// Default [`ManagerConfig::spill_threshold`]. Sized well above
+/// [`MAX_BATCH`]: steal-half probes get first crack at an imbalance, and a
+/// backlog one keypoint budget can clear never pays the spill round trip,
+/// which is slower than a local batched drain. `tests/socket_tier.rs`
+/// lowers it to 16 so a 256-task backlog engages the tier.
 pub const DEFAULT_SPILL_THRESHOLD: usize = 512;
 
 /// Task-manager construction options.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
-    /// Locality-aware work stealing: when a core's own hierarchy scan
-    /// (Algorithm 1) finds nothing runnable, it probes the other queues in
-    /// [`Topology::steal_order`] — nearest sibling first, deepest backlog
-    /// first within a distance tier — and takes **half** of the eligible
-    /// backlog of the first victim that has any (steal-half; every stolen
-    /// task's [`CpuSet`] admits the thief). Enabled by default; tests flip
-    /// it off for the no-steal control arm. Disabling it
-    /// also disables the steal-aware park probe
-    /// ([`TaskManager::park_probe`] always reports "park").
+    /// Locality-aware work stealing: a core whose hierarchy scan
+    /// (Algorithm 1) ran nothing takes **half** of the eligible backlog of
+    /// the nearest victim that has any (see `steal_batch`). On by default;
+    /// off, [`TaskManager::park_probe`] always reports "park".
     pub steal: bool,
     /// Record every task's submit→execute latency into its class's
     /// per-core sharded histogram ([`crate::hist::Histogram`], one slot
@@ -73,17 +61,12 @@ pub struct ManagerConfig {
     /// relaxed RMWs on every task execution — cheap, but not free, and
     /// a run that never reads the histogram must not pay for it.
     pub latency_histogram: bool,
-    /// Per-core queue depth, observed at enqueue time, that triggers a
-    /// spill into the **per-socket overflow tier**: each NUMA node
-    /// (falling back to chips on shallower trees) has a socket-shared
-    /// overflow queue, and a queue below it whose depth crosses this
-    /// threshold spills half its backlog there — lowest class first, QoS
-    /// lanes preserved — instead of letting it age behind the queue's own
-    /// core; keypoints drain the overflow between their socket-node queue
-    /// and the Global Queue (core → socket → global), and thieves prefer a
-    /// remote socket's concentrated overflow to picking through its member
-    /// queues. On single-socket topologies the tier is inert (there is no
-    /// "whole socket" distinct from the machine).
+    /// Queue depth, observed at enqueue time, at which a queue below its
+    /// socket node spills half its backlog, lowest class first, into the
+    /// socket's **overflow tier** (one per NUMA node, else chip). Keypoints
+    /// drain the overflow between the socket-node queue and the Global
+    /// Queue, and thieves probe a remote socket's overflow before its
+    /// queues. Inert on single-socket topologies.
     pub spill_threshold: usize,
 }
 
@@ -127,12 +110,9 @@ impl HookPoint {
     }
 }
 
-/// Per-core scheduler state, one cache-line-padded block per core: all of
-/// a core's hot-path RMWs stay on a line no other core writes — with one
-/// deliberate split: the flag *other* cores read on every submission
-/// (`waker_present`) sits on its own padded line, so a submitter's load
-/// never pulls the line this core's executor is hammering with
-/// `executed_class`/`steal_attempts` RMWs.
+/// Per-core scheduler state, one cache-line-padded block per core: a
+/// core's hot-path RMWs stay on a line no other core writes, and the flag
+/// other cores read on every submission (`waker_present`) has its own.
 #[derive(Debug, Default)]
 struct CoreState {
     /// Tasks executed on this core, split by [`TaskClass`] lane (indexed by
@@ -152,17 +132,11 @@ struct CoreState {
     /// Containers (socket overflows and victim queues) consulted by park
     /// probes: the work a pre-park scan actually performs.
     park_polls: AtomicU64,
-    /// Whether a progression worker is registered for this core at all —
-    /// the cheap pre-check that lets [`TaskManager::wake_cores`] skip the
-    /// waker mutex for workerless cores. At 1024 cores a machine-wide
-    /// submission otherwise pays one mutex round-trip per core per
-    /// enqueue just to find `None`; with the flag an absent worker costs
-    /// one load. Set *before* the waker installs and cleared *after* it
-    /// is removed, so a `false` read genuinely means no waker — the only
-    /// race window is a worker between registration and its first
-    /// keypoint scan, and that scan sees any task the skipped wake would
-    /// have flagged. Padded away from the owner-hot counters above (see
-    /// the struct docs).
+    /// Whether a progression worker is registered for this core: lets
+    /// [`TaskManager::wake_cores`] skip the waker mutex of a workerless
+    /// core with one load. Set *before* the waker installs and cleared
+    /// *after* it is removed, so `false` means no waker; a worker between
+    /// registration and its first keypoint scan sees the task in that scan.
     waker_present: CachePadded<AtomicBool>,
 }
 
@@ -208,16 +182,11 @@ pub struct TaskManager {
     /// the machine, so the tier would only duplicate the Global Queue).
     socket_overflow_active: bool,
     /// Submit→execute latency histograms, one per [`TaskClass`] with one
-    /// shard per core, present only when
-    /// [`ManagerConfig::latency_histogram`] is set. A run records into its
-    /// class's histogram, in the executing core's own shard, so concurrent
-    /// workers never contend; the overall distribution is their merge.
+    /// shard per core, present iff [`ManagerConfig::latency_histogram`].
     latency: Option<Box<[Histogram; CLASS_COUNT]>>,
     /// Dependency-waitlist releases per [`TaskClass`]: tasks parked by
-    /// [`SubmitSpec::after`] that re-entered the queues because their last
-    /// predecessor completed. Manager-level (not per-core sharded): a
-    /// release happens at most once per dependent task, far off the
-    /// enqueue/dequeue hot path.
+    /// [`SubmitSpec::after`] that re-entered the queues. Not per core: a
+    /// release happens at most once per dependent, off the hot path.
     released_class: CachePadded<[AtomicU64; CLASS_COUNT]>,
     config: ManagerConfig,
 }
@@ -242,19 +211,11 @@ impl TaskManager {
         // aggregation domain; trees without a NUMA level fall back to
         // chips, and flat trees to the machine root (one socket — the
         // overflow tier then stays inert).
-        let socket_nodes: Vec<NodeId> = {
-            let numa = topo.nodes_at_level(Level::NumaNode);
-            if !numa.is_empty() {
-                numa
-            } else {
-                let chips = topo.nodes_at_level(Level::Chip);
-                if !chips.is_empty() {
-                    chips
-                } else {
-                    vec![topo.root()]
-                }
-            }
-        };
+        let socket_nodes: Vec<NodeId> = [Level::NumaNode, Level::Chip]
+            .into_iter()
+            .map(|level| topo.nodes_at_level(level))
+            .find(|nodes| !nodes.is_empty())
+            .unwrap_or_else(|| vec![topo.root()]);
         let map_queue_sockets = |socket_nodes: &[NodeId]| -> Vec<Option<u32>> {
             let mut direct = vec![None; topo.n_nodes()];
             for (s, id) in socket_nodes.iter().enumerate() {
@@ -346,32 +307,19 @@ impl TaskManager {
 
     /// The paper's **Algorithm 1** (`Task Schedule`), invoked from scheduler
     /// keypoints: starting at `core`'s Per-Core Queue and walking up to the
-    /// Global Queue, run every task found. Repeat tasks that report
-    /// [`TaskStatus::Again`] are re-enqueued into the same queue.
-    ///
-    /// Each queue is drained at most one *pass* (its length at arrival) per
-    /// call, so repetitive polling tasks cannot livelock the keypoint: they
-    /// get exactly one attempt per invocation, matching the paper's "PIOMan
-    /// first processes local tasks and scans upper queues" description.
-    ///
-    /// When the scan runs dry and stealing is enabled, the core probes the
-    /// other queues nearest-first and takes half of the first eligible
-    /// backlog (see [`ManagerConfig::steal`]).
-    ///
-    /// Returns `true` if at least one task body was executed.
+    /// Global Queue, run every task found, at most one *pass* (the queue's
+    /// length at arrival) per queue, so repeat tasks — re-enqueued on
+    /// [`TaskStatus::Again`] — cannot livelock the keypoint. A scan that
+    /// ran nothing steals (see [`ManagerConfig::steal`]). Returns `true`
+    /// if at least one task body was executed.
     pub fn schedule(&self, core: usize) -> bool {
         self.schedule_batch(core, usize::MAX) > 0
     }
 
-    /// [`schedule`](Self::schedule) with a task budget and batched
-    /// dequeueing: each queue on `core`'s path is drained up to
-    /// `min(pass, budget)` tasks under a **single** lock acquisition,
-    /// instead of re-locking per task. Returns the number of task bodies
+    /// [`schedule`](Self::schedule) with a task budget: each queue on
+    /// `core`'s path is drained up to `min(pass, budget)` tasks under a
+    /// **single** lock acquisition. Returns the number of task bodies
     /// executed (at most `max`).
-    ///
-    /// If the whole hierarchy scan executes nothing and stealing is
-    /// enabled, one steal probe runs before returning, so a starved core
-    /// helps a loaded neighbor instead of reporting idleness.
     ///
     /// ```
     /// use pioman::{TaskManager, TaskOptions, TaskStatus};
@@ -435,26 +383,12 @@ impl TaskManager {
     }
 
     /// The per-keypoint task budget for `core`: the backlog visible on its
-    /// drain path — the queues from its Per-Core Queue up to the Global
-    /// Queue plus its own socket's overflow — clamped to
-    /// [`MIN_BATCH`]`..=`[`MAX_BATCH`]. A keypoint facing 3 tasks has no
-    /// business reserving 32 slots, and one facing 200 should not need 7
-    /// passes.
-    ///
-    /// Nothing widens it further: [`schedule_batch`](Self::schedule_batch)
-    /// drains each queue at most one pass (its length at arrival) under
-    /// one lock acquisition whatever the budget, so a budget above the
-    /// visible depth could only admit tasks that arrived after this probe
-    /// — which the caller's next keypoint runs anyway (`docs/SCHEDULER.md`
-    /// §4; the measurements are in EXPERIMENTS.md, "Closing cut").
-    ///
-    /// A core whose own path is *empty* does not get the floor: its
-    /// keypoint falls through to the steal-half probe, and a budget of
-    /// [`MIN_BATCH`] would clamp every stolen half-backlog to 4 tasks,
-    /// re-introducing the per-probe premium steal-half exists to remove.
-    /// With stealing enabled the empty-path budget is [`DEFAULT_BATCH`]
-    /// (a budget is a cap, not reserved work — an idle keypoint still
-    /// runs nothing and parks just as fast).
+    /// drain path — its queues up to the Global Queue plus its socket's
+    /// overflow — clamped to [`MIN_BATCH`]`..=`[`MAX_BATCH`]. A keypoint
+    /// drains one pass per queue whatever the budget, so a larger one
+    /// could only admit later arrivals (`docs/SCHEDULER.md` §4). An empty
+    /// path with stealing on gets [`DEFAULT_BATCH`], room for a steal-half
+    /// batch that [`MIN_BATCH`] would clamp.
     ///
     /// ```
     /// use pioman::{TaskManager, TaskOptions, TaskStatus, DEFAULT_BATCH};
@@ -489,27 +423,14 @@ impl TaskManager {
 
     /// One steal probe for `core`: visit the victim queues nearest-first
     /// and, at the first victim holding eligible work, take **half of its
-    /// eligible backlog** ([`TaskQueue::try_steal_half`], bounded by the
-    /// caller's remaining budget `max`) and run every stolen task.
+    /// eligible backlog** ([`TaskQueue::try_steal_half`], at most `max`)
+    /// and run it. Returns the number of tasks stolen and run.
     ///
-    /// Within a distance tier (victims equally near by [`Topology::
-    /// steal_order_with_distance`]) the deepest backlog is probed first,
-    /// so a thief skips hot-but-empty neighbours — but it never crosses
-    /// to a farther tier while a nearer one still has candidates, keeping
-    /// steal traffic as local as the hierarchy itself.
-    ///
-    /// Half, not one and not all: single-task probes pay the victim-scan
-    /// premium once per task when draining a starved backlog (the ~32 µs
-    /// vs ~20 µs gap PR 2 recorded), while looting a whole pass would
-    /// just move the imbalance onto the victim. Returns the number of
-    /// tasks stolen and executed.
-    ///
-    /// The scan is socket-major (strict core → socket → global locality):
-    /// every victim inside the thief's own socket is exhausted before any
-    /// remote socket is touched. At each remote socket the concentrated
-    /// *overflow* is probed first
-    /// ([`steal_overflow`](Self::steal_overflow)), then the socket's
-    /// member queues.
+    /// The scan is socket-major: the thief's own socket first, then each
+    /// remote socket's overflow ([`steal_overflow`](Self::steal_overflow))
+    /// and member queues. Within a distance tier of
+    /// [`Topology::steal_order_with_distance`] the deepest backlog is
+    /// probed first, but never past a nearer tier with candidates.
     fn steal_batch(&self, core: usize, max: usize) -> usize {
         if max == 0 {
             return 0;
@@ -595,32 +516,21 @@ impl TaskManager {
             core,
             manager: self,
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| (task.body)(&ctx)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| task.body.run(&ctx)));
         // Release: `stats` reads this before the queue lengths (see there).
         self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Release);
-        let dependents = match outcome {
-            Ok(TaskStatus::Again) if task.options.repeat => {
-                // A repeat task re-entering its queue starts a fresh
-                // queueing interval; each run measures its own delay.
-                task.submitted_at = self.latency.is_some().then(std::time::Instant::now);
-                queue.requeue(task);
-                return true;
-            }
-            // A one-shot task returning `Again` is treated as `Done`.
-            Ok(TaskStatus::Done | TaskStatus::Again) => task.completion.complete(),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_owned());
-                // Dependents are released even on panic: a dependency is
-                // an ordering constraint, not a success gate.
-                task.completion.complete_panicked(msg)
-            }
-        };
+        if task.options.repeat && matches!(outcome, Ok(TaskStatus::Again)) {
+            // A repeat task re-entering its queue starts a fresh queueing
+            // interval; each run measures its own delay.
+            task.submitted_at = self.latency.is_some().then(std::time::Instant::now);
+            queue.requeue(task);
+            return true;
+        }
+        // A one-shot task returning `Again` is treated as `Done`; a panicked
+        // one still releases its dependents.
+        let dependents = task.body.finish(outcome.err());
         // Empty unless somebody registered on the completion: the common
-        // task ends with the one `swap` inside `complete`.
+        // task ends with the one `fetch_add` inside `finish`.
         if !dependents.is_empty() {
             self.release_waiters(dependents);
         }
@@ -744,13 +654,9 @@ impl TaskManager {
             hook_timer: self.hook_counts[2].load(Ordering::Relaxed),
             executed_by_class: class_totals(&executed),
             stolen_by_class: class_totals(&stolen),
-            waitlist_released_by_class: {
-                let mut totals = [0u64; CLASS_COUNT];
-                for (total, counter) in totals.iter_mut().zip(self.released_class.iter()) {
-                    *total = counter.load(Ordering::Relaxed);
-                }
-                totals
-            },
+            waitlist_released_by_class: core::array::from_fn(|i| {
+                self.released_class[i].load(Ordering::Relaxed)
+            }),
             latency: latency_by_class.as_ref().map(|snaps| {
                 snaps.iter().fold(HistSnapshot::empty(), |mut all, s| {
                     all.merge(s);

@@ -87,12 +87,7 @@ impl TaskManager {
     where
         F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
     {
-        self.task_boxed(Box::new(body))
-    }
-
-    /// [`task`](Self::task) for an already-boxed body (avoids double boxing
-    /// when the caller stores `TaskFn`s).
-    pub fn task_boxed(&self, body: TaskFn) -> SubmitSpec<'_> {
+        let (body, handle) = TaskBody::new(body);
         SubmitSpec {
             mgr: self,
             body,
@@ -100,7 +95,7 @@ impl TaskManager {
             home: None,
             options: TaskOptions::oneshot(),
             deps: Vec::new(),
-            completion: Completion::new(),
+            handle,
         }
     }
 
@@ -144,24 +139,23 @@ impl TaskManager {
 
     /// Panics iff making `new` depend on `deps` would close a dependency
     /// cycle: depth-first walk of the recorded dependency edges
-    /// ([`Completion::deps_snapshot`]) looking for `new` itself. Called at
+    /// ([`TaskHandle::deps_snapshot`]) looking for `new` itself. Called at
     /// spawn time, before any waiter is registered, so a rejected
     /// submission has no side effects on its predecessors.
-    fn assert_acyclic(new: &Arc<Completion>, deps: &[Arc<Completion>]) {
-        let mut visited: Vec<*const Completion> = Vec::new();
-        let mut stack: Vec<Arc<Completion>> = deps.to_vec();
-        while let Some(c) = stack.pop() {
-            if Arc::ptr_eq(&c, new) {
+    fn assert_acyclic(new: &TaskHandle, deps: &[TaskHandle]) {
+        let mut visited = Vec::new();
+        let mut stack = deps.to_vec();
+        while let Some(h) = stack.pop() {
+            if h.addr() == new.addr() {
                 panic!("dependency cycle: a task cannot (transitively) run after itself");
             }
-            let p = Arc::as_ptr(&c);
-            if visited.contains(&p) {
+            if visited.contains(&h.addr()) {
                 continue;
             }
-            visited.push(p);
+            visited.push(h.addr());
             // Completed predecessors have empty snapshots: the walk only
             // follows edges that can still delay anything.
-            stack.extend(c.deps_snapshot());
+            stack.extend(h.deps_snapshot());
         }
     }
 }
@@ -176,7 +170,7 @@ impl TaskManager {
 #[must_use = "a SubmitSpec does nothing until `.spawn()` is called"]
 pub struct SubmitSpec<'m> {
     mgr: &'m TaskManager,
-    body: TaskFn,
+    body: TaskBody,
     cpuset: Option<CpuSet>,
     home: Option<usize>,
     options: TaskOptions,
@@ -185,7 +179,7 @@ pub struct SubmitSpec<'m> {
     /// hand out references to the not-yet-spawned task — which is what
     /// makes dependency cycles *expressible*, and why
     /// [`spawn`](Self::spawn) checks for them.
-    completion: Arc<Completion>,
+    handle: TaskHandle,
 }
 
 impl SubmitSpec<'_> {
@@ -262,9 +256,7 @@ impl SubmitSpec<'_> {
     /// [`spawn`](Self::spawn). Useful for wiring graphs where a
     /// predecessor's body needs the successor's handle.
     pub fn handle(&self) -> TaskHandle {
-        TaskHandle {
-            completion: self.completion.clone(),
-        }
+        self.handle.clone()
     }
 
     /// Builds the task and hands it to the scheduler: enqueued immediately
@@ -299,24 +291,20 @@ impl SubmitSpec<'_> {
                 .unwrap_or_else(|| panic!("cpuset {requested} selects no core of this machine"));
             QueueId(node.index() as u32)
         };
-        let handle = TaskHandle {
-            completion: self.completion.clone(),
-        };
         let task = Task {
             body: self.body,
             options: self.options,
             cpuset: TaskSet::new(&effective),
             home,
-            completion: self.completion,
             submitted_at: mgr.latency.is_some().then(std::time::Instant::now),
         };
         if self.deps.is_empty() {
             mgr.dispatch(task);
-            return handle;
+            return self.handle;
         }
-        let deps: Vec<Arc<Completion>> = self.deps.into_iter().map(|h| h.completion).collect();
-        TaskManager::assert_acyclic(&handle.completion, &deps);
-        handle.completion.set_deps(deps.clone());
+        let deps = self.deps;
+        TaskManager::assert_acyclic(&self.handle, &deps);
+        self.handle.set_deps(deps.clone());
         let pending = PendingTask::new(task, deps.len());
         // A predecessor already complete at registration time will never
         // drain this waiter; satisfy its share here. Wherever the *last*
@@ -329,7 +317,7 @@ impl SubmitSpec<'_> {
         if already_complete > 0 {
             mgr.release_waiters(vec![pending; already_complete]);
         }
-        handle
+        self.handle
     }
 }
 
@@ -482,7 +470,7 @@ mod tests {
         // another thread: whichever side wins, the dependent is released —
         // by the drain or by `spawn` itself — exactly once.
         let mgr = kwak_mgr();
-        let rounds = 2_000;
+        let rounds = if cfg!(miri) { 20 } else { 2_000 };
         let runs = Arc::new(AtomicUsize::new(0));
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {

@@ -6,8 +6,7 @@
 //! `VecDeque` lanes per QoS class, popped under the policy documented on
 //! [`SeqLanes::pop`] — behind the instrumented TTAS [`SpinLock`], with the
 //! lane count mirrored into an unlocked length hint so an empty queue is
-//! detected without touching the lock. (Why no lock-free alternative:
-//! EXPERIMENTS.md, "Backend and knob cull".)
+//! detected without touching the lock.
 //!
 //! # Layout
 //!
@@ -243,14 +242,9 @@ impl<T: Classed> SeqLanes<T> {
     }
 
     /// Removes up to `quota` elements for a **socket-overflow spill**:
-    /// lowest class first (reverse [`TaskClass::ALL`] order), each class
-    /// drained in its own pop order (EDF ahead of FIFO, oldest first). A
-    /// spill is relocation, not service, so — like
-    /// [`steal_eligible`](SeqLanes::steal_eligible) — it skips the
-    /// anti-starvation credit. Evicting from the *bottom* of the priority
-    /// order keeps the work the pop policy would serve next on the
-    /// uncontended local queue; the excess that was going to wait anyway
-    /// is what gains from whole-socket visibility.
+    /// lowest class first, each class in its pop order, so the work the
+    /// policy serves next stays local. A spill is relocation, not service:
+    /// it skips the anti-starvation credit.
     fn spill_lowest(&mut self, quota: usize, out: &mut Vec<T>) -> usize {
         let mut n = 0;
         'classes: for class in TaskClass::ALL.iter().rev() {
@@ -382,31 +376,18 @@ impl Span {
     }
 
     /// Clears the span after a removal that left the queue empty — unless
-    /// nothing in it is wider than `own`, the queue's own cpuset: in-cpuset
-    /// bits only attract cores whose path already includes the queue, so
-    /// their staleness misleads nobody and the swap is skipped.
-    /// `still_pending` re-reads the queue's length hint after the clear.
+    /// nothing in it is wider than `own`, the queue's own cpuset, whose
+    /// bits attract only cores already scanning the queue. The clear is a
+    /// `swap(0)` per word, then the `still_pending` re-check of the length
+    /// hint ORs every cleared bit back if a task slipped in:
     ///
-    /// Concurrency: the clear is a `swap(0)` per word followed by the
-    /// `still_pending` re-check; if a task slipped in, every cleared bit
-    /// is OR-ed straight back. The race budget, spelled out:
-    ///
-    /// * an enqueue whose `fetch_or` lands **after** the swap re-adds its
-    ///   bits directly — nothing to restore;
-    /// * an enqueue whose `fetch_or` (Release) landed **before** the swap
-    ///   (Acquire) synchronizes with it, and since [`fold`](Self::fold)
-    ///   runs after the push, the re-check is then guaranteed to observe
-    ///   the push and restore the captured bits;
-    /// * the one interleaving that can still drop bits: an enqueuer
-    ///   *skips* its `fetch_or` because the word-check read bits some
-    ///   earlier task set, and this drain clears them before the new
-    ///   task leaves. Closing that would take a store-load fence on the
-    ///   enqueue hot path, and the miss is strictly bounded: the span
-    ///   only gates the *advisory* park probe — the submission itself
-    ///   already unparked every core in the task's cpuset with an
-    ///   unforgeable token, and the steal path never consults the span.
-    ///   A dropped bit can cost a bounded wasted park, never a lost task
-    ///   or wake.
+    /// * an enqueue whose `fetch_or` lands after the swap re-adds its bits;
+    /// * one whose `fetch_or` (Release) landed before the swap (Acquire)
+    ///   synchronizes with it, so the re-check sees its push and restores;
+    /// * an enqueuer that *skipped* its `fetch_or` (the word already held
+    ///   its bits) can lose them. That costs at most a wasted park: the
+    ///   span gates only the advisory park probe, the submission unparked
+    ///   its cpuset's cores itself, and stealing never reads the span.
     ///
     /// `vendor/interleave/tests/queue_span.rs` is the model.
     pub(crate) fn decay(&self, own: &CpuSet, still_pending: impl FnOnce() -> bool) {
@@ -477,15 +458,11 @@ impl TaskQueue {
     }
 
     /// The frame around every insertion: `LOCK; insert; UNLOCK` with the
-    /// length hint published before the unlock, then the span fold. The
-    /// hint may transiently read stale (including stale-empty) on weak
-    /// memory, which is the same race Algorithm 2's unlocked test always
-    /// had: correctness rides the lock (data) and the submission's unpark
-    /// tokens (progress), never hint freshness. The store is Release only
-    /// so that [`pending`](Self::pending) sees the `submitted` count the
-    /// same critical section wrote (free on x86-64). `span` is the union
-    /// of the inserted tasks' cpusets; returns the depth just after the
-    /// insertion.
+    /// length hint published before the unlock, then the fold of `span`,
+    /// the inserted tasks' cpusets. A stale hint is Algorithm 2's usual
+    /// race: the lock carries the data and unpark tokens the progress. The
+    /// store is Release so [`pending`](Self::pending) sees the `submitted`
+    /// count written with it. Returns the depth after the insertion.
     fn with_lock(&self, span: (usize, &[u64]), insert: impl FnOnce(&mut SeqLanes<Task>)) -> usize {
         let mut guard = self.list.0.lock();
         insert(&mut guard);
@@ -551,16 +528,10 @@ impl TaskQueue {
         taken
     }
 
-    /// Batched Algorithm 2: drains up to `max` tasks into `out` under a
-    /// *single* lock acquisition (the unlocked emptiness test still guards
-    /// the lock), in the order the QoS pop policy serves them
-    /// ([`SeqLanes::pop`]; plain same-class submissions drain FIFO).
-    /// Returns the number drained: a keypoint that finds a backlog of `n`
-    /// tasks pays one acquisition for all of them, not one per task.
-    ///
-    /// The drained tasks `core` may run count as `executed` here, under
-    /// the lock; the others bounce to their home queue and count where
-    /// they finally run.
+    /// Batched Algorithm 2: drains up to `max` tasks into `out`, in
+    /// [`SeqLanes::pop`] order, under a *single* lock acquisition. Returns
+    /// the number drained. Those `core` may run count as `executed` here;
+    /// the others bounce home and count where they finally run.
     pub(crate) fn dequeue_batch(&self, max: usize, core: usize, out: &mut Vec<Task>) -> usize {
         self.with_nonempty(|lanes| {
             let take = lanes.len().min(max);
@@ -577,20 +548,9 @@ impl TaskQueue {
 
     /// Batched stealing (*steal-half*): takes up to `max` of the tasks
     /// `thief` may run — at most **half of the eligible backlog**, rounded
-    /// up — into `out`, returning how many were taken.
-    ///
-    /// Half, not all: the thief is catching a transient imbalance, and a
-    /// probe that looted the whole backlog would trade one starved core
-    /// for another while the home core's next keypoint finds nothing.
-    /// Half splits the backlog geometrically between the home core and
-    /// however many thieves arrive, so a drain completes in `O(log n)`
-    /// probes instead of `n` single-task probes (the per-probe premium
-    /// PR 2's trajectory measured).
-    ///
-    /// The lanes are scanned in place under the lock
-    /// ([`SeqLanes::steal_eligible`]): ineligible tasks keep their queue
-    /// positions, and the tasks taken are the ones the pop policy would
-    /// have served first. Every task taken may run on `thief`, so all of
+    /// up, so the backlog splits geometrically between the home core and
+    /// the thieves instead of moving whole — into `out`, in pop order
+    /// ([`SeqLanes::steal_eligible`]). Returns how many were taken; all of
     /// them count as `executed`.
     pub(crate) fn try_steal_half(&self, thief: usize, max: usize, out: &mut Vec<Task>) -> usize {
         if max == 0 {
@@ -641,7 +601,7 @@ impl TaskQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::completion::Completion;
+    use crate::completion::TaskBody;
     use crate::task::{TaskOptions, TaskSet, TaskStatus};
 
     fn dummy_task(home: QueueId) -> Task {
@@ -654,11 +614,10 @@ mod tests {
 
     fn task_with(home: QueueId, cpuset: CpuSet, options: TaskOptions) -> Task {
         Task {
-            body: Box::new(|_| TaskStatus::Done),
+            body: TaskBody::new(|_| TaskStatus::Done).0,
             options,
             cpuset: TaskSet::new(&cpuset),
             home,
-            completion: Completion::new(),
             submitted_at: None,
         }
     }
@@ -997,9 +956,9 @@ mod tests {
         ));
         let mut out = Vec::new();
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
-        assert_eq!(out.pop().unwrap().options().class, TaskClass::Urgent);
+        assert_eq!(out.pop().unwrap().options.class, TaskClass::Urgent);
         assert_eq!(q.len_hint(), 1);
-        assert_eq!(pop(&q).unwrap().options().class, TaskClass::Interactive);
+        assert_eq!(pop(&q).unwrap().options.class, TaskClass::Interactive);
     }
 
     #[test]

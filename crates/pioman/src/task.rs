@@ -5,11 +5,10 @@
 //! some treatments need to be performed repeatedly (polling a network for
 //! example), an option is also added to a task." (paper §III)
 
-use crate::completion::Completion;
+use crate::completion::TaskBody;
 use crate::manager::TaskManager;
 use crate::queue::QueueId;
 use piom_cpuset::CpuSet;
-use std::sync::Arc;
 
 /// What a task body reports after one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,12 +143,6 @@ pub struct TaskContext<'a> {
     pub manager: &'a TaskManager,
 }
 
-/// The boxed task body type.
-///
-/// `FnMut` because repetitive tasks carry state between attempts (e.g. a
-/// countdown until a poll succeeds).
-pub type TaskFn = Box<dyn FnMut(&TaskContext<'_>) -> TaskStatus + Send>;
-
 /// A task's CPU set, small because a [`Task`] moves by value: a set within
 /// two adjacent mask words (any set on a ≤ 128-core machine) is those two
 /// words, any other is boxed once, at submission. What outlives the task's
@@ -205,12 +198,13 @@ impl<W: core::borrow::Borrow<CpuSet> + From<CpuSet>> TaskSet<W> {
 
 /// A schedulable task, as stored in the hierarchical queues.
 pub struct Task {
-    pub(crate) body: TaskFn,
+    /// The task's reference to its heap block, which holds the body and
+    /// the completion its handles observe.
+    pub(crate) body: TaskBody,
     pub(crate) options: TaskOptions,
     pub(crate) cpuset: TaskSet,
     /// Queue the task lives in; repeat tasks re-enqueue here.
     pub(crate) home: QueueId,
-    pub(crate) completion: Arc<Completion>,
     /// Enqueue timestamp, set only when the manager's submit→execute
     /// latency histogram is enabled
     /// ([`ManagerConfig::latency_histogram`](crate::ManagerConfig)) —
@@ -227,11 +221,6 @@ impl Task {
         let mut all = [0; CpuSet::MAX_CPUS / 64];
         all[first..first + words.len()].copy_from_slice(words);
         CpuSet::from_words(all)
-    }
-
-    /// The options the submitter attached.
-    pub fn options(&self) -> TaskOptions {
-        self.options
     }
 }
 
@@ -305,11 +294,10 @@ mod tests {
         #[test]
         fn task_set_is_the_cpuset(s in arb_cpuset()) {
             let task = Task {
-                body: Box::new(|_| TaskStatus::Done),
+                body: TaskBody::new(|_| TaskStatus::Done).0,
                 options: TaskOptions::oneshot(),
                 cpuset: TaskSet::new(&s),
                 home: QueueId(0),
-                completion: Completion::new(),
                 submitted_at: None,
             };
             prop_assert_eq!(task.cpuset(), s);
