@@ -98,30 +98,6 @@ impl OnlineStats {
     }
 }
 
-/// The distribution vocabulary every measurement surface speaks: one
-/// struct carrying the tail quantiles production systems gate on.
-///
-/// Both producers return it — the exact [`Percentiles`] reservoir here
-/// (small sample sets, test oracle) and the fixed-footprint sharded
-/// histogram in `pioman::hist` (hot-path capture) — so DES scenario
-/// reports and the stats snapshot agree on what "a latency
-/// distribution" is.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PercentileSummary {
-    /// Number of samples summarized.
-    pub count: u64,
-    /// Arithmetic mean of the samples.
-    pub mean: f64,
-    /// Median (nearest-rank p50).
-    pub p50: f64,
-    /// 99th percentile (nearest-rank).
-    pub p99: f64,
-    /// 99.9th percentile (nearest-rank).
-    pub p999: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
 /// A sample reservoir with exact percentile queries.
 ///
 /// Harness runs are modest (≤ a few million samples), so keeping every
@@ -175,32 +151,6 @@ impl Percentiles {
     /// Median.
     pub fn median(&mut self) -> Option<f64> {
         self.quantile(0.5)
-    }
-
-    /// The shared distribution vocabulary ([`PercentileSummary`]), with
-    /// every field exact — this is the sequential oracle the bucketed
-    /// `pioman::hist` summaries are property-tested against. All-zero if
-    /// the reservoir is empty.
-    pub fn summary(&mut self) -> PercentileSummary {
-        let count = self.samples.len() as u64;
-        if count == 0 {
-            return PercentileSummary {
-                count: 0,
-                mean: 0.0,
-                p50: 0.0,
-                p99: 0.0,
-                p999: 0.0,
-                max: 0.0,
-            };
-        }
-        PercentileSummary {
-            count,
-            mean: self.samples.iter().sum::<f64>() / count as f64,
-            p50: self.quantile(0.5).expect("nonempty"),
-            p99: self.quantile(0.99).expect("nonempty"),
-            p999: self.quantile(0.999).expect("nonempty"),
-            max: self.quantile(1.0).expect("nonempty"),
-        }
     }
 }
 
@@ -297,28 +247,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn percentile_out_of_range_panics() {
         Percentiles::new().quantile(1.5);
-    }
-
-    #[test]
-    fn summary_reports_exact_fields() {
-        let mut p = Percentiles::new();
-        for x in 1..=1000 {
-            p.push(x as f64);
-        }
-        let s = p.summary();
-        assert_eq!(s.count, 1000);
-        assert!((s.mean - 500.5).abs() < 1e-9);
-        assert_eq!(s.p50, 500.0);
-        assert_eq!(s.p99, 990.0);
-        assert_eq!(s.p999, 999.0);
-        assert_eq!(s.max, 1000.0);
-    }
-
-    #[test]
-    fn summary_of_empty_is_all_zero() {
-        let s = Percentiles::new().summary();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(s.max, 0.0);
     }
 }

@@ -371,13 +371,12 @@ pub fn demo_stats() -> ManagerStats {
         .repeat()
         .spawn();
     // The QoS tiers + a dependency, so every per-class family carries
-    // values: an Urgent deadline task, a Bulk follow-up parked on the
-    // waitlist until the poll completes, and a Background sweep.
+    // values: an Urgent task, a Bulk follow-up parked on the waitlist
+    // until the poll completes, and a Background sweep.
     let urgent = mgr
         .task(|_| TaskStatus::Done)
         .cpuset(CpuSet::single(1))
         .class(TaskClass::Urgent)
-        .deadline(7)
         .spawn();
     let bulk_after = mgr
         .task(|_| TaskStatus::Done)

@@ -426,7 +426,7 @@ impl core::fmt::Debug for TaskHandle {
 mod tests {
     use super::*;
     use crate::queue::QueueId;
-    use crate::task::{Task, TaskOptions, TaskSet};
+    use crate::task::{Task, TaskClass, TaskSet};
     use crate::TaskManager;
     use piom_cpuset::CpuSet;
     use std::sync::mpsc;
@@ -455,7 +455,8 @@ mod tests {
     fn dependent() -> Arc<PendingTask> {
         let task = Task {
             body: block().0,
-            options: TaskOptions::oneshot(),
+            repeat: false,
+            class: TaskClass::Interactive,
             cpuset: TaskSet::new(&CpuSet::single(0)),
             home: QueueId(0),
             submitted_at: None,
@@ -494,7 +495,7 @@ mod tests {
     #[test]
     fn no_waiter_completion_is_one_word_and_no_slow_block() {
         assert!(core::mem::size_of::<Block<()>>() <= 24, "a body-less block");
-        assert!(core::mem::size_of::<Task>() <= 88, "a task moves by value");
+        assert!(core::mem::size_of::<Task>() <= 64, "a task moves by value");
         let (body, h) = block();
         assert_eq!(refs(&h), 2, "the task's and the handle's");
         assert!(h.poll().is_none() && !h.is_complete());

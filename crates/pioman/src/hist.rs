@@ -21,16 +21,31 @@
 //! interleave model (with its planted-bug twin) and the
 //! `shard_fold_matches_single_shard`
 //! proptest pin the fold; the `quantiles_match_exact_reservoir` proptest
-//! pins the bucket math against the exact reservoir in
-//! [`piom_des::stats::Percentiles`] as sequential oracle.
+//! pins the bucket math against the exact reservoir in the simulator's
+//! `piom_des::stats::Percentiles` as sequential oracle.
 
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use crossbeam::utils::CachePadded;
 
-// The shared result vocabulary and its exact-oracle producer both live in
-// `piom_des::stats`; re-exported here so scheduler-side consumers (and the
-// proptests pinning the bucket math) need only this crate.
-pub use piom_des::stats::{PercentileSummary, Percentiles};
+/// The distribution vocabulary every measurement surface speaks: one
+/// struct carrying the tail quantiles production systems gate on.
+/// [`HistSnapshot::summary`] produces it, so DES scenario reports and the
+/// stats snapshot agree on what "a latency distribution" is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PercentileSummary {
+    /// Number of samples summarized.
+    pub count: u64,
+    /// Arithmetic mean of the samples.
+    pub mean: f64,
+    /// Median (p50).
+    pub p50: f64,
+    /// 99th percentile.
+    pub p99: f64,
+    /// 99.9th percentile.
+    pub p999: f64,
+    /// Largest sample.
+    pub max: f64,
+}
 
 /// Monotonically-assigned per-thread slot hint, so each thread settles on
 /// one shard instead of hashing per call.

@@ -10,7 +10,8 @@
 //!
 //! * a **task** is a function plus a [`CpuSet`] restricting which cores may
 //!   run it, and an optional *repeat* behaviour for chores that must run
-//!   until they succeed (network polling) — see [`Task`] and [`TaskStatus`];
+//!   until they succeed (network polling) — see [`SubmitSpec::cpuset`],
+//!   [`SubmitSpec::repeat`] and [`TaskStatus`];
 //! * tasks are stored in **hierarchical queues** mapped onto the machine
 //!   topology (per-core → per-cache → per-chip → per-NUMA → global), so
 //!   locality is preserved and lock contention stays between neighbouring
@@ -39,11 +40,10 @@
 //! * every submission goes through one **builder**
 //!   ([`TaskManager::task`] → [`SubmitSpec::spawn`]) carrying the task's
 //!   **QoS class** ([`TaskClass`]: per-queue lanes served in strict
-//!   priority order with a bounded anti-starvation bypass), an optional
-//!   **EDF deadline** tick ordering tasks within their class, and
-//!   **dependencies** ([`SubmitSpec::after`]) parking the task on a
-//!   waitlist until its predecessors complete — the QoS-tier contract
-//!   lives in `docs/SCHEDULER.md` ("QoS tiers").
+//!   priority order with a bounded anti-starvation bypass, submission
+//!   order within a class) and **dependencies** ([`SubmitSpec::after`])
+//!   parking the task on a waitlist until its predecessors complete — the
+//!   QoS-tier contract lives in `docs/SCHEDULER.md` ("QoS tiers").
 //!
 //! The authoritative description of the submit → batch → steal →
 //! park/wake lifecycle — state diagram, invariants, and a glossary of
@@ -98,11 +98,9 @@ pub use manager::{
     MAX_BATCH, MIN_BATCH,
 };
 pub use progression::{Progression, ProgressionConfig, MAX_PROBE_STRIKES};
-pub use queue::{
-    place_deadline_lane, Classed, QueueId, SeqLanes, BACKGROUND_BYPASS_LIMIT, DL_LANES,
-};
+pub use queue::{Classed, QueueId, SeqLanes, BACKGROUND_BYPASS_LIMIT};
 pub use stats::{ManagerStats, QueueStats, SocketStats};
-pub use task::{Task, TaskClass, TaskContext, TaskOptions, TaskStatus, CLASS_COUNT};
+pub use task::{TaskClass, TaskContext, TaskStatus, CLASS_COUNT};
 
 // Re-export foundation types so downstream users need only this crate.
 pub use piom_cpuset::CpuSet;

@@ -4,7 +4,7 @@ use crate::completion::TaskBody;
 use crate::hist::{HistSnapshot, Histogram};
 use crate::queue::{QueueId, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
-use crate::task::{Task, TaskClass, TaskContext, TaskOptions, TaskSet, TaskStatus, CLASS_COUNT};
+use crate::task::{Task, TaskClass, TaskContext, TaskSet, TaskStatus, CLASS_COUNT};
 use crate::TaskHandle;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crossbeam::utils::CachePadded;
@@ -322,7 +322,7 @@ impl TaskManager {
     /// executed (at most `max`).
     ///
     /// ```
-    /// use pioman::{TaskManager, TaskOptions, TaskStatus};
+    /// use pioman::{TaskManager, TaskStatus};
     /// use piom_cpuset::CpuSet;
     /// use piom_topology::presets;
     ///
@@ -391,7 +391,7 @@ impl TaskManager {
     /// batch that [`MIN_BATCH`] would clamp.
     ///
     /// ```
-    /// use pioman::{TaskManager, TaskOptions, TaskStatus, DEFAULT_BATCH};
+    /// use pioman::{TaskManager, TaskStatus, DEFAULT_BATCH};
     /// use piom_cpuset::CpuSet;
     /// use piom_topology::presets;
     ///
@@ -488,7 +488,7 @@ impl TaskManager {
         let state = &self.cores[core];
         state.steal_batches.fetch_add(1, Ordering::Relaxed);
         for task in batch.drain(..) {
-            state.stolen_class[task.options.class.index()].fetch_add(1, Ordering::Relaxed);
+            state.stolen_class[task.class.index()].fetch_add(1, Ordering::Relaxed);
             self.run_task(task, core);
         }
     }
@@ -504,7 +504,7 @@ impl TaskManager {
             queue.requeue(task);
             return false;
         }
-        let class = task.options.class;
+        let class = task.class;
         // Queueing delay ends here: the task is committed to run on this
         // core. Record into the executing core's shard, `take()`ing the
         // stamp so a panic in the body cannot double-count.
@@ -519,7 +519,7 @@ impl TaskManager {
         let outcome = catch_unwind(AssertUnwindSafe(|| task.body.run(&ctx)));
         // Release: `stats` reads this before the queue lengths (see there).
         self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Release);
-        if task.options.repeat && matches!(outcome, Ok(TaskStatus::Again)) {
+        if task.repeat && matches!(outcome, Ok(TaskStatus::Again)) {
             // A repeat task re-entering its queue starts a fresh queueing
             // interval; each run measures its own delay.
             task.submitted_at = self.latency.is_some().then(std::time::Instant::now);

@@ -13,9 +13,9 @@ pub(super) struct SocketTier {
     /// Cores the socket spans.
     pub(super) cpuset: CpuSet,
     /// The overflow: the same [`TaskQueue`] every topology node has, so
-    /// spilled tasks keep their QoS class and deadline lane across the
-    /// spill, a spill lands and a claim leaves in one lock acquisition
-    /// each, and a remote thief steals half in place. Its length hint
+    /// spilled tasks keep their QoS class lane across the spill, a spill
+    /// lands and a claim leaves in one lock acquisition each, and a
+    /// remote thief steals half in place. Its length hint
     /// gates claims, steals and park probes without the lock; its steal
     /// span (the union of the spilled tasks' cpusets, decayed in full
     /// when the overflow drains — the queue is built over an empty own
@@ -56,7 +56,7 @@ impl TaskManager {
     }
 
     /// Drains up to `max` tasks from `core`'s **own** socket overflow in
-    /// pop-policy order (highest class first, EDF within a class) under
+    /// pop-policy order (highest class first, FIFO within a class) under
     /// **one** lock acquisition and runs them: the socket rung of the
     /// core → socket → global walk. One pass — the pops are bounded by
     /// the depth at arrival — and a popped task whose cpuset excludes

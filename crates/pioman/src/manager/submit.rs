@@ -70,7 +70,6 @@ impl TaskManager {
     ///     .task(|_| TaskStatus::Done)
     ///     .cpuset(CpuSet::range(0..4))
     ///     .class(TaskClass::Bulk)
-    ///     .deadline(7)
     ///     .spawn();
     /// // Runs only after `first` completes, on core 2's own queue.
     /// let second = mgr
@@ -93,7 +92,8 @@ impl TaskManager {
             body,
             cpuset: None,
             home: None,
-            options: TaskOptions::oneshot(),
+            repeat: false,
+            class: TaskClass::Interactive,
             deps: Vec::new(),
             handle,
         }
@@ -127,7 +127,7 @@ impl TaskManager {
     pub(super) fn release_waiters(&self, waiters: Vec<Arc<PendingTask>>) {
         for waiter in waiters {
             if let Some(mut task) = waiter.satisfy_one() {
-                self.released_class[task.options.class.index()].fetch_add(1, Ordering::Relaxed);
+                self.released_class[task.class.index()].fetch_add(1, Ordering::Relaxed);
                 // Queueing delay starts now: while parked the task was not
                 // schedulable, so the wait on predecessors is not charged
                 // to the queues.
@@ -165,7 +165,7 @@ impl TaskManager {
 ///
 /// Defaults: runnable on **every** core (the Global Queue shape), placed on
 /// the smallest topology node covering its CPU set, one-shot,
-/// [`TaskClass::Interactive`], no deadline, no dependencies. Each method
+/// [`TaskClass::Interactive`], no dependencies. Each method
 /// overrides one knob.
 #[must_use = "a SubmitSpec does nothing until `.spawn()` is called"]
 pub struct SubmitSpec<'m> {
@@ -173,7 +173,8 @@ pub struct SubmitSpec<'m> {
     body: TaskBody,
     cpuset: Option<CpuSet>,
     home: Option<usize>,
-    options: TaskOptions,
+    repeat: bool,
+    class: TaskClass,
     deps: Vec<TaskHandle>,
     /// Created with the spec (not at spawn) so [`handle`](Self::handle) can
     /// hand out references to the not-yet-spawned task — which is what
@@ -216,29 +217,14 @@ impl SubmitSpec<'_> {
     /// Sets the QoS class lane (default [`TaskClass::Interactive`]; see
     /// [`TaskClass`] for the service order and the starvation bound).
     pub fn class(mut self, class: TaskClass) -> Self {
-        self.options.class = class;
-        self
-    }
-
-    /// Sets the deadline tick: within its class the task drains
-    /// earliest-deadline-first, ahead of the class's no-deadline tasks
-    /// (see [`TaskOptions::deadline`]). Never overrides class priority.
-    pub fn deadline(mut self, tick: u64) -> Self {
-        self.options.deadline = Some(tick);
+        self.class = class;
         self
     }
 
     /// Marks the task repetitive: re-enqueued after each run until the
     /// body returns [`TaskStatus::Done`] (the paper's polling option).
     pub fn repeat(mut self) -> Self {
-        self.options.repeat = true;
-        self
-    }
-
-    /// Replaces the whole option block at once (repeat + class +
-    /// deadline), for callers that already hold a [`TaskOptions`].
-    pub fn options(mut self, options: TaskOptions) -> Self {
-        self.options = options;
+        self.repeat = true;
         self
     }
 
@@ -293,7 +279,8 @@ impl SubmitSpec<'_> {
         };
         let task = Task {
             body: self.body,
-            options: self.options,
+            repeat: self.repeat,
+            class: self.class,
             cpuset: TaskSet::new(&effective),
             home,
             submitted_at: mgr.latency.is_some().then(std::time::Instant::now),
@@ -326,7 +313,8 @@ impl core::fmt::Debug for SubmitSpec<'_> {
         f.debug_struct("SubmitSpec")
             .field("cpuset", &self.cpuset)
             .field("home", &self.home)
-            .field("options", &self.options)
+            .field("repeat", &self.repeat)
+            .field("class", &self.class)
             .field("deps", &self.deps.len())
             .finish_non_exhaustive()
     }

@@ -48,105 +48,24 @@ impl QueueId {
 /// `Background`, however many cores are popping.
 pub const BACKGROUND_BYPASS_LIMIT: u32 = 16;
 
-/// Number of deadline (EDF) lanes per class in [`SeqLanes`].
-pub const DL_LANES: usize = 2;
-
 /// An element that carries QoS routing metadata: which class lane it
-/// belongs in and an optional EDF deadline (integer ticks).
+/// belongs in.
 pub trait Classed {
     /// The QoS class lane this element is enqueued into.
     fn class(&self) -> TaskClass;
-    /// Optional deadline tick; `None` reads as "infinitely late" and the
-    /// element drains FIFO behind the class's deadline-carrying elements.
-    fn deadline(&self) -> Option<u64>;
 }
 
-/// Picks which of a class's [`DL_LANES`] deadline lanes a push with
-/// `deadline` should append to, given each lane's tail deadline (`None` =
-/// lane empty).
-///
-/// The goal is to keep each lane individually sorted by deadline so the
-/// tournament pop (min over lane heads) is exact EDF. A lane is *eligible*
-/// when appending keeps it sorted: it is empty, or its tail deadline is
-/// `<= deadline`.
-///
-/// - If any non-empty lane is eligible, append to the one with the
-///   **greatest** tail (ties: lowest index) — the tightest fit, which
-///   preserves the other lanes' headroom for earlier deadlines.
-/// - Else if any lane is empty, take the lowest-indexed empty lane.
-/// - Else no append keeps sortedness (the deadline precedes every tail):
-///   append to the **smallest**-tail lane (ties: lowest index). That lane
-///   is now locally out of order and EDF degrades to best-effort until it
-///   drains — the documented trade for keeping the hot path heap-free.
-///
-/// Pure function: the sequential oracle in the `qos_policy` proptests
-/// re-derives this placement from the documented contract.
-pub fn place_deadline_lane(tails: [Option<u64>; DL_LANES], deadline: u64) -> usize {
-    let mut best_eligible: Option<(u64, usize)> = None;
-    let mut first_empty: Option<usize> = None;
-    let mut smallest: Option<(u64, usize)> = None;
-    for (i, t) in tails.iter().enumerate() {
-        match *t {
-            Some(tail) => {
-                if tail <= deadline && best_eligible.is_none_or(|(b, _)| tail > b) {
-                    best_eligible = Some((tail, i));
-                }
-                if smallest.is_none_or(|(s, _)| tail < s) {
-                    smallest = Some((tail, i));
-                }
-            }
-            None => {
-                if first_empty.is_none() {
-                    first_empty = Some(i);
-                }
-            }
-        }
-    }
-    if let Some((_, i)) = best_eligible {
-        i
-    } else if let Some(i) = first_empty {
-        i
-    } else {
-        smallest.map(|(_, i)| i).unwrap_or(0)
-    }
-}
-
-/// The QoS lanes of one queue: per [`TaskClass`], a FIFO lane for
-/// deadline-less elements and [`DL_LANES`] deadline lanes, all plain
-/// `VecDeque`s — every access happens under the owning queue's lock (or,
-/// for the DES workloads that queue simulated requests in the same type,
-/// on the single simulation thread), so the policy is sequential, exact
-/// and deterministic. The `qos_policy` proptests pin it against an
-/// independent oracle.
+/// The QoS lanes of one queue: one FIFO `VecDeque` per [`TaskClass`].
+/// Every access happens under the owning queue's lock (or, for the DES
+/// workloads that queue simulated requests in the same type, on the single
+/// simulation thread), so the policy is sequential, exact and
+/// deterministic. The `qos_policy` proptests pin it against an independent
+/// oracle.
 pub struct SeqLanes<T> {
-    classes: [SeqClassLane<T>; CLASS_COUNT],
+    classes: [VecDeque<T>; CLASS_COUNT],
     /// Anti-starvation credit (see [`BACKGROUND_BYPASS_LIMIT`]).
     bg_credit: u32,
     len: usize,
-}
-
-struct SeqClassLane<T> {
-    fifo: VecDeque<T>,
-    dl: [VecDeque<T>; DL_LANES],
-}
-
-impl<T> Default for SeqClassLane<T> {
-    fn default() -> Self {
-        SeqClassLane {
-            fifo: VecDeque::new(),
-            dl: Default::default(),
-        }
-    }
-}
-
-impl<T> SeqClassLane<T> {
-    fn is_empty(&self) -> bool {
-        self.fifo.is_empty() && self.dl.iter().all(|l| l.is_empty())
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.dl.iter().flatten().chain(self.fifo.iter())
-    }
 }
 
 impl<T: Classed> Default for SeqLanes<T> {
@@ -175,47 +94,18 @@ impl<T: Classed> SeqLanes<T> {
         self.len == 0
     }
 
-    /// Appends to the element's class lane: the deadline lane chosen by
-    /// [`place_deadline_lane`] when it carries a deadline, the class FIFO
-    /// otherwise.
+    /// Appends to the tail of the element's class lane.
     pub fn push(&mut self, value: T) {
-        let lane = &mut self.classes[value.class().index()];
+        self.classes[value.class().index()].push_back(value);
         self.len += 1;
-        match value.deadline() {
-            Some(d) => {
-                let tails = core::array::from_fn(|i| lane.dl[i].back().and_then(T::deadline));
-                lane.dl[place_deadline_lane(tails, d)].push_back(value);
-            }
-            None => lane.fifo.push_back(value),
-        }
-    }
-
-    /// Pops the earliest-deadline element of `class` (tournament over the
-    /// deadline-lane fronts, ties to the lower lane), falling back to the
-    /// class FIFO.
-    fn pop_class(&mut self, class: TaskClass) -> Option<T> {
-        let lane = &mut self.classes[class.index()];
-        let heads: [Option<u64>; DL_LANES] =
-            core::array::from_fn(|i| lane.dl[i].front().map(|t| t.deadline().unwrap_or(u64::MAX)));
-        let value = match (heads[0], heads[1]) {
-            (Some(a), Some(b)) => lane.dl[usize::from(a > b)].pop_front(),
-            (Some(_), None) => lane.dl[0].pop_front(),
-            (None, Some(_)) => lane.dl[1].pop_front(),
-            (None, None) => lane.fifo.pop_front(),
-        };
-        if value.is_some() {
-            self.len -= 1;
-        }
-        value
     }
 
     /// Pops the next element under the full QoS policy: strict class
-    /// priority ([`TaskClass::ALL`] order), earliest-deadline-first within
-    /// a class ahead of the class's FIFO elements — softened by the
-    /// anti-starvation credit: every pop that serves a higher class while
-    /// `Background` waits bumps the credit, and once it reaches
-    /// [`BACKGROUND_BYPASS_LIMIT`] the next pop serves `Background` first
-    /// and resets it.
+    /// priority ([`TaskClass::ALL`] order), submission order within a
+    /// class — softened by the anti-starvation credit: every pop that
+    /// serves a higher class while `Background` waits bumps the credit,
+    /// and once it reaches [`BACKGROUND_BYPASS_LIMIT`] the next pop serves
+    /// `Background` first and resets it.
     pub fn pop(&mut self) -> Option<T> {
         let bg = TaskClass::Background.index();
         let order = if self.bg_credit >= BACKGROUND_BYPASS_LIMIT && !self.classes[bg].is_empty() {
@@ -229,7 +119,8 @@ impl<T: Classed> SeqLanes<T> {
             TaskClass::ALL
         };
         for class in order {
-            if let Some(value) = self.pop_class(class) {
+            if let Some(value) = self.classes[class.index()].pop_front() {
+                self.len -= 1;
                 if class == TaskClass::Background {
                     self.bg_credit = 0;
                 } else if !self.classes[bg].is_empty() {
@@ -247,16 +138,12 @@ impl<T: Classed> SeqLanes<T> {
     /// it skips the anti-starvation credit.
     fn spill_lowest(&mut self, quota: usize, out: &mut Vec<T>) -> usize {
         let mut n = 0;
-        'classes: for class in TaskClass::ALL.iter().rev() {
-            while n < quota {
-                let Some(value) = self.pop_class(*class) else {
-                    continue 'classes;
-                };
-                out.push(value);
-                n += 1;
-            }
-            break;
+        for lane in self.classes.iter_mut().rev() {
+            let k = lane.len().min(quota - n);
+            out.extend(lane.drain(..k));
+            n += k;
         }
+        self.len -= n;
         n
     }
 }
@@ -264,15 +151,15 @@ impl<T: Classed> SeqLanes<T> {
 impl SeqLanes<Task> {
     /// Steal-half over the lanes: removes the
     /// `min(max, ceil(eligible / 2))` eligible tasks the *pop policy
-    /// would serve first* (class priority, EDF ahead of FIFO, FIFO in
-    /// order), leaving ineligible tasks in place and in order. Returns
-    /// how many were taken. Deliberately skips the credit bookkeeping —
-    /// a steal is relocation, not service.
+    /// would serve first* (class priority, oldest first within a class),
+    /// leaving ineligible tasks in place and in order. Returns how many
+    /// were taken. Deliberately skips the credit bookkeeping — a steal is
+    /// relocation, not service.
     fn steal_eligible(&mut self, thief: usize, max: usize, out: &mut Vec<Task>) -> usize {
         let eligible = self
             .classes
             .iter()
-            .flat_map(|c| c.iter())
+            .flatten()
             .filter(|t| t.cpuset.contains(thief))
             .count();
         if eligible == 0 {
@@ -280,43 +167,18 @@ impl SeqLanes<Task> {
         }
         let quota = eligible.div_ceil(2).min(max);
         let mut taken = 0;
-        'classes: for ci in 0..CLASS_COUNT {
-            let lane = &mut self.classes[ci];
-            // Deadline tasks first: repeatedly remove the earliest-deadline
-            // eligible element across the class's (sorted) deadline lanes.
-            loop {
-                if taken >= quota {
-                    break 'classes;
-                }
-                let mut best: Option<(u64, usize, usize)> = None;
-                for (li, l) in lane.dl.iter().enumerate() {
-                    for (i, t) in l.iter().enumerate() {
-                        if t.cpuset.contains(thief) {
-                            let d = t.options.deadline.unwrap_or(u64::MAX);
-                            if best.is_none_or(|(bd, _, _)| d < bd) {
-                                best = Some((d, li, i));
-                            }
-                            break; // lanes are sorted: first eligible is earliest
-                        }
-                    }
-                }
-                let Some((_, li, i)) = best else { break };
-                out.push(lane.dl[li].remove(i).expect("index checked"));
-                taken += 1;
-                self.len -= 1;
-            }
-            // Then the class FIFO, oldest eligible first.
+        for lane in &mut self.classes {
             let mut i = 0;
-            while taken < quota && i < lane.fifo.len() {
-                if lane.fifo[i].cpuset.contains(thief) {
-                    out.push(lane.fifo.remove(i).expect("index checked"));
+            while taken < quota && i < lane.len() {
+                if lane[i].cpuset.contains(thief) {
+                    out.push(lane.remove(i).expect("index checked"));
                     taken += 1;
-                    self.len -= 1;
                 } else {
                     i += 1;
                 }
             }
         }
+        self.len -= taken;
         taken
     }
 }
@@ -474,9 +336,8 @@ impl TaskQueue {
         depth
     }
 
-    /// Appends a task to its class lane (tail of the lane; the deadline
-    /// lanes order by [`place_deadline_lane`]) and returns the queue depth
-    /// just after the append, which feeds the spill-threshold check.
+    /// Appends a task to the tail of its class lane and returns the queue
+    /// depth just after the append, which feeds the spill-threshold check.
     pub(crate) fn enqueue(&self, task: Task) -> usize {
         self.with_lock(task.cpuset.local().words(), |lanes| {
             lanes.push(task);
@@ -602,20 +463,21 @@ impl TaskQueue {
 mod tests {
     use super::*;
     use crate::completion::TaskBody;
-    use crate::task::{TaskOptions, TaskSet, TaskStatus};
+    use crate::task::{TaskSet, TaskStatus};
 
     fn dummy_task(home: QueueId) -> Task {
         task_for(home, CpuSet::single(0))
     }
 
     fn task_for(home: QueueId, cpuset: CpuSet) -> Task {
-        task_with(home, cpuset, TaskOptions::oneshot())
+        task_with(home, cpuset, TaskClass::Interactive)
     }
 
-    fn task_with(home: QueueId, cpuset: CpuSet, options: TaskOptions) -> Task {
+    fn task_with(home: QueueId, cpuset: CpuSet, class: TaskClass) -> Task {
         Task {
             body: TaskBody::new(|_| TaskStatus::Done).0,
-            options,
+            repeat: false,
+            class,
             cpuset: TaskSet::new(&cpuset),
             home,
             submitted_at: None,
@@ -634,53 +496,33 @@ mod tests {
     }
 
     #[test]
-    fn placement_prefers_the_tightest_eligible_lane() {
-        // Non-empty eligible lanes: greatest tail wins (tightest fit).
-        assert_eq!(place_deadline_lane([Some(5), Some(8)], 10), 1);
-        assert_eq!(place_deadline_lane([Some(8), Some(5)], 10), 0);
-        // Ties break to the lowest index.
-        assert_eq!(place_deadline_lane([Some(7), Some(7)], 10), 0);
-        // An eligible non-empty lane beats an empty lane.
-        assert_eq!(place_deadline_lane([None, Some(3)], 10), 1);
-        // No eligible non-empty lane: lowest-indexed empty lane.
-        assert_eq!(place_deadline_lane([None, None], 10), 0);
-        assert_eq!(place_deadline_lane([Some(20), None], 10), 1);
-        // Nothing eligible, nothing empty: smallest tail (best-effort).
-        assert_eq!(place_deadline_lane([Some(20), Some(30)], 10), 0);
-        assert_eq!(place_deadline_lane([Some(30), Some(20)], 10), 1);
-    }
-
-    #[test]
     fn seq_lanes_serve_any_classed_element_under_the_pop_policy() {
         // The lanes are generic over `Classed` (the DES workloads queue
-        // simulated requests in them): class priority, EDF ahead of FIFO
+        // simulated requests in them): class priority, submission order
         // within a class, and the exact background bypass.
-        struct Item(TaskClass, Option<u64>, u32);
+        struct Item(TaskClass, u32);
         impl Classed for Item {
             fn class(&self) -> TaskClass {
                 self.0
             }
-            fn deadline(&self) -> Option<u64> {
-                self.1
-            }
         }
         let mut lanes = SeqLanes::new();
-        lanes.push(Item(TaskClass::Background, None, 999));
-        lanes.push(Item(TaskClass::Bulk, None, 100));
-        lanes.push(Item(TaskClass::Bulk, Some(30), 101));
-        lanes.push(Item(TaskClass::Bulk, Some(10), 102));
-        lanes.push(Item(TaskClass::Urgent, None, 103));
+        lanes.push(Item(TaskClass::Background, 999));
+        lanes.push(Item(TaskClass::Bulk, 100));
+        lanes.push(Item(TaskClass::Bulk, 101));
+        lanes.push(Item(TaskClass::Bulk, 102));
+        lanes.push(Item(TaskClass::Urgent, 103));
         for i in 0..BACKGROUND_BYPASS_LIMIT {
-            lanes.push(Item(TaskClass::Interactive, None, i));
+            lanes.push(Item(TaskClass::Interactive, i));
         }
         assert_eq!(lanes.len(), 5 + BACKGROUND_BYPASS_LIMIT as usize);
-        let order: Vec<u32> = core::iter::from_fn(|| lanes.pop().map(|it| it.2)).collect();
+        let order: Vec<u32> = core::iter::from_fn(|| lanes.pop().map(|it| it.1)).collect();
         // Urgent, then 15 Interactive make 16 bypasses; Background is
-        // served next, then the last Interactive, then Bulk by deadline
-        // with the deadline-less element last.
+        // served next, then the last Interactive, then Bulk in submission
+        // order.
         let mut expected = vec![103];
         expected.extend(0..BACKGROUND_BYPASS_LIMIT - 1);
-        expected.extend([999, BACKGROUND_BYPASS_LIMIT - 1, 102, 101, 100]);
+        expected.extend([999, BACKGROUND_BYPASS_LIMIT - 1, 100, 101, 102]);
         assert_eq!(order, expected);
         assert!(lanes.is_empty());
     }
@@ -886,7 +728,7 @@ mod tests {
         q.enqueue(task_with(
             q.id,
             CpuSet::from_iter([0, 11]),
-            TaskOptions::oneshot().class(TaskClass::Urgent),
+            TaskClass::Urgent,
         ));
         assert_eq!(q.len_hint(), 2);
         assert!(pop(&q).unwrap().cpuset().contains(11));
@@ -900,7 +742,7 @@ mod tests {
         // every lower class.
         let q = queue();
         q.enqueue(task_for(q.id, CpuSet::from_iter([0, 10])));
-        let urgent = TaskOptions::repeat().class(TaskClass::Urgent);
+        let urgent = TaskClass::Urgent;
         q.enqueue(task_with(q.id, CpuSet::from_iter([0, 11]), urgent));
         let first = pop(&q).unwrap();
         assert!(first.cpuset().contains(11), "urgent preempts interactive");
@@ -914,36 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn deadlines_drain_edf_within_a_class() {
-        let q = queue();
-        let bulk = TaskOptions::oneshot().class(TaskClass::Bulk);
-        q.enqueue(task_with(q.id, CpuSet::from_iter([0, 10]), bulk));
-        q.enqueue(task_with(
-            q.id,
-            CpuSet::from_iter([0, 11]),
-            bulk.deadline(30),
-        ));
-        q.enqueue(task_with(
-            q.id,
-            CpuSet::from_iter([0, 12]),
-            bulk.deadline(10),
-        ));
-        q.enqueue(task_with(
-            q.id,
-            CpuSet::from_iter([0, 13]),
-            bulk.deadline(20),
-        ));
-        // EDF among deadline tasks, then the FIFO (deadline-less) task.
-        for marker in [12, 13, 11, 10] {
-            assert!(
-                pop(&q).unwrap().cpuset().contains(marker),
-                "expected marker {marker}"
-            );
-        }
-        assert!(pop(&q).is_none());
-    }
-
-    #[test]
     fn steal_takes_the_tasks_the_pop_policy_would_serve_first() {
         // 2 eligible tasks (quota 1): the thief must get the Urgent one,
         // not the older Interactive one — steals honour class priority.
@@ -952,13 +764,13 @@ mod tests {
         q.enqueue(task_with(
             q.id,
             CpuSet::from_iter([0, 3]),
-            TaskOptions::oneshot().class(TaskClass::Urgent),
+            TaskClass::Urgent,
         ));
         let mut out = Vec::new();
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
-        assert_eq!(out.pop().unwrap().options.class, TaskClass::Urgent);
+        assert_eq!(out.pop().unwrap().class, TaskClass::Urgent);
         assert_eq!(q.len_hint(), 1);
-        assert_eq!(pop(&q).unwrap().options.class, TaskClass::Interactive);
+        assert_eq!(pop(&q).unwrap().class, TaskClass::Interactive);
     }
 
     #[test]

@@ -30,10 +30,7 @@ pub enum TaskStatus {
 /// [`crate::BACKGROUND_BYPASS_LIMIT`] higher-class pops that
 /// bypassed a waiting `Background` task, the next pop serves `Background` —
 /// the starvation bound stated in docs/SCHEDULER.md ("QoS tiers"). Within a
-/// class, tasks drain FIFO, except that tasks carrying a
-/// [`TaskOptions::deadline`] drain earliest-deadline-first ahead of the
-/// class's no-deadline tasks (a missing deadline reads as "infinitely
-/// late").
+/// class, tasks drain in submission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum TaskClass {
     /// Preemptive work (paper §VI future work: "tasks that can be executed
@@ -77,57 +74,6 @@ impl TaskClass {
             TaskClass::Bulk => "bulk",
             TaskClass::Background => "background",
         }
-    }
-}
-
-/// Options attached to a task at submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TaskOptions {
-    /// Repetitive task: re-enqueue after each run until the body returns
-    /// [`TaskStatus::Done`]. This is the paper's polling option — "it is
-    /// considered completed once the corresponding network polling succeeds"
-    /// (§IV-B).
-    pub repeat: bool,
-    /// QoS class: which per-queue lane the task is enqueued into and how
-    /// soon keypoints drain it relative to other classes. Defaults to
-    /// [`TaskClass::Interactive`].
-    pub class: TaskClass,
-    /// Optional deadline in integer ticks (caller-defined clock). Within a
-    /// class, tasks carrying a deadline drain earliest-deadline-first ahead
-    /// of the class's FIFO tasks; `None` reads as "infinitely late".
-    /// Deadlines never override class priority.
-    pub deadline: Option<u64>,
-}
-
-impl TaskOptions {
-    /// A task executed at most once.
-    pub const fn oneshot() -> Self {
-        TaskOptions {
-            repeat: false,
-            class: TaskClass::Interactive,
-            deadline: None,
-        }
-    }
-
-    /// A repetitive (polling) task: re-run until it reports `Done`.
-    pub const fn repeat() -> Self {
-        TaskOptions {
-            repeat: true,
-            class: TaskClass::Interactive,
-            deadline: None,
-        }
-    }
-
-    /// Sets the QoS class (see [`TaskClass`]).
-    pub const fn class(mut self, class: TaskClass) -> Self {
-        self.class = class;
-        self
-    }
-
-    /// Sets the deadline tick (see [`TaskOptions::deadline`]).
-    pub const fn deadline(mut self, tick: u64) -> Self {
-        self.deadline = Some(tick);
-        self
     }
 }
 
@@ -197,11 +143,16 @@ impl<W: core::borrow::Borrow<CpuSet> + From<CpuSet>> TaskSet<W> {
 }
 
 /// A schedulable task, as stored in the hierarchical queues.
-pub struct Task {
+pub(crate) struct Task {
     /// The task's reference to its heap block, which holds the body and
     /// the completion its handles observe.
     pub(crate) body: TaskBody,
-    pub(crate) options: TaskOptions,
+    /// Repetitive task: re-enqueued after each run until the body returns
+    /// [`TaskStatus::Done`] — the paper's polling option, "considered
+    /// completed once the corresponding network polling succeeds" (§IV-B).
+    pub(crate) repeat: bool,
+    /// QoS class: the per-queue lane the task is enqueued into.
+    pub(crate) class: TaskClass,
     pub(crate) cpuset: TaskSet,
     /// Queue the task lives in; repeat tasks re-enqueue here.
     pub(crate) home: QueueId,
@@ -216,7 +167,7 @@ pub struct Task {
 
 impl Task {
     /// The CPU set the submitter attached.
-    pub fn cpuset(&self) -> CpuSet {
+    pub(crate) fn cpuset(&self) -> CpuSet {
         let (first, words) = self.cpuset.words();
         let mut all = [0; CpuSet::MAX_CPUS / 64];
         all[first..first + words.len()].copy_from_slice(words);
@@ -226,17 +177,15 @@ impl Task {
 
 impl crate::queue::Classed for Task {
     fn class(&self) -> TaskClass {
-        self.options.class
-    }
-    fn deadline(&self) -> Option<u64> {
-        self.options.deadline
+        self.class
     }
 }
 
 impl core::fmt::Debug for Task {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Task")
-            .field("options", &self.options)
+            .field("repeat", &self.repeat)
+            .field("class", &self.class)
             .field("cpuset", &self.cpuset())
             .field("home", &self.home)
             .finish_non_exhaustive()
@@ -247,18 +196,6 @@ impl core::fmt::Debug for Task {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn options_constructors() {
-        assert!(!TaskOptions::oneshot().repeat);
-        assert!(TaskOptions::repeat().repeat);
-        assert_eq!(TaskOptions::default(), TaskOptions::oneshot());
-        assert_eq!(TaskOptions::default().class, TaskClass::Interactive);
-        assert_eq!(TaskOptions::default().deadline, None);
-        let o = TaskOptions::oneshot().class(TaskClass::Bulk).deadline(17);
-        assert_eq!(o.class, TaskClass::Bulk);
-        assert_eq!(o.deadline, Some(17));
-    }
 
     #[test]
     fn class_priority_order_matches_indices() {
@@ -295,7 +232,8 @@ mod tests {
         fn task_set_is_the_cpuset(s in arb_cpuset()) {
             let task = Task {
                 body: TaskBody::new(|_| TaskStatus::Done).0,
-                options: TaskOptions::oneshot(),
+                repeat: false,
+                class: TaskClass::Interactive,
                 cpuset: TaskSet::new(&s),
                 home: QueueId(0),
                 submitted_at: None,

@@ -16,7 +16,6 @@ use piom_cpuset::CpuSet;
 use piom_topology::TopologyBuilder;
 use pioman::{
     ManagerConfig, TaskClass, TaskManager, TaskStatus, BACKGROUND_BYPASS_LIMIT, CLASS_COUNT,
-    DL_LANES,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -37,92 +36,41 @@ fn single_core_mgr() -> Arc<TaskManager> {
 
 /// Independent sequential model of the lane policy. Deliberately written
 /// from the *documented* contract, not from the scheduler's code: one FIFO
-/// lane plus `DL_LANES` deadline lanes per class; a deadline task is placed
-/// in the fullest lane whose tail does not exceed its deadline (ties: the
-/// lowest index), else the first empty lane, else the lane with the
-/// smallest tail; a class pops the smaller lane-head deadline (ties: the
-/// lower lane), deadline lanes before FIFO; classes are served in strict
-/// priority order except that after `BACKGROUND_BYPASS_LIMIT` pops that
-/// bypassed waiting Background work, the next pop serves Background.
-#[derive(Default)]
-struct OracleClass {
-    fifo: VecDeque<usize>,
-    dl: [VecDeque<(u64, usize)>; DL_LANES],
-}
-
+/// per class; classes are served in strict priority order except that
+/// after `BACKGROUND_BYPASS_LIMIT` pops that bypassed waiting Background
+/// work, the next pop serves Background.
 #[derive(Default)]
 struct Oracle {
-    classes: [OracleClass; CLASS_COUNT],
+    classes: [VecDeque<usize>; CLASS_COUNT],
     credit: u32,
 }
 
 impl Oracle {
-    fn push(&mut self, id: usize, class: TaskClass, deadline: Option<u64>) {
-        let lane = &mut self.classes[class.index()];
-        let Some(d) = deadline else {
-            lane.fifo.push_back(id);
-            return;
-        };
-        let tails: Vec<Option<u64>> = lane.dl.iter().map(|q| q.back().map(|t| t.0)).collect();
-        // Fullest eligible lane (tail <= d), ties to the lowest index.
-        let eligible = (0..DL_LANES)
-            .filter(|&i| tails[i].is_some_and(|t| t <= d))
-            .max_by_key(|&i| (tails[i], core::cmp::Reverse(i)));
-        let slot = eligible
-            .or_else(|| (0..DL_LANES).find(|&i| tails[i].is_none()))
-            .unwrap_or_else(|| {
-                (0..DL_LANES)
-                    .min_by_key(|&i| (tails[i], i))
-                    .expect("DL_LANES > 0")
-            });
-        lane.dl[slot].push_back((d, id));
-    }
-
-    fn pop_class(&mut self, class: usize) -> Option<usize> {
-        let lane = &mut self.classes[class];
-        let best = (0..DL_LANES)
-            .filter_map(|i| lane.dl[i].front().map(|&(d, _)| (d, i)))
-            .min()?;
-        Some(lane.dl[best.1].pop_front().expect("front seen").1)
+    fn push(&mut self, id: usize, class: TaskClass) {
+        self.classes[class.index()].push_back(id);
     }
 
     fn len(&self) -> usize {
-        self.classes
-            .iter()
-            .map(|c| c.fifo.len() + c.dl.iter().map(VecDeque::len).sum::<usize>())
-            .sum()
+        self.classes.iter().map(VecDeque::len).sum()
     }
 
-    /// The spill pop (`TaskQueue::spill_lowest`): lowest class first, the
-    /// ordinary within-class order (deadline lanes, then FIFO), and no
-    /// bypass-credit movement — a spill relocates work, it serves nothing.
+    /// The spill pop (`TaskQueue::spill_lowest`): lowest class first,
+    /// oldest first within it, and no bypass-credit movement — a spill
+    /// relocates work, it serves nothing.
     fn pop_lowest(&mut self) -> Option<usize> {
-        for class in (0..CLASS_COUNT).rev() {
-            let popped = self
-                .pop_class(class)
-                .or_else(|| self.classes[class].fifo.pop_front());
-            if popped.is_some() {
-                return popped;
-            }
-        }
-        None
+        self.classes.iter_mut().rev().find_map(VecDeque::pop_front)
     }
 
     fn pop(&mut self) -> Option<usize> {
-        let background_waiting = {
-            let bg = &self.classes[TaskClass::Background.index()];
-            !bg.fifo.is_empty() || bg.dl.iter().any(|q| !q.is_empty())
-        };
+        let background = TaskClass::Background.index();
+        let background_waiting = !self.classes[background].is_empty();
         let mut order: Vec<usize> = (0..CLASS_COUNT).collect();
         if background_waiting && self.credit >= BACKGROUND_BYPASS_LIMIT {
             order.rotate_right(1); // Background first, then strict order.
         }
         for class in order {
-            let popped = self
-                .pop_class(class)
-                .or_else(|| self.classes[class].fifo.pop_front());
-            if let Some(id) = popped {
-                if class == TaskClass::Background.index() {
+            if let Some(id) = self.classes[class].pop_front() {
+                if class == background {
                     self.credit = 0;
                 } else if background_waiting {
                     self.credit += 1;
@@ -134,26 +82,9 @@ impl Oracle {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Op {
-    Push {
-        class: TaskClass,
-        deadline: Option<u64>,
-    },
-    Pop,
-}
-
-/// Decodes `(selector, value)` pairs into ops: selectors 0–3 push that
-/// class (the value choosing no-deadline vs a small deadline tick, so lane
-/// collisions actually happen), 4–5 pop.
-fn decode_op(selector: usize, value: u64) -> Op {
-    match selector {
-        c @ 0..=3 => Op::Push {
-            class: TaskClass::ALL[c],
-            deadline: (!value.is_multiple_of(3)).then_some(value % 16),
-        },
-        _ => Op::Pop,
-    }
+/// Decodes a selector into an op: 0–3 push that class, 4–5 pop.
+fn decode_op(selector: usize) -> Option<TaskClass> {
+    TaskClass::ALL.get(selector).copied()
 }
 
 proptest! {
@@ -163,33 +94,29 @@ proptest! {
     /// exactly the oracle's order.
     #[test]
     fn pop_policy_matches_the_sequential_oracle(
-        raw_ops in proptest::collection::vec((0usize..6, 0u64..48), 1..80),
+        raw_ops in proptest::collection::vec(0usize..6, 1..80),
     ) {
         let mgr = single_core_mgr();
         let ran = Arc::new(Mutex::new(Vec::new()));
         let mut oracle = Oracle::default();
         let mut expected = Vec::new();
         let mut next_id = 0usize;
-        for &(selector, value) in &raw_ops {
-            match decode_op(selector, value) {
-                Op::Push { class, deadline } => {
+        for &selector in &raw_ops {
+            match decode_op(selector) {
+                Some(class) => {
                     let id = next_id;
                     next_id += 1;
-                    oracle.push(id, class, deadline);
+                    oracle.push(id, class);
                     let r = ran.clone();
-                    let mut spec = mgr
-                        .task(move |_| {
-                            r.lock().push(id);
-                            TaskStatus::Done
-                        })
-                        .cpuset(CpuSet::single(0))
-                        .class(class);
-                    if let Some(d) = deadline {
-                        spec = spec.deadline(d);
-                    }
-                    spec.spawn();
+                    mgr.task(move |_| {
+                        r.lock().push(id);
+                        TaskStatus::Done
+                    })
+                    .cpuset(CpuSet::single(0))
+                    .class(class)
+                    .spawn();
                 }
-                Op::Pop => {
+                None => {
                     if let Some(id) = oracle.pop() {
                         expected.push(id);
                         prop_assert_eq!(mgr.schedule_batch(0, 1), 1, "oracle has work, so must the queue");
@@ -213,11 +140,11 @@ proptest! {
     /// interleaving that drives the home queue over `spill_threshold`
     /// must still serve in the composed model's order — the home queue's
     /// QoS pop first, then the socket overflow's QoS pop over whatever
-    /// the spills relocated (lowest class, deadline lanes before FIFO).
+    /// the spills relocated (lowest class first, oldest first within it).
     /// Stealing is off, so the claim rung is the only path back.
     #[test]
     fn spill_and_claim_path_matches_the_sequential_oracle(
-        raw_ops in proptest::collection::vec((0usize..6, 0u64..48), 1..120),
+        raw_ops in proptest::collection::vec(0usize..6, 1..120),
         threshold in 2usize..10,
     ) {
         let topo = Arc::new(
@@ -238,7 +165,7 @@ proptest! {
         let ran = Arc::new(Mutex::new(Vec::new()));
         let mut home = Oracle::default();
         let mut ovf = Oracle::default();
-        let mut meta: Vec<(TaskClass, Option<u64>)> = Vec::new();
+        let mut meta: Vec<TaskClass> = Vec::new();
         let mut expected = Vec::new();
         let (mut spilled_model, mut claimed_model) = (0u64, 0u64);
         let mut drive = |home: &mut Oracle, ovf: &mut Oracle, expected: &mut Vec<usize>| {
@@ -252,38 +179,33 @@ proptest! {
             }
             id.is_some()
         };
-        for &(selector, value) in &raw_ops {
-            match decode_op(selector, value) {
-                Op::Push { class, deadline } => {
+        for &selector in &raw_ops {
+            match decode_op(selector) {
+                Some(class) => {
                     let id = meta.len();
-                    meta.push((class, deadline));
-                    home.push(id, class, deadline);
+                    meta.push(class);
+                    home.push(id, class);
                     let r = ran.clone();
-                    let mut spec = mgr
-                        .task(move |_| {
-                            r.lock().push(id);
-                            TaskStatus::Done
-                        })
-                        .cpuset(CpuSet::single(0))
-                        .class(class);
-                    if let Some(d) = deadline {
-                        spec = spec.deadline(d);
-                    }
-                    spec.spawn();
+                    mgr.task(move |_| {
+                        r.lock().push(id);
+                        TaskStatus::Done
+                    })
+                    .cpuset(CpuSet::single(0))
+                    .class(class)
+                    .spawn();
                     // Model the dispatch-time escalation: at or over the
                     // threshold, half the post-push depth spills, lowest
-                    // class first, preserving class and deadline.
+                    // class first, preserving class.
                     let depth = home.len();
                     if depth >= threshold {
                         for _ in 0..depth / 2 {
                             let moved = home.pop_lowest().expect("depth accounted");
-                            let (c, d) = meta[moved];
-                            ovf.push(moved, c, d);
+                            ovf.push(moved, meta[moved]);
                             spilled_model += 1;
                         }
                     }
                 }
-                Op::Pop => {
+                None => {
                     if drive(&mut home, &mut ovf, &mut expected) {
                         prop_assert_eq!(mgr.schedule_batch(0, 1), 1, "oracle has work, so must the queue");
                     } else {
@@ -340,29 +262,6 @@ fn background_bypass_bound_is_exact_when_driven_sequentially() {
         position, limit,
         "background served after exactly {limit} bypasses"
     );
-}
-
-#[test]
-fn edf_tournament_order_is_deterministic_on_two_lanes() {
-    // Deadlines 10, 5, 3 on two deadline lanes: 10 opens lane 0, 5 opens
-    // lane 1 (lane 0's tail exceeds it), 3 queues behind 5 (no eligible or
-    // empty lane; smallest tail wins). Tournament pop: 5, 3, 10 — the
-    // documented lane-approximate EDF.
-    let mgr = single_core_mgr();
-    let ran: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    for d in [10u64, 5, 3] {
-        let r = ran.clone();
-        mgr.task(move |_| {
-            r.lock().push(d);
-            TaskStatus::Done
-        })
-        .cpuset(CpuSet::single(0))
-        .class(TaskClass::Bulk)
-        .deadline(d)
-        .spawn();
-    }
-    while mgr.schedule_batch(0, 1) == 1 {}
-    assert_eq!(*ran.lock(), vec![5, 3, 10]);
 }
 
 #[test]

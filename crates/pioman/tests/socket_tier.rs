@@ -212,8 +212,8 @@ fn deep_queue_spills_and_a_sibling_claims_without_stealing() {
 
 /// QoS preservation across the spill boundary: the spill takes the
 /// *lowest* class first (urgent work stays on the fast home path), the
-/// overflow lanes keep both class and deadline, and a claiming sibling
-/// pops them back in strict class-priority + EDF order.
+/// overflow lanes keep each task's class, and a claiming sibling pops them
+/// back in strict class priority, in submission order within a class.
 #[test]
 fn spill_takes_lowest_class_first_and_claims_preserve_qos_order() {
     let mgr = TaskManager::with_config(
@@ -225,26 +225,26 @@ fn spill_takes_lowest_class_first_and_claims_preserve_qos_order() {
         },
     );
     let order: Arc<Mutex<Vec<(usize, TaskClass, u64)>>> = Arc::default();
-    let spawn = |class: TaskClass, tick: u64| {
+    let spawn = |class: TaskClass, tag: u64| {
         let order = order.clone();
         mgr.task(move |ctx| {
-            order.lock().unwrap().push((ctx.core, class, tick));
+            order.lock().unwrap().push((ctx.core, class, tag));
             TaskStatus::Done
         })
         .cpuset(CpuSet::from_iter([0, 1]))
         .on_core(0)
         .class(class)
-        .deadline(tick)
         .spawn()
     };
-    // 8 urgent, then 8 bulk with shuffled deadlines. The 16th enqueue
-    // crosses the threshold and spills half the queue — exactly the 8
-    // bulk tasks, lowest class first.
-    for tick in 0..8 {
-        spawn(TaskClass::Urgent, tick);
+    // 8 urgent, then 8 bulk with shuffled tags. The 16th enqueue crosses
+    // the threshold and spills half the queue — exactly the 8 bulk tasks,
+    // lowest class first.
+    for tag in 0..8 {
+        spawn(TaskClass::Urgent, tag);
     }
-    for &tick in &[11u64, 15, 12, 16, 13, 17, 14, 18] {
-        spawn(TaskClass::Bulk, tick);
+    let bulk_tags = [11u64, 15, 12, 16, 13, 17, 14, 18];
+    for &tag in &bulk_tags {
+        spawn(TaskClass::Bulk, tag);
     }
     assert_eq!(mgr.stats().sockets[0].spilled, 8);
 
@@ -260,18 +260,16 @@ fn spill_takes_lowest_class_first_and_claims_preserve_qos_order() {
             .all(|&&(_, class, _)| class == TaskClass::Bulk),
         "only the lowest class spilled; urgent work stayed home"
     );
-    let ticks: Vec<u64> = claimed.iter().map(|&&(_, _, t)| t).collect();
-    assert_eq!(
-        ticks,
-        vec![11, 12, 13, 14, 15, 16, 17, 18],
-        "claims are EDF"
-    );
+    let tags: Vec<u64> = claimed.iter().map(|&&(_, _, t)| t).collect();
+    assert_eq!(tags, bulk_tags, "claims keep submission order");
     let home: Vec<_> = order.iter().filter(|&&(c, _, _)| c == 0).collect();
+    let home_tags: Vec<u64> = home.iter().map(|&&(_, _, t)| t).collect();
     assert!(
         home.iter()
             .all(|&&(_, class, _)| class == TaskClass::Urgent),
         "the home queue kept every urgent task"
     );
+    assert_eq!(home_tags, (0..8).collect::<Vec<_>>(), "in submission order");
 }
 
 /// The strict core → socket → global drain order of one keypoint: a core

@@ -756,9 +756,6 @@ impl Classed for QosRequest {
     fn class(&self) -> TaskClass {
         self.class
     }
-    fn deadline(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// One responder: its parked requests and whether its CPU is serving.

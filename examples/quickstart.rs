@@ -77,9 +77,9 @@ fn main() {
     }
     println!("burst: {} tasks completed", done.load(Ordering::Relaxed));
 
-    // 4. QoS tiers + dependencies: a bulk transfer tagged with an EDF
-    //    deadline tick, an urgent completion signal that runs only after
-    //    it, and a background sweep that yields to both.
+    // 4. QoS tiers + dependencies: a bulk transfer, an urgent completion
+    //    signal that runs only after it, and a background sweep that
+    //    yields to both.
     let transfer = mgr
         .task(|ctx| {
             println!("bulk transfer ran on core {}", ctx.core);
@@ -87,7 +87,6 @@ fn main() {
         })
         .cpuset(CpuSet::range(0..4))
         .class(TaskClass::Bulk)
-        .deadline(42)
         .spawn();
     let signal = mgr
         .task(|ctx| {

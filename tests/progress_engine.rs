@@ -3,7 +3,7 @@
 //! (cpuset + topology + pioman).
 
 use piom_suite::cpuset::CpuSet;
-use piom_suite::pioman::{Progression, ProgressionConfig, TaskManager, TaskOptions, TaskStatus};
+use piom_suite::pioman::{Progression, ProgressionConfig, TaskManager, TaskStatus};
 use piom_suite::topology::presets;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -111,22 +111,18 @@ fn many_concurrent_flows_all_complete() {
         .map(|i| {
             let c = counter.clone();
             let mut reps = i % 4;
-            mgr.task(move |_| {
-                if reps == 0 {
-                    c.fetch_add(1, Ordering::Relaxed);
-                    TaskStatus::Done
-                } else {
-                    reps -= 1;
-                    TaskStatus::Again
-                }
-            })
-            .cpuset(CpuSet::single(i % 16))
-            .options(if i % 4 == 0 {
-                TaskOptions::oneshot()
-            } else {
-                TaskOptions::repeat()
-            })
-            .spawn()
+            let spec = mgr
+                .task(move |_| {
+                    if reps == 0 {
+                        c.fetch_add(1, Ordering::Relaxed);
+                        TaskStatus::Done
+                    } else {
+                        reps -= 1;
+                        TaskStatus::Again
+                    }
+                })
+                .cpuset(CpuSet::single(i % 16));
+            (if i % 4 == 0 { spec } else { spec.repeat() }).spawn()
         })
         .collect();
     for h in handles {
