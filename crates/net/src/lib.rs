@@ -80,6 +80,9 @@ pub type RxHandler = Rc<dyn Fn(&mut Sim, Message)>;
 struct NicState {
     /// Send engine busy until this time.
     busy_until: SimTime,
+    /// A packet is streaming: its transmit-done event is pending, and that
+    /// event, not a send, starts the next packet.
+    streaming: bool,
     /// Packets queued behind the engine.
     backlog: VecDeque<Message>,
     /// Sum of `size` over the backlog (occupancy accounting for striping).
@@ -103,6 +106,7 @@ impl Nic {
         Nic {
             st: Rc::new(RefCell::new(NicState {
                 busy_until: SimTime::ZERO,
+                streaming: false,
                 backlog: VecDeque::new(),
                 backlog_bytes: 0,
                 tx_count: 0,
@@ -214,7 +218,10 @@ impl Network {
             st.backlog_bytes += msg.size;
             st.backlog.push_back(msg);
             // Engine idle => kick it; otherwise the running chain drains it.
-            st.backlog.len() == 1 && st.busy_until <= sim.now()
+            // `busy_until <= now` is not idle: at that very instant the
+            // transmit-done event may still be pending, and it would start
+            // a second packet beside this one.
+            !st.streaming
         };
         if start_engine {
             self.engine_step(sim, nic);
@@ -226,8 +233,10 @@ impl Network {
         let (msg, tx_time) = {
             let mut st = nic.st.borrow_mut();
             let Some(msg) = st.backlog.pop_front() else {
+                st.streaming = false;
                 return;
             };
+            st.streaming = true;
             st.backlog_bytes -= msg.size;
             let tx = self.params.occupancy() + self.params.byte_time(msg.size);
             st.busy_until = sim.now() + tx;
@@ -414,6 +423,38 @@ mod tests {
         }
         assert_eq!(net.nic(0, 0).tx_count(), 5);
         assert_eq!(net.nic(1, 0).rx_count(), 5);
+    }
+
+    #[test]
+    fn a_send_at_the_instant_a_packet_finishes_waits_for_the_engine() {
+        // An event scheduled before A, at A's transmit-done instant, sends
+        // B and C: it runs before A's transmit-done event. The engine is
+        // still A's until that event has run, so B must not start
+        // streaming beside it, and C must stream after B, not beside it.
+        let (net, mut sim) = net();
+        let log = collect_arrivals(&net, 1, 0);
+        let p = net.params().clone();
+        let size = 1000;
+        let packet = move |tag| Message {
+            src: 0,
+            dst: 1,
+            rail: 0,
+            tag,
+            size,
+            data: None,
+        };
+        let tx = p.occupancy() + p.byte_time(size);
+        let n2 = net.clone();
+        sim.schedule_abs(tx, move |sim| {
+            n2.send(sim, packet(1));
+            n2.send(sim, packet(2));
+        });
+        net.send(&mut sim, packet(0));
+        sim.run();
+        let arrivals: Vec<(u64, SimTime)> = log.borrow().iter().map(|(t, m)| (m.tag, *t)).collect();
+        let at = |k: u64| tx * (k + 1) + p.latency();
+        assert_eq!(arrivals, vec![(0, at(0)), (1, at(1)), (2, at(2))]);
+        assert_eq!(net.nic(0, 0).tx_count(), 3);
     }
 
     #[test]
