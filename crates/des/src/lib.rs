@@ -13,9 +13,21 @@
 //! * [`stats`] — online mean/min/max/variance accumulators and a fixed-bin
 //!   histogram with percentile queries, used by every harness.
 //!
-//! Events are boxed `FnOnce(&mut Sim)` closures. Model state lives in
-//! `Rc<RefCell<...>>` captured by the closures — the kernel itself is
-//! single-threaded and allocation-light.
+//! An event is one of two kinds:
+//!
+//! * a boxed `FnOnce(&mut Sim)` closure ([`Sim::schedule`]): one heap
+//!   block per event, for one-off work;
+//! * a shared [`Handler`] ([`Sim::schedule_shared`]): a standing
+//!   `Rc<dyn Handler>` built once and scheduled any number of times.
+//!   Scheduling one clones the `Rc` and allocates nothing; the pending
+//!   event owns that clone, so the handler (and whatever it holds) stays
+//!   alive until the event has run, exactly as a pending closure does. A
+//!   model that fires the same kind of event again and again — a NIC's
+//!   transmit-done and arrival events — keeps its per-event data in its
+//!   own queues and schedules its handler instead of a fresh closure.
+//!
+//! Model state lives in `Rc<RefCell<...>>` captured by the closures and
+//! handlers — the kernel itself is single-threaded and allocation-light.
 //!
 //! # Quick start
 //!
@@ -49,11 +61,57 @@ pub use time::SimTime;
 /// (so it can schedule follow-up events).
 pub type Event = Box<dyn FnOnce(&mut Sim)>;
 
+/// A standing event handler, scheduled by reference with
+/// [`Sim::schedule_shared`] as often as needed.
+///
+/// [`fire`](Handler::fire) receives the very `Rc` that was scheduled, so a
+/// handler can schedule itself again without holding a reference to
+/// itself. Every `Fn(&mut Sim)` closure is a handler.
+///
+/// ```
+/// use piom_des::{Handler, Sim, SimTime};
+/// use std::{cell::Cell, rc::Rc};
+///
+/// /// Ticks every 10 ns, three times.
+/// struct Ticker(Cell<u32>);
+///
+/// impl Handler for Ticker {
+///     fn fire(self: Rc<Self>, sim: &mut Sim) {
+///         self.0.set(self.0.get() + 1);
+///         if self.0.get() < 3 {
+///             sim.schedule_shared(SimTime::from_ns(10), self);
+///         }
+///     }
+/// }
+///
+/// let ticker = Rc::new(Ticker(Cell::new(0)));
+/// let mut sim = Sim::new();
+/// sim.schedule_shared(SimTime::ZERO, ticker.clone());
+/// assert_eq!(sim.run(), SimTime::from_ns(20));
+/// assert_eq!(ticker.0.get(), 3);
+/// ```
+pub trait Handler {
+    /// Runs the event at its scheduled time.
+    fn fire(self: Rc<Self>, sim: &mut Sim);
+}
+
+impl<F: Fn(&mut Sim)> Handler for F {
+    fn fire(self: Rc<Self>, sim: &mut Sim) {
+        self(sim)
+    }
+}
+
+/// What a pending event runs.
+enum Run {
+    Once(Event),
+    Shared(Rc<dyn Handler>),
+}
+
 struct Entry {
     at: SimTime,
     seq: u64,
     cancelled: Option<Rc<Cell<bool>>>,
-    run: Event,
+    run: Run,
 }
 
 impl PartialEq for Entry {
@@ -178,13 +236,25 @@ impl Sim {
     /// Panics if `at` is in the past.
     pub fn schedule_abs<F: FnOnce(&mut Sim) + 'static>(&mut self, at: SimTime, event: F) {
         assert!(at >= self.now, "cannot schedule into the past");
+        self.push(at, None, Run::Once(Box::new(event)));
+    }
+
+    /// Schedules the shared `handler` to fire `delay` after the current
+    /// time. Allocates nothing: the pending event owns the `Rc` it was
+    /// given, and [`Handler::fire`] receives it back.
+    pub fn schedule_shared(&mut self, delay: SimTime, handler: Rc<dyn Handler>) {
+        let at = self.now + delay;
+        self.push(at, None, Run::Shared(handler));
+    }
+
+    fn push(&mut self, at: SimTime, cancelled: Option<Rc<Cell<bool>>>, run: Run) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Entry {
             at,
             seq,
-            cancelled: None,
-            run: Box::new(event),
+            cancelled,
+            run,
         }));
     }
 
@@ -196,14 +266,8 @@ impl Sim {
         event: F,
     ) -> EventHandle {
         let flag = Rc::new(Cell::new(false));
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            at: self.now + delay,
-            seq,
-            cancelled: Some(flag.clone()),
-            run: Box::new(event),
-        }));
+        let at = self.now + delay;
+        self.push(at, Some(flag.clone()), Run::Once(Box::new(event)));
         EventHandle { flag }
     }
 
@@ -224,7 +288,10 @@ impl Sim {
                 }
             }
             self.now = entry.at;
-            (entry.run)(self);
+            match entry.run {
+                Run::Once(event) => event(self),
+                Run::Shared(handler) => handler.fire(self),
+            }
             self.executed += 1;
             return true;
         }
@@ -454,6 +521,57 @@ mod tests {
             sim.schedule_abs(SimTime::from_ns(5), |_| {});
         });
         sim.run();
+    }
+
+    #[test]
+    fn shared_events_interleave_with_closures_in_fifo_order() {
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let o = order.clone();
+        let shared: Rc<dyn Handler> = Rc::new(move |sim: &mut Sim| {
+            o.borrow_mut().push(("shared", sim.now().as_ns()));
+        });
+        let mut sim = Sim::new();
+        for _ in 0..2 {
+            sim.schedule_shared(ns(5), shared.clone());
+            let o = order.clone();
+            sim.schedule(ns(5), move |sim| {
+                o.borrow_mut().push(("once", sim.now().as_ns()))
+            });
+        }
+        sim.schedule_shared(ns(1), shared.clone());
+        assert_eq!(
+            Rc::strong_count(&shared),
+            4,
+            "each pending event owns one clone"
+        );
+        sim.run();
+        assert_eq!(
+            *order.borrow(),
+            vec![
+                ("shared", 1),
+                ("shared", 5),
+                ("once", 5),
+                ("shared", 5),
+                ("once", 5)
+            ]
+        );
+        assert_eq!(sim.events_executed(), 5);
+        assert_eq!(
+            Rc::strong_count(&shared),
+            1,
+            "fired events give theirs back"
+        );
+    }
+
+    #[test]
+    fn a_pending_shared_event_keeps_its_handler_alive() {
+        let hit = Rc::new(Cell::new(false));
+        let h = hit.clone();
+        let mut sim = Sim::new();
+        let handler: Rc<dyn Handler> = Rc::new(move |_: &mut Sim| h.set(true));
+        sim.schedule_shared(ns(3), handler);
+        sim.run();
+        assert!(hit.get(), "the caller's last handle was gone before it ran");
     }
 
     #[test]

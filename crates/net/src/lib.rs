@@ -48,7 +48,7 @@
 #![warn(missing_docs)]
 
 use bytes::Rope;
-use piom_des::{Sim, SimTime};
+use piom_des::{Handler, Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -87,6 +87,14 @@ struct NicState {
     backlog: VecDeque<Message>,
     /// Sum of `size` over the backlog (occupancy accounting for striping).
     backlog_bytes: usize,
+    /// Sum of `occupancy + byte_time(size)` over the backlog, kept per
+    /// packet (`byte_time` rounds per packet): what [`Network::rail_eta`]
+    /// adds to `busy_until`.
+    backlog_time: SimTime,
+    /// Packets past the backlog that have not arrived yet, oldest first:
+    /// those on the wire and, last while `streaming`, the one streaming.
+    /// They leave the engine and arrive in this order.
+    in_flight: VecDeque<Message>,
     /// Messages fully transmitted.
     tx_count: u64,
     /// Bytes fully transmitted.
@@ -95,61 +103,124 @@ struct NicState {
     rx_count: u64,
 }
 
+type NicCell = Rc<RefCell<NicState>>;
+
 /// One simulated network interface (a (node, rail) endpoint).
 #[derive(Clone)]
 pub struct Nic {
-    st: Rc<RefCell<NicState>>,
+    engine: Rc<Engine>,
+}
+
+/// A NIC's send engine, and the standing handler of its transmit-done
+/// events: one per NIC, built with the network, scheduled once per packet.
+struct Engine {
+    st: NicCell,
+    params: NetParams,
+    /// The handler of this NIC's packets' arrivals.
+    wire: Rc<Wire>,
+}
+
+/// The standing handler of the arrivals of one NIC's packets: each event
+/// delivers the oldest packet in flight to its destination on the rail.
+struct Wire {
+    st: NicCell,
+    /// The rail's NICs, by node.
+    rail: Rc<[NicCell]>,
 }
 
 impl Nic {
-    fn new() -> Self {
-        Nic {
-            st: Rc::new(RefCell::new(NicState {
-                busy_until: SimTime::ZERO,
-                streaming: false,
-                backlog: VecDeque::new(),
-                backlog_bytes: 0,
-                tx_count: 0,
-                tx_bytes: 0,
-                rx_handler: None,
-                rx_count: 0,
-            })),
-        }
+    fn st(&self) -> std::cell::Ref<'_, NicState> {
+        self.engine.st.borrow()
     }
 
     /// Installs the receive handler (the communication engine's entry).
     pub fn set_rx_handler(&self, h: RxHandler) {
-        self.st.borrow_mut().rx_handler = Some(h);
+        self.engine.st.borrow_mut().rx_handler = Some(h);
     }
 
     /// Messages transmitted so far.
     pub fn tx_count(&self) -> u64 {
-        self.st.borrow().tx_count
+        self.st().tx_count
     }
 
     /// Bytes transmitted so far.
     pub fn tx_bytes(&self) -> u64 {
-        self.st.borrow().tx_bytes
+        self.st().tx_bytes
     }
 
     /// Messages received so far.
     pub fn rx_count(&self) -> u64 {
-        self.st.borrow().rx_count
+        self.st().rx_count
     }
 
     /// Send-engine backlog length (racy diagnostic).
     pub fn backlog_len(&self) -> usize {
-        self.st.borrow().backlog.len()
+        self.st().backlog.len()
     }
 
     /// Bytes queued behind the engine (sum of backlog `size`s).
     pub fn queued_bytes(&self) -> usize {
-        self.st.borrow().backlog_bytes
+        self.st().backlog_bytes
     }
 
     /// Simulated time at which the send engine frees up.
     pub fn busy_until(&self) -> SimTime {
-        self.st.borrow().busy_until
+        self.st().busy_until
+    }
+}
+
+impl Engine {
+    /// Time one packet of `size` bytes occupies the engine.
+    fn tx_time(&self, size: usize) -> SimTime {
+        self.params.occupancy() + self.params.byte_time(size)
+    }
+
+    /// Starts streaming the backlog's head, or marks the engine idle when
+    /// the backlog is empty.
+    fn start_next(self: &Rc<Self>, st: &mut NicState, sim: &mut Sim) {
+        let Some(msg) = st.backlog.pop_front() else {
+            st.streaming = false;
+            return;
+        };
+        let tx = self.tx_time(msg.size);
+        st.backlog_bytes -= msg.size;
+        st.backlog_time -= tx;
+        st.busy_until = sim.now() + tx;
+        st.streaming = true;
+        st.in_flight.push_back(msg);
+        sim.schedule_shared(tx, self.clone());
+    }
+}
+
+impl Handler for Engine {
+    /// The streaming packet has left the engine: it flies to its
+    /// destination, and the next backlog entry starts streaming.
+    fn fire(self: Rc<Self>, sim: &mut Sim) {
+        let mut st = self.st.borrow_mut();
+        let size = st.in_flight.back().expect("a packet is streaming").size;
+        st.tx_count += 1;
+        st.tx_bytes += size as u64;
+        sim.schedule_shared(self.params.latency(), self.wire.clone());
+        self.start_next(&mut st, sim);
+    }
+}
+
+impl Handler for Wire {
+    fn fire(self: Rc<Self>, sim: &mut Sim) {
+        let msg = self.st.borrow_mut().in_flight.pop_front();
+        let msg = msg.expect("a packet is on the wire");
+        let handler = {
+            let mut st = self.rail[msg.dst].borrow_mut();
+            st.rx_count += 1;
+            st.rx_handler.clone()
+        };
+        match handler {
+            Some(h) => h(sim, msg),
+            None => panic!(
+                "message delivered to node {} rail {} with no rx handler",
+                msg.dst, msg.rail
+            ),
+        }
     }
 }
 
@@ -168,12 +239,41 @@ impl Network {
     /// Panics if `n_nodes == 0` or `n_rails == 0`.
     pub fn new(n_nodes: usize, n_rails: usize, params: NetParams) -> Rc<Self> {
         assert!(n_nodes > 0 && n_rails > 0, "empty network");
-        Rc::new(Network {
-            params,
-            nics: (0..n_nodes)
-                .map(|_| (0..n_rails).map(|_| Nic::new()).collect())
-                .collect(),
-        })
+        let rails: Vec<Rc<[NicCell]>> = (0..n_rails)
+            .map(|_| {
+                (0..n_nodes)
+                    .map(|_| {
+                        Rc::new(RefCell::new(NicState {
+                            busy_until: SimTime::ZERO,
+                            streaming: false,
+                            backlog: VecDeque::new(),
+                            backlog_bytes: 0,
+                            backlog_time: SimTime::ZERO,
+                            in_flight: VecDeque::new(),
+                            tx_count: 0,
+                            tx_bytes: 0,
+                            rx_handler: None,
+                            rx_count: 0,
+                        }))
+                    })
+                    .collect()
+            })
+            .collect();
+        let nic = |node: usize, rail: &Rc<[NicCell]>| {
+            let st = rail[node].clone();
+            let wire = Rc::new(Wire {
+                st: st.clone(),
+                rail: rail.clone(),
+            });
+            let params = params.clone();
+            Nic {
+                engine: Rc::new(Engine { st, params, wire }),
+            }
+        };
+        let nics = (0..n_nodes)
+            .map(|node| rails.iter().map(|rail| nic(node, rail)).collect())
+            .collect();
+        Rc::new(Network { params, nics })
     }
 
     /// Link/NIC parameters.
@@ -201,7 +301,7 @@ impl Network {
     }
 
     /// Submits `msg` to the source NIC's send engine. The engine transmits
-    /// packets in FIFO order, each occupying it for
+    /// packets in FIFO order, one at a time, each occupying it for
     /// `occupancy + size * per_byte`; the packet then arrives at the
     /// destination after the wire latency and is handed to the rx handler.
     ///
@@ -212,63 +312,18 @@ impl Network {
         assert!(msg.src != msg.dst, "loopback not modelled");
         assert!(msg.src < self.n_nodes() && msg.dst < self.n_nodes());
         assert!(msg.rail < self.n_rails());
-        let nic = self.nics[msg.src][msg.rail].clone();
-        let start_engine = {
-            let mut st = nic.st.borrow_mut();
-            st.backlog_bytes += msg.size;
-            st.backlog.push_back(msg);
-            // Engine idle => kick it; otherwise the running chain drains it.
-            // `busy_until <= now` is not idle: at that very instant the
-            // transmit-done event may still be pending, and it would start
-            // a second packet beside this one.
-            !st.streaming
-        };
-        if start_engine {
-            self.engine_step(sim, nic);
+        let engine = &self.nics[msg.src][msg.rail].engine;
+        let mut st = engine.st.borrow_mut();
+        st.backlog_bytes += msg.size;
+        st.backlog_time += engine.tx_time(msg.size);
+        st.backlog.push_back(msg);
+        // Engine idle => kick it; otherwise the pending transmit-done event
+        // starts the next packet. `busy_until <= now` is not idle: at that
+        // very instant the transmit-done event may still be pending, and
+        // it would start a second packet beside this one.
+        if !st.streaming {
+            engine.start_next(&mut st, sim);
         }
-    }
-
-    /// Transmits the next backlog entry of `nic`, then re-arms.
-    fn engine_step(self: &Rc<Self>, sim: &mut Sim, nic: Nic) {
-        let (msg, tx_time) = {
-            let mut st = nic.st.borrow_mut();
-            let Some(msg) = st.backlog.pop_front() else {
-                st.streaming = false;
-                return;
-            };
-            st.streaming = true;
-            st.backlog_bytes -= msg.size;
-            let tx = self.params.occupancy() + self.params.byte_time(msg.size);
-            st.busy_until = sim.now() + tx;
-            (msg, tx)
-        };
-        let this = self.clone();
-        let latency = self.params.latency();
-        sim.schedule(tx_time, move |sim| {
-            {
-                let mut st = nic.st.borrow_mut();
-                st.tx_count += 1;
-                st.tx_bytes += msg.size as u64;
-            }
-            // Wire flight, then delivery on the destination NIC.
-            let rx_nic = this.nics[msg.dst][msg.rail].clone();
-            sim.schedule(latency, move |sim| {
-                let handler = {
-                    let mut st = rx_nic.st.borrow_mut();
-                    st.rx_count += 1;
-                    st.rx_handler.clone()
-                };
-                match handler {
-                    Some(h) => h(sim, msg),
-                    None => panic!(
-                        "message delivered to node {} rail {} with no rx handler",
-                        msg.dst, msg.rail
-                    ),
-                }
-            });
-            // Keep draining the backlog.
-            this.engine_step(sim, nic);
-        });
     }
 
     /// Exact drain time of `(node, rail)`'s send engine: the instant at
@@ -277,18 +332,14 @@ impl Network {
     /// `max(busy_until, now) + Σ (occupancy + size·per_byte)` over the
     /// backlog — the quantity a striping scheduler balances across rails,
     /// and the time at which a packet submitted *now* would start
-    /// streaming.
+    /// streaming. The sum is kept as the backlog changes, so this is O(1).
     ///
     /// # Panics
     ///
     /// Panics if `node`/`rail` are out of range.
     pub fn rail_eta(&self, now: SimTime, node: usize, rail: usize) -> SimTime {
-        let st = self.nics[node][rail].st.borrow();
-        // Per-packet sum (not byte_time(backlog_bytes)): byte_time rounds
-        // per packet, and callers schedule *exact* drain callbacks on this.
-        st.backlog.iter().fold(st.busy_until.max(now), |eta, m| {
-            eta + self.params.occupancy() + self.params.byte_time(m.size)
-        })
+        let st = self.nics[node][rail].st();
+        st.busy_until.max(now) + st.backlog_time
     }
 
     /// One-sided RDMA read: `reader` pulls `size` bytes from `target`
@@ -542,6 +593,31 @@ mod tests {
         sim.run();
         assert_eq!(seen.get(), eta, "engine idle again at its own eta");
         assert_eq!(net.nic(0, 0).queued_bytes(), 0);
+    }
+
+    #[test]
+    fn packets_in_flight_arrive_after_the_network_is_dropped() {
+        // The pending transmit-done and arrival events own what they need,
+        // as pending closures do: the last `Rc<Network>` may go first.
+        let (net, mut sim) = net();
+        let log = collect_arrivals(&net, 1, 1);
+        for tag in 0..3 {
+            net.send(
+                &mut sim,
+                Message {
+                    src: 0,
+                    dst: 1,
+                    rail: 1,
+                    tag,
+                    size: 64,
+                    data: None,
+                },
+            );
+        }
+        drop(net);
+        sim.run();
+        let tags: Vec<u64> = log.borrow().iter().map(|(_, m)| m.tag).collect();
+        assert_eq!(tags, vec![0, 1, 2]);
     }
 
     #[test]

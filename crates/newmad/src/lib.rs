@@ -91,7 +91,7 @@ pub mod filters;
 pub mod protocol;
 pub mod rails;
 pub mod wire;
-use protocol::{Core, Fabric, Outgoing, PullId, Timer};
+use protocol::{Core, Fabric, Outgoing, PullId, Tables, Timer};
 use rails::{NodeRails, RailView};
 
 /// Engine configuration.
@@ -398,6 +398,11 @@ impl CommEngine {
     /// Statistics snapshot.
     pub fn stats(&self) -> EngineStats {
         self.core.borrow().stats()
+    }
+
+    /// Sizes of the core's matching and rendezvous tables.
+    pub fn tables(&self) -> Tables {
+        self.core.borrow().tables()
     }
 
     /// Arrived-but-unprocessed packet count (what polling would find).

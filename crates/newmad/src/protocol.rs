@@ -12,7 +12,7 @@ use crate::rails::{self, RailView};
 use crate::wire::{EagerPart, Wire};
 use crate::{EngineConfig, EngineStats};
 use bytes::{Buf, Bytes, BytesMut, Rope};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Names one pending RDMA pull: `(sender node, sender's request id)`.
 pub type PullId = (usize, u32);
@@ -52,6 +52,20 @@ pub trait Fabric<R>: RailView {
     fn complete(&mut self, req: R, payload: Option<Rope>);
 }
 
+/// Sizes of one core's matching and rendezvous tables (a diagnostic
+/// snapshot, see [`Core::tables`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tables {
+    /// Eager messages and RTSs that arrived before a matching receive.
+    pub unexpected: usize,
+    /// Storage of the sender's rendezvous table, in entries: the most
+    /// rendezvous outstanding at once, not how many ever ran.
+    pub send_rndv_slots: usize,
+    /// Receiver-side rendezvous in progress: two-sided transfers awaiting
+    /// DATA plus RDMA reads in flight.
+    pub recv_rndv: usize,
+}
+
 /// One message handed to [`Core::isend`].
 pub struct Outgoing {
     /// Destination node.
@@ -77,6 +91,82 @@ enum SendRndv {
     AwaitFin,
 }
 
+/// The sender's live rendezvous, indexed by the id it put in the RTS.
+///
+/// An id is `slot << GEN_BITS | generation`: the slot finds the entry
+/// without hashing, and the generation, bumped each time a slot is handed
+/// out, tells a live id from a retired one whose slot has since been
+/// reused. A freed slot is reused before the table grows, so its storage is
+/// bounded by the rendezvous outstanding at once, not by how many ever ran.
+struct SendTable<R> {
+    slots: Vec<SendSlot<R>>,
+    /// Free slots, most recently freed last.
+    free: Vec<u32>,
+}
+
+struct SendSlot<R> {
+    /// The last id handed out for this slot.
+    id: u32,
+    /// `Some` while that id's rendezvous is outstanding.
+    live: Option<(R, SendRndv)>,
+}
+
+const GEN_BITS: u32 = 16;
+const GEN_MASK: u32 = (1 << GEN_BITS) - 1;
+
+impl<R> SendTable<R> {
+    fn new() -> Self {
+        SendTable {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores a new rendezvous and returns its wire id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `2^16` rendezvous are outstanding at once (no slot left
+    /// for the id).
+    fn insert(&mut self, entry: (R, SendRndv)) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = self.slots.len() as u32;
+            assert!(
+                slot >> (32 - GEN_BITS) == 0,
+                "too many rendezvous outstanding"
+            );
+            self.slots.push(SendSlot {
+                id: slot << GEN_BITS,
+                live: None,
+            });
+            slot
+        });
+        let s = &mut self.slots[slot as usize];
+        s.id = slot << GEN_BITS | (s.id.wrapping_add(1) & GEN_MASK);
+        s.live = Some(entry);
+        s.id
+    }
+
+    /// The live rendezvous `id` names, if any.
+    fn get(&self, id: u32) -> Option<&(R, SendRndv)> {
+        let s = self.slots.get((id >> GEN_BITS) as usize)?;
+        s.live.as_ref().filter(|_| s.id == id)
+    }
+
+    /// Retires `id` and returns its rendezvous, if it was live.
+    fn remove(&mut self, id: u32) -> Option<(R, SendRndv)> {
+        self.get(id)?;
+        let slot = id >> GEN_BITS;
+        self.free.push(slot);
+        self.slots[slot as usize].live.take()
+    }
+
+    /// Slots allocated so far (live or free).
+    fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+}
+
 /// The fields of a decoded RTS that drive the receiver's accept path.
 struct RtsFrame {
     sender_req: u32,
@@ -85,6 +175,8 @@ struct RtsFrame {
 }
 
 struct RecvRndv<R> {
+    /// `(sender node, sender's request id)`.
+    key: PullId,
     req: R,
     /// Full payload size announced by the RTS.
     expected: u64,
@@ -97,6 +189,7 @@ struct RecvRndv<R> {
 
 /// An RDMA read in flight (receiver side).
 struct RdmaPull<R> {
+    key: PullId,
     req: R,
     rail: usize,
     size: u64,
@@ -130,16 +223,25 @@ pub struct Core<R> {
     cfg: EngineConfig,
     /// Arrived, waiting for a poll to be processed (the NIC rx queue).
     rx_pending: VecDeque<(usize, Rope)>,
-    posted: Vec<PostedRecv<R>>,
+    /// Posted receives, oldest first; matching takes the oldest match,
+    /// which is usually near the front.
+    posted: VecDeque<PostedRecv<R>>,
     unexpected: Vec<Unexpected>,
     /// Eager flows, indexed by destination node (ids are small and dense).
     flows: Vec<Flow>,
     /// Messages pooled over all flows.
     pooled: usize,
-    next_req: u32,
-    send_rndv: HashMap<u32, (R, SendRndv)>,
-    recv_rndv: HashMap<PullId, RecvRndv<R>>,
-    rdma_pulls: HashMap<PullId, RdmaPull<R>>,
+    /// The messages of the eager packet being built; empty between
+    /// flushes, kept for its capacity.
+    batch: Vec<Outgoing>,
+    send_rndv: SendTable<R>,
+    /// Receiver-side rendezvous awaiting DATA, and RDMA reads in flight.
+    /// An entry exists only for an RTS that matched a receive this node
+    /// posted, so a peer cannot grow these lists: they stay as short as
+    /// the posted receives and are scanned by `(src, req)`, as the
+    /// unexpected queue is.
+    recv_rndv: Vec<RecvRndv<R>>,
+    rdma_pulls: Vec<RdmaPull<R>>,
     stats: EngineStats,
 }
 
@@ -154,14 +256,14 @@ impl<R> Core<R> {
         Core {
             cfg,
             rx_pending: VecDeque::new(),
-            posted: Vec::new(),
+            posted: VecDeque::new(),
             unexpected: Vec::new(),
             flows: Vec::new(),
             pooled: 0,
-            next_req: 1,
-            send_rndv: HashMap::new(),
-            recv_rndv: HashMap::new(),
-            rdma_pulls: HashMap::new(),
+            batch: Vec::new(),
+            send_rndv: SendTable::new(),
+            recv_rndv: Vec::new(),
+            rdma_pulls: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -169,6 +271,15 @@ impl<R> Core<R> {
     /// Statistics snapshot.
     pub fn stats(&self) -> EngineStats {
         self.stats
+    }
+
+    /// Sizes of the matching and rendezvous tables.
+    pub fn tables(&self) -> Tables {
+        Tables {
+            unexpected: self.unexpected.len(),
+            send_rndv_slots: self.send_rndv.capacity(),
+            recv_rndv: self.recv_rndv.len() + self.rdma_pulls.len(),
+        }
     }
 
     /// Arrived-but-unprocessed frame count (what [`poll`](Self::poll)
@@ -201,17 +312,9 @@ impl<R> Core<R> {
             fab.complete(req, None);
             return;
         }
-        let id = self.next_req;
-        self.next_req += 1;
         self.stats.rendezvous_started += 1;
         let rdma = self.cfg.rdma_rendezvous;
-        let dst = msg.dst;
-        let rts = Wire::Rts {
-            req: id,
-            app_tag: msg.app_tag,
-            size: msg.size as u64,
-            rdma,
-        };
+        let (dst, app_tag, size) = (msg.dst, msg.app_tag, msg.size as u64);
         // RDMA flavour: the RTS carries a reference to the exposed source
         // buffer (modelling memory registration — the descriptor rides the
         // control packet, the bytes move in the fabric's rdma_read);
@@ -223,7 +326,13 @@ impl<R> Core<R> {
         } else {
             (SendRndv::AwaitCts(msg), Rope::new())
         };
-        self.send_rndv.insert(id, (req, state));
+        let id = self.send_rndv.insert((req, state));
+        let rts = Wire::Rts {
+            req: id,
+            app_tag,
+            size,
+            rdma,
+        };
         let rail = rails::pick_rail_in(fab, now);
         self.send_frame(fab, dst, rail, rts, 0, rts_payload);
     }
@@ -242,7 +351,7 @@ impl<R> Core<R> {
                 ..
             }) => self.accept_rts(now, fab, src, rts, req, payload),
             Some(u) => fab.complete(req, Some(u.payload).filter(|p| !p.is_empty())),
-            None => self.posted.push(PostedRecv { src, app_tag, req }),
+            None => self.posted.push_back(PostedRecv { src, app_tag, req }),
         }
     }
 
@@ -276,7 +385,8 @@ impl<R> Core<R> {
     /// The read started by [`Fabric::rdma_read`]`(.., id)` has landed:
     /// complete the receive and tell the sender it may reuse its buffer.
     pub fn on_rdma_done(&mut self, fab: &mut impl Fabric<R>, id: PullId) {
-        let pull = self.rdma_pulls.remove(&id).expect("pull tracked");
+        let at = self.rdma_pulls.iter().position(|p| p.key == id);
+        let pull = self.rdma_pulls.swap_remove(at.expect("pull tracked"));
         let whole = pull.payload.len() as u64 == pull.size;
         fab.complete(pull.req, whole.then_some(pull.payload));
         let (src, sender_req) = id;
@@ -288,7 +398,7 @@ impl<R> Core<R> {
             .posted
             .iter()
             .position(|r| r.src == src && r.app_tag == app_tag)?;
-        Some(self.posted.remove(pos).req)
+        self.posted.remove(pos).map(|r| r.req)
     }
 
     fn process(&mut self, now: u64, fab: &mut impl Fabric<R>, src: usize, mut frame: Rope) {
@@ -341,8 +451,8 @@ impl<R> Core<R> {
                 let parked = |u: &Unexpected| {
                     u.src == src && u.rts.as_ref().is_some_and(|r| r.sender_req == req)
                 };
-                if self.recv_rndv.contains_key(&key)
-                    || self.rdma_pulls.contains_key(&key)
+                if self.recv_rndv.iter().any(|r| r.key == key)
+                    || self.rdma_pulls.iter().any(|p| p.key == key)
                     || self.unexpected.iter().any(parked)
                 {
                     self.stats.stale_control_packets += 1;
@@ -366,17 +476,18 @@ impl<R> Core<R> {
             Wire::Cts { req } => {
                 // Check-then-remove: a stale or duplicate CTS must not
                 // destroy live rendezvous state.
-                if !matches!(self.send_rndv.get(&req), Some((_, SendRndv::AwaitCts(_)))) {
+                if !matches!(self.send_rndv.get(req), Some((_, SendRndv::AwaitCts(_)))) {
                     self.stats.stale_control_packets += 1;
                     return;
                 }
-                if let Some((handle, SendRndv::AwaitCts(msg))) = self.send_rndv.remove(&req) {
+                if let Some((handle, SendRndv::AwaitCts(msg))) = self.send_rndv.remove(req) {
                     self.send_rndv_data(now, fab, req, msg, handle);
                 }
             }
             Wire::Data { req, chunk, of } => {
                 let key = (src, req);
-                let stale = match self.recv_rndv.get(&key) {
+                let at = self.recv_rndv.iter().position(|r| r.key == key);
+                let stale = match at.map(|i| &self.recv_rndv[i]) {
                     None => true,
                     Some(st) => {
                         of == 0
@@ -389,13 +500,14 @@ impl<R> Core<R> {
                     self.stats.stale_control_packets += 1;
                     return;
                 }
-                let st = self.recv_rndv.get_mut(&key).expect("checked above");
+                let i = at.expect("checked above");
+                let st = &mut self.recv_rndv[i];
                 st.total = Some(of);
                 st.chunks.push((chunk, frame));
                 if st.chunks.len() as u32 != of {
                     return;
                 }
-                let mut st = self.recv_rndv.remove(&key).expect("present");
+                let mut st = self.recv_rndv.swap_remove(i);
                 // Reassemble in offset order by chaining the chunk ropes —
                 // shared segments, no copy.
                 st.chunks.sort_by_key(|(c, _)| *c);
@@ -406,9 +518,9 @@ impl<R> Core<R> {
                 let whole = payload.len() as u64 == st.expected;
                 fab.complete(st.req, whole.then_some(payload));
             }
-            Wire::Fin { req } => match self.send_rndv.get(&req) {
+            Wire::Fin { req } => match self.send_rndv.get(req) {
                 Some((_, SendRndv::AwaitFin)) => {
-                    let (handle, _) = self.send_rndv.remove(&req).expect("checked above");
+                    let (handle, _) = self.send_rndv.remove(req).expect("checked above");
                     fab.complete(handle, None);
                 }
                 _ => self.stats.stale_control_packets += 1,
@@ -446,24 +558,26 @@ impl<R> Core<R> {
             // buffer. The RTS carried a reference to the exposed buffer;
             // it becomes the received payload when the read lands.
             let pull = RdmaPull {
+                key,
                 req,
                 rail,
                 size: rts.size,
                 payload,
             };
-            self.rdma_pulls.insert(key, pull);
+            self.rdma_pulls.push(pull);
             fab.rdma_read(src, rail, rts.size as usize, key);
         } else {
             // The *sender* decides the chunking (stripe plan against its
             // local rail load); the receiver just counts chunks against
             // the `of` field of the DATA headers.
             let st = RecvRndv {
+                key,
                 req,
                 expected: rts.size,
                 total: None,
                 chunks: Vec::new(),
             };
-            self.recv_rndv.insert(key, st);
+            self.recv_rndv.push(st);
             self.send_wire(fab, src, rail, Wire::Cts { req: key.1 });
         }
     }
@@ -532,7 +646,8 @@ impl<R> Core<R> {
             let pool = &mut self.flows[dst].pool;
             let first = pool.pop_front().expect("picked as non-empty");
             let (with_data, mut bytes) = (first.data.is_some(), first.size);
-            let mut batch = vec![first];
+            let mut batch = std::mem::take(&mut self.batch);
+            batch.push(first);
             if self.cfg.aggregation {
                 while let Some(m) = pool.front() {
                     if m.data.is_some() != with_data || bytes + m.size > self.cfg.max_packet {
@@ -543,34 +658,17 @@ impl<R> Core<R> {
                 }
             }
             self.pooled -= batch.len();
-            self.emit_eager_packet(now, fab, batch);
+            self.emit_eager_packet(now, fab, &mut batch);
+            self.batch = batch;
         }
     }
 
     /// Emits one eager wire packet for `batch` (singleton or aggregate),
     /// charges the destination's in-flight window, and arms the drain
-    /// timer at the packet's exact NIC drain time.
-    fn emit_eager_packet(&mut self, now: u64, fab: &mut impl Fabric<R>, batch: Vec<Outgoing>) {
+    /// timer at the packet's exact NIC drain time. Leaves `batch` empty.
+    fn emit_eager_packet(&mut self, now: u64, fab: &mut impl Fabric<R>, batch: &mut Vec<Outgoing>) {
         let dst = batch[0].dst;
         let payload_len: usize = batch.iter().map(|p| p.size).sum();
-        let mut payload = Rope::new();
-        if self.cfg.copy_on_pack {
-            // Ablation: flatten into one fresh buffer. Counted, so tests
-            // can prove the zero-copy counter is live.
-            let mut flat = BytesMut::with_capacity(payload_len);
-            for d in batch.iter().filter_map(|p| p.data.as_ref()) {
-                flat.extend_from_slice(d);
-                self.stats.payload_bytes_copied += d.len() as u64;
-            }
-            if !flat.is_empty() {
-                payload.push(flat.freeze());
-            }
-        } else {
-            // Zero-copy: chain the callers' buffers.
-            for d in batch.iter().filter_map(|p| p.data.as_ref()) {
-                payload.push(d.clone());
-            }
-        }
         let wire = if batch.len() == 1 {
             Wire::Eager {
                 app_tag: batch[0].app_tag,
@@ -589,6 +687,25 @@ impl<R> Core<R> {
                     .collect(),
             }
         };
+        let data = batch.drain(..).filter_map(|p| p.data);
+        let mut payload = Rope::new();
+        if self.cfg.copy_on_pack {
+            // Ablation: flatten into one fresh buffer. Counted, so tests
+            // can prove the zero-copy counter is live.
+            let mut flat = BytesMut::with_capacity(payload_len);
+            for d in data {
+                flat.extend_from_slice(&d);
+                self.stats.payload_bytes_copied += d.len() as u64;
+            }
+            if !flat.is_empty() {
+                payload.push(flat.freeze());
+            }
+        } else {
+            // Zero-copy: the callers' buffers move into the frame.
+            for d in data {
+                payload.push(d);
+            }
+        }
         let rail = rails::pick_rail_in(fab, now);
         self.send_frame(fab, dst, rail, wire, payload_len, payload);
         self.flows[dst].inflight += 1;

@@ -373,3 +373,125 @@ fn skewed_polling_cadences_are_deterministic() {
     assert_eq!(first.2.stale_control_packets, 0);
     assert_eq!(first.3.stale_control_packets, 0);
 }
+
+/// Runs the simulation to quiescence, polling every engine that has a
+/// frame waiting after each event.
+fn settle(sim: &mut Sim, engines: &[&CommEngine]) {
+    while sim.step() {
+        for e in engines {
+            if e.rx_backlog() > 0 {
+                e.poll(sim);
+            }
+        }
+    }
+}
+
+/// A payload whose every byte depends on its offset.
+fn pattern(len: usize) -> Bytes {
+    Bytes::from((0..len).map(|k| (k * 31 + 7) as u8).collect::<Vec<u8>>())
+}
+
+/// The sender's table hands a finished rendezvous' slot to the next one,
+/// under a new id. A CTS or FIN naming the retired id must not reach the
+/// live rendezvous in that slot: it is a counted stale drop, and the live
+/// transfer then completes byte-exact.
+fn retired_id_in_a_reused_slot_is_stale(cfg: EngineConfig, stale: fn(u32) -> Wire) {
+    let size = BULK / 4;
+    let (net, a, b, mut sim) = pair(cfg);
+    let r1 = b.irecv(&mut sim, 0, 1);
+    let s1 = a.isend(&mut sim, 1, 1, size); // first rendezvous => id 1
+    settle(&mut sim, &[&a, &b]);
+    assert!(s1.is_complete() && r1.is_complete());
+
+    // No receive yet: the RTS parks at node 1 and the send stays live.
+    let data = pattern(size);
+    let s2 = a.isend_bytes(&mut sim, 1, 2, data.clone());
+    settle(&mut sim, &[&a, &b]);
+    assert_eq!(
+        a.tables().send_rndv_slots,
+        1,
+        "the second send reuses the slot"
+    );
+    let before = a.stats();
+    inject(&net, &mut sim, 1, 0, stale(1), &[]);
+    settle(&mut sim, &[&a, &b]);
+    let after = a.stats();
+    assert_eq!(
+        after.stale_control_packets,
+        before.stale_control_packets + 1
+    );
+    assert_eq!(after.packets_sent, before.packets_sent, "nothing streamed");
+    assert!(!s2.is_complete(), "the stale packet finished the live send");
+
+    let r2 = b.irecv(&mut sim, 0, 2);
+    settle(&mut sim, &[&a, &b]);
+    assert!(s2.is_complete() && r2.is_complete());
+    assert_eq!(r2.payload().expect("payload attached"), data.to_vec());
+    assert_eq!(a.stats().stale_control_packets, after.stale_control_packets);
+    assert_eq!(b.stats().stale_control_packets, 0);
+}
+
+#[test]
+fn cts_naming_a_retired_id_in_a_reused_slot_is_stale() {
+    retired_id_in_a_reused_slot_is_stale(EngineConfig::newmadeleine(), |req| Wire::Cts { req });
+}
+
+#[test]
+fn fin_naming_a_retired_id_in_a_reused_slot_is_stale() {
+    retired_id_in_a_reused_slot_is_stale(EngineConfig::baseline_mpi(), |req| Wire::Fin { req });
+}
+
+#[test]
+fn send_table_storage_is_bounded_by_the_rendezvous_outstanding() {
+    let n = if cfg!(miri) { 40 } else { 10_000 };
+    let size = EngineConfig::default().eager_threshold + 1;
+    let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
+    // Never matched while the others run: its RTS parks at node 1, so its
+    // CTS does not come, and its entry stays live throughout.
+    let stuck = a.isend(&mut sim, 1, u64::MAX, size);
+    for tag in 0..n {
+        let r = b.irecv(&mut sim, 0, tag);
+        let s = a.isend(&mut sim, 1, tag, size);
+        settle(&mut sim, &[&a, &b]);
+        assert!(r.is_complete() && s.is_complete());
+    }
+    assert!(!stuck.is_complete());
+    assert_eq!(a.stats().rendezvous_started, n + 1);
+    let slots = a.tables().send_rndv_slots;
+    assert!(slots <= 2, "{n} rendezvous ran, the table holds {slots}");
+    assert_eq!(b.tables().unexpected, 1);
+
+    let r = b.irecv(&mut sim, 0, u64::MAX);
+    settle(&mut sim, &[&a, &b]);
+    assert!(stuck.is_complete() && r.is_complete());
+    assert_eq!(a.stats().stale_control_packets, 0);
+    assert_eq!(b.stats().stale_control_packets, 0);
+}
+
+#[test]
+fn an_rts_flood_without_receives_parks_in_the_unexpected_queue() {
+    let n: u32 = if cfg!(miri) { 16 } else { 1_000 };
+    for cfg in [EngineConfig::newmadeleine(), EngineConfig::baseline_mpi()] {
+        let (net, _a, b, mut sim) = pair(cfg.clone());
+        let rts = |req: u32| Wire::Rts {
+            req,
+            app_tag: u64::from(req),
+            size: BULK as u64,
+            rdma: cfg.rdma_rendezvous,
+        };
+        for req in 0..n {
+            inject(&net, &mut sim, 0, 1, rts(req), &[]);
+        }
+        settle(&mut sim, &[&b]);
+        let tables = b.tables();
+        assert_eq!(tables.recv_rndv, 0, "no receive was posted");
+        assert_eq!(tables.unexpected, n as usize);
+        // A second copy of each is a counted drop, and grows nothing.
+        for req in 0..n {
+            inject(&net, &mut sim, 0, 1, rts(req), &[]);
+        }
+        settle(&mut sim, &[&b]);
+        assert_eq!(b.tables(), tables);
+        assert_eq!(b.stats().stale_control_packets, u64::from(n));
+    }
+}
