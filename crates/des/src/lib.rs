@@ -7,7 +7,7 @@
 //!
 //! * [`SimTime`] — a nanosecond-resolution simulated clock value;
 //! * [`Sim`] — the event loop: a priority queue of timestamped events with
-//!   deterministic FIFO tie-breaking, plus scheduling and cancellation;
+//!   deterministic FIFO tie-breaking;
 //! * [`rng::SplitMix64`] — a tiny deterministic PRNG so simulations are
 //!   reproducible from a seed (no ambient entropy);
 //! * [`stats`] — online mean/min/max/variance accumulators and a fixed-bin
@@ -46,7 +46,6 @@
 
 #![warn(missing_docs)]
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -110,7 +109,6 @@ enum Run {
 struct Entry {
     at: SimTime,
     seq: u64,
-    cancelled: Option<Rc<Cell<bool>>>,
     run: Run,
 }
 
@@ -128,27 +126,6 @@ impl PartialOrd for Entry {
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Cancellation handle returned by [`Sim::schedule_cancelable`].
-///
-/// Dropping the handle does *not* cancel the event; call
-/// [`EventHandle::cancel`]. Cancelling after the event ran is a no-op.
-#[derive(Clone)]
-pub struct EventHandle {
-    flag: Rc<Cell<bool>>,
-}
-
-impl EventHandle {
-    /// Prevents the event from running if it has not run yet.
-    pub fn cancel(&self) {
-        self.flag.set(true);
-    }
-
-    /// `true` if [`cancel`](Self::cancel) was called.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.get()
     }
 }
 
@@ -217,12 +194,6 @@ impl Sim {
         self.executed
     }
 
-    /// Number of events currently pending.
-    #[inline]
-    pub fn events_pending(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Schedules `event` to run `delay` after the current time.
     pub fn schedule<F: FnOnce(&mut Sim) + 'static>(&mut self, delay: SimTime, event: F) {
         let at = self.now + delay;
@@ -236,7 +207,7 @@ impl Sim {
     /// Panics if `at` is in the past.
     pub fn schedule_abs<F: FnOnce(&mut Sim) + 'static>(&mut self, at: SimTime, event: F) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.push(at, None, Run::Once(Box::new(event)));
+        self.push(at, Run::Once(Box::new(event)));
     }
 
     /// Schedules the shared `handler` to fire `delay` after the current
@@ -244,31 +215,13 @@ impl Sim {
     /// given, and [`Handler::fire`] receives it back.
     pub fn schedule_shared(&mut self, delay: SimTime, handler: Rc<dyn Handler>) {
         let at = self.now + delay;
-        self.push(at, None, Run::Shared(handler));
+        self.push(at, Run::Shared(handler));
     }
 
-    fn push(&mut self, at: SimTime, cancelled: Option<Rc<Cell<bool>>>, run: Run) {
+    fn push(&mut self, at: SimTime, run: Run) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            at,
-            seq,
-            cancelled,
-            run,
-        }));
-    }
-
-    /// Schedules a cancelable event `delay` from now; the returned handle's
-    /// [`EventHandle::cancel`] suppresses it.
-    pub fn schedule_cancelable<F: FnOnce(&mut Sim) + 'static>(
-        &mut self,
-        delay: SimTime,
-        event: F,
-    ) -> EventHandle {
-        let flag = Rc::new(Cell::new(false));
-        let at = self.now + delay;
-        self.push(at, Some(flag.clone()), Run::Once(Box::new(event)));
-        EventHandle { flag }
+        self.heap.push(Reverse(Entry { at, seq, run }));
     }
 
     /// Executes the next pending event, advancing the clock to its timestamp.
@@ -277,24 +230,17 @@ impl Sim {
         if self.stopped {
             return false;
         }
-        loop {
-            let Some(Reverse(entry)) = self.heap.pop() else {
-                return false;
-            };
-            debug_assert!(entry.at >= self.now, "event from the past");
-            if let Some(flag) = &entry.cancelled {
-                if flag.get() {
-                    continue; // skip cancelled events without advancing time
-                }
-            }
-            self.now = entry.at;
-            match entry.run {
-                Run::Once(event) => event(self),
-                Run::Shared(handler) => handler.fire(self),
-            }
-            self.executed += 1;
-            return true;
+        let Some(Reverse(entry)) = self.heap.pop() else {
+            return false;
+        };
+        debug_assert!(entry.at >= self.now, "event from the past");
+        self.now = entry.at;
+        match entry.run {
+            Run::Once(event) => event(self),
+            Run::Shared(handler) => handler.fire(self),
         }
+        self.executed += 1;
+        true
     }
 
     /// Runs until no events remain or [`Sim::stop`] is called. Returns the
@@ -323,26 +269,16 @@ impl Sim {
     }
 
     /// Stops the run loop after the current event. Further `step`/`run`
-    /// calls do nothing until [`Sim::resume`].
+    /// calls do nothing.
     pub fn stop(&mut self) {
         self.stopped = true;
-    }
-
-    /// Clears a previous [`Sim::stop`].
-    pub fn resume(&mut self) {
-        self.stopped = false;
-    }
-
-    /// `true` once [`Sim::stop`] has been called (and not resumed).
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     fn ns(n: u64) -> SimTime {
         SimTime::from_ns(n)
@@ -403,30 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_do_not_run() {
-        let mut sim = Sim::new();
-        let hit = Rc::new(Cell::new(false));
-        let h = hit.clone();
-        let handle = sim.schedule_cancelable(ns(10), move |_| h.set(true));
-        handle.cancel();
-        assert!(handle.is_cancelled());
-        sim.run();
-        assert!(!hit.get());
-        assert_eq!(sim.events_executed(), 0);
-    }
-
-    #[test]
-    fn cancel_after_run_is_noop() {
-        let mut sim = Sim::new();
-        let hit = Rc::new(Cell::new(false));
-        let h = hit.clone();
-        let handle = sim.schedule_cancelable(ns(10), move |_| h.set(true));
-        sim.run();
-        assert!(hit.get());
-        handle.cancel(); // nothing to suppress; must not panic
-    }
-
-    #[test]
     fn stop_halts_run() {
         let mut sim = Sim::new();
         let count = Rc::new(Cell::new(0));
@@ -441,9 +353,9 @@ mod tests {
         }
         sim.run();
         assert_eq!(count.get(), 3);
-        sim.resume();
+        assert_eq!(sim.events_executed(), 3);
         sim.run();
-        assert_eq!(count.get(), 10);
+        assert_eq!(count.get(), 3, "a stopped sim stays stopped");
     }
 
     #[test]
@@ -463,33 +375,13 @@ mod tests {
         let end = sim.run_until(ns(100));
         assert_eq!(*order.borrow(), vec!["at-deadline", "chained"]);
         assert_eq!(end, ns(100), "clock rests at the deadline, not past it");
-        assert_eq!(sim.events_pending(), 1, "the 101 ns event is untouched");
         sim.run();
         assert_eq!(order.borrow().last(), Some(&"past-deadline"));
+        assert_eq!(sim.events_executed(), 3, "the 101 ns event ran once, after");
     }
 
     #[test]
-    fn cancel_of_executed_event_leaves_pending_events_alone() {
-        let mut sim = Sim::new();
-        let hits = Rc::new(Cell::new(0u32));
-        let h = hits.clone();
-        let executed = sim.schedule_cancelable(ns(10), move |_| h.set(h.get() + 1));
-        let h = hits.clone();
-        let pending = sim.schedule_cancelable(ns(30), move |_| h.set(h.get() + 10));
-        sim.run_until(ns(20));
-        assert_eq!(hits.get(), 1, "first event ran");
-        // Cancelling the already-executed event is a pure no-op: it cannot
-        // un-run, and it must not leak into the still-pending handle.
-        executed.cancel();
-        executed.cancel(); // idempotent
-        assert!(executed.is_cancelled(), "flag records the (futile) cancel");
-        assert!(!pending.is_cancelled());
-        sim.run();
-        assert_eq!(hits.get(), 11, "the pending event still ran");
-    }
-
-    #[test]
-    fn stop_mid_step_freezes_run_until_clock_and_resume_continues() {
+    fn stop_mid_step_freezes_run_until_clock() {
         let mut sim = Sim::new();
         let log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
@@ -501,16 +393,12 @@ mod tests {
         sim.schedule(ns(20), move |sim| l.borrow_mut().push(sim.now().as_ns()));
         let end = sim.run_until(ns(50));
         // Stopped mid-run: the clock stays at the stopping event's time
-        // rather than jumping to the deadline (a stopped sim must be
-        // resumable exactly where it halted).
+        // rather than jumping to the deadline.
         assert_eq!(end, ns(10));
-        assert!(sim.is_stopped());
-        assert_eq!(sim.events_pending(), 1);
         assert!(!sim.step(), "step is inert while stopped");
         assert_eq!(sim.run_until(ns(50)), ns(10), "run_until is inert too");
-        sim.resume();
-        assert_eq!(sim.run_until(ns(50)), ns(50));
-        assert_eq!(*log.borrow(), vec![10, 20]);
+        assert_eq!(sim.events_executed(), 1);
+        assert_eq!(*log.borrow(), vec![10]);
     }
 
     #[test]

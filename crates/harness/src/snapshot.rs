@@ -15,9 +15,7 @@
 //! consumers like this one pay for the clock reads.
 
 use pioman::hist::HistSnapshot;
-use pioman::{
-    presets, CpuSet, HookPoint, ManagerConfig, ManagerStats, TaskClass, TaskManager, TaskStatus,
-};
+use pioman::{presets, CpuSet, ManagerConfig, ManagerStats, TaskClass, TaskManager, TaskStatus};
 use std::fmt::Write as _;
 
 /// Renders `stats` as Prometheus-text-shaped JSON (see module docs).
@@ -113,27 +111,6 @@ pub fn render_stats_json(stats: &ManagerStats) -> String {
         "Dependency-waitlist releases per QoS class.",
         &stats.waitlist_released_by_class,
     );
-
-    // Hook invocations, labelled by keypoint.
-    out.push_str(
-        "  \"piom_hook_invocations_total\": { \"type\": \"counter\", \
-         \"help\": \"Scheduler keypoint invocations by hook.\", \"samples\": [\n",
-    );
-    for (i, (hook, v)) in [
-        ("idle", stats.hook_idle),
-        ("context_switch", stats.hook_context_switch),
-        ("timer", stats.hook_timer),
-    ]
-    .iter()
-    .enumerate()
-    {
-        let sep = if i == 2 { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{ \"labels\": {{ \"hook\": \"{hook}\" }}, \"value\": {v} }}{sep}"
-        );
-    }
-    out.push_str("  ] },\n");
 
     // The submit→execute latency histogram (always emitted: `null` when
     // the manager was built without the flag, so consumers can tell
@@ -319,11 +296,6 @@ pub fn render_stats_text(stats: &ManagerStats) -> String {
         "waitlist releases     {}",
         stats.total_waitlist_released()
     );
-    let _ = writeln!(
-        out,
-        "hook invocations      idle={} ctx={} timer={}",
-        stats.hook_idle, stats.hook_context_switch, stats.hook_timer
-    );
     match &stats.latency {
         Some(snap) => {
             let s = snap.summary();
@@ -389,7 +361,7 @@ pub fn demo_stats() -> ManagerStats {
         .cpuset(CpuSet::single(2))
         .class(TaskClass::Background)
         .spawn();
-    // One oneshot per core, then drain via the three keypoint kinds.
+    // One oneshot per core, then a keypoint on every core.
     let handles: Vec<_> = (0..n)
         .map(|c| {
             mgr.task(|_| TaskStatus::Done)
@@ -398,14 +370,14 @@ pub fn demo_stats() -> ManagerStats {
         })
         .collect();
     for c in 0..n {
-        mgr.hook(HookPoint::Idle, c);
+        mgr.schedule(c);
     }
     while !poll.is_complete() {
-        mgr.hook(HookPoint::TimerInterrupt, 0);
+        mgr.schedule(0);
     }
     // The poll's completion released the Bulk dependent onto core 0.
-    mgr.hook(HookPoint::Idle, 0);
-    mgr.hook(HookPoint::ContextSwitch, 1);
+    mgr.schedule(0);
+    mgr.schedule(1);
     assert!(handles.iter().all(|h| h.is_complete()));
     for h in [urgent, bulk_after, background] {
         assert!(h.is_complete());
@@ -442,7 +414,6 @@ mod tests {
             "piom_class_stolen_total",
             "piom_class_waitlist_released_total",
             "piom_task_class_latency_ns",
-            "piom_hook_invocations_total",
         ] {
             assert!(json.contains(family), "missing family {family}");
         }

@@ -182,7 +182,7 @@ fn stats_subcommand_exports_prometheus_shaped_json() {
         "\"piom_task_latency_ns\": { \"type\": \"histogram\"",
         "\"le\": \"+Inf\"",
         "\"piom_core_executed_total\"",
-        "\"hook\": \"timer\"",
+        "\"class\": \"bulk\"",
     ] {
         assert!(json.contains(marker), "missing {marker}:\n{json}");
     }

@@ -375,3 +375,14 @@ fn stream_round_has_an_exact_shape() {
         assert_eq!(a.stale_control_packets + b.stale_control_packets, 0);
     }
 }
+
+/// The protocol core's exact layout: every engine call touches it, so a
+/// change here moves cache lines under the benchmark and must be on purpose.
+#[test]
+fn core_layout_is_pinned() {
+    use core::mem::{align_of, size_of};
+    assert_eq!(
+        (size_of::<Core<ReqHandle>>(), align_of::<Core<ReqHandle>>()),
+        (376, 8)
+    );
+}

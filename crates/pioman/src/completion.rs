@@ -55,7 +55,7 @@ type Body = dyn FnMut(&TaskContext<'_>) -> TaskStatus + Send;
 /// dropped before completion is published. A task nobody waits on or
 /// depends on completes with one `fetch_add` — no lock, no syscall, no
 /// allocation; the slow block exists only once somebody registers (a
-/// blocking `wait`, an `.after()` dependent, `set_deps`) or a body panics.
+/// blocking `wait` or an `.after()` dependent) or a body panics.
 ///
 /// The handshake is two totally ordered RMWs on `state`: a registrant does
 /// `lock(slow); fetch_or(SLOW)`, the completer `fetch_add(phase − REF)`
@@ -87,9 +87,6 @@ struct SlowInner {
     /// Dependents parked on this task (`.after(&handle)`), drained exactly
     /// once by the completion path.
     dependents: Vec<Arc<PendingTask>>,
-    /// The tasks *this* task waits on, recorded at spawn for the cycle
-    /// check and dropped on completion, so finished pipelines free.
-    deps: Vec<TaskHandle>,
 }
 
 impl Block<Body> {
@@ -126,15 +123,12 @@ impl Block<Body> {
         Some(guard)
     }
 
-    /// Wakes blocked handles and empties the slow block: the dependency
-    /// edges are dropped, the dependents returned.
+    /// Wakes blocked handles and hands back the dependents.
     fn drain(&self) -> Vec<Arc<PendingTask>> {
         let slow = self.slow();
         let mut inner = slow.inner.lock();
         slow.condvar.notify_all();
-        let (deps, dependents) = (take(&mut inner.deps), take(&mut inner.dependents));
-        drop((inner, deps));
-        dependents
+        take(&mut inner.dependents)
     }
 
     fn phase(&self) -> usize {
@@ -225,9 +219,9 @@ impl TaskBody {
     /// Completes the task after its last run: drops the body, publishes the
     /// phase (`PANICKED` if `panic` holds the run's payload or the drop
     /// panicked) and releases the task's reference in one `fetch_add`. Only
-    /// if somebody registered does it wake blocked handles and drop the
-    /// dependency edges; the drained dependents go to the caller, to be
-    /// dispatched even after a panic (a dependency orders, it does not gate).
+    /// if somebody registered does it wake blocked handles and drain the
+    /// dependents, which go to the caller, to be dispatched even after a
+    /// panic (a dependency orders, it does not gate).
     ///
     /// `AcqRel`: Release makes the task's side effects, the body's drop and
     /// the panic message happen-before any Acquire observation of the phase;
@@ -269,8 +263,9 @@ impl TaskBody {
 
 /// A task dropped unrun (its manager went away, its spec was never
 /// spawned) drops its body and its reference; its handles stay pending. It
-/// also drops what its slow block holds — dependents it can never release,
-/// its own dependency edges — which would otherwise keep cycles alive.
+/// also lets go of the dependents parked on it, which it can never release:
+/// a dependent's body may hold this task's handle, and would otherwise keep
+/// the block alive through its own slow block.
 impl Drop for TaskBody {
     fn drop(&mut self) {
         // SAFETY: `self` is being dropped; nothing runs the body again.
@@ -329,11 +324,6 @@ impl TaskHandle {
         unsafe { self.ptr.as_ref() }
     }
 
-    /// The block's address: equal for handles to the same task.
-    pub(crate) fn addr(&self) -> *const u8 {
-        self.ptr.as_ptr().cast()
-    }
-
     /// Registers a dependent to be released when this task completes.
     /// Returns `false` if this task is already complete — the caller must
     /// satisfy the dependency directly (the waiter will never be drained).
@@ -345,23 +335,6 @@ impl TaskHandle {
             }
             None => false,
         }
-    }
-
-    /// Records the dependency edges of this task (spawn-time bookkeeping
-    /// for the cycle check).
-    pub(crate) fn set_deps(&self, deps: Vec<TaskHandle>) {
-        if let Some(mut slow) = self.block().register() {
-            slow.deps = deps;
-        }
-    }
-
-    /// Snapshot of the pending dependency edges (empty once complete).
-    pub(crate) fn deps_snapshot(&self) -> Vec<TaskHandle> {
-        self.block()
-            .slow
-            .get()
-            .map(|slow| slow.inner.lock().deps.clone())
-            .unwrap_or_default()
     }
 
     /// `true` once the task has run to completion (or panicked).
@@ -453,8 +426,15 @@ mod tests {
 
     /// A dependent parked on one predecessor.
     fn dependent() -> Arc<PendingTask> {
+        dependent_running(|_| TaskStatus::Done)
+    }
+
+    /// A dependent with `body`, parked on one predecessor.
+    fn dependent_running(
+        body: impl FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
+    ) -> Arc<PendingTask> {
         let task = Task {
-            body: block().0,
+            body: TaskBody::new(body).0,
             repeat: false,
             class: TaskClass::Interactive,
             cpuset: TaskSet::new(&CpuSet::single(0)),
@@ -499,7 +479,6 @@ mod tests {
         let (body, h) = block();
         assert_eq!(refs(&h), 2, "the task's and the handle's");
         assert!(h.poll().is_none() && !h.is_complete());
-        assert!(h.deps_snapshot().is_empty());
         assert!(body.finish(None).is_empty());
         assert_eq!(h.poll(), Some(Ok(())));
         // Waiting on, or registering with, a finished task needs no slow
@@ -510,6 +489,24 @@ mod tests {
             "the fast path allocated a slow block"
         );
         assert_eq!(h.block().state.load(Ordering::Relaxed), DONE | REF);
+    }
+
+    /// Exact layouts of the structures every round trip touches: a change
+    /// here moves cache lines under the benchmark, so it must be on purpose.
+    #[test]
+    fn hot_layouts_are_pinned() {
+        use crate::queue::TaskQueue;
+        use core::mem::{align_of, size_of};
+        assert_eq!(
+            (size_of::<TaskQueue>(), align_of::<TaskQueue>()),
+            (768, 128)
+        );
+        assert_eq!((size_of::<Task>(), align_of::<Task>()), (64, 8));
+        assert_eq!((size_of::<Block<()>>(), align_of::<Block<()>>()), (24, 8));
+        assert_eq!(
+            (size_of::<TaskManager>(), align_of::<TaskManager>()),
+            (384, 128)
+        );
     }
 
     #[test]
@@ -575,33 +572,51 @@ mod tests {
 
     #[test]
     fn dependency_edges_are_freed_on_completion() {
-        let (_pred_body, pred) = block();
-        let (body, h) = block();
-        h.set_deps(vec![pred.clone()]);
-        assert_eq!(h.deps_snapshot().len(), 1);
-        assert_eq!(refs(&pred), 3);
-        assert!(body.finish(None).is_empty());
-        assert!(h.deps_snapshot().is_empty());
-        assert_eq!(refs(&pred), 2, "the edge was dropped");
+        // A dependent holds no reference to its predecessor: the one edge
+        // is the waiter entry in the predecessor's slow block, which the
+        // drain drops. The dependent registers nothing, so it completes on
+        // the one-`fetch_add` path with no slow block of its own.
+        let mgr = TaskManager::new(piom_topology::presets::kwak().into());
+        let pred = mgr
+            .task(|_| TaskStatus::Done)
+            .cpuset(CpuSet::single(0))
+            .spawn();
+        let dependent = mgr
+            .task(|_| TaskStatus::Done)
+            .cpuset(CpuSet::single(0))
+            .after(&pred)
+            .spawn();
+        assert_eq!(refs(&pred), 3, "the task's, the handle's, the slow path's");
+        assert!(dependent.block().slow.get().is_none());
+        assert_eq!(mgr.schedule_batch(0, 1), 1);
+        assert_eq!(refs(&pred), 1, "the edge was dropped");
+        assert_eq!(mgr.schedule_batch(0, 1), 1);
+        assert_eq!(dependent.poll(), Some(Ok(())));
+        assert!(dependent.block().slow.get().is_none());
+        assert_eq!(refs(&dependent), 1);
     }
 
     #[test]
     fn a_task_dropped_unrun_releases_its_dependents_and_edges() {
-        let (pred_body, pred) = block();
+        // The dependent's body holds the dropped task's handle: a reference
+        // loop through the slow block that the drop must break.
         let (body, h) = block();
-        let d = dependent();
+        let captured = h.clone();
+        let d = dependent_running(move |_| {
+            let _ = &captured;
+            TaskStatus::Done
+        });
         assert!(h.add_waiter(d.clone()));
-        h.set_deps(vec![pred.clone()]);
+        assert_eq!(refs(&h), 4, "task, two handles, slow path");
         drop(body);
         assert!(!h.is_complete(), "a dropped task is not complete");
         assert_eq!(Arc::strong_count(&d), 1, "the dependent was let go");
-        assert_eq!(refs(&pred), 2, "the edge was dropped");
-        assert_eq!(refs(&h), 1, "the task's and the slow path's went");
+        assert_eq!(refs(&h), 2, "the task's and the slow path's went");
+        drop(d);
+        assert_eq!(refs(&h), 1, "the dependent's edge back went with it");
         // A later registrant adds no reference nobody would drop.
         assert!(h.add_waiter(dependent()));
         assert_eq!(refs(&h), 1);
-        drop(pred_body);
-        assert_eq!(refs(&pred), 1);
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //!   queue up to the global queue, running everything it may;
 //! * the thread scheduler calls the task manager at **keypoints** — CPU
 //!   idleness, context switches, timer interrupts — so communication makes
-//!   progress inside scheduling holes and overlaps with computation
-//!   ([`HookPoint`], [`Progression`]);
+//!   progress inside scheduling holes and overlaps with computation. On OS
+//!   threads there is one keypoint, the idle loop of a [`Progression`]
+//!   worker (one per core); any thread may also run one by hand with
+//!   [`TaskManager::schedule`];
 //! * beyond the paper, the scan is **batched** — a keypoint that finds a
 //!   backlog drains a whole pass under one lock acquisition
 //!   ([`TaskManager::schedule_batch`]), with the per-keypoint budget sized
@@ -42,8 +44,10 @@
 //!   **QoS class** ([`TaskClass`]: per-queue lanes served in strict
 //!   priority order with a bounded anti-starvation bypass, submission
 //!   order within a class) and **dependencies** ([`SubmitSpec::after`])
-//!   parking the task on a waitlist until its predecessors complete — the
-//!   QoS-tier contract lives in `docs/SCHEDULER.md` ("QoS tiers").
+//!   parking the task on a waitlist until its predecessors complete. A
+//!   handle exists only once its task is spawned, so the dependency graph
+//!   is acyclic by construction. The QoS-tier contract lives in
+//!   `docs/SCHEDULER.md` ("QoS tiers").
 //!
 //! The authoritative description of the submit → batch → steal →
 //! park/wake lifecycle — state diagram, invariants, and a glossary of
@@ -94,8 +98,8 @@ mod task;
 pub use completion::{TaskError, TaskHandle};
 pub use hist::{HistSnapshot, Histogram, PercentileSummary};
 pub use manager::{
-    HookPoint, ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_SPILL_THRESHOLD,
-    MAX_BATCH, MIN_BATCH,
+    ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_SPILL_THRESHOLD, MAX_BATCH,
+    MIN_BATCH,
 };
 pub use progression::{Progression, ProgressionConfig, MAX_PROBE_STRIKES};
 pub use queue::{Classed, QueueId, SeqLanes, BACKGROUND_BYPASS_LIMIT};

@@ -80,34 +80,12 @@ impl Default for ManagerConfig {
     }
 }
 
-/// Thread-scheduler keypoints at which the task manager is invoked
-/// (paper §III: "CPU idleness, context switches, timer interrupts").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HookPoint {
-    /// A core ran out of ready threads.
-    Idle,
-    /// The thread scheduler switched contexts on a core.
-    ContextSwitch,
-    /// The periodic timer fired on a core.
-    TimerInterrupt,
-}
-
 // Reused per thread so steady-state keypoints never allocate. Taken (not
 // borrowed): a task body that re-enters the scheduler simply sees an empty
 // scratch instead of a reentrancy panic.
 thread_local! {
     static SCRATCH: core::cell::Cell<Vec<Task>> =
         const { core::cell::Cell::new(Vec::new()) };
-}
-
-impl HookPoint {
-    fn index(self) -> usize {
-        match self {
-            HookPoint::Idle => 0,
-            HookPoint::ContextSwitch => 1,
-            HookPoint::TimerInterrupt => 2,
-        }
-    }
 }
 
 /// Per-core scheduler state, one cache-line-padded block per core: a
@@ -132,11 +110,12 @@ struct CoreState {
     /// Containers (socket overflows and victim queues) consulted by park
     /// probes: the work a pre-park scan actually performs.
     park_polls: AtomicU64,
-    /// Whether a progression worker is registered for this core: lets
+    /// Whether a progression worker has claimed this core: lets
     /// [`TaskManager::wake_cores`] skip the waker mutex of a workerless
-    /// core with one load. Set *before* the waker installs and cleared
-    /// *after* it is removed, so `false` means no waker; a worker between
-    /// registration and its first keypoint scan sees the task in that scan.
+    /// core with one load, and refuses a second worker. Set *before* the
+    /// waker installs and cleared *after* it is removed, so `false` means
+    /// no waker; a worker between its claim and its first keypoint scan
+    /// sees the task in that scan.
     waker_present: CachePadded<AtomicBool>,
 }
 
@@ -156,11 +135,6 @@ pub struct TaskManager {
     /// Per-core hot counters + waker-presence flag, each core on its own
     /// cache line (see [`CoreState`]).
     cores: Vec<CachePadded<CoreState>>,
-    /// Hook invocation counters, indexed by `HookPoint::index`. Padded:
-    /// a worker bumps one on every keypoint, and the read-mostly fields
-    /// every submission loads (`queues`, `config`, …) must not share its
-    /// line.
-    hook_counts: CachePadded<[AtomicU64; 3]>,
     /// Progression workers to unpark when work arrives, one slot per core.
     wakers: Vec<Mutex<Option<Thread>>>,
     /// Per-core victim scan, socket-major: the core's own socket's victim
@@ -285,7 +259,6 @@ impl TaskManager {
             topo,
             queues,
             cores,
-            hook_counts: Default::default(),
             wakers,
             steal_order,
             sockets,
@@ -337,16 +310,13 @@ impl TaskManager {
     /// assert_eq!(mgr.schedule_batch(0, 6), 0);
     /// ```
     pub fn schedule_batch(&self, core: usize, max: usize) -> usize {
-        self.keypoint(None, core, max).0
+        self.keypoint(core, max).0
     }
 
-    /// [`schedule_batch`](Self::schedule_batch), counted as hook `at`, and
-    /// whether it only put back tasks `core` may not run, each queue passed
-    /// whole: it ran none and took fewer than `max` (a cut pass takes `max`).
-    pub(crate) fn keypoint(&self, at: Option<HookPoint>, core: usize, max: usize) -> (usize, bool) {
-        if let Some(point) = at {
-            self.hook_counts[point.index()].fetch_add(1, Ordering::Relaxed);
-        }
+    /// [`schedule_batch`](Self::schedule_batch), and whether it only put
+    /// back tasks `core` may not run, each queue passed whole: it ran none
+    /// and took fewer than `max` (a cut pass takes `max`).
+    pub(crate) fn keypoint(&self, core: usize, max: usize) -> (usize, bool) {
         debug_assert!(core < self.topo.n_cores(), "core id out of range");
         let (mut ran, mut took) = (0, 0);
         let socket_node = self.sockets[self.core_socket[core] as usize].node;
@@ -537,19 +507,6 @@ impl TaskManager {
         true
     }
 
-    /// Scheduler-keypoint entry: records which hook fired and schedules.
-    pub fn hook(&self, point: HookPoint, core: usize) -> bool {
-        self.hook_batch(point, core, usize::MAX) > 0
-    }
-
-    /// [`hook`](Self::hook) with a task budget: records the keypoint and
-    /// runs [`schedule_batch`](Self::schedule_batch). Progression workers
-    /// keypoint the same way so one invocation cannot monopolize a core
-    /// when a large backlog arrives at once.
-    pub fn hook_batch(&self, point: HookPoint, core: usize, max: usize) -> usize {
-        self.keypoint(Some(point), core, max).0
-    }
-
     /// Total tasks currently enqueued anywhere — queues and socket
     /// overflows (racy hint).
     pub fn pending_tasks(&self) -> usize {
@@ -649,9 +606,6 @@ impl TaskManager {
                     }
                 })
                 .collect(),
-            hook_idle: self.hook_counts[0].load(Ordering::Relaxed),
-            hook_context_switch: self.hook_counts[1].load(Ordering::Relaxed),
-            hook_timer: self.hook_counts[2].load(Ordering::Relaxed),
             executed_by_class: class_totals(&executed),
             stolen_by_class: class_totals(&stolen),
             waitlist_released_by_class: core::array::from_fn(|i| {
@@ -881,22 +835,6 @@ mod tests {
         assert_eq!(mgr.pending_tasks(), 1);
         mgr.schedule(0);
         assert_eq!(mgr.pending_tasks(), 0);
-    }
-
-    #[test]
-    fn hooks_count_and_schedule() {
-        let mgr = kwak_mgr();
-        mgr.task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        assert!(mgr.hook(HookPoint::Idle, 0));
-        mgr.hook(HookPoint::TimerInterrupt, 1);
-        mgr.hook(HookPoint::ContextSwitch, 2);
-        mgr.hook(HookPoint::ContextSwitch, 3);
-        let stats = mgr.stats();
-        assert_eq!(stats.hook_idle, 1);
-        assert_eq!(stats.hook_timer, 1);
-        assert_eq!(stats.hook_context_switch, 2);
     }
 
     #[test]

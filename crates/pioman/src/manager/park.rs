@@ -53,17 +53,22 @@ impl TaskManager {
         hit
     }
 
-    /// Registers the calling progression worker as the runner for `core`
-    /// so submissions can unpark it. Returns the previous registrant.
-    pub(crate) fn register_waker(&self, core: usize, thread: Thread) -> Option<Thread> {
-        // Presence first: a submitter that reads `true` before the slot
-        // fills pays one harmless mutex peek; one that reads `false`
-        // after it fills cannot exist.
-        self.cores[core].waker_present.store(true, Ordering::SeqCst);
-        self.wakers[core].lock().replace(thread)
+    /// Claims `core` for a progression worker, before the worker exists;
+    /// `false` if it already has one. Presence first: a submitter that
+    /// reads `true` before the slot fills pays one harmless mutex peek; one
+    /// that reads `false` after it fills cannot exist.
+    pub(crate) fn claim_worker(&self, core: usize) -> bool {
+        !self.cores[core].waker_present.swap(true, Ordering::SeqCst)
     }
 
-    /// Removes the waker registration for `core`.
+    /// Installs the calling worker, which [`claim_worker`](Self::claim_worker)
+    /// claimed `core` for, so submissions can unpark it.
+    pub(crate) fn register_waker(&self, core: usize, thread: Thread) {
+        let previous = self.wakers[core].lock().replace(thread);
+        debug_assert!(previous.is_none(), "core {core} had a worker");
+    }
+
+    /// Removes the waker registration for `core` and its claim.
     pub(crate) fn unregister_waker(&self, core: usize) {
         self.wakers[core].lock().take();
         self.cores[core]

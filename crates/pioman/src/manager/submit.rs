@@ -136,28 +136,6 @@ impl TaskManager {
             }
         }
     }
-
-    /// Panics iff making `new` depend on `deps` would close a dependency
-    /// cycle: depth-first walk of the recorded dependency edges
-    /// ([`TaskHandle::deps_snapshot`]) looking for `new` itself. Called at
-    /// spawn time, before any waiter is registered, so a rejected
-    /// submission has no side effects on its predecessors.
-    fn assert_acyclic(new: &TaskHandle, deps: &[TaskHandle]) {
-        let mut visited = Vec::new();
-        let mut stack = deps.to_vec();
-        while let Some(h) = stack.pop() {
-            if h.addr() == new.addr() {
-                panic!("dependency cycle: a task cannot (transitively) run after itself");
-            }
-            if visited.contains(&h.addr()) {
-                continue;
-            }
-            visited.push(h.addr());
-            // Completed predecessors have empty snapshots: the walk only
-            // follows edges that can still delay anything.
-            stack.extend(h.deps_snapshot());
-        }
-    }
 }
 
 /// A task submission being built: created by [`TaskManager::task`],
@@ -176,10 +154,9 @@ pub struct SubmitSpec<'m> {
     repeat: bool,
     class: TaskClass,
     deps: Vec<TaskHandle>,
-    /// Created with the spec (not at spawn) so [`handle`](Self::handle) can
-    /// hand out references to the not-yet-spawned task — which is what
-    /// makes dependency cycles *expressible*, and why
-    /// [`spawn`](Self::spawn) checks for them.
+    /// Handed out only by [`spawn`](Self::spawn), so every
+    /// [`after`](Self::after) edge points at a task already spawned and the
+    /// dependency graph is acyclic by construction.
     handle: TaskHandle,
 }
 
@@ -238,24 +215,15 @@ impl SubmitSpec<'_> {
         self
     }
 
-    /// The handle of the task being built, available *before*
-    /// [`spawn`](Self::spawn). Useful for wiring graphs where a
-    /// predecessor's body needs the successor's handle.
-    pub fn handle(&self) -> TaskHandle {
-        self.handle.clone()
-    }
-
     /// Builds the task and hands it to the scheduler: enqueued immediately
     /// when it has no pending dependencies, parked on the waitlist
-    /// otherwise. Returns the same handle as [`handle`](Self::handle).
+    /// otherwise. Returns the task's handle.
     ///
     /// # Panics
     ///
-    /// Panics if the CPU set selects no core of this machine, if
+    /// Panics if the CPU set selects no core of this machine, or if
     /// [`on_core`](Self::on_core) named a core outside the topology or
-    /// outside the CPU set, or if the [`after`](Self::after) edges would
-    /// close a dependency cycle (checked before any waiter is registered,
-    /// so a rejected spawn leaves its predecessors untouched).
+    /// outside the CPU set.
     pub fn spawn(self) -> TaskHandle {
         let mgr = self.mgr;
         let requested = self.cpuset.unwrap_or_else(|| mgr.topo.all_cores());
@@ -290,8 +258,6 @@ impl SubmitSpec<'_> {
             return self.handle;
         }
         let deps = self.deps;
-        TaskManager::assert_acyclic(&self.handle, &deps);
-        self.handle.set_deps(deps.clone());
         let pending = PendingTask::new(task, deps.len());
         // A predecessor already complete at registration time will never
         // drain this waiter; satisfy its share here. Wherever the *last*
@@ -525,41 +491,5 @@ mod tests {
         mgr.schedule(0);
         assert!(dependent.is_complete());
         assert_eq!(mgr.stats().total_waitlist_released(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "dependency cycle")]
-    fn dependency_cycle_rejected_at_spawn() {
-        let mgr = kwak_mgr();
-        // `handle()` makes the cycle expressible: b waits on a's future
-        // handle, then a tries to wait on b.
-        let spec_a = mgr.task(|_| TaskStatus::Done).cpuset(CpuSet::single(0));
-        let ha = spec_a.handle();
-        let hb = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .after(&ha)
-            .spawn();
-        let _ = spec_a.after(&hb).spawn();
-    }
-
-    #[test]
-    #[should_panic(expected = "dependency cycle")]
-    fn self_dependency_rejected_at_spawn() {
-        let mgr = kwak_mgr();
-        let spec = mgr.task(|_| TaskStatus::Done).cpuset(CpuSet::single(0));
-        let own = spec.handle();
-        let _ = spec.after(&own).spawn();
-    }
-
-    #[test]
-    fn spec_handle_is_the_spawned_handle() {
-        let mgr = kwak_mgr();
-        let spec = mgr.task(|_| TaskStatus::Done).cpuset(CpuSet::single(0));
-        let early = spec.handle();
-        let spawned = spec.spawn();
-        assert!(!early.is_complete());
-        mgr.schedule(0);
-        assert!(early.is_complete() && spawned.is_complete());
     }
 }

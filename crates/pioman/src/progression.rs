@@ -4,12 +4,12 @@
 //! In the paper, PIOMan is invoked by the thread scheduler when a CPU goes
 //! idle, at context switches, and on timer interrupts (§III, §IV-A). On
 //! stock OS threads there is no scheduler to hook, so this module provides
-//! the equivalent service: one worker thread per (virtual) core that invokes
-//! the task manager whenever work may be available, parking itself when its
-//! queues are empty — an idle core in the paper's sense. Submissions unpark
-//! exactly the workers whose cores may run the new task, and an optional
-//! timer thread plays the role of the timer interrupt, bounding the latency
-//! of event detection even when wake-ups race.
+//! the equivalent service: one worker thread per (virtual) core whose idle
+//! loop is that core's one keypoint. It invokes the task manager whenever
+//! work may be available and parks when its queues are empty — an idle core
+//! in the paper's sense. Submissions unpark exactly the workers whose cores
+//! may run the new task, and `park_timeout` bounds the latency of event
+//! detection even if a wake-up were missed. A core has at most one worker.
 //!
 //! Parking is **steal-aware**: before sleeping, a worker re-checks its
 //! own path ([`TaskManager::has_work_for`], unless its keypoint only
@@ -17,7 +17,7 @@
 //! [`TaskManager::park_probe`] over its victim queues — a hit sends it
 //! back to the keypoint (where the steal path will take the backlog)
 //! instead of to sleep, so a remote imbalance is picked up in probe time
-//! rather than a park-timeout/timer period. Because the probe's span
+//! rather than a park timeout. Because the probe's span
 //! filter may over-approximate, consecutive fruitless hits are bounded
 //! ([`MAX_PROBE_STRIKES`]) before the worker parks anyway. None of these
 //! checks is needed for a wake-up to arrive: a submission unparks every
@@ -26,7 +26,7 @@
 //! The full submit → batch → steal → park/wake lifecycle, with its
 //! invariants, is documented in `docs/SCHEDULER.md`.
 
-use crate::manager::{HookPoint, TaskManager};
+use crate::manager::TaskManager;
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -41,9 +41,6 @@ pub struct ProgressionConfig {
     /// Upper bound on how long an idle worker sleeps before re-checking its
     /// queues (the "timer interrupt" period of last resort).
     pub park_timeout: Duration,
-    /// Optional timer thread running every configured core's [`HookPoint::TimerInterrupt`]
-    /// keypoint itself at this period, independent of submissions; it unparks no worker.
-    pub timer_period: Option<Duration>,
 }
 
 /// Upper bound on *consecutive* park probes that report stealable backlog
@@ -52,12 +49,12 @@ pub struct ProgressionConfig {
 /// [`TaskManager::park_probe`]; it decays when the queue drains empty,
 /// but bits for tasks still enqueued can also mislead a core those tasks
 /// exclude); after this many fruitless hits the worker parks anyway and
-/// the park-timeout/timer bound takes over.
+/// the park-timeout bound takes over.
 pub const MAX_PROBE_STRIKES: u32 = 3;
 
 impl ProgressionConfig {
     /// Workers for every core of the manager's topology, 100 µs park
-    /// timeout, no dedicated timer thread.
+    /// timeout.
     pub fn all_cores(mgr: &TaskManager) -> Self {
         Self::for_cores((0..mgr.topology().n_cores()).collect::<Vec<_>>())
     }
@@ -67,7 +64,6 @@ impl ProgressionConfig {
         ProgressionConfig {
             cores: cores.into(),
             park_timeout: Duration::from_micros(100),
-            timer_period: None,
         }
     }
 }
@@ -78,21 +74,32 @@ pub struct Progression {
     mgr: Arc<TaskManager>,
     shutdown: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
-    timer: Option<JoinHandle<()>>,
     idle_loops: Arc<AtomicU64>,
     cores: Vec<usize>,
 }
 
 impl Progression {
-    /// Spawns the workers (and timer thread, if configured).
+    /// Spawns one worker per configured core.
     ///
     /// # Panics
     ///
-    /// Panics if a configured core id is outside the manager's topology.
+    /// Panics if a configured core id is outside the manager's topology,
+    /// is listed twice, or already has a worker (of another `Progression`
+    /// on the same manager): a core has one wake slot, and a second worker
+    /// would take it from the first.
     pub fn start(mgr: Arc<TaskManager>, config: ProgressionConfig) -> Progression {
         let n = mgr.topology().n_cores();
         for &c in &config.cores {
             assert!(c < n, "progression core {c} outside topology ({n} cores)");
+        }
+        // A core listed twice is refused by its own first claim.
+        for (i, &c) in config.cores.iter().enumerate() {
+            if !mgr.claim_worker(c) {
+                for &claimed in &config.cores[..i] {
+                    mgr.unregister_waker(claimed);
+                }
+                panic!("progression core {c} already has a worker");
+            }
         }
         let shutdown = Arc::new(AtomicBool::new(false));
         let idle_loops = Arc::new(AtomicU64::new(0));
@@ -120,8 +127,7 @@ impl Progression {
                             // keep the worker away from its shutdown/park
                             // checks indefinitely.
                             let budget = mgr.adaptive_budget(core);
-                            let (ran, bounce_only) =
-                                mgr.keypoint(Some(HookPoint::Idle), core, budget);
+                            let (ran, bounce_only) = mgr.keypoint(core, budget);
                             if ran > 0 {
                                 probe_strikes = 0;
                                 continue;
@@ -142,7 +148,7 @@ impl Progression {
                             // Strikes bound the spin when the span filter
                             // over-approximates: after MAX_PROBE_STRIKES
                             // fruitless hits the worker parks anyway and
-                            // the park timeout / timer takes over.
+                            // the park timeout takes over.
                             if probe_strikes < MAX_PROBE_STRIKES && mgr.park_probe(core) {
                                 probe_strikes += 1;
                                 continue;
@@ -156,31 +162,11 @@ impl Progression {
             })
             .collect();
 
-        let timer = config.timer_period.map(|period| {
-            let mgr = mgr.clone();
-            let shutdown = shutdown.clone();
-            let cores = config.cores.clone();
-            std::thread::Builder::new()
-                .name("piom-timer".to_owned())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        std::thread::sleep(period);
-                        // A broadcast timer interrupt in software: this
-                        // thread runs each core's keypoint; nobody is woken.
-                        for &core in &cores {
-                            mgr.hook(HookPoint::TimerInterrupt, core);
-                        }
-                    }
-                })
-                .expect("spawn progression timer")
-        });
-
         Progression {
             cores: config.cores,
             mgr,
             shutdown,
             workers,
-            timer,
             idle_loops,
         }
     }
@@ -210,9 +196,6 @@ impl Progression {
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        if let Some(t) = self.timer.take() {
-            let _ = t.join();
         }
     }
 }
@@ -272,27 +255,15 @@ mod tests {
     }
 
     #[test]
-    fn timer_thread_drives_progress_without_submission_wakeups() {
-        let mgr = TaskManager::new(presets::uniprocessor().into());
-        let config = ProgressionConfig {
-            timer_period: Some(Duration::from_millis(1)),
-            park_timeout: Duration::from_secs(3600), // park "forever"
-            ..ProgressionConfig::for_cores(vec![0])
-        };
-        let _prog = Progression::start(mgr.clone(), config);
-        // Let the worker park first, then rely on the timer to run the task.
-        std::thread::sleep(Duration::from_millis(10));
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        assert_eq!(h.wait(), Ok(()));
-    }
-
-    #[test]
     #[should_panic(expected = "outside topology")]
     fn bad_core_panics() {
         let mgr = TaskManager::new(presets::uniprocessor().into());
         let _ = Progression::start(mgr, ProgressionConfig::for_cores(vec![5]));
+    }
+    #[test]
+    #[should_panic(expected = "already has a worker")]
+    fn duplicate_core_panics() {
+        let mgr = TaskManager::new(presets::uniprocessor().into());
+        let _ = Progression::start(mgr, ProgressionConfig::for_cores(vec![0, 0]));
     }
 }

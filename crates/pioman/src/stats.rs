@@ -105,12 +105,6 @@ pub struct ManagerStats {
     /// only on managers built before any topology — never in practice;
     /// single-socket machines still report their one inert socket).
     pub sockets: Vec<SocketStats>,
-    /// Invocations of the idle hook.
-    pub hook_idle: u64,
-    /// Invocations of the context-switch hook.
-    pub hook_context_switch: u64,
-    /// Invocations of the timer hook.
-    pub hook_timer: u64,
     /// Task executions per QoS class, indexed by
     /// [`TaskClass::index`](crate::TaskClass::index) (repeat runs count
     /// each time). Sums to `total_executed()`.
@@ -218,9 +212,6 @@ mod tests {
             park_probe_misses: vec![0; n],
             park_probe_polls: vec![0; n],
             sockets: vec![],
-            hook_idle: 0,
-            hook_context_switch: 0,
-            hook_timer: 0,
             executed_by_class: [0; crate::task::CLASS_COUNT],
             stolen_by_class: [0; crate::task::CLASS_COUNT],
             waitlist_released_by_class: [0; crate::task::CLASS_COUNT],

@@ -4,7 +4,7 @@
 //! The first test drives the worker lifecycle *by hand* — the park-probe
 //! decision and the keypoints it feeds back into are public API — so the
 //! paper-critical property ("an idle core reacts to a remote backlog
-//! without waiting for a timer keypoint") is asserted with zero timing
+//! without waiting for a park timeout") is asserted with zero timing
 //! dependence. The live-`Progression` tests then pin the same contract on
 //! real worker threads, with bounded waits only on *observable* state
 //! (park-probe misses, task completion), never on sleeps standing in for
@@ -13,6 +13,7 @@
 use piom_cpuset::CpuSet;
 use piom_topology::presets;
 use pioman::{Progression, ProgressionConfig, TaskManager, TaskStatus, MAX_BATCH};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// `true` once `core`'s worker has had a park probe miss: it has run every
@@ -35,7 +36,7 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 /// empty while a *distant* victim (core 12, across the kwak interconnect)
 /// holds a backlog core 0 may steal. The pre-park probe must see it —
 /// sending the worker back to the keypoint, whose steal path drains the
-/// backlog — without a single timer keypoint firing.
+/// backlog — on keypoints alone, with no worker and no timeout involved.
 #[test]
 fn park_probe_path_drains_distant_backlog_without_timer() {
     let mgr = TaskManager::new(presets::kwak().into());
@@ -65,7 +66,6 @@ fn park_probe_path_drains_distant_backlog_without_timer() {
 
     let stats = mgr.stats();
     assert!(stats.park_probe_hits[0] > 0, "the probe path was exercised");
-    assert_eq!(stats.hook_timer, 0, "no timer keypoint fired");
     assert_eq!(stats.stolen_by_core[0], 8, "everything came via steals");
     assert_eq!(stats.executed_by_core[12], 0, "the home core never ran");
 }
@@ -119,7 +119,6 @@ fn worker_parks_when_its_path_holds_only_tasks_it_may_not_run() {
     let mgr = TaskManager::new(presets::kwak().into());
     let config = ProgressionConfig {
         park_timeout: Duration::from_millis(1),
-        timer_period: None,
         ..ProgressionConfig::for_cores(vec![5])
     };
     let prog = Progression::start(mgr.clone(), config);
@@ -161,7 +160,6 @@ fn worker_reaches_a_runnable_task_behind_a_full_budget_of_foreign_ones() {
     let mgr = TaskManager::new(presets::kwak().into());
     let config = ProgressionConfig {
         park_timeout: Duration::from_secs(3600),
-        timer_period: None,
         ..ProgressionConfig::for_cores(vec![5])
     };
     let _prog = Progression::start(mgr.clone(), config);
@@ -185,8 +183,8 @@ fn worker_reaches_a_runnable_task_behind_a_full_budget_of_foreign_ones() {
 /// — a submission landing at the very moment the worker decides to park.
 /// Each even round waits for the worker to be *observably parked* (a park
 /// probe miss since the previous submission: every pre-park check already
-/// ran), submits, and requires completion with the timer disabled and the
-/// park timeout far past the test bound — only a delivered unpark token
+/// ran), submits, and requires completion with the park timeout far past
+/// the test bound — only a delivered unpark token
 /// can finish the round. This is the one pin on the wake protocol: every
 /// submission unparks the registered workers in its cpuset, and a token
 /// that lands before `park_timeout` makes it return at once.
@@ -195,7 +193,6 @@ fn submission_racing_a_parking_worker_never_loses_the_wake() {
     let mgr = TaskManager::new(presets::kwak().into());
     let config = ProgressionConfig {
         park_timeout: Duration::from_secs(3600), // park "forever"
-        timer_period: None,
         ..ProgressionConfig::for_cores(vec![3])
     };
     let _prog = Progression::start(mgr.clone(), config);
@@ -217,19 +214,16 @@ fn submission_racing_a_parking_worker_never_loses_the_wake() {
             .spawn();
         wait_for("racing submission to complete", || h.is_complete());
     }
-    assert_eq!(mgr.stats().hook_timer, 0, "no timer keypoint ever fired");
 }
 
 /// Live workers: a backlog submitted for a busy home core is finished by a
-/// progression worker on another core with the timer disabled and the park
-/// timeout far beyond the test bound — completion can only come from the
-/// wake/steal path, never from a timer keypoint.
+/// progression worker on another core with the park timeout far beyond the
+/// test bound — completion can only come from the wake/steal path.
 #[test]
 fn live_worker_steals_distant_backlog_without_timer() {
     let mgr = TaskManager::new(presets::kwak().into());
     let config = ProgressionConfig {
         park_timeout: Duration::from_secs(3600), // park "forever"
-        timer_period: None,
         ..ProgressionConfig::for_cores(vec![0])
     };
     let _prog = Progression::start(mgr.clone(), config);
@@ -246,20 +240,19 @@ fn live_worker_steals_distant_backlog_without_timer() {
         handles.iter().all(|h| h.is_complete())
     });
     let stats = mgr.stats();
-    assert_eq!(stats.hook_timer, 0, "no timer keypoint fired");
     assert_eq!(stats.stolen_by_core[0], 16);
 }
 
 /// The submission's own wake, end to end: a parked distant worker whose
 /// core is in the tasks' cpuset is unparked by the submissions themselves
 /// (`wake_cores`), finds nothing on its own path, and drains the backlog
-/// homed on core 0 (which has no worker) by stealing — without a timer.
+/// homed on core 0 (which has no worker) by stealing — long before its
+/// park timeout.
 #[test]
 fn submission_wakes_a_parked_thief_in_the_task_cpuset_end_to_end() {
     let mgr = TaskManager::new(presets::kwak().into());
     let config = ProgressionConfig {
         park_timeout: Duration::from_secs(3600),
-        timer_period: None,
         ..ProgressionConfig::for_cores(vec![8])
     };
     let _prog = Progression::start(mgr.clone(), config);
@@ -278,6 +271,39 @@ fn submission_wakes_a_parked_thief_in_the_task_cpuset_end_to_end() {
         handles.iter().all(|h| h.is_complete())
     });
     let stats = mgr.stats();
-    assert_eq!(stats.hook_timer, 0, "no timer keypoint fired");
     assert_eq!(stats.stolen_by_core[8], 16, "the woken thief drained it");
+}
+
+/// One worker per core: a core has one wake slot, so a second `Progression`
+/// on a core that already has a worker is refused, and the first worker
+/// keeps its wake. Were the second accepted, it would take the slot, and
+/// once it shut down submissions would never unpark the first again: with
+/// a one-hour park timeout, the task below would not run.
+#[test]
+fn a_second_worker_on_a_core_is_refused_and_the_first_keeps_its_wake() {
+    let mgr = TaskManager::new(presets::kwak().into());
+    let config = || ProgressionConfig {
+        park_timeout: Duration::from_secs(3600),
+        ..ProgressionConfig::for_cores(vec![0])
+    };
+    let _first = Progression::start(mgr.clone(), config());
+    let start = |config| catch_unwind(AssertUnwindSafe(|| Progression::start(mgr.clone(), config)));
+    assert!(
+        start(config()).is_err(),
+        "a second worker on core 0 was accepted"
+    );
+    // A refused start keeps no claim: one on cores {1, 0} claims core 1,
+    // is refused on core 0 and gives core 1 back.
+    assert!(start(ProgressionConfig::for_cores(vec![1, 0])).is_err());
+    drop(Progression::start(
+        mgr.clone(),
+        ProgressionConfig::for_cores(vec![1]),
+    ));
+    wait_for("worker 0 to park", || parked(&mgr, 0));
+    let h = mgr
+        .task(|_| TaskStatus::Done)
+        .cpuset(CpuSet::single(0))
+        .spawn();
+    wait_for("the first worker to run the task", || h.is_complete());
+    assert_eq!(mgr.stats().executed_by_core[0], 1);
 }

@@ -2,8 +2,9 @@
 //!
 //! A "communication library" (here: a fake one) hands its chores to the
 //! task manager: a one-shot request submission, a repetitive polling task,
-//! and a batch with NUMA affinity. Progression workers play the role of the
-//! thread scheduler's keypoints and run everything in the background.
+//! and a batch with NUMA affinity. One progression worker per core plays the
+//! role of the thread scheduler's idle keypoint and runs everything in the
+//! background.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -117,9 +118,6 @@ fn main() {
     // Where did everything run?
     let stats = mgr.stats();
     println!("executions per core: {:?}", stats.executed_by_core);
-    println!(
-        "hooks fired: idle={} timer={} ctx-switch={}",
-        stats.hook_idle, stats.hook_timer, stats.hook_context_switch
-    );
+    println!("idle keypoints that found nothing: {}", prog.idle_loops());
     drop(prog);
 }
