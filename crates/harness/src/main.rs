@@ -5,9 +5,8 @@
 //! table, writing the trajectory JSON to `PATH` when asked (the committed
 //! `SCENARIOS_pioman.json` is gated by the tier-1 test
 //! `committed_matrix_reproduces_exactly`, not by this binary);
-//! `piom-harness stats [--json]` runs the demo workload with the
-//! submit→execute latency histogram armed and prints the counter snapshot
-//! (Prometheus-text-shaped JSON with `--json`).
+//! `piom-harness stats [--json]` runs the demo workload and prints the
+//! counter snapshot (Prometheus-text-shaped JSON with `--json`).
 
 use piom_harness::{scen, schema, snapshot};
 use piom_scenarios::{Scenario, ScenarioParams};
@@ -20,8 +19,8 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// `piom-harness stats [--json]`: run the demo workload with the latency
-/// histogram enabled and print the resulting [`pioman::ManagerStats`].
+/// `piom-harness stats [--json]`: run the demo workload and print the
+/// resulting [`pioman::ManagerStats`].
 fn run_stats(args: &[String]) {
     let mut json = false;
     for arg in args {

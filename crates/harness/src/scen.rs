@@ -1,7 +1,7 @@
 //! The workload-scenario matrix behind `piom-harness scenarios`.
 //!
 //! `piom_scenarios` owns the workloads and reports each run as a
-//! [`ScenarioReport`] in the shared [`pioman::hist::PercentileSummary`]
+//! [`ScenarioReport`] in the shared [`piom_scenarios::hist::PercentileSummary`]
 //! vocabulary; this module is the thin adapter that turns those reports
 //! into [`Row`]s — the rows of `SCENARIOS_pioman.json` (simulated workload
 //! latency) — and explains, row by row, why a fresh matrix differs from

@@ -3,19 +3,12 @@
 //!
 //! The layout mirrors what a Prometheus text exposition would carry — one
 //! entry per metric *family* with a `type`, a `help` string, and labelled
-//! `samples`; the latency histogram uses cumulative `le` buckets ending in
-//! `"+Inf"` plus `_count`/`_sum`, exactly like a native `histogram` family
-//! — but stays JSON so `piom-harness` needs no exposition-format parser on
-//! the read side and the existing [`crate::schema`] validator can gate it
-//! in tests. Keys are emitted in a fixed order so snapshots diff cleanly.
-//!
-//! The demo workload behind the CLI subcommand runs the manager with
-//! [`ManagerConfig::latency_histogram`](pioman::ManagerConfig) enabled —
-//! the flag is off by default precisely so that *only* observability
-//! consumers like this one pay for the clock reads.
+//! `samples` — but stays JSON so `piom-harness` needs no exposition-format
+//! parser on the read side and the existing [`crate::schema`] validator
+//! can gate it in tests. Keys are emitted in a fixed order so snapshots
+//! diff cleanly.
 
-use pioman::hist::HistSnapshot;
-use pioman::{presets, CpuSet, ManagerConfig, ManagerStats, TaskClass, TaskManager, TaskStatus};
+use pioman::{presets, CpuSet, ManagerStats, TaskClass, TaskManager, TaskStatus};
 use std::fmt::Write as _;
 
 /// Renders `stats` as Prometheus-text-shaped JSON (see module docs).
@@ -112,84 +105,10 @@ pub fn render_stats_json(stats: &ManagerStats) -> String {
         &stats.waitlist_released_by_class,
     );
 
-    // The submit→execute latency histogram (always emitted: `null` when
-    // the manager was built without the flag, so consumers can tell
-    // "disabled" from "no samples yet").
-    match &stats.latency {
-        Some(snap) => {
-            out.push_str("  \"piom_task_latency_ns\": ");
-            render_histogram_json(&mut out, snap);
-            out.push_str(",\n");
-        }
-        None => out.push_str("  \"piom_task_latency_ns\": null,\n"),
-    }
-
-    // The same histogram split by QoS class: one labelled sample per
-    // class, histogram fields flattened into the sample (armed by the
-    // same `latency_histogram` flag, `null` when disabled).
-    match &stats.latency_by_class {
-        Some(snaps) => {
-            out.push_str(
-                "  \"piom_task_class_latency_ns\": { \"type\": \"histogram\", \
-                 \"help\": \"Submit-to-execute queueing delay per task run, by QoS class.\", \
-                 \"samples\": [\n",
-            );
-            let last = snaps.len().saturating_sub(1);
-            for (i, snap) in snaps.iter().enumerate() {
-                let label = TaskClass::ALL[i].label();
-                let _ = write!(
-                    out,
-                    "    {{ \"labels\": {{ \"class\": \"{label}\" }},\n    "
-                );
-                render_histogram_fields(&mut out, snap);
-                out.push_str(if i == last { "\n" } else { ",\n" });
-            }
-            out.push_str("  ] }\n");
-        }
-        None => out.push_str("  \"piom_task_class_latency_ns\": null\n"),
-    }
-
-    out.push_str("}\n");
+    // Every family above ends `},`; JSON wants none after the last.
+    out.truncate(out.len() - ",\n".len());
+    out.push_str("\n}\n");
     out
-}
-
-/// One `histogram`-typed family: cumulative `le` buckets (inclusive upper
-/// bounds, ending `"+Inf"`), `count`, `sum`, and the resolved quantiles.
-fn render_histogram_json(out: &mut String, snap: &HistSnapshot) {
-    out.push_str("{ \"type\": \"histogram\", ");
-    out.push_str("\"help\": \"Submit-to-execute queueing delay per task run.\",\n    ");
-    render_histogram_fields(out, snap);
-}
-
-/// The label-independent histogram fields (`buckets` through the resolved
-/// quantiles), closing the enclosing object — shared between the
-/// aggregate family and each per-class labelled sample.
-fn render_histogram_fields(out: &mut String, snap: &HistSnapshot) {
-    out.push_str("\"buckets\": [\n");
-    let mut cumulative = 0u64;
-    for (upper, n) in snap.nonzero_buckets() {
-        cumulative += n;
-        let _ = writeln!(
-            out,
-            "      {{ \"le\": \"{upper}\", \"cumulative_count\": {cumulative} }},"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "      {{ \"le\": \"+Inf\", \"cumulative_count\": {} }}",
-        snap.count()
-    );
-    out.push_str("    ],\n");
-    let q = |p: f64| snap.quantile(p).unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "    \"count\": {}, \"sum\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {} }}",
-        snap.count(),
-        snap.sum(),
-        q(0.5),
-        q(0.99),
-        q(0.999),
-    );
 }
 
 fn queue_family(
@@ -279,7 +198,7 @@ fn core_family(out: &mut String, name: &str, help: &str, values: &[u64]) {
 }
 
 /// Human-readable rendering of the same snapshot for the bare `stats`
-/// subcommand: totals plus the latency percentiles when armed.
+/// subcommand: the totals.
 pub fn render_stats_text(stats: &ManagerStats) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "tasks submitted       {}", stats.total_submitted());
@@ -296,36 +215,17 @@ pub fn render_stats_text(stats: &ManagerStats) -> String {
         "waitlist releases     {}",
         stats.total_waitlist_released()
     );
-    match &stats.latency {
-        Some(snap) => {
-            let s = snap.summary();
-            let _ = writeln!(
-                out,
-                "submit→execute ns     count={} mean={:.0} p50={:.0} p99={:.0} p999={:.0} max={:.0}",
-                s.count, s.mean, s.p50, s.p99, s.p999, s.max
-            );
-        }
-        None => {
-            let _ = writeln!(out, "submit→execute ns     (histogram disabled)");
-        }
-    }
     out
 }
 
-/// Runs a small deterministic workload with the latency histogram armed
-/// and returns the resulting stats — the data source for `piom-harness
-/// stats`. Mixes direct submissions, a repeat (polling) task, and keypoint
-/// scheduling across the 8-core kwak preset so every counter family in the
-/// export carries non-trivial values.
+/// Runs a small deterministic workload and returns the resulting stats —
+/// the data source for `piom-harness stats`. Mixes direct submissions, a
+/// repeat (polling) task, and keypoint scheduling across the 8-core kwak
+/// preset so every counter family in the export carries non-trivial
+/// values.
 pub fn demo_stats() -> ManagerStats {
     let topo = std::sync::Arc::new(presets::kwak());
-    let mgr = TaskManager::with_config(
-        topo.clone(),
-        ManagerConfig {
-            latency_histogram: true,
-            ..ManagerConfig::default()
-        },
-    );
+    let mgr = TaskManager::new(topo.clone());
     let n = topo.n_cores();
     // A polling task that needs three passes, as in the paper's §IV-B
     // network-poll shape.
@@ -395,13 +295,10 @@ mod tests {
         let stats = demo_stats();
         let json = render_stats_json(&stats);
         validate_json(&json).expect("stats export must be well-formed JSON");
-        // Histogram family present with the exposition-format markers.
-        assert!(json.contains("\"piom_task_latency_ns\": { \"type\": \"histogram\""));
-        assert!(json.contains("\"le\": \"+Inf\""));
         // The demo ran one oneshot per core + 3 polling passes + the
         // three QoS-tier tasks.
         let expected = presets::kwak().n_cores() as u64 + 3 + 3;
-        assert!(json.contains(&format!("\"count\": {expected},")));
+        assert_eq!(stats.total_executed(), expected);
         // Every advertised family made it out.
         for family in [
             "piom_queue_submitted_total",
@@ -413,7 +310,6 @@ mod tests {
             "piom_class_executed_total",
             "piom_class_stolen_total",
             "piom_class_waitlist_released_total",
-            "piom_task_class_latency_ns",
         ] {
             assert!(json.contains(family), "missing family {family}");
         }
@@ -439,31 +335,9 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_buckets_are_monotone_and_end_at_count() {
-        let stats = demo_stats();
-        let snap = stats.latency.expect("demo arms the histogram");
-        let mut cumulative = 0;
-        for (upper, n) in snap.nonzero_buckets() {
-            assert!(n > 0);
-            cumulative += n;
-            assert!(upper >= snap.min().unwrap());
-        }
-        assert_eq!(cumulative, snap.count());
-    }
-
-    #[test]
-    fn disabled_histogram_renders_null_but_valid() {
-        let mgr = TaskManager::new(std::sync::Arc::new(presets::kwak()));
-        let json = render_stats_json(&mgr.stats());
-        validate_json(&json).expect("disabled-histogram export still valid");
-        assert!(json.contains("\"piom_task_latency_ns\": null"));
-        assert!(json.contains("\"piom_task_class_latency_ns\": null"));
-    }
-
-    #[test]
-    fn text_rendering_mentions_percentiles() {
+    fn text_rendering_lists_the_totals() {
         let text = render_stats_text(&demo_stats());
-        assert!(text.contains("p99="));
         assert!(text.contains("tasks executed"));
+        assert!(text.contains("waitlist releases     1"));
     }
 }

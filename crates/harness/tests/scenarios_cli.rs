@@ -179,22 +179,21 @@ fn stats_subcommand_exports_prometheus_shaped_json() {
     let json = String::from_utf8(out.stdout).unwrap();
     piom_harness::schema::validate_json(&json).expect("stats --json must emit valid JSON");
     for marker in [
-        "\"piom_task_latency_ns\": { \"type\": \"histogram\"",
-        "\"le\": \"+Inf\"",
+        "\"piom_class_waitlist_released_total\"",
         "\"piom_core_executed_total\"",
         "\"class\": \"bulk\"",
     ] {
         assert!(json.contains(marker), "missing {marker}:\n{json}");
     }
 
-    // Bare `stats` prints the human-readable summary with percentiles.
+    // Bare `stats` prints the human-readable totals.
     let out = harness()
         .arg("stats")
         .output()
         .expect("spawn piom-harness stats");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(text.contains("p99="), "missing percentiles:\n{text}");
+    assert!(text.contains("tasks executed"), "missing totals:\n{text}");
 
     // Unknown flags are a usage error.
     let out = harness()

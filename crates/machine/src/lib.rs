@@ -13,9 +13,11 @@
 //!   topological distance between consecutive owners, and waiters close to
 //!   the releasing core win the next acquisition (the NUMA-unfair handoff
 //!   the paper uses to explain the skewed task distribution, §V-A);
-//! * [`simsched`] — the paper's hierarchical task scheduler (Algorithms 1–2)
-//!   instantiated on the simulated machine, including the §V-A microbenchmark
-//!   that regenerates Tables I and II;
+//! * [`simsched`] — the §V-A microbenchmark that regenerates Tables I and
+//!   II: one queue's submit / herd / check-then-lock round (Algorithm 2 on
+//!   a single queue) priced on the simulated machine. It is a cost model
+//!   of lock arbitration, not a copy of `pioman`'s policy: there is no
+//!   Algorithm 1 hierarchy scan, and no `pioman` code runs;
 //! * [`threads`] — a simulated thread scheduler (run queues, context
 //!   switches, timer ticks, idle detection) with PIOMan keypoint hooks: the
 //!   MARCEL substitute used by the latency/overlap experiments.

@@ -25,6 +25,11 @@
 //!
 //! [`microbench`] runs one queue; [`bench_table`] sweeps every row of
 //! Table I / Table II for a machine.
+//!
+//! This is a cost model of one queue's lock arbitration (Algorithm 2 on a
+//! single queue), not the scheduler: there is no Algorithm 1 hierarchy
+//! scan, no class lanes, stealing or spill, and no `pioman` code is
+//! shared or copied.
 
 use crate::cost::CostModel;
 use crate::spinlock_model::{MachineCtx, SimSpinLock};

@@ -439,7 +439,6 @@ mod tests {
             class: TaskClass::Interactive,
             cpuset: TaskSet::new(&CpuSet::single(0)),
             home: QueueId(0),
-            submitted_at: None,
         };
         PendingTask::new(task, 1)
     }
@@ -501,7 +500,7 @@ mod tests {
             (size_of::<TaskQueue>(), align_of::<TaskQueue>()),
             (768, 128)
         );
-        assert_eq!((size_of::<Task>(), align_of::<Task>()), (64, 8));
+        assert_eq!((size_of::<Task>(), align_of::<Task>()), (48, 8));
         assert_eq!((size_of::<Block<()>>(), align_of::<Block<()>>()), (24, 8));
         assert_eq!(
             (size_of::<TaskManager>(), align_of::<TaskManager>()),

@@ -85,7 +85,6 @@
 
 #![warn(missing_docs)]
 
-pub mod hist;
 pub mod spinlock;
 
 mod completion;
@@ -96,7 +95,6 @@ mod stats;
 mod task;
 
 pub use completion::{TaskError, TaskHandle};
-pub use hist::{HistSnapshot, Histogram, PercentileSummary};
 pub use manager::{
     ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_SPILL_THRESHOLD, MAX_BATCH,
     MIN_BATCH,

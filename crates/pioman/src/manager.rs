@@ -1,7 +1,6 @@
 //! The task manager: hierarchical queues + Algorithms 1 and 2.
 
 use crate::completion::TaskBody;
-use crate::hist::{HistSnapshot, Histogram};
 use crate::queue::{QueueId, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{Task, TaskClass, TaskContext, TaskSet, TaskStatus, CLASS_COUNT};
@@ -52,15 +51,6 @@ pub struct ManagerConfig {
     /// the nearest victim that has any (see `steal_batch`). On by default;
     /// off, [`TaskManager::park_probe`] always reports "park".
     pub steal: bool,
-    /// Record every task's submit→execute latency into its class's
-    /// per-core sharded histogram ([`crate::hist::Histogram`], one slot
-    /// per core), exposed as
-    /// [`ManagerStats::latency_by_class`](crate::ManagerStats) and, merged,
-    /// as [`ManagerStats::latency`](crate::ManagerStats). **Off by
-    /// default**: enabling it puts two `Instant` clock reads and a few
-    /// relaxed RMWs on every task execution — cheap, but not free, and
-    /// a run that never reads the histogram must not pay for it.
-    pub latency_histogram: bool,
     /// Queue depth, observed at enqueue time, at which a queue below its
     /// socket node spills half its backlog, lowest class first, into the
     /// socket's **overflow tier** (one per NUMA node, else chip). Keypoints
@@ -74,7 +64,6 @@ impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig {
             steal: true,
-            latency_histogram: false,
             spill_threshold: DEFAULT_SPILL_THRESHOLD,
         }
     }
@@ -155,9 +144,6 @@ pub struct TaskManager {
     /// socket (single-socket machines have no "whole socket" distinct from
     /// the machine, so the tier would only duplicate the Global Queue).
     socket_overflow_active: bool,
-    /// Submit→execute latency histograms, one per [`TaskClass`] with one
-    /// shard per core, present iff [`ManagerConfig::latency_histogram`].
-    latency: Option<Box<[Histogram; CLASS_COUNT]>>,
     /// Dependency-waitlist releases per [`TaskClass`]: tasks parked by
     /// [`SubmitSpec::after`] that re-entered the queues. Not per core: a
     /// release happens at most once per dependent, off the hot path.
@@ -265,9 +251,6 @@ impl TaskManager {
             core_socket,
             queue_socket,
             socket_overflow_active,
-            latency: config
-                .latency_histogram
-                .then(|| Box::new(std::array::from_fn(|_| Histogram::new(n_cores)))),
             released_class: CachePadded::new(Default::default()),
             config,
         })
@@ -475,13 +458,6 @@ impl TaskManager {
             return false;
         }
         let class = task.class;
-        // Queueing delay ends here: the task is committed to run on this
-        // core. Record into the executing core's shard, `take()`ing the
-        // stamp so a panic in the body cannot double-count.
-        if let (Some(by_class), Some(t0)) = (&self.latency, task.submitted_at.take()) {
-            let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            by_class[class.index()].record_at(core, nanos);
-        }
         let ctx = TaskContext {
             core,
             manager: self,
@@ -490,9 +466,6 @@ impl TaskManager {
         // Release: `stats` reads this before the queue lengths (see there).
         self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Release);
         if task.repeat && matches!(outcome, Ok(TaskStatus::Again)) {
-            // A repeat task re-entering its queue starts a fresh queueing
-            // interval; each run measures its own delay.
-            task.submitted_at = self.latency.is_some().then(std::time::Instant::now);
             queue.requeue(task);
             return true;
         }
@@ -557,10 +530,6 @@ impl TaskManager {
         // read here has its dequeue visible to the `pending` reads below.
         let executed = self.per_core_class(|c| &c.executed_class);
         let stolen = self.per_core_class(|c| &c.stolen_class);
-        let latency_by_class: Option<Vec<HistSnapshot>> = self
-            .latency
-            .as_ref()
-            .map(|hs| hs.iter().map(|h| h.snapshot()).collect());
         ManagerStats {
             queues: self
                 .queues
@@ -611,13 +580,6 @@ impl TaskManager {
             waitlist_released_by_class: core::array::from_fn(|i| {
                 self.released_class[i].load(Ordering::Relaxed)
             }),
-            latency: latency_by_class.as_ref().map(|snaps| {
-                snaps.iter().fold(HistSnapshot::empty(), |mut all, s| {
-                    all.merge(s);
-                    all
-                })
-            }),
-            latency_by_class,
         }
     }
 }
@@ -835,81 +797,6 @@ mod tests {
         assert_eq!(mgr.pending_tasks(), 1);
         mgr.schedule(0);
         assert_eq!(mgr.pending_tasks(), 0);
-    }
-
-    #[test]
-    fn latency_histogram_off_by_default() {
-        let mgr = kwak_mgr();
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        mgr.schedule(0);
-        assert!(h.is_complete());
-        assert!(mgr.stats().latency.is_none(), "observability is opt-in");
-    }
-
-    #[test]
-    fn latency_histogram_counts_each_run() {
-        let mgr = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                latency_histogram: true,
-                ..ManagerConfig::default()
-            },
-        );
-        // A repeat task running 3 times + a oneshot: 4 recorded intervals.
-        let mut left = 3;
-        let h = mgr
-            .task(move |_| {
-                left -= 1;
-                if left == 0 {
-                    TaskStatus::Done
-                } else {
-                    TaskStatus::Again
-                }
-            })
-            .cpuset(CpuSet::single(0))
-            .repeat()
-            .spawn();
-        let h2 = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(1))
-            .spawn();
-        while !h.is_complete() {
-            mgr.schedule(0);
-        }
-        mgr.schedule(1);
-        assert!(h2.is_complete());
-        let snap = mgr.stats().latency.expect("histogram enabled");
-        assert_eq!(snap.count(), 4, "each execution measures its own delay");
-        assert!(snap.min().is_some());
-    }
-
-    #[test]
-    fn latency_histogram_survives_cpuset_bounce() {
-        // A task requeued because the drawing core is outside its cpuset
-        // keeps its original stamp: the bounce is queueing delay, not a
-        // fresh interval.
-        let mgr = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                latency_histogram: true,
-                ..ManagerConfig::default()
-            },
-        );
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(1))
-            .spawn();
-        // Core 0 shares the chip queue with core 1 but may not run the
-        // task; it requeues it without recording.
-        mgr.schedule(0);
-        assert!(!h.is_complete());
-        assert_eq!(mgr.stats().latency.as_ref().unwrap().count(), 0);
-        mgr.schedule(1);
-        assert!(h.is_complete());
-        assert_eq!(mgr.stats().latency.unwrap().count(), 1);
     }
 
     #[test]
@@ -1167,7 +1054,6 @@ mod tests {
                 ManagerConfig {
                     steal: false,
                     spill_threshold: 32,
-                    ..ManagerConfig::default()
                 },
             );
             for i in 0..depth {
@@ -1446,54 +1332,5 @@ mod tests {
         let stats = mgr.stats();
         assert_eq!(stats.stolen_by_class, [0, 0, 1, 0]);
         assert_eq!(stats.executed_by_class, [1, 2, 4, 4]);
-    }
-
-    #[test]
-    fn per_class_latency_histograms_record_each_run() {
-        let mgr = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                latency_histogram: true,
-                ..ManagerConfig::default()
-            },
-        );
-        mgr.task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .class(TaskClass::Urgent)
-            .spawn();
-        mgr.task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        mgr.schedule(0);
-        let stats = mgr.stats();
-        let by_class = stats.latency_by_class.expect("armed with the histogram");
-        assert_eq!(by_class.len(), CLASS_COUNT);
-        assert_eq!(by_class[TaskClass::Urgent.index()].count(), 1);
-        assert_eq!(by_class[TaskClass::Interactive.index()].count(), 1);
-        assert_eq!(by_class[TaskClass::Bulk.index()].count(), 0);
-        let latency = stats.latency.expect("overall histogram");
-        assert_eq!(
-            latency.count(),
-            2,
-            "overall histogram still counts every run"
-        );
-        // The overall histogram is the merge of the per-class ones.
-        let mut merged = by_class[0].clone();
-        by_class[1..].iter().for_each(|s| merged.merge(s));
-        assert_eq!(latency.count(), merged.count());
-        assert_eq!(latency.sum(), merged.sum());
-        assert_eq!(latency.min(), merged.min());
-        assert_eq!(latency.max(), merged.max());
-        assert!(latency.nonzero_buckets().eq(merged.nonzero_buckets()));
-    }
-
-    #[test]
-    fn per_class_latency_absent_when_disabled() {
-        let mgr = kwak_mgr();
-        mgr.task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::single(0))
-            .spawn();
-        mgr.schedule(0);
-        assert!(mgr.stats().latency_by_class.is_none());
     }
 }

@@ -126,12 +126,8 @@ impl TaskManager {
     /// with the waiter list drained by the predecessor's completion.
     pub(super) fn release_waiters(&self, waiters: Vec<Arc<PendingTask>>) {
         for waiter in waiters {
-            if let Some(mut task) = waiter.satisfy_one() {
+            if let Some(task) = waiter.satisfy_one() {
                 self.released_class[task.class.index()].fetch_add(1, Ordering::Relaxed);
-                // Queueing delay starts now: while parked the task was not
-                // schedulable, so the wait on predecessors is not charged
-                // to the queues.
-                task.submitted_at = self.latency.is_some().then(std::time::Instant::now);
                 self.dispatch(task);
             }
         }
@@ -251,7 +247,6 @@ impl SubmitSpec<'_> {
             class: self.class,
             cpuset: TaskSet::new(&effective),
             home,
-            submitted_at: mgr.latency.is_some().then(std::time::Instant::now),
         };
         if self.deps.is_empty() {
             mgr.dispatch(task);

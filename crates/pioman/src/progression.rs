@@ -255,6 +255,48 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_with_work_in_flight_leaves_it_queued() {
+        let mgr = TaskManager::new(presets::symmetric(1, 1, 2).into());
+        let runs = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (r, s) = (runs.clone(), stop.clone());
+        let poll = mgr
+            .task(move |_| {
+                r.fetch_add(1, Ordering::Relaxed);
+                if s.load(Ordering::Acquire) {
+                    TaskStatus::Done
+                } else {
+                    TaskStatus::Again
+                }
+            })
+            .cpuset(CpuSet::single(1))
+            .repeat()
+            .spawn();
+        let dependent = mgr
+            .task(|_| TaskStatus::Done)
+            .cpuset(CpuSet::single(1))
+            .after(&poll)
+            .spawn();
+        let mut prog = Progression::start(mgr.clone(), ProgressionConfig::for_cores(vec![1]));
+        while runs.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        prog.shutdown();
+        // The worker stopped between keypoints: the poll went back to its
+        // queue after its last run, and its dependent is still parked.
+        assert!(!poll.is_complete());
+        assert!(mgr.pending_tasks() >= 1, "the repeat task is still queued");
+        assert!(!dependent.is_complete(), "the dependent was not released");
+        // Any thread can finish the work by hand.
+        stop.store(true, Ordering::Release);
+        assert!(mgr.schedule(1));
+        assert!(poll.is_complete());
+        assert!(mgr.schedule(1));
+        assert!(dependent.is_complete());
+        assert_eq!(mgr.pending_tasks(), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "outside topology")]
     fn bad_core_panics() {
         let mgr = TaskManager::new(presets::uniprocessor().into());

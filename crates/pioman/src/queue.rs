@@ -480,7 +480,6 @@ mod tests {
             class,
             cpuset: TaskSet::new(&cpuset),
             home,
-            submitted_at: None,
         }
     }
 

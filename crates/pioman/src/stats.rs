@@ -116,17 +116,6 @@ pub struct ManagerStats {
     /// [`SubmitSpec::after`](crate::SubmitSpec::after) that re-entered the
     /// queues because their last predecessor completed (or panicked).
     pub waitlist_released_by_class: [u64; crate::task::CLASS_COUNT],
-    /// Submit→execute latency distribution across all task runs: the
-    /// merge of `latency_by_class`, present only when the manager was
-    /// built with [`ManagerConfig::latency_histogram`](crate::ManagerConfig)
-    /// set. Nanoseconds from `spawn` (or a repeat task's re-enqueue, or a
-    /// waitlist release) to the moment a core committed to running the
-    /// body.
-    pub latency: Option<crate::hist::HistSnapshot>,
-    /// Per-class submit→execute latency distributions, indexed by
-    /// [`TaskClass::index`](crate::TaskClass::index); armed together with
-    /// `latency`. Each run records into its class's histogram only.
-    pub latency_by_class: Option<Vec<crate::hist::HistSnapshot>>,
 }
 
 impl ManagerStats {
@@ -180,8 +169,8 @@ impl ManagerStats {
         self.park_probe_polls.iter().sum()
     }
 
-    /// Share of task executions done by each core, as fractions of 1.
-    /// Empty if nothing ran. Mirrors the paper's observation that "each of
+    /// Share of task executions done by each core, as fractions of 1:
+    /// one `0.0` per core if nothing ran. Mirrors the paper's observation that "each of
     /// them executes roughly 25% of the submitted tasks" for a 4-core
     /// per-chip queue.
     pub fn execution_shares(&self) -> Vec<f64> {
@@ -215,8 +204,6 @@ mod tests {
             executed_by_class: [0; crate::task::CLASS_COUNT],
             stolen_by_class: [0; crate::task::CLASS_COUNT],
             waitlist_released_by_class: [0; crate::task::CLASS_COUNT],
-            latency: None,
-            latency_by_class: None,
         }
     }
 

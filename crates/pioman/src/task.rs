@@ -156,13 +156,6 @@ pub(crate) struct Task {
     pub(crate) cpuset: TaskSet,
     /// Queue the task lives in; repeat tasks re-enqueue here.
     pub(crate) home: QueueId,
-    /// Enqueue timestamp, set only when the manager's submit→execute
-    /// latency histogram is enabled
-    /// ([`ManagerConfig::latency_histogram`](crate::ManagerConfig)) —
-    /// `None` keeps the disabled hot path free of clock reads. Taken (and
-    /// for repeat tasks re-stamped) at execution time, so each *run*
-    /// measures its own queueing delay.
-    pub(crate) submitted_at: Option<std::time::Instant>,
 }
 
 impl Task {
@@ -236,7 +229,6 @@ mod tests {
                 class: TaskClass::Interactive,
                 cpuset: TaskSet::new(&s),
                 home: QueueId(0),
-                submitted_at: None,
             };
             prop_assert_eq!(task.cpuset(), s);
             let set = &task.cpuset;

@@ -6,7 +6,7 @@
 //! allocates and frees on its own thread only, so the tests cannot disturb
 //! each other's counts and run in parallel.
 
-use pioman::{presets, ManagerConfig, TaskHandle, TaskManager, TaskStatus, Topology};
+use pioman::{presets, TaskHandle, TaskManager, TaskStatus, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -71,11 +71,11 @@ fn live() -> isize {
     LIVE.with(Cell::get)
 }
 
-/// MiB of live heap a manager built over `topo` holds once `with_config`
+/// MiB of live heap a default manager built over `topo` holds once `new`
 /// has returned.
-fn live_mib_after_new(topo: &Arc<Topology>, config: ManagerConfig) -> f64 {
+fn live_mib_after_new(topo: &Arc<Topology>) -> f64 {
     let before = live();
-    let mgr = TaskManager::with_config(topo.clone(), config);
+    let mgr = TaskManager::new(topo.clone());
     let added = live() - before;
     drop(mgr);
     added as f64 / (1024.0 * 1024.0)
@@ -87,21 +87,10 @@ fn quad_socket_1024_manager_heap_stays_within_budget() {
     // 17.2 MiB, mostly the per-core victim orders. With one more
     // O(queues × cores) table (every core, per queue) it read 21.9 MiB:
     // the budget sits between, so such a table cannot come back unnoticed.
-    let default = live_mib_after_new(&topo, ManagerConfig::default());
+    let default = live_mib_after_new(&topo);
     assert!(
         default <= 20.0,
         "default config: {default:.1} MiB live after new, budget 20 MiB"
-    );
-    let armed = live_mib_after_new(
-        &topo,
-        ManagerConfig {
-            latency_histogram: true,
-            ..ManagerConfig::default()
-        },
-    );
-    assert!(
-        armed <= 96.0,
-        "latency_histogram: {armed:.1} MiB live after new, budget 96 MiB"
     );
 }
 

@@ -159,7 +159,6 @@ proptest! {
             ManagerConfig {
                 steal: false,
                 spill_threshold: threshold,
-                ..ManagerConfig::default()
             },
         );
         let ran = Arc::new(Mutex::new(Vec::new()));

@@ -177,7 +177,6 @@ fn deep_queue_spills_and_a_sibling_claims_without_stealing() {
         ManagerConfig {
             steal: false,
             spill_threshold: 8,
-            ..ManagerConfig::default()
         },
     );
     let handles: Vec<_> = (0..24)
@@ -221,7 +220,6 @@ fn spill_takes_lowest_class_first_and_claims_preserve_qos_order() {
         ManagerConfig {
             steal: false,
             spill_threshold: 16,
-            ..ManagerConfig::default()
         },
     );
     let order: Arc<Mutex<Vec<(usize, TaskClass, u64)>>> = Arc::default();
@@ -282,7 +280,6 @@ fn keypoint_drains_core_then_socket_overflow_then_global() {
         ManagerConfig {
             steal: false,
             spill_threshold: 4,
-            ..ManagerConfig::default()
         },
     );
     let order: Arc<Mutex<Vec<&'static str>>> = Arc::default();

@@ -8,7 +8,7 @@
 //! a deterministic discrete-event simulation (`piom_des::Sim` +
 //! `piom_net::Network`, server CPU costs from `piom_machine::CostModel`)
 //! that records one latency sample per request into a
-//! [`pioman::hist::Histogram`] and reports the shared
+//! [`hist::Histogram`] and reports the shared
 //! [`PercentileSummary`] vocabulary.
 //!
 //! Determinism is the contract that makes the matrix gateable: a scenario
@@ -36,10 +36,11 @@
 
 #![warn(missing_docs)]
 
-use pioman::hist::{Histogram, PercentileSummary};
+use hist::{Histogram, PercentileSummary};
 use pioman::{TaskClass, CLASS_COUNT};
 
 mod cluster;
+pub mod hist;
 mod workloads;
 
 pub use cluster::{Cluster, Server, ServerCosts};
@@ -157,19 +158,18 @@ pub struct Scenario {
 
 impl Scenario {
     /// Runs the scenario, folding every recorded latency through a
-    /// [`Histogram`] (one shard — the DES is single-threaded) into the
-    /// shared percentile vocabulary, with the per-class completion rates
-    /// alongside.
+    /// [`Histogram`] into the shared percentile vocabulary, with the
+    /// per-class completion rates alongside.
     pub fn run(&self, params: &ScenarioParams) -> ScenarioReport {
-        let hist = Histogram::new(1);
-        let mut sink = |ns| hist.record_at(0, ns);
+        let mut hist = Histogram::new();
+        let mut sink = |ns| hist.record(ns);
         let mut rec = Recorder::new(&mut sink);
         (self.run)(params, &mut rec);
         let throughput = rec.throughput();
         ScenarioReport {
             name: self.name,
             seed: params.seed,
-            summary: hist.snapshot().summary(),
+            summary: hist.summary(),
             throughput,
         }
     }

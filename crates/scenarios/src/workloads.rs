@@ -12,7 +12,7 @@
 //!   byte-identical contract the exact gate rests on. Heavy tails come from
 //!   geometric bit draws, the day curve from an integer multiplier table;
 //! * one latency sample (nanoseconds of *simulated* time) per request
-//!   goes to the recorder; the fold into `pioman::hist` happens in
+//!   goes to the recorder; the fold into [`crate::hist`] happens in
 //!   `Scenario::run`.
 //!
 //! Latencies are collected into an `Rc<RefCell<Vec<u64>>>` during the

@@ -1,33 +1,31 @@
 //! The DES→histogram hand-off against the exact reservoir oracle
 //! (`piom_des::stats::Percentiles`).
 //!
-//! PR 6 proved the histogram's error bound on uniform streams; the
-//! follow-up it left open was adversarial, *scenario-shaped* inputs —
-//! bursty clumps and geometric heavy tails, the distributions the
-//! workload matrix actually records, where log-bucket quantization error
-//! concentrates at the worst places (a whole burst inside one bucket, a
-//! tail sample alone in a wide one). The property is unchanged: every
-//! quantile within the documented half-bucket relative bound, and
-//! count/mean/max exact.
+//! Three input shapes: uniform streams, and the adversarial,
+//! *scenario-shaped* ones — bursty clumps and geometric heavy tails, the
+//! distributions the workload matrix actually records, where log-bucket
+//! quantization error concentrates at the worst places (a whole burst
+//! inside one bucket, a tail sample alone in a wide one). The property is
+//! the same for all three: every quantile within the documented
+//! half-bucket relative bound, and count/mean/max exact.
 
 use piom_des::stats::Percentiles;
+use piom_scenarios::hist::{Histogram, SUB_BITS};
 use piom_scenarios::{registry, ScenarioParams};
-use pioman::hist::{Histogram, SUB_BITS};
 use proptest::prelude::*;
 
 /// Feeds `samples` through both the histogram (the matrix's path) and
 /// the exact reservoir, then asserts the documented accuracy contract.
 fn assert_hist_matches_oracle(samples: &[u64]) {
-    let h = Histogram::new(1);
+    let mut h = Histogram::new();
     let mut oracle = Percentiles::new();
     for &v in samples {
-        h.record_at(0, v);
+        h.record(v);
         oracle.push(v as f64);
     }
-    let snap = h.snapshot();
     for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
         let exact = oracle.quantile(q).expect("nonempty");
-        let approx = snap.quantile(q).expect("nonempty") as f64;
+        let approx = h.quantile(q).expect("nonempty") as f64;
         let bound = exact / (1u64 << (SUB_BITS + 1)) as f64 + 1.0;
         assert!(
             (approx - exact).abs() <= bound,
@@ -35,10 +33,10 @@ fn assert_hist_matches_oracle(samples: &[u64]) {
         );
     }
     let mean = samples.iter().map(|&v| v as f64).sum::<f64>() / samples.len() as f64;
-    assert_eq!(snap.count(), oracle.count() as u64);
-    assert!((snap.mean() - mean).abs() <= 1e-6 * (1.0 + mean));
+    assert_eq!(h.count(), oracle.count() as u64);
+    assert!((h.mean() - mean).abs() <= 1e-6 * (1.0 + mean));
     assert_eq!(
-        Some(snap.summary().max),
+        Some(h.summary().max),
         oracle.quantile(1.0),
         "max is tracked exactly"
     );
@@ -56,13 +54,13 @@ fn scenario_sample_streams_match_the_oracle_end_to_end() {
         assert!(!samples.is_empty(), "{} recorded nothing", s.name);
         assert_hist_matches_oracle(&samples);
 
-        let h = Histogram::new(1);
+        let mut h = Histogram::new();
         for &v in &samples {
-            h.record_at(0, v);
+            h.record(v);
         }
         assert_eq!(
             s.run(&params).summary,
-            h.snapshot().summary(),
+            h.summary(),
             "{}'s report must be the histogram fold of its recorder stream",
             s.name
         );
@@ -73,6 +71,15 @@ const CASES: u32 = if cfg!(miri) { 2 } else { 48 };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// Uniform draws below 10^7: most samples sit in the widest log
+    /// buckets, where the absolute quantization error is largest.
+    #[test]
+    fn uniform_streams_stay_within_the_hist_bound(
+        samples in proptest::collection::vec(0u64..10_000_000, 1..512),
+    ) {
+        assert_hist_matches_oracle(&samples);
+    }
 
     /// Geometric heavy tails: mantissa × 2^shift draws spanning ~15
     /// decades, the mice-and-elephants mix. Log-bucket error is relative,
