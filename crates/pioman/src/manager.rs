@@ -5,6 +5,7 @@ use crate::queue::{QueueId, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{Task, TaskClass, TaskContext, TaskSet, TaskStatus, CLASS_COUNT};
 use crate::TaskHandle;
+use core::cmp::Reverse;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
@@ -14,10 +15,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::Thread;
 
+mod held;
 mod park;
 mod socket;
 mod submit;
 
+pub(crate) use held::{HeldLane, Hold};
 use socket::SocketTier;
 pub(crate) use submit::PendingTask;
 pub use submit::SubmitSpec;
@@ -96,6 +99,10 @@ struct CoreState {
     park_hits: AtomicU64,
     /// Park probes that found nothing stealable (the worker parked).
     park_misses: AtomicU64,
+    /// Runs of the tasks this core's worker holds (see [`HeldLane`]),
+    /// counted at hand-out by that worker alone; the snapshot adds them to
+    /// this core's own queue's `executed`.
+    held_runs: AtomicU64,
     /// Containers (socket overflows and victim queues) consulted by park
     /// probes: the work a pre-park scan actually performs.
     park_polls: AtomicU64,
@@ -293,37 +300,49 @@ impl TaskManager {
     /// assert_eq!(mgr.schedule_batch(0, 6), 0);
     /// ```
     pub fn schedule_batch(&self, core: usize, max: usize) -> usize {
-        self.keypoint(core, max).0
+        self.keypoint(core, max, &mut ()).0
     }
 
     /// [`schedule_batch`](Self::schedule_batch), and whether it only put
     /// back tasks `core` may not run, each queue passed whole: it ran none
-    /// and took fewer than `max` (a cut pass takes `max`).
-    pub(crate) fn keypoint(&self, core: usize, max: usize) -> (usize, bool) {
+    /// and took fewer than `max` (a cut pass takes `max`). `held` takes
+    /// the repeat tasks that return `Again` and runs its own after the
+    /// core queue's pass: a worker's [`HeldLane`], or `()` for none.
+    fn keypoint(&self, core: usize, max: usize, held: &mut impl Hold) -> (usize, bool) {
         debug_assert!(core < self.topo.n_cores(), "core id out of range");
         let (mut ran, mut took) = (0, 0);
         let socket_node = self.sockets[self.core_socket[core] as usize].node;
         let mut batch = SCRATCH.take();
-        for node in self.topo.path_to_root(core) {
+        for (rung, node) in self.topo.path_to_root(core).enumerate() {
             if ran >= max {
                 break;
             }
             let queue = &self.queues[node.index()];
             // One *pass* (the queue length at arrival) per queue per call,
-            // so repetitive polling tasks cannot livelock the keypoint.
-            let pass = queue.len_hint().min(max - ran);
+            // so repetitive polling tasks cannot livelock the keypoint. The
+            // core's own pass leaves room for the held tasks run after it,
+            // so a flood on the core queue cannot starve them.
+            let room = if rung == 0 {
+                max - held.len().min(max)
+            } else {
+                max - ran
+            };
+            let pass = queue.len_hint().min(room);
             if pass > 0 {
                 batch.clear();
                 took += queue.dequeue_batch(pass, core, &mut batch);
                 for task in batch.drain(..) {
-                    ran += usize::from(self.run_task(task, core));
+                    ran += usize::from(self.run_task(task, core, held));
                 }
+            }
+            if rung == 0 {
+                ran += held.run(self, core, max - ran);
             }
             // The socket rung of the core → socket → global walk: after
             // the socket node's own queue, drain what the socket's deep
             // member queues spilled.
             if self.socket_overflow_active && node.index() as u32 == socket_node && ran < max {
-                let (claimed, taken) = self.claim_overflow(core, max - ran, &mut batch);
+                let (claimed, taken) = self.claim_overflow(core, max - ran, &mut batch, held);
                 (ran, took) = (ran + claimed, took + taken);
             }
         }
@@ -409,16 +428,23 @@ impl TaskManager {
                         .iter()
                         .take_while(|&&(_, d)| d == distance)
                         .count();
-                // Deepest backlog first within the tier; len_hint is racy,
-                // but a misranked probe only costs one extra empty visit.
-                let mut tier: Vec<(u32, usize)> = order[tier_start..tier_end]
+                // Deepest backlog first within the tier, ties by queue
+                // index: each visit picks the greatest (depth, -index) key
+                // below the last one visited, so ranking allocates nothing.
+                // len_hint is racy, but a misranked probe only costs one
+                // extra empty visit, and the keys strictly fall, so the
+                // tier's scan ends.
+                let tier = &order[tier_start..tier_end];
+                let key = |&(qi, _): &(u32, u8)| (self.queues[qi as usize].len_hint(), Reverse(qi));
+                let mut last = None;
+                while let Some(next) = tier
                     .iter()
-                    .map(|&(qi, _)| (qi, self.queues[qi as usize].len_hint()))
-                    .filter(|&(_, depth)| depth > 0)
-                    .collect();
-                tier.sort_by_key(|&(qi, depth)| (core::cmp::Reverse(depth), qi));
-                for (qi, _) in tier {
-                    let queue = &self.queues[qi as usize];
+                    .map(key)
+                    .filter(|k| k.0 > 0 && last.is_none_or(|last| *k < last))
+                    .max()
+                {
+                    last = Some(next);
+                    let queue = &self.queues[next.1 .0 as usize];
                     batch.clear();
                     let stolen = queue.try_steal_half(core, max, &mut batch);
                     if stolen > 0 {
@@ -442,14 +468,18 @@ impl TaskManager {
         state.steal_batches.fetch_add(1, Ordering::Relaxed);
         for task in batch.drain(..) {
             state.stolen_class[task.class.index()].fetch_add(1, Ordering::Relaxed);
-            self.run_task(task, core);
+            // A task only the thief may run is homed on the thief's own
+            // queue, which no steal visits: there is nothing to hold.
+            self.run_task(task, core, &mut ());
         }
     }
 
     /// Executes `task` on `core` if allowed; requeues it on its home queue
     /// otherwise (the queue it was drawn from, or — for an overflow claim —
-    /// the one it spilled out of). Returns `true` if the body ran.
-    fn run_task(&self, mut task: Task, core: usize) -> bool {
+    /// the one it spilled out of). A repeat task that returns `Again` goes
+    /// to `held`, or home if `held` hands it back. Returns `true` if the
+    /// body ran.
+    fn run_task(&self, mut task: Task, core: usize, held: &mut impl Hold) -> bool {
         let queue = &self.queues[task.home.index()];
         if !task.cpuset.contains(core) {
             // The queue's span covers the task's cpuset, but this particular
@@ -466,7 +496,9 @@ impl TaskManager {
         // Release: `stats` reads this before the queue lengths (see there).
         self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Release);
         if task.repeat && matches!(outcome, Ok(TaskStatus::Again)) {
-            queue.requeue(task);
+            if let Some(task) = held.hold(task, core) {
+                queue.requeue(task);
+            }
             return true;
         }
         // A one-shot task returning `Again` is treated as `Done`; a panicked
@@ -530,26 +562,32 @@ impl TaskManager {
         // read here has its dequeue visible to the `pending` reads below.
         let executed = self.per_core_class(|c| &c.executed_class);
         let stolen = self.per_core_class(|c| &c.stolen_class);
+        let mut queues: Vec<QueueStats> = self
+            .queues
+            .iter()
+            .map(|q| {
+                let pending = q.pending();
+                let (lock_acquisitions, lock_contended) = q.lock_stats();
+                QueueStats {
+                    id: q.id,
+                    level: q.level,
+                    cpuset: q.cpuset,
+                    steal_span: q.steal_span.snapshot(),
+                    submitted: q.submitted(),
+                    executed: q.executed(),
+                    pending,
+                    lock_acquisitions,
+                    lock_contended,
+                }
+            })
+            .collect();
+        // A held task's runs count on its home queue, the core's own.
+        for (core, state) in self.cores.iter().enumerate() {
+            let own = self.topo.core_node(core).index();
+            queues[own].executed += state.held_runs.load(Ordering::Relaxed);
+        }
         ManagerStats {
-            queues: self
-                .queues
-                .iter()
-                .map(|q| {
-                    let pending = q.pending();
-                    let (lock_acquisitions, lock_contended) = q.lock_stats();
-                    QueueStats {
-                        id: q.id,
-                        level: q.level,
-                        cpuset: q.cpuset,
-                        steal_span: q.steal_span.snapshot(),
-                        submitted: q.submitted(),
-                        executed: q.executed(),
-                        pending,
-                        lock_acquisitions,
-                        lock_contended,
-                    }
-                })
-                .collect(),
+            queues,
             executed_by_core: core_totals(&executed),
             stolen_by_core: core_totals(&stolen),
             steal_attempts_by_core: self.per_core(|c| c.steal_attempts.load(Ordering::Relaxed)),
@@ -1184,6 +1222,29 @@ mod tests {
         // single task untouched.
         assert_eq!(deep.iter().filter(|h| h.is_complete()).count(), 3);
         assert!(!shallow.is_complete());
+    }
+
+    #[test]
+    fn steal_passes_over_a_deeper_victim_it_may_not_steal_from() {
+        // Cores 5 and 6 are core 4's SameNuma siblings. Core 6's deeper
+        // backlog is ranked first but holds nothing core 4 may run; the
+        // probe goes on to core 5's, the next rank in the tier.
+        let mgr = kwak_mgr();
+        for _ in 0..6 {
+            mgr.task(|_| TaskStatus::Done)
+                .cpuset(CpuSet::single(6))
+                .spawn();
+        }
+        let shallow = mgr
+            .task(|_| TaskStatus::Done)
+            .cpuset(CpuSet::from_iter([4, 5]))
+            .on_core(5)
+            .spawn();
+        assert_eq!(mgr.schedule_batch(4, usize::MAX), 1);
+        assert!(shallow.is_complete());
+        let deep = mgr.topology().core_node(6).index();
+        assert_eq!(mgr.stats().queues[deep].lock_acquisitions, 6 + 1);
+        assert_eq!(mgr.pending_tasks(), 6);
     }
 
     #[test]

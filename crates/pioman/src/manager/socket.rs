@@ -62,12 +62,14 @@ impl TaskManager {
     /// the depth at arrival — and a popped task whose cpuset excludes
     /// `core` bounces to its home queue through the ordinary
     /// [`run_task`](Self::run_task) requeue path. `batch` is the caller's
-    /// (drained) scratch. Returns `(bodies run, tasks taken)`.
+    /// (drained) scratch, `held` the keypoint's. Returns `(bodies run,
+    /// tasks taken)`.
     pub(super) fn claim_overflow(
         &self,
         core: usize,
         max: usize,
         batch: &mut Vec<Task>,
+        held: &mut impl Hold,
     ) -> (usize, usize) {
         let sock = &self.sockets[self.core_socket[core] as usize];
         let pass = sock.overflow.len_hint().min(max);
@@ -78,7 +80,7 @@ impl TaskManager {
         let taken = sock.overflow.dequeue_batch(pass, core, batch);
         let mut ran = 0;
         for task in batch.drain(..) {
-            ran += usize::from(self.run_task(task, core));
+            ran += usize::from(self.run_task(task, core, held));
         }
         (ran, taken)
     }

@@ -9,7 +9,10 @@
 //! work may be available and parks when its queues are empty — an idle core
 //! in the paper's sense. Submissions unpark exactly the workers whose cores
 //! may run the new task, and `park_timeout` bounds the latency of event
-//! detection even if a wake-up were missed. A core has at most one worker.
+//! detection even if a wake-up were missed. A core has at most one worker,
+//! so a worker keeps the polling tasks only its core may run between
+//! keypoints instead of requeueing them (the held lane), and puts them
+//! back on their queue when it stops.
 //!
 //! Parking is **steal-aware**: before sleeping, a worker re-checks its
 //! own path ([`TaskManager::has_work_for`], unless its keypoint only
@@ -26,7 +29,7 @@
 //! The full submit → batch → steal → park/wake lifecycle, with its
 //! invariants, is documented in `docs/SCHEDULER.md`.
 
-use crate::manager::TaskManager;
+use crate::manager::{HeldLane, Hold, TaskManager};
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -115,6 +118,10 @@ impl Progression {
                     .name(format!("piom-worker-{core}"))
                     .spawn(move || {
                         mgr.register_waker(core, std::thread::current());
+                        // The repeat tasks only this core may run, kept
+                        // out of the queues between keypoints; put back
+                        // on their home queue when the lane drops.
+                        let mut held = HeldLane::new(&mgr);
                         // Consecutive park probes that hit but whose next
                         // keypoint still ran nothing (a stale steal span,
                         // or work this core may not run).
@@ -123,11 +130,12 @@ impl Progression {
                             // The worker *is* the idle loop: invoke the idle
                             // keypoint; park when nothing was runnable. The
                             // budget is the backlog visible now, capped at
-                            // MAX_BATCH, so a flood on one queue cannot
-                            // keep the worker away from its shutdown/park
-                            // checks indefinitely.
-                            let budget = mgr.adaptive_budget(core);
-                            let (ran, bounce_only) = mgr.keypoint(core, budget);
+                            // MAX_BATCH, plus one run per held task, so a
+                            // flood on one queue cannot keep the worker
+                            // away from its shutdown/park checks
+                            // indefinitely.
+                            let budget = mgr.adaptive_budget(core) + held.len();
+                            let (ran, bounce_only) = held.keypoint(core, budget);
                             if ran > 0 {
                                 probe_strikes = 0;
                                 continue;
@@ -156,6 +164,7 @@ impl Progression {
                             std::thread::park_timeout(park);
                             probe_strikes = 0;
                         }
+                        drop(held);
                         mgr.unregister_waker(core);
                     })
                     .expect("spawn progression worker")

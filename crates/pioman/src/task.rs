@@ -123,6 +123,14 @@ impl<W: core::borrow::Borrow<CpuSet> + From<CpuSet>> TaskSet<W> {
         i / 64 < words.len() && words[i / 64] & (1 << (i % 64)) != 0
     }
 
+    /// `true` if `core` is the set's only core.
+    pub(crate) fn is_only(&self, core: usize) -> bool {
+        let (first, words) = self.words();
+        let i = core.wrapping_sub(first * 64);
+        let bit = |w: usize| if w == i / 64 { 1 << (i % 64) } else { 0 };
+        words.iter().enumerate().all(|(w, &bits)| bits == bit(w))
+    }
+
     /// `(index of the first word, the words from it on)`, as span folds read.
     pub(crate) fn words(&self) -> (usize, &[u64]) {
         match self {
@@ -234,6 +242,8 @@ mod tests {
             let set = &task.cpuset;
             for c in 0..CpuSet::MAX_CPUS + 64 {
                 prop_assert_eq!(set.contains(c), s.contains(c), "core {}", c);
+                let only = s.count() == 1 && s.contains(c);
+                prop_assert_eq!(set.is_only(c), only, "core {}", c);
             }
             // Folds and the wake walk read the copy kept past the task's move.
             let local = set.local();

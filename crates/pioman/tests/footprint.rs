@@ -1,6 +1,7 @@
 //! The scheduler's memory footprint: the live heap one `TaskManager::new`
 //! adds on the 1 024-core quad-socket preset, the allocations one task
-//! round trip makes, and the heap a dropped manager gives back.
+//! round trip and a thief's steal keypoints make, and the heap a dropped
+//! manager gives back.
 //!
 //! A counting global allocator measures them per thread: every test here
 //! allocates and frees on its own thread only, so the tests cannot disturb
@@ -120,6 +121,49 @@ fn a_round_trip_costs_one_allocation_and_one_free() {
         "allocations and frees over {OPS} spawn → schedule → handle drop"
     );
     assert_eq!(live(), before);
+}
+
+#[test]
+fn steal_keypoints_allocate_nothing() {
+    const TASKS: usize = 64;
+    let mgr = TaskManager::new(presets::kwak().into());
+    // Backlogs core 0 may steal, homed on queues across the interconnect:
+    // core 12's is deepest, so each probe ranks a tier of two.
+    let fill = || {
+        for (home, n) in [(12, TASKS / 2 + 8), (13, TASKS / 2 - 8)] {
+            for _ in 0..n {
+                let set = pioman::CpuSet::from_iter([0, home]);
+                drop(
+                    mgr.task(|_| TaskStatus::Done)
+                        .cpuset(set)
+                        .on_core(home)
+                        .spawn(),
+                );
+            }
+        }
+    };
+    let drain = || {
+        let mut ran = 0;
+        while ran < TASKS {
+            let n = mgr.schedule_batch(0, usize::MAX);
+            assert!(n > 0, "a steal keypoint found nothing");
+            ran += n;
+        }
+        assert_eq!(mgr.pending_tasks(), 0);
+    };
+    // Warm-up: the keypoint scratch reaches its capacity.
+    fill();
+    drain();
+    fill();
+    let (allocs, frees) = CALLS.with(Cell::get);
+    drain();
+    let (a, f) = CALLS.with(Cell::get);
+    assert_eq!(
+        (a - allocs, f - frees),
+        (0, TASKS),
+        "allocations and frees over the steal keypoints: only the stolen blocks go"
+    );
+    assert_eq!(mgr.stats().total_stolen(), 2 * TASKS as u64);
 }
 
 /// Builds a kwak manager holding work in each unfinished state, drops it,

@@ -12,8 +12,10 @@
 
 use piom_cpuset::CpuSet;
 use piom_topology::presets;
-use pioman::{Progression, ProgressionConfig, TaskManager, TaskStatus, MAX_BATCH};
+use pioman::{Progression, ProgressionConfig, TaskHandle, TaskManager, TaskStatus, MAX_BATCH};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// `true` once `core`'s worker has had a park probe miss: it has run every
@@ -306,4 +308,200 @@ fn a_second_worker_on_a_core_is_refused_and_the_first_keeps_its_wake() {
         .spawn();
     wait_for("the first worker to run the task", || h.is_complete());
     assert_eq!(mgr.stats().executed_by_core[0], 1);
+}
+
+/// A worker on `core` alone with a one-hour park timeout: only unpark
+/// tokens wake it.
+fn sleepy_worker(mgr: &Arc<TaskManager>, core: usize) -> Progression {
+    let config = ProgressionConfig {
+        park_timeout: Duration::from_secs(3600),
+        ..ProgressionConfig::for_cores(vec![core])
+    };
+    Progression::start(mgr.clone(), config)
+}
+
+/// A repeat task over `cpuset`, homed on `home`, that counts its runs in
+/// `runs` and returns `Again` until `stop` is set.
+fn poller(
+    mgr: &TaskManager,
+    cpuset: CpuSet,
+    home: usize,
+    runs: &Arc<AtomicU64>,
+    stop: &Arc<AtomicBool>,
+) -> TaskHandle {
+    let (runs, stop) = (runs.clone(), stop.clone());
+    mgr.task(move |_| {
+        runs.fetch_add(1, Ordering::Relaxed);
+        if stop.load(Ordering::Acquire) {
+            TaskStatus::Done
+        } else {
+            TaskStatus::Again
+        }
+    })
+    .cpuset(cpuset)
+    .on_core(home)
+    .repeat()
+    .spawn()
+}
+
+/// Acquisitions of `core`'s own queue lock.
+fn core_queue_locks(mgr: &TaskManager, core: usize) -> u64 {
+    let queue = mgr.topology().core_node(core).index();
+    mgr.stats().queues[queue].lock_acquisitions
+}
+
+/// The held lane: a worker keeps a repeat task only its core may run, so
+/// a poll takes no queue lock. Core 1's queue lock stays flat over a
+/// thousand polls, and a one-shot task spawned meanwhile still runs, for
+/// exactly its enqueue and one drain.
+#[test]
+fn a_held_poller_takes_no_queue_lock_and_new_work_still_runs() {
+    const POLLS: u64 = 1_000;
+    let mgr = TaskManager::new(presets::kwak().into());
+    let _prog = sleepy_worker(&mgr, 1);
+    let (runs, stop) = (
+        Arc::new(AtomicU64::new(0)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let poll = poller(&mgr, CpuSet::single(1), 1, &runs, &stop);
+    wait_for("the first poll", || runs.load(Ordering::Relaxed) > 0);
+    let (r0, locks) = (runs.load(Ordering::Relaxed), core_queue_locks(&mgr, 1));
+    wait_for("a thousand polls", || {
+        runs.load(Ordering::Relaxed) > r0 + POLLS
+    });
+    assert_eq!(core_queue_locks(&mgr, 1), locks, "a held poll locked");
+    let one_shot = mgr
+        .task(|_| TaskStatus::Done)
+        .cpuset(CpuSet::single(1))
+        .spawn();
+    wait_for("the one-shot task", || one_shot.is_complete());
+    let (r1, after) = (runs.load(Ordering::Relaxed), core_queue_locks(&mgr, 1));
+    assert_eq!(after, locks + 2, "the one-shot task's enqueue and drain");
+    wait_for("more polls", || runs.load(Ordering::Relaxed) > r1 + POLLS);
+    assert_eq!(core_queue_locks(&mgr, 1), locks + 2);
+    assert!(!poll.is_complete());
+    assert_eq!(mgr.pending_tasks(), 0, "the poller is held, not queued");
+    stop.store(true, Ordering::Release);
+    wait_for("the poller to finish", || poll.is_complete());
+}
+
+/// Once its held poller returns `Done` the worker holds nothing: it parks,
+/// and a later submission wakes it (the park timeout is an hour).
+#[test]
+fn a_worker_whose_held_poller_finishes_parks_and_wakes_for_new_work() {
+    let mgr = TaskManager::new(presets::kwak().into());
+    let _prog = sleepy_worker(&mgr, 1);
+    wait_for("worker 1 to park", || parked(&mgr, 1));
+    let (runs, stop) = (
+        Arc::new(AtomicU64::new(0)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let poll = poller(&mgr, CpuSet::single(1), 1, &runs, &stop);
+    wait_for("a hundred polls", || runs.load(Ordering::Relaxed) > 100);
+    let misses = mgr.stats().park_probe_misses[1];
+    stop.store(true, Ordering::Release);
+    wait_for("the poller to finish", || poll.is_complete());
+    wait_for("worker 1 to park again", || {
+        mgr.stats().park_probe_misses[1] > misses
+    });
+    let runs_done = runs.load(Ordering::Relaxed);
+    let h = mgr
+        .task(|_| TaskStatus::Done)
+        .cpuset(CpuSet::single(1))
+        .spawn();
+    wait_for("the woken worker to run the task", || h.is_complete());
+    assert_eq!(runs.load(Ordering::Relaxed), runs_done, "nothing held");
+}
+
+/// A repeat task that another core may also run is not held: under a live
+/// worker on core 1, a `{0, 1}` poller homed there goes back to core 1's
+/// queue after each `Again` — a dequeue and a requeue, two lock
+/// acquisitions per poll — where an idle core 0 could take it.
+#[test]
+fn a_wider_repeat_task_still_requeues_home_under_a_live_worker() {
+    const POLLS: u64 = 1_000;
+    let mgr = TaskManager::new(presets::kwak().into());
+    let _prog = sleepy_worker(&mgr, 1);
+    let (runs, stop) = (
+        Arc::new(AtomicU64::new(0)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let poll = poller(&mgr, CpuSet::from_iter([0, 1]), 1, &runs, &stop);
+    wait_for("the first poll", || runs.load(Ordering::Relaxed) > 0);
+    // Each poll locks once before its run is counted and once after, so
+    // the lock count is within one of 2 × runs plus a constant. Sampled
+    // locks-then-runs at the start and runs-then-locks at the end, the
+    // race can only shrink the run delta against the lock delta.
+    let l0 = core_queue_locks(&mgr, 1);
+    let r0 = runs.load(Ordering::Relaxed);
+    wait_for("a thousand polls", || {
+        runs.load(Ordering::Relaxed) > r0 + POLLS
+    });
+    let r1 = runs.load(Ordering::Relaxed);
+    let l1 = core_queue_locks(&mgr, 1);
+    assert!(
+        l1 - l0 >= 2 * (r1 - r0 - 1),
+        "{} polls took {} lock acquisitions",
+        r1 - r0,
+        l1 - l0
+    );
+    stop.store(true, Ordering::Release);
+    wait_for("the poller to finish", || poll.is_complete());
+    let stats = mgr.stats();
+    assert_eq!(stats.executed_by_core[0], 0);
+    assert_eq!(stats.total_stolen(), 0);
+}
+
+/// `docs/SCHEDULER.md` §6's identity, Σ queue `executed` + Σ `claimed` =
+/// `total_executed()`, with a worker holding a poller: a held run counts on
+/// its home queue at hand-out. Inside the poll — the one run in flight,
+/// counted at hand-out and not yet as a run — the sides differ by exactly
+/// one; once the poller is done, they agree.
+#[test]
+fn the_counter_identity_holds_with_a_held_poller() {
+    let mgr = TaskManager::new(presets::kwak().into());
+    let _prog = sleepy_worker(&mgr, 1);
+    let gap_inside = Arc::new(AtomicU64::new(u64::MAX));
+    let (runs, stop) = (
+        Arc::new(AtomicU64::new(0)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let filler = mgr
+        .task(|_| TaskStatus::Done)
+        .cpuset(CpuSet::range(0..4))
+        .spawn();
+    let poll = {
+        let (gap, runs, stop) = (gap_inside.clone(), runs.clone(), stop.clone());
+        mgr.task(move |ctx| {
+            if runs.fetch_add(1, Ordering::Relaxed) == 100 {
+                let stats = ctx.manager.stats();
+                let by_queue: u64 = stats.queues.iter().map(|q| q.executed).sum();
+                gap.store(
+                    by_queue + stats.total_claimed() - stats.total_executed(),
+                    Ordering::Relaxed,
+                );
+                stop.store(true, Ordering::Release);
+            }
+            if stop.load(Ordering::Acquire) {
+                TaskStatus::Done
+            } else {
+                TaskStatus::Again
+            }
+        })
+        .cpuset(CpuSet::single(1))
+        .repeat()
+        .spawn()
+    };
+    wait_for("the poller to finish", || poll.is_complete());
+    assert_eq!(gap_inside.load(Ordering::Relaxed), 1);
+    wait_for("the filler", || filler.is_complete());
+    let stats = mgr.stats();
+    let by_queue: u64 = stats.queues.iter().map(|q| q.executed).sum();
+    assert_eq!(stats.total_executed(), 102, "101 polls and the filler");
+    assert_eq!(by_queue + stats.total_claimed(), stats.total_executed());
+    let home = mgr.topology().core_node(1).index();
+    assert_eq!(
+        stats.queues[home].executed, 101,
+        "every poll counts at home"
+    );
 }
