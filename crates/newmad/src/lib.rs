@@ -87,7 +87,6 @@ use piom_net::{Message, Network};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-pub mod filters;
 pub mod protocol;
 pub mod rails;
 pub mod wire;
@@ -186,8 +185,8 @@ pub struct ReqHandle {
 }
 
 impl ReqHandle {
-    /// Creates a detached handle, finished by [`complete`](Self::complete)
-    /// (building block for composite operations like filtered sends).
+    /// Creates a detached handle, finished by [`complete`](Self::complete);
+    /// `isend` and `irecv` return one each.
     pub fn new() -> Self {
         Self::default()
     }

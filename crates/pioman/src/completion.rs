@@ -498,7 +498,7 @@ mod tests {
         use core::mem::{align_of, size_of};
         assert_eq!(
             (size_of::<TaskQueue>(), align_of::<TaskQueue>()),
-            (768, 128)
+            (640, 128)
         );
         assert_eq!((size_of::<Task>(), align_of::<Task>()), (48, 8));
         assert_eq!((size_of::<Block<()>>(), align_of::<Block<()>>()), (24, 8));

@@ -35,10 +35,9 @@
 //!   ([`TaskManager::adaptive_budget`]) — and idle
 //!   cores **steal half** of the nearest eligible backlog by topological
 //!   distance instead of spinning, honoring each task's `CpuSet`
-//!   ([`ManagerConfig::steal`], [`SubmitSpec::on_core`]); parking is
-//!   **steal-aware**: a worker probes victim backlogs before sleeping
-//!   ([`TaskManager::park_probe`]), and a submission wakes exactly the
-//!   workers whose cores its task may run on;
+//!   ([`ManagerConfig::steal`], [`SubmitSpec::on_core`]); a worker parks
+//!   once a keypoint, steal scan included, ran nothing, and a submission
+//!   wakes exactly the workers whose cores its task may run on;
 //! * every submission goes through one **builder**
 //!   ([`TaskManager::task`] → [`SubmitSpec::spawn`]) carrying the task's
 //!   **QoS class** ([`TaskClass`]: per-queue lanes served in strict
@@ -89,6 +88,7 @@ pub mod spinlock;
 
 mod completion;
 mod manager;
+mod pad;
 mod progression;
 mod queue;
 mod stats;
@@ -99,7 +99,7 @@ pub use manager::{
     ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_SPILL_THRESHOLD, MAX_BATCH,
     MIN_BATCH,
 };
-pub use progression::{Progression, ProgressionConfig, MAX_PROBE_STRIKES};
+pub use progression::{Progression, ProgressionConfig};
 pub use queue::{Classed, QueueId, SeqLanes, BACKGROUND_BYPASS_LIMIT};
 pub use stats::{ManagerStats, QueueStats, SocketStats};
 pub use task::{TaskClass, TaskContext, TaskStatus, CLASS_COUNT};

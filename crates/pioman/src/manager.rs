@@ -1,13 +1,13 @@
 //! The task manager: hierarchical queues + Algorithms 1 and 2.
 
 use crate::completion::TaskBody;
+use crate::pad::CachePadded;
 use crate::queue::{QueueId, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{Task, TaskClass, TaskContext, TaskSet, TaskStatus, CLASS_COUNT};
 use crate::TaskHandle;
 use core::cmp::Reverse;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use piom_cpuset::CpuSet;
 use piom_topology::{Level, NodeId, Topology};
@@ -51,8 +51,7 @@ pub const DEFAULT_SPILL_THRESHOLD: usize = 512;
 pub struct ManagerConfig {
     /// Locality-aware work stealing: a core whose hierarchy scan
     /// (Algorithm 1) ran nothing takes **half** of the eligible backlog of
-    /// the nearest victim that has any (see `steal_batch`). On by default;
-    /// off, [`TaskManager::park_probe`] always reports "park".
+    /// the nearest victim that has any (see `steal_batch`). On by default.
     pub steal: bool,
     /// Queue depth, observed at enqueue time, at which a queue below its
     /// socket node spills half its backlog, lowest class first, into the
@@ -95,17 +94,12 @@ struct CoreState {
     steal_attempts: AtomicU64,
     /// Successful steal-half batches (each took ≥ 1 task).
     steal_batches: AtomicU64,
-    /// Park probes that found a stealable victim backlog.
-    park_hits: AtomicU64,
-    /// Park probes that found nothing stealable (the worker parked).
-    park_misses: AtomicU64,
+    /// Parks of this core's progression worker.
+    parks: AtomicU64,
     /// Runs of the tasks this core's worker holds (see [`HeldLane`]),
     /// counted at hand-out by that worker alone; the snapshot adds them to
     /// this core's own queue's `executed`.
     held_runs: AtomicU64,
-    /// Containers (socket overflows and victim queues) consulted by park
-    /// probes: the work a pre-park scan actually performs.
-    park_polls: AtomicU64,
     /// Whether a progression worker has claimed this core: lets
     /// [`TaskManager::wake_cores`] skip the waker mutex of a workerless
     /// core with one load, and refuses a second worker. Set *before* the
@@ -534,7 +528,7 @@ impl TaskManager {
             return true;
         }
         let sock = &self.sockets[self.core_socket[core] as usize];
-        sock.overflow.len_hint() > 0 && sock.overflow.steal_span.admits(core)
+        sock.overflow.len_hint() > 0 && sock.span.admits(core)
     }
 
     /// Maps every core's padded state block to one snapshot value.
@@ -572,7 +566,6 @@ impl TaskManager {
                     id: q.id,
                     level: q.level,
                     cpuset: q.cpuset,
-                    steal_span: q.steal_span.snapshot(),
                     submitted: q.submitted(),
                     executed: q.executed(),
                     pending,
@@ -592,9 +585,7 @@ impl TaskManager {
             stolen_by_core: core_totals(&stolen),
             steal_attempts_by_core: self.per_core(|c| c.steal_attempts.load(Ordering::Relaxed)),
             stolen_batch_by_core: self.per_core(|c| c.steal_batches.load(Ordering::Relaxed)),
-            park_probe_hits: self.per_core(|c| c.park_hits.load(Ordering::Relaxed)),
-            park_probe_misses: self.per_core(|c| c.park_misses.load(Ordering::Relaxed)),
-            park_probe_polls: self.per_core(|c| c.park_polls.load(Ordering::Relaxed)),
+            park_probe_misses: self.per_core(|c| c.parks.load(Ordering::Relaxed)),
             sockets: self
                 .sockets
                 .iter()
@@ -603,9 +594,9 @@ impl TaskManager {
                         s.overflow.lock_stats();
                     SocketStats {
                         node: s.node as usize,
-                        cpuset: s.cpuset,
+                        cpuset: s.overflow.cpuset,
                         overflow_pending: s.overflow.len_hint(),
-                        overflow_span: s.overflow.steal_span.snapshot(),
+                        overflow_span: s.span.snapshot(),
                         overflow_lock_acquisitions,
                         overflow_lock_contended,
                         spilled: s.spilled.load(Ordering::Relaxed),
@@ -915,7 +906,7 @@ mod tests {
         assert_eq!(*order.lock(), vec!["urgent-poll", "normal", "urgent-poll"]);
     }
 
-    pub(super) fn no_steal_mgr() -> Arc<TaskManager> {
+    fn no_steal_mgr() -> Arc<TaskManager> {
         TaskManager::with_config(
             presets::kwak().into(),
             ManagerConfig {
@@ -1330,19 +1321,6 @@ mod tests {
         assert_eq!(mgr.stats().queues[home_q].pending, 1);
         assert!(mgr.schedule(1), "home core finishes it locally");
         assert!(h.is_complete());
-    }
-
-    #[test]
-    fn queue_stats_expose_the_steal_span() {
-        let mgr = kwak_mgr();
-        mgr.task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::from_iter([0, 1]))
-            .on_core(1)
-            .spawn();
-        let qstats = &mgr.stats().queues[mgr.topology().core_node(1).index()];
-        assert!(qstats.steal_span.contains(0));
-        assert!(qstats.steal_span.contains(1));
-        assert!(!qstats.steal_span.contains(2));
     }
 
     #[test]

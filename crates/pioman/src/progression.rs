@@ -14,18 +14,14 @@
 //! keypoints instead of requeueing them (the held lane), and puts them
 //! back on their queue when it stops.
 //!
-//! Parking is **steal-aware**: before sleeping, a worker re-checks its
-//! own path ([`TaskManager::has_work_for`], unless its keypoint only
-//! bounced tasks its core may not run) and then runs the cheap
-//! [`TaskManager::park_probe`] over its victim queues — a hit sends it
-//! back to the keypoint (where the steal path will take the backlog)
-//! instead of to sleep, so a remote imbalance is picked up in probe time
-//! rather than a park timeout. Because the probe's span
-//! filter may over-approximate, consecutive fruitless hits are bounded
-//! ([`MAX_PROBE_STRIKES`]) before the worker parks anyway. None of these
-//! checks is needed for a wake-up to arrive: a submission unparks every
-//! registered worker in its task's cpuset, and a token that lands before
-//! `park_timeout` makes it return at once.
+//! A keypoint that ran nothing has already tried to steal from every
+//! victim, so it is the worker's last check before sleeping: the worker
+//! re-checks its own path ([`TaskManager::has_work_for`], unless its
+//! keypoint only bounced tasks its core may not run), then counts the
+//! park (`park_probe_misses`) and parks. No pre-park check is needed for
+//! a wake-up to arrive: a submission unparks every registered worker in
+//! its task's cpuset, and a token that lands before `park_timeout` makes
+//! it return at once.
 //! The full submit → batch → steal → park/wake lifecycle, with its
 //! invariants, is documented in `docs/SCHEDULER.md`.
 
@@ -45,15 +41,6 @@ pub struct ProgressionConfig {
     /// queues (the "timer interrupt" period of last resort).
     pub park_timeout: Duration,
 }
-
-/// Upper bound on *consecutive* park probes that report stealable backlog
-/// without the following keypoint actually running anything. The probe's
-/// span filter may over-approximate the live backlog (see
-/// [`TaskManager::park_probe`]; it decays when the queue drains empty,
-/// but bits for tasks still enqueued can also mislead a core those tasks
-/// exclude); after this many fruitless hits the worker parks anyway and
-/// the park-timeout bound takes over.
-pub const MAX_PROBE_STRIKES: u32 = 3;
 
 impl ProgressionConfig {
     /// Workers for every core of the manager's topology, 100 µs park
@@ -122,10 +109,6 @@ impl Progression {
                         // out of the queues between keypoints; put back
                         // on their home queue when the lane drops.
                         let mut held = HeldLane::new(&mgr);
-                        // Consecutive park probes that hit but whose next
-                        // keypoint still ran nothing (a stale steal span,
-                        // or work this core may not run).
-                        let mut probe_strikes = 0u32;
                         while !shutdown.load(Ordering::Acquire) {
                             // The worker *is* the idle loop: invoke the idle
                             // keypoint; park when nothing was runnable. The
@@ -137,7 +120,6 @@ impl Progression {
                             let budget = mgr.adaptive_budget(core) + held.len();
                             let (ran, bounce_only) = held.keypoint(core, budget);
                             if ran > 0 {
-                                probe_strikes = 0;
                                 continue;
                             }
                             idle_loops.fetch_add(1, Ordering::Relaxed);
@@ -149,20 +131,11 @@ impl Progression {
                             if !bounce_only && mgr.has_work_for(core) {
                                 continue;
                             }
-                            // The steal-aware park check: a hit means a
-                            // victim queue has backlog this core may be
-                            // able to steal — run another keypoint (whose
-                            // steal probe takes it) instead of parking.
-                            // Strikes bound the spin when the span filter
-                            // over-approximates: after MAX_PROBE_STRIKES
-                            // fruitless hits the worker parks anyway and
-                            // the park timeout takes over.
-                            if probe_strikes < MAX_PROBE_STRIKES && mgr.park_probe(core) {
-                                probe_strikes += 1;
-                                continue;
-                            }
+                            // The keypoint's steal scan found nothing
+                            // either: park until a submission's unpark
+                            // token or the timeout.
+                            mgr.count_park(core);
                             std::thread::park_timeout(park);
-                            probe_strikes = 0;
                         }
                         drop(held);
                         mgr.unregister_waker(core);

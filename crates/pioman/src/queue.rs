@@ -11,17 +11,17 @@
 //! # Layout
 //!
 //! A queue's hot words are touched by different cores in different roles:
-//! the *owner* and *thieves* take the lock, and every *park probe* reads
-//! the length hint and the steal span. Each of those groups sits behind a
+//! the *owner* and *thieves* take the lock, and every keypoint that passes
+//! by reads the length hint. Each of those groups sits behind a
 //! [`CachePadded`] so one role's writes never evict the line another role
 //! is polling. The queue's counts, `submitted` and `executed`, sit in the
 //! lock's block and only the holder writes them, so they add no line and
 //! no locked RMW. `DESIGN.md` §6 has the layout rationale.
 
+use crate::pad::CachePadded;
 use crate::spinlock::{bump, SpinLock};
 use crate::task::{Task, TaskClass, CLASS_COUNT};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use crossbeam::utils::CachePadded;
 use piom_cpuset::CpuSet;
 use piom_topology::Level;
 use std::collections::VecDeque;
@@ -183,124 +183,21 @@ impl SeqLanes<Task> {
     }
 }
 
-/// Width of a [`Span`] in 64-bit words — one bit per possible CPU,
-/// matching [`CpuSet::MAX_CPUS`] so a span can admit any core of the
-/// widest supported fabric (the 1024-core quad-socket preset).
-const SPAN_WORDS: usize = CpuSet::MAX_CPUS / 64;
-
-/// A decaying union of task cpusets, kept as atomic words so
-/// [`admits`](Self::admits) is a single relaxed load: the cpuset filter
-/// behind park probes, steal-targeted wake-ups and overflow claims. Every
-/// [`TaskQueue`] has one: its *steal span*, over the tasks enqueued there.
-///
-/// A core outside the span can never take work from the container it
-/// describes, whatever the depth, so probing it is pointless. The span may
-/// over-approximate the *current* backlog — that only costs a wasted
-/// probe, never a lost task (the steal path re-checks real task cpusets
-/// under the victim's lock) — and it is not a monotone union: a drain that
-/// empties the container clears it ([`decay`](Self::decay)), so one that
-/// once held wide-cpuset tasks stops attracting probes forever.
-#[derive(Default)]
-pub(crate) struct Span([AtomicU64; SPAN_WORDS]);
-
-impl Span {
-    /// ORs `set` into the span. Word-skipping: after the first task with a
-    /// given span shape, the common case is relaxed loads only and zero
-    /// RMWs.
-    ///
-    /// Must be called **after** the tasks it describes are visible to
-    /// `decay`'s `still_pending` (after the push published the length),
-    /// never before: `decay` restores what it cleared only when it
-    /// observes pending work, so bits published ahead of their task could
-    /// be cleared for good. The cost of folding late is that a probe
-    /// racing the enqueue may transiently miss the new task (a wasted
-    /// park, and the submission's own wake path covers it), never a stuck
-    /// one. The `fetch_or` is Release, pairing with `decay`'s Acquire swap.
-    pub(crate) fn fold(&self, (first, words): (usize, &[u64])) {
-        for (word, &bits) in self.0[first..].iter().zip(words) {
-            if bits != 0 && word.load(Ordering::Relaxed) & bits != bits {
-                word.fetch_or(bits, Ordering::Release);
-            }
-        }
-    }
-
-    /// `true` if `core`'s bit is set (one relaxed load): some task with
-    /// `core` in its cpuset was folded in and the span has not decayed
-    /// since.
-    pub(crate) fn admits(&self, core: usize) -> bool {
-        core < CpuSet::MAX_CPUS
-            && self.0[core / 64].load(Ordering::Relaxed) & (1u64 << (core % 64)) != 0
-    }
-
-    /// Relaxed snapshot of the span as a [`CpuSet`].
-    pub(crate) fn snapshot(&self) -> CpuSet {
-        CpuSet::from_words(core::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
-    }
-
-    /// Clears the span after a removal that left the queue empty — unless
-    /// nothing in it is wider than `own`, the queue's own cpuset, whose
-    /// bits attract only cores already scanning the queue. The clear is a
-    /// `swap(0)` per word, then the `still_pending` re-check of the length
-    /// hint ORs every cleared bit back if a task slipped in:
-    ///
-    /// * an enqueue whose `fetch_or` lands after the swap re-adds its bits;
-    /// * one whose `fetch_or` (Release) landed before the swap (Acquire)
-    ///   synchronizes with it, so the re-check sees its push and restores;
-    /// * an enqueuer that *skipped* its `fetch_or` (the word already held
-    ///   its bits) can lose them. That costs at most a wasted park: the
-    ///   span gates only the advisory park probe, the submission unparked
-    ///   its cpuset's cores itself, and stealing never reads the span.
-    ///
-    /// `vendor/interleave/tests/queue_span.rs` is the model.
-    pub(crate) fn decay(&self, own: &CpuSet, still_pending: impl FnOnce() -> bool) {
-        if self
-            .0
-            .iter()
-            .zip(own.as_words())
-            .all(|(w, &own_bits)| w.load(Ordering::Relaxed) & !own_bits == 0)
-        {
-            return;
-        }
-        let mut cleared = [0u64; SPAN_WORDS];
-        for (c, w) in cleared.iter_mut().zip(self.0.iter()) {
-            // Acquire pairs with `fold`'s Release fetch_or: capturing an
-            // enqueue's bits makes its push visible to the re-check.
-            *c = w.swap(0, Ordering::Acquire);
-        }
-        if still_pending() {
-            // fetch_or also preserves bits added in between.
-            for (c, w) in cleared.iter().zip(self.0.iter()) {
-                if *c != 0 {
-                    w.fetch_or(*c, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
-
 /// One task queue: a topology node's, or a socket's overflow.
 pub(crate) struct TaskQueue {
     pub(crate) id: QueueId,
     pub(crate) level: Level,
-    /// The cores whose hierarchy path includes this queue. Steal-span bits
-    /// inside it never decay ([`Span::decay`]); a socket overflow passes
-    /// [`CpuSet::EMPTY`] because *its* span gates claims, where every
-    /// stale bit costs a wasted lock acquisition.
+    /// The cores whose hierarchy walk includes this queue.
     pub(crate) cpuset: CpuSet,
     /// The paper's list + spinlock (§IV-A), then two counts only the
     /// holder writes ([`bump`]): tasks enqueued by submission, and tasks
     /// handed to a core allowed to run them. Owner and thieves take the
-    /// lock; padded away from the hint so park-probe traffic does not
-    /// contend the lock line.
+    /// lock; padded away from the hint so the keypoints that only read it
+    /// do not contend the lock line.
     list: CachePadded<(SpinLock<SeqLanes<Task>>, AtomicU64, AtomicU64)>,
     /// Algorithm 2's unlocked emptiness test: the lane count, published
     /// under the lock and read without it.
     len: CachePadded<AtomicUsize>,
-    /// Union of the cpusets of the tasks enqueued here: the filter the
-    /// park probe consults before treating this queue's backlog as
-    /// stealable by a core. Padded: every about-to-park core reads these words while
-    /// enqueuers OR into them.
-    pub(crate) steal_span: CachePadded<Span>,
 }
 
 impl TaskQueue {
@@ -315,31 +212,27 @@ impl TaskQueue {
                 AtomicU64::new(0),
             )),
             len: CachePadded::new(AtomicUsize::new(0)),
-            steal_span: Default::default(),
         }
     }
 
     /// The frame around every insertion: `LOCK; insert; UNLOCK` with the
-    /// length hint published before the unlock, then the fold of `span`,
-    /// the inserted tasks' cpusets. A stale hint is Algorithm 2's usual
-    /// race: the lock carries the data and unpark tokens the progress. The
-    /// store is Release so [`pending`](Self::pending) sees the `submitted`
-    /// count written with it. Returns the depth after the insertion.
-    fn with_lock(&self, span: (usize, &[u64]), insert: impl FnOnce(&mut SeqLanes<Task>)) -> usize {
+    /// length hint published before the unlock. A stale hint is Algorithm
+    /// 2's usual race: the lock carries the data and unpark tokens the
+    /// progress. The store is Release so [`pending`](Self::pending) sees
+    /// the `submitted` count written with it. Returns the depth after the
+    /// insertion.
+    fn with_lock(&self, insert: impl FnOnce(&mut SeqLanes<Task>)) -> usize {
         let mut guard = self.list.0.lock();
         insert(&mut guard);
         let depth = guard.len();
         self.len.store(depth, Ordering::Release);
-        drop(guard);
-        // After the push: see `Span::fold`.
-        self.steal_span.fold(span);
         depth
     }
 
     /// Appends a task to the tail of its class lane and returns the queue
     /// depth just after the append, which feeds the spill-threshold check.
     pub(crate) fn enqueue(&self, task: Task) -> usize {
-        self.with_lock(task.cpuset.local().words(), |lanes| {
+        self.with_lock(|lanes| {
             lanes.push(task);
             bump(&self.list.1, 1);
         })
@@ -352,17 +245,14 @@ impl TaskQueue {
     /// urgent work. Returns the depth just after the append.
     #[inline]
     pub(crate) fn requeue(&self, task: Task) -> usize {
-        self.with_lock(task.cpuset.local().words(), |lanes| lanes.push(task))
+        self.with_lock(|lanes| lanes.push(task))
     }
 
     /// [`requeue`](Self::requeue) for a whole batch under **one** lock
     /// acquisition, in order — how a spill lands in the socket overflow.
     pub(crate) fn requeue_batch(&self, tasks: &mut Vec<Task>) {
         if !tasks.is_empty() {
-            let span = tasks.iter().fold(CpuSet::EMPTY, |s, t| s | t.cpuset());
-            self.with_lock((0, span.as_words()), |lanes| {
-                tasks.drain(..).for_each(|t| lanes.push(t))
-            });
+            self.with_lock(|lanes| tasks.drain(..).for_each(|t| lanes.push(t)));
         }
     }
 
@@ -371,8 +261,7 @@ impl TaskQueue {
     /// (`notempty(Queue)`); if non-empty, `LOCK; re-check; remove; UNLOCK`.
     /// "This technique permits to avoid race conditions with a minimal
     /// overhead since the mutex is only held when the list contains tasks."
-    /// The hint is re-published under the lock, and a removal that left
-    /// the queue empty decays the steal span. `remove` returns how many
+    /// The hint is re-published under the lock. `remove` returns how many
     /// it took.
     fn with_nonempty(&self, remove: impl FnOnce(&mut SeqLanes<Task>) -> usize) -> usize {
         if self.len.load(Ordering::Relaxed) == 0 {
@@ -380,12 +269,7 @@ impl TaskQueue {
         }
         let mut guard = self.list.0.lock();
         let taken = remove(&mut guard);
-        let left = guard.len();
-        self.len.store(left, Ordering::Release);
-        drop(guard);
-        if taken > 0 && left == 0 {
-            self.steal_span.decay(&self.cpuset, || self.len_hint() != 0);
-        }
+        self.len.store(guard.len(), Ordering::Release);
         taken
     }
 
@@ -572,10 +456,6 @@ mod tests {
         assert_eq!(q.lock_stats().0, 1, "one acquisition for the whole batch");
         assert_eq!(q.len_hint(), 4);
         assert_eq!(q.submitted(), 0, "a relocation is not a submission");
-        assert!(
-            q.steal_span.admits(13),
-            "the batch's cpusets reach the span"
-        );
         for marker in 10..14 {
             assert!(pop(&q).unwrap().cpuset().contains(marker));
         }
@@ -770,73 +650,6 @@ mod tests {
         assert_eq!(out.pop().unwrap().class, TaskClass::Urgent);
         assert_eq!(q.len_hint(), 1);
         assert_eq!(pop(&q).unwrap().class, TaskClass::Interactive);
-    }
-
-    #[test]
-    fn steal_span_unions_enqueued_cpusets() {
-        let q = queue();
-        assert!(!q.steal_span.admits(0), "empty queue admits nobody");
-        q.enqueue(task_for(q.id, CpuSet::single(0)));
-        assert!(q.steal_span.admits(0));
-        assert!(!q.steal_span.admits(3));
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        assert!(q.steal_span.admits(3));
-        assert!(!q.steal_span.admits(255), "unseen cores stay excluded");
-    }
-
-    #[test]
-    fn steal_span_decays_when_a_wide_queue_drains_empty() {
-        // The span is not a forever-monotone union. Draining a queue whose
-        // span grew wider than its own cpuset clears it, so the stale wide
-        // bits stop attracting park probes.
-        let q = queue();
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        assert!(q.steal_span.admits(3));
-        assert!(pop(&q).is_some());
-        assert!(
-            !q.steal_span.admits(3),
-            "drained-empty queue must drop the wide span bit"
-        );
-        assert!(!q.steal_span.admits(0), "the whole span resets");
-        // The span rebuilds from the next enqueue.
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 5])));
-        assert!(q.steal_span.admits(5));
-    }
-
-    #[test]
-    fn steal_span_within_own_cpuset_never_decays() {
-        // Bits inside the queue's own cpuset can only attract cores whose
-        // hierarchy path already includes this queue — clearing them would
-        // buy nothing, so the drain-empty path skips the swap entirely.
-        let q = queue(); // cpuset {0}
-        q.enqueue(task_for(q.id, CpuSet::single(0)));
-        assert!(pop(&q).is_some());
-        assert!(
-            q.steal_span.admits(0),
-            "narrow span survives the drain (decay gated on wider-than-cpuset)"
-        );
-        // A socket overflow has no such cores (its span gates claims):
-        // built over the empty set, every bit decays.
-        let ovf = TaskQueue::new(QueueId(0), Level::NumaNode, CpuSet::EMPTY);
-        ovf.enqueue(task_for(ovf.id, CpuSet::single(0)));
-        assert!(pop(&ovf).is_some());
-        assert!(!ovf.steal_span.admits(0));
-    }
-
-    #[test]
-    fn steal_span_decays_after_batch_and_steal_drains_too() {
-        let q = queue();
-        for _ in 0..3 {
-            q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        }
-        let mut out = Vec::new();
-        q.dequeue_batch(8, 0, &mut out);
-        assert!(!q.steal_span.admits(3), "batch drain decays the span");
-
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        out.clear();
-        assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
-        assert!(!q.steal_span.admits(3), "a steal that empties decays too");
     }
 
     #[test]

@@ -16,13 +16,6 @@ pub struct QueueStats {
     pub level: Level,
     /// Cores this queue serves.
     pub cpuset: CpuSet,
-    /// The queue's *steal span*: the union of the cpusets of the tasks
-    /// enqueued here. This is the filter the park probe
-    /// ([`park_probe`](crate::TaskManager::park_probe)) consults; it may over-approximate the currently-enqueued tasks (stale bits
-    /// cost a wasted probe, never a misplaced task), but *decays*: a
-    /// dequeue that leaves the queue empty clears bits wider than the
-    /// queue's own cpuset, so stale wide spans stop attracting probes.
-    pub steal_span: CpuSet,
     /// Tasks submitted directly to this queue.
     pub submitted: u64,
     /// Tasks this queue handed to a core allowed to run them, counted
@@ -86,21 +79,12 @@ pub struct ManagerStats {
     /// over; 1.0 means stealing degenerated to the old one-task-per-probe
     /// behaviour.
     pub stolen_batch_by_core: Vec<u64>,
-    /// Pre-park steal probes per core that *hit* — found a victim queue
-    /// with backlog whose steal span admits the prober — sending the
-    /// worker back to another keypoint instead of parking. With stealing
-    /// disabled this is always zero
-    /// ([`park_probe`](crate::TaskManager::park_probe)).
-    pub park_probe_hits: Vec<u64>,
-    /// Pre-park steal probes per core that found nothing stealable, so
-    /// the worker parked. `hits / (hits + misses)` is how often the probe
-    /// saved a park/unpark round-trip (plus up to a park-timeout of
-    /// latency) per idle episode.
+    /// Parks of each core's [`Progression`](crate::Progression) worker:
+    /// one per `park_timeout` call, after a keypoint (its steal scan
+    /// included) ran nothing and the own-path re-check found nothing. The
+    /// name is kept from the deleted pre-park probe, whose misses were the
+    /// parks.
     pub park_probe_misses: Vec<u64>,
-    /// Containers consulted by pre-park probes, per core: a probe that
-    /// misses everywhere polls every socket overflow (when the tier is
-    /// active) and every queue off the core's hierarchy path.
-    pub park_probe_polls: Vec<u64>,
     /// Per-socket overflow-tier counters, indexed by socket id (empty
     /// only on managers built before any topology — never in practice;
     /// single-socket machines still report their one inert socket).
@@ -139,12 +123,7 @@ impl ManagerStats {
         self.stolen_batch_by_core.iter().sum()
     }
 
-    /// Total pre-park probes that found stealable backlog, across cores.
-    pub fn total_park_probe_hits(&self) -> u64 {
-        self.park_probe_hits.iter().sum()
-    }
-
-    /// Total pre-park probes that found nothing, across cores.
+    /// Total worker parks, across cores.
     pub fn total_park_probe_misses(&self) -> u64 {
         self.park_probe_misses.iter().sum()
     }
@@ -162,11 +141,6 @@ impl ManagerStats {
     /// Total tasks claimed out of socket overflows, across sockets.
     pub fn total_claimed(&self) -> u64 {
         self.sockets.iter().map(|s| s.claimed).sum()
-    }
-
-    /// Total containers consulted by pre-park probes, across cores.
-    pub fn total_park_probe_polls(&self) -> u64 {
-        self.park_probe_polls.iter().sum()
     }
 
     /// Share of task executions done by each core, as fractions of 1:
@@ -197,9 +171,7 @@ mod tests {
             stolen_by_core: vec![0; n],
             steal_attempts_by_core: vec![0; n],
             stolen_batch_by_core: vec![0; n],
-            park_probe_hits: vec![0; n],
             park_probe_misses: vec![0; n],
-            park_probe_polls: vec![0; n],
             sockets: vec![],
             executed_by_class: [0; crate::task::CLASS_COUNT],
             stolen_by_class: [0; crate::task::CLASS_COUNT],

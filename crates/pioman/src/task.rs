@@ -131,7 +131,7 @@ impl<W: core::borrow::Borrow<CpuSet> + From<CpuSet>> TaskSet<W> {
         words.iter().enumerate().all(|(w, &bits)| bits == bit(w))
     }
 
-    /// `(index of the first word, the words from it on)`, as span folds read.
+    /// `(index of the first word, the words from it on)`.
     pub(crate) fn words(&self) -> (usize, &[u64]) {
         match self {
             TaskSet::Window(base, bits) => (usize::from(*base) / 64, bits),
@@ -245,12 +245,9 @@ mod tests {
                 let only = s.count() == 1 && s.contains(c);
                 prop_assert_eq!(set.is_only(c), only, "core {}", c);
             }
-            // Folds and the wake walk read the copy kept past the task's move.
+            // The wake walk reads the copy kept past the task's move.
             let local = set.local();
             prop_assert_eq!(local.words(), set.words());
-            let span = crate::queue::Span::default();
-            span.fold(local.words());
-            prop_assert_eq!(span.snapshot(), s, "a span fold sees the whole set");
             let woken: Vec<usize> = local.cores().collect();
             prop_assert_eq!(woken, s.iter().collect::<Vec<_>>());
             let base_word = (s.first().unwrap_or(0) / 64).min(CpuSet::MAX_CPUS / 64 - 2);

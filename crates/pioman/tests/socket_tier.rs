@@ -1,11 +1,10 @@
 //! Deterministic coverage of the per-socket overflow tier (PR 10,
 //! `docs/SCHEDULER.md` "Hierarchy"): spill escalation, the
-//! core → socket → global claim rung, the starved 1024-core fabric, and
-//! what the pre-park probe costs.
+//! core → socket → global claim rung, and the starved 1024-core fabric.
 //!
 //! Everything here drives keypoints by hand — no progression workers, no
-//! timing dependence. The counters asserted (`spilled`, `claimed`,
-//! `park_probe_polls`) are exact per run; what the same paths *cost* is
+//! timing dependence. The counters asserted (`spilled`, `claimed`) are
+//! exact per run; what the same paths *cost* is
 //! the repo benchmark's `burst_mixed` workload and its
 //! `pioman.spill_claim_ns_per_task` / `steal_ns_per_task` probes.
 
@@ -14,19 +13,10 @@ use piom_topology::presets;
 use pioman::{ManagerConfig, TaskClass, TaskManager, TaskStatus};
 use std::sync::{Arc, Mutex};
 
-/// What a park probe from `core` that misses everywhere polls: every
-/// socket overflow plus every queue off `core`'s hierarchy path.
-fn full_walk(mgr: &TaskManager, core: usize) -> u64 {
-    let stats = mgr.stats();
-    let path = mgr.topology().path_to_root(core).count();
-    (stats.sockets.len() + stats.queues.len() - path) as u64
-}
-
 /// The scaling-study acceptance scenario on the full 1024-core fabric:
 /// socket 3 is completely starved while socket 0 holds a backlog its
-/// cores may run. The starved core's pre-park probe must see the remote
-/// imbalance, and its keypoints must drain it via hierarchical stealing
-/// — the home core never runs a thing.
+/// cores may run. The starved core's keypoints must drain it via
+/// hierarchical stealing — the home core never runs a thing.
 #[test]
 fn quad_socket_1024_starved_socket_drains_via_hierarchical_steal() {
     let mgr = TaskManager::new(presets::quad_socket_1024().into());
@@ -44,13 +34,9 @@ fn quad_socket_1024_starved_socket_drains_via_hierarchical_steal() {
         .collect();
 
     assert!(!mgr.has_work_for(thief), "socket 3's own path is empty");
-    assert!(
-        mgr.park_probe(thief),
-        "the probe must surface the remote backlog"
-    );
     let mut rounds = 0;
     while handles.iter().any(|h| !h.is_complete()) {
-        assert!(mgr.schedule(thief), "post-hit keypoint found nothing");
+        assert!(mgr.schedule(thief), "the keypoint found nothing to steal");
         rounds += 1;
         assert!(rounds <= 16, "steal-half should drain 16 tasks quickly");
     }
@@ -58,31 +44,6 @@ fn quad_socket_1024_starved_socket_drains_via_hierarchical_steal() {
     let stats = mgr.stats();
     assert_eq!(stats.stolen_by_core[thief], 16, "all 16 came via steals");
     assert_eq!(stats.executed_by_core[0], 0, "the home core never ran");
-    assert!(
-        stats.park_probe_polls[thief] < full_walk(&mgr, thief),
-        "the hit stops the walk before its end"
-    );
-}
-
-/// The probe's cost, asserted on the probe-count counter directly: on the
-/// 1024-core quad-socket fabric a probe that misses everywhere polls
-/// *exactly* the 4 socket overflows plus the 1 104 queues off core 0's
-/// path — the same containers its steal scan would visit.
-#[test]
-fn full_miss_park_probe_polls_every_container_off_the_path() {
-    let mgr = TaskManager::new(presets::quad_socket_1024().into());
-    assert_eq!(mgr.stats().sockets.len(), 4);
-    let walk = full_walk(&mgr, 0);
-    assert_eq!(walk, 1_108);
-
-    assert!(!mgr.park_probe(0), "empty fabric: the probe must miss");
-    let stats = mgr.stats();
-    assert_eq!(stats.park_probe_polls[0], walk, "a full miss walks it all");
-    assert_eq!(stats.park_probe_misses[0], 1);
-
-    // A second full miss adds exactly another walk.
-    assert!(!mgr.park_probe(0));
-    assert_eq!(mgr.stats().park_probe_polls[0], 2 * walk);
 }
 
 /// The scaling ladder, 256 → 512 → 1024 cores: a 256-task machine-wide
@@ -91,9 +52,8 @@ fn full_miss_park_probe_polls_every_container_off_the_path() {
 /// core 1 (a home-socket sibling, claiming from the overflow) plus the
 /// first core of every remote socket (cross-socket thieves), so one drain
 /// exercises spill, claim *and* steal on the same backlog at every rung.
-/// Afterwards a park probe from the last core must miss after a full walk
-/// — every overflow and every queue off its path, and (a stale span would
-/// read as a hit) span decay after a full drain.
+/// Afterwards every overflow span has decayed: a stale one would send the
+/// socket's cores to lock an empty overflow.
 #[test]
 fn scaling_ladder_spills_claims_and_steals_in_one_drain_at_every_rung() {
     for (name, topo) in [
@@ -153,15 +113,10 @@ fn scaling_ladder_spills_claims_and_steals_in_one_drain_at_every_rung() {
             stats.total_executed(),
             stats.executed_by_class.iter().sum::<u64>()
         );
-        let polls_before = stats.total_park_probe_polls();
+        assert_eq!(mgr.pending_tasks(), 0, "{name}: the fabric is drained");
         assert!(
-            !mgr.park_probe(n_cores - 1),
-            "{name}: a drained fabric must probe as empty (stale span?)"
-        );
-        assert_eq!(
-            mgr.stats().total_park_probe_polls() - polls_before,
-            full_walk(&mgr, n_cores - 1),
-            "{name}: a full miss polls every container off the path"
+            stats.sockets.iter().all(|s| s.overflow_span.is_empty()),
+            "{name}: a drained overflow keeps a stale span"
         );
     }
 }
