@@ -21,10 +21,8 @@
 use core::fmt;
 
 mod iter;
-mod parse;
 
 pub use iter::CpuIter;
-pub use parse::ParseCpuSetError;
 
 /// Number of 64-bit words backing a [`CpuSet`].
 pub(crate) const WORDS: usize = 16;
@@ -196,22 +194,10 @@ impl CpuSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Returns `true` if `self` is a superset of `other`.
-    #[inline]
-    pub fn is_superset(&self, other: &CpuSet) -> bool {
-        other.is_subset(self)
-    }
-
     /// Returns `true` if the two sets share no CPU.
     #[inline]
     pub fn is_disjoint(&self, other: &CpuSet) -> bool {
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
-    /// Returns `true` if the two sets share at least one CPU.
-    #[inline]
-    pub fn intersects(&self, other: &CpuSet) -> bool {
-        !self.is_disjoint(other)
     }
 
     /// Set intersection.
@@ -258,17 +244,6 @@ impl CpuSet {
     #[inline]
     pub fn iter(&self) -> CpuIter {
         CpuIter::new(self.words)
-    }
-
-    /// The CPU in the set nearest to `origin` by |id difference|, preferring
-    /// the lower id on ties. Used by the submission-offload policy ("find the
-    /// nearest idle core", paper §IV-B) as an id-distance fallback when no
-    /// topology is available.
-    pub fn nearest(&self, origin: usize) -> Option<usize> {
-        self.iter().min_by_key(|&cpu| {
-            let dist = cpu.abs_diff(origin);
-            (dist, cpu)
-        })
     }
 
     /// Access to the raw backing words (for hashing / FFI-style uses).
@@ -407,7 +382,6 @@ mod tests {
         assert_eq!(CpuSet::EMPTY.count(), 0);
         assert_eq!(CpuSet::FULL.count(), CpuSet::MAX_CPUS);
         assert!(CpuSet::EMPTY.is_subset(&CpuSet::FULL));
-        assert!(CpuSet::FULL.is_superset(&CpuSet::EMPTY));
     }
 
     #[test]
@@ -484,10 +458,9 @@ mod tests {
         let small = CpuSet::from_iter([1, 2]);
         let big = CpuSet::range(0..8);
         assert!(small.is_subset(&big));
-        assert!(big.is_superset(&small));
         assert!(!big.is_subset(&small));
         assert!(small.is_disjoint(&CpuSet::from_iter([3, 4])));
-        assert!(small.intersects(&CpuSet::from_iter([2, 9])));
+        assert!(!small.is_disjoint(&CpuSet::from_iter([2, 9])));
     }
 
     #[test]
@@ -495,17 +468,6 @@ mod tests {
         let s = CpuSet::from_iter([70, 130, 200]);
         assert_eq!(s.first(), Some(70));
         assert_eq!(s.last(), Some(200));
-    }
-
-    #[test]
-    fn nearest_prefers_smallest_distance_then_lowest_id() {
-        let s = CpuSet::from_iter([2, 6, 10]);
-        assert_eq!(s.nearest(0), Some(2));
-        assert_eq!(s.nearest(6), Some(6));
-        // ids 2 and 10 are both at distance 4 from 6 once 6 is removed.
-        let s2 = CpuSet::from_iter([2, 10]);
-        assert_eq!(s2.nearest(6), Some(2), "tie broken toward lower id");
-        assert_eq!(CpuSet::EMPTY.nearest(3), None);
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl SplitMix64 {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform choice of one element of a non-empty slice.
-    #[inline]
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        &slice[self.next_below(slice.len() as u64) as usize]
-    }
-
     /// Multiplicative jitter: a factor uniform in `[1-spread, 1+spread]`.
     /// Used by cost models to avoid artificial lockstep.
     #[inline]

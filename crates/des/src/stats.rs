@@ -71,31 +71,6 @@ impl OnlineStats {
             self.m2 / (self.n - 1) as f64
         }
     }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A sample reservoir with exact percentile queries.
@@ -179,37 +154,6 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 7 % 13) as f64).collect();
-        let mut whole = OnlineStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        xs[..37].iter().for_each(|&x| left.push(x));
-        xs[37..].iter().for_each(|&x| right.push(x));
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(3.0);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 3.0);
     }
 
     #[test]

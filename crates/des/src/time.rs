@@ -54,12 +54,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// As (fractional) milliseconds.
-    #[inline]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
@@ -145,7 +139,6 @@ mod tests {
         assert_eq!(SimTime::from_ms(2).as_ns(), 2_000_000);
         assert_eq!(SimTime::from_secs(1).as_ns(), 1_000_000_000);
         assert_eq!(SimTime::from_us(1500).as_us_f64(), 1500.0);
-        assert!((SimTime::from_ns(2_500_000).as_ms_f64() - 2.5).abs() < 1e-12);
     }
 
     #[test]

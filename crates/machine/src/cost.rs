@@ -7,13 +7,14 @@
 //! the constants.
 
 use piom_des::SimTime;
-use piom_topology::{Locality, Topology};
+use piom_topology::Topology;
 
 /// Latency parameters of a simulated machine's memory system.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    /// Cache-line transfer latency indexed by [`Locality`] discriminant
-    /// (self, shared cache, same chip, same NUMA node, cross NUMA).
+    /// Cache-line transfer latency indexed by [`piom_topology::Locality`]
+    /// discriminant (self, shared cache, same chip, same NUMA node, cross
+    /// NUMA).
     pub transfer_ns: [u64; 5],
     /// Fixed cost of creating + locally scheduling + completing an empty
     /// task (the paper's ~700 ns reference, §V-A).
@@ -107,19 +108,9 @@ impl CostModel {
         SimTime::from_ns(self.transfer_ns[topo.locality(from, to).distance()])
     }
 
-    /// Transfer latency for a pre-computed locality class.
-    pub fn transfer_for(&self, locality: Locality) -> SimTime {
-        SimTime::from_ns(self.transfer_ns[locality.distance()])
-    }
-
     /// Uncontended lock round-trip.
     pub fn lock_base(&self) -> SimTime {
         SimTime::from_ns(self.lock_base_ns)
-    }
-
-    /// Idle-core poll period.
-    pub fn poll_interval(&self) -> SimTime {
-        SimTime::from_ns(self.poll_interval_ns)
     }
 
     /// Context-switch cost.
@@ -131,7 +122,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use piom_topology::presets;
+    use piom_topology::{presets, Locality};
 
     #[test]
     fn transfer_monotone_in_distance() {
@@ -168,10 +159,10 @@ mod tests {
     #[test]
     fn locality_indexing_matches_enum() {
         let m = CostModel::generic();
-        assert_eq!(m.transfer_for(Locality::SelfCore), SimTime::ZERO);
-        assert_eq!(
-            m.transfer_for(Locality::CrossNuma).as_ns(),
-            m.transfer_ns[4]
-        );
+        let t = presets::kwak();
+        assert_eq!(t.locality(0, 0), Locality::SelfCore);
+        assert_eq!(m.transfer(&t, 0, 0), SimTime::ZERO);
+        assert_eq!(t.locality(0, 12), Locality::CrossNuma);
+        assert_eq!(m.transfer(&t, 0, 12).as_ns(), m.transfer_ns[4]);
     }
 }

@@ -181,11 +181,6 @@ impl SimSpinLock {
     pub fn handoffs_by_locality(&self) -> [u64; 5] {
         self.st.borrow().handoffs_by_locality
     }
-
-    /// Waiters currently spinning (racy diagnostic).
-    pub fn spinner_count(&self) -> usize {
-        self.st.borrow().waiters.len()
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +209,6 @@ mod tests {
         assert!(granted.get());
         assert_eq!(lock.acquisitions(), 1);
         assert_eq!(lock.contended(), 0);
-        assert_eq!(lock.spinner_count(), 0);
     }
 
     #[test]

@@ -21,6 +21,11 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+/// How often an idle core re-polls (fires the idle hook again) while any
+/// thread is live. Once none is, idle cores stop re-polling so the embedding
+/// `Sim::run` can terminate.
+const IDLE_REPOLL: SimTime = SimTime::from_ns(200);
+
 /// What a thread does next.
 pub enum Step {
     /// Occupy the core for this long (preempted at timer-slice boundaries).
@@ -91,12 +96,7 @@ struct SchedState {
     conds: Vec<Vec<ThreadId>>,
     cores: Vec<CoreSt>,
     hook: Option<Hook>,
-    /// Idle re-poll period (how often an idle core fires the idle hook).
-    idle_repoll: SimTime,
     live_threads: usize,
-    /// When true, idle cores stop re-polling once no thread is live
-    /// (lets the embedding `Sim::run` terminate).
-    park_when_done: bool,
 }
 
 /// A simulated preemptive thread scheduler for one machine.
@@ -128,9 +128,7 @@ impl ThreadSched {
                     })
                     .collect(),
                 hook: None,
-                idle_repoll: SimTime::from_ns(200),
                 live_threads: 0,
-                park_when_done: true,
             })),
         }
     }
@@ -138,11 +136,6 @@ impl ThreadSched {
     /// Installs the keypoint hook (PIOMan's entry point).
     pub fn set_hook(&self, hook: Hook) {
         self.st.borrow_mut().hook = Some(hook);
-    }
-
-    /// Sets the idle re-poll period (default 200 ns).
-    pub fn set_idle_repoll(&self, t: SimTime) {
-        self.st.borrow_mut().idle_repoll = t;
     }
 
     /// Creates a condition variable.
@@ -211,13 +204,6 @@ impl ThreadSched {
         self.st.borrow().cores[core].context_switches
     }
 
-    /// Keeps idle cores re-polling even when no thread is live (needed when
-    /// work arrives from outside the thread system; off by default so
-    /// simulations terminate).
-    pub fn set_idle_forever(&self, on: bool) {
-        self.st.borrow_mut().park_when_done = !on;
-    }
-
     /// Ensures `core` has a dispatch event pending if it is sitting idle.
     fn kick(&self, sim: &mut Sim, core: usize) {
         let should_dispatch = {
@@ -266,16 +252,15 @@ impl ThreadSched {
                 if let Some(h) = &hook {
                     h(sim, core, Keypoint::Idle);
                 }
-                let repoll = {
+                {
                     let mut st = self.st.borrow_mut();
-                    if st.park_when_done && st.live_threads == 0 {
+                    if st.live_threads == 0 {
                         return; // machine quiesces; let the sim drain
                     }
                     st.cores[core].dispatch_pending = true;
-                    st.idle_repoll
-                };
+                }
                 let this = self.clone();
-                sim.schedule(repoll, move |sim| this.dispatch(sim, core));
+                sim.schedule(IDLE_REPOLL, move |sim| this.dispatch(sim, core));
             }
         }
     }

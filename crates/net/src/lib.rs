@@ -5,7 +5,7 @@
 //!
 //! * [`NetParams`] — per-message latency, per-byte bandwidth, NIC occupancy
 //!   (the per-packet engine busy time that message aggregation amortizes),
-//!   and RDMA costs; presets for IB/Myri-10G/TCP-class links;
+//!   and RDMA costs; the InfiniBand preset every experiment uses;
 //! * [`Network`] — `n` nodes × `r` rails; each (node, rail) pair owns a
 //!   [`Nic`] with a serializing send engine and an rx-handler callback;
 //! * packet delivery into the receiving node's engine after
@@ -85,8 +85,6 @@ struct NicState {
     streaming: bool,
     /// Packets queued behind the engine.
     backlog: VecDeque<Message>,
-    /// Sum of `size` over the backlog (occupancy accounting for striping).
-    backlog_bytes: usize,
     /// Sum of `occupancy + byte_time(size)` over the backlog, kept per
     /// packet (`byte_time` rounds per packet): what [`Network::rail_eta`]
     /// adds to `busy_until`.
@@ -153,16 +151,6 @@ impl Nic {
         self.st().rx_count
     }
 
-    /// Send-engine backlog length (racy diagnostic).
-    pub fn backlog_len(&self) -> usize {
-        self.st().backlog.len()
-    }
-
-    /// Bytes queued behind the engine (sum of backlog `size`s).
-    pub fn queued_bytes(&self) -> usize {
-        self.st().backlog_bytes
-    }
-
     /// Simulated time at which the send engine frees up.
     pub fn busy_until(&self) -> SimTime {
         self.st().busy_until
@@ -183,7 +171,6 @@ impl Engine {
             return;
         };
         let tx = self.tx_time(msg.size);
-        st.backlog_bytes -= msg.size;
         st.backlog_time -= tx;
         st.busy_until = sim.now() + tx;
         st.streaming = true;
@@ -247,7 +234,6 @@ impl Network {
                             busy_until: SimTime::ZERO,
                             streaming: false,
                             backlog: VecDeque::new(),
-                            backlog_bytes: 0,
                             backlog_time: SimTime::ZERO,
                             in_flight: VecDeque::new(),
                             tx_count: 0,
@@ -314,7 +300,6 @@ impl Network {
         assert!(msg.rail < self.n_rails());
         let engine = &self.nics[msg.src][msg.rail].engine;
         let mut st = engine.st.borrow_mut();
-        st.backlog_bytes += msg.size;
         st.backlog_time += engine.tx_time(msg.size);
         st.backlog.push_back(msg);
         // Engine idle => kick it; otherwise the pending transmit-done event
@@ -580,8 +565,6 @@ mod tests {
         let expected = (p.occupancy() + p.byte_time(1024)) * 3;
         let eta = net.rail_eta(sim.now(), 0, 0);
         assert_eq!(eta, expected);
-        assert_eq!(net.nic(0, 0).backlog_len(), 2);
-        assert_eq!(net.nic(0, 0).queued_bytes(), 2048);
 
         // At the predicted eta, the engine is exactly free again.
         let seen = Rc::new(Cell::new(SimTime::ZERO));
@@ -592,7 +575,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(seen.get(), eta, "engine idle again at its own eta");
-        assert_eq!(net.nic(0, 0).queued_bytes(), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Link/NIC parameter sets for the fabrics the paper used.
+//! Link/NIC timing parameters, with the InfiniBand preset the experiments use.
 
 use piom_des::SimTime;
 
@@ -29,26 +29,6 @@ impl NetParams {
         }
     }
 
-    /// Myri-10G with MX: similar latency class, ~1.0 GB/s effective.
-    pub fn myri10g() -> Self {
-        NetParams {
-            latency_ns: 2_100,
-            per_byte_ps: 1_000,
-            occupancy_ns: 400,
-            rdma_setup_ns: 800,
-        }
-    }
-
-    /// Gigabit-Ethernet/TCP class: tens of µs latency, ~110 MB/s.
-    pub fn tcp_ethernet() -> Self {
-        NetParams {
-            latency_ns: 45_000,
-            per_byte_ps: 9_000,
-            occupancy_ns: 4_000,
-            rdma_setup_ns: 0, // no RDMA; protocols must not use it
-        }
-    }
-
     /// One-way latency.
     pub fn latency(&self) -> SimTime {
         SimTime::from_ns(self.latency_ns)
@@ -68,11 +48,6 @@ impl NetParams {
     pub fn rdma_setup(&self) -> SimTime {
         SimTime::from_ns(self.rdma_setup_ns)
     }
-
-    /// Effective bandwidth in GB/s (diagnostic).
-    pub fn bandwidth_gbs(&self) -> f64 {
-        1000.0 / self.per_byte_ps as f64
-    }
 }
 
 #[cfg(test)]
@@ -89,9 +64,6 @@ mod tests {
     #[test]
     fn preset_sanity() {
         let ib = NetParams::infiniband();
-        let eth = NetParams::tcp_ethernet();
-        assert!(ib.latency() < eth.latency());
-        assert!(ib.bandwidth_gbs() > eth.bandwidth_gbs());
         // 1 MB on IB takes ~0.87 ms.
         let t = ib.byte_time(1 << 20);
         assert!(t > SimTime::from_us(700) && t < SimTime::from_ms(1));

@@ -34,11 +34,10 @@
 //!   buffer; the receiver reassembles them by chaining the arrived chunk
 //!   ropes back together in offset order.
 //!
-//! [`EngineStats::payload_bytes_copied`] counts every payload byte the
-//! engine copies; the default configuration keeps it at **zero** (the
-//! regression tests in `tests/zero_copy.rs` pin this), and the
-//! [`EngineConfig::copy_on_pack`] ablation switch flattens aggregates on
-//! pack instead, so the counter is demonstrably live.
+//! There is one pack path and it copies no payload byte. The regression
+//! tests in `tests/zero_copy.rs` pin this by buffer identity: every segment
+//! of a received payload lies inside the sender's source allocation, on the
+//! eager, aggregated, striped-rendezvous and RDMA paths.
 //!
 //! # Pipelined progression
 //!
@@ -122,11 +121,6 @@ pub struct EngineConfig {
     /// rail. See [`rails::stripe_crossover`] for the math behind the
     /// default.
     pub stripe_threshold: usize,
-    /// Ablation: flatten aggregate payloads with memcpy instead of
-    /// chaining shared segments. Every copied byte lands in
-    /// [`EngineStats::payload_bytes_copied`], which is how the zero-copy
-    /// regression tests prove the counter is live.
-    pub copy_on_pack: bool,
 }
 
 impl Default for EngineConfig {
@@ -140,7 +134,6 @@ impl Default for EngineConfig {
             pipeline_window: 2,
             rndv_chunk: 256 * 1024,
             stripe_threshold: 32 * 1024,
-            copy_on_pack: false,
         }
     }
 }
@@ -258,8 +251,9 @@ pub struct EngineStats {
     pub packets_processed: u64,
     /// Poll invocations that found nothing to do.
     pub empty_polls: u64,
-    /// Payload bytes the engine copied (0 on the zero-copy paths; only
-    /// the [`EngineConfig::copy_on_pack`] ablation raises it).
+    /// Always 0: nothing in the engine writes it, because no path copies
+    /// payload bytes. It stays only because the repo benchmark reads it;
+    /// zero-copy is pinned by buffer identity in `tests/zero_copy.rs`.
     pub payload_bytes_copied: u64,
     /// Packets dropped because the wire header did not parse, or because
     /// an eager body was neither empty (size-only frame) nor as long as

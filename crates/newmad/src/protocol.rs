@@ -11,7 +11,7 @@
 use crate::rails::{self, RailView};
 use crate::wire::{EagerPart, Wire};
 use crate::{EngineConfig, EngineStats};
-use bytes::{Buf, Bytes, BytesMut, Rope};
+use bytes::{Buf, Bytes, Rope};
 use std::collections::VecDeque;
 
 /// Names one pending RDMA pull: `(sender node, sender's request id)`.
@@ -687,24 +687,10 @@ impl<R> Core<R> {
                     .collect(),
             }
         };
-        let data = batch.drain(..).filter_map(|p| p.data);
+        // Zero-copy: the callers' buffers move into the frame.
         let mut payload = Rope::new();
-        if self.cfg.copy_on_pack {
-            // Ablation: flatten into one fresh buffer. Counted, so tests
-            // can prove the zero-copy counter is live.
-            let mut flat = BytesMut::with_capacity(payload_len);
-            for d in data {
-                flat.extend_from_slice(&d);
-                self.stats.payload_bytes_copied += d.len() as u64;
-            }
-            if !flat.is_empty() {
-                payload.push(flat.freeze());
-            }
-        } else {
-            // Zero-copy: the callers' buffers move into the frame.
-            for d in data {
-                payload.push(d);
-            }
+        for d in batch.drain(..).filter_map(|p| p.data) {
+            payload.push(d);
         }
         let rail = rails::pick_rail_in(fab, now);
         self.send_frame(fab, dst, rail, wire, payload_len, payload);

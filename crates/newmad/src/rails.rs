@@ -2,11 +2,10 @@
 //!
 //! NewMadeleine's optimization layer does not just *use* several rails; it
 //! schedules over them. This module is that scheduler. It reads rail
-//! state through the three-method [`RailView`]; [`pick_rail`] and
-//! [`stripe_plan`] are the same functions over a simulated
-//! [`piom_net::Network`]:
+//! state through the three-method [`RailView`]; [`stripe_plan`] is
+//! [`stripe_plan_in`] over a simulated [`piom_net::Network`]:
 //!
-//! * [`pick_rail`] — least-loaded rail selection for eager/control
+//! * [`pick_rail_in`] — least-loaded rail selection for eager/control
 //!   packets, driven by the exact per-rail drain time
 //!   [`RailView::rail_eta`] (occupancy tracking, not round-robin:
 //!   a rail still streaming a rendezvous chunk is charged for it);
@@ -83,14 +82,9 @@ impl RailView for NodeRails<'_> {
     }
 }
 
-/// Least-loaded rail for a packet submitted at `now` from `node`: the rail
+/// Least-loaded rail of `view` for a packet submitted at `now`: the rail
 /// whose send engine drains earliest (ties go to the lowest index, keeping
 /// the choice deterministic).
-pub fn pick_rail(net: &Network, now: SimTime, node: usize) -> usize {
-    pick_rail_in(&NodeRails { net, node }, now.as_ns())
-}
-
-/// [`pick_rail`] over any [`RailView`].
 pub fn pick_rail_in(view: &impl RailView, now: u64) -> usize {
     (0..view.n_rails())
         .min_by_key(|&r| (view.rail_eta(r, now), r))
@@ -238,7 +232,8 @@ mod tests {
             "water-filling must skew away from the busy rail ({on0} vs {on1})"
         );
         // And eager packets avoid the busy rail outright.
-        assert_eq!(pick_rail(&net, sim.now(), 0), 1);
+        let rails = NodeRails { net: &net, node: 0 };
+        assert_eq!(pick_rail_in(&rails, sim.now().as_ns()), 1);
     }
 
     #[test]

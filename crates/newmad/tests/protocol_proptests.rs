@@ -38,7 +38,6 @@ fn arb_config() -> impl Strategy<Value = EngineConfig> {
                 pipeline_window: window,
                 rndv_chunk: chunk_kb * 1024,
                 stripe_threshold: stripe_kb * 1024,
-                copy_on_pack: false,
             },
         )
 }

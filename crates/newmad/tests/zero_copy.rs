@@ -1,16 +1,15 @@
 //! Zero-copy regression tests: the engine's data path moves payloads by
 //! reference-counted slicing, never by copying.
 //!
-//! `EngineStats::payload_bytes_copied` counts every payload byte the
-//! engine memcpys. These tests pin it to **zero** on all four paths —
-//! eager, aggregated eager, striped two-sided rendezvous, and RDMA
-//! rendezvous — while also checking the received bytes are intact (a
-//! trivially wrong zero-copy implementation would pass a counter check by
-//! losing the data). The `copy_on_pack` ablation proves the counter
-//! actually counts: flattening 4 × 512 B into packed frames must report
-//! exactly 2048 copied bytes.
+//! Each test runs one of the four paths — eager, aggregated eager, striped
+//! two-sided rendezvous and RDMA rendezvous — and checks the payload by
+//! buffer identity: the received bytes are intact, and every segment of
+//! the received rope lies inside the sender's source allocation. A copy
+//! anywhere on the path (a flattened aggregate, a re-buffered eager body,
+//! a reassembled chunk stream) leaves some segment in a fresh buffer and
+//! fails the check.
 
-use bytes::Bytes;
+use bytes::{Bytes, Rope};
 use newmadeleine::{CommEngine, EngineConfig};
 use piom_des::{Sim, SimTime};
 use piom_net::{NetParams, Network};
@@ -47,13 +46,21 @@ fn pattern(len: usize, seed: u8) -> Bytes {
     )
 }
 
-fn assert_no_copies(tag: &str, engines: &[&CommEngine]) {
-    for e in engines {
-        assert_eq!(
-            e.stats().payload_bytes_copied,
-            0,
-            "{tag}: node {} copied payload bytes",
-            e.node()
+/// Asserts that `received` is `source`, moved without a copy: the bytes
+/// match, and every segment's address range lies inside `source`'s.
+fn assert_same_buffer(tag: &str, received: &Rope, source: &Bytes) {
+    assert_eq!(
+        received.to_vec().as_slice(),
+        source.as_ref(),
+        "{tag}: payload corrupted"
+    );
+    let src = source.as_ptr_range();
+    for seg in received.segments() {
+        let s = seg.as_ptr_range();
+        assert!(
+            src.start <= s.start && s.end <= src.end,
+            "{tag}: a {}-byte segment lies outside the sender's buffer",
+            seg.len()
         );
     }
 }
@@ -66,11 +73,7 @@ fn eager_path_is_zero_copy() {
     a.isend_bytes(&mut sim, 1, 1, data.clone());
     drive(&mut sim, &[&a, &b], SimTime::from_us(50));
     assert!(r.is_complete());
-    assert_eq!(
-        r.payload().expect("payload delivered").to_vec().as_slice(),
-        data.as_ref()
-    );
-    assert_no_copies("eager", &[&a, &b]);
+    assert_same_buffer("eager", &r.payload().expect("payload delivered"), &data);
 }
 
 #[test]
@@ -88,12 +91,8 @@ fn aggregated_path_is_zero_copy() {
     assert!(a.stats().aggregate_packets >= 1, "burst must aggregate");
     for (r, p) in recvs.iter().zip(&payloads) {
         assert!(r.is_complete());
-        assert_eq!(
-            r.payload().expect("payload delivered").to_vec().as_slice(),
-            p.as_ref()
-        );
+        assert_same_buffer("aggregate", &r.payload().expect("payload delivered"), p);
     }
-    assert_no_copies("aggregate", &[&a, &b]);
 }
 
 #[test]
@@ -108,12 +107,12 @@ fn striped_rendezvous_is_zero_copy() {
         a.stats().data_chunks_sent > 1,
         "1 MiB must be striped into several chunks"
     );
-    // Reassembled from shared chunk windows — byte-identical to the source.
-    assert_eq!(
-        r.payload().expect("payload delivered").to_vec().as_slice(),
-        data.as_ref()
+    // Reassembled from shared chunk windows over the source.
+    assert_same_buffer(
+        "striped rendezvous",
+        &r.payload().expect("payload delivered"),
+        &data,
     );
-    assert_no_copies("striped rendezvous", &[&a, &b]);
 }
 
 #[test]
@@ -124,39 +123,9 @@ fn rdma_rendezvous_is_zero_copy() {
     let s = a.isend_bytes(&mut sim, 1, 1, data.clone());
     drive(&mut sim, &[&a, &b], SimTime::from_ms(5));
     assert!(s.is_complete() && r.is_complete());
-    assert_eq!(
-        r.payload().expect("payload delivered").to_vec().as_slice(),
-        data.as_ref()
+    assert_same_buffer(
+        "rdma rendezvous",
+        &r.payload().expect("payload delivered"),
+        &data,
     );
-    assert_no_copies("rdma rendezvous", &[&a, &b]);
-}
-
-#[test]
-fn copy_on_pack_ablation_counts_every_byte() {
-    let cfg = EngineConfig {
-        copy_on_pack: true,
-        ..EngineConfig::newmadeleine()
-    };
-    let (a, b, mut sim) = pair(cfg);
-    let payloads: Vec<Bytes> = (0..4).map(|i| pattern(512, i)).collect();
-    let recvs: Vec<_> = (0..4).map(|t| b.irecv(&mut sim, 0, t)).collect();
-    let (a2, ps) = (a.clone(), payloads.clone());
-    sim.schedule(SimTime::ZERO, move |sim| {
-        for (tag, p) in ps.into_iter().enumerate() {
-            a2.isend_bytes(sim, 1, tag as u64, p);
-        }
-    });
-    drive(&mut sim, &[&a, &b], SimTime::from_us(100));
-    for (r, p) in recvs.iter().zip(&payloads) {
-        assert!(r.is_complete());
-        assert_eq!(
-            r.payload().expect("payload delivered").to_vec().as_slice(),
-            p.as_ref(),
-            "the ablation may copy, it may not corrupt"
-        );
-    }
-    // Every payload byte flattened exactly once on the sender; the
-    // receiver still decodes in place.
-    assert_eq!(a.stats().payload_bytes_copied, 4 * 512);
-    assert_eq!(b.stats().payload_bytes_copied, 0);
 }

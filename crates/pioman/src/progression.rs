@@ -61,11 +61,12 @@ impl ProgressionConfig {
 /// Handle to the running progression workers. Shutting down (explicitly or
 /// on drop) stops and joins every worker.
 pub struct Progression {
-    mgr: Arc<TaskManager>,
+    /// Held so the manager outlives the joined workers: its last reference
+    /// never drops on a worker thread.
+    _mgr: Arc<TaskManager>,
     shutdown: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
     idle_loops: Arc<AtomicU64>,
-    cores: Vec<usize>,
 }
 
 impl Progression {
@@ -145,22 +146,11 @@ impl Progression {
             .collect();
 
         Progression {
-            cores: config.cores,
-            mgr,
+            _mgr: mgr,
             shutdown,
             workers,
             idle_loops,
         }
-    }
-
-    /// The manager the workers progress.
-    pub fn manager(&self) -> &Arc<TaskManager> {
-        &self.mgr
-    }
-
-    /// Cores with a running worker.
-    pub fn cores(&self) -> &[usize] {
-        &self.cores
     }
 
     /// Worker loop iterations that found nothing to run (activity metric).

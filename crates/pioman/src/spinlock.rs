@@ -89,11 +89,6 @@ impl<T> SpinLock<T> {
         }
     }
 
-    /// `true` if some thread currently holds the lock (racy snapshot).
-    pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
-
     /// Total successful acquisitions (relaxed counter; diagnostic only).
     pub fn acquisitions(&self) -> u64 {
         self.acquisitions.load(Ordering::Relaxed)
@@ -102,16 +97,6 @@ impl<T> SpinLock<T> {
     /// Acquisitions that found the lock held and had to spin.
     pub fn contended_acquisitions(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
-    }
-
-    /// Mutable access without locking (safe: `&mut self` proves uniqueness).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.value.get_mut()
     }
 }
 
@@ -176,16 +161,8 @@ mod tests {
         let lock = SpinLock::new(());
         let g = lock.lock();
         assert!(lock.try_lock().is_none());
-        assert!(lock.is_locked());
         drop(g);
         assert!(lock.try_lock().is_some());
-    }
-
-    #[test]
-    fn into_inner_and_get_mut() {
-        let mut lock = SpinLock::new(5);
-        *lock.get_mut() += 1;
-        assert_eq!(lock.into_inner(), 6);
     }
 
     #[test]

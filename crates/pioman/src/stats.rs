@@ -142,54 +142,4 @@ impl ManagerStats {
     pub fn total_claimed(&self) -> u64 {
         self.sockets.iter().map(|s| s.claimed).sum()
     }
-
-    /// Share of task executions done by each core, as fractions of 1:
-    /// one `0.0` per core if nothing ran. Mirrors the paper's observation that "each of
-    /// them executes roughly 25% of the submitted tasks" for a 4-core
-    /// per-chip queue.
-    pub fn execution_shares(&self) -> Vec<f64> {
-        let total: u64 = self.executed_by_core.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.executed_by_core.len()];
-        }
-        self.executed_by_core
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn mk(executed_by_core: Vec<u64>) -> ManagerStats {
-        let n = executed_by_core.len();
-        ManagerStats {
-            queues: vec![],
-            executed_by_core,
-            stolen_by_core: vec![0; n],
-            steal_attempts_by_core: vec![0; n],
-            stolen_batch_by_core: vec![0; n],
-            park_probe_misses: vec![0; n],
-            sockets: vec![],
-            executed_by_class: [0; crate::task::CLASS_COUNT],
-            stolen_by_class: [0; crate::task::CLASS_COUNT],
-            waitlist_released_by_class: [0; crate::task::CLASS_COUNT],
-        }
-    }
-
-    #[test]
-    fn shares_sum_to_one() {
-        let s = mk(vec![25, 25, 25, 25]);
-        let shares = s.execution_shares();
-        assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(shares.iter().all(|&x| (x - 0.25).abs() < 1e-12));
-    }
-
-    #[test]
-    fn shares_empty_when_nothing_ran() {
-        let s = mk(vec![0, 0]);
-        assert_eq!(s.execution_shares(), vec![0.0, 0.0]);
-    }
 }

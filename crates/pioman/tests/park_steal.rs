@@ -135,10 +135,10 @@ fn worker_reaches_a_runnable_task_behind_a_full_budget_of_foreign_ones() {
 /// The lost-wake probe: hammer the exact race the wake protocol must close
 /// — a submission landing at the very moment the worker decides to park.
 /// Each even round waits for the worker to be *observably parked* (a park
-/// probe miss since the previous submission: every pre-park check already
-/// ran), submits, and requires completion with the park timeout far past
-/// the test bound — only a delivered unpark token
-/// can finish the round. This is the one pin on the wake protocol: every
+/// counted since the previous submission: the worker counts a park right
+/// before `park_timeout`), submits, and requires completion with the park
+/// timeout far past the test bound — only a delivered unpark token can
+/// finish the round. This is the one pin on the wake protocol: every
 /// submission unparks the registered workers in its cpuset, and a token
 /// that lands before `park_timeout` makes it return at once.
 #[test]
@@ -149,18 +149,18 @@ fn submission_racing_a_parking_worker_never_loses_the_wake() {
         ..ProgressionConfig::for_cores(vec![3])
     };
     let _prog = Progression::start(mgr.clone(), config);
-    let misses = || mgr.stats().park_probe_misses[3];
-    // Misses counted before the previous submission: the worker's first
-    // miss after running that task is past this count.
+    let parks = || mgr.stats().park_probe_misses[3];
+    // Parks counted before the previous submission: the worker's first
+    // park after running that task is past this count.
     let mut before = 0;
     for round in 0..200 {
         // Alternate between racing an already-parked worker and racing the
         // park decision itself (submitting the instant the worker's queue
-        // runs dry, before its pre-park checks have run).
+        // runs dry, before it has counted its park).
         if round % 2 == 0 {
-            wait_for("worker 3 to park", || misses() > before);
+            wait_for("worker 3 to park", || parks() > before);
         }
-        before = misses();
+        before = parks();
         let h = mgr
             .task(|_| TaskStatus::Done)
             .cpuset(CpuSet::single(3))

@@ -165,25 +165,10 @@ impl Cluster {
             self.net.nic(node, rail).set_rx_handler(h.clone());
         }
     }
-
-    /// Sends a request of `size` bytes from `src` to `dst` on rail 0,
-    /// stamping the current simulated time into the message tag so the
-    /// receiver can compute the end-to-end latency (`tag` is opaque to
-    /// the network; nanoseconds fit a `u64` for any plausible run).
-    pub fn send_stamped(&mut self, src: usize, dst: usize, size: usize) {
-        let msg = Message {
-            src,
-            dst,
-            rail: 0,
-            tag: self.sim.now().as_ns(),
-            size,
-            data: None,
-        };
-        self.net.send(&mut self.sim, msg);
-    }
 }
 
-/// Nanoseconds elapsed since the send stamp of `msg` ([`Cluster::send_stamped`]).
+/// Nanoseconds elapsed since the send stamp of `msg`: a sender stamps its
+/// `sim.now()` in nanoseconds into the tag, which the network leaves opaque.
 pub fn stamped_latency(sim: &Sim, msg: &Message) -> u64 {
     sim.now().as_ns().saturating_sub(msg.tag)
 }
@@ -254,7 +239,15 @@ mod tests {
                 s.set(stamped_latency(sim, &msg));
             }),
         );
-        c.send_stamped(0, 1, 1024);
+        let msg = Message {
+            src: 0,
+            dst: 1,
+            rail: 0,
+            tag: c.sim.now().as_ns(),
+            size: 1024,
+            data: None,
+        };
+        c.net.send(&mut c.sim, msg);
         c.sim.run();
         let p = NetParams::infiniband();
         let expected = (p.occupancy() + p.byte_time(1024) + p.latency()).as_ns();

@@ -1,10 +1,10 @@
 //! Topological distance between cores.
 //!
-//! Cost models (and the nearest-idle-core offload policy, paper §IV-B) need
-//! to know "how far" two cores are: same core, sharing a cache, sharing a
-//! chip, sharing a NUMA node, or only sharing the machine. [`Locality`]
-//! classifies a pair of cores; [`Topology::distance`] gives a small integer
-//! usable as a sort key or cost-table index.
+//! Cost models and the work-stealing victim order need to know "how far" two
+//! cores are: same core, sharing a cache, sharing a chip, sharing a NUMA
+//! node, or only sharing the machine. [`Locality`] classifies a pair of
+//! cores; [`Topology::distance`] gives a small integer usable as a sort key
+//! or cost-table index.
 
 use crate::{Level, NodeId, Topology};
 
@@ -68,14 +68,6 @@ impl Topology {
     #[inline]
     pub fn distance(&self, a: usize, b: usize) -> usize {
         self.locality(a, b).distance()
-    }
-
-    /// Full `n_cores x n_cores` distance matrix. Row-major.
-    pub fn distance_matrix(&self) -> Vec<Vec<usize>> {
-        let n = self.n_cores();
-        (0..n)
-            .map(|a| (0..n).map(|b| self.distance(a, b)).collect())
-            .collect()
     }
 
     /// Victim order for work stealing from `core`: every node *not* on
@@ -251,18 +243,6 @@ mod tests {
             }
             for w in annotated.windows(2) {
                 assert!(w[0].1 <= w[1].1, "tiers never get closer again");
-            }
-        }
-    }
-
-    #[test]
-    fn distance_matrix_is_symmetric_with_zero_diagonal() {
-        let t = presets::kwak();
-        let m = t.distance_matrix();
-        for (a, row) in m.iter().enumerate() {
-            assert_eq!(row[a], 0);
-            for (b, &d) in row.iter().enumerate() {
-                assert_eq!(d, m[b][a]);
             }
         }
     }

@@ -9,12 +9,11 @@
 //!   topology object, each carrying the [`CpuSet`] of cores it spans;
 //! * [`Level`] — the depth classes (machine / NUMA node / chip / cache / core);
 //! * builders: the paper's two testbeds [`presets::borderline`] and
-//!   [`presets::kwak`], a generic [`TopologyBuilder`], and a spec-string
-//!   parser [`Topology::from_spec`];
+//!   [`presets::kwak`], and a generic [`TopologyBuilder`];
 //! * the *level resolution* query used at task submission: the smallest node
 //!   whose span covers a given CPU set ([`Topology::smallest_covering`]);
 //! * a topological distance metric between cores used by cost models and by
-//!   the "nearest idle core" submission-offload policy;
+//!   the work-stealing victim order ([`Topology::steal_order`]);
 //! * an ASCII renderer reproducing the structure of the paper's Figs. 2–3.
 
 #![forbid(unsafe_code)]
@@ -25,11 +24,9 @@ use piom_cpuset::CpuSet;
 mod build;
 mod distance;
 mod render;
-mod spec;
 
 pub use build::{presets, TopologyBuilder};
 pub use distance::Locality;
-pub use spec::TopoSpecError;
 
 /// Depth class of a topology node, ordered from outermost to innermost.
 ///
@@ -115,7 +112,7 @@ pub struct Node {
 
 /// An immutable machine topology tree.
 ///
-/// Constructed by [`TopologyBuilder`], [`presets`], or [`Topology::from_spec`].
+/// Constructed by [`TopologyBuilder`] or [`presets`].
 /// Nodes live in an arena; [`NodeId`]s index into it. The root is always a
 /// [`Level::Machine`] node spanning every core, and the leaves are exactly
 /// the [`Level::Core`] nodes, one per core, numbered `0..n_cores` in cpuset
@@ -254,27 +251,6 @@ impl Topology {
         }
         na
     }
-
-    /// Ancestor of `id` at exactly `level`, if the tree has that level on the
-    /// path to the root (`id` itself qualifies).
-    pub fn ancestor_at_level(&self, id: NodeId, level: Level) -> Option<NodeId> {
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            if self.node(c).level == level {
-                return Some(c);
-            }
-            cur = self.node(c).parent;
-        }
-        None
-    }
-
-    /// Cores of `set` sorted by increasing topological distance from `origin`
-    /// (ties broken by core id). Used by the nearest-idle-core offload policy.
-    pub fn cores_by_distance(&self, origin: usize, set: &CpuSet) -> Vec<usize> {
-        let mut cores: Vec<usize> = set.iter().filter(|&c| c < self.n_cores()).collect();
-        cores.sort_by_key(|&c| (self.distance(origin, c), c));
-        cores
-    }
 }
 
 /// Iterator produced by [`Topology::path_to_root`].
@@ -355,24 +331,5 @@ mod tests {
         assert_eq!(t.node(t.common_ancestor(0, 0)).level, Level::Core);
         assert_eq!(t.node(t.common_ancestor(0, 3)).level, Level::NumaNode);
         assert_eq!(t.node(t.common_ancestor(0, 15)).level, Level::Machine);
-    }
-
-    #[test]
-    fn ancestor_at_level_lookup() {
-        let t = presets::borderline();
-        let leaf = t.core_node(7);
-        let chip = t.ancestor_at_level(leaf, Level::Chip).unwrap();
-        assert_eq!(t.node(chip).ordinal, 3);
-        assert!(t.ancestor_at_level(leaf, Level::Cache).is_none());
-        assert_eq!(t.ancestor_at_level(leaf, Level::Core).unwrap(), leaf);
-    }
-
-    #[test]
-    fn cores_by_distance_orders_siblings_first() {
-        let t = presets::kwak();
-        let order = t.cores_by_distance(5, &t.all_cores());
-        assert_eq!(order[0], 5, "self is nearest");
-        let siblings: Vec<_> = order[1..4].to_vec();
-        assert_eq!(siblings, vec![4, 6, 7]);
     }
 }
