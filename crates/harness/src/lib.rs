@@ -3,16 +3,15 @@
 //! Each function returns its report as a `String` (so integration tests can
 //! assert on structure); the `piom-harness` binary prints them. See
 //! `EXPERIMENTS.md` at the repository root for paper-vs-measured notes.
+//! `piom-harness all`'s output is committed as `FIGURES_pioman.txt`, and
+//! the tier-1 test `committed_figures_reproduce_exactly` requires the
+//! reports to match it byte for byte.
 //!
-//! Alongside: [`scen`] runs the workload-scenario matrix and explains a
-//! row-by-row mismatch against the committed `SCENARIOS_pioman.json`
-//! (the tier-1 test `committed_matrix_reproduces_exactly` requires the
-//! bytes to match exactly), [`schema`] owns that file's six-field row
-//! format, and [`snapshot`] renders the `stats` counter export.
+//! Alongside: [`snapshot`] renders the `stats` counter export and
+//! [`schema`] checks that it is well-formed JSON.
 
 #![warn(missing_docs)]
 
-pub mod scen;
 pub mod schema;
 pub mod snapshot;
 

@@ -1,6 +1,7 @@
 //! Integration coverage for the `piom-harness` entry points: every
 //! table/figure regenerator must return a non-empty, well-formed report,
-//! and the binary must behave sanely on good and bad arguments.
+//! together they must reproduce the committed `FIGURES_pioman.txt` byte
+//! for byte, and the binary must behave sanely on good and bad arguments.
 
 use std::process::Command;
 use std::sync::OnceLock;
@@ -107,6 +108,43 @@ fn all_aggregates_every_individual_report() {
         all,
         joined.join("\n"),
         "aggregate report is not the sections joined"
+    );
+}
+
+/// The figures gate: `piom-harness all` prints the individual reports
+/// joined with `"\n"`, plus `println!`'s newline, and those bytes must
+/// equal the committed file. The reports are a pure function of the code
+/// and `SEED`, so there is no tolerance; a red run lists every line that
+/// moved.
+#[test]
+fn committed_figures_reproduce_exactly() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../FIGURES_pioman.txt");
+    let committed = std::fs::read_to_string(path).expect("read FIGURES_pioman.txt");
+    let joined: Vec<&str> = individual_experiments().into_iter().map(report).collect();
+    let rendered = joined.join("\n") + "\n";
+    if committed == rendered {
+        return;
+    }
+    let (old, new): (Vec<&str>, Vec<&str>) = (
+        committed.split('\n').collect(),
+        rendered.split('\n').collect(),
+    );
+    let mut moved = String::new();
+    for i in 0..old.len().max(new.len()) {
+        let (o, n) = (old.get(i), new.get(i));
+        if o != n {
+            moved += &format!(
+                "line {}: {:?} → {:?}\n",
+                i + 1,
+                o.copied().unwrap_or("<none>"),
+                n.copied().unwrap_or("<none>")
+            );
+        }
+    }
+    panic!(
+        "FIGURES_pioman.txt no longer reproduces:\n{moved}If this change is intended, \
+         regenerate the file with `./target/release/piom-harness all > FIGURES_pioman.txt` \
+         and say why in CHANGES.md."
     );
 }
 

@@ -56,22 +56,14 @@ pub trait Classed {
 }
 
 /// The QoS lanes of one queue: one FIFO `VecDeque` per [`TaskClass`].
-/// Every access happens under the owning queue's lock (or, for the DES
-/// workloads that queue simulated requests in the same type, on the single
-/// simulation thread), so the policy is sequential, exact and
-/// deterministic. The `qos_policy` proptests pin it against an independent
-/// oracle.
+/// Every access happens under the owning queue's lock, so the policy is
+/// sequential, exact and deterministic. The `qos_policy` proptests pin it
+/// against an independent oracle.
 pub struct SeqLanes<T> {
     classes: [VecDeque<T>; CLASS_COUNT],
     /// Anti-starvation credit (see [`BACKGROUND_BYPASS_LIMIT`]).
     bg_credit: u32,
     len: usize,
-}
-
-impl<T: Classed> Default for SeqLanes<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<T: Classed> SeqLanes<T> {
@@ -87,11 +79,6 @@ impl<T: Classed> SeqLanes<T> {
     /// Total element count across every lane.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` when no lane holds an element.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Appends to the tail of the element's class lane.
@@ -380,9 +367,8 @@ mod tests {
 
     #[test]
     fn seq_lanes_serve_any_classed_element_under_the_pop_policy() {
-        // The lanes are generic over `Classed` (the DES workloads queue
-        // simulated requests in them): class priority, submission order
-        // within a class, and the exact background bypass.
+        // The lanes are generic over `Classed`: class priority, submission
+        // order within a class, and the exact background bypass.
         struct Item(TaskClass, u32);
         impl Classed for Item {
             fn class(&self) -> TaskClass {
@@ -407,7 +393,7 @@ mod tests {
         expected.extend(0..BACKGROUND_BYPASS_LIMIT - 1);
         expected.extend([999, BACKGROUND_BYPASS_LIMIT - 1, 100, 101, 102]);
         assert_eq!(order, expected);
-        assert!(lanes.is_empty());
+        assert_eq!(lanes.len(), 0);
     }
 
     #[test]
