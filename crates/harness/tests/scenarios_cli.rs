@@ -1,6 +1,7 @@
 //! Integration coverage for the `piom-harness` subcommands: `stats`, the
 //! Prometheus-text-shaped counter export, and `bench` and `compare`,
-//! which are gone.
+//! which are gone. The file keeps the name it had while it also held the
+//! tests of the retired `scenarios` subcommand, so these tests keep theirs.
 
 use std::process::Command;
 
