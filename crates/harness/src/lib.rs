@@ -119,6 +119,7 @@ pub fn table2() -> String {
 /// **Fig. 1**: cross-flow aggregation over 2 NICs — throughput and packet
 /// counts with the optimization layer on vs off.
 pub fn fig1() -> String {
+    use bytes::Bytes;
     use newmadeleine::{CommEngine, EngineConfig};
     use piom_net::{NetParams, Network};
 
@@ -142,14 +143,15 @@ pub fn fig1() -> String {
         let rx = CommEngine::new(1, net.clone(), cfg);
         let mut sim = Sim::new();
         let mut recvs = Vec::new();
+        let kib = Bytes::from(vec![0u8; 1024]);
         // 4 flows x 64 messages, interleaved round-robin like Fig. 1.
         for m in 0..64u64 {
             for flow in 0..4u64 {
                 let tag = flow << 32 | m;
                 recvs.push(rx.irecv(&mut sim, 0, tag));
-                let tx2 = tx.clone();
+                let (tx2, kib) = (tx.clone(), kib.clone());
                 sim.schedule_abs(SimTime::from_ns(m * 50), move |sim| {
-                    tx2.isend(sim, 1, tag, 1024);
+                    tx2.isend_bytes(sim, 1, tag, kib);
                 });
             }
         }

@@ -146,10 +146,15 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use newmadeleine::ReqHandle;
     use piom_des::Sim;
     use piom_machine::threads::Step;
     use std::cell::Cell;
+
+    fn four() -> Bytes {
+        Bytes::from(vec![0; 4])
+    }
 
     #[test]
     fn madmpi_progresses_without_app_polling() {
@@ -158,7 +163,7 @@ mod tests {
         let cluster = SimCluster::new(MpiImpl::MadMpi, 2, 1, 7);
         let mut sim = Sim::new();
         let r: ReqHandle = cluster.nodes[1].engine.irecv(&mut sim, 0, 1);
-        cluster.nodes[0].engine.isend(&mut sim, 1, 1, 4);
+        cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
         // Park one perpetually-blocked thread per node so the schedulers
         // keep idling (and hence polling) forever.
         for n in 0..2 {
@@ -179,7 +184,7 @@ mod tests {
         let cluster = SimCluster::new(MpiImpl::MvapichLike, 2, 1, 7);
         let mut sim = Sim::new();
         let r = cluster.nodes[1].engine.irecv(&mut sim, 0, 1);
-        cluster.nodes[0].engine.isend(&mut sim, 1, 1, 4);
+        cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
         for n in 0..2 {
             let cond = cluster.nodes[n].sched.new_cond();
             cluster.nodes[n]
@@ -202,7 +207,7 @@ mod tests {
         let cluster = SimCluster::new(MpiImpl::OpenMpiLike, 2, 1, 7);
         let mut sim = Sim::new();
         let r = cluster.nodes[1].engine.irecv(&mut sim, 0, 1);
-        cluster.nodes[0].engine.isend(&mut sim, 1, 1, 4);
+        cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
         let done_at = Rc::new(Cell::new(SimTime::ZERO));
         let d = done_at.clone();
         let engine = cluster.nodes[1].engine.clone();

@@ -16,6 +16,7 @@
 //!   number exceeds the number of CPUs".
 
 use crate::{MpiImpl, SimCluster};
+use bytes::Bytes;
 use piom_des::rng::SplitMix64;
 use piom_des::stats::OnlineStats;
 use piom_des::{Sim, SimTime};
@@ -41,6 +42,8 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
     let cluster = SimCluster::new(impl_, 2, 1, seed);
     let mut sim = Sim::new();
     let cores = cluster.cores_per_node();
+    // Every ping and reply shares these 4 bytes: no send allocates.
+    let four = Bytes::from(vec![0u8; 4]);
 
     // --- Receiver threads on node 1, spread round-robin over cores -----
     for t in 0..threads {
@@ -51,6 +54,7 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
         let cond = sched.new_cond();
         let tag = t as u64;
         let reply_tag = 0x8000_0000 | tag;
+        let reply = four.clone();
         // Receiver state machine: post recv -> wait -> reply -> repeat.
         let req: Rc<RefCell<Option<newmadeleine::ReqHandle>>> = Rc::new(RefCell::new(None));
         let spin_compute_next = Rc::new(Cell::new(true));
@@ -70,7 +74,7 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
                 let done = req.borrow().as_ref().unwrap().is_complete();
                 if done {
                     // Reply and repost.
-                    engine.isend(sim, 0, reply_tag, 4);
+                    engine.isend_bytes(sim, 0, reply_tag, reply.clone());
                     *req.borrow_mut() = None;
                     Step::Yield
                 } else if impl_.background_progress() {
@@ -125,7 +129,7 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
                     let t = (round % threads) as u64;
                     round += 1;
                     sent_at = sim.now();
-                    engine.isend(sim, 1, t, 4);
+                    engine.isend_bytes(sim, 1, t, four.clone());
                     let r = engine.irecv(sim, 1, 0x8000_0000 | t);
                     if impl_.background_progress() {
                         let sched = sched.clone();

@@ -10,6 +10,7 @@
 //! (Fig. 5), receiver-side (Fig. 6), or both (Fig. 7).
 
 use crate::{MpiImpl, SimCluster};
+use bytes::Bytes;
 use newmadeleine::{CommEngine, ReqHandle};
 use piom_des::{Sim, SimTime};
 use piom_machine::threads::{Step, ThreadSched};
@@ -114,6 +115,7 @@ pub fn run_overlap(
         let engine = cluster.nodes[0].engine.clone();
         let sched = cluster.nodes[0].sched.clone();
         let total = sender_total.clone();
+        let data = Bytes::from(vec![0u8; size]);
         let computes = matches!(side, ComputeSide::Sender | ComputeSide::Both);
         let mut phase = 0;
         let mut started = SimTime::ZERO;
@@ -127,7 +129,7 @@ pub fn run_overlap(
                     0 => {
                         phase = 1;
                         started = sim.now();
-                        let req = engine.isend(sim, 1, 1, size);
+                        let req = engine.isend_bytes(sim, 1, 1, data.clone());
                         *waiter.borrow_mut() =
                             Some(Waiter::new(req, engine.clone(), sched.clone(), impl_));
                         if computes && compute > SimTime::ZERO {

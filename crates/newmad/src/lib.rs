@@ -24,9 +24,9 @@
 //!
 //! # Zero-copy data path
 //!
-//! Payloads attached via [`CommEngine::isend_bytes`] travel as shared
-//! [`Bytes`] segments chained into a [`Rope`] — never memcpy'd by the
-//! engine:
+//! Every send carries its payload: the [`Bytes`] handed to
+//! [`CommEngine::isend_bytes`] travel as shared segments chained into a
+//! [`Rope`] — never memcpy'd by the engine:
 //!
 //! * eager frames chain `header + payload` segments;
 //! * aggregates chain one segment per packed message (no flattening);
@@ -50,11 +50,10 @@
 //! a submission into a full window costs a push, not a walk of everything
 //! pooled. A drain timer armed at each packet's exact
 //! [`rails::RailView::rail_eta`] re-flushes the moment a slot frees —
-//! pack(n+1) overlaps send(n) without waiting for the next poll. Large
-//! rendezvous payloads stream as
-//! [`EngineConfig::rndv_chunk`]-sized DATA chunks planned by
-//! [`rails::stripe_plan`], so CTS→data streaming overlaps packing and
-//! spreads across rails.
+//! pack(n+1) overlaps send(n) without waiting for the next poll. After
+//! the CTS, a rendezvous payload streams as the DATA chunks
+//! [`rails::stripe_plan`] cuts: one below [`EngineConfig::stripe_threshold`]
+//! or on one rail, else several water-filled across the rails.
 //!
 //! # Core and drivers
 //!
@@ -105,21 +104,18 @@ pub struct EngineConfig {
     pub aggregation: bool,
     /// Maximum aggregate packet payload.
     pub max_packet: usize,
-    /// Split rendezvous DATA across all rails (multirail distribution).
-    pub multirail_data: bool,
     /// Eager packets allowed in flight per destination before the
     /// optimization layer holds further packing. `1` is stop-and-wait
     /// (the MPICH-class baseline); larger windows let pack(n+1) overlap
     /// send(n) and keep several rails streaming.
     pub pipeline_window: usize,
-    /// Rendezvous payloads stream as DATA chunks of at most this size, so
-    /// the first chunk hits the wire while later ones are still being
-    /// sliced and a striped transfer interleaves across rails.
+    /// Largest DATA chunk of a striped rendezvous (at least one chunk per
+    /// rail); an unstriped payload is one chunk, whatever its size.
     pub rndv_chunk: usize,
     /// Rendezvous payloads at or above this size are striped across rails
-    /// by [`rails::stripe_plan`]; smaller ones stay on one (least-loaded)
-    /// rail. See [`rails::stripe_crossover`] for the math behind the
-    /// default.
+    /// by [`rails::stripe_plan`]; smaller ones (all, at `usize::MAX`) go as
+    /// one chunk on the least-loaded rail. See [`rails::stripe_crossover`]
+    /// for the math behind the default.
     pub stripe_threshold: usize,
 }
 
@@ -130,7 +126,6 @@ impl Default for EngineConfig {
             rdma_rendezvous: false,
             aggregation: true,
             max_packet: 64 * 1024,
-            multirail_data: true,
             pipeline_window: 2,
             rndv_chunk: 256 * 1024,
             stripe_threshold: 32 * 1024,
@@ -145,15 +140,13 @@ impl EngineConfig {
         Self::default()
     }
 
-    /// Baseline MPI-class configuration: RDMA-read rendezvous, no
-    /// aggregation, single-rail data, stop-and-wait submission.
+    /// Baseline MPI-class configuration: RDMA-read rendezvous (never
+    /// striped), no aggregation, stop-and-wait submission.
     pub fn baseline_mpi() -> Self {
         EngineConfig {
             rdma_rendezvous: true,
             aggregation: false,
-            multirail_data: false,
             pipeline_window: 1,
-            rndv_chunk: usize::MAX,
             ..Self::default()
         }
     }
@@ -178,12 +171,6 @@ pub struct ReqHandle {
 }
 
 impl ReqHandle {
-    /// Creates a detached handle, finished by [`complete`](Self::complete);
-    /// `isend` and `irecv` return one each.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// `true` once the operation finished.
     pub fn is_complete(&self) -> bool {
         self.st.borrow().complete
@@ -194,8 +181,9 @@ impl ReqHandle {
         self.st.borrow().completed_at
     }
 
-    /// Received payload bytes, if the peer attached any (set on receive
-    /// requests at completion; shares the sender's buffers — zero-copy).
+    /// A completed receive's payload, sharing the sender's buffers
+    /// (zero-copy). `None` on a send, before completion, and on a
+    /// rendezvous receive whose data fell short of its RTS's size.
     pub fn payload(&self) -> Option<Rope> {
         self.st.borrow().payload.clone()
     }
@@ -212,27 +200,6 @@ impl ReqHandle {
         } else {
             self.st.borrow_mut().callbacks.push(Box::new(f));
         }
-    }
-
-    /// Marks the operation finished and runs its callbacks (first call
-    /// only; later calls do nothing).
-    pub fn complete(&self, sim: &mut Sim) {
-        for cb in self.finish(sim.now(), None) {
-            cb(sim);
-        }
-    }
-
-    /// Records completion at `at` and returns the callbacks now due
-    /// (none on a repeated call).
-    fn finish(&self, at: SimTime, payload: Option<Rope>) -> Vec<ReqCallback> {
-        let mut st = self.st.borrow_mut();
-        if st.complete {
-            return Vec::new();
-        }
-        st.complete = true;
-        st.completed_at = Some(at);
-        st.payload = payload;
-        std::mem::take(&mut st.callbacks)
     }
 }
 
@@ -256,9 +223,9 @@ pub struct EngineStats {
     /// zero-copy is pinned by buffer identity in `tests/zero_copy.rs`.
     pub payload_bytes_copied: u64,
     /// Packets dropped because the wire header did not parse, or because
-    /// an eager body was neither empty (size-only frame) nor as long as
-    /// its header announced. A corrupt packet degrades the link, it must
-    /// not kill the process.
+    /// an eager or aggregate body was not exactly as long as its header
+    /// announced. A corrupt packet degrades the link, it must not kill the
+    /// process.
     pub undecodable_packets: u64,
     /// Well-formed control packets dropped as stale: a second copy of a
     /// live RTS, CTS/FIN for unknown or already-resolved requests, DATA
@@ -335,7 +302,12 @@ impl Fabric<ReqHandle> for Io<'_> {
     }
 
     fn complete(&mut self, req: ReqHandle, payload: Option<Rope>) {
-        self.due.extend(req.finish(self.sim.now(), payload));
+        let mut st = req.st.borrow_mut();
+        debug_assert!(!st.complete, "the core completes a request once");
+        st.complete = true;
+        st.completed_at = Some(self.sim.now());
+        st.payload = payload;
+        self.due.append(&mut st.callbacks);
     }
 }
 
@@ -383,11 +355,6 @@ impl CommEngine {
         out
     }
 
-    /// This engine's node id.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> EngineStats {
         self.core.borrow().stats()
@@ -403,47 +370,26 @@ impl CommEngine {
         self.core.borrow().rx_backlog()
     }
 
-    /// Non-blocking send of `size` bytes tagged `app_tag` to `dst`.
+    /// Non-blocking send of `data` tagged `app_tag` to `dst`; the
+    /// receiver's handle exposes the bytes via [`ReqHandle::payload`].
     ///
     /// Small messages go through the eager path (pooled in their
-    /// destination's flow while its window is full); large ones start a rendezvous. The returned handle
-    /// completes when the payload has left this node (eager / two-sided) or
-    /// when the receiver's FIN is processed (RDMA-read rendezvous).
-    pub fn isend(&self, sim: &mut Sim, dst: usize, app_tag: u64, size: usize) -> ReqHandle {
-        self.submit(sim, dst, app_tag, size, None)
-    }
-
-    /// Like [`isend`](Self::isend), but carries real payload bytes
-    /// end-to-end: the receiver's handle exposes them via
-    /// [`ReqHandle::payload`]. The engine only ever slices and chains the
-    /// buffer — zero-copy on every path (eager, aggregated, rendezvous,
-    /// striped).
+    /// destination's flow while its window is full); large ones start a
+    /// rendezvous. The engine only ever slices and chains `data` —
+    /// zero-copy on every path (eager, aggregated, rendezvous, striped).
+    /// The returned handle completes when the payload has left this node
+    /// (eager / two-sided) or when the receiver's FIN is processed
+    /// (RDMA-read rendezvous).
     pub fn isend_bytes(&self, sim: &mut Sim, dst: usize, app_tag: u64, data: Bytes) -> ReqHandle {
-        self.submit(sim, dst, app_tag, data.len(), Some(data))
-    }
-
-    fn submit(
-        &self,
-        sim: &mut Sim,
-        dst: usize,
-        app_tag: u64,
-        size: usize,
-        data: Option<Bytes>,
-    ) -> ReqHandle {
-        let req = ReqHandle::new();
-        let msg = Outgoing {
-            dst,
-            app_tag,
-            size,
-            data,
-        };
+        let req = ReqHandle::default();
+        let msg = Outgoing { dst, app_tag, data };
         self.drive(sim, |core, now, io| core.isend(now, io, msg, req.clone()));
         req
     }
 
     /// Non-blocking receive matching `(src, app_tag)`.
     pub fn irecv(&self, sim: &mut Sim, src: usize, app_tag: u64) -> ReqHandle {
-        let req = ReqHandle::new();
+        let req = ReqHandle::default();
         self.drive(sim, |core, now, io| {
             core.irecv(now, io, src, app_tag, req.clone())
         });

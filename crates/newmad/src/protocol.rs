@@ -48,7 +48,8 @@ pub trait Fabric<R>: RailView {
     fn rdma_read(&mut self, target: usize, rail: usize, size: usize, id: PullId);
     /// Asks for [`Core::on_timer`]`(what)` at instant `at`.
     fn arm_timer(&mut self, at: u64, what: Timer<R>);
-    /// `req` is finished; receives carry the peer's payload, if any.
+    /// `req` is finished; a receive carries the peer's payload, a send
+    /// `None`.
     fn complete(&mut self, req: R, payload: Option<Rope>);
 }
 
@@ -72,10 +73,8 @@ pub struct Outgoing {
     pub dst: usize,
     /// Application tag the receiver matches on.
     pub app_tag: u64,
-    /// Payload size in bytes.
-    pub size: usize,
-    /// Real payload (zero-copy reference), when the caller attached one.
-    pub data: Option<Bytes>,
+    /// The payload; the core only slices and chains it (zero-copy).
+    pub data: Bytes,
 }
 
 struct PostedRecv<R> {
@@ -298,7 +297,7 @@ impl<R> Core<R> {
     /// this node (eager / two-sided) or when the receiver's FIN is
     /// processed (RDMA-read rendezvous).
     pub fn isend(&mut self, now: u64, fab: &mut impl Fabric<R>, msg: Outgoing, req: R) {
-        if msg.size <= self.cfg.eager_threshold {
+        if msg.data.len() <= self.cfg.eager_threshold {
             if msg.dst >= self.flows.len() {
                 self.flows.resize_with(msg.dst + 1, Flow::default);
             }
@@ -314,15 +313,14 @@ impl<R> Core<R> {
         }
         self.stats.rendezvous_started += 1;
         let rdma = self.cfg.rdma_rendezvous;
-        let (dst, app_tag, size) = (msg.dst, msg.app_tag, msg.size as u64);
+        let (dst, app_tag, size) = (msg.dst, msg.app_tag, msg.data.len() as u64);
         // RDMA flavour: the RTS carries a reference to the exposed source
         // buffer (modelling memory registration — the descriptor rides the
         // control packet, the bytes move in the fabric's rdma_read);
         // two-sided keeps the buffer until CTS and streams it as DATA
         // chunks.
         let (state, rts_payload) = if rdma {
-            let exposed = msg.data.map(Rope::from).unwrap_or_default();
-            (SendRndv::AwaitFin, exposed)
+            (SendRndv::AwaitFin, Rope::from(msg.data))
         } else {
             (SendRndv::AwaitCts(msg), Rope::new())
         };
@@ -334,7 +332,7 @@ impl<R> Core<R> {
             rdma,
         };
         let rail = rails::pick_rail_in(fab, now);
-        self.send_frame(fab, dst, rail, rts, 0, rts_payload);
+        self.send_frame(fab, dst, rail, rts, rts_payload);
     }
 
     /// Posts a receive matching `(src, app_tag)`.
@@ -350,7 +348,7 @@ impl<R> Core<R> {
                 payload,
                 ..
             }) => self.accept_rts(now, fab, src, rts, req, payload),
-            Some(u) => fab.complete(req, Some(u.payload).filter(|p| !p.is_empty())),
+            Some(u) => fab.complete(req, Some(u.payload)),
             None => self.posted.push_back(PostedRecv { src, app_tag, req }),
         }
     }
@@ -412,11 +410,10 @@ impl<R> Core<R> {
             return;
         };
         match wire {
-            // An eager body is either every announced byte or, in a
-            // size-only simulation frame, no byte at all; anything in
-            // between is a truncated or padded frame.
+            // An eager body is every announced byte; a shorter (or empty)
+            // or longer one is a truncated or padded frame.
             Wire::Eager { app_tag, size } => {
-                if !frame.is_empty() && frame.remaining() != size as usize {
+                if frame.remaining() != size as usize {
                     self.stats.undecodable_packets += 1;
                     return;
                 }
@@ -424,17 +421,12 @@ impl<R> Core<R> {
             }
             Wire::EagerAggregate { parts } => {
                 let total: usize = parts.iter().map(|p| p.size as usize).sum();
-                let with_data = !frame.is_empty();
-                if with_data && frame.remaining() != total {
+                if frame.remaining() != total {
                     self.stats.undecodable_packets += 1;
                     return;
                 }
                 for p in parts {
-                    let payload = if with_data {
-                        frame.split_to(p.size as usize)
-                    } else {
-                        Rope::new()
-                    };
+                    let payload = frame.split_to(p.size as usize);
                     self.deliver_eager(fab, src, p.app_tag, payload);
                 }
             }
@@ -530,7 +522,7 @@ impl<R> Core<R> {
 
     fn deliver_eager(&mut self, fab: &mut impl Fabric<R>, src: usize, app_tag: u64, payload: Rope) {
         match self.take_posted(src, app_tag) {
-            Some(req) => fab.complete(req, Some(payload).filter(|p| !p.is_empty())),
+            Some(req) => fab.complete(req, Some(payload)),
             None => self.unexpected.push(Unexpected {
                 src,
                 app_tag,
@@ -592,18 +584,15 @@ impl<R> Core<R> {
         msg: Outgoing,
         handle: R,
     ) {
-        let plan = rails::stripe_plan_in(fab, now, msg.size, &self.cfg);
+        let plan = rails::stripe_plan_in(fab, now, msg.data.len(), &self.cfg);
         let of = plan.len() as u32;
         for (i, c) in plan.iter().enumerate() {
             // Zero-copy: each chunk is a shared window over the source.
-            let payload = match &msg.data {
-                Some(b) => Rope::from(b.slice(c.offset..c.offset + c.len)),
-                None => Rope::new(),
-            };
+            let payload = Rope::from(msg.data.slice(c.offset..c.offset + c.len));
             self.stats.data_chunks_sent += 1;
             let chunk = i as u32;
             let wire = Wire::Data { req, chunk, of };
-            self.send_frame(fab, msg.dst, c.rail, wire, c.len, payload);
+            self.send_frame(fab, msg.dst, c.rail, wire, payload);
         }
         // The sender's buffer is free once the NIC engines have streamed
         // everything out; rail_eta right after submission is the exact
@@ -639,21 +628,18 @@ impl<R> Core<R> {
             };
             // Pop one packet's worth of the flow, in submission order: a
             // singleton when aggregation is off, else everything that
-            // fits under max_packet. Data-carrying and size-only messages
-            // never mix in one aggregate (the payload rope is the
-            // concatenation of the parts, so part sizes must account for
-            // every byte).
+            // fits under max_packet.
             let pool = &mut self.flows[dst].pool;
             let first = pool.pop_front().expect("picked as non-empty");
-            let (with_data, mut bytes) = (first.data.is_some(), first.size);
+            let mut bytes = first.data.len();
             let mut batch = std::mem::take(&mut self.batch);
             batch.push(first);
             if self.cfg.aggregation {
                 while let Some(m) = pool.front() {
-                    if m.data.is_some() != with_data || bytes + m.size > self.cfg.max_packet {
+                    if bytes + m.data.len() > self.cfg.max_packet {
                         break;
                     }
-                    bytes += m.size;
+                    bytes += m.data.len();
                     batch.push(pool.pop_front().expect("peeked"));
                 }
             }
@@ -668,11 +654,10 @@ impl<R> Core<R> {
     /// timer at the packet's exact NIC drain time. Leaves `batch` empty.
     fn emit_eager_packet(&mut self, now: u64, fab: &mut impl Fabric<R>, batch: &mut Vec<Outgoing>) {
         let dst = batch[0].dst;
-        let payload_len: usize = batch.iter().map(|p| p.size).sum();
         let wire = if batch.len() == 1 {
             Wire::Eager {
                 app_tag: batch[0].app_tag,
-                size: batch[0].size as u32,
+                size: batch[0].data.len() as u32,
             }
         } else {
             self.stats.aggregate_packets += 1;
@@ -682,18 +667,18 @@ impl<R> Core<R> {
                     .iter()
                     .map(|p| EagerPart {
                         app_tag: p.app_tag,
-                        size: p.size as u32,
+                        size: p.data.len() as u32,
                     })
                     .collect(),
             }
         };
         // Zero-copy: the callers' buffers move into the frame.
         let mut payload = Rope::new();
-        for d in batch.drain(..).filter_map(|p| p.data) {
-            payload.push(d);
+        for p in batch.drain(..) {
+            payload.push(p.data);
         }
         let rail = rails::pick_rail_in(fab, now);
-        self.send_frame(fab, dst, rail, wire, payload_len, payload);
+        self.send_frame(fab, dst, rail, wire, payload);
         self.flows[dst].inflight += 1;
         // Per-packet eta, read after this packet's own transmit: the slot
         // frees exactly when *this* packet has left the NIC.
@@ -702,25 +687,27 @@ impl<R> Core<R> {
 
     /// Sends a pure control packet (header only, no payload bytes).
     fn send_wire(&mut self, fab: &mut impl Fabric<R>, dst: usize, rail: usize, wire: Wire) {
-        self.send_frame(fab, dst, rail, wire, 0, Rope::new());
+        self.send_frame(fab, dst, rail, wire, Rope::new());
     }
 
     /// Submits one wire frame: header segment + payload rope, chained
-    /// without copying. `payload_len` drives the charged byte time (the
-    /// rope may be empty in size-only experiments, or — for RDMA RTS —
-    /// carry a buffer reference that does not ride the wire).
+    /// without copying, charged for both — except an RDMA RTS's rope, a
+    /// reference to the exposed buffer that does not ride the wire.
     fn send_frame(
         &mut self,
         fab: &mut impl Fabric<R>,
         dst: usize,
         rail: usize,
         wire: Wire,
-        payload_len: usize,
         payload: Rope,
     ) {
         self.stats.packets_sent += 1;
+        let billed = match wire {
+            Wire::Rts { rdma: true, .. } => 0,
+            _ => payload.len(),
+        };
         let header = wire.encode();
-        let size = payload_len + header.len();
+        let size = billed + header.len();
         let mut frame = Rope::from(header);
         frame.append(payload);
         fab.transmit(dst, rail, size, frame);

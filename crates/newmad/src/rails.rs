@@ -9,10 +9,10 @@
 //!   packets, driven by the exact per-rail drain time
 //!   [`RailView::rail_eta`] (occupancy tracking, not round-robin:
 //!   a rail still streaming a rendezvous chunk is charged for it);
-//! * [`stripe_plan`] — splits a rendezvous payload into chunks of at most
-//!   `rndv_chunk` bytes and water-fills them across rails, so a transfer
-//!   finishes when the *least* loaded set of engines drains rather than
-//!   the round-robin worst case;
+//! * [`stripe_plan`] — one chunk below `stripe_threshold` or on one rail;
+//!   else chunks of at most `rndv_chunk` bytes water-filled across rails,
+//!   so a transfer finishes when the *least* loaded set of engines drains
+//!   rather than the round-robin worst case;
 //! * [`stripe_crossover`] — the documented eager/stripe crossover size
 //!   (see below).
 //!
@@ -33,8 +33,8 @@
 //! 16 KiB eager threshold, so the default
 //! [`EngineConfig::stripe_threshold`] of 32 KiB is conservative: every
 //! striped transfer is comfortably past the crossover, and sizes between
-//! the eager threshold and the stripe threshold still use a single rail
-//! (chunk pipelining, no stripe) to keep occupancy cost minimal.
+//! the eager threshold and the stripe threshold still go as one chunk on
+//! one rail, to keep occupancy cost minimal.
 
 use crate::EngineConfig;
 use piom_des::SimTime;
@@ -122,7 +122,7 @@ pub fn stripe_plan_in(
     cfg: &EngineConfig,
 ) -> Vec<StripeChunk> {
     let rails = view.n_rails();
-    if !cfg.multirail_data || rails < 2 || size < cfg.stripe_threshold {
+    if rails < 2 || size < cfg.stripe_threshold {
         return vec![StripeChunk {
             rail: pick_rail_in(view, now),
             offset: 0,
@@ -248,10 +248,44 @@ mod tests {
         let plan = stripe_plan(&single, SimTime::ZERO, 0, 1 << 20, &cfg);
         assert_eq!(plan.len(), 1, "one rail: nothing to stripe over");
 
-        let mut no_multi = EngineConfig::newmadeleine();
-        no_multi.multirail_data = false;
-        let plan = stripe_plan(&net, SimTime::ZERO, 0, 1 << 20, &no_multi);
-        assert_eq!(plan.len(), 1, "multirail disabled: single chunk");
+        let one_rail = EngineConfig {
+            stripe_threshold: usize::MAX,
+            ..EngineConfig::newmadeleine()
+        };
+        let plan = stripe_plan(&net, SimTime::ZERO, 0, 1 << 20, &one_rail);
+        assert_eq!(plan.len(), 1, "no threshold reached: single chunk");
+    }
+
+    /// Rail 0 busy, rails 1 and 2 idle and tied; the per-packet term is
+    /// ten times a 100 B chunk's bytes.
+    struct Skewed;
+
+    impl RailView for Skewed {
+        fn n_rails(&self) -> usize {
+            3
+        }
+        fn rail_eta(&self, rail: usize, _now: u64) -> u64 {
+            [500, 0, 0][rail]
+        }
+        fn tx_cost(&self, len: usize) -> u64 {
+            1_000 + len as u64
+        }
+    }
+
+    #[test]
+    fn water_filling_breaks_ties_low_and_charges_the_packet_cost() {
+        let cfg = EngineConfig {
+            rndv_chunk: 100,
+            stripe_threshold: 0,
+            ..EngineConfig::newmadeleine()
+        };
+        let plan = stripe_plan_in(&Skewed, 0, 400, &cfg);
+        let rails: Vec<usize> = plan.iter().map(|c| c.rail).collect();
+        // Rail 1 wins the tie, then rail 2; both now drain at 1 100, so
+        // rail 0 (500) takes the third chunk and rail 1 the fourth. Ties
+        // to the highest rail give [2, 1, 0, 2]; charging bytes alone
+        // keeps rail 0 idle, [1, 2, 1, 2].
+        assert_eq!(rails, [1, 2, 0, 1]);
     }
 
     #[test]

@@ -4,6 +4,12 @@ use super::*;
 use crate::wire::Wire;
 use piom_net::NetParams;
 
+/// `len` zero bytes, sliced from one buffer all sends share.
+fn zeros(len: usize) -> Bytes {
+    static ZEROS: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
+    ZEROS.get_or_init(|| vec![0; 4 << 20].into()).slice(0..len)
+}
+
 fn pair(cfg: EngineConfig) -> (Rc<Network>, CommEngine, CommEngine, Sim) {
     let net = Network::new(2, 2, NetParams::infiniband());
     let a = CommEngine::new(0, net.clone(), cfg.clone());
@@ -32,7 +38,7 @@ fn drive(sim: &mut Sim, engines: &[&CommEngine], until: SimTime) {
 fn eager_send_recv_completes() {
     let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     let r = b.irecv(&mut sim, 0, 77);
-    let s = a.isend(&mut sim, 1, 77, 1024);
+    let s = a.isend_bytes(&mut sim, 1, 77, zeros(1024));
     assert!(s.is_complete(), "eager send completes at submission");
     assert!(!r.is_complete());
     drive(&mut sim, &[&a, &b], SimTime::from_us(50));
@@ -42,7 +48,7 @@ fn eager_send_recv_completes() {
 #[test]
 fn eager_unexpected_then_recv() {
     let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
-    a.isend(&mut sim, 1, 5, 64);
+    a.isend_bytes(&mut sim, 1, 5, zeros(64));
     drive(&mut sim, &[&a, &b], SimTime::from_us(50));
     // Message already arrived and was stashed as unexpected.
     let r = b.irecv(&mut sim, 0, 5);
@@ -53,7 +59,7 @@ fn eager_unexpected_then_recv() {
 fn recv_does_not_match_wrong_tag_or_src() {
     let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     let wrong_tag = b.irecv(&mut sim, 0, 99);
-    a.isend(&mut sim, 1, 5, 64);
+    a.isend_bytes(&mut sim, 1, 5, zeros(64));
     drive(&mut sim, &[&a, &b], SimTime::from_us(50));
     assert!(!wrong_tag.is_complete());
     let right = b.irecv(&mut sim, 0, 5);
@@ -64,7 +70,7 @@ fn recv_does_not_match_wrong_tag_or_src() {
 fn two_sided_rendezvous_completes_both_sides() {
     let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     let r = b.irecv(&mut sim, 0, 1);
-    let s = a.isend(&mut sim, 1, 1, 1 << 20);
+    let s = a.isend_bytes(&mut sim, 1, 1, zeros(1 << 20));
     assert!(!s.is_complete(), "rendezvous send is not immediate");
     drive(&mut sim, &[&a, &b], SimTime::from_ms(5));
     assert!(s.is_complete(), "sender completes after CTS+DATA");
@@ -77,7 +83,7 @@ fn two_sided_rendezvous_completes_both_sides() {
 fn rdma_rendezvous_fin_completes_sender() {
     let (_net, a, b, mut sim) = pair(EngineConfig::baseline_mpi());
     let r = b.irecv(&mut sim, 0, 1);
-    let s = a.isend(&mut sim, 1, 1, 1 << 20);
+    let s = a.isend_bytes(&mut sim, 1, 1, zeros(1 << 20));
     drive(&mut sim, &[&a, &b], SimTime::from_ms(5));
     assert!(r.is_complete());
     assert!(s.is_complete());
@@ -89,7 +95,7 @@ fn rdma_rendezvous_fin_completes_sender() {
 #[test]
 fn rts_before_recv_is_held_unexpected() {
     let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
-    let s = a.isend(&mut sim, 1, 3, 1 << 17);
+    let s = a.isend_bytes(&mut sim, 1, 3, zeros(1 << 17));
     drive(&mut sim, &[&a, &b], SimTime::from_us(100));
     assert!(!s.is_complete(), "no CTS until the recv is posted");
     let r = b.irecv(&mut sim, 0, 3);
@@ -113,7 +119,7 @@ fn aggregation_packs_messages() {
         let a = a.clone();
         move |sim: &mut Sim| {
             for tag in 0..8u64 {
-                a.isend(sim, 1, tag, 512);
+                a.isend_bytes(sim, 1, tag, zeros(512));
             }
         }
     };
@@ -148,7 +154,7 @@ fn no_aggregation_sends_singletons() {
     let a2 = a.clone();
     sim.schedule(SimTime::ZERO, move |sim| {
         for tag in 0..4u64 {
-            a2.isend(sim, 1, tag, 512);
+            a2.isend_bytes(sim, 1, tag, zeros(512));
         }
     });
     drive(&mut sim, &[&a, &b], SimTime::from_us(100));
@@ -169,7 +175,7 @@ fn max_packet_splits_aggregates() {
     let a2 = a.clone();
     sim.schedule(SimTime::ZERO, move |sim| {
         for tag in 0..6u64 {
-            a2.isend(sim, 1, tag, 1000); // 1000 B each, cap 1500 => singles... pairs exceed
+            a2.isend_bytes(sim, 1, tag, zeros(1000)); // 1000 B each, cap 1500 => singles... pairs exceed
         }
     });
     drive(&mut sim, &[&a, &b], SimTime::from_us(100));
@@ -181,19 +187,19 @@ fn max_packet_splits_aggregates() {
 
 #[test]
 fn multirail_speeds_up_large_transfers() {
-    let run = |multirail: bool| {
+    let run = |stripe_threshold: usize| {
         let (_net, a, b, mut sim) = pair(EngineConfig {
-            multirail_data: multirail,
+            stripe_threshold,
             ..EngineConfig::newmadeleine()
         });
         let r = b.irecv(&mut sim, 0, 1);
-        a.isend(&mut sim, 1, 1, 4 << 20);
+        a.isend_bytes(&mut sim, 1, 1, zeros(4 << 20));
         drive(&mut sim, &[&a, &b], SimTime::from_ms(20));
         assert!(r.is_complete());
         r.completed_at().unwrap()
     };
-    let single = run(false);
-    let multi = run(true);
+    let single = run(usize::MAX);
+    let multi = run(EngineConfig::default().stripe_threshold);
     assert!(
         multi.as_ns() * 3 < single.as_ns() * 2,
         "2 rails should cut the 4 MB transfer well below single-rail: single {single}, multi {multi}"
@@ -216,7 +222,7 @@ fn pipeline_window_overlaps_packing_and_sending() {
         let a2 = a.clone();
         sim.schedule(SimTime::ZERO, move |sim| {
             for tag in 0..8u64 {
-                a2.isend(sim, 1, tag, 8 * 1024);
+                a2.isend_bytes(sim, 1, tag, zeros(8 * 1024));
             }
         });
         drive(&mut sim, &[&a, &b], SimTime::from_us(200));
@@ -268,7 +274,7 @@ fn undecodable_packet_is_a_counted_drop() {
         },
     );
     // A real message on the same link still gets through.
-    a.isend(&mut sim, 1, 7, 64);
+    a.isend_bytes(&mut sim, 1, 7, zeros(64));
     drive(&mut sim, &[&a, &b], SimTime::from_us(50));
     assert_eq!(
         b.stats().undecodable_packets,
@@ -313,7 +319,7 @@ fn stale_control_packets_are_counted_drops() {
 fn nothing_progresses_without_polling() {
     let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     let r = b.irecv(&mut sim, 0, 9);
-    a.isend(&mut sim, 1, 9, 256);
+    a.isend_bytes(&mut sim, 1, 9, zeros(256));
     // Run the network only: the packet arrives into the rx queue, but no
     // poll ever processes it.
     sim.run();

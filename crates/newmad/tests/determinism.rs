@@ -7,6 +7,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use newmadeleine::{CommEngine, EngineConfig, EngineStats};
 use piom_des::rng::SplitMix64;
 use piom_des::{Sim, SimTime};
@@ -43,6 +44,7 @@ impl Run {
         let sender = CommEngine::new(0, net.clone(), cfg.clone());
         let receiver = CommEngine::new(1, net.clone(), cfg);
         let latencies: Rc<RefCell<Vec<u64>>> = Rc::default();
+        let zeros = Bytes::from(vec![0u8; self.sizes.end as usize]);
         let mut sim = Sim::new();
 
         let mut t = SimTime::ZERO;
@@ -51,12 +53,13 @@ impl Run {
             let span = self.sizes.end - self.sizes.start;
             let size = (self.sizes.start + rng.next_below(span)) as usize;
             let (snd, rcv, out) = (sender.clone(), receiver.clone(), latencies.clone());
+            let data = zeros.slice(0..size);
             sim.schedule_abs(t, move |sim| {
                 let start = sim.now().as_ns();
                 rcv.irecv(sim, 0, id).on_complete(sim, move |sim| {
                     out.borrow_mut().push(sim.now().as_ns() - start);
                 });
-                snd.isend(sim, 1, id, size);
+                snd.isend_bytes(sim, 1, id, data);
             });
         }
         let horizon = t + SimTime::from_ms(10);

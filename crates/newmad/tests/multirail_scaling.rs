@@ -5,6 +5,7 @@
 //! protocols on both sides, and more rails mean more bandwidth and a
 //! smaller crossover.
 
+use bytes::Bytes;
 use newmadeleine::{rails, CommEngine, EngineConfig};
 use piom_des::{Sim, SimTime};
 use piom_net::{NetParams, Network};
@@ -21,7 +22,7 @@ fn transfer_ns(size: usize, cfg: EngineConfig, n_rails: usize) -> u64 {
     let b = CommEngine::new(1, net, cfg);
     let mut sim = Sim::new();
     let r = b.irecv(&mut sim, 0, 1);
-    a.isend(&mut sim, 1, 1, size);
+    a.isend_bytes(&mut sim, 1, 1, Bytes::from(vec![0u8; size]));
     for k in 0..horizon_ns / 500 {
         let (a, b) = (a.clone(), b.clone());
         sim.schedule_abs(SimTime::from_ns(k * 500), move |sim| {
@@ -73,7 +74,7 @@ fn eager_wins_below_the_stripe_crossover_and_striping_wins_above() {
     let single_rail = transfer_ns(
         big,
         EngineConfig {
-            multirail_data: false,
+            stripe_threshold: usize::MAX,
             ..EngineConfig::newmadeleine()
         },
         2,

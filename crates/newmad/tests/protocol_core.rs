@@ -90,8 +90,7 @@ impl Pair {
         let msg = Outgoing {
             dst: 1 - from,
             app_tag: i as u64,
-            size,
-            data: Some(data),
+            data,
         };
         self.core[from].isend(self.now, &mut self.fab[from], msg, 2 * i);
     }
@@ -204,8 +203,9 @@ fn size_ladder_round_trips() {
     }
 }
 
-/// An eager body that is neither empty (size-only frame) nor as long as
-/// the header announces is a counted drop: it matches no receive.
+/// An eager or aggregate body that is not exactly as long as its header
+/// announces — an empty one included — is a counted drop: it completes
+/// nothing and leaves the receives posted.
 #[test]
 fn length_mismatched_eager_frames_are_counted_drops() {
     let single = Wire::Eager {
@@ -225,14 +225,14 @@ fn length_mismatched_eager_frames_are_counted_drops() {
         for i in 0..n_msgs {
             p.irecv(1, i);
         }
-        for (k, bad) in [1, 7, 9, 64].into_iter().enumerate() {
+        for (k, bad) in [0, 1, 7, 9, 64].into_iter().enumerate() {
             p.core[1].on_frame(0, frame(bad));
             p.core[1].poll(0, &mut p.fab[1]);
             assert!(p.fab[1].done.is_empty(), "{wire:?} with a {bad}-byte body");
             assert_eq!(p.core[1].stats().undecodable_packets, k as u64 + 1);
         }
         // The receives are still posted: a whole frame completes them with
-        // its bytes, a size-only one (posted again) without.
+        // its bytes.
         p.core[1].on_frame(0, frame(8));
         p.core[1].poll(0, &mut p.fab[1]);
         let got: Vec<usize> = p.fab[1]
@@ -241,14 +241,7 @@ fn length_mismatched_eager_frames_are_counted_drops() {
             .map(|(_, b)| b.as_ref().map_or(0, Rope::len))
             .collect();
         assert_eq!(got, vec![8 / n_msgs; n_msgs]);
-        for i in 0..n_msgs {
-            p.irecv(1, i);
-        }
-        p.core[1].on_frame(0, frame(0));
-        p.core[1].poll(0, &mut p.fab[1]);
-        assert_eq!(p.fab[1].done.len(), 2 * n_msgs);
-        assert!(p.fab[1].done[n_msgs..].iter().all(|(_, b)| b.is_none()));
-        assert_eq!(p.core[1].stats().undecodable_packets, 4);
+        assert_eq!(p.core[1].stats().undecodable_packets, 5);
     }
 }
 
@@ -282,9 +275,8 @@ impl Fabric<Req> for Log {
             Wire::EagerAggregate { parts } => parts.iter().map(|p| (p.app_tag, p.size)).collect(),
             other => panic!("not an eager packet: {other:?}"),
         };
-        // Data-carrying and size-only messages never share a packet.
         let announced: usize = parts.iter().map(|p| p.1 as usize).sum();
-        assert!(frame.is_empty() || frame.len() == announced);
+        assert_eq!(frame.len(), announced, "the body is every part's bytes");
         assert_eq!(size, header + announced, "charged for header and payload");
         self.sent.push((dst, parts));
     }
@@ -304,8 +296,8 @@ struct Model {
     window: usize,
     aggregation: bool,
     max_packet: usize,
-    /// `(dst, app_tag, size, carries data)`.
-    pool: Vec<(usize, u64, u32, bool)>,
+    /// `(dst, app_tag, size)`.
+    pool: Vec<(usize, u64, u32)>,
     inflight: [usize; DSTS],
     sent: Vec<(usize, Vec<(u64, u32)>)>,
     stalls: u64,
@@ -318,13 +310,13 @@ impl Model {
             .iter()
             .position(|m| self.inflight[m.0] < self.window)
         {
-            let (dst, tag, size, data) = self.pool.remove(i);
+            let (dst, tag, size) = self.pool.remove(i);
             let (mut parts, mut bytes, mut j) = (vec![(tag, size)], size as usize, i);
             while self.aggregation && j < self.pool.len() {
                 let m = self.pool[j];
                 if m.0 != dst {
                     j += 1;
-                } else if m.3 != data || bytes + m.2 as usize > self.max_packet {
+                } else if bytes + m.2 as usize > self.max_packet {
                     break;
                 } else {
                     bytes += m.2 as usize;
@@ -356,7 +348,7 @@ proptest! {
     fn flush_order_matches_the_single_pool_rule(
         window in 1usize..=3,
         aggregation in any::<bool>(),
-        ops in proptest::collection::vec((0u8..8, 0usize..DSTS, 0usize..6, any::<bool>(), any::<u64>()), 1..96),
+        ops in proptest::collection::vec((0u8..8, 0usize..DSTS, 0usize..6, any::<u64>()), 1..96),
     ) {
         // Sums of a few of these pass max_packet; the largest does alone.
         const SIZES: [usize; 6] = [0, 64, 700, 1500, 4000, 5000];
@@ -384,7 +376,7 @@ proptest! {
             model.inflight[dst] -= 1;
             core.on_timer(0, fab, what);
         };
-        for (tag, (op, dst, size, with_data, pick)) in ops.into_iter().enumerate() {
+        for (tag, (op, dst, size, pick)) in ops.into_iter().enumerate() {
             match op {
                 0 | 1 if !fab.timers.is_empty() => fire(&mut core, &mut fab, &mut model, pick),
                 2 => {
@@ -392,9 +384,9 @@ proptest! {
                 }
                 _ => {
                     let size = SIZES[size];
-                    let data = with_data.then(|| Bytes::from(vec![tag as u8; size]));
-                    model.pool.push((dst, tag as u64, size as u32, with_data));
-                    let msg = Outgoing { dst, app_tag: tag as u64, size, data };
+                    let data = Bytes::from(vec![tag as u8; size]);
+                    model.pool.push((dst, tag as u64, size as u32));
+                    let msg = Outgoing { dst, app_tag: tag as u64, data };
                     core.isend(0, &mut fab, msg, tag);
                 }
             }

@@ -1,6 +1,7 @@
 //! Property tests: protocol-level delivery invariants hold for any message
 //! mix, polling cadence, and configuration.
 
+use bytes::Bytes;
 use newmadeleine::{CommEngine, EngineConfig};
 use piom_des::{Sim, SimTime};
 use piom_net::{NetParams, Network};
@@ -29,15 +30,14 @@ fn arb_config() -> impl Strategy<Value = EngineConfig> {
         (4usize..256, 16usize..128),
     )
         .prop_map(
-            |(rdma, agg, multirail, thresh_kb, window, (chunk_kb, stripe_kb))| EngineConfig {
+            |(rdma, agg, stripe, thresh_kb, window, (chunk_kb, stripe_kb))| EngineConfig {
                 eager_threshold: thresh_kb * 1024,
                 rdma_rendezvous: rdma,
                 aggregation: agg,
                 max_packet: 64 * 1024,
-                multirail_data: multirail,
                 pipeline_window: window,
                 rndv_chunk: chunk_kb * 1024,
-                stripe_threshold: stripe_kb * 1024,
+                stripe_threshold: if stripe { stripe_kb * 1024 } else { usize::MAX },
             },
         )
 }
@@ -60,12 +60,13 @@ proptest! {
         let mut sim = Sim::new();
 
         let mut recvs = Vec::new();
+        let zeros = Bytes::from(vec![0u8; 200_000]);
         for (i, m) in msgs.iter().enumerate() {
             recvs.push((b.irecv(&mut sim, 0, i as u64), m.size));
             let a2 = a.clone();
-            let (tag, size, delay) = (i as u64, m.size, m.delay_ns);
+            let (tag, data, delay) = (i as u64, zeros.slice(0..m.size), m.delay_ns);
             sim.schedule_abs(SimTime::from_ns(delay), move |sim| {
-                a2.isend(sim, 1, tag, size);
+                a2.isend_bytes(sim, 1, tag, data);
             });
         }
         // Poll both sides on a random cadence, long enough for the worst
@@ -109,6 +110,7 @@ proptest! {
             let a = CommEngine::new(0, net.clone(), cfg.clone());
             let b = CommEngine::new(1, net, cfg.clone());
             let mut sim = Sim::new();
+            let zeros = Bytes::from(vec![0u8; 200_000]);
             let recvs: Vec<_> = msgs
                 .iter()
                 .enumerate()
@@ -116,9 +118,9 @@ proptest! {
                 .collect();
             for (i, m) in msgs.iter().enumerate() {
                 let a2 = a.clone();
-                let (tag, size) = (i as u64, m.size);
+                let (tag, data) = (i as u64, zeros.slice(0..m.size));
                 sim.schedule_abs(SimTime::from_ns(m.delay_ns), move |sim| {
-                    a2.isend(sim, 1, tag, size);
+                    a2.isend_bytes(sim, 1, tag, data);
                 });
             }
             for k in 0..50_000u64 {

@@ -31,6 +31,12 @@ const BULK_SPAN: SimTime = if cfg!(miri) {
     SimTime::from_ms(5)
 };
 
+/// `len` zero bytes, sliced from one buffer all sends share.
+fn zeros(len: usize) -> Bytes {
+    static ZEROS: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
+    ZEROS.get_or_init(|| vec![0; 3 * BULK].into()).slice(0..len)
+}
+
 fn pair(cfg: EngineConfig) -> (Rc<Network>, CommEngine, CommEngine, Sim) {
     let net = Network::new(2, 2, NetParams::infiniband());
     let a = CommEngine::new(0, net.clone(), cfg.clone());
@@ -93,7 +99,7 @@ fn two_sided_recv_first_timeline() {
 
     let r = b.irecv(&mut sim, 0, 1);
     r.on_complete(&mut sim, mark(&tl, "recv_done"));
-    let s = a.isend(&mut sim, 1, 1, BULK);
+    let s = a.isend_bytes(&mut sim, 1, 1, zeros(BULK));
     s.on_complete(&mut sim, mark(&tl, "send_done"));
     tl.borrow_mut().push((sim.now().as_ns(), "submitted"));
 
@@ -128,7 +134,7 @@ fn recv_posted_after_rts_restarts_the_handshake() {
     let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     let tl: Timeline = Rc::default();
 
-    let s = a.isend(&mut sim, 1, 3, BULK / 4);
+    let s = a.isend_bytes(&mut sim, 1, 3, zeros(BULK / 4));
     s.on_complete(&mut sim, mark(&tl, "send_done"));
     drive(&mut sim, &[&a, &b], SimTime::from_us(100));
     assert!(
@@ -155,7 +161,7 @@ fn recv_posted_after_rts_restarts_the_handshake() {
 fn duplicate_cts_does_not_restream_data() {
     let (net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     let r = b.irecv(&mut sim, 0, 1);
-    let s = a.isend(&mut sim, 1, 1, BULK); // first rendezvous => req 1
+    let s = a.isend_bytes(&mut sim, 1, 1, zeros(BULK)); // first rendezvous => req 1
     drive(&mut sim, &[&a, &b], BULK_SPAN);
     assert!(s.is_complete() && r.is_complete());
 
@@ -247,7 +253,7 @@ fn out_of_order_duplicate_and_malformed_data_chunks() {
 fn duplicate_fin_after_rdma_completion_is_stale() {
     let (net, a, b, mut sim) = pair(EngineConfig::baseline_mpi());
     let r = b.irecv(&mut sim, 0, 1);
-    let s = a.isend(&mut sim, 1, 1, BULK); // rdma rendezvous => req 1
+    let s = a.isend_bytes(&mut sim, 1, 1, zeros(BULK)); // rdma rendezvous => req 1
     drive(&mut sim, &[&a, &b], BULK_SPAN);
     assert!(s.is_complete() && r.is_complete());
 
@@ -270,7 +276,7 @@ fn duplicate_rts_is_stale(cfg: EngineConfig) {
     let (net, a, b, mut sim) = pair(cfg.clone());
     let r1 = b.irecv(&mut sim, 0, 1);
     let r2 = b.irecv(&mut sim, 0, 1);
-    let s1 = a.isend(&mut sim, 1, 1, size); // first rendezvous => req 1
+    let s1 = a.isend_bytes(&mut sim, 1, 1, zeros(size)); // first rendezvous => req 1
     inject(&net, &mut sim, 0, 1, rts(1), &[]); // same rail, right behind
     drive(&mut sim, &[&a, &b], BULK_SPAN);
     assert!(s1.is_complete() && r1.is_complete());
@@ -279,12 +285,12 @@ fn duplicate_rts_is_stale(cfg: EngineConfig) {
     assert_eq!(a.stats().stale_control_packets, 0, "no second CTS/FIN");
 
     // The receive the copy would have eaten still takes the next message.
-    let s2 = a.isend(&mut sim, 1, 1, size);
+    let s2 = a.isend_bytes(&mut sim, 1, 1, zeros(size));
     drive(&mut sim, &[&a, &b], BULK_SPAN);
     assert!(s2.is_complete() && r2.is_complete());
 
     // Same while the original is parked unexpected (no receive posted).
-    let s3 = a.isend(&mut sim, 1, 1, size);
+    let s3 = a.isend_bytes(&mut sim, 1, 1, zeros(size));
     inject(&net, &mut sim, 0, 1, rts(3), &[]);
     drive(&mut sim, &[&a, &b], SimTime::from_us(100));
     assert_eq!(b.stats().stale_control_packets, 2);
@@ -322,12 +328,12 @@ fn completion_callback_may_reenter_its_engine() {
         let first = b.irecv(&mut sim, 0, 1);
         first.on_complete(&mut sim, move |sim| {
             let next = b2.irecv(sim, 0, 2);
-            let reply = b2.isend(sim, 0, 3, size);
+            let reply = b2.isend_bytes(sim, 0, 3, zeros(size));
             *slot.borrow_mut() = Some((next, reply));
         });
         let back = a.irecv(&mut sim, 1, 3);
-        a.isend(&mut sim, 1, 1, size);
-        a.isend(&mut sim, 1, 2, size);
+        a.isend_bytes(&mut sim, 1, 1, zeros(size));
+        a.isend_bytes(&mut sim, 1, 2, zeros(size));
         drive(&mut sim, &[&a, &b], BULK_SPAN);
         let (next, reply) = posted.borrow_mut().take().expect("callback ran");
         assert!(first.is_complete() && next.is_complete());
@@ -344,7 +350,7 @@ fn skewed_polling_cadences_are_deterministic() {
     let run = || {
         let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
         let r = b.irecv(&mut sim, 0, 1);
-        let s = a.isend(&mut sim, 1, 1, 3 * BULK);
+        let s = a.isend_bytes(&mut sim, 1, 1, zeros(3 * BULK));
         let polls: u64 = if cfg!(miri) { 2_500 } else { 20_000 };
         for k in 0..polls {
             let a2 = a.clone();
@@ -399,7 +405,7 @@ fn retired_id_in_a_reused_slot_is_stale(cfg: EngineConfig, stale: fn(u32) -> Wir
     let size = BULK / 4;
     let (net, a, b, mut sim) = pair(cfg);
     let r1 = b.irecv(&mut sim, 0, 1);
-    let s1 = a.isend(&mut sim, 1, 1, size); // first rendezvous => id 1
+    let s1 = a.isend_bytes(&mut sim, 1, 1, zeros(size)); // first rendezvous => id 1
     settle(&mut sim, &[&a, &b]);
     assert!(s1.is_complete() && r1.is_complete());
 
@@ -448,10 +454,10 @@ fn send_table_storage_is_bounded_by_the_rendezvous_outstanding() {
     let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     // Never matched while the others run: its RTS parks at node 1, so its
     // CTS does not come, and its entry stays live throughout.
-    let stuck = a.isend(&mut sim, 1, u64::MAX, size);
+    let stuck = a.isend_bytes(&mut sim, 1, u64::MAX, zeros(size));
     for tag in 0..n {
         let r = b.irecv(&mut sim, 0, tag);
-        let s = a.isend(&mut sim, 1, tag, size);
+        let s = a.isend_bytes(&mut sim, 1, tag, zeros(size));
         settle(&mut sim, &[&a, &b]);
         assert!(r.is_complete() && s.is_complete());
     }

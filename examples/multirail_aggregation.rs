@@ -12,11 +12,14 @@
 //!
 //! Run with: `cargo run --release --example multirail_aggregation`
 
+use bytes::Bytes;
 use piom_suite::des::{Sim, SimTime};
 use piom_suite::net::{NetParams, Network};
 use piom_suite::newmad::{rails, CommEngine, EngineConfig};
 
 fn main() {
+    // Every send slices its payload out of this one zero-filled buffer.
+    let zeros = Bytes::from(vec![0u8; 1 << 20]);
     for (label, aggregation) in [
         ("direct (no optimizer)", false),
         ("collect + aggregate", true),
@@ -35,9 +38,9 @@ fn main() {
             for flow in 0..4u64 {
                 let tag = flow << 32 | m;
                 recvs.push(rx.irecv(&mut sim, 0, tag));
-                let tx2 = tx.clone();
+                let (tx2, kib) = (tx.clone(), zeros.slice(0..1024));
                 sim.schedule_abs(SimTime::from_ns(m * 50), move |sim| {
-                    tx2.isend(sim, 1, tag, 1024);
+                    tx2.isend_bytes(sim, 1, tag, kib);
                 });
             }
         }
@@ -75,7 +78,7 @@ fn main() {
     for (label, multirail) in [("single rail", false), ("striped over 2 rails", true)] {
         let net = Network::new(2, 2, params.clone());
         let cfg = EngineConfig {
-            multirail_data: multirail,
+            stripe_threshold: if multirail { SIZE } else { usize::MAX },
             ..EngineConfig::newmadeleine()
         };
         let plan = rails::stripe_plan(&net, SimTime::ZERO, 0, SIZE, &cfg);
@@ -83,7 +86,7 @@ fn main() {
         let rx = CommEngine::new(1, net.clone(), cfg);
         let mut sim = Sim::new();
         let r = rx.irecv(&mut sim, 0, 0);
-        tx.isend(&mut sim, 1, 0, SIZE);
+        tx.isend_bytes(&mut sim, 1, 0, zeros.slice(0..SIZE));
         for k in 0..20_000u64 {
             let (tx2, rx2) = (tx.clone(), rx.clone());
             sim.schedule_abs(SimTime::from_ns(k * 200), move |sim| {
