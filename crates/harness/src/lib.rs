@@ -6,14 +6,8 @@
 //! `piom-harness all`'s output is committed as `FIGURES_pioman.txt`, and
 //! the tier-1 test `committed_figures_reproduce_exactly` requires the
 //! reports to match it byte for byte.
-//!
-//! Alongside: [`snapshot`] renders the `stats` counter export and
-//! [`schema`] checks that it is well-formed JSON.
 
 #![warn(missing_docs)]
-
-pub mod schema;
-pub mod snapshot;
 
 use madmpi::overlap::{sweep, ComputeSide};
 use madmpi::{mtlat, MpiImpl};
@@ -249,7 +243,7 @@ fn overlap_figure(title: &str, side: ComputeSide) -> String {
         let curves: Vec<Vec<f64>> = MpiImpl::ALL
             .iter()
             .map(|&impl_| {
-                sweep(impl_, size, &xs, side, SEED)
+                sweep(impl_, size, &xs, side)
                     .into_iter()
                     .map(|p| p.ratio)
                     .collect()

@@ -9,7 +9,25 @@
 use piom_des::SimTime;
 use piom_topology::Topology;
 
-/// Latency parameters of a simulated machine's memory system.
+/// Extra cost when the submitting core also executes the task (the paper
+/// measured ~25 ns on core #0, §V-A).
+pub const SELF_EXECUTION_OVERHEAD: SimTime = SimTime::from_ns(25);
+/// Uncontended lock acquire/release round.
+pub const LOCK_BASE: SimTime = SimTime::from_ns(15);
+/// Span of [`MachineCtx::poll_phase`](crate::spinlock_model::MachineCtx::poll_phase):
+/// an event becomes visible to a polling core a uniform delay in
+/// `[0, POLL_PHASE_SPAN)` after it reaches the core's cache.
+pub const POLL_PHASE_SPAN: SimTime = SimTime::from_ns(40);
+/// Cost of a context switch (thread-scheduler model).
+pub const CONTEXT_SWITCH: SimTime = SimTime::from_ns(1_500);
+/// Timer interrupt period (thread-scheduler model): a Linux-ish 10 ms tick.
+pub const TIMER_SLICE: SimTime = SimTime::from_ms(10);
+/// Multiplicative jitter spread applied to transfers.
+pub const JITTER: f64 = 0.04;
+
+/// Latency parameters of a simulated machine's memory system: what the
+/// presets calibrate per machine. Costs that are the same on every machine
+/// are the module's constants.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Cache-line transfer latency indexed by [`piom_topology::Locality`]
@@ -19,16 +37,6 @@ pub struct CostModel {
     /// Fixed cost of creating + locally scheduling + completing an empty
     /// task (the paper's ~700 ns reference, §V-A).
     pub base_local_ns: u64,
-    /// Extra cost when the submitting core also executes the task (the
-    /// paper measured ~25 ns on core #0, §V-A).
-    pub self_execution_overhead_ns: u64,
-    /// Uncontended lock acquire/release round.
-    pub lock_base_ns: u64,
-    /// Fraction of the cache-line transfer latency paid by an *uncontended*
-    /// acquire. An uncontended CAS mostly overlaps with the line movement of
-    /// the emptiness check that preceded it, so this is near zero; contended
-    /// handoffs always pay the full transfer.
-    pub uncontended_transfer_fraction: f64,
     /// Time a spinning waiter "steals" from the handoff (cache-line
     /// interference per additional active spinner).
     pub spin_interference_ns: u64,
@@ -37,14 +45,6 @@ pub struct CostModel {
     /// be invalidated and re-fetched on every write (steady-state MESI
     /// traffic on a shared queue).
     pub poll_pressure_ns: u64,
-    /// Granularity at which an idle core re-polls its queues.
-    pub poll_interval_ns: u64,
-    /// Cost of a context switch (used by the thread-scheduler model).
-    pub context_switch_ns: u64,
-    /// Timer interrupt period (thread-scheduler model).
-    pub timer_slice_ns: u64,
-    /// Multiplicative jitter spread applied to transfers (0 = none).
-    pub jitter: f64,
 }
 
 impl CostModel {
@@ -56,15 +56,8 @@ impl CostModel {
             //            self, cache, chip, numa, xnuma
             transfer_ns: [0, 40, 55, 95, 950],
             base_local_ns: 640,
-            self_execution_overhead_ns: 25,
-            lock_base_ns: 15,
-            uncontended_transfer_fraction: 0.0,
             spin_interference_ns: 110,
             poll_pressure_ns: 250,
-            poll_interval_ns: 40,
-            context_switch_ns: 1_500,
-            timer_slice_ns: 10_000_000, // 10 ms Linux-ish tick
-            jitter: 0.04,
         }
     }
 
@@ -74,15 +67,8 @@ impl CostModel {
         CostModel {
             transfer_ns: [0, 45, 60, 80, 1_030],
             base_local_ns: 590,
-            self_execution_overhead_ns: 25,
-            lock_base_ns: 15,
-            uncontended_transfer_fraction: 0.0,
             spin_interference_ns: 130,
             poll_pressure_ns: 230,
-            poll_interval_ns: 40,
-            context_switch_ns: 1_500,
-            timer_slice_ns: 10_000_000,
-            jitter: 0.04,
         }
     }
 
@@ -91,31 +77,14 @@ impl CostModel {
         CostModel {
             transfer_ns: [0, 40, 80, 120, 800],
             base_local_ns: 700,
-            self_execution_overhead_ns: 25,
-            lock_base_ns: 15,
-            uncontended_transfer_fraction: 0.0,
             spin_interference_ns: 100,
             poll_pressure_ns: 220,
-            poll_interval_ns: 40,
-            context_switch_ns: 1_500,
-            timer_slice_ns: 10_000_000,
-            jitter: 0.04,
         }
     }
 
     /// Cache-line transfer latency between two cores of `topo`.
     pub fn transfer(&self, topo: &Topology, from: usize, to: usize) -> SimTime {
         SimTime::from_ns(self.transfer_ns[topo.locality(from, to).distance()])
-    }
-
-    /// Uncontended lock round-trip.
-    pub fn lock_base(&self) -> SimTime {
-        SimTime::from_ns(self.lock_base_ns)
-    }
-
-    /// Context-switch cost.
-    pub fn context_switch(&self) -> SimTime {
-        SimTime::from_ns(self.context_switch_ns)
     }
 }
 

@@ -7,7 +7,9 @@
 //! numbers to*, on top of the [`piom_des`] kernel:
 //!
 //! * [`CostModel`] — cache-line transfer latencies by topological distance,
-//!   lock handoff costs, poll granularity; presets calibrated per machine;
+//!   base task cost, spinner interference and poll pressure; presets
+//!   calibrated per machine, and the costs every machine shares (lock
+//!   round, poll phase, context switch, timer tick) as [`cost`]'s constants;
 //! * [`SimSpinLock`] — a discrete-event spinlock whose arbitration exhibits
 //!   the two phenomena driving Tables I–II: handoff cost scales with the
 //!   topological distance between consecutive owners, and waiters close to

@@ -31,7 +31,7 @@
 //! scan, no class lanes, stealing or spill, and no `pioman` code is
 //! shared or copied.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, SELF_EXECUTION_OVERHEAD};
 use crate::spinlock_model::{MachineCtx, SimSpinLock};
 use piom_des::stats::OnlineStats;
 use piom_des::{Sim, SimTime};
@@ -191,11 +191,11 @@ fn lock_granted(sim: &mut Sim, b: &Shared, core: usize) {
                 bench.attempting[core] = false;
                 bench.executed_by_core[core] += 1;
                 let exec = if core == 0 {
-                    bench.ctx.cost.self_execution_overhead_ns
+                    SELF_EXECUTION_OVERHEAD
                 } else {
-                    0
+                    SimTime::ZERO
                 };
-                (bench.lock.clone(), SimTime::from_ns(exec))
+                (bench.lock.clone(), exec)
             };
             lock.release(sim, core);
             let b3 = b2.clone();

@@ -15,7 +15,7 @@
 //! with the smallest jittered transfer distance from the releasing core, and
 //! each remaining active spinner adds `spin_interference_ns` to the handoff.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, JITTER, LOCK_BASE, POLL_PHASE_SPAN};
 use piom_des::rng::SplitMix64;
 use piom_des::{Sim, SimTime};
 use piom_topology::Topology;
@@ -45,15 +45,15 @@ impl MachineCtx {
     /// Jittered cache-line transfer latency between two cores.
     pub fn transfer(&self, from: usize, to: usize) -> SimTime {
         let base = self.cost.transfer(&self.topo, from, to);
-        let j = self.rng.borrow_mut().jitter(self.cost.jitter);
+        let j = self.rng.borrow_mut().jitter(JITTER);
         base.scale(j)
     }
 
-    /// Uniform delay in `[0, poll_interval)`: where in its poll loop a core
-    /// happens to be when an event becomes visible.
+    /// Uniform delay in `[0, POLL_PHASE_SPAN)`: where in its poll loop a
+    /// core happens to be when an event becomes visible.
     pub fn poll_phase(&self) -> SimTime {
-        let p = self.cost.poll_interval_ns;
-        SimTime::from_ns(self.rng.borrow_mut().next_below(p.max(1)))
+        let span = POLL_PHASE_SPAN.as_ns();
+        SimTime::from_ns(self.rng.borrow_mut().next_below(span))
     }
 }
 
@@ -103,8 +103,8 @@ impl SimSpinLock {
 
     /// Requests the lock for `core`; `cont` runs when it is granted.
     ///
-    /// An immediate grant still pays `lock_base` plus the transfer of the
-    /// lock's cache line from its previous owner.
+    /// An immediate grant pays [`LOCK_BASE`] alone: the CAS overlaps with
+    /// the line movement of the emptiness check that led here.
     pub fn acquire<F: FnOnce(&mut Sim) + 'static>(&self, sim: &mut Sim, core: usize, cont: F) {
         let mut st = self.st.borrow_mut();
         if !st.held {
@@ -112,16 +112,13 @@ impl SimSpinLock {
             st.acquisitions += 1;
             let loc = self.ctx.topo.locality(st.last_owner, core);
             st.handoffs_by_locality[loc.distance()] += 1;
-            // Uncontended grant: the CAS overlaps with the line movement of
-            // the check that led here; pay only a configured fraction.
-            let delay = self.ctx.cost.lock_base()
-                + self
-                    .ctx
-                    .transfer(st.last_owner, core)
-                    .scale(self.ctx.cost.uncontended_transfer_fraction);
+            // The grant costs nothing of the transfer, but the jitter draw
+            // stays: every later draw of the seeded stream (and so Tables
+            // I-II) depends on it.
+            let _ = self.ctx.transfer(st.last_owner, core);
             st.last_owner = core;
             drop(st);
-            sim.schedule(delay, cont);
+            sim.schedule(LOCK_BASE, cont);
         } else {
             st.contended += 1;
             st.waiters.push(Waiter {
@@ -159,7 +156,7 @@ impl SimSpinLock {
         let loc = self.ctx.topo.locality(core, winner.core);
         st.handoffs_by_locality[loc.distance()] += 1;
         st.last_owner = winner.core;
-        let delay = self.ctx.cost.lock_base()
+        let delay = LOCK_BASE
             + self.ctx.transfer(core, winner.core)
             + SimTime::from_ns(self.ctx.cost.spin_interference_ns * spinners);
         drop(st);
@@ -213,7 +210,7 @@ mod tests {
 
     #[test]
     fn contended_remote_handoff_costs_a_transfer() {
-        // Uncontended grants pay ~lock_base regardless of distance (the CAS
+        // Uncontended grants pay LOCK_BASE regardless of distance (the CAS
         // overlaps the line movement of the preceding check); a *handoff*
         // to a cross-NUMA waiter pays the full transfer.
         let ctx = ctx();

@@ -15,7 +15,7 @@
 //! unless a hook fires or another core is idle), blocking frees the core
 //! (the scheduler goes idle and the idle hook — i.e. PIOMan — runs).
 
-use crate::spinlock_model::MachineCtx;
+use crate::cost::{CONTEXT_SWITCH, TIMER_SLICE};
 use piom_des::{Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -28,7 +28,8 @@ const IDLE_REPOLL: SimTime = SimTime::from_ns(200);
 
 /// What a thread does next.
 pub enum Step {
-    /// Occupy the core for this long (preempted at timer-slice boundaries).
+    /// Occupy the core for this long (preempted at [`TIMER_SLICE`]
+    /// boundaries).
     Compute(SimTime),
     /// Sleep until [`ThreadSched::notify`] is called on this condition.
     Block(CondId),
@@ -91,7 +92,6 @@ struct CoreSt {
 }
 
 struct SchedState {
-    ctx: Rc<MachineCtx>,
     threads: Vec<ThreadSt>,
     conds: Vec<Vec<ThreadId>>,
     cores: Vec<CoreSt>,
@@ -111,15 +111,13 @@ pub struct ThreadSched {
 }
 
 impl ThreadSched {
-    /// Creates a scheduler for the machine described by `ctx`.
-    pub fn new(ctx: Rc<MachineCtx>) -> Self {
-        let n = ctx.topo.n_cores();
+    /// Creates a scheduler for a machine of `n_cores` cores.
+    pub fn new(n_cores: usize) -> Self {
         ThreadSched {
             st: Rc::new(RefCell::new(SchedState {
-                ctx,
                 threads: Vec::new(),
                 conds: Vec::new(),
-                cores: (0..n)
+                cores: (0..n_cores)
                     .map(|_| CoreSt {
                         run_queue: VecDeque::new(),
                         current: None,
@@ -224,12 +222,11 @@ impl ThreadSched {
 
     /// Picks and runs the next thread on `core`, or enters the idle loop.
     fn dispatch(&self, sim: &mut Sim, core: usize) {
-        let (next, hook, switch_cost) = {
+        let (next, hook) = {
             let mut st = self.st.borrow_mut();
             st.cores[core].dispatch_pending = false;
             let next = st.cores[core].run_queue.pop_front();
-            let cost = st.ctx.cost.context_switch();
-            (next, st.hook.clone(), cost)
+            (next, st.hook.clone())
         };
         match next {
             Some(tid) => {
@@ -245,7 +242,7 @@ impl ThreadSched {
                     h(sim, core, Keypoint::ContextSwitch);
                 }
                 let this = self.clone();
-                sim.schedule(switch_cost, move |sim| this.run_step(sim, core, tid));
+                sim.schedule(CONTEXT_SWITCH, move |sim| this.run_step(sim, core, tid));
             }
             None => {
                 // Keypoint: idle. Fire the hook, then re-poll.
@@ -287,18 +284,14 @@ impl ThreadSched {
         };
         match step {
             Step::Compute(d) => {
-                let slice = {
-                    let st = self.st.borrow();
-                    SimTime::from_ns(st.ctx.cost.timer_slice_ns)
-                };
-                if d > slice {
+                if d > TIMER_SLICE {
                     // Quantum expires mid-compute: timer keypoint, requeue.
                     {
                         let mut st = self.st.borrow_mut();
-                        st.threads[tid.0].remaining = Some(d - slice);
+                        st.threads[tid.0].remaining = Some(d - TIMER_SLICE);
                     }
                     let this = self.clone();
-                    sim.schedule(slice, move |sim| {
+                    sim.schedule(TIMER_SLICE, move |sim| {
                         let hook = this.st.borrow().hook.clone();
                         if let Some(h) = &hook {
                             h(sim, core, Keypoint::Timer);
@@ -356,13 +349,14 @@ impl ThreadSched {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
     use piom_topology::presets;
     use std::cell::Cell;
 
     fn sched() -> (ThreadSched, Sim) {
-        let ctx = MachineCtx::new(presets::borderline(), CostModel::borderline(), 3);
-        (ThreadSched::new(ctx), Sim::new())
+        (
+            ThreadSched::new(presets::borderline().n_cores()),
+            Sim::new(),
+        )
     }
 
     #[test]
@@ -405,7 +399,7 @@ mod tests {
                     steps += 1;
                     if steps <= 3 {
                         log.borrow_mut().push(who);
-                        // Longer than the 10 ms timer slice => preemption.
+                        // Longer than the 10 ms TIMER_SLICE => preemption.
                         Step::Compute(SimTime::from_ms(25))
                     } else {
                         Step::Exit
@@ -488,7 +482,7 @@ mod tests {
             Box::new(move |_, _| {
                 phase += 1;
                 if phase == 1 {
-                    Step::Compute(SimTime::from_ms(45)) // 4 slices of 10 ms
+                    Step::Compute(TIMER_SLICE * 4 + SimTime::from_ms(5))
                 } else {
                     Step::Exit
                 }

@@ -12,17 +12,15 @@
 //!   on the NIC.
 //!
 //! [`MpiImpl`] selects the behaviour; [`SimCluster`] builds a two-node
-//! cluster (network + per-node simulated machine, thread scheduler and
-//! communication engine) wired accordingly. The experiment drivers live in
+//! cluster (network + per-node thread scheduler and communication engine)
+//! wired accordingly. The experiment drivers live in
 //! [`overlap`] (Figs. 5–7) and [`mtlat`] (Fig. 4).
 
 #![warn(missing_docs)]
 
 use newmadeleine::{CommEngine, EngineConfig};
 use piom_des::SimTime;
-use piom_machine::spinlock_model::MachineCtx;
 use piom_machine::threads::{Keypoint, ThreadSched};
-use piom_machine::CostModel;
 use piom_net::{NetParams, Network};
 use piom_topology::presets;
 use std::rc::Rc;
@@ -90,8 +88,6 @@ impl MpiImpl {
 
 /// One node of the simulated cluster.
 pub struct NodeCtx {
-    /// The node's machine context (topology + costs).
-    pub ctx: Rc<MachineCtx>,
     /// The node's thread scheduler.
     pub sched: ThreadSched,
     /// The node's communication engine.
@@ -102,10 +98,12 @@ pub struct NodeCtx {
 pub struct SimCluster {
     /// Shared network fabric.
     pub net: Rc<Network>,
-    /// Per-node machine/scheduler/engine.
+    /// Per-node scheduler and engine.
     pub nodes: Vec<NodeCtx>,
     /// The implementation being simulated.
     pub impl_: MpiImpl,
+    /// Cores per node.
+    cores: usize,
 }
 
 impl SimCluster {
@@ -115,31 +113,32 @@ impl SimCluster {
     /// For [`MpiImpl::MadMpi`], every node's scheduler keypoints poll that
     /// node's engine (the PIOMan hook); the baselines get no hook — their
     /// only progress is polling inside MPI calls.
-    pub fn new(impl_: MpiImpl, n_nodes: usize, n_rails: usize, seed: u64) -> SimCluster {
+    pub fn new(impl_: MpiImpl, n_nodes: usize, n_rails: usize) -> SimCluster {
         let net = Network::new(n_nodes, n_rails, NetParams::infiniband());
+        let cores = presets::borderline().n_cores();
         let nodes = (0..n_nodes)
             .map(|node| {
-                let ctx = MachineCtx::new(
-                    presets::borderline(),
-                    CostModel::borderline(),
-                    seed ^ ((node as u64) << 32),
-                );
-                let sched = ThreadSched::new(ctx.clone());
+                let sched = ThreadSched::new(cores);
                 let engine = CommEngine::new(node, net.clone(), impl_.engine_config());
                 if impl_.background_progress() {
                     // PIOMan: poll the engine at every scheduler keypoint.
                     let e = engine.clone();
                     sched.set_hook(Rc::new(move |sim, _core, _k: Keypoint| e.poll(sim)));
                 }
-                NodeCtx { ctx, sched, engine }
+                NodeCtx { sched, engine }
             })
             .collect();
-        SimCluster { net, nodes, impl_ }
+        SimCluster {
+            net,
+            nodes,
+            impl_,
+            cores,
+        }
     }
 
     /// Cores per node.
     pub fn cores_per_node(&self) -> usize {
-        self.nodes[0].ctx.topo.n_cores()
+        self.cores
     }
 }
 
@@ -160,7 +159,7 @@ mod tests {
     fn madmpi_progresses_without_app_polling() {
         // With PIOMan hooks, a message completes while the app does nothing:
         // idle cores poll the engine.
-        let cluster = SimCluster::new(MpiImpl::MadMpi, 2, 1, 7);
+        let cluster = SimCluster::new(MpiImpl::MadMpi, 2, 1);
         let mut sim = Sim::new();
         let r: ReqHandle = cluster.nodes[1].engine.irecv(&mut sim, 0, 1);
         cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn baseline_needs_explicit_polling() {
-        let cluster = SimCluster::new(MpiImpl::MvapichLike, 2, 1, 7);
+        let cluster = SimCluster::new(MpiImpl::MvapichLike, 2, 1);
         let mut sim = Sim::new();
         let r = cluster.nodes[1].engine.irecv(&mut sim, 0, 1);
         cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
@@ -204,7 +203,7 @@ mod tests {
     fn wait_loop_in_call_progresses_baseline() {
         // A thread spinning poll+compute inside an "MPI call" completes the
         // request for the baselines.
-        let cluster = SimCluster::new(MpiImpl::OpenMpiLike, 2, 1, 7);
+        let cluster = SimCluster::new(MpiImpl::OpenMpiLike, 2, 1);
         let mut sim = Sim::new();
         let r = cluster.nodes[1].engine.irecv(&mut sim, 0, 1);
         cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());

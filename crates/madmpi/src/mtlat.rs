@@ -39,7 +39,7 @@ pub struct MtLatResult {
 /// sender thread on node 0, `rounds` round-robin pingpongs total.
 pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> MtLatResult {
     assert!(threads > 0 && rounds > 0);
-    let cluster = SimCluster::new(impl_, 2, 1, seed);
+    let cluster = SimCluster::new(impl_, 2, 1);
     let mut sim = Sim::new();
     let cores = cluster.cores_per_node();
     // Every ping and reply shares these 4 bytes: no send allocates.

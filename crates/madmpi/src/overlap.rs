@@ -14,7 +14,7 @@ use bytes::Bytes;
 use newmadeleine::{CommEngine, ReqHandle};
 use piom_des::{Sim, SimTime};
 use piom_machine::threads::{Step, ThreadSched};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 /// Which side computes between the non-blocking call and the wait.
@@ -93,98 +93,84 @@ impl Waiter {
     }
 }
 
+/// Spawns one side's thread on core 0 of `node`: post the operation
+/// through `post`, compute for `compute` (none when zero), then wait;
+/// `total` receives the time from the post to the wait's return.
+fn spawn_side(
+    sim: &mut Sim,
+    cluster: &SimCluster,
+    node: usize,
+    compute: SimTime,
+    total: Rc<Cell<Option<SimTime>>>,
+    post: impl Fn(&mut Sim, &CommEngine) -> ReqHandle + 'static,
+) {
+    let engine = cluster.nodes[node].engine.clone();
+    let sched = cluster.nodes[node].sched.clone();
+    let impl_ = cluster.impl_;
+    let mut started = SimTime::ZERO;
+    let mut waiter: Option<Waiter> = None;
+    cluster.nodes[node].sched.spawn(
+        sim,
+        0,
+        Box::new(move |sim, _| match waiter.as_mut() {
+            None => {
+                started = sim.now();
+                let req = post(sim, &engine);
+                waiter = Some(Waiter::new(req, engine.clone(), sched.clone(), impl_));
+                if compute > SimTime::ZERO {
+                    Step::Compute(compute)
+                } else {
+                    // Wait from the next invocation on.
+                    Step::Yield
+                }
+            }
+            Some(w) => match w.step(sim) {
+                Some(step) => step,
+                None => {
+                    total.set(Some(sim.now() - started));
+                    Step::Exit
+                }
+            },
+        }),
+    );
+}
+
 /// Runs one overlap round and returns the measured ratio.
 ///
 /// `size` is the message size (32 KB and 1 MB in the paper), `compute` the
 /// injected computation time.
-pub fn run_overlap(
-    impl_: MpiImpl,
-    size: usize,
-    compute: SimTime,
-    side: ComputeSide,
-    seed: u64,
-) -> f64 {
-    let cluster = SimCluster::new(impl_, 2, 1, seed);
+pub fn run_overlap(impl_: MpiImpl, size: usize, compute: SimTime, side: ComputeSide) -> f64 {
+    let cluster = SimCluster::new(impl_, 2, 1);
     let mut sim = Sim::new();
-
     let sender_total: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
     let recv_total: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
+    let sender_compute = match side {
+        ComputeSide::Receiver => SimTime::ZERO,
+        ComputeSide::Sender | ComputeSide::Both => compute,
+    };
+    let receiver_compute = match side {
+        ComputeSide::Sender => SimTime::ZERO,
+        ComputeSide::Receiver | ComputeSide::Both => compute,
+    };
 
-    // --- Sender thread (node 0, core 0) -----------------------------
-    {
-        let engine = cluster.nodes[0].engine.clone();
-        let sched = cluster.nodes[0].sched.clone();
-        let total = sender_total.clone();
-        let data = Bytes::from(vec![0u8; size]);
-        let computes = matches!(side, ComputeSide::Sender | ComputeSide::Both);
-        let mut phase = 0;
-        let mut started = SimTime::ZERO;
-        let waiter: Rc<RefCell<Option<Waiter>>> = Rc::new(RefCell::new(None));
-        let impl_ = cluster.impl_;
-        cluster.nodes[0].sched.spawn(
-            &mut sim,
-            0,
-            Box::new(move |sim, _| {
-                match phase {
-                    0 => {
-                        phase = 1;
-                        started = sim.now();
-                        let req = engine.isend_bytes(sim, 1, 1, data.clone());
-                        *waiter.borrow_mut() =
-                            Some(Waiter::new(req, engine.clone(), sched.clone(), impl_));
-                        if computes && compute > SimTime::ZERO {
-                            return Step::Compute(compute);
-                        }
-                        // Fall through to waiting on the next invocation.
-                        Step::Yield
-                    }
-                    _ => match waiter.borrow_mut().as_mut().unwrap().step(sim) {
-                        Some(step) => step,
-                        None => {
-                            total.set(Some(sim.now() - started));
-                            Step::Exit
-                        }
-                    },
-                }
-            }),
-        );
-    }
-
-    // --- Receiver thread (node 1, core 0) ---------------------------
-    {
-        let engine = cluster.nodes[1].engine.clone();
-        let sched = cluster.nodes[1].sched.clone();
-        let total = recv_total.clone();
-        let computes = matches!(side, ComputeSide::Receiver | ComputeSide::Both);
-        let mut phase = 0;
-        let mut started = SimTime::ZERO;
-        let waiter: Rc<RefCell<Option<Waiter>>> = Rc::new(RefCell::new(None));
-        let impl_ = cluster.impl_;
-        cluster.nodes[1].sched.spawn(
-            &mut sim,
-            0,
-            Box::new(move |sim, _| match phase {
-                0 => {
-                    phase = 1;
-                    started = sim.now();
-                    let req = engine.irecv(sim, 0, 1);
-                    *waiter.borrow_mut() =
-                        Some(Waiter::new(req, engine.clone(), sched.clone(), impl_));
-                    if computes && compute > SimTime::ZERO {
-                        return Step::Compute(compute);
-                    }
-                    Step::Yield
-                }
-                _ => match waiter.borrow_mut().as_mut().unwrap().step(sim) {
-                    Some(step) => step,
-                    None => {
-                        total.set(Some(sim.now() - started));
-                        Step::Exit
-                    }
-                },
-            }),
-        );
-    }
+    // Sender thread on node 0, receiver thread on node 1.
+    let data = Bytes::from(vec![0u8; size]);
+    spawn_side(
+        &mut sim,
+        &cluster,
+        0,
+        sender_compute,
+        sender_total.clone(),
+        move |sim, engine| engine.isend_bytes(sim, 1, 1, data.clone()),
+    );
+    spawn_side(
+        &mut sim,
+        &cluster,
+        1,
+        receiver_compute,
+        recv_total.clone(),
+        |sim, engine| engine.irecv(sim, 0, 1),
+    );
 
     sim.run_until(SimTime::from_secs(5));
     let st = sender_total.get().expect("sender wait never returned");
@@ -206,13 +192,12 @@ pub fn sweep(
     size: usize,
     computes: &[SimTime],
     side: ComputeSide,
-    seed: u64,
 ) -> Vec<OverlapPoint> {
     computes
         .iter()
         .map(|&c| OverlapPoint {
             compute: c,
-            ratio: run_overlap(impl_, size, c, side, seed),
+            ratio: run_overlap(impl_, size, c, side),
         })
         .collect()
 }
@@ -229,7 +214,7 @@ mod tests {
         // Fig. 5's result: RDMA-read rendezvous lets even the baselines
         // overlap when the *sender* computes.
         for impl_ in MpiImpl::ALL {
-            let r = run_overlap(impl_, KB32, SimTime::from_us(150), ComputeSide::Sender, 1);
+            let r = run_overlap(impl_, KB32, SimTime::from_us(150), ComputeSide::Sender);
             assert!(
                 r > 0.8,
                 "{} sender-side overlap too low: {r}",
@@ -242,9 +227,9 @@ mod tests {
     fn receiver_side_overlap_separates_pioman_from_baselines() {
         // Fig. 6's result: only PIOMan overlaps when the receiver computes.
         let compute = SimTime::from_us(1000);
-        let pioman = run_overlap(MpiImpl::MadMpi, MB1, compute, ComputeSide::Receiver, 1);
-        let mvapich = run_overlap(MpiImpl::MvapichLike, MB1, compute, ComputeSide::Receiver, 1);
-        let openmpi = run_overlap(MpiImpl::OpenMpiLike, MB1, compute, ComputeSide::Receiver, 1);
+        let pioman = run_overlap(MpiImpl::MadMpi, MB1, compute, ComputeSide::Receiver);
+        let mvapich = run_overlap(MpiImpl::MvapichLike, MB1, compute, ComputeSide::Receiver);
+        let openmpi = run_overlap(MpiImpl::OpenMpiLike, MB1, compute, ComputeSide::Receiver);
         assert!(pioman > 0.85, "PIOMan receiver overlap: {pioman}");
         assert!(mvapich < 0.62, "MVAPICH should not overlap: {mvapich}");
         assert!(openmpi < 0.62, "OpenMPI should not overlap: {openmpi}");
@@ -255,8 +240,8 @@ mod tests {
     #[test]
     fn both_sides_follow_receiver_behaviour() {
         let compute = SimTime::from_us(1000);
-        let pioman = run_overlap(MpiImpl::MadMpi, MB1, compute, ComputeSide::Both, 2);
-        let mvapich = run_overlap(MpiImpl::MvapichLike, MB1, compute, ComputeSide::Both, 2);
+        let pioman = run_overlap(MpiImpl::MadMpi, MB1, compute, ComputeSide::Both);
+        let mvapich = run_overlap(MpiImpl::MvapichLike, MB1, compute, ComputeSide::Both);
         assert!(pioman > 0.85, "PIOMan both-sides overlap: {pioman}");
         assert!(mvapich < 0.65, "MVAPICH both-sides: {mvapich}");
     }
@@ -270,28 +255,26 @@ mod tests {
             KB32,
             SimTime::from_us(20),
             ComputeSide::Receiver,
-            3,
         );
         let r_big = run_overlap(
             MpiImpl::MvapichLike,
             KB32,
             SimTime::from_us(200),
             ComputeSide::Receiver,
-            3,
         );
         assert!(r_big > r_small, "no growth: {r_small} -> {r_big}");
     }
 
     #[test]
     fn zero_compute_is_zero_ratio() {
-        let r = run_overlap(MpiImpl::MadMpi, KB32, SimTime::ZERO, ComputeSide::Sender, 4);
+        let r = run_overlap(MpiImpl::MadMpi, KB32, SimTime::ZERO, ComputeSide::Sender);
         assert_eq!(r, 0.0);
     }
 
     #[test]
     fn sweep_produces_monotone_x() {
         let xs = [10u64, 50, 100].map(SimTime::from_us);
-        let pts = sweep(MpiImpl::MadMpi, KB32, &xs, ComputeSide::Sender, 5);
+        let pts = sweep(MpiImpl::MadMpi, KB32, &xs, ComputeSide::Sender);
         assert_eq!(pts.len(), 3);
         assert!(pts.windows(2).all(|w| w[0].compute < w[1].compute));
     }

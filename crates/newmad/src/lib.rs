@@ -182,8 +182,7 @@ impl ReqHandle {
     }
 
     /// A completed receive's payload, sharing the sender's buffers
-    /// (zero-copy). `None` on a send, before completion, and on a
-    /// rendezvous receive whose data fell short of its RTS's size.
+    /// (zero-copy). `None` on a send and before completion.
     pub fn payload(&self) -> Option<Rope> {
         self.st.borrow().payload.clone()
     }

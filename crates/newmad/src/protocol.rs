@@ -169,6 +169,7 @@ impl<R> SendTable<R> {
 /// The fields of a decoded RTS that drive the receiver's accept path.
 struct RtsFrame {
     sender_req: u32,
+    app_tag: u64,
     size: u64,
     rdma: bool,
 }
@@ -176,6 +177,8 @@ struct RtsFrame {
 struct RecvRndv<R> {
     /// `(sender node, sender's request id)`.
     key: PullId,
+    /// The receive's tag, to re-post it if the transfer falls through.
+    app_tag: u64,
     req: R,
     /// Full payload size announced by the RTS.
     expected: u64,
@@ -191,7 +194,6 @@ struct RdmaPull<R> {
     key: PullId,
     req: R,
     rail: usize,
-    size: u64,
     /// The exposed source buffer the RTS carried a reference to.
     payload: Rope,
 }
@@ -385,8 +387,7 @@ impl<R> Core<R> {
     pub fn on_rdma_done(&mut self, fab: &mut impl Fabric<R>, id: PullId) {
         let at = self.rdma_pulls.iter().position(|p| p.key == id);
         let pull = self.rdma_pulls.swap_remove(at.expect("pull tracked"));
-        let whole = pull.payload.len() as u64 == pull.size;
-        fab.complete(pull.req, whole.then_some(pull.payload));
+        fab.complete(pull.req, Some(pull.payload));
         let (src, sender_req) = id;
         self.send_wire(fab, src, pull.rail, Wire::Fin { req: sender_req });
     }
@@ -436,6 +437,12 @@ impl<R> Core<R> {
                 size,
                 rdma,
             } => {
+                // An RDMA RTS carries the exposed source buffer: every
+                // announced byte, or it is a truncated or padded frame.
+                if rdma && frame.remaining() as u64 != size {
+                    self.stats.undecodable_packets += 1;
+                    return;
+                }
                 // Check before matching: a second copy of a live RTS must
                 // not consume another posted receive nor overwrite the
                 // first one's rendezvous state.
@@ -452,6 +459,7 @@ impl<R> Core<R> {
                 }
                 let rts = RtsFrame {
                     sender_req: req,
+                    app_tag,
                     size,
                     rdma,
                 };
@@ -507,8 +515,20 @@ impl<R> Core<R> {
                 for (_, part) in st.chunks {
                     payload.append(part);
                 }
-                let whole = payload.len() as u64 == st.expected;
-                fab.complete(st.req, whole.then_some(payload));
+                if payload.len() as u64 == st.expected {
+                    fab.complete(st.req, Some(payload));
+                    return;
+                }
+                // The chunks fell short of (or overran) the RTS's size: a
+                // counted drop that completes nothing. The receive goes
+                // back to the head of the posted queue, so a resent
+                // transfer can still match it.
+                self.stats.undecodable_packets += 1;
+                self.posted.push_front(PostedRecv {
+                    src,
+                    app_tag: st.app_tag,
+                    req: st.req,
+                });
             }
             Wire::Fin { req } => match self.send_rndv.get(req) {
                 Some((_, SendRndv::AwaitFin)) => {
@@ -553,7 +573,6 @@ impl<R> Core<R> {
                 key,
                 req,
                 rail,
-                size: rts.size,
                 payload,
             };
             self.rdma_pulls.push(pull);
@@ -564,6 +583,7 @@ impl<R> Core<R> {
             // the `of` field of the DATA headers.
             let st = RecvRndv {
                 key,
+                app_tag: rts.app_tag,
                 req,
                 expected: rts.size,
                 total: None,

@@ -67,9 +67,22 @@ fn mark(tl: &Timeline, label: &'static str) -> impl FnOnce(&mut Sim) + 'static {
 
 /// Injects a raw wire frame into the fabric, bypassing any engine.
 fn inject(net: &Rc<Network>, sim: &mut Sim, src: usize, dst: usize, wire: Wire, payload: &[u8]) {
+    let body = Bytes::copy_from_slice(payload);
+    inject_body(net, sim, src, dst, wire, body);
+}
+
+/// [`inject`] with a body that is shared, not copied. The wire is billed
+/// as the engine bills it: an RDMA RTS's body is the exposed buffer the
+/// receiver pulls, not bytes on the wire.
+fn inject_body(net: &Rc<Network>, sim: &mut Sim, src: usize, dst: usize, wire: Wire, body: Bytes) {
+    let billed = match wire {
+        Wire::Rts { rdma: true, .. } => 0,
+        _ => body.len(),
+    };
     let mut frame = Rope::from(wire.encode());
-    if !payload.is_empty() {
-        frame.push(Bytes::copy_from_slice(payload));
+    let size = frame.len() + billed;
+    if !body.is_empty() {
+        frame.push(body);
     }
     net.send(
         sim,
@@ -78,7 +91,7 @@ fn inject(net: &Rc<Network>, sim: &mut Sim, src: usize, dst: usize, wire: Wire, 
             dst,
             rail: 0,
             tag: 0,
-            size: frame.len(),
+            size,
             data: Some(frame),
         },
     );
@@ -263,6 +276,16 @@ fn duplicate_fin_after_rdma_completion_is_stale() {
     assert_eq!(a.stats().stale_control_packets, before + 1);
 }
 
+/// The body of an RTS for `size` bytes: the exposed source buffer for an
+/// RDMA rendezvous, nothing for a two-sided one.
+fn rts_body(cfg: &EngineConfig, size: usize) -> Bytes {
+    if cfg.rdma_rendezvous {
+        zeros(size)
+    } else {
+        Bytes::new()
+    }
+}
+
 /// A second copy of a live RTS is a counted drop: it must neither match
 /// the next posted receive nor overwrite the first one's rendezvous state.
 fn duplicate_rts_is_stale(cfg: EngineConfig) {
@@ -273,11 +296,12 @@ fn duplicate_rts_is_stale(cfg: EngineConfig) {
         size: size as u64,
         rdma: cfg.rdma_rendezvous,
     };
+    let body = rts_body(&cfg, size);
     let (net, a, b, mut sim) = pair(cfg.clone());
     let r1 = b.irecv(&mut sim, 0, 1);
     let r2 = b.irecv(&mut sim, 0, 1);
     let s1 = a.isend_bytes(&mut sim, 1, 1, zeros(size)); // first rendezvous => req 1
-    inject(&net, &mut sim, 0, 1, rts(1), &[]); // same rail, right behind
+    inject_body(&net, &mut sim, 0, 1, rts(1), body.clone()); // same rail, right behind
     drive(&mut sim, &[&a, &b], BULK_SPAN);
     assert!(s1.is_complete() && r1.is_complete());
     assert!(!r2.is_complete(), "the copy ate the second receive");
@@ -291,7 +315,7 @@ fn duplicate_rts_is_stale(cfg: EngineConfig) {
 
     // Same while the original is parked unexpected (no receive posted).
     let s3 = a.isend_bytes(&mut sim, 1, 1, zeros(size));
-    inject(&net, &mut sim, 0, 1, rts(3), &[]);
+    inject_body(&net, &mut sim, 0, 1, rts(3), body);
     drive(&mut sim, &[&a, &b], SimTime::from_us(100));
     assert_eq!(b.stats().stale_control_packets, 2);
     let r3 = b.irecv(&mut sim, 0, 1);
@@ -485,8 +509,9 @@ fn an_rts_flood_without_receives_parks_in_the_unexpected_queue() {
             size: BULK as u64,
             rdma: cfg.rdma_rendezvous,
         };
+        let body = rts_body(&cfg, BULK);
         for req in 0..n {
-            inject(&net, &mut sim, 0, 1, rts(req), &[]);
+            inject_body(&net, &mut sim, 0, 1, rts(req), body.clone());
         }
         settle(&mut sim, &[&b]);
         let tables = b.tables();
@@ -494,10 +519,70 @@ fn an_rts_flood_without_receives_parks_in_the_unexpected_queue() {
         assert_eq!(tables.unexpected, n as usize);
         // A second copy of each is a counted drop, and grows nothing.
         for req in 0..n {
-            inject(&net, &mut sim, 0, 1, rts(req), &[]);
+            inject_body(&net, &mut sim, 0, 1, rts(req), body.clone());
         }
         settle(&mut sim, &[&b]);
         assert_eq!(b.tables(), tables);
         assert_eq!(b.stats().stale_control_packets, u64::from(n));
     }
+}
+
+/// A rendezvous whose bytes do not add up to its RTS's size is a counted
+/// drop that completes nothing: an RDMA RTS whose body (the exposed source
+/// buffer) is missing or short, or a two-sided transfer whose DATA chunks
+/// reassemble short. The receive can still match, and a well-formed resend
+/// completes it with every byte.
+#[test]
+fn a_short_rendezvous_completes_nothing_and_a_resend_completes_the_receive() {
+    let size = 4096;
+    let data = pattern(size);
+    let rts = |req, rdma| Wire::Rts {
+        req,
+        app_tag: 9,
+        size: size as u64,
+        rdma,
+    };
+
+    // RDMA: a bodiless RTS and a short one are dropped before matching.
+    let (net, _a, b, mut sim) = pair(EngineConfig::baseline_mpi());
+    let r = b.irecv(&mut sim, 0, 9);
+    inject(&net, &mut sim, 0, 1, rts(5, true), &[]);
+    inject(&net, &mut sim, 0, 1, rts(6, true), &data[..size - 1]);
+    settle(&mut sim, &[&b]);
+    assert!(!r.is_complete(), "a short RDMA RTS completed the receive");
+    assert_eq!(b.stats().undecodable_packets, 2);
+    assert_eq!(b.tables().recv_rndv, 0, "nothing is pulled");
+    inject_body(&net, &mut sim, 0, 1, rts(7, true), data.clone());
+    settle(&mut sim, &[&b]);
+    assert!(r.is_complete());
+    assert_eq!(r.payload().expect("payload attached"), data.to_vec());
+    assert_eq!(b.stats().undecodable_packets, 2);
+
+    // Two-sided: the chunks of transfer 5 add up to one byte short.
+    let (net, _a, b, mut sim) = pair(EngineConfig::newmadeleine());
+    let r = b.irecv(&mut sim, 0, 9);
+    let chunk = |req, chunk, of| Wire::Data { req, chunk, of };
+    inject(&net, &mut sim, 0, 1, rts(5, false), &[]);
+    settle(&mut sim, &[&b]);
+    inject(&net, &mut sim, 0, 1, chunk(5, 0, 2), &data[..size / 2]);
+    inject(
+        &net,
+        &mut sim,
+        0,
+        1,
+        chunk(5, 1, 2),
+        &data[size / 2..size - 1],
+    );
+    settle(&mut sim, &[&b]);
+    assert!(!r.is_complete(), "a short DATA set completed the receive");
+    assert_eq!(b.stats().undecodable_packets, 1);
+    assert_eq!(b.tables().recv_rndv, 0, "the transfer is gone");
+    inject(&net, &mut sim, 0, 1, rts(6, false), &[]);
+    settle(&mut sim, &[&b]);
+    inject_body(&net, &mut sim, 0, 1, chunk(6, 0, 1), data.clone());
+    settle(&mut sim, &[&b]);
+    assert!(r.is_complete());
+    assert_eq!(r.payload().expect("payload attached"), data.to_vec());
+    assert_eq!(b.stats().undecodable_packets, 1);
+    assert_eq!(b.stats().stale_control_packets, 0);
 }

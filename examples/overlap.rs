@@ -25,7 +25,7 @@ fn main() {
         let t = SimTime::from_us(us);
         let row: Vec<f64> = MpiImpl::ALL
             .iter()
-            .map(|&i| run_overlap(i, 1 << 20, t, side, 42))
+            .map(|&i| run_overlap(i, 1 << 20, t, side))
             .collect();
         println!("{:<14}{:>10.2}{:>10.2}{:>10.2}", us, row[0], row[1], row[2]);
     }

@@ -28,8 +28,8 @@ fn figure6_shape_receiver_overlap_gap() {
     // At T ~= transfer time, PIOMan hides the 1 MB transfer; baselines pay
     // it serially after the compute.
     let t = SimTime::from_us(1000);
-    let pm = run_overlap(MpiImpl::MadMpi, 1 << 20, t, ComputeSide::Receiver, 3);
-    let mv = run_overlap(MpiImpl::MvapichLike, 1 << 20, t, ComputeSide::Receiver, 3);
+    let pm = run_overlap(MpiImpl::MadMpi, 1 << 20, t, ComputeSide::Receiver);
+    let mv = run_overlap(MpiImpl::MvapichLike, 1 << 20, t, ComputeSide::Receiver);
     assert!(pm > 0.9, "PIOMan receiver-side overlap: {pm}");
     assert!(mv < 0.65, "baseline receiver-side overlap: {mv}");
 }
@@ -38,7 +38,7 @@ fn figure6_shape_receiver_overlap_gap() {
 fn figure5_shape_everyone_overlaps_sender_side() {
     let t = SimTime::from_us(150);
     for impl_ in MpiImpl::ALL {
-        let r = run_overlap(impl_, 32 * 1024, t, ComputeSide::Sender, 3);
+        let r = run_overlap(impl_, 32 * 1024, t, ComputeSide::Sender);
         assert!(r > 0.75, "{}: sender-side overlap {r}", impl_.label());
     }
 }
