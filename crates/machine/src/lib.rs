@@ -22,7 +22,10 @@
 //!   Algorithm 1 hierarchy scan, and no `pioman` code runs;
 //! * [`threads`] — a simulated thread scheduler (run queues, context
 //!   switches, timer ticks, idle detection) with PIOMan keypoint hooks: the
-//!   MARCEL substitute used by the latency/overlap experiments.
+//!   MARCEL substitute used by the latency/overlap experiments. There the
+//!   hook runs `pioman`'s own Algorithm 1 on each node's task manager,
+//!   whose Global Queue holds the engine's poll as a repeat task; the
+//!   simulator charges nothing for that `pioman` work yet.
 //!
 //! # Quick start
 //!

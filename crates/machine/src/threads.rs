@@ -14,6 +14,12 @@
 //! application threads: computing occupies the core (no progress happens
 //! unless a hook fires or another core is idle), blocking frees the core
 //! (the scheduler goes idle and the idle hook — i.e. PIOMan — runs).
+//!
+//! `madmpi::SimCluster` installs the PIOMan hook: it runs Algorithm 1
+//! (`pioman::TaskManager::schedule`) on the node's real task manager,
+//! whose Global Queue holds the engine's poll as a repeat task. The
+//! scheduler charges nothing for the hook's work yet; only the keypoint's
+//! own costs (context switch, idle re-poll) advance the clock.
 
 use crate::cost::{CONTEXT_SWITCH, TIMER_SLICE};
 use piom_des::{Sim, SimTime};
@@ -59,9 +65,8 @@ pub enum Keypoint {
 }
 
 /// The hook invoked at keypoints: `(sim, core, keypoint)`. This is where a
-/// communication engine plugs its task scheduling in. Returns `true` if it
-/// performed work (diagnostic only).
-pub type Hook = Rc<dyn Fn(&mut Sim, usize, Keypoint) -> bool>;
+/// communication engine plugs its task scheduling in.
+pub type Hook = Rc<dyn Fn(&mut Sim, usize, Keypoint)>;
 
 /// Thread logic: called each time the scheduler needs the thread's next
 /// step. Arguments: `(sim, own thread id)`.
@@ -451,7 +456,6 @@ mod tests {
             if k == Keypoint::Idle {
                 h.set(h.get() + 1);
             }
-            false
         }));
         // A thread that blocks forever: its core then idles.
         let cond = sched.new_cond();
@@ -473,7 +477,6 @@ mod tests {
             if k == Keypoint::Timer {
                 h.set(h.get() + 1);
             }
-            false
         }));
         let mut phase = 0;
         sched.spawn(
@@ -501,7 +504,6 @@ mod tests {
             if k == Keypoint::ContextSwitch {
                 h.set(h.get() + 1);
             }
-            false
         }));
         for _ in 0..3 {
             let mut phase = 0;

@@ -4,16 +4,19 @@
 //! `borderline`-class nodes (§V-B/C):
 //!
 //! * **MAD-MPI** — NewMadeleine + PIOMan: communication progresses in the
-//!   background because scheduler keypoints (idle cores, context switches,
-//!   timers) poll the engine; receivers *block* on a condition instead of
-//!   polling;
+//!   background. The engine's poll is a `pioman` repeat task in the Global
+//!   Queue of the node's [`TaskManager`], which Algorithm 1
+//!   ([`TaskManager::schedule`]) runs at every scheduler keypoint (idle
+//!   cores, context switches, timers); receivers *block* on a condition
+//!   instead of polling. The DES charges nothing yet for the keypoint's
+//!   `pioman` work, only for the engine's own costs;
 //! * **MVAPICH2** and **OpenMPI** — RDMA-read rendezvous, progress only
 //!   inside MPI calls; every thread sitting in `MPI_Recv`/`MPI_Wait` spins
 //!   on the NIC.
 //!
 //! [`MpiImpl`] selects the behaviour; [`SimCluster`] builds a two-node
-//! cluster (network + per-node thread scheduler and communication engine)
-//! wired accordingly. The experiment drivers live in
+//! cluster (network + per-node thread scheduler, task manager and
+//! communication engine) wired accordingly. The experiment drivers live in
 //! [`overlap`] (Figs. 5–7) and [`mtlat`] (Fig. 4).
 
 #![warn(missing_docs)]
@@ -22,8 +25,10 @@ use newmadeleine::{CommEngine, EngineConfig};
 use piom_des::SimTime;
 use piom_machine::threads::{Keypoint, ThreadSched};
 use piom_net::{NetParams, Network};
-use piom_topology::presets;
+use pioman::{presets, TaskManager, TaskStatus, Topology};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::Arc;
 
 pub mod mtlat;
 pub mod overlap;
@@ -92,6 +97,9 @@ pub struct NodeCtx {
     pub sched: ThreadSched,
     /// The node's communication engine.
     pub engine: CommEngine,
+    /// The node's PIOMan task manager. On a MAD-MPI node it holds the
+    /// engine's poll task; on a baseline node it holds nothing.
+    pub mgr: Arc<TaskManager>,
 }
 
 /// A two-node (or larger) simulated cluster ready to run MPI benchmarks.
@@ -102,43 +110,58 @@ pub struct SimCluster {
     pub nodes: Vec<NodeCtx>,
     /// The implementation being simulated.
     pub impl_: MpiImpl,
-    /// Cores per node.
-    cores: usize,
 }
 
 impl SimCluster {
     /// Builds a cluster of `n_nodes` `borderline`-class machines linked by
     /// InfiniBand-class rails, configured for `impl_`.
     ///
-    /// For [`MpiImpl::MadMpi`], every node's scheduler keypoints poll that
-    /// node's engine (the PIOMan hook); the baselines get no hook — their
-    /// only progress is polling inside MPI calls.
+    /// Every node gets a [`TaskManager`] over its own `borderline`
+    /// topology. For [`MpiImpl::MadMpi`], the node's engine poll is a
+    /// repeat task with the whole node as its cpuset, so it sits in the
+    /// Global Queue, and every scheduler keypoint runs Algorithm 1
+    /// ([`TaskManager::schedule`]) on its core: the PIOMan hook. The DES
+    /// charges nothing for that `pioman` work yet. The baselines get an
+    /// empty manager and no hook: their only progress is polling inside
+    /// MPI calls.
     pub fn new(impl_: MpiImpl, n_nodes: usize, n_rails: usize) -> SimCluster {
         let net = Network::new(n_nodes, n_rails, NetParams::infiniband());
-        let cores = presets::borderline().n_cores();
         let nodes = (0..n_nodes)
             .map(|node| {
-                let sched = ThreadSched::new(cores);
+                let topo: Arc<Topology> = presets::borderline().into();
+                let sched = ThreadSched::new(topo.n_cores());
+                let mgr = TaskManager::new(topo);
                 let engine = CommEngine::new(node, net.clone(), impl_.engine_config());
                 if impl_.background_progress() {
-                    // PIOMan: poll the engine at every scheduler keypoint.
-                    let e = engine.clone();
-                    sched.set_hook(Rc::new(move |sim, _core, _k: Keypoint| e.poll(sim)));
+                    // A task body must be `Send` and the `Sim` is not: the
+                    // poll task raises `due`, and the hook polls for it at
+                    // the same instant. The DES is one thread, so the flag
+                    // publishes nothing and `Relaxed` suffices.
+                    let due = Arc::new(AtomicBool::new(false));
+                    let raise = due.clone();
+                    mgr.task(move |_| {
+                        raise.store(true, Relaxed);
+                        TaskStatus::Again
+                    })
+                    .repeat()
+                    .spawn();
+                    let (m, e) = (mgr.clone(), engine.clone());
+                    sched.set_hook(Rc::new(move |sim, core, _k: Keypoint| {
+                        m.schedule(core);
+                        if due.swap(false, Relaxed) {
+                            e.poll(sim);
+                        }
+                    }));
                 }
-                NodeCtx { sched, engine }
+                NodeCtx { sched, engine, mgr }
             })
             .collect();
-        SimCluster {
-            net,
-            nodes,
-            impl_,
-            cores,
-        }
+        SimCluster { net, nodes, impl_ }
     }
 
     /// Cores per node.
     pub fn cores_per_node(&self) -> usize {
-        self.cores
+        self.nodes[0].mgr.topology().n_cores()
     }
 }
 
@@ -176,6 +199,10 @@ mod tests {
             r.is_complete(),
             "idle-core polling should complete the recv"
         );
+        assert!(
+            cluster.nodes[1].mgr.stats().total_executed() > 0,
+            "the node's TaskManager ran the poll task"
+        );
     }
 
     #[test]
@@ -195,6 +222,7 @@ mod tests {
             !r.is_complete(),
             "baseline has no background progress: nothing polls"
         );
+        assert_eq!(cluster.nodes[1].mgr.stats().total_executed(), 0);
         cluster.nodes[1].engine.poll(&mut sim);
         assert!(r.is_complete());
     }

@@ -140,7 +140,11 @@ fn spawn_side(
 /// `size` is the message size (32 KB and 1 MB in the paper), `compute` the
 /// injected computation time.
 pub fn run_overlap(impl_: MpiImpl, size: usize, compute: SimTime, side: ComputeSide) -> f64 {
-    let cluster = SimCluster::new(impl_, 2, 1);
+    overlap_on(&SimCluster::new(impl_, 2, 1), size, compute, side)
+}
+
+/// [`run_overlap`] on a given two-node cluster.
+fn overlap_on(cluster: &SimCluster, size: usize, compute: SimTime, side: ComputeSide) -> f64 {
     let mut sim = Sim::new();
     let sender_total: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
     let recv_total: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
@@ -157,7 +161,7 @@ pub fn run_overlap(impl_: MpiImpl, size: usize, compute: SimTime, side: ComputeS
     let data = Bytes::from(vec![0u8; size]);
     spawn_side(
         &mut sim,
-        &cluster,
+        cluster,
         0,
         sender_compute,
         sender_total.clone(),
@@ -165,7 +169,7 @@ pub fn run_overlap(impl_: MpiImpl, size: usize, compute: SimTime, side: ComputeS
     );
     spawn_side(
         &mut sim,
-        &cluster,
+        cluster,
         1,
         receiver_compute,
         recv_total.clone(),
@@ -263,6 +267,22 @@ mod tests {
             ComputeSide::Receiver,
         );
         assert!(r_big > r_small, "no growth: {r_small} -> {r_big}");
+    }
+
+    #[test]
+    fn every_pioman_poll_is_a_task_run() {
+        // The PIOMan arm polls the engine only when the node's `pioman`
+        // poll task ran: each manager ran at least one task per poll that
+        // found nothing.
+        let cluster = SimCluster::new(MpiImpl::MadMpi, 2, 1);
+        let r = overlap_on(&cluster, KB32, SimTime::from_us(50), ComputeSide::Receiver);
+        assert!(r > 0.0);
+        for node in &cluster.nodes {
+            let ran = node.mgr.stats().total_executed();
+            let empty = node.engine.stats().empty_polls;
+            assert!(empty > 0, "no keypoint polled in vain");
+            assert!(ran >= empty, "{ran} task runs for {empty} empty polls");
+        }
     }
 
     #[test]
