@@ -75,8 +75,6 @@ fn format_table(topo: &Topology, cost: &CostModel, title: &str) -> String {
                 }
             }
             level => {
-                let n = row.entries[0].1.executed_by_core.len();
-                let _ = n;
                 let vals: String = row
                     .entries
                     .iter()

@@ -16,10 +16,11 @@
 //!   the releasing core win the next acquisition (the NUMA-unfair handoff
 //!   the paper uses to explain the skewed task distribution, §V-A);
 //! * [`simsched`] — the §V-A microbenchmark that regenerates Tables I and
-//!   II: one queue's submit / herd / check-then-lock round (Algorithm 2 on
-//!   a single queue) priced on the simulated machine. It is a cost model
-//!   of lock arbitration, not a copy of `pioman`'s policy: there is no
-//!   Algorithm 1 hierarchy scan, and no `pioman` code runs;
+//!   II: one queue's submit / herd / check-then-lock round priced on the
+//!   simulated machine. The queue is `pioman`'s: a real `TaskManager`
+//!   places each round's task, and its `has_work_for` and `schedule` are
+//!   the herd's emptiness test and the winner's dequeue; the DES decides
+//!   only when a core sees the write and who wins the lock;
 //! * [`threads`] — a simulated thread scheduler (run queues, context
 //!   switches, timer ticks, idle detection) with PIOMan keypoint hooks: the
 //!   MARCEL substitute used by the latency/overlap experiments. There the

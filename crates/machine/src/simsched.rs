@@ -4,40 +4,42 @@
 //! computation), to schedule it, and to notice its completion. [...] In all
 //! cases, the task is submitted by core #0."
 //!
-//! One round of the benchmark, in simulated time:
+//! The queue is `pioman`'s: each run builds a [`TaskManager`] over the
+//! machine. One round of the benchmark, in simulated time:
 //!
-//! 1. core #0 acquires the target queue's spinlock, enqueues the task and
-//!    releases (paying lock + transfer costs through [`SimSpinLock`]);
+//! 1. core #0 takes the target queue's lock and spawns a one-shot task
+//!    with that node's cpuset, which `pioman` places in that queue;
 //! 2. every core allowed to serve that queue notices the non-empty state
 //!    after the cache line reaches it (`transfer`) plus where it happens to
 //!    be in its poll loop (`poll_phase`) — polling is event-driven here:
 //!    instead of simulating every idle poll tick, the model computes when a
 //!    poll would first observe the write;
-//! 3. the herd races for the lock (Algorithm 2 made them check emptiness
-//!    first, so only cores that saw "non-empty" join); the winner dequeues,
-//!    re-checks under the lock, executes, and completes the round; losers
-//!    acquire in turn, find the queue empty, and release — their drain is
-//!    what delays the *next* round's submission, which is exactly how the
-//!    contention overhead of the paper's per-chip and global rows arises;
+//! 3. the cores that saw work ([`TaskManager::has_work_for`], or a stale
+//!    view of it) race for the lock; the winner re-checks under it and
+//!    runs the task ([`TaskManager::schedule`]); losers acquire in turn,
+//!    find the queue empty, and release — their drain is what delays the
+//!    *next* round's submission, which is exactly how the contention
+//!    overhead of the paper's per-chip and global rows arises;
 //! 4. core #0 notices completion; the round time is recorded as
 //!    `base_local_ns` (the fixed local machinery) plus everything the DES
 //!    accumulated on top.
 //!
-//! [`microbench`] runs one queue; [`bench_table`] sweeps every row of
-//! Table I / Table II for a machine.
-//!
-//! This is a cost model of one queue's lock arbitration (Algorithm 2 on a
-//! single queue), not the scheduler: there is no Algorithm 1 hierarchy
-//! scan, no class lanes, stealing or spill, and no `pioman` code is
-//! shared or copied.
+//! The DES prices only what `pioman` cannot know: when a write becomes
+//! visible to a core, and who wins the [`SimSpinLock`] standing for the
+//! queue lock. [`microbench`] runs one queue; [`bench_table`] sweeps every
+//! row of Table I / Table II for a machine.
 
 use crate::cost::{CostModel, SELF_EXECUTION_OVERHEAD};
 use crate::spinlock_model::{MachineCtx, SimSpinLock};
+use piom_cpuset::CpuSet;
 use piom_des::stats::OnlineStats;
 use piom_des::{Sim, SimTime};
 use piom_topology::{Level, NodeId, Topology};
+use pioman::{ManagerStats, TaskManager, TaskStatus};
 use std::cell::RefCell;
+use std::ops::Deref;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Cost of a queue push/pop while holding the lock (list manipulation).
 const QUEUE_OP_NS: u64 = 30;
@@ -46,17 +48,17 @@ const RECHECK_NS: u64 = 10;
 /// Idle gap between rounds (the benchmark loop's own bookkeeping).
 const ROUND_GAP_NS: u64 = 150;
 
-/// Outcome of one microbenchmark run.
+/// Outcome of one microbenchmark run. It derefs to `pioman`'s counters,
+/// whose `executed_by_core` is the distribution the paper reports for
+/// shared queues.
 #[derive(Debug, Clone)]
 pub struct MicrobenchResult {
-    /// Level of the queue that was exercised.
-    pub level: Level,
     /// Round-trip statistics (create → schedule → completion noticed), ns.
     pub stats: OnlineStats,
-    /// Tasks executed per core — the distribution the paper reports for
-    /// shared queues.
-    pub executed_by_core: Vec<u64>,
-    /// Lock grants during the run.
+    /// The task manager's counters at the end of the run.
+    pub sched: ManagerStats,
+    /// [`SimSpinLock`] grants during the run: `pioman`'s two acquisitions
+    /// a round plus the herd's stale-view re-checks.
     pub lock_acquisitions: u64,
     /// Lock requests that found it held.
     pub lock_contended: u64,
@@ -69,23 +71,30 @@ impl MicrobenchResult {
     }
 }
 
+impl Deref for MicrobenchResult {
+    type Target = ManagerStats;
+
+    fn deref(&self) -> &ManagerStats {
+        &self.sched
+    }
+}
+
 struct Bench {
     ctx: Rc<MachineCtx>,
     lock: SimSpinLock,
-    /// Tasks in the queue (0 or 1 in this benchmark).
-    queue_len: usize,
+    mgr: Arc<TaskManager>,
+    /// The target queue's cores: the task's cpuset and the pollers.
+    cpuset: CpuSet,
     /// When and by whom the queue was last emptied (stale-view window).
     last_clear: (SimTime, usize),
     round_start: SimTime,
     rounds_done: u64,
     iters: u64,
     done: bool,
-    pollers: Vec<usize>,
     /// Cores with an acquire in flight: a spinning core is one spinner, no
     /// matter how many times its poll loop has seen the non-empty state.
     attempting: Vec<bool>,
     stats: OnlineStats,
-    executed_by_core: Vec<u64>,
 }
 
 type Shared = Rc<RefCell<Bench>>;
@@ -109,36 +118,32 @@ fn start_round(sim: &mut Sim, b: &Shared) {
 }
 
 fn submit_task(sim: &mut Sim, b: &Shared) {
-    let (lock, ctx) = {
+    let (lock, ctx, cpuset) = {
         let bench = b.borrow();
-        (bench.lock.clone(), bench.ctx.clone())
+        (bench.lock.clone(), bench.ctx.clone(), bench.cpuset)
     };
     // Submission: core #0 takes the queue lock and enqueues. Writing into a
     // *shared* queue polled by S other cores pays steady-state invalidation
     // traffic; a dedicated per-core queue has a single consumer and none.
-    let pressure = {
-        let bench = b.borrow();
-        let shared = bench.pollers.len() > 1;
-        let others = if shared {
-            bench.pollers.iter().filter(|&&p| p != 0).count() as u64
-        } else {
-            0
-        };
-        SimTime::from_ns(bench.ctx.cost.poll_pressure_ns * others)
+    let others = if cpuset.count() > 1 {
+        cpuset.iter().filter(|&p| p != 0).count() as u64
+    } else {
+        0
     };
+    let pressure = SimTime::from_ns(ctx.cost.poll_pressure_ns * others);
     let b2 = b.clone();
-    lock.acquire(sim, 0, move |sim| {
+    lock.clone().acquire(sim, 0, move |sim| {
         let b3 = b2.clone();
         sim.schedule(SimTime::from_ns(QUEUE_OP_NS) + pressure, move |sim| {
-            let (lock, pollers) = {
-                let mut bench = b3.borrow_mut();
-                bench.queue_len = 1;
-                (bench.lock.clone(), bench.pollers.clone())
-            };
+            b3.borrow()
+                .mgr
+                .task(|_| TaskStatus::Done)
+                .cpuset(cpuset)
+                .spawn();
             lock.release(sim, 0);
             // Event-driven polling: each allowed core first observes the
             // write once the line reaches it, somewhere in its poll loop.
-            for p in pollers {
+            for p in cpuset.iter() {
                 let delay = ctx.transfer(0, p) + ctx.poll_phase();
                 let b4 = b3.clone();
                 sim.schedule(delay, move |sim| poller_notice(sim, &b4, p));
@@ -148,63 +153,53 @@ fn submit_task(sim: &mut Sim, b: &Shared) {
 }
 
 fn poller_notice(sim: &mut Sim, b: &Shared, core: usize) {
-    let (visible, lock) = {
+    let lock = {
         let mut bench = b.borrow_mut();
         if bench.done || bench.attempting[core] {
             // A core spins in place: a second sighting of "non-empty" does
             // not create a second competing acquire.
             return;
         }
-        bench.attempting[core] = true;
-        // The core saw "non-empty" unless the clearing write has already
+        // The core sees "non-empty" unless the clearing write has already
         // propagated to it (stale-view window keeps the herd honest).
-        let visible = bench.queue_len > 0 || {
-            let (t_clear, clearer) = bench.last_clear;
-            sim.now() < t_clear + bench.ctx.transfer(clearer, core)
-        };
-        let visible2 = visible;
-        if !visible2 {
-            bench.attempting[core] = false;
+        let (t_clear, clearer) = bench.last_clear;
+        let visible =
+            bench.mgr.has_work_for(core) || sim.now() < t_clear + bench.ctx.transfer(clearer, core);
+        if !visible {
+            return; // Algorithm 2: empty queues are never locked.
         }
-        (visible2, bench.lock.clone())
+        bench.attempting[core] = true;
+        bench.lock.clone()
     };
-    if !visible {
-        return; // Algorithm 2: empty queues are never locked.
-    }
     let b2 = b.clone();
     lock.acquire(sim, core, move |sim| lock_granted(sim, &b2, core));
 }
 
 fn lock_granted(sim: &mut Sim, b: &Shared, core: usize) {
-    let (has_task, _lock) = {
-        let bench = b.borrow();
-        (bench.queue_len > 0, bench.lock.clone())
-    };
+    let has_task = b.borrow().mgr.has_work_for(core);
+    let b2 = b.clone();
     if has_task {
         // Dequeue under the lock, then execute and complete the round.
-        let b2 = b.clone();
         sim.schedule(SimTime::from_ns(QUEUE_OP_NS), move |sim| {
-            let (lock, exec_cost) = {
+            let lock = {
                 let mut bench = b2.borrow_mut();
-                bench.queue_len = 0;
+                assert!(bench.mgr.schedule(core), "core {core} found no task");
                 bench.last_clear = (sim.now(), core);
                 bench.attempting[core] = false;
-                bench.executed_by_core[core] += 1;
-                let exec = if core == 0 {
-                    SELF_EXECUTION_OVERHEAD
-                } else {
-                    SimTime::ZERO
-                };
-                (bench.lock.clone(), exec)
+                bench.lock.clone()
             };
             lock.release(sim, core);
+            let exec = if core == 0 {
+                SELF_EXECUTION_OVERHEAD
+            } else {
+                SimTime::ZERO
+            };
             let b3 = b2.clone();
-            sim.schedule(exec_cost, move |sim| complete_round(sim, &b3, core));
+            sim.schedule(exec, move |sim| complete_round(sim, &b3));
         });
     } else {
         // Loser of the herd: re-check found nothing; release and go back
         // to (event-driven) polling.
-        let b2 = b.clone();
         sim.schedule(SimTime::from_ns(RECHECK_NS), move |sim| {
             let lock = {
                 let mut bench = b2.borrow_mut();
@@ -216,7 +211,7 @@ fn lock_granted(sim: &mut Sim, b: &Shared, core: usize) {
     }
 }
 
-fn complete_round(sim: &mut Sim, b: &Shared, _executor: usize) {
+fn complete_round(sim: &mut Sim, b: &Shared) {
     {
         let mut bench = b.borrow_mut();
         // base_local already elapsed at the start of the round.
@@ -231,7 +226,8 @@ fn complete_round(sim: &mut Sim, b: &Shared, _executor: usize) {
 }
 
 /// Runs the §V-A microbenchmark against the queue of topology node
-/// `target`: `iters` rounds of submit-by-core-0 / execute-by-herd.
+/// `target`: `iters` rounds of submit-by-core-0 / execute-by-herd, through
+/// a fresh [`TaskManager`] over `topo`.
 ///
 /// # Panics
 ///
@@ -243,24 +239,22 @@ pub fn microbench(
     iters: u64,
     seed: u64,
 ) -> MicrobenchResult {
-    let level = topo.node(target).level;
-    let pollers: Vec<usize> = topo.node(target).cpuset.iter().collect();
-    let n_cores = topo.n_cores();
+    let cpuset = topo.node(target).cpuset;
     let ctx = MachineCtx::new(topo.clone(), cost.clone(), seed);
     let lock = SimSpinLock::new(ctx.clone(), 0);
+    let mgr = TaskManager::new(Arc::new(topo.clone()));
     let bench: Shared = Rc::new(RefCell::new(Bench {
         ctx,
         lock: lock.clone(),
-        queue_len: 0,
+        mgr: mgr.clone(),
+        cpuset,
         last_clear: (SimTime::ZERO, 0),
         round_start: SimTime::ZERO,
         rounds_done: 0,
         iters,
         done: false,
-        pollers,
-        attempting: vec![false; n_cores],
+        attempting: vec![false; topo.n_cores()],
         stats: OnlineStats::new(),
-        executed_by_core: vec![0; n_cores],
     }));
     let mut sim = Sim::new();
     let b = bench.clone();
@@ -271,9 +265,8 @@ pub fn microbench(
         .expect("all events drained")
         .into_inner();
     MicrobenchResult {
-        level,
         stats: bench.stats,
-        executed_by_core: bench.executed_by_core,
+        sched: mgr.stats(),
         lock_acquisitions: lock.acquisitions(),
         lock_contended: lock.contended(),
     }
@@ -430,6 +423,33 @@ mod tests {
             global.lock_contended > ITERS,
             "global herd contends every round"
         );
+    }
+
+    #[test]
+    fn pioman_keeps_the_books_on_every_queue() {
+        // Every round is one spawn and one hand-out through `pioman`: two
+        // acquisitions of the target queue's lock, none of any other. The
+        // simulated lock also grants the herd's stale-view re-checks,
+        // which `pioman` never sees, so it counts more on shared queues.
+        for (topo, cost) in [
+            (presets::kwak(), CostModel::kwak()),
+            (presets::borderline(), CostModel::borderline()),
+        ] {
+            for node in topo.node_ids() {
+                let r = run(&topo, &cost, node);
+                assert_eq!(r.total_executed(), ITERS);
+                assert_eq!(r.total_stolen(), 0);
+                for (i, q) in r.queues.iter().enumerate() {
+                    let want = if i == node.index() { 2 * ITERS } else { 0 };
+                    assert_eq!(q.lock_acquisitions, want, "queue {i}, target {node:?}");
+                }
+                if topo.node(node).cpuset.count() > 1 {
+                    assert!(r.lock_acquisitions > 2 * ITERS, "{node:?}");
+                } else {
+                    assert_eq!(r.lock_acquisitions, 2 * ITERS, "{node:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,9 +21,9 @@
 
 #![warn(missing_docs)]
 
-use newmadeleine::{CommEngine, EngineConfig};
-use piom_des::SimTime;
-use piom_machine::threads::{Keypoint, ThreadSched};
+use newmadeleine::{CommEngine, EngineConfig, ReqHandle};
+use piom_des::{Sim, SimTime};
+use piom_machine::threads::{CondId, Keypoint, Step, ThreadSched};
 use piom_net::{NetParams, Network};
 use pioman::{presets, TaskManager, TaskStatus, Topology};
 use std::rc::Rc;
@@ -165,6 +165,62 @@ impl SimCluster {
     }
 }
 
+/// How a thread waits for one request inside an MPI call, one
+/// thread-logic step at a time.
+///
+/// * MAD-MPI: block on a condition that the request's completion
+///   notifies (the paper's "blocking condition", §V-B); the node's
+///   keypoints do the progress.
+/// * Baselines: poll the engine, then check; an unfinished iteration takes
+///   the caller's spin step. Polling inside the call is the only progress
+///   these implementations make.
+pub(crate) struct Waiter {
+    req: ReqHandle,
+    engine: CommEngine,
+    sched: ThreadSched,
+    impl_: MpiImpl,
+    /// The condition the completion notifies, once registered (MAD-MPI).
+    cond: Option<CondId>,
+}
+
+impl Waiter {
+    pub(crate) fn new(
+        req: ReqHandle,
+        engine: CommEngine,
+        sched: ThreadSched,
+        impl_: MpiImpl,
+    ) -> Waiter {
+        Waiter {
+            req,
+            engine,
+            sched,
+            impl_,
+            cond: None,
+        }
+    }
+
+    /// One wait iteration. Returns `None` when the request is complete,
+    /// otherwise the step the thread takes before retrying; `spin` is that
+    /// step on a baseline.
+    pub(crate) fn step(&mut self, sim: &mut Sim, spin: impl FnOnce() -> Step) -> Option<Step> {
+        if !self.impl_.background_progress() {
+            self.engine.poll(sim);
+            return (!self.req.is_complete()).then(spin);
+        }
+        let cond = match self.cond {
+            Some(cond) => cond,
+            None => {
+                let cond = self.sched.new_cond();
+                let sched = self.sched.clone();
+                self.req
+                    .on_complete(sim, move |sim| sched.notify(sim, cond));
+                *self.cond.insert(cond)
+            }
+        };
+        (!self.req.is_complete()).then_some(Step::Block(cond))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +312,57 @@ mod tests {
         sim.run_until(SimTime::from_ms(1));
         assert!(r.is_complete());
         assert!(done_at.get() > SimTime::ZERO);
+    }
+
+    #[test]
+    fn waiter_polls_then_checks_or_blocks_until_completion() {
+        // Baseline: the message already sits at the NIC, so the first
+        // iteration's poll completes the receive and no spin step is taken.
+        let cluster = SimCluster::new(MpiImpl::MvapichLike, 2, 1);
+        let mut sim = Sim::new();
+        let node = &cluster.nodes[1];
+        let r = node.engine.irecv(&mut sim, 0, 1);
+        cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
+        sim.run_until(SimTime::from_us(100));
+        assert!(!r.is_complete(), "nothing polled yet");
+        let mut w = Waiter::new(
+            r.clone(),
+            node.engine.clone(),
+            node.sched.clone(),
+            cluster.impl_,
+        );
+        assert!(w.step(&mut sim, || panic!("spun")).is_none());
+        assert!(r.is_complete());
+
+        // MAD-MPI: the first iteration blocks on a condition, and the
+        // completion wakes the thread into an iteration that returns.
+        let cluster = SimCluster::new(MpiImpl::MadMpi, 2, 1);
+        let mut sim = Sim::new();
+        let node = &cluster.nodes[1];
+        let r = node.engine.irecv(&mut sim, 0, 1);
+        let mut w = Waiter::new(r, node.engine.clone(), node.sched.clone(), cluster.impl_);
+        let blocked = Rc::new(Cell::new(false));
+        let woke = Rc::new(Cell::new(false));
+        let (b, k) = (blocked.clone(), woke.clone());
+        node.sched.spawn(
+            &mut sim,
+            0,
+            Box::new(move |sim, _| match w.step(sim, || panic!("spun")) {
+                Some(step) => {
+                    assert!(matches!(step, Step::Block(_)) && !b.replace(true));
+                    step
+                }
+                None => {
+                    k.set(true);
+                    Step::Exit
+                }
+            }),
+        );
+        sim.run_until(SimTime::from_us(10));
+        assert!(blocked.get() && !woke.get());
+        cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
+        sim.run_until(SimTime::from_us(100));
+        assert!(woke.get(), "the completion woke the waiting thread");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   wake exactly the matched thread — latency stays flat, "even when this
 //!   number exceeds the number of CPUs".
 
-use crate::{MpiImpl, SimCluster};
+use crate::{MpiImpl, SimCluster, Waiter};
 use bytes::Bytes;
 use piom_des::rng::SplitMix64;
 use piom_des::stats::OnlineStats;
@@ -50,54 +50,39 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
         let engine = cluster.nodes[1].engine.clone();
         let sched = cluster.nodes[1].sched.clone();
         let impl_ = cluster.impl_;
-        let core = t % cores;
-        let cond = sched.new_cond();
         let tag = t as u64;
-        let reply_tag = 0x8000_0000 | tag;
         let reply = four.clone();
         // Receiver state machine: post recv -> wait -> reply -> repeat.
-        let req: Rc<RefCell<Option<newmadeleine::ReqHandle>>> = Rc::new(RefCell::new(None));
-        let spin_compute_next = Rc::new(Cell::new(true));
+        let mut waiter: Option<Waiter> = None;
+        let mut spin_compute_next = true;
         let mut rng = SplitMix64::new(seed ^ ((t as u64 + 1) << 17));
         cluster.nodes[1].sched.spawn(
             &mut sim,
-            core,
+            t % cores,
             Box::new(move |sim, _| {
-                if req.borrow().is_none() {
+                let w = waiter.get_or_insert_with(|| {
                     let r = engine.irecv(sim, 0, tag);
-                    if impl_.background_progress() {
-                        let sched = sched.clone();
-                        r.on_complete(sim, move |sim| sched.notify(sim, cond));
+                    Waiter::new(r, engine.clone(), sched.clone(), impl_)
+                });
+                // Baseline: spin in MPI_Recv. Each iteration pays the
+                // completion-queue lock stretched by the other spinners,
+                // then yields (sched_yield in the poll loop): the rotation
+                // whose cost grows with the thread count.
+                let spin = || {
+                    spin_compute_next = !spin_compute_next;
+                    if spin_compute_next {
+                        return Step::Yield;
                     }
-                    *req.borrow_mut() = Some(r);
-                }
-                let done = req.borrow().as_ref().unwrap().is_complete();
-                if done {
+                    // Jitter desynchronizes the spinners' rotation from
+                    // the sender's round-robin (real CQ walks vary).
+                    Step::Compute(impl_.poll_cpu_contended(threads).scale(rng.jitter(0.35)))
+                };
+                w.step(sim, spin).unwrap_or_else(|| {
                     // Reply and repost.
-                    engine.isend_bytes(sim, 0, reply_tag, reply.clone());
-                    *req.borrow_mut() = None;
+                    engine.isend_bytes(sim, 0, 0x8000_0000 | tag, reply.clone());
+                    waiter = None;
                     Step::Yield
-                } else if impl_.background_progress() {
-                    // PIOMan: blocking condition; idle cores progress.
-                    Step::Block(cond)
-                } else {
-                    // Baseline: spin in MPI_Recv, polling the NIC. Each
-                    // iteration pays the completion-queue lock stretched by
-                    // the other spinners, then yields (sched_yield in the
-                    // poll loop) — the rotation whose cost grows with the
-                    // thread count.
-                    engine.poll(sim);
-                    if spin_compute_next.get() {
-                        spin_compute_next.set(false);
-                        // Jitter desynchronizes the spinners' rotation from
-                        // the sender's round-robin (real CQ walks vary).
-                        let cost = impl_.poll_cpu_contended(threads).scale(rng.jitter(0.35));
-                        Step::Compute(cost)
-                    } else {
-                        spin_compute_next.set(true);
-                        Step::Yield
-                    }
-                }
+                })
             }),
         );
     }
@@ -111,43 +96,36 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
         let impl_ = cluster.impl_;
         let stats = rtt_stats.clone();
         let finished = finished.clone();
-        let cond = sched.new_cond();
         let mut round = 0usize;
         let mut sent_at = SimTime::ZERO;
-        let reply: Rc<RefCell<Option<newmadeleine::ReqHandle>>> = Rc::new(RefCell::new(None));
+        let mut waiter: Option<Waiter> = None;
         cluster.nodes[0].sched.spawn(
             &mut sim,
             0,
             Box::new(move |sim, _| {
-                if reply.borrow().is_none() {
-                    if round >= rounds {
+                let w = match waiter.as_mut() {
+                    Some(w) => w,
+                    None if round >= rounds => {
                         finished.set(true);
                         sim.stop(); // receivers loop forever; end the run
                         return Step::Exit;
                     }
-                    // Ping the next thread round-robin.
-                    let t = (round % threads) as u64;
-                    round += 1;
-                    sent_at = sim.now();
-                    engine.isend_bytes(sim, 1, t, four.clone());
-                    let r = engine.irecv(sim, 1, 0x8000_0000 | t);
-                    if impl_.background_progress() {
-                        let sched = sched.clone();
-                        r.on_complete(sim, move |sim| sched.notify(sim, cond));
+                    None => {
+                        // Ping the next thread round-robin.
+                        let t = (round % threads) as u64;
+                        round += 1;
+                        sent_at = sim.now();
+                        engine.isend_bytes(sim, 1, t, four.clone());
+                        let r = engine.irecv(sim, 1, 0x8000_0000 | t);
+                        waiter.insert(Waiter::new(r, engine.clone(), sched.clone(), impl_))
                     }
-                    *reply.borrow_mut() = Some(r);
-                }
-                let done = reply.borrow().as_ref().unwrap().is_complete();
-                if done {
-                    stats.borrow_mut().push_time(sim.now() - sent_at);
-                    *reply.borrow_mut() = None;
-                    Step::Yield
-                } else if impl_.background_progress() {
-                    Step::Block(cond)
-                } else {
-                    engine.poll(sim);
-                    Step::Compute(impl_.poll_cpu())
-                }
+                };
+                w.step(sim, || Step::Compute(impl_.poll_cpu()))
+                    .unwrap_or_else(|| {
+                        stats.borrow_mut().push_time(sim.now() - sent_at);
+                        waiter = None;
+                        Step::Yield
+                    })
             }),
         );
     }

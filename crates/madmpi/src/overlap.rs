@@ -9,11 +9,11 @@
 //! The computing side is the experiment's variable: sender-side compute
 //! (Fig. 5), receiver-side (Fig. 6), or both (Fig. 7).
 
-use crate::{MpiImpl, SimCluster};
+use crate::{MpiImpl, SimCluster, Waiter};
 use bytes::Bytes;
 use newmadeleine::{CommEngine, ReqHandle};
 use piom_des::{Sim, SimTime};
-use piom_machine::threads::{Step, ThreadSched};
+use piom_machine::threads::Step;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -35,62 +35,6 @@ pub struct OverlapPoint {
     pub compute: SimTime,
     /// Measured overlap ratio `T / T_total` (0 when `T` is zero).
     pub ratio: f64,
-}
-
-/// Builds the wait behaviour for one request as thread-logic steps.
-///
-/// * MAD-MPI: check, then block on a condition; the completion callback
-///   notifies it (the paper's "blocking condition", §V-B). Background
-///   polling by idle cores does the progress.
-/// * Baselines: spin `poll(); compute(poll_cpu)` inside the call — the only
-///   place these implementations progress communication.
-struct Waiter {
-    req: ReqHandle,
-    engine: CommEngine,
-    sched: ThreadSched,
-    impl_: MpiImpl,
-    cond: piom_machine::threads::CondId,
-    registered: bool,
-}
-
-impl Waiter {
-    fn new(req: ReqHandle, engine: CommEngine, sched: ThreadSched, impl_: MpiImpl) -> Waiter {
-        let cond = sched.new_cond();
-        Waiter {
-            req,
-            engine,
-            sched,
-            impl_,
-            cond,
-            registered: false,
-        }
-    }
-
-    /// One wait iteration. Returns `None` when the request is complete,
-    /// otherwise the step the thread should take before retrying.
-    fn step(&mut self, sim: &mut Sim) -> Option<Step> {
-        if self.impl_.background_progress() {
-            if !self.registered {
-                self.registered = true;
-                let sched = self.sched.clone();
-                let cond = self.cond;
-                self.req
-                    .on_complete(sim, move |sim| sched.notify(sim, cond));
-            }
-            if self.req.is_complete() {
-                None
-            } else {
-                Some(Step::Block(self.cond))
-            }
-        } else {
-            self.engine.poll(sim);
-            if self.req.is_complete() {
-                None
-            } else {
-                Some(Step::Compute(self.impl_.poll_cpu()))
-            }
-        }
-    }
 }
 
 /// Spawns one side's thread on core 0 of `node`: post the operation
@@ -124,7 +68,7 @@ fn spawn_side(
                     Step::Yield
                 }
             }
-            Some(w) => match w.step(sim) {
+            Some(w) => match w.step(sim, || Step::Compute(impl_.poll_cpu())) {
                 Some(step) => step,
                 None => {
                     total.set(Some(sim.now() - started));
