@@ -10,8 +10,8 @@
 //!   deterministic FIFO tie-breaking;
 //! * [`rng::SplitMix64`] — a tiny deterministic PRNG so simulations are
 //!   reproducible from a seed (no ambient entropy);
-//! * [`stats`] — online mean/min/max/variance accumulators and a fixed-bin
-//!   histogram with percentile queries, used by every harness.
+//! * [`stats`] — an online mean accumulator, used by the Tables I–II and
+//!   Fig. 4 drivers.
 //!
 //! An event is one of two kinds:
 //!

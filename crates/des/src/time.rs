@@ -60,12 +60,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
-        self.0.checked_add(rhs.0).map(SimTime)
-    }
-
     /// Scales by a float factor, rounding to the nearest nanosecond.
     /// Negative factors clamp to zero.
     #[inline]
@@ -149,7 +143,6 @@ mod tests {
         assert_eq!(a - b, SimTime::from_ns(70));
         assert_eq!(b * 3, SimTime::from_ns(90));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
-        assert_eq!(SimTime::MAX.checked_add(SimTime::from_ns(1)), None);
     }
 
     #[test]

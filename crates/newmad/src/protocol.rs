@@ -404,28 +404,17 @@ impl<R> Core<R> {
         // The frame is a rope: header segment(s) up front, payload behind.
         // Decoding consumes exactly the header and leaves the payload in
         // place — no flattening, no copy.
-        let Some(wire) = Wire::decode(&mut frame) else {
-            // A corrupt packet degrades the link; it must not kill the
-            // process.
+        // A corrupt packet — an unreadable header, or a body its header
+        // does not admit (truncated, padded, or where none belongs) —
+        // degrades the link; it must not kill the process.
+        let wire = Wire::decode(&mut frame).filter(|w| w.admits_body(frame.remaining()));
+        let Some(wire) = wire else {
             self.stats.undecodable_packets += 1;
             return;
         };
         match wire {
-            // An eager body is every announced byte; a shorter (or empty)
-            // or longer one is a truncated or padded frame.
-            Wire::Eager { app_tag, size } => {
-                if frame.remaining() != size as usize {
-                    self.stats.undecodable_packets += 1;
-                    return;
-                }
-                self.deliver_eager(fab, src, app_tag, frame);
-            }
+            Wire::Eager { app_tag, .. } => self.deliver_eager(fab, src, app_tag, frame),
             Wire::EagerAggregate { parts } => {
-                let total: usize = parts.iter().map(|p| p.size as usize).sum();
-                if frame.remaining() != total {
-                    self.stats.undecodable_packets += 1;
-                    return;
-                }
                 for p in parts {
                     let payload = frame.split_to(p.size as usize);
                     self.deliver_eager(fab, src, p.app_tag, payload);
@@ -437,12 +426,6 @@ impl<R> Core<R> {
                 size,
                 rdma,
             } => {
-                // An RDMA RTS carries the exposed source buffer: every
-                // announced byte, or it is a truncated or padded frame.
-                if rdma && frame.remaining() as u64 != size {
-                    self.stats.undecodable_packets += 1;
-                    return;
-                }
                 // Check before matching: a second copy of a live RTS must
                 // not consume another posted receive nor overwrite the
                 // first one's rendezvous state.

@@ -96,6 +96,24 @@ impl Wire {
         }
     }
 
+    /// Whether a body of `len` bytes makes this header's frame canonical:
+    /// an eager body or an RDMA RTS's exposed buffer is every announced
+    /// byte, an aggregate's is the sum of its parts (and it has at least
+    /// one), a CTS, a FIN and a two-sided RTS carry none. A DATA chunk's
+    /// length is the sender's stripe plan, checked at reassembly.
+    pub fn admits_body(&self, len: usize) -> bool {
+        let len = len as u64;
+        match self {
+            Wire::Eager { size, .. } => len == u64::from(*size),
+            Wire::EagerAggregate { parts } => {
+                !parts.is_empty() && len == parts.iter().map(|p| u64::from(p.size)).sum::<u64>()
+            }
+            Wire::Rts { size, rdma, .. } => len == if *rdma { *size } else { 0 },
+            Wire::Cts { .. } | Wire::Fin { .. } => len == 0,
+            Wire::Data { .. } => true,
+        }
+    }
+
     /// Serializes the header: one allocation for the fixed-size headers
     /// (built on the stack, copied once into their shared buffer); only
     /// an aggregate, whose length depends on its part count, grows a

@@ -586,3 +586,60 @@ fn a_short_rendezvous_completes_nothing_and_a_resend_completes_the_receive() {
     assert_eq!(b.stats().undecodable_packets, 1);
     assert_eq!(b.stats().stale_control_packets, 0);
 }
+
+/// A two-sided RTS announces its bytes and carries none: one with a body
+/// is a counted drop that matches nothing and sends no CTS, and a
+/// bodiless resend still takes the posted receive.
+#[test]
+fn a_two_sided_rts_with_a_body_is_a_counted_drop() {
+    let (net, _a, b, mut sim) = pair(EngineConfig::newmadeleine());
+    let _r = b.irecv(&mut sim, 0, 9);
+    let rts = |req| Wire::Rts {
+        req,
+        app_tag: 9,
+        size: 4096,
+        rdma: false,
+    };
+    inject(&net, &mut sim, 0, 1, rts(5), &[0xAB; 100]);
+    settle(&mut sim, &[&b]);
+    assert_eq!(b.stats().undecodable_packets, 1);
+    assert_eq!(b.stats().packets_sent, 0, "no CTS answers a padded RTS");
+    assert_eq!(b.tables().recv_rndv, 0);
+    inject(&net, &mut sim, 0, 1, rts(6), &[]);
+    settle(&mut sim, &[&b]);
+    assert_eq!(b.stats().packets_sent, 1, "the bodiless RTS is answered");
+    assert_eq!(b.tables().recv_rndv, 1);
+    assert_eq!(b.stats().undecodable_packets, 1);
+}
+
+/// A CTS carries no body: one with trailing bytes is a counted drop that
+/// starts no DATA stream, and the send completes through the genuine CTS
+/// once the receive is posted.
+#[test]
+fn a_cts_with_trailing_bytes_is_a_counted_drop() {
+    let (net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
+    let s = a.isend_bytes(&mut sim, 1, 1, zeros(BULK)); // first rendezvous => req 1
+    settle(&mut sim, &[&a, &b]);
+    inject(&net, &mut sim, 1, 0, Wire::Cts { req: 1 }, &[0; 5]);
+    settle(&mut sim, &[&a, &b]);
+    assert_eq!(a.stats().undecodable_packets, 1);
+    assert_eq!(a.stats().data_chunks_sent, 0, "a padded CTS streamed data");
+    assert!(!s.is_complete());
+    let r = b.irecv(&mut sim, 0, 1);
+    drive(&mut sim, &[&a, &b], BULK_SPAN);
+    assert!(s.is_complete() && r.is_complete());
+    assert_eq!(a.stats().undecodable_packets, 1);
+    assert_eq!(a.stats().stale_control_packets, 0);
+}
+
+/// An aggregate packs at least one message: a zero-part one is a counted
+/// drop, not a frame processed and counted nowhere.
+#[test]
+fn a_zero_part_aggregate_is_a_counted_drop() {
+    let (net, _a, b, mut sim) = pair(EngineConfig::newmadeleine());
+    let empty = Wire::EagerAggregate { parts: Vec::new() };
+    inject(&net, &mut sim, 0, 1, empty, &[]);
+    settle(&mut sim, &[&b]);
+    assert_eq!(b.stats().undecodable_packets, 1);
+    assert_eq!(b.stats().stale_control_packets, 0);
+}

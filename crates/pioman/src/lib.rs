@@ -100,7 +100,7 @@ pub use manager::{
     MIN_BATCH,
 };
 pub use progression::{Progression, ProgressionConfig};
-pub use queue::{QueueId, BACKGROUND_BYPASS_LIMIT};
+pub use queue::BACKGROUND_BYPASS_LIMIT;
 pub use stats::{ManagerStats, QueueStats, SocketStats};
 pub use task::{TaskClass, TaskContext, TaskStatus, CLASS_COUNT};
 

@@ -4,7 +4,7 @@ use crate::completion::TaskBody;
 use crate::pad::CachePadded;
 use crate::queue::{QueueId, TaskQueue};
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
-use crate::task::{Task, TaskClass, TaskContext, TaskSet, TaskStatus, CLASS_COUNT};
+use crate::task::{Task, TaskClass, TaskContext, TaskSet, TaskStatus};
 use crate::TaskHandle;
 use core::cmp::Reverse;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -84,12 +84,11 @@ thread_local! {
 /// other cores read on every submission (`waker_present`) has its own.
 #[derive(Debug, Default)]
 struct CoreState {
-    /// Tasks executed on this core, split by [`TaskClass`] lane (indexed by
-    /// [`TaskClass::index`]); their sum is the core's execution count (the
-    /// paper's distribution measurements).
-    executed_class: [AtomicU64; CLASS_COUNT],
-    /// Tasks stolen (and run) by this core, split by [`TaskClass`] lane.
-    stolen_class: [AtomicU64; CLASS_COUNT],
+    /// Tasks executed on this core (the paper's distribution
+    /// measurements).
+    executed: AtomicU64,
+    /// Tasks stolen by this core, counted once the batch has run.
+    stolen: AtomicU64,
     /// Steal probes by this core (a probe is one empty hierarchy scan).
     steal_attempts: AtomicU64,
     /// Successful steal-half batches (each took ≥ 1 task).
@@ -145,10 +144,11 @@ pub struct TaskManager {
     /// socket (single-socket machines have no "whole socket" distinct from
     /// the machine, so the tier would only duplicate the Global Queue).
     socket_overflow_active: bool,
-    /// Dependency-waitlist releases per [`TaskClass`]: tasks parked by
-    /// [`SubmitSpec::after`] that re-entered the queues. Not per core: a
-    /// release happens at most once per dependent, off the hot path.
-    released_class: CachePadded<[AtomicU64; CLASS_COUNT]>,
+    /// Dependency-waitlist releases: tasks parked by [`SubmitSpec::after`]
+    /// that re-entered the queues. Not per core: a release happens at most
+    /// once per dependent, off the hot path. Padded away from the words
+    /// every keypoint reads.
+    released: CachePadded<AtomicU64>,
     config: ManagerConfig,
 }
 
@@ -161,10 +161,7 @@ impl TaskManager {
     /// Creates a manager with explicit configuration.
     pub fn with_config(topo: Arc<Topology>, config: ManagerConfig) -> Arc<Self> {
         let n_cores = topo.n_cores();
-        let queues = topo
-            .iter()
-            .map(|(id, node)| TaskQueue::new(QueueId(id.index() as u32), node.level, node.cpuset))
-            .collect();
+        let queues = (0..topo.n_nodes()).map(|_| TaskQueue::new()).collect();
         let cores = (0..n_cores).map(|_| Default::default()).collect();
         let wakers = (0..n_cores).map(|_| Mutex::new(None)).collect();
 
@@ -208,10 +205,7 @@ impl TaskManager {
         };
         let sockets: Vec<SocketTier> = socket_nodes
             .iter()
-            .map(|&id| {
-                let node = topo.node(id);
-                SocketTier::new(id.index() as u32, node.level, node.cpuset)
-            })
+            .map(|id| SocketTier::new(id.index() as u32))
             .collect();
         let socket_overflow_active = sockets.len() > 1;
         let core_socket: Vec<u32> = (0..n_cores)
@@ -252,7 +246,7 @@ impl TaskManager {
             core_socket,
             queue_socket,
             socket_overflow_active,
-            released_class: CachePadded::new(Default::default()),
+            released: Default::default(),
             config,
         })
     }
@@ -455,17 +449,18 @@ impl TaskManager {
         ran
     }
 
-    /// Counts and runs one steal-half batch. `try_steal_half` only yields
+    /// Runs and counts one steal-half batch. `try_steal_half` only yields
     /// tasks whose cpuset admits `core`, so none of them requeues.
     fn run_stolen(&self, core: usize, batch: &mut Vec<Task>) {
         let state = &self.cores[core];
         state.steal_batches.fetch_add(1, Ordering::Relaxed);
+        let n = batch.len() as u64;
         for task in batch.drain(..) {
-            state.stolen_class[task.class.index()].fetch_add(1, Ordering::Relaxed);
             // A task only the thief may run is homed on the thief's own
             // queue, which no steal visits: there is nothing to hold.
             self.run_task(task, core, &mut ());
         }
+        state.stolen.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Executes `task` on `core` if allowed; requeues it on its home queue
@@ -481,14 +476,13 @@ impl TaskManager {
             queue.requeue(task);
             return false;
         }
-        let class = task.class;
         let ctx = TaskContext {
             core,
             manager: self,
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| task.body.run(&ctx)));
         // Release: `stats` reads this before the queue lengths (see there).
-        self.cores[core].executed_class[class.index()].fetch_add(1, Ordering::Release);
+        self.cores[core].executed.fetch_add(1, Ordering::Release);
         if task.repeat && matches!(outcome, Ok(TaskStatus::Again)) {
             if let Some(task) = held.hold(task, core) {
                 queue.requeue(task);
@@ -536,15 +530,6 @@ impl TaskManager {
         self.cores.iter().map(|c| f(c)).collect()
     }
 
-    /// Loads a per-core per-class counter array, one row per core.
-    /// Acquire: see [`stats`](Self::stats).
-    fn per_core_class(
-        &self,
-        f: impl Fn(&CoreState) -> &[AtomicU64; CLASS_COUNT],
-    ) -> Vec<[u64; CLASS_COUNT]> {
-        self.per_core(|c| core::array::from_fn(|i| f(c)[i].load(Ordering::Acquire)))
-    }
-
     /// Snapshot of per-queue and per-core counters.
     ///
     /// Read order: the run counters first, then each queue's `pending`
@@ -554,8 +539,7 @@ impl TaskManager {
     pub fn stats(&self) -> ManagerStats {
         // Acquire pairs with the Release bump in `run_task`: every run
         // read here has its dequeue visible to the `pending` reads below.
-        let executed = self.per_core_class(|c| &c.executed_class);
-        let stolen = self.per_core_class(|c| &c.stolen_class);
+        let executed_by_core = self.per_core(|c| c.executed.load(Ordering::Acquire));
         let mut queues: Vec<QueueStats> = self
             .queues
             .iter()
@@ -563,9 +547,6 @@ impl TaskManager {
                 let pending = q.pending();
                 let (lock_acquisitions, lock_contended) = q.lock_stats();
                 QueueStats {
-                    id: q.id,
-                    level: q.level,
-                    cpuset: q.cpuset,
                     submitted: q.submitted(),
                     executed: q.executed(),
                     pending,
@@ -581,8 +562,8 @@ impl TaskManager {
         }
         ManagerStats {
             queues,
-            executed_by_core: core_totals(&executed),
-            stolen_by_core: core_totals(&stolen),
+            executed_by_core,
+            stolen_by_core: self.per_core(|c| c.stolen.load(Ordering::Relaxed)),
             steal_attempts_by_core: self.per_core(|c| c.steal_attempts.load(Ordering::Relaxed)),
             stolen_batch_by_core: self.per_core(|c| c.steal_batches.load(Ordering::Relaxed)),
             park_probe_misses: self.per_core(|c| c.parks.load(Ordering::Relaxed)),
@@ -593,8 +574,6 @@ impl TaskManager {
                     let (overflow_lock_acquisitions, overflow_lock_contended) =
                         s.overflow.lock_stats();
                     SocketStats {
-                        node: s.node as usize,
-                        cpuset: s.overflow.cpuset,
                         overflow_pending: s.overflow.len_hint(),
                         overflow_span: s.span.snapshot(),
                         overflow_lock_acquisitions,
@@ -604,26 +583,9 @@ impl TaskManager {
                     }
                 })
                 .collect(),
-            executed_by_class: class_totals(&executed),
-            stolen_by_class: class_totals(&stolen),
-            waitlist_released_by_class: core::array::from_fn(|i| {
-                self.released_class[i].load(Ordering::Relaxed)
-            }),
+            waitlist_released: self.released.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Sums per-core per-class rows into one value per core.
-fn core_totals(rows: &[[u64; CLASS_COUNT]]) -> Vec<u64> {
-    rows.iter().map(|row| row.iter().sum()).collect()
-}
-
-/// Folds per-core per-class rows into class totals.
-fn class_totals(rows: &[[u64; CLASS_COUNT]]) -> [u64; CLASS_COUNT] {
-    rows.iter().fold([0; CLASS_COUNT], |mut totals, row| {
-        totals.iter_mut().zip(row).for_each(|(t, n)| *t += n);
-        totals
-    })
 }
 
 impl core::fmt::Debug for TaskManager {
@@ -960,11 +922,11 @@ mod tests {
             assert!(!mgr.schedule(7));
         }
         let stats = mgr.stats();
-        for q in &stats.queues {
-            assert_eq!(q.lock_acquisitions, 0, "queue {:?} was locked", q.id);
+        for (i, q) in stats.queues.iter().enumerate() {
+            assert_eq!(q.lock_acquisitions, 0, "queue {i} was locked");
         }
-        for s in &stats.sockets {
-            assert_eq!(s.overflow_lock_acquisitions, 0, "socket {}", s.node);
+        for (i, s) in stats.sockets.iter().enumerate() {
+            assert_eq!(s.overflow_lock_acquisitions, 0, "socket {i}");
         }
     }
 
@@ -1022,18 +984,10 @@ mod tests {
         let stats = mgr.stats();
         assert_eq!(stats.total_submitted(), (24 * RAMP + 4 * 256) as u64);
         assert_eq!(stats.total_executed(), stats.total_submitted());
-        // The per-core totals are derived from the per-class splits, and
-        // agree with the per-queue counts.
-        let by_core: u64 = stats.executed_by_core.iter().sum();
-        assert_eq!(by_core, stats.executed_by_class.iter().sum::<u64>());
-        assert_eq!(by_core, stats.total_executed());
-        // The holder-written hand-out counts lose nothing under 4 threads.
+        // The holder-written hand-out counts lose nothing under 4 threads,
+        // and agree with the per-core run counts.
         let by_queue: u64 = stats.queues.iter().map(|q| q.executed).sum();
         assert_eq!(by_queue, stats.total_executed());
-        assert_eq!(
-            stats.total_stolen(),
-            stats.stolen_by_class.iter().sum::<u64>()
-        );
     }
 
     #[test]
@@ -1338,38 +1292,25 @@ mod tests {
     }
 
     #[test]
-    fn per_class_counters_split_executions_and_steals() {
+    fn a_stolen_task_counts_once_on_the_thief_after_it_ran() {
         let mgr = kwak_mgr();
-        for (class, n) in [
-            (TaskClass::Urgent, 1),
-            (TaskClass::Interactive, 2),
-            (TaskClass::Bulk, 3),
-            (TaskClass::Background, 4),
-        ] {
-            for _ in 0..n {
-                mgr.task(|_| TaskStatus::Done)
-                    .cpuset(CpuSet::single(0))
-                    .class(class)
-                    .spawn();
-            }
-        }
-        mgr.schedule(0);
+        let seen = Arc::new(Mutex::new(None));
+        let probe = seen.clone();
+        mgr.task(move |ctx| {
+            // What a snapshot taken inside the body sees.
+            *probe.lock() = Some(ctx.manager.stats().stolen_by_core[0]);
+            TaskStatus::Done
+        })
+        .cpuset(CpuSet::from_iter([0, 1]))
+        .on_core(1)
+        .spawn();
+        assert!(mgr.schedule(0), "core 0 steals core 1's task");
+        assert_eq!(*seen.lock(), Some(0), "counted only once the batch ran");
         let stats = mgr.stats();
-        assert_eq!(stats.executed_by_class, [1, 2, 3, 4]);
-        assert_eq!(stats.stolen_by_class, [0; CLASS_COUNT]);
-        assert_eq!(
-            stats.executed_by_class.iter().sum::<u64>(),
-            stats.executed_by_core.iter().sum::<u64>()
-        );
-        // A stolen bulk task lands in both the stolen and executed splits.
-        mgr.task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::from_iter([0, 1]))
-            .on_core(1)
-            .class(TaskClass::Bulk)
-            .spawn();
-        assert!(mgr.schedule(0), "core 0 steals core 1's bulk task");
-        let stats = mgr.stats();
-        assert_eq!(stats.stolen_by_class, [0, 0, 1, 0]);
-        assert_eq!(stats.executed_by_class, [1, 2, 4, 4]);
+        assert_eq!(stats.stolen_by_core[0], 1);
+        assert_eq!(stats.executed_by_core[0], 1);
+        assert_eq!(stats.stolen_batch_by_core[0], 1);
+        assert_eq!(stats.total_stolen(), 1);
+        assert_eq!(stats.total_executed(), 1);
     }
 }

@@ -98,7 +98,7 @@ impl Hold for HeldLane<'_> {
         let mut due = core::mem::take(&mut self.due);
         let n = due.len().min(budget);
         // Counted at hand-out, before the runs, like a queue's `executed`:
-        // the `executed_class` bumps after them are Release, so a snapshot
+        // the `executed` bumps after them are Release, so a snapshot
         // that sees a run also sees its count.
         bump(&mgr.cores[core].held_runs, n as u64);
         for task in due.drain(..n) {

@@ -113,10 +113,10 @@ pub(super) struct SocketTier {
 }
 
 impl SocketTier {
-    pub(super) fn new(node: u32, level: Level, cpuset: CpuSet) -> Self {
+    pub(super) fn new(node: u32) -> Self {
         SocketTier {
             node,
-            overflow: TaskQueue::new(QueueId(node), level, cpuset),
+            overflow: TaskQueue::new(),
             span: Default::default(),
             spilled: AtomicU64::new(0),
         }

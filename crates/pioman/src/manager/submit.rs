@@ -127,7 +127,7 @@ impl TaskManager {
     pub(super) fn release_waiters(&self, waiters: Vec<Arc<PendingTask>>) {
         for waiter in waiters {
             if let Some(task) = waiter.satisfy_one() {
-                self.released_class[task.class.index()].fetch_add(1, Ordering::Relaxed);
+                self.released.fetch_add(1, Ordering::Relaxed);
                 self.dispatch(task);
             }
         }
@@ -336,7 +336,7 @@ mod tests {
         assert_eq!(mgr.pending_tasks(), 1, "release re-enqueued the dependent");
         assert_eq!(mgr.schedule_batch(0, 1), 1);
         assert!(second.is_complete());
-        assert_eq!(mgr.stats().waitlist_released_by_class, [0, 1, 0, 0]);
+        assert_eq!(mgr.stats().total_waitlist_released(), 1);
     }
 
     #[test]

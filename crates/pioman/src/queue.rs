@@ -22,18 +22,16 @@ use crate::pad::CachePadded;
 use crate::spinlock::{bump, SpinLock};
 use crate::task::{Task, TaskClass, CLASS_COUNT};
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use piom_cpuset::CpuSet;
-use piom_topology::Level;
 use std::collections::VecDeque;
 
 /// Identifier of a task queue — the arena index of the topology node owning
 /// it (per-core queue for leaves, global queue for the root).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct QueueId(pub(crate) u32);
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueueId(pub(crate) u32);
 
 impl QueueId {
     /// Arena index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -48,25 +46,18 @@ impl QueueId {
 /// `Background`, however many cores are popping.
 pub const BACKGROUND_BYPASS_LIMIT: u32 = 16;
 
-/// An element that carries QoS routing metadata: which class lane it
-/// belongs in.
-pub trait Classed {
-    /// The QoS class lane this element is enqueued into.
-    fn class(&self) -> TaskClass;
-}
-
 /// The QoS lanes of one queue: one FIFO `VecDeque` per [`TaskClass`].
 /// Every access happens under the owning queue's lock, so the policy is
 /// sequential, exact and deterministic. The `qos_policy` proptests pin it
 /// against an independent oracle.
-pub struct SeqLanes<T> {
-    classes: [VecDeque<T>; CLASS_COUNT],
+pub struct SeqLanes {
+    classes: [VecDeque<Task>; CLASS_COUNT],
     /// Anti-starvation credit (see [`BACKGROUND_BYPASS_LIMIT`]).
     bg_credit: u32,
     len: usize,
 }
 
-impl<T: Classed> SeqLanes<T> {
+impl SeqLanes {
     /// Creates empty lanes.
     pub fn new() -> Self {
         SeqLanes {
@@ -76,24 +67,24 @@ impl<T: Classed> SeqLanes<T> {
         }
     }
 
-    /// Total element count across every lane.
+    /// Total task count across every lane.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Appends to the tail of the element's class lane.
-    pub fn push(&mut self, value: T) {
-        self.classes[value.class().index()].push_back(value);
+    /// Appends to the tail of the task's class lane.
+    pub fn push(&mut self, task: Task) {
+        self.classes[task.class.index()].push_back(task);
         self.len += 1;
     }
 
-    /// Pops the next element under the full QoS policy: strict class
+    /// Pops the next task under the full QoS policy: strict class
     /// priority ([`TaskClass::ALL`] order), submission order within a
     /// class — softened by the anti-starvation credit: every pop that
     /// serves a higher class while `Background` waits bumps the credit,
     /// and once it reaches [`BACKGROUND_BYPASS_LIMIT`] the next pop serves
     /// `Background` first and resets it.
-    pub fn pop(&mut self) -> Option<T> {
+    pub fn pop(&mut self) -> Option<Task> {
         let bg = TaskClass::Background.index();
         let order = if self.bg_credit >= BACKGROUND_BYPASS_LIMIT && !self.classes[bg].is_empty() {
             [
@@ -106,24 +97,24 @@ impl<T: Classed> SeqLanes<T> {
             TaskClass::ALL
         };
         for class in order {
-            if let Some(value) = self.classes[class.index()].pop_front() {
+            if let Some(task) = self.classes[class.index()].pop_front() {
                 self.len -= 1;
                 if class == TaskClass::Background {
                     self.bg_credit = 0;
                 } else if !self.classes[bg].is_empty() {
                     self.bg_credit += 1;
                 }
-                return Some(value);
+                return Some(task);
             }
         }
         None
     }
 
-    /// Removes up to `quota` elements for a **socket-overflow spill**:
+    /// Removes up to `quota` tasks for a **socket-overflow spill**:
     /// lowest class first, each class in its pop order, so the work the
     /// policy serves next stays local. A spill is relocation, not service:
     /// it skips the anti-starvation credit.
-    fn spill_lowest(&mut self, quota: usize, out: &mut Vec<T>) -> usize {
+    fn spill_lowest(&mut self, quota: usize, out: &mut Vec<Task>) -> usize {
         let mut n = 0;
         for lane in self.classes.iter_mut().rev() {
             let k = lane.len().min(quota - n);
@@ -133,9 +124,7 @@ impl<T: Classed> SeqLanes<T> {
         self.len -= n;
         n
     }
-}
 
-impl SeqLanes<Task> {
     /// Steal-half over the lanes: removes the
     /// `min(max, ceil(eligible / 2))` eligible tasks the *pop policy
     /// would serve first* (class priority, oldest first within a class),
@@ -172,27 +161,20 @@ impl SeqLanes<Task> {
 
 /// One task queue: a topology node's, or a socket's overflow.
 pub(crate) struct TaskQueue {
-    pub(crate) id: QueueId,
-    pub(crate) level: Level,
-    /// The cores whose hierarchy walk includes this queue.
-    pub(crate) cpuset: CpuSet,
     /// The paper's list + spinlock (§IV-A), then two counts only the
     /// holder writes ([`bump`]): tasks enqueued by submission, and tasks
     /// handed to a core allowed to run them. Owner and thieves take the
     /// lock; padded away from the hint so the keypoints that only read it
     /// do not contend the lock line.
-    list: CachePadded<(SpinLock<SeqLanes<Task>>, AtomicU64, AtomicU64)>,
+    list: CachePadded<(SpinLock<SeqLanes>, AtomicU64, AtomicU64)>,
     /// Algorithm 2's unlocked emptiness test: the lane count, published
     /// under the lock and read without it.
     len: CachePadded<AtomicUsize>,
 }
 
 impl TaskQueue {
-    pub(crate) fn new(id: QueueId, level: Level, cpuset: CpuSet) -> Self {
+    pub(crate) fn new() -> Self {
         TaskQueue {
-            id,
-            level,
-            cpuset,
             list: CachePadded::new((
                 SpinLock::new(SeqLanes::new()),
                 AtomicU64::new(0),
@@ -208,7 +190,7 @@ impl TaskQueue {
     /// progress. The store is Release so [`pending`](Self::pending) sees
     /// the `submitted` count written with it. Returns the depth after the
     /// insertion.
-    fn with_lock(&self, insert: impl FnOnce(&mut SeqLanes<Task>)) -> usize {
+    fn with_lock(&self, insert: impl FnOnce(&mut SeqLanes)) -> usize {
         let mut guard = self.list.0.lock();
         insert(&mut guard);
         let depth = guard.len();
@@ -250,7 +232,7 @@ impl TaskQueue {
     /// overhead since the mutex is only held when the list contains tasks."
     /// The hint is re-published under the lock. `remove` returns how many
     /// it took.
-    fn with_nonempty(&self, remove: impl FnOnce(&mut SeqLanes<Task>) -> usize) -> usize {
+    fn with_nonempty(&self, remove: impl FnOnce(&mut SeqLanes) -> usize) -> usize {
         if self.len.load(Ordering::Relaxed) == 0 {
             return 0;
         }
@@ -335,27 +317,24 @@ mod tests {
     use super::*;
     use crate::completion::TaskBody;
     use crate::task::{TaskSet, TaskStatus};
+    use piom_cpuset::CpuSet;
 
-    fn dummy_task(home: QueueId) -> Task {
-        task_for(home, CpuSet::single(0))
+    fn dummy_task() -> Task {
+        task_for(CpuSet::single(0))
     }
 
-    fn task_for(home: QueueId, cpuset: CpuSet) -> Task {
-        task_with(home, cpuset, TaskClass::Interactive)
+    fn task_for(cpuset: CpuSet) -> Task {
+        task_with(cpuset, TaskClass::Interactive)
     }
 
-    fn task_with(home: QueueId, cpuset: CpuSet, class: TaskClass) -> Task {
+    fn task_with(cpuset: CpuSet, class: TaskClass) -> Task {
         Task {
             body: TaskBody::new(|_| TaskStatus::Done).0,
             repeat: false,
             class,
             cpuset: TaskSet::new(&cpuset),
-            home,
+            home: QueueId(0),
         }
-    }
-
-    fn queue() -> TaskQueue {
-        TaskQueue::new(QueueId(0), Level::Core, CpuSet::single(0))
     }
 
     /// Algorithm 2 for one task: whichever the pop policy serves next.
@@ -367,40 +346,37 @@ mod tests {
 
     #[test]
     fn seq_lanes_serve_any_classed_element_under_the_pop_policy() {
-        // The lanes are generic over `Classed`: class priority, submission
-        // order within a class, and the exact background bypass.
-        struct Item(TaskClass, u32);
-        impl Classed for Item {
-            fn class(&self) -> TaskClass {
-                self.0
-            }
-        }
+        // Class priority, submission order within a class, and the exact
+        // background bypass. Each task is named by its one-core cpuset.
+        let named = |class, name| task_with(CpuSet::single(name), class);
         let mut lanes = SeqLanes::new();
-        lanes.push(Item(TaskClass::Background, 999));
-        lanes.push(Item(TaskClass::Bulk, 100));
-        lanes.push(Item(TaskClass::Bulk, 101));
-        lanes.push(Item(TaskClass::Bulk, 102));
-        lanes.push(Item(TaskClass::Urgent, 103));
+        lanes.push(named(TaskClass::Background, 999));
+        lanes.push(named(TaskClass::Bulk, 100));
+        lanes.push(named(TaskClass::Bulk, 101));
+        lanes.push(named(TaskClass::Bulk, 102));
+        lanes.push(named(TaskClass::Urgent, 103));
         for i in 0..BACKGROUND_BYPASS_LIMIT {
-            lanes.push(Item(TaskClass::Interactive, i));
+            lanes.push(named(TaskClass::Interactive, i as usize));
         }
         assert_eq!(lanes.len(), 5 + BACKGROUND_BYPASS_LIMIT as usize);
-        let order: Vec<u32> = core::iter::from_fn(|| lanes.pop().map(|it| it.1)).collect();
+        let order: Vec<usize> =
+            core::iter::from_fn(|| lanes.pop().and_then(|t| t.cpuset().first())).collect();
         // Urgent, then 15 Interactive make 16 bypasses; Background is
         // served next, then the last Interactive, then Bulk in submission
         // order.
+        let limit = BACKGROUND_BYPASS_LIMIT as usize;
         let mut expected = vec![103];
-        expected.extend(0..BACKGROUND_BYPASS_LIMIT - 1);
-        expected.extend([999, BACKGROUND_BYPASS_LIMIT - 1, 100, 101, 102]);
+        expected.extend(0..limit - 1);
+        expected.extend([999, limit - 1, 100, 101, 102]);
         assert_eq!(order, expected);
         assert_eq!(lanes.len(), 0);
     }
 
     #[test]
     fn fifo_order_spin() {
-        let q = queue();
+        let q = TaskQueue::new();
         for _ in 0..3 {
-            q.enqueue(dummy_task(q.id));
+            q.enqueue(dummy_task());
         }
         assert_eq!(q.len_hint(), 3);
         let mut n = 0;
@@ -414,7 +390,7 @@ mod tests {
 
     #[test]
     fn empty_dequeue_never_locks() {
-        let q = queue();
+        let q = TaskQueue::new();
         assert!(pop(&q).is_none());
         // Algorithm 2's whole point: an empty queue is detected without a
         // single lock acquisition.
@@ -423,8 +399,8 @@ mod tests {
 
     #[test]
     fn requeue_does_not_count_as_submission() {
-        let q = queue();
-        q.enqueue(dummy_task(q.id));
+        let q = TaskQueue::new();
+        q.enqueue(dummy_task());
         let t = pop(&q).unwrap();
         q.requeue(t);
         assert_eq!(q.submitted(), 1);
@@ -433,9 +409,9 @@ mod tests {
 
     #[test]
     fn requeue_batch_locks_once_and_keeps_order() {
-        let q = queue();
+        let q = TaskQueue::new();
         let mut batch: Vec<Task> = (0..4)
-            .map(|i| task_for(q.id, CpuSet::from_iter([0, 10 + i])))
+            .map(|i| task_for(CpuSet::from_iter([0, 10 + i])))
             .collect();
         q.requeue_batch(&mut batch);
         assert!(batch.is_empty());
@@ -451,9 +427,9 @@ mod tests {
 
     #[test]
     fn batch_drains_in_one_lock_acquisition() {
-        let q = queue();
+        let q = TaskQueue::new();
         for _ in 0..5 {
-            q.enqueue(dummy_task(q.id));
+            q.enqueue(dummy_task());
         }
         let locks_before = q.lock_stats().0;
         let mut out = Vec::new();
@@ -472,9 +448,9 @@ mod tests {
 
     #[test]
     fn batch_respects_max() {
-        let q = queue();
+        let q = TaskQueue::new();
         for _ in 0..5 {
-            q.enqueue(dummy_task(q.id));
+            q.enqueue(dummy_task());
         }
         let mut out = Vec::new();
         assert_eq!(q.dequeue_batch(2, 0, &mut out), 2);
@@ -483,10 +459,10 @@ mod tests {
 
     #[test]
     fn steal_skips_ineligible_tasks_without_reordering() {
-        let q = queue();
-        q.enqueue(task_for(q.id, CpuSet::single(0)));
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        q.enqueue(task_for(q.id, CpuSet::single(0)));
+        let q = TaskQueue::new();
+        q.enqueue(task_for(CpuSet::single(0)));
+        q.enqueue(task_for(CpuSet::from_iter([0, 3])));
+        q.enqueue(task_for(CpuSet::single(0)));
         // Thief core 3 takes the (only) eligible task...
         let mut out = Vec::new();
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
@@ -500,7 +476,7 @@ mod tests {
 
     #[test]
     fn steal_half_takes_half_of_eligible_backlog() {
-        let q = queue();
+        let q = TaskQueue::new();
         // 6 eligible for thief 3, 2 not.
         for i in 0..8 {
             let set = if i % 4 == 3 {
@@ -508,7 +484,7 @@ mod tests {
             } else {
                 CpuSet::from_iter([0, 3])
             };
-            q.enqueue(task_for(q.id, set));
+            q.enqueue(task_for(set));
         }
         let mut out = Vec::new();
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 3);
@@ -524,15 +500,15 @@ mod tests {
 
     #[test]
     fn steal_half_rounds_up_and_honours_max() {
-        let q = queue();
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 1])));
+        let q = TaskQueue::new();
+        q.enqueue(task_for(CpuSet::from_iter([0, 1])));
         let mut out = Vec::new();
         // ceil(1/2) = 1: a lone straggler is still stealable.
         assert_eq!(q.try_steal_half(1, usize::MAX, &mut out), 1);
         assert_eq!(q.len_hint(), 0);
 
         for _ in 0..10 {
-            q.enqueue(task_for(q.id, CpuSet::from_iter([0, 1])));
+            q.enqueue(task_for(CpuSet::from_iter([0, 1])));
         }
         out.clear();
         // Budget caps below the half quota.
@@ -547,7 +523,7 @@ mod tests {
 
     #[test]
     fn steal_half_on_empty_queue_never_locks() {
-        let q = queue();
+        let q = TaskQueue::new();
         let mut out = Vec::new();
         assert_eq!(q.try_steal_half(1, usize::MAX, &mut out), 0);
         assert_eq!(q.lock_stats().0, 0);
@@ -558,13 +534,13 @@ mod tests {
         // Stealing must not rotate the victim queue. Tag each task with a
         // unique marker cpu (10+i) so the drain order is observable;
         // even-indexed tasks are eligible for thief 3.
-        let q = queue();
+        let q = TaskQueue::new();
         for i in 0..6 {
             let mut set = CpuSet::from_iter([0, 10 + i]);
             if i % 2 == 0 {
                 set.insert(3);
             }
-            q.enqueue(task_for(q.id, set));
+            q.enqueue(task_for(set));
         }
         let mut out = Vec::new();
         // 3 eligible -> quota 2: tasks 0 and 2 (the oldest eligible) leave.
@@ -572,7 +548,7 @@ mod tests {
         assert!(out[0].cpuset().contains(10));
         assert!(out[1].cpuset().contains(12));
         // A task pushed after the steal drains later than every survivor.
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 16])));
+        q.enqueue(task_for(CpuSet::from_iter([0, 16])));
         // Survivors drain in original submission order: 1, 3, 4, 5.
         for expect in [11, 13, 14, 15, 16] {
             let t = pop(&q).expect("survivor present");
@@ -588,13 +564,9 @@ mod tests {
     fn urgent_class_preempts_queue_order() {
         // Class priority is the preemption mechanism: an Urgent task
         // submitted after older Interactive work still drains first.
-        let q = queue();
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 10])));
-        q.enqueue(task_with(
-            q.id,
-            CpuSet::from_iter([0, 11]),
-            TaskClass::Urgent,
-        ));
+        let q = TaskQueue::new();
+        q.enqueue(task_for(CpuSet::from_iter([0, 10])));
+        q.enqueue(task_with(CpuSet::from_iter([0, 11]), TaskClass::Urgent));
         assert_eq!(q.len_hint(), 2);
         assert!(pop(&q).unwrap().cpuset().contains(11));
         assert!(pop(&q).unwrap().cpuset().contains(10));
@@ -605,13 +577,13 @@ mod tests {
         // An urgent repeat task requeues *behind* older urgent work
         // (class-lane tail), not ahead of it — while still preempting
         // every lower class.
-        let q = queue();
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 10])));
+        let q = TaskQueue::new();
+        q.enqueue(task_for(CpuSet::from_iter([0, 10])));
         let urgent = TaskClass::Urgent;
-        q.enqueue(task_with(q.id, CpuSet::from_iter([0, 11]), urgent));
+        q.enqueue(task_with(CpuSet::from_iter([0, 11]), urgent));
         let first = pop(&q).unwrap();
         assert!(first.cpuset().contains(11), "urgent preempts interactive");
-        q.enqueue(task_with(q.id, CpuSet::from_iter([0, 12]), urgent));
+        q.enqueue(task_with(CpuSet::from_iter([0, 12]), urgent));
         q.requeue(first);
         // The freshly enqueued urgent task (12) is older in the lane
         // than the requeued one (11); both beat the interactive task.
@@ -624,13 +596,9 @@ mod tests {
     fn steal_takes_the_tasks_the_pop_policy_would_serve_first() {
         // 2 eligible tasks (quota 1): the thief must get the Urgent one,
         // not the older Interactive one — steals honour class priority.
-        let q = queue();
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        q.enqueue(task_with(
-            q.id,
-            CpuSet::from_iter([0, 3]),
-            TaskClass::Urgent,
-        ));
+        let q = TaskQueue::new();
+        q.enqueue(task_for(CpuSet::from_iter([0, 3])));
+        q.enqueue(task_with(CpuSet::from_iter([0, 3]), TaskClass::Urgent));
         let mut out = Vec::new();
         assert_eq!(q.try_steal_half(3, usize::MAX, &mut out), 1);
         assert_eq!(out.pop().unwrap().class, TaskClass::Urgent);
@@ -640,19 +608,19 @@ mod tests {
 
     #[test]
     fn enqueue_reports_post_append_depth() {
-        let q = queue();
-        assert_eq!(q.enqueue(dummy_task(q.id)), 1);
-        assert_eq!(q.enqueue(dummy_task(q.id)), 2);
+        let q = TaskQueue::new();
+        assert_eq!(q.enqueue(dummy_task()), 1);
+        assert_eq!(q.enqueue(dummy_task()), 2);
         pop(&q);
-        assert_eq!(q.enqueue(dummy_task(q.id)), 2);
+        assert_eq!(q.enqueue(dummy_task()), 2);
     }
 
     #[test]
     fn counters() {
-        let q = queue();
-        q.enqueue(dummy_task(q.id));
-        q.enqueue(task_for(q.id, CpuSet::from_iter([0, 3])));
-        q.enqueue(task_for(q.id, CpuSet::single(3)));
+        let q = TaskQueue::new();
+        q.enqueue(dummy_task());
+        q.enqueue(task_for(CpuSet::from_iter([0, 3])));
+        q.enqueue(task_for(CpuSet::single(3)));
         let mut out = Vec::new();
         assert_eq!(q.dequeue_batch(3, 0, &mut out), 3);
         assert_eq!(q.submitted(), 3);
@@ -672,7 +640,7 @@ mod tests {
         // `submitted` and `executed` are a plain load + store under the
         // lock: threads enqueueing, draining and stealing at once lose no
         // count. A barrier lines the threads up.
-        let q = TaskQueue::new(QueueId(0), Level::Chip, CpuSet::range(0..4));
+        let q = TaskQueue::new();
         let per = if cfg!(miri) { 20 } else { 2_000 };
         let start = std::sync::Barrier::new(3);
         std::thread::scope(|s| {
@@ -682,7 +650,7 @@ mod tests {
                     start.wait();
                     let mut out = Vec::new();
                     for i in 0..per {
-                        q.enqueue(task_for(q.id, CpuSet::range(0..4)));
+                        q.enqueue(task_for(CpuSet::range(0..4)));
                         if i % 2 == 0 {
                             q.dequeue_batch(2, core, &mut out);
                         } else {

@@ -3,19 +3,12 @@
 //! Every field here is defined, with its invariants, in the scheduler
 //! contract page (`docs/SCHEDULER.md`, "Counter glossary").
 
-use crate::queue::QueueId;
 use piom_cpuset::CpuSet;
-use piom_topology::Level;
 
-/// Counters of one hierarchical queue.
+/// Counters of one hierarchical queue; the topology node it belongs to is
+/// its index in [`ManagerStats::queues`].
 #[derive(Debug, Clone)]
 pub struct QueueStats {
-    /// Queue id (the topology node index).
-    pub id: QueueId,
-    /// Topology level of the owning node.
-    pub level: Level,
-    /// Cores this queue serves.
-    pub cpuset: CpuSet,
     /// Tasks submitted directly to this queue.
     pub submitted: u64,
     /// Tasks this queue handed to a core allowed to run them, counted
@@ -31,14 +24,12 @@ pub struct QueueStats {
 }
 
 /// Counters of one socket of the per-socket overflow tier
-/// ([`ManagerConfig::spill_threshold`](crate::ManagerConfig)).
+/// ([`ManagerConfig::spill_threshold`](crate::ManagerConfig)). Socket `i`
+/// is the topology's `i`-th NUMA node (chip, on trees without NUMA nodes;
+/// the machine root, on flat trees and on trees where some core lies
+/// under no such node).
 #[derive(Debug, Clone)]
 pub struct SocketStats {
-    /// Arena index of the topology node this socket stands for (a NUMA
-    /// node, or a chip / the machine root on shallower trees).
-    pub node: usize,
-    /// Cores the socket spans.
-    pub cpuset: CpuSet,
     /// Tasks currently in the socket's overflow queue (racy snapshot).
     pub overflow_pending: usize,
     /// Union of the cpusets of tasks spilled into the overflow (decays
@@ -89,23 +80,16 @@ pub struct ManagerStats {
     /// only on managers built before any topology — never in practice;
     /// single-socket machines still report their one inert socket).
     pub sockets: Vec<SocketStats>,
-    /// Task executions per QoS class, indexed by
-    /// [`TaskClass::index`](crate::TaskClass::index) (repeat runs count
-    /// each time). Sums to `total_executed()`.
-    pub executed_by_class: [u64; crate::task::CLASS_COUNT],
-    /// Tasks stolen (and run by the thief) per QoS class. Sums to
-    /// `total_stolen()`.
-    pub stolen_by_class: [u64; crate::task::CLASS_COUNT],
-    /// Dependency-waitlist releases per QoS class: tasks submitted with
+    /// Dependency-waitlist releases: tasks submitted with
     /// [`SubmitSpec::after`](crate::SubmitSpec::after) that re-entered the
     /// queues because their last predecessor completed (or panicked).
-    pub waitlist_released_by_class: [u64; crate::task::CLASS_COUNT],
+    pub waitlist_released: u64,
 }
 
 impl ManagerStats {
-    /// Total task runs: the sum of `executed_by_class`.
+    /// Total task runs (repeat runs count each time), across cores.
     pub fn total_executed(&self) -> u64 {
-        self.executed_by_class.iter().sum()
+        self.executed_by_core.iter().sum()
     }
 
     /// Total submissions across all queues.
@@ -128,9 +112,9 @@ impl ManagerStats {
         self.park_probe_misses.iter().sum()
     }
 
-    /// Total dependency-waitlist releases, across classes.
+    /// Total dependency-waitlist releases.
     pub fn total_waitlist_released(&self) -> u64 {
-        self.waitlist_released_by_class.iter().sum()
+        self.waitlist_released
     }
 
     /// Total tasks spilled into socket overflows, across sockets.

@@ -65,16 +65,6 @@ impl TaskClass {
     pub const fn index(self) -> usize {
         self as usize
     }
-
-    /// Short lowercase label, used in stats exports.
-    pub const fn label(self) -> &'static str {
-        match self {
-            TaskClass::Urgent => "urgent",
-            TaskClass::Interactive => "interactive",
-            TaskClass::Bulk => "bulk",
-            TaskClass::Background => "background",
-        }
-    }
 }
 
 /// Execution context handed to a task body.
@@ -173,12 +163,6 @@ impl Task {
         let mut all = [0; CpuSet::MAX_CPUS / 64];
         all[first..first + words.len()].copy_from_slice(words);
         CpuSet::from_words(all)
-    }
-}
-
-impl crate::queue::Classed for Task {
-    fn class(&self) -> TaskClass {
-        self.class
     }
 }
 

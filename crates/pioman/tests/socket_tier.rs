@@ -9,7 +9,7 @@
 //! `pioman.spill_claim_ns_per_task` / `steal_ns_per_task` probes.
 
 use piom_cpuset::CpuSet;
-use piom_topology::presets;
+use piom_topology::{presets, Level};
 use pioman::{ManagerConfig, TaskClass, TaskManager, TaskStatus};
 use std::sync::{Arc, Mutex};
 
@@ -68,15 +68,18 @@ fn scaling_ladder_spills_claims_and_steals_in_one_drain_at_every_rung() {
                 ..ManagerConfig::default()
             },
         );
-        let n_cores = mgr.topology().n_cores();
-        let sockets = mgr.stats().sockets;
+        let topo = mgr.topology();
+        let n_cores = topo.n_cores();
+        let sockets = topo.nodes_at_level(Level::NumaNode);
         assert!(sockets.len() >= 2, "{name} must be multi-socket");
+        assert_eq!(mgr.stats().sockets.len(), sockets.len());
         let mut drainers = vec![1];
         drainers.extend(
             sockets
                 .iter()
-                .filter(|s| !s.cpuset.contains(0))
-                .map(|s| s.cpuset.iter().next().expect("socket has cores")),
+                .map(|&id| topo.node(id).cpuset)
+                .filter(|span| !span.contains(0))
+                .map(|span| span.first().expect("socket has cores")),
         );
 
         let handles: Vec<_> = (0..256)
@@ -108,10 +111,6 @@ fn scaling_ladder_spills_claims_and_steals_in_one_drain_at_every_rung() {
             by_queue + stats.total_claimed(),
             stats.total_executed(),
             "{name}: queue hand-outs + overflow claims = runs"
-        );
-        assert_eq!(
-            stats.total_executed(),
-            stats.executed_by_class.iter().sum::<u64>()
         );
         assert_eq!(mgr.pending_tasks(), 0, "{name}: the fabric is drained");
         assert!(

@@ -105,18 +105,9 @@ fn main() {
     for h in [transfer, signal, sweep] {
         h.wait().unwrap();
     }
-    let qos = mgr.stats();
-    println!(
-        "executions by class (urgent/interactive/bulk/background): {:?}",
-        qos.executed_by_class
-    );
-    println!(
-        "waitlist releases by class: {:?}",
-        qos.waitlist_released_by_class
-    );
-
     // Where did everything run?
     let stats = mgr.stats();
+    println!("waitlist releases: {}", stats.total_waitlist_released());
     println!("executions per core: {:?}", stats.executed_by_core);
     println!("idle keypoints that found nothing: {}", prog.idle_loops());
     drop(prog);
