@@ -46,7 +46,6 @@ pub(crate) const WORDS: usize = 16;
 /// assert_eq!((a | b).count(), 6);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuSet {
     words: [u64; WORDS],
 }

@@ -9,7 +9,7 @@
 
 #![warn(missing_docs)]
 
-use madmpi::overlap::{sweep, ComputeSide};
+use madmpi::overlap::{run_overlap, ComputeSide};
 use madmpi::{mtlat, MpiImpl};
 use piom_des::{Sim, SimTime};
 use piom_machine::simsched::{bench_table, microbench};
@@ -204,11 +204,7 @@ pub fn fig4() -> String {
     for threads in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let mv = mtlat::run_mtlat(MpiImpl::MvapichLike, threads, FIG4_ROUNDS, SEED);
         let pm = mtlat::run_mtlat(MpiImpl::MadMpi, threads, FIG4_ROUNDS, SEED);
-        let _ = writeln!(
-            out,
-            "{:<10}{:>14.2}{:>14.2}",
-            threads, mv.mean_latency_us, pm.mean_latency_us
-        );
+        let _ = writeln!(out, "{:<10}{:>14.2}{:>14.2}", threads, mv, pm);
     }
     out
 }
@@ -237,13 +233,12 @@ fn overlap_figure(title: &str, side: ComputeSide) -> String {
             "  {:<12}{:>10}{:>10}{:>10}",
             "compute", "MVAPICH", "OpenMPI", "PIOMan"
         );
-        let xs: Vec<SimTime> = computes.iter().map(|&u| SimTime::from_us(u)).collect();
         let curves: Vec<Vec<f64>> = MpiImpl::ALL
             .iter()
             .map(|&impl_| {
-                sweep(impl_, size, &xs, side)
-                    .into_iter()
-                    .map(|p| p.ratio)
+                computes
+                    .iter()
+                    .map(|&u| run_overlap(impl_, size, SimTime::from_us(u), side))
                     .collect()
             })
             .collect();

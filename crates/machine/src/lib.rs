@@ -23,7 +23,8 @@
 //!   only when a core sees the write and who wins the lock;
 //! * [`threads`] — a simulated thread scheduler (run queues, context
 //!   switches, timer ticks, idle detection) with PIOMan keypoint hooks: the
-//!   MARCEL substitute used by the latency/overlap experiments. There the
+//!   MARCEL substitute used by the latency/overlap experiments. A thread's
+//!   logic takes the simulator and returns its next step. There the
 //!   hook runs `pioman`'s own Algorithm 1 on each node's task manager,
 //!   whose Global Queue holds the engine's poll as a repeat task; the
 //!   simulator charges nothing for that `pioman` work yet.

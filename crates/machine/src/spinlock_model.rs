@@ -70,8 +70,6 @@ struct LockState {
     waiters: Vec<Waiter>,
     acquisitions: u64,
     contended: u64,
-    /// Handoffs tallied by the locality class between consecutive owners.
-    handoffs_by_locality: [u64; 5],
 }
 
 /// A spinlock in simulated time. Clone-able handle (shared state).
@@ -96,7 +94,6 @@ impl SimSpinLock {
                 waiters: Vec::new(),
                 acquisitions: 0,
                 contended: 0,
-                handoffs_by_locality: [0; 5],
             })),
         }
     }
@@ -110,8 +107,6 @@ impl SimSpinLock {
         if !st.held {
             st.held = true;
             st.acquisitions += 1;
-            let loc = self.ctx.topo.locality(st.last_owner, core);
-            st.handoffs_by_locality[loc.distance()] += 1;
             // The grant costs nothing of the transfer, but the jitter draw
             // stays: every later draw of the seeded stream (and so Tables
             // I-II) depends on it.
@@ -153,8 +148,6 @@ impl SimSpinLock {
         let winner = st.waiters.swap_remove(winner_idx);
         let spinners = st.waiters.len() as u64;
         st.acquisitions += 1;
-        let loc = self.ctx.topo.locality(core, winner.core);
-        st.handoffs_by_locality[loc.distance()] += 1;
         st.last_owner = winner.core;
         let delay = LOCK_BASE
             + self.ctx.transfer(core, winner.core)
@@ -171,12 +164,6 @@ impl SimSpinLock {
     /// Requests that found the lock held.
     pub fn contended(&self) -> u64 {
         self.st.borrow().contended
-    }
-
-    /// Handoff counts by locality class between consecutive owners
-    /// (index = `Locality::distance()`).
-    pub fn handoffs_by_locality(&self) -> [u64; 5] {
-        self.st.borrow().handoffs_by_locality
     }
 }
 
@@ -339,9 +326,9 @@ mod tests {
             l.acquire(sim, 13, move |sim| lr.release(sim, 13));
         });
         sim.run();
-        let tally = lock.handoffs_by_locality();
-        assert_eq!(tally.iter().sum::<u64>(), 2);
-        assert_eq!(tally[0], 1, "self-grant on core 0");
-        assert_eq!(tally[4], 1, "cross-NUMA grant to core 13");
+        // A self-grant on core 0, then a cross-NUMA grant to core 13: both
+        // find the lock free.
+        assert_eq!(lock.acquisitions(), 2);
+        assert_eq!(lock.contended(), 0);
     }
 }

@@ -8,8 +8,9 @@
 //! hook at exactly those three keypoint kinds.
 //!
 //! Threads are continuation-style state machines: whenever the scheduler is
-//! ready to run a thread, it asks the thread's *logic* for the next
-//! [`Step`] — compute for a while, block on a [`CondId`], yield, or exit.
+//! ready to run a thread, it calls the thread's [`Logic`] with the simulator
+//! for the next [`Step`] — compute for a while, block on a [`CondId`],
+//! yield, or exit.
 //! This is how the latency and overlap experiments (Figs. 4–7) model their
 //! application threads: computing occupies the core (no progress happens
 //! unless a hook fires or another core is idle), blocking frees the core
@@ -45,10 +46,6 @@ pub enum Step {
     Exit,
 }
 
-/// Identifier of a simulated thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ThreadId(pub usize);
-
 /// Identifier of a simulated condition variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CondId(pub usize);
@@ -68,20 +65,15 @@ pub enum Keypoint {
 /// communication engine plugs its task scheduling in.
 pub type Hook = Rc<dyn Fn(&mut Sim, usize, Keypoint)>;
 
-/// Thread logic: called each time the scheduler needs the thread's next
-/// step. Arguments: `(sim, own thread id)`.
-pub type Logic = Box<dyn FnMut(&mut Sim, ThreadId) -> Step>;
+/// Thread logic: called with the simulator each time the scheduler needs
+/// the thread's next step.
+pub type Logic = Box<dyn FnMut(&mut Sim) -> Step>;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ThreadState {
-    Ready,
-    Running,
-    Blocked,
-    Done,
-}
+/// A simulated thread: its index in `SchedState::threads`.
+#[derive(Clone, Copy)]
+struct ThreadId(usize);
 
 struct ThreadSt {
-    state: ThreadState,
     logic: Option<Logic>,
     /// Remainder of a preempted compute step.
     remaining: Option<SimTime>,
@@ -90,10 +82,10 @@ struct ThreadSt {
 
 struct CoreSt {
     run_queue: VecDeque<ThreadId>,
-    current: Option<ThreadId>,
+    /// A thread occupies the core.
+    busy: bool,
     /// Set while a dispatch/idle-loop event chain is pending.
     dispatch_pending: bool,
-    context_switches: u64,
 }
 
 struct SchedState {
@@ -101,6 +93,7 @@ struct SchedState {
     conds: Vec<Vec<ThreadId>>,
     cores: Vec<CoreSt>,
     hook: Option<Hook>,
+    /// Threads not yet exited; idle cores stop re-polling at zero.
     live_threads: usize,
 }
 
@@ -125,9 +118,8 @@ impl ThreadSched {
                 cores: (0..n_cores)
                     .map(|_| CoreSt {
                         run_queue: VecDeque::new(),
-                        current: None,
+                        busy: false,
                         dispatch_pending: false,
-                        context_switches: 0,
                     })
                     .collect(),
                 hook: None,
@@ -153,12 +145,11 @@ impl ThreadSched {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn spawn(&self, sim: &mut Sim, core: usize, logic: Logic) -> ThreadId {
-        let tid = {
+    pub fn spawn(&self, sim: &mut Sim, core: usize, logic: Logic) {
+        let n = {
             let mut st = self.st.borrow_mut();
             assert!(core < st.cores.len(), "core out of range");
             st.threads.push(ThreadSt {
-                state: ThreadState::Ready,
                 logic: Some(logic),
                 remaining: None,
                 core,
@@ -166,16 +157,14 @@ impl ThreadSched {
             st.live_threads += 1;
             let tid = ThreadId(st.threads.len() - 1);
             st.cores[core].run_queue.push_back(tid);
-            tid
+            st.cores.len()
         };
         // Kick every core, not just the target: once the machine has any
         // live thread, all cores run their idle loops (and hence fire the
         // idle keypoint, where PIOMan progresses communication).
-        let n = self.st.borrow().cores.len();
         for c in 0..n {
             self.kick(sim, c);
         }
-        tid
     }
 
     /// Wakes every thread blocked on `cond`.
@@ -185,7 +174,6 @@ impl ThreadSched {
             let waiters = std::mem::take(&mut st.conds[cond.0]);
             let mut cores = Vec::with_capacity(waiters.len());
             for tid in waiters {
-                st.threads[tid.0].state = ThreadState::Ready;
                 let core = st.threads[tid.0].core;
                 st.cores[core].run_queue.push_back(tid);
                 cores.push(core);
@@ -197,22 +185,12 @@ impl ThreadSched {
         }
     }
 
-    /// Number of threads not yet exited.
-    pub fn live_threads(&self) -> usize {
-        self.st.borrow().live_threads
-    }
-
-    /// Context switches performed on `core`.
-    pub fn context_switches(&self, core: usize) -> u64 {
-        self.st.borrow().cores[core].context_switches
-    }
-
     /// Ensures `core` has a dispatch event pending if it is sitting idle.
     fn kick(&self, sim: &mut Sim, core: usize) {
         let should_dispatch = {
             let mut st = self.st.borrow_mut();
             let c = &mut st.cores[core];
-            if c.current.is_none() && !c.dispatch_pending {
+            if !c.busy && !c.dispatch_pending {
                 c.dispatch_pending = true;
                 true
             } else {
@@ -235,12 +213,7 @@ impl ThreadSched {
         };
         match next {
             Some(tid) => {
-                {
-                    let mut st = self.st.borrow_mut();
-                    st.cores[core].current = Some(tid);
-                    st.cores[core].context_switches += 1;
-                    st.threads[tid.0].state = ThreadState::Running;
-                }
+                self.st.borrow_mut().cores[core].busy = true;
                 // Keypoint: context switch. PIOMan gets a shot before the
                 // thread starts its quantum.
                 if let Some(h) = &hook {
@@ -282,7 +255,7 @@ impl ThreadSched {
                         .take()
                         .expect("running thread has logic")
                 };
-                let s = logic(sim, tid);
+                let s = logic(sim);
                 self.st.borrow_mut().threads[tid.0].logic = Some(logic);
                 s
             }
@@ -311,27 +284,24 @@ impl ThreadSched {
             Step::Block(cond) => {
                 {
                     let mut st = self.st.borrow_mut();
-                    st.threads[tid.0].state = ThreadState::Blocked;
                     st.conds[cond.0].push(tid);
-                    st.cores[core].current = None;
+                    st.cores[core].busy = false;
                 }
                 self.dispatch(sim, core);
             }
             Step::Yield => {
                 {
                     let mut st = self.st.borrow_mut();
-                    st.threads[tid.0].state = ThreadState::Ready;
                     st.cores[core].run_queue.push_back(tid);
-                    st.cores[core].current = None;
+                    st.cores[core].busy = false;
                 }
                 self.dispatch(sim, core);
             }
             Step::Exit => {
                 {
                     let mut st = self.st.borrow_mut();
-                    st.threads[tid.0].state = ThreadState::Done;
                     st.threads[tid.0].logic = None;
-                    st.cores[core].current = None;
+                    st.cores[core].busy = false;
                     st.live_threads -= 1;
                 }
                 self.dispatch(sim, core);
@@ -343,9 +313,8 @@ impl ThreadSched {
     fn preempt(&self, sim: &mut Sim, core: usize, tid: ThreadId) {
         {
             let mut st = self.st.borrow_mut();
-            st.threads[tid.0].state = ThreadState::Ready;
             st.cores[core].run_queue.push_back(tid);
-            st.cores[core].current = None;
+            st.cores[core].busy = false;
         }
         self.dispatch(sim, core);
     }
@@ -373,7 +342,7 @@ mod tests {
         sched.spawn(
             &mut sim,
             0,
-            Box::new(move |sim, _| {
+            Box::new(move |sim| {
                 phase += 1;
                 match phase {
                     1 => Step::Compute(SimTime::from_us(5)),
@@ -386,7 +355,6 @@ mod tests {
         );
         sim.run();
         assert!(done_at.get() >= SimTime::from_us(5));
-        assert_eq!(sched.live_threads(), 0);
     }
 
     #[test]
@@ -400,7 +368,7 @@ mod tests {
             sched.spawn(
                 &mut sim,
                 0,
-                Box::new(move |_, _| {
+                Box::new(move |_| {
                     steps += 1;
                     if steps <= 3 {
                         log.borrow_mut().push(who);
@@ -429,7 +397,7 @@ mod tests {
         sched.spawn(
             &mut sim,
             0,
-            Box::new(move |sim, _| {
+            Box::new(move |sim| {
                 phase += 1;
                 match phase {
                     1 => Step::Block(cond),
@@ -444,7 +412,6 @@ mod tests {
         sim.schedule(SimTime::from_us(50), move |sim| s2.notify(sim, cond));
         sim.run();
         assert!(woke_at.get() >= SimTime::from_us(50), "woke early");
-        assert_eq!(sched.live_threads(), 0);
     }
 
     #[test]
@@ -459,7 +426,7 @@ mod tests {
         }));
         // A thread that blocks forever: its core then idles.
         let cond = sched.new_cond();
-        sched.spawn(&mut sim, 0, Box::new(move |_, _| Step::Block(cond)));
+        sched.spawn(&mut sim, 0, Box::new(move |_| Step::Block(cond)));
         sim.run_until(SimTime::from_us(10));
         assert!(
             idle_hits.get() > 10,
@@ -482,7 +449,7 @@ mod tests {
         sched.spawn(
             &mut sim,
             1,
-            Box::new(move |_, _| {
+            Box::new(move |_| {
                 phase += 1;
                 if phase == 1 {
                     Step::Compute(TIMER_SLICE * 4 + SimTime::from_ms(5))
@@ -510,7 +477,7 @@ mod tests {
             sched.spawn(
                 &mut sim,
                 2,
-                Box::new(move |_, _| {
+                Box::new(move |_| {
                     phase += 1;
                     if phase <= 2 {
                         Step::Yield
@@ -521,8 +488,7 @@ mod tests {
             );
         }
         sim.run();
-        assert_eq!(sched.context_switches(2), cs_hits.get());
-        assert!(cs_hits.get() >= 9, "3 threads x 3 dispatches");
+        assert_eq!(cs_hits.get(), 9, "3 threads x 3 dispatches");
     }
 
     #[test]
@@ -535,7 +501,7 @@ mod tests {
             sched.spawn(
                 &mut sim,
                 core,
-                Box::new(move |sim, _| {
+                Box::new(move |sim| {
                     phase += 1;
                     if phase == 1 {
                         Step::Compute(SimTime::from_ms(5))
@@ -567,7 +533,7 @@ mod tests {
                     sched.spawn(
                         &mut sim,
                         0,
-                        Box::new(move |_, _| {
+                        Box::new(move |_| {
                             phase += 1;
                             if phase == 1 {
                                 Step::Compute(SimTime::from_ms(30))
@@ -590,6 +556,6 @@ mod tests {
     #[should_panic(expected = "core out of range")]
     fn spawn_on_bad_core_panics() {
         let (sched, mut sim) = sched();
-        sched.spawn(&mut sim, 99, Box::new(|_, _| Step::Exit));
+        sched.spawn(&mut sim, 99, Box::new(|_| Step::Exit));
     }
 }

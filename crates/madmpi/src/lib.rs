@@ -14,10 +14,10 @@
 //!   inside MPI calls; every thread sitting in `MPI_Recv`/`MPI_Wait` spins
 //!   on the NIC.
 //!
-//! [`MpiImpl`] selects the behaviour; [`SimCluster`] builds a two-node
-//! cluster (network + per-node thread scheduler, task manager and
-//! communication engine) wired accordingly. The experiment drivers live in
-//! [`overlap`] (Figs. 5–7) and [`mtlat`] (Fig. 4).
+//! [`MpiImpl`] selects the behaviour; [`SimCluster`] builds the paper's
+//! testbed, two nodes on one rail (per-node thread scheduler, task manager
+//! and communication engine), wired accordingly. The experiment drivers
+//! live in [`overlap`] (Figs. 5–7) and [`mtlat`] (Fig. 4).
 
 #![warn(missing_docs)]
 
@@ -102,10 +102,9 @@ pub struct NodeCtx {
     pub mgr: Arc<TaskManager>,
 }
 
-/// A two-node (or larger) simulated cluster ready to run MPI benchmarks.
+/// The paper's testbed, simulated: two nodes on one rail, ready to run MPI
+/// benchmarks.
 pub struct SimCluster {
-    /// Shared network fabric.
-    pub net: Rc<Network>,
     /// Per-node scheduler and engine.
     pub nodes: Vec<NodeCtx>,
     /// The implementation being simulated.
@@ -113,8 +112,8 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
-    /// Builds a cluster of `n_nodes` `borderline`-class machines linked by
-    /// InfiniBand-class rails, configured for `impl_`.
+    /// Builds two `borderline`-class machines linked by one
+    /// InfiniBand-class rail, configured for `impl_`.
     ///
     /// Every node gets a [`TaskManager`] over its own `borderline`
     /// topology. For [`MpiImpl::MadMpi`], the node's engine poll is a
@@ -124,9 +123,9 @@ impl SimCluster {
     /// charges nothing for that `pioman` work yet. The baselines get an
     /// empty manager and no hook: their only progress is polling inside
     /// MPI calls.
-    pub fn new(impl_: MpiImpl, n_nodes: usize, n_rails: usize) -> SimCluster {
-        let net = Network::new(n_nodes, n_rails, NetParams::infiniband());
-        let nodes = (0..n_nodes)
+    pub fn new(impl_: MpiImpl) -> SimCluster {
+        let net = Network::new(2, 1, NetParams::infiniband());
+        let nodes = (0..2)
             .map(|node| {
                 let topo: Arc<Topology> = presets::borderline().into();
                 let sched = ThreadSched::new(topo.n_cores());
@@ -156,7 +155,7 @@ impl SimCluster {
                 NodeCtx { sched, engine, mgr }
             })
             .collect();
-        SimCluster { net, nodes, impl_ }
+        SimCluster { nodes, impl_ }
     }
 
     /// Cores per node.
@@ -238,7 +237,7 @@ mod tests {
     fn madmpi_progresses_without_app_polling() {
         // With PIOMan hooks, a message completes while the app does nothing:
         // idle cores poll the engine.
-        let cluster = SimCluster::new(MpiImpl::MadMpi, 2, 1);
+        let cluster = SimCluster::new(MpiImpl::MadMpi);
         let mut sim = Sim::new();
         let r: ReqHandle = cluster.nodes[1].engine.irecv(&mut sim, 0, 1);
         cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
@@ -248,7 +247,7 @@ mod tests {
             let cond = cluster.nodes[n].sched.new_cond();
             cluster.nodes[n]
                 .sched
-                .spawn(&mut sim, 0, Box::new(move |_, _| Step::Block(cond)));
+                .spawn(&mut sim, 0, Box::new(move |_| Step::Block(cond)));
         }
         sim.run_until(SimTime::from_us(100));
         assert!(
@@ -263,7 +262,7 @@ mod tests {
 
     #[test]
     fn baseline_needs_explicit_polling() {
-        let cluster = SimCluster::new(MpiImpl::MvapichLike, 2, 1);
+        let cluster = SimCluster::new(MpiImpl::MvapichLike);
         let mut sim = Sim::new();
         let r = cluster.nodes[1].engine.irecv(&mut sim, 0, 1);
         cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
@@ -271,7 +270,7 @@ mod tests {
             let cond = cluster.nodes[n].sched.new_cond();
             cluster.nodes[n]
                 .sched
-                .spawn(&mut sim, 0, Box::new(move |_, _| Step::Block(cond)));
+                .spawn(&mut sim, 0, Box::new(move |_| Step::Block(cond)));
         }
         sim.run_until(SimTime::from_us(100));
         assert!(
@@ -287,7 +286,7 @@ mod tests {
     fn wait_loop_in_call_progresses_baseline() {
         // A thread spinning poll+compute inside an "MPI call" completes the
         // request for the baselines.
-        let cluster = SimCluster::new(MpiImpl::OpenMpiLike, 2, 1);
+        let cluster = SimCluster::new(MpiImpl::OpenMpiLike);
         let mut sim = Sim::new();
         let r = cluster.nodes[1].engine.irecv(&mut sim, 0, 1);
         cluster.nodes[0].engine.isend_bytes(&mut sim, 1, 1, four());
@@ -299,7 +298,7 @@ mod tests {
         cluster.nodes[1].sched.spawn(
             &mut sim,
             0,
-            Box::new(move |sim, _| {
+            Box::new(move |sim| {
                 engine.poll(sim);
                 if req.is_complete() {
                     d.set(sim.now());
@@ -318,7 +317,7 @@ mod tests {
     fn waiter_polls_then_checks_or_blocks_until_completion() {
         // Baseline: the message already sits at the NIC, so the first
         // iteration's poll completes the receive and no spin step is taken.
-        let cluster = SimCluster::new(MpiImpl::MvapichLike, 2, 1);
+        let cluster = SimCluster::new(MpiImpl::MvapichLike);
         let mut sim = Sim::new();
         let node = &cluster.nodes[1];
         let r = node.engine.irecv(&mut sim, 0, 1);
@@ -336,7 +335,7 @@ mod tests {
 
         // MAD-MPI: the first iteration blocks on a condition, and the
         // completion wakes the thread into an iteration that returns.
-        let cluster = SimCluster::new(MpiImpl::MadMpi, 2, 1);
+        let cluster = SimCluster::new(MpiImpl::MadMpi);
         let mut sim = Sim::new();
         let node = &cluster.nodes[1];
         let r = node.engine.irecv(&mut sim, 0, 1);
@@ -347,7 +346,7 @@ mod tests {
         node.sched.spawn(
             &mut sim,
             0,
-            Box::new(move |sim, _| match w.step(sim, || panic!("spun")) {
+            Box::new(move |sim| match w.step(sim, || panic!("spun")) {
                 Some(step) => {
                     assert!(matches!(step, Step::Block(_)) && !b.replace(true));
                     step

@@ -24,22 +24,12 @@ use piom_machine::threads::Step;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-/// Result of one multi-threaded latency run.
-#[derive(Debug, Clone)]
-pub struct MtLatResult {
-    /// Number of receiver threads.
-    pub threads: usize,
-    /// Mean one-way latency in microseconds (RTT/2, as OSU reports).
-    pub mean_latency_us: f64,
-    /// Round-trip statistics in ns.
-    pub rtt_stats: OnlineStats,
-}
-
 /// Runs the Fig. 4 benchmark: `threads` receiver threads on node 1, one
-/// sender thread on node 0, `rounds` round-robin pingpongs total.
-pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> MtLatResult {
+/// sender thread on node 0, `rounds` round-robin pingpongs total. Returns
+/// the mean one-way latency in microseconds (RTT/2, as OSU reports).
+pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> f64 {
     assert!(threads > 0 && rounds > 0);
-    let cluster = SimCluster::new(impl_, 2, 1);
+    let cluster = SimCluster::new(impl_);
     let mut sim = Sim::new();
     let cores = cluster.cores_per_node();
     // Every ping and reply shares these 4 bytes: no send allocates.
@@ -59,7 +49,7 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
         cluster.nodes[1].sched.spawn(
             &mut sim,
             t % cores,
-            Box::new(move |sim, _| {
+            Box::new(move |sim| {
                 let w = waiter.get_or_insert_with(|| {
                     let r = engine.irecv(sim, 0, tag);
                     Waiter::new(r, engine.clone(), sched.clone(), impl_)
@@ -88,13 +78,13 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
     }
 
     // --- Sender thread on node 0, core 0 --------------------------------
-    let rtt_stats: Rc<RefCell<OnlineStats>> = Rc::new(RefCell::new(OnlineStats::new()));
+    let rtts: Rc<RefCell<OnlineStats>> = Rc::new(RefCell::new(OnlineStats::new()));
     let finished = Rc::new(Cell::new(false));
     {
         let engine = cluster.nodes[0].engine.clone();
         let sched = cluster.nodes[0].sched.clone();
         let impl_ = cluster.impl_;
-        let stats = rtt_stats.clone();
+        let stats = rtts.clone();
         let finished = finished.clone();
         let mut round = 0usize;
         let mut sent_at = SimTime::ZERO;
@@ -102,7 +92,7 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
         cluster.nodes[0].sched.spawn(
             &mut sim,
             0,
-            Box::new(move |sim, _| {
+            Box::new(move |sim| {
                 let w = match waiter.as_mut() {
                     Some(w) => w,
                     None if round >= rounds => {
@@ -136,12 +126,8 @@ pub fn run_mtlat(impl_: MpiImpl, threads: usize, rounds: usize, seed: u64) -> Mt
         "{} with {threads} threads did not finish {rounds} rounds in simulated budget",
         impl_.label()
     );
-    let rtt_stats = rtt_stats.borrow().clone();
-    MtLatResult {
-        threads,
-        mean_latency_us: rtt_stats.mean() / 2.0 / 1000.0,
-        rtt_stats,
-    }
+    let mean_rtt_ns = rtts.borrow().mean();
+    mean_rtt_ns / 2.0 / 1000.0
 }
 
 #[cfg(test)]
@@ -151,20 +137,19 @@ mod tests {
     #[test]
     fn single_thread_latency_is_microseconds() {
         for impl_ in MpiImpl::ALL {
-            let r = run_mtlat(impl_, 1, 40, 11);
+            let l = run_mtlat(impl_, 1, 40, 11);
             assert!(
-                (1.0..50.0).contains(&r.mean_latency_us),
-                "{}: implausible 1-thread latency {} µs",
-                impl_.label(),
-                r.mean_latency_us
+                (1.0..50.0).contains(&l),
+                "{}: implausible 1-thread latency {l} µs",
+                impl_.label()
             );
         }
     }
 
     #[test]
     fn baseline_latency_climbs_with_threads() {
-        let l1 = run_mtlat(MpiImpl::MvapichLike, 1, 40, 11).mean_latency_us;
-        let l32 = run_mtlat(MpiImpl::MvapichLike, 32, 40, 11).mean_latency_us;
+        let l1 = run_mtlat(MpiImpl::MvapichLike, 1, 40, 11);
+        let l32 = run_mtlat(MpiImpl::MvapichLike, 32, 40, 11);
         // The paper's Fig. 4 shows MVAPICH climbing steadily with the
         // thread count while PIOMan stays flat; at 32 threads the climb is
         // already a multiple of the single-thread latency.
@@ -176,8 +161,8 @@ mod tests {
 
     #[test]
     fn pioman_latency_stays_flat_past_core_count() {
-        let l1 = run_mtlat(MpiImpl::MadMpi, 1, 40, 11).mean_latency_us;
-        let l32 = run_mtlat(MpiImpl::MadMpi, 32, 40, 11).mean_latency_us;
+        let l1 = run_mtlat(MpiImpl::MadMpi, 1, 40, 11);
+        let l32 = run_mtlat(MpiImpl::MadMpi, 32, 40, 11);
         assert!(
             l32 < 2.0 * l1,
             "PIOMan latency should stay flat: 1T={l1} 32T={l32}"
@@ -186,8 +171,8 @@ mod tests {
 
     #[test]
     fn pioman_beats_baseline_at_high_thread_counts() {
-        let pioman = run_mtlat(MpiImpl::MadMpi, 64, 30, 11).mean_latency_us;
-        let mvapich = run_mtlat(MpiImpl::MvapichLike, 64, 30, 11).mean_latency_us;
+        let pioman = run_mtlat(MpiImpl::MadMpi, 64, 30, 11);
+        let mvapich = run_mtlat(MpiImpl::MvapichLike, 64, 30, 11);
         assert!(
             mvapich > 4.0 * pioman,
             "expected a wide gap at 64 threads: pioman={pioman} mvapich={mvapich}"

@@ -28,15 +28,6 @@ pub enum ComputeSide {
     Both,
 }
 
-/// One measured point of an overlap curve.
-#[derive(Debug, Clone, Copy)]
-pub struct OverlapPoint {
-    /// Computation time injected between post and wait.
-    pub compute: SimTime,
-    /// Measured overlap ratio `T / T_total` (0 when `T` is zero).
-    pub ratio: f64,
-}
-
 /// Spawns one side's thread on core 0 of `node`: post the operation
 /// through `post`, compute for `compute` (none when zero), then wait;
 /// `total` receives the time from the post to the wait's return.
@@ -56,7 +47,7 @@ fn spawn_side(
     cluster.nodes[node].sched.spawn(
         sim,
         0,
-        Box::new(move |sim, _| match waiter.as_mut() {
+        Box::new(move |sim| match waiter.as_mut() {
             None => {
                 started = sim.now();
                 let req = post(sim, &engine);
@@ -79,12 +70,13 @@ fn spawn_side(
     );
 }
 
-/// Runs one overlap round and returns the measured ratio.
+/// Runs one overlap round and returns the measured ratio `T / T_total`
+/// (0 when `T` is zero).
 ///
 /// `size` is the message size (32 KB and 1 MB in the paper), `compute` the
 /// injected computation time.
 pub fn run_overlap(impl_: MpiImpl, size: usize, compute: SimTime, side: ComputeSide) -> f64 {
-    overlap_on(&SimCluster::new(impl_, 2, 1), size, compute, side)
+    overlap_on(&SimCluster::new(impl_), size, compute, side)
 }
 
 /// [`run_overlap`] on a given two-node cluster.
@@ -132,22 +124,6 @@ fn overlap_on(cluster: &SimCluster, size: usize, compute: SimTime, side: Compute
         return 0.0;
     }
     (compute.as_ns() as f64 / t_total.as_ns() as f64).min(1.0)
-}
-
-/// Sweeps an overlap curve over `computes`.
-pub fn sweep(
-    impl_: MpiImpl,
-    size: usize,
-    computes: &[SimTime],
-    side: ComputeSide,
-) -> Vec<OverlapPoint> {
-    computes
-        .iter()
-        .map(|&c| OverlapPoint {
-            compute: c,
-            ratio: run_overlap(impl_, size, c, side),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -218,7 +194,7 @@ mod tests {
         // The PIOMan arm polls the engine only when the node's `pioman`
         // poll task ran: each manager ran at least one task per poll that
         // found nothing.
-        let cluster = SimCluster::new(MpiImpl::MadMpi, 2, 1);
+        let cluster = SimCluster::new(MpiImpl::MadMpi);
         let r = overlap_on(&cluster, KB32, SimTime::from_us(50), ComputeSide::Receiver);
         assert!(r > 0.0);
         for node in &cluster.nodes {
@@ -233,13 +209,5 @@ mod tests {
     fn zero_compute_is_zero_ratio() {
         let r = run_overlap(MpiImpl::MadMpi, KB32, SimTime::ZERO, ComputeSide::Sender);
         assert_eq!(r, 0.0);
-    }
-
-    #[test]
-    fn sweep_produces_monotone_x() {
-        let xs = [10u64, 50, 100].map(SimTime::from_us);
-        let pts = sweep(MpiImpl::MadMpi, KB32, &xs, ComputeSide::Sender);
-        assert_eq!(pts.len(), 3);
-        assert!(pts.windows(2).all(|w| w[0].compute < w[1].compute));
     }
 }

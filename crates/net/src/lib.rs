@@ -98,7 +98,6 @@ struct NicState {
     /// Bytes fully transmitted.
     tx_bytes: u64,
     rx_handler: Option<RxHandler>,
-    rx_count: u64,
 }
 
 type NicCell = Rc<RefCell<NicState>>;
@@ -146,11 +145,6 @@ impl Nic {
         self.st().tx_bytes
     }
 
-    /// Messages received so far.
-    pub fn rx_count(&self) -> u64 {
-        self.st().rx_count
-    }
-
     /// Simulated time at which the send engine frees up.
     pub fn busy_until(&self) -> SimTime {
         self.st().busy_until
@@ -196,11 +190,7 @@ impl Handler for Wire {
     fn fire(self: Rc<Self>, sim: &mut Sim) {
         let msg = self.st.borrow_mut().in_flight.pop_front();
         let msg = msg.expect("a packet is on the wire");
-        let handler = {
-            let mut st = self.rail[msg.dst].borrow_mut();
-            st.rx_count += 1;
-            st.rx_handler.clone()
-        };
+        let handler = self.rail[msg.dst].borrow().rx_handler.clone();
         match handler {
             Some(h) => h(sim, msg),
             None => panic!(
@@ -239,7 +229,6 @@ impl Network {
                             tx_count: 0,
                             tx_bytes: 0,
                             rx_handler: None,
-                            rx_count: 0,
                         }))
                     })
                     .collect()
@@ -458,7 +447,6 @@ mod tests {
             assert_eq!(w[1].0 - w[0].0, step);
         }
         assert_eq!(net.nic(0, 0).tx_count(), 5);
-        assert_eq!(net.nic(1, 0).rx_count(), 5);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The protocol core driven with no simulator: an in-memory [`Fabric`]
 //! records every effect, and the test moves frames between two cores by
 //! hand — rail by rail for the size ladder, and reordered across rails,
-//! duplicated and mixed with garbage for the chaos proptest (a fabric the
-//! in-order, lossless DES cannot express).
+//! duplicated, mixed with garbage and with frame bodies cut for the chaos
+//! proptests (a fabric the in-order, lossless DES cannot express).
 //!
 //! Runs under Miri in CI (sizes and case counts shrink under `cfg(miri)`).
 
@@ -12,7 +12,7 @@ use newmadeleine::rails::RailView;
 use newmadeleine::wire::{EagerPart, Wire};
 use newmadeleine::EngineConfig;
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Largest chaos message: past the stripe threshold either way.
 const MAX_SIZE: usize = if cfg!(miri) { 48 << 10 } else { 128 << 10 };
@@ -65,6 +65,44 @@ struct Pair {
     now: u64,
     /// The buffer each message was sent from, by message index.
     sent: Vec<Option<Bytes>>,
+    /// Messages one of whose frames arrived with its body cut.
+    cut: Vec<bool>,
+    /// Frames that arrived at each node with their body cut.
+    cut_frames: [u64; 2],
+    /// The message of each rendezvous, by (sender, sender-side id).
+    rndv: HashMap<(usize, u32), usize>,
+}
+
+/// How a chaos step corrupts the body of the frame it delivers.
+#[derive(Debug, Clone, Copy)]
+enum Cut {
+    /// Drop the body's last bytes, this many or all.
+    Truncate(usize),
+    /// Append this many bytes.
+    Pad(usize),
+    /// Drop the whole body.
+    Empty,
+}
+
+impl Cut {
+    /// `frame` with its body cut: its length always changes, so a body
+    /// that is empty already is padded by one byte instead.
+    fn apply(self, frame: &Rope) -> Rope {
+        let mut body = frame.clone();
+        let wire = Wire::decode(&mut body).expect("the core sends canonical frames");
+        let len = body.len();
+        let mut out = Rope::from(wire.encode());
+        match self {
+            Cut::Truncate(k) if len > 0 => out.append(body.split_to(len - k.min(len))),
+            Cut::Empty if len > 0 => {}
+            Cut::Truncate(_) | Cut::Empty => out.push(Bytes::from(vec![0x5A])),
+            Cut::Pad(k) => {
+                out.append(body);
+                out.push(Bytes::from(vec![0x5A; k]));
+            }
+        }
+        out
+    }
 }
 
 fn body(i: usize, size: usize) -> Bytes {
@@ -78,6 +116,9 @@ impl Pair {
             fab: Default::default(),
             now: 0,
             sent: Vec::new(),
+            cut: Vec::new(),
+            cut_frames: [0; 2],
+            rndv: HashMap::new(),
         }
     }
 
@@ -85,6 +126,7 @@ impl Pair {
         let data = body(i, size);
         if self.sent.len() <= i {
             self.sent.resize(i + 1, None);
+            self.cut.resize(i + 1, false);
         }
         self.sent[i] = Some(data.clone());
         let msg = Outgoing {
@@ -99,19 +141,45 @@ impl Pair {
         self.core[at].irecv(self.now, &mut self.fab[at], 1 - at, i as u64, 2 * i + 1);
     }
 
+    /// The messages whose bytes or rendezvous `wire`, arriving at node
+    /// `n`, carries; an RTS records its rendezvous.
+    fn messages_of(&mut self, n: usize, wire: &Wire) -> Vec<usize> {
+        match *wire {
+            Wire::Eager { app_tag, .. } => vec![app_tag as usize],
+            Wire::EagerAggregate { ref parts } => {
+                parts.iter().map(|p| p.app_tag as usize).collect()
+            }
+            Wire::Rts { req, app_tag, .. } => {
+                self.rndv.insert((1 - n, req), app_tag as usize);
+                vec![app_tag as usize]
+            }
+            Wire::Data { req, .. } => vec![self.rndv[&(1 - n, req)]],
+            Wire::Cts { req } | Wire::Fin { req } => vec![self.rndv[&(n, req)]],
+        }
+    }
+
     /// Applies one pending effect or poll of node `n`, chosen by `pick`;
     /// returns how many copies of a frame it delivered beyond the first.
-    fn step(&mut self, n: usize, pick: u64, dup: bool) -> u64 {
+    /// A delivered frame gets its body cut by `cut` unless one of its
+    /// messages already had a frame cut; a cut frame is delivered once.
+    fn step(&mut self, n: usize, pick: u64, dup: bool, cut: Option<Cut>) -> u64 {
         self.now += 1;
         let rail = (pick % 2) as usize;
         if pick % 5 < 2 {
             let Some(frame) = self.fab[1 - n].rails[rail].pop_front() else {
                 return 0;
             };
-            let control = !matches!(
-                Wire::decode(&mut frame.clone()),
-                Some(Wire::Eager { .. } | Wire::EagerAggregate { .. })
-            );
+            let wire = Wire::decode(&mut frame.clone()).expect("the core sends canonical frames");
+            let msgs = self.messages_of(n, &wire);
+            if let Some(cut) = cut.filter(|_| msgs.iter().all(|&i| !self.cut[i])) {
+                for i in msgs {
+                    self.cut[i] = true;
+                }
+                self.cut_frames[n] += 1;
+                self.core[n].on_frame(1 - n, cut.apply(&frame));
+                return 0;
+            }
+            let control = !matches!(wire, Wire::Eager { .. } | Wire::EagerAggregate { .. });
             let copies = 1 + u64::from(dup && control);
             for _ in 0..copies {
                 self.core[n].on_frame(1 - n, frame.clone());
@@ -145,8 +213,9 @@ impl Pair {
         })
     }
 
-    /// Every request finished exactly once; receives carry the sent bytes,
-    /// moved: every received segment lies inside the sender's buffer.
+    /// Every request of a message with no cut frame finished exactly once,
+    /// and none finished twice; receives carry the sent bytes, moved:
+    /// every received segment lies inside the sender's buffer.
     fn check(&self, msgs: &[(usize, usize)]) {
         let mut seen = vec![0u32; 2 * msgs.len()];
         for n in 0..2 {
@@ -171,7 +240,10 @@ impl Pair {
                 }
             }
         }
-        assert!(seen.iter().all(|&c| c == 1), "completions: {seen:?}");
+        for (req, &c) in seen.iter().enumerate() {
+            let cut = self.cut.get(req / 2) == Some(&true);
+            assert!(c == 1 || (cut && c == 0), "completions: {seen:?}");
+        }
     }
 }
 
@@ -193,7 +265,7 @@ fn size_ladder_round_trips() {
         }
         while !p.quiet() {
             for pick in 0..10 {
-                p.step((pick / 5) as usize, pick, false);
+                p.step((pick / 5) as usize, pick, false, None);
             }
         }
         p.check(&msgs);
@@ -334,6 +406,81 @@ impl Model {
 /// Destinations of the flush-order oracle.
 const DSTS: usize = 4;
 
+/// Largest cut of a frame body, in bytes.
+const MAX_CUT: usize = 16;
+
+/// Drives a chaos run: `sizes`' messages, `(from node 1, size)`, sent and
+/// received in a random order over a fabric that reorders frames across
+/// rails, delivers control frames (RTS included) twice and mixes garbage
+/// in. With `cuts`, about one delivery in four also cuts its frame's body
+/// (see [`Pair::step`]). Every request of a message with no cut frame
+/// finishes exactly once, every receive with the sent bytes, and every bad
+/// frame is a counted drop.
+fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) {
+    let msgs: Vec<(usize, usize)> = sizes.iter().map(|&(b, s)| (usize::from(b), s)).collect();
+    let mut cfg = EngineConfig::newmadeleine();
+    cfg.rdma_rendezvous = rdma;
+    let mut p = Pair::new(&cfg);
+    let mut rng = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    // Sends and receives of all messages, issued in a random order.
+    let mut ops: Vec<usize> = (0..2 * msgs.len()).collect();
+    let (mut dups, mut garbage) = ([0u64; 2], [0u64; 2]);
+    let mut steps = 0u32;
+    while !(ops.is_empty() && p.quiet()) {
+        steps += 1;
+        assert!(steps < 1_000_000, "no quiescence");
+        let (r, n) = (rng(), (rng() % 2) as usize);
+        match r % 16 {
+            0 | 1 if !ops.is_empty() => {
+                let op = ops.swap_remove((r >> 8) as usize % ops.len());
+                let (from, size) = msgs[op / 2];
+                if op % 2 == 1 {
+                    p.irecv(1 - from, op / 2);
+                } else {
+                    p.isend(from, op / 2, size);
+                }
+            }
+            2 => {
+                p.core[n].on_frame(1 - n, Rope::from(Bytes::from(vec![0xFF; 8])));
+                garbage[n] += 1;
+            }
+            _ => {
+                let cut = cuts.then(&mut rng).and_then(|c| {
+                    let k = 1 + (c >> 8) as usize % MAX_CUT;
+                    [Cut::Truncate(k), Cut::Pad(k), Cut::Empty]
+                        .get((c % 12) as usize)
+                        .copied()
+                });
+                dups[n] += p.step(n, r >> 8, r % 16 < 6, cut);
+            }
+        }
+    }
+    p.check(&msgs);
+    for n in 0..2 {
+        let st = p.core[n].stats();
+        if !cuts {
+            assert_eq!(st.stale_control_packets, dups[n]);
+            assert_eq!(st.undecodable_packets, garbage[n]);
+            continue;
+        }
+        // A cut frame is dropped where it is processed, or, for a DATA
+        // chunk, where its transfer is reassembled.
+        assert!(st.stale_control_packets >= dups[n]);
+        assert!(st.undecodable_packets >= garbage[n]);
+        let drops = st.stale_control_packets - dups[n] + st.undecodable_packets - garbage[n];
+        assert!(
+            drops >= p.cut_frames[n],
+            "node {n}: {} cut frames, {drops} drops",
+            p.cut_frames[n]
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
 
@@ -414,47 +561,23 @@ proptest! {
         rdma in any::<bool>(),
         seed in 1u64..u64::MAX,
     ) {
-        let mut seed = seed;
-        let msgs: Vec<(usize, usize)> = sizes.iter().map(|&(b, s)| (usize::from(b), s)).collect();
-        let mut cfg = EngineConfig::newmadeleine();
-        cfg.rdma_rendezvous = rdma;
-        let mut p = Pair::new(&cfg);
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        // Sends and receives of all messages, issued in a random order.
-        let mut ops: Vec<usize> = (0..2 * msgs.len()).collect();
-        let (mut dups, mut garbage) = ([0u64; 2], [0u64; 2]);
-        let mut steps = 0u32;
-        while !(ops.is_empty() && p.quiet()) {
-            steps += 1;
-            prop_assert!(steps < 1_000_000, "no quiescence");
-            let (r, n) = (rng(), (rng() % 2) as usize);
-            match r % 16 {
-                0 | 1 if !ops.is_empty() => {
-                    let op = ops.swap_remove((r >> 8) as usize % ops.len());
-                    let (from, size) = msgs[op / 2];
-                    if op % 2 == 1 {
-                        p.irecv(1 - from, op / 2);
-                    } else {
-                        p.isend(from, op / 2, size);
-                    }
-                }
-                2 => {
-                    p.core[n].on_frame(1 - n, Rope::from(Bytes::from(vec![0xFF; 8])));
-                    garbage[n] += 1;
-                }
-                _ => dups[n] += p.step(n, r >> 8, r % 16 < 6),
-            }
-        }
-        p.check(&msgs);
-        for n in 0..2 {
-            let st = p.core[n].stats();
-            prop_assert_eq!(st.stale_control_packets, dups[n]);
-            prop_assert_eq!(st.undecodable_packets, garbage[n]);
-        }
+        chaos(&sizes, rdma, seed, false);
+    }
+
+    /// The same chaos with at most one frame per message cut: truncated,
+    /// padded or emptied. No receive completes with other bytes than the
+    /// sent ones, every message with no cut frame completes exactly once,
+    /// and every cut frame is a counted drop. Over half the messages are
+    /// eager and there are more of them, so eager frames get cut too.
+    #[test]
+    fn chaos_fabric_drops_cut_bodies(
+        sizes in proptest::collection::vec(
+            (any::<bool>(), prop_oneof![1usize..4096, 1usize..MAX_SIZE]),
+            1..16,
+        ),
+        rdma in any::<bool>(),
+        seed in 1u64..u64::MAX,
+    ) {
+        chaos(&sizes, rdma, seed, true);
     }
 }

@@ -173,7 +173,7 @@ impl SubmitSpec<'_> {
     /// `core` names the core expected to run the task (it dequeues from
     /// its local queue with an uncontended lock), while the CPU set names
     /// every core *allowed* to — if the home falls behind, those cores
-    /// steal the backlog in [`Topology::steal_order`] (nearest sibling
+    /// steal the backlog in [`Topology::steal_order_with_distance`] (nearest sibling
     /// first). Without a home, a multi-core cpuset lands in a shared queue
     /// whose lock every allowed core hits on the fast path; a home keeps
     /// the fast path private and pays the shared-lock cost only when

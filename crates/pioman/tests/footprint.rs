@@ -85,7 +85,7 @@ fn live_mib_after_new(topo: &Arc<Topology>) -> f64 {
 #[test]
 fn quad_socket_1024_manager_heap_stays_within_budget() {
     let topo: Arc<Topology> = presets::quad_socket_1024().into();
-    // 17.1 MiB, mostly the per-core victim orders. With one more
+    // 16.8 MiB, mostly the per-core victim orders. With one more
     // O(queues × cores) table (every core, per queue) it read 21.9 MiB:
     // the budget sits between, so such a table cannot come back unnoticed.
     let default = live_mib_after_new(&topo);

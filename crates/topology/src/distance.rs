@@ -82,25 +82,13 @@ impl Topology {
     /// Queue over the cache queue spanning it), then lower node ids, so
     /// the order is fully deterministic.
     ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn steal_order(&self, core: usize) -> Vec<NodeId> {
-        self.steal_order_with_distance(core)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// [`steal_order`](Self::steal_order) annotated with each victim's
-    /// [`Locality`] distance from `core`.
-    ///
-    /// The distance partitions the order into *tiers* of equally-near
-    /// victims (a NUMA node's sibling per-core queues, for example). A
-    /// scheduler is free to re-rank victims **within** a tier by a runtime
-    /// signal — the task manager probes deeper backlogs first, so a thief
-    /// skips hot-but-empty neighbours without ever paying a farther tier's
-    /// interconnect crossing prematurely.
+    /// Each victim comes with that distance, which partitions the order
+    /// into *tiers* of equally-near victims (a NUMA node's sibling per-core
+    /// queues, for example). A scheduler is free to re-rank victims
+    /// **within** a tier by a runtime signal — the task manager probes
+    /// deeper backlogs first, so a thief skips hot-but-empty neighbours
+    /// without ever paying a farther tier's interconnect crossing
+    /// prematurely.
     ///
     /// # Panics
     ///
@@ -178,10 +166,18 @@ mod tests {
         assert_eq!(t.locality(0, 4), Locality::CrossNuma);
     }
 
+    /// The victims of [`Topology::steal_order_with_distance`], in order.
+    fn victims(t: &Topology, core: usize) -> Vec<NodeId> {
+        t.steal_order_with_distance(core)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     #[test]
     fn steal_order_visits_siblings_before_remote_nodes() {
         let t = presets::kwak();
-        let order = t.steal_order(5);
+        let order = victims(&t, 5);
         // No node on core 5's own path appears.
         for id in t.path_to_root(5) {
             assert!(!order.contains(&id), "own path must not be a victim");
@@ -215,7 +211,7 @@ mod tests {
         let t = presets::borderline();
         // From core 0, its chip sibling core 1's per-core queue must come
         // before any other chip's node.
-        let order = t.steal_order(0);
+        let order = victims(&t, 0);
         assert_eq!(t.node(order[0]).cpuset.first().unwrap(), 1);
         assert_eq!(t.node(order[0]).level, Level::Core);
     }
@@ -224,13 +220,7 @@ mod tests {
     fn steal_order_with_distance_matches_and_tiers_are_monotone() {
         let t = presets::kwak();
         for core in [0, 5, 15] {
-            let plain = t.steal_order(core);
             let annotated = t.steal_order_with_distance(core);
-            assert_eq!(
-                plain,
-                annotated.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-                "annotated order must agree with the plain one"
-            );
             for (id, d) in &annotated {
                 let nearest = t
                     .node(*id)

@@ -13,7 +13,7 @@
 //! * the *level resolution* query used at task submission: the smallest node
 //!   whose span covers a given CPU set ([`Topology::smallest_covering`]);
 //! * a topological distance metric between cores used by cost models and by
-//!   the work-stealing victim order ([`Topology::steal_order`]);
+//!   the work-stealing victim order ([`Topology::steal_order_with_distance`]);
 //! * an ASCII renderer reproducing the structure of the paper's Figs. 2–3.
 
 #![forbid(unsafe_code)]

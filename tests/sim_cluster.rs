@@ -10,11 +10,11 @@ fn figure4_shape_pioman_flat_baseline_climbs() {
     let threads = [1usize, 8, 64];
     let mv: Vec<f64> = threads
         .iter()
-        .map(|&t| mtlat::run_mtlat(MpiImpl::MvapichLike, t, 40, 3).mean_latency_us)
+        .map(|&t| mtlat::run_mtlat(MpiImpl::MvapichLike, t, 40, 3))
         .collect();
     let pm: Vec<f64> = threads
         .iter()
-        .map(|&t| mtlat::run_mtlat(MpiImpl::MadMpi, t, 40, 3).mean_latency_us)
+        .map(|&t| mtlat::run_mtlat(MpiImpl::MadMpi, t, 40, 3))
         .collect();
     // PIOMan: flat within 2x across two orders of magnitude of threads.
     assert!(pm[2] < 2.0 * pm[0], "PIOMan not flat: {pm:?}");
