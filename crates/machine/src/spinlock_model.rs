@@ -107,10 +107,10 @@ impl SimSpinLock {
         if !st.held {
             st.held = true;
             st.acquisitions += 1;
-            // The grant costs nothing of the transfer, but the jitter draw
+            // The grant costs nothing of the transfer, but its jitter draw
             // stays: every later draw of the seeded stream (and so Tables
             // I-II) depends on it.
-            let _ = self.ctx.transfer(st.last_owner, core);
+            self.ctx.rng.borrow_mut().jitter(JITTER);
             st.last_owner = core;
             drop(st);
             sim.schedule(LOCK_BASE, cont);

@@ -71,6 +71,8 @@ struct Pair {
     cut_frames: [u64; 2],
     /// The message of each rendezvous, by (sender, sender-side id).
     rndv: HashMap<(usize, u32), usize>,
+    /// Aggregate frames delivered whole, and delivered cut.
+    aggregates: [u64; 2],
 }
 
 /// How a chaos step corrupts the body of the frame it delivers.
@@ -119,6 +121,7 @@ impl Pair {
             cut: Vec::new(),
             cut_frames: [0; 2],
             rndv: HashMap::new(),
+            aggregates: [0; 2],
         }
     }
 
@@ -171,7 +174,11 @@ impl Pair {
             };
             let wire = Wire::decode(&mut frame.clone()).expect("the core sends canonical frames");
             let msgs = self.messages_of(n, &wire);
-            if let Some(cut) = cut.filter(|_| msgs.iter().all(|&i| !self.cut[i])) {
+            let cut = cut.filter(|_| msgs.iter().all(|&i| !self.cut[i]));
+            if let Wire::EagerAggregate { .. } = wire {
+                self.aggregates[usize::from(cut.is_some())] += 1;
+            }
+            if let Some(cut) = cut {
                 for i in msgs {
                     self.cut[i] = true;
                 }
@@ -409,14 +416,26 @@ const DSTS: usize = 4;
 /// Largest cut of a frame body, in bytes.
 const MAX_CUT: usize = 16;
 
+/// Longest run of sends a chaos step issues from one node.
+const RUN: u64 = 8;
+
+/// What a chaos run did to the frames it moved.
+struct Tally {
+    /// Aggregate frames delivered whole, and delivered cut.
+    aggregates: [u64; 2],
+    /// Control frames delivered twice.
+    dups: u64,
+}
+
 /// Drives a chaos run: `sizes`' messages, `(from node 1, size)`, sent and
 /// received in a random order over a fabric that reorders frames across
 /// rails, delivers control frames (RTS included) twice and mixes garbage
-/// in. With `cuts`, about one delivery in four also cuts its frame's body
-/// (see [`Pair::step`]). Every request of a message with no cut frame
-/// finishes exactly once, every receive with the sent bytes, and every bad
-/// frame is a counted drop.
-fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) {
+/// in. Sends go out in runs from one node, so its window fills and the
+/// sends it pools leave as an aggregate. With `cuts`, about one delivery in
+/// four also cuts its frame's body (see [`Pair::step`]). Every request of a
+/// message with no cut frame finishes exactly once, every receive with the
+/// sent bytes, and every bad frame is a counted drop.
+fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) -> Tally {
     let msgs: Vec<(usize, usize)> = sizes.iter().map(|&(b, s)| (usize::from(b), s)).collect();
     let mut cfg = EngineConfig::newmadeleine();
     cfg.rdma_rendezvous = rdma;
@@ -441,8 +460,16 @@ fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) {
                 let (from, size) = msgs[op / 2];
                 if op % 2 == 1 {
                     p.irecv(1 - from, op / 2);
-                } else {
-                    p.isend(from, op / 2, size);
+                    continue;
+                }
+                p.isend(from, op / 2, size);
+                for _ in 0..(r >> 4) % RUN {
+                    let more = ops
+                        .iter()
+                        .position(|&o| o % 2 == 0 && msgs[o / 2].0 == from);
+                    let Some(k) = more else { break };
+                    let op = ops.swap_remove(k);
+                    p.isend(from, op / 2, msgs[op / 2].1);
                 }
             }
             2 => {
@@ -479,6 +506,27 @@ fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) {
             p.cut_frames[n]
         );
     }
+    Tally {
+        aggregates: p.aggregates,
+        dups: dups.iter().sum(),
+    }
+}
+
+/// A fixed chaos run that exercises the aggregate path: a run of small
+/// sends fills a window, and the frames that leave aggregated are
+/// delivered whole and cut. Eager frames carry no sequence number (a
+/// second copy would be a second message), so the fabric duplicates
+/// control frames only; the run duplicates some of those.
+#[test]
+fn chaos_delivers_and_cuts_aggregates() {
+    // Two of the twelve go by rendezvous, for control frames to duplicate.
+    let sizes: Vec<(bool, usize)> = (0..12)
+        .map(|i| (i % 3 == 0, if i % 6 == 5 { 20_000 } else { 64 + 97 * i }))
+        .collect();
+    let tally = chaos(&sizes, false, 13, true);
+    assert!(tally.aggregates[0] >= 1, "no aggregate delivered whole");
+    assert!(tally.aggregates[1] >= 1, "no aggregate cut");
+    assert!(tally.dups >= 1, "no control frame duplicated");
 }
 
 proptest! {

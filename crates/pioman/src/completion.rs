@@ -9,7 +9,9 @@
 //! cancelled, so pipelines drain instead of wedging).
 
 use crate::manager::PendingTask;
+use crate::pool;
 use crate::task::{TaskContext, TaskStatus};
+use core::alloc::Layout;
 use core::cell::UnsafeCell;
 use core::mem::{take, ManuallyDrop};
 use core::ptr::NonNull;
@@ -49,13 +51,14 @@ impl std::error::Error for TaskError {}
 type Body = dyn FnMut(&TaskContext<'_>) -> TaskStatus + Send;
 
 /// One task's heap block: the completion header, then the body inline (a
-/// zero-sized `F` leaves the header alone). The task ([`TaskBody`], the
-/// only way to the body) and each [`TaskHandle`] hold one reference,
-/// counted in `state`; the last one out frees the block. The body is
-/// dropped before completion is published. A task nobody waits on or
-/// depends on completes with one `fetch_add` — no lock, no syscall, no
-/// allocation; the slow block exists only once somebody registers (a
-/// blocking `wait` or an `.after()` dependent) or a body panics.
+/// zero-sized `F` leaves the header alone), recycled through [`pool`]. The
+/// task ([`TaskBody`], the only way to the body) and each [`TaskHandle`]
+/// hold one reference, counted in `state`; the last one out frees the
+/// block. The body is dropped before completion is published. A task
+/// nobody waits on or depends on completes with one `fetch_add` — no lock,
+/// no syscall, no allocation; the slow block exists only once somebody
+/// registers (a blocking `wait` or an `.after()` dependent) or a body
+/// panics.
 ///
 /// The handshake is two totally ordered RMWs on `state`: a registrant does
 /// `lock(slow); fetch_or(SLOW)`, the completer `fetch_add(phase − REF)`
@@ -162,10 +165,45 @@ unsafe fn release(block: NonNull<Block<Body>>, n: usize) {
         .state
         .fetch_sub(n * REF, Ordering::AcqRel);
     if prev / REF == n {
-        // SAFETY: those were the last references, so nobody else can reach
-        // the block; it came from a `Box`, and the body is already dropped
-        // (the task's reference goes only after it).
-        drop(unsafe { Box::from_raw(block.as_ptr()) });
+        // SAFETY: those were the last references, and the body is already
+        // dropped (the task's reference goes only after it).
+        unsafe { free(block) };
+    }
+}
+
+/// Drops the header of `block` in place and gives its memory back to the
+/// pool.
+///
+/// # Safety
+///
+/// The caller dropped the last reference, after the body, and touches the
+/// block no more.
+unsafe fn free(block: NonNull<Block<Body>>) {
+    // SAFETY: the block is alive, and nobody else reaches it, per the
+    // caller.
+    let layout = Layout::for_value(unsafe { block.as_ref() });
+    // SAFETY: as above; this drops the slow block, while the `ManuallyDrop`
+    // keeps the body from being dropped twice.
+    unsafe { block.as_ptr().drop_in_place() };
+    // SAFETY: `TaskBody::new` took it from `pool::alloc` with the layout of
+    // its `Block<F>`, which `for_value` reads back through the vtable.
+    unsafe { pool::free(block.cast(), layout) };
+}
+
+/// `body` with an over-aligned capture, which keeps its block out of the
+/// pool: Miri and AddressSanitizer then see the block's allocation and
+/// free, so a use after its last reference or a second free fails them.
+#[cfg(test)]
+pub(crate) fn unpooled<F>(mut body: F) -> impl FnMut(&TaskContext<'_>) -> TaskStatus + Send
+where
+    F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
+{
+    #[repr(align(16))]
+    struct Unpooled;
+    let unpooled = Unpooled;
+    move |ctx| {
+        let _ = &unpooled;
+        body(ctx)
     }
 }
 
@@ -184,12 +222,18 @@ impl TaskBody {
     where
         F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
     {
-        let block: Box<Block<Body>> = Box::new(Block {
-            state: AtomicUsize::new(PENDING | (2 * REF)),
-            slow: OnceLock::new(),
-            body: UnsafeCell::new(ManuallyDrop::new(body)),
-        });
-        let ptr = NonNull::from(Box::leak(block));
+        // SAFETY: the state word alone makes the layout non-zero-sized.
+        let block = unsafe { pool::alloc(Layout::new::<Block<F>>()) }.cast::<Block<F>>();
+        // SAFETY: `pool::alloc` returned memory fit for a `Block<F>` that
+        // nothing else references.
+        unsafe {
+            block.as_ptr().write(Block {
+                state: AtomicUsize::new(PENDING | (2 * REF)),
+                slow: OnceLock::new(),
+                body: UnsafeCell::new(ManuallyDrop::new(body)),
+            })
+        };
+        let ptr: NonNull<Block<Body>> = block;
         (TaskBody(ptr), TaskHandle { ptr })
     }
 
@@ -250,7 +294,7 @@ impl TaskBody {
         if prev & SLOW == 0 {
             if prev / REF == 1 {
                 // SAFETY: that was the last reference (see `release`).
-                drop(unsafe { Box::from_raw(this.0.as_ptr()) });
+                unsafe { free(this.0) };
             }
             return Vec::new();
         }
@@ -410,9 +454,9 @@ mod tests {
     /// or a release was lost.
     const DEADLINE: Duration = Duration::from_secs(60);
 
-    /// A block with a zero-sized body: the header alone.
+    /// A block outside the pool, so the sanitizers check its references.
     fn block() -> (TaskBody, TaskHandle) {
-        TaskBody::new(|_| TaskStatus::Done)
+        TaskBody::new(unpooled(|_| TaskStatus::Done))
     }
 
     fn panic_payload(message: &'static str) -> Option<Box<dyn Any + Send>> {
@@ -434,7 +478,7 @@ mod tests {
         body: impl FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
     ) -> Arc<PendingTask> {
         let task = Task {
-            body: TaskBody::new(body).0,
+            body: TaskBody::new(unpooled(body)).0,
             repeat: false,
             class: TaskClass::Interactive,
             cpuset: TaskSet::new(&CpuSet::single(0)),
@@ -830,5 +874,77 @@ mod tests {
         assert_eq!(doomed.wait().unwrap_err().message, "drop failed");
         assert_eq!(mgr.schedule_batch(0, 1), 1);
         assert_eq!(dependent.poll(), Some(Ok(())), "released despite the panic");
+    }
+
+    /// Where a task's block lies.
+    fn addr(h: &TaskHandle) -> usize {
+        h.ptr.as_ptr().cast::<u8>().addr()
+    }
+
+    #[test]
+    fn bodies_outside_the_pool_round_trip() {
+        #[repr(align(64))]
+        struct Aligned(u64);
+        let mgr = TaskManager::new(piom_topology::presets::kwak().into());
+        let (big, aligned) = ([7u8; 256], Aligned(9));
+        let handles = [
+            mgr.task(move |_| {
+                assert!(big.iter().all(|&b| b == 7));
+                TaskStatus::Done
+            })
+            .cpuset(CpuSet::single(0))
+            .spawn(),
+            mgr.task(move |_| {
+                assert_eq!(core::ptr::from_ref(&aligned).addr() % 64, 0);
+                assert_eq!(aligned.0, 9);
+                TaskStatus::Done
+            })
+            .cpuset(CpuSet::single(0))
+            .spawn(),
+        ];
+        // So are the blocks of these tests' `block()` and dependents.
+        let (body, h) = block();
+        assert_eq!(Layout::for_value(h.block()).align(), 16);
+        assert!(body.finish(None).is_empty());
+        assert!(Layout::for_value(handles[0].block()).size() > 128);
+        assert_eq!(Layout::for_value(handles[1].block()).align(), 64);
+        assert_eq!(addr(&handles[1]) % 64, 0);
+        assert_eq!(mgr.schedule_batch(0, 2), 2);
+        assert!(handles.iter().all(|h| h.poll() == Some(Ok(()))));
+    }
+
+    #[test]
+    fn a_pooled_block_whose_body_drop_panics_is_reused() {
+        struct PanicsOnDrop;
+        impl Drop for PanicsOnDrop {
+            fn drop(&mut self) {
+                panic!("drop failed");
+            }
+        }
+        for run in [true, false] {
+            let mgr = TaskManager::new(piom_topology::presets::kwak().into());
+            let guard = PanicsOnDrop;
+            let doomed = mgr
+                .task(move |_| {
+                    let _ = &guard;
+                    TaskStatus::Done
+                })
+                .cpuset(CpuSet::single(0))
+                .spawn();
+            let freed = addr(&doomed);
+            if run {
+                assert_eq!(mgr.schedule_batch(0, 1), 1);
+                assert_eq!(doomed.wait().unwrap_err().message, "drop failed");
+            }
+            // Unrun, the task goes with its manager, swallowing the panic.
+            drop(mgr);
+            drop(doomed);
+            // The last reference gave the block to this thread's cache,
+            // whose top serves the next pooled block.
+            let (body, next) = TaskBody::new(|_| TaskStatus::Done);
+            assert_eq!(addr(&next), freed, "the block was not reused");
+            assert!(body.finish(None).is_empty());
+            assert_eq!(next.poll(), Some(Ok(())));
+        }
     }
 }

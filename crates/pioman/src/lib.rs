@@ -89,6 +89,7 @@ pub mod spinlock;
 mod completion;
 mod manager;
 mod pad;
+mod pool;
 mod progression;
 mod queue;
 mod stats;

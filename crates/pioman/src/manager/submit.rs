@@ -285,6 +285,7 @@ impl core::fmt::Debug for SubmitSpec<'_> {
 mod tests {
     use super::super::tests::kwak_mgr;
     use super::*;
+    use crate::completion::unpooled;
 
     #[test]
     #[should_panic(expected = "selects no core")]
@@ -320,11 +321,11 @@ mod tests {
     fn dependent_task_waits_for_its_predecessor() {
         let mgr = kwak_mgr();
         let first = mgr
-            .task(|_| TaskStatus::Done)
+            .task(unpooled(|_| TaskStatus::Done))
             .cpuset(CpuSet::single(0))
             .spawn();
         let second = mgr
-            .task(|_| TaskStatus::Done)
+            .task(unpooled(|_| TaskStatus::Done))
             .cpuset(CpuSet::single(0))
             .after(&first)
             .spawn();
@@ -343,13 +344,13 @@ mod tests {
     fn dependent_on_completed_predecessor_dispatches_immediately() {
         let mgr = kwak_mgr();
         let first = mgr
-            .task(|_| TaskStatus::Done)
+            .task(unpooled(|_| TaskStatus::Done))
             .cpuset(CpuSet::single(0))
             .spawn();
         mgr.schedule(0);
         assert!(first.is_complete());
         let second = mgr
-            .task(|_| TaskStatus::Done)
+            .task(unpooled(|_| TaskStatus::Done))
             .cpuset(CpuSet::single(0))
             .after(&first)
             .spawn();
@@ -363,15 +364,15 @@ mod tests {
     fn dependent_waits_for_every_predecessor() {
         let mgr = kwak_mgr();
         let a = mgr
-            .task(|_| TaskStatus::Done)
+            .task(unpooled(|_| TaskStatus::Done))
             .cpuset(CpuSet::single(0))
             .spawn();
         let b = mgr
-            .task(|_| TaskStatus::Done)
+            .task(unpooled(|_| TaskStatus::Done))
             .cpuset(CpuSet::single(1))
             .spawn();
         let joined = mgr
-            .task(|_| TaskStatus::Done)
+            .task(unpooled(|_| TaskStatus::Done))
             .cpuset(CpuSet::from_iter([0, 1]))
             .after(&a)
             .after(&b)
@@ -399,11 +400,11 @@ mod tests {
         // pipelines drain even when a stage fails.
         let mgr = kwak_mgr();
         let doomed = mgr
-            .task(|_| panic!("stage failed"))
+            .task(unpooled(|_| panic!("stage failed")))
             .cpuset(CpuSet::single(0))
             .spawn();
         let dependent = mgr
-            .task(|_| TaskStatus::Done)
+            .task(unpooled(|_| TaskStatus::Done))
             .cpuset(CpuSet::single(0))
             .after(&doomed)
             .spawn();
@@ -430,14 +431,14 @@ mod tests {
             });
             for _ in 0..rounds {
                 let pred = mgr
-                    .task(|_| TaskStatus::Done)
+                    .task(unpooled(|_| TaskStatus::Done))
                     .cpuset(CpuSet::single(0))
                     .spawn();
                 let runs = runs.clone();
-                mgr.task(move |_| {
+                mgr.task(unpooled(move |_| {
                     runs.fetch_add(1, Ordering::Relaxed);
                     TaskStatus::Done
-                })
+                }))
                 .cpuset(CpuSet::single(0))
                 .after(&pred)
                 .spawn();
@@ -462,19 +463,19 @@ mod tests {
         let mgr = kwak_mgr();
         let mut polls = 0;
         let poll = mgr
-            .task(move |_| {
+            .task(unpooled(move |_| {
                 polls += 1;
                 if polls == 3 {
                     TaskStatus::Done
                 } else {
                     TaskStatus::Again
                 }
-            })
+            }))
             .cpuset(CpuSet::single(0))
             .repeat()
             .spawn();
         let dependent = mgr
-            .task(|_| TaskStatus::Done)
+            .task(unpooled(|_| TaskStatus::Done))
             .cpuset(CpuSet::single(0))
             .after(&poll)
             .spawn();
