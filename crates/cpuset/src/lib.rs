@@ -83,20 +83,35 @@ impl CpuSet {
 
     /// Creates a set containing every CPU in `range`.
     ///
+    /// Each word is one mask, so a constant range folds to constant words
+    /// in the caller.
+    ///
     /// # Panics
     ///
     /// Panics if the range end exceeds [`CpuSet::MAX_CPUS`].
-    pub fn range(range: core::ops::Range<usize>) -> Self {
+    #[inline]
+    pub const fn range(range: core::ops::Range<usize>) -> Self {
         assert!(range.end <= Self::MAX_CPUS, "cpu range out of bounds");
-        let mut set = Self::new();
-        for cpu in range {
-            set.insert(cpu);
+        let mut words = [0u64; WORDS];
+        let mut i = 0;
+        while i < WORDS {
+            // The bits of `start..end` in word `i`: below the end, not
+            // below the start (none when the range is empty).
+            let base = i * 64;
+            words[i] =
+                below(range.end.saturating_sub(base)) & !below(range.start.saturating_sub(base));
+            i += 1;
         }
-        set
+        CpuSet { words }
     }
 
     /// Creates a set of the first `n` CPUs (`0..n`).
-    pub fn first_n(n: usize) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`CpuSet::MAX_CPUS`].
+    #[inline]
+    pub const fn first_n(n: usize) -> Self {
         Self::range(0..n)
     }
 
@@ -255,6 +270,16 @@ impl CpuSet {
     #[inline]
     pub const fn from_words(words: [u64; WORDS]) -> Self {
         CpuSet { words }
+    }
+}
+
+/// The mask of a word's bits `0..n`: all of them from `n = 64` on.
+#[inline]
+const fn below(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
     }
 }
 

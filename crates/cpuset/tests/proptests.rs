@@ -92,3 +92,61 @@ proptest! {
         }
     }
 }
+
+/// The per-bit construction the word-wise `range` and `first_n` must equal.
+fn bit_by_bit(range: core::ops::Range<usize>) -> CpuSet {
+    let mut set = CpuSet::new();
+    for cpu in range {
+        set.insert(cpu);
+    }
+    set
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Any two ends in `0..=MAX_CPUS`, in either order (a reversed range
+    /// is empty, as iterating it is).
+    #[test]
+    fn range_and_first_n_are_bit_by_bit(
+        a in 0usize..=CpuSet::MAX_CPUS,
+        b in 0usize..=CpuSet::MAX_CPUS,
+    ) {
+        prop_assert_eq!(CpuSet::range(a..b), bit_by_bit(a..b));
+        prop_assert_eq!(CpuSet::range(b..a), bit_by_bit(b..a));
+        prop_assert_eq!(CpuSet::first_n(a), bit_by_bit(0..a));
+    }
+}
+
+/// Every range `start..end` with `end <= MAX_CPUS` — the empty ones
+/// (`0..0`, `64..64`, `1024..1024`), those across words 63/64/65 and those
+/// ending at 1 024 among them — and every prefix.
+#[test]
+fn every_range_is_bit_by_bit() {
+    for start in 0..=CpuSet::MAX_CPUS {
+        let mut expect = CpuSet::new();
+        for end in start..=CpuSet::MAX_CPUS {
+            assert_eq!(CpuSet::range(start..end), expect, "{start}..{end}");
+            if end < CpuSet::MAX_CPUS {
+                expect.insert(end);
+            }
+        }
+        assert_eq!(
+            CpuSet::first_n(start),
+            bit_by_bit(0..start),
+            "first_n({start})"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "cpu range out of bounds")]
+fn range_past_max_cpus_panics() {
+    let _ = CpuSet::range(1000..CpuSet::MAX_CPUS + 1);
+}
+
+#[test]
+#[should_panic(expected = "cpu range out of bounds")]
+fn first_n_past_max_cpus_panics() {
+    let _ = CpuSet::first_n(CpuSet::MAX_CPUS + 1);
+}

@@ -444,7 +444,7 @@ mod tests {
     use super::*;
     use crate::queue::QueueId;
     use crate::task::{Task, TaskClass, TaskSet};
-    use crate::TaskManager;
+    use crate::{SubmitSpec, TaskManager};
     use piom_cpuset::CpuSet;
     use std::sync::mpsc;
     use std::thread;
@@ -549,6 +549,12 @@ mod tests {
         assert_eq!(
             (size_of::<TaskManager>(), align_of::<TaskManager>()),
             (384, 128)
+        );
+        // The builder moves by value through every chained call; its set
+        // is the task's two-word window, not a 128-B `CpuSet`.
+        assert_eq!(
+            (size_of::<SubmitSpec>(), align_of::<SubmitSpec>()),
+            (112, 8)
         );
     }
 

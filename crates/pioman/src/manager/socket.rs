@@ -143,11 +143,19 @@ impl TaskManager {
         let mut batch = SCRATCH.take();
         batch.clear();
         let taken = self.queues[home.index()].spill_lowest(quota, &mut batch);
-        let span = batch.iter().fold(CpuSet::EMPTY, |s, t| s | t.cpuset());
+        // The union of the moved tasks' sets, from the words each is
+        // queued with.
+        let mut span = [0; SPAN_WORDS];
+        for task in &batch {
+            let (first, words) = task.cpuset.words();
+            for (s, w) in span[first..].iter_mut().zip(words) {
+                *s |= w;
+            }
+        }
         let sock = &self.sockets[s];
         sock.overflow.requeue_batch(&mut batch);
         // After the spill landed: see `Span::fold`.
-        sock.span.fold(&span);
+        sock.span.fold(&CpuSet::from_words(span));
         sock.spilled.fetch_add(taken as u64, Ordering::Relaxed);
         SCRATCH.set(batch);
     }

@@ -121,6 +121,23 @@ impl TaskManager {
         self.wake_cores(&set);
     }
 
+    /// Parks `task` on the waitlist until every one of `deps` completes:
+    /// the submission half of [`SubmitSpec::after`].
+    fn waitlist(&self, task: Task, deps: Vec<TaskHandle>) {
+        let pending = PendingTask::new(task, deps.len());
+        // A predecessor already complete at registration time will never
+        // drain this waiter; satisfy its share here. Wherever the *last*
+        // satisfaction lands — here or on a completion path — it releases
+        // the task exactly once.
+        let already_complete = deps
+            .iter()
+            .filter(|dep| !dep.add_waiter(pending.clone()))
+            .count();
+        if already_complete > 0 {
+            self.release_waiters(vec![pending; already_complete]);
+        }
+    }
+
     /// Dispatches every waitlisted task whose last outstanding predecessor
     /// just completed: the release half of [`SubmitSpec::after`], called
     /// with the waiter list drained by the predecessor's completion.
@@ -145,7 +162,9 @@ impl TaskManager {
 pub struct SubmitSpec<'m> {
     mgr: &'m TaskManager,
     body: TaskBody,
-    cpuset: Option<CpuSet>,
+    /// The set the task is queued with, resolved by
+    /// [`cpuset`](Self::cpuset): already within the machine's cores.
+    cpuset: Option<TaskSet>,
     home: Option<usize>,
     repeat: bool,
     class: TaskClass,
@@ -162,8 +181,14 @@ impl SubmitSpec<'_> {
     /// is intersected with the machine's cores; the task is enqueued on
     /// the smallest topology node covering the result unless
     /// [`on_core`](Self::on_core) pins a home.
+    ///
+    /// The set is resolved here, once, into the two words (a window of
+    /// 128 cores) the task is queued with; a set wider than that, on a
+    /// machine of more than 128 cores, is boxed. Spawn, dispatch and spill
+    /// read only that.
+    #[inline]
     pub fn cpuset(mut self, cpuset: CpuSet) -> Self {
-        self.cpuset = Some(cpuset);
+        self.cpuset = Some(TaskSet::within(&cpuset, self.mgr.topo.n_cores()));
         self
     }
 
@@ -182,6 +207,7 @@ impl SubmitSpec<'_> {
     /// A repeat task re-enqueues on its home queue after every run, even a
     /// stolen one, so a transient imbalance does not permanently migrate
     /// polling work away from its preferred core.
+    #[inline]
     pub fn on_core(mut self, core: usize) -> Self {
         self.home = Some(core);
         self
@@ -189,6 +215,7 @@ impl SubmitSpec<'_> {
 
     /// Sets the QoS class lane (default [`TaskClass::Interactive`]; see
     /// [`TaskClass`] for the service order and the starvation bound).
+    #[inline]
     pub fn class(mut self, class: TaskClass) -> Self {
         self.class = class;
         self
@@ -196,6 +223,7 @@ impl SubmitSpec<'_> {
 
     /// Marks the task repetitive: re-enqueued after each run until the
     /// body returns [`TaskStatus::Done`] (the paper's polling option).
+    #[inline]
     pub fn repeat(mut self) -> Self {
         self.repeat = true;
         self
@@ -206,6 +234,7 @@ impl SubmitSpec<'_> {
     /// constraint, not a success gate; see `docs/SCHEDULER.md`). May be
     /// chained to wait on several predecessors; the task is released by
     /// the last one to finish.
+    #[inline]
     pub fn after(mut self, predecessor: &TaskHandle) -> Self {
         self.deps.push(predecessor.clone());
         self
@@ -215,64 +244,75 @@ impl SubmitSpec<'_> {
     /// when it has no pending dependencies, parked on the waitlist
     /// otherwise. Returns the task's handle.
     ///
+    /// The set was resolved by [`cpuset`](Self::cpuset) (every core, if
+    /// it was not called): a home is checked against its words, and
+    /// without one the queue is found from them
+    /// ([`Topology::smallest_covering_words`]).
+    ///
     /// # Panics
     ///
     /// Panics if the CPU set selects no core of this machine, or if
     /// [`on_core`](Self::on_core) named a core outside the topology or
-    /// outside the CPU set.
+    /// outside the CPU set. A message prints the set within the machine.
+    #[inline]
     pub fn spawn(self) -> TaskHandle {
         let mgr = self.mgr;
-        let requested = self.cpuset.unwrap_or_else(|| mgr.topo.all_cores());
-        let effective = requested & mgr.topo.all_cores();
-        let home = if let Some(core) = self.home {
-            assert!(
-                core < mgr.topo.n_cores(),
-                "home core {core} outside topology"
-            );
-            assert!(
-                effective.contains(core),
-                "home core {core} not in cpuset {requested}"
-            );
-            QueueId(mgr.topo.core_node(core).index() as u32)
-        } else {
-            let node = mgr
-                .topo
-                .smallest_covering(&effective)
-                .unwrap_or_else(|| panic!("cpuset {requested} selects no core of this machine"));
-            QueueId(node.index() as u32)
+        let topo = &mgr.topo;
+        let cpuset = self
+            .cpuset
+            .unwrap_or_else(|| TaskSet::within(&CpuSet::FULL, topo.n_cores()));
+        let home = match self.home {
+            Some(core) if core < topo.n_cores() && cpuset.contains(core) => {
+                QueueId(topo.core_node(core).index() as u32)
+            }
+            Some(core) => bad_home(core, topo.n_cores(), &cpuset),
+            None => {
+                let (first, words) = cpuset.words();
+                match topo.smallest_covering_words(first, words) {
+                    Some(node) => QueueId(node.index() as u32),
+                    None => no_core(&cpuset),
+                }
+            }
         };
         let task = Task {
             body: self.body,
             repeat: self.repeat,
             class: self.class,
-            cpuset: TaskSet::new(&effective),
+            cpuset,
             home,
         };
         if self.deps.is_empty() {
             mgr.dispatch(task);
-            return self.handle;
-        }
-        let deps = self.deps;
-        let pending = PendingTask::new(task, deps.len());
-        // A predecessor already complete at registration time will never
-        // drain this waiter; satisfy its share here. Wherever the *last*
-        // satisfaction lands — here or on a completion path — it releases
-        // the task exactly once.
-        let already_complete = deps
-            .iter()
-            .filter(|dep| !dep.add_waiter(pending.clone()))
-            .count();
-        if already_complete > 0 {
-            mgr.release_waiters(vec![pending; already_complete]);
+        } else {
+            mgr.waitlist(task, self.deps);
         }
         self.handle
     }
 }
 
+/// [`SubmitSpec::spawn`]'s refusal of a home, out of its inlined body.
+#[cold]
+#[inline(never)]
+fn bad_home(core: usize, n_cores: usize, cpuset: &TaskSet) -> ! {
+    assert!(core < n_cores, "home core {core} outside topology");
+    panic!("home core {core} not in cpuset {}", cpuset.to_cpuset());
+}
+
+/// [`SubmitSpec::spawn`]'s refusal of an empty set, out of its inlined
+/// body.
+#[cold]
+#[inline(never)]
+fn no_core(cpuset: &TaskSet) -> ! {
+    panic!(
+        "cpuset {} selects no core of this machine",
+        cpuset.to_cpuset()
+    );
+}
+
 impl core::fmt::Debug for SubmitSpec<'_> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("SubmitSpec")
-            .field("cpuset", &self.cpuset)
+            .field("cpuset", &self.cpuset.as_ref().map(TaskSet::to_cpuset))
             .field("home", &self.home)
             .field("repeat", &self.repeat)
             .field("class", &self.class)

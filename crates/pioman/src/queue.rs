@@ -131,6 +131,11 @@ impl SeqLanes {
     /// leaving ineligible tasks in place and in order. Returns how many
     /// were taken. Deliberately skips the credit bookkeeping — a steal is
     /// relocation, not service.
+    ///
+    /// One pass per lane: each task up to the last one taken leaves the
+    /// front, to `out` or to the back, and one rotation puts the kept ones
+    /// back ahead of the rest. A take costs the tasks passed over, not
+    /// their count times the take.
     fn steal_eligible(&mut self, thief: usize, max: usize, out: &mut Vec<Task>) -> usize {
         let eligible = self
             .classes
@@ -144,15 +149,19 @@ impl SeqLanes {
         let quota = eligible.div_ceil(2).min(max);
         let mut taken = 0;
         for lane in &mut self.classes {
-            let mut i = 0;
-            while taken < quota && i < lane.len() {
-                if lane[i].cpuset.contains(thief) {
-                    out.push(lane.remove(i).expect("index checked"));
+            // The lane is the tasks not yet passed, then the `kept` ones.
+            let mut kept = 0;
+            while taken < quota && kept < lane.len() {
+                let task = lane.pop_front().expect("a task not yet passed");
+                if task.cpuset.contains(thief) {
+                    out.push(task);
                     taken += 1;
                 } else {
-                    i += 1;
+                    lane.push_back(task);
+                    kept += 1;
                 }
             }
+            lane.rotate_right(kept);
         }
         self.len -= taken;
         taken
@@ -604,6 +613,36 @@ mod tests {
         assert_eq!(out.pop().unwrap().class, TaskClass::Urgent);
         assert_eq!(q.len_hint(), 1);
         assert_eq!(pop(&q).unwrap().class, TaskClass::Interactive);
+    }
+
+    #[test]
+    fn steal_behind_a_half_lane_it_may_not_run_keeps_both_orders() {
+        // One 1 024-task lane, each task named by its home: only core 1 may
+        // run the first half, core 0 (the thief) too the second.
+        for (max, taken) in [(usize::MAX, 256), (100, 100)] {
+            let mut lanes = SeqLanes::new();
+            for i in 0..1024 {
+                let set = if i < 512 {
+                    CpuSet::single(1)
+                } else {
+                    CpuSet::range(0..2)
+                };
+                lanes.push(Task {
+                    home: QueueId(i),
+                    ..task_for(set)
+                });
+            }
+            let mut out = Vec::new();
+            assert_eq!(lanes.steal_eligible(0, max, &mut out), taken);
+            let stolen: Vec<u32> = out.iter().map(|t| t.home.0).collect();
+            assert_eq!(stolen, (512..512 + taken as u32).collect::<Vec<_>>());
+            assert_eq!(lanes.len(), 1024 - taken);
+            let left: Vec<u32> = core::iter::from_fn(|| lanes.pop())
+                .map(|t| t.home.0)
+                .collect();
+            let expect: Vec<u32> = (0..512).chain(512 + taken as u32..1024).collect();
+            assert_eq!(left, expect, "the kept tasks keep their place");
+        }
     }
 
     #[test]

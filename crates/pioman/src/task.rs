@@ -89,6 +89,30 @@ pub(crate) enum TaskSet<W = Box<CpuSet>> {
     Wide(W),
 }
 
+impl TaskSet {
+    /// `set` restricted to a machine's cores `0..n_cores`, resolved once,
+    /// where the submitter names it. On a machine of at most 128 cores
+    /// that is the set's first two words, masked: nothing else is read,
+    /// and a constant `set` folds away in the caller.
+    #[inline]
+    pub(crate) fn within(set: &CpuSet, n_cores: usize) -> Self {
+        if n_cores > 128 {
+            return Self::within_wide(*set, n_cores);
+        }
+        let (words, cores) = (set.as_words(), CpuSet::first_n(n_cores));
+        let cores = cores.as_words();
+        TaskSet::Window(0, [words[0] & cores[0], words[1] & cores[1]])
+    }
+
+    /// [`within`](Self::within) on a machine of more than 128 cores, out
+    /// of the inlined path. By value: only this branch copies the whole
+    /// set, so a caller's constant set is not written out on the other.
+    #[inline(never)]
+    fn within_wide(set: CpuSet, n_cores: usize) -> Self {
+        TaskSet::new(&(set & CpuSet::first_n(n_cores)))
+    }
+}
+
 impl<W: core::borrow::Borrow<CpuSet> + From<CpuSet>> TaskSet<W> {
     pub(crate) fn new(set: &CpuSet) -> Self {
         let words = set.as_words();
@@ -97,6 +121,14 @@ impl<W: core::borrow::Borrow<CpuSet> + From<CpuSet>> TaskSet<W> {
             Some(c) if c / 64 > w + 1 => TaskSet::Wide(W::from(*set)),
             _ => TaskSet::Window((w * 64) as u16, [words[w], words[w + 1]]),
         }
+    }
+
+    /// The whole 1 024-bit set: for messages and tests, off the task path.
+    pub(crate) fn to_cpuset(&self) -> CpuSet {
+        let (first, words) = self.words();
+        let mut all = [0; CpuSet::MAX_CPUS / 64];
+        all[first..first + words.len()].copy_from_slice(words);
+        CpuSet::from_words(all)
     }
 
     /// The set by value, allocating nothing.
@@ -157,12 +189,9 @@ pub(crate) struct Task {
 }
 
 impl Task {
-    /// The CPU set the submitter attached.
+    /// The CPU set the submitter attached, within the machine's cores.
     pub(crate) fn cpuset(&self) -> CpuSet {
-        let (first, words) = self.cpuset.words();
-        let mut all = [0; CpuSet::MAX_CPUS / 64];
-        all[first..first + words.len()].copy_from_slice(words);
-        CpuSet::from_words(all)
+        self.cpuset.to_cpuset()
     }
 }
 
@@ -210,8 +239,41 @@ mod tests {
         })
     }
 
+    /// kwak, a 128-core and a 256-core machine, and the 1 024-core one.
+    fn machines() -> &'static [piom_topology::Topology] {
+        use piom_topology::presets;
+        static MACHINES: std::sync::OnceLock<Vec<piom_topology::Topology>> =
+            std::sync::OnceLock::new();
+        MACHINES.get_or_init(|| {
+            vec![
+                presets::kwak(),
+                presets::symmetric(2, 4, 16),
+                presets::dual_socket_256(),
+                presets::quad_socket_1024(),
+            ]
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The set a spec resolves is the set within the machine, and its
+        /// words find the queue the whole set's tree walk finds.
+        #[test]
+        fn within_is_the_set_on_the_machine_and_finds_its_queue(
+            s in arb_cpuset(),
+            pick in 0usize..4,
+        ) {
+            let topo = &machines()[pick];
+            let effective = s & topo.all_cores();
+            let set = TaskSet::within(&s, topo.n_cores());
+            prop_assert_eq!(set.to_cpuset(), effective);
+            let (first, words) = set.words();
+            prop_assert_eq!(
+                topo.smallest_covering_words(first, words),
+                topo.smallest_covering(&effective)
+            );
+        }
 
         #[test]
         fn task_set_is_the_cpuset(s in arb_cpuset()) {

@@ -11,7 +11,8 @@
 //! * builders: the paper's two testbeds [`presets::borderline`] and
 //!   [`presets::kwak`], and a generic [`TopologyBuilder`];
 //! * the *level resolution* query used at task submission: the smallest node
-//!   whose span covers a given CPU set ([`Topology::smallest_covering`]);
+//!   whose span covers a given CPU set ([`Topology::smallest_covering`], and
+//!   [`Topology::smallest_covering_words`] for a set kept as a few words);
 //! * a topological distance metric between cores used by cost models and by
 //!   the work-stealing victim order ([`Topology::steal_order_with_distance`]);
 //! * an ASCII renderer reproducing the structure of the paper's Figs. 2–3.
@@ -228,6 +229,37 @@ impl Topology {
                 }
             }
             return Some(current);
+        }
+    }
+
+    /// [`smallest_covering`](Self::smallest_covering) for the set whose
+    /// words `first..first + words.len()` are `words` and whose others are
+    /// empty: the form a scheduler keeps a task's set in, so placing the
+    /// task needs no whole [`CpuSet`].
+    ///
+    /// It walks up from the set's lowest core and stops at the first node
+    /// covering the set, testing only those words. A node's cores are its
+    /// leaves and siblings' leaves are disjoint, so the child the tree
+    /// walk descends into is the one on that core's path: both walks find
+    /// the same node.
+    #[inline]
+    pub fn smallest_covering_words(&self, first: usize, words: &[u64]) -> Option<NodeId> {
+        let low = words.iter().position(|&w| w != 0)?;
+        let high = words.iter().rposition(|&w| w != 0)?;
+        let lowest = (first + low) * 64 + words[low].trailing_zeros() as usize;
+        let highest = (first + high) * 64 + 63 - words[high].leading_zeros() as usize;
+        if highest >= self.n_cores() {
+            return None;
+        }
+        let mut id = self.core_node(lowest);
+        loop {
+            let node = self.node(id);
+            let span = &node.cpuset.as_words()[first..];
+            if words.iter().zip(span).all(|(w, s)| w & !s == 0) {
+                return Some(id);
+            }
+            // The root spans every core, so the walk ends there at last.
+            id = node.parent?;
         }
     }
 

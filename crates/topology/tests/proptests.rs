@@ -1,7 +1,7 @@
 //! Property tests on topology invariants.
 
 use piom_cpuset::CpuSet;
-use piom_topology::{Level, Topology, TopologyBuilder};
+use piom_topology::{presets, Level, Topology, TopologyBuilder};
 use proptest::prelude::*;
 
 fn arb_topology() -> impl Strategy<Value = Topology> {
@@ -101,6 +101,69 @@ proptest! {
                     .unwrap();
                 prop_assert_eq!(anc, cover);
             }
+        }
+    }
+}
+
+/// Machines for the word-wise lookup: kwak, random symmetric shapes (up
+/// to 4 × 4 × 16 = 256 cores) and the 1024-core preset, where a set can
+/// reach every word.
+fn arb_machine() -> impl Strategy<Value = Topology> {
+    (0u8..4, 1usize..=4, 1usize..=4, 1usize..=16).prop_map(
+        |(kind, numa, chips, cores)| match kind {
+            0 => presets::kwak(),
+            1 => presets::quad_socket_1024(),
+            _ => presets::symmetric(numa, chips, cores),
+        },
+    )
+}
+
+/// Sets of every shape the scheduler sees: single cores, ranges, sparse
+/// sets in a window, random masks over all sixteen words, and the empty
+/// set — some of them reaching past the machine's last core.
+fn arb_set(n: usize, seed: u64) -> CpuSet {
+    let lo = (seed >> 8) as usize % n;
+    let hi = (lo + 1 + (seed >> 24) as usize % 300).min(CpuSet::MAX_CPUS);
+    match seed % 6 {
+        0 => CpuSet::single(lo),
+        1 => CpuSet::range(lo..hi),
+        2 => (lo..hi)
+            .filter(|&c| seed.rotate_left(c as u32) & 1 == 1)
+            .collect(),
+        3 => CpuSet::from_words(core::array::from_fn(|i| seed.rotate_left(9 * i as u32))),
+        4 => {
+            CpuSet::from_words(core::array::from_fn(|i| seed.rotate_left(9 * i as u32)))
+                & CpuSet::first_n(n)
+        }
+        _ => CpuSet::EMPTY,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The word-wise lookup finds the tree walk's node for the whole
+    /// sixteen words, for the set's nonzero words alone, and for the
+    /// two-word window a task keeps when the set fits one.
+    #[test]
+    fn word_lookup_is_the_tree_walk(t in arb_machine(), seed in any::<u64>()) {
+        let set = arb_set(t.n_cores(), seed);
+        let expect = t.smallest_covering(&set);
+        let words = set.as_words();
+        prop_assert_eq!(t.smallest_covering_words(0, words), expect, "{}", set);
+        let (lo, hi) = match (set.first(), set.last()) {
+            (Some(f), Some(l)) => (f / 64, l / 64),
+            _ => (0, 0),
+        };
+        prop_assert_eq!(t.smallest_covering_words(lo, &words[lo..=hi]), expect, "{}", set);
+        if hi <= lo + 1 {
+            let base = lo.min(words.len() - 2);
+            prop_assert_eq!(
+                t.smallest_covering_words(base, &words[base..base + 2]),
+                expect,
+                "{}",
+                set
+            );
         }
     }
 }
