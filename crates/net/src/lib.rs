@@ -10,9 +10,12 @@
 //!   [`Nic`] with a serializing send engine and an rx-handler callback;
 //! * packet delivery into the receiving node's engine after
 //!   `occupancy + size·per_byte + latency`;
-//! * [`Network::rdma_read`] — one-sided transfer that completes without any
-//!   remote CPU involvement, the mechanism MVAPICH/OpenMPI-class rendezvous
-//!   uses to overlap on the sender side (paper §II-B, \[10\]).
+//! * [`NetParams::pull_time`] — the cost of a one-sided RDMA read, which
+//!   completes without any remote CPU involvement: the mechanism
+//!   MVAPICH/OpenMPI-class rendezvous uses to overlap on the sender side
+//!   (paper §II-B, \[10\]). A pull moves no bytes through the model (the
+//!   reader already holds a reference to the exposed buffer), so it is a
+//!   timer at this cost, armed by the engine.
 //!
 //! Payload bytes are optional ([`Message::data`]): protocol experiments care
 //! about sizes and timing; correctness tests and the zero-copy message path
@@ -315,31 +318,6 @@ impl Network {
         let st = self.nics[node][rail].st();
         st.busy_until.max(now) + st.backlog_time
     }
-
-    /// One-sided RDMA read: `reader` pulls `size` bytes from `target`
-    /// without involving the target's CPU. `on_complete` runs on the reader
-    /// side when the data has landed.
-    ///
-    /// Cost: request descriptor flight (`latency + rdma_setup`) + data
-    /// streamed back (`size * per_byte + latency`).
-    pub fn rdma_read<F: FnOnce(&mut Sim) + 'static>(
-        self: &Rc<Self>,
-        sim: &mut Sim,
-        reader: usize,
-        target: usize,
-        rail: usize,
-        size: usize,
-        on_complete: F,
-    ) {
-        assert!(reader != target, "rdma loopback not modelled");
-        assert!(reader < self.n_nodes() && target < self.n_nodes());
-        assert!(rail < self.n_rails());
-        let total = self.params.rdma_setup()
-            + self.params.latency() // read request reaches the target NIC
-            + self.params.byte_time(size) // data streams back
-            + self.params.latency(); // last byte's wire flight
-        sim.schedule(total, on_complete);
-    }
 }
 
 #[cfg(test)]
@@ -588,19 +566,6 @@ mod tests {
         sim.run();
         let tags: Vec<u64> = log.borrow().iter().map(|(_, m)| m.tag).collect();
         assert_eq!(tags, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn rdma_read_cost_model() {
-        let (net, mut sim) = net();
-        let done_at = Rc::new(Cell::new(SimTime::ZERO));
-        let d = done_at.clone();
-        let size = 32 * 1024;
-        net.rdma_read(&mut sim, 1, 0, 0, size, move |sim| d.set(sim.now()));
-        sim.run();
-        let p = NetParams::infiniband();
-        let expected = p.rdma_setup() + p.latency() * 2 + p.byte_time(size);
-        assert_eq!(done_at.get(), expected);
     }
 
     #[test]

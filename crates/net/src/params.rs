@@ -48,6 +48,12 @@ impl NetParams {
     pub fn rdma_setup(&self) -> SimTime {
         SimTime::from_ns(self.rdma_setup_ns)
     }
+
+    /// A one-sided read of `size` bytes, from its post to the last byte
+    /// landed: the post, the request's flight, the data and its flight.
+    pub fn pull_time(&self, size: usize) -> SimTime {
+        self.rdma_setup() + self.latency() + self.byte_time(size) + self.latency()
+    }
 }
 
 #[cfg(test)]
@@ -59,6 +65,16 @@ mod tests {
         let p = NetParams::infiniband();
         assert_eq!(p.byte_time(0), SimTime::ZERO);
         assert_eq!(p.byte_time(2000).as_ns(), 2 * p.byte_time(1000).as_ns());
+    }
+
+    #[test]
+    fn pull_time_cost_model() {
+        let p = NetParams::infiniband();
+        let size = 32 * 1024;
+        let expected = p.rdma_setup() + p.latency() * 2 + p.byte_time(size);
+        assert_eq!(p.pull_time(size), expected);
+        // 600 + 2·1 700 + 32 768 · 0.830 ns.
+        assert_eq!(p.pull_time(size).as_ns(), 31_197);
     }
 
     #[test]

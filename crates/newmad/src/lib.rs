@@ -60,11 +60,12 @@
 //! The protocol is one state machine, [`protocol::Core`]: plain data
 //! (matching queues, per-destination flows, rendezvous tables, statistics) with
 //! no simulator, sharing or callback in it. Its entry points take `now`
-//! and a [`protocol::Fabric`] — the rail state [`rails`] reads plus four
-//! effects (`transmit`, `rdma_read`, `arm_timer`, `complete`) that the
-//! fabric must apply synchronously and in call order, because the next
-//! rail choice and every drain-timer instant are read back from the rail
-//! state right after a `transmit`.
+//! and a [`protocol::Fabric`] — the rail state [`rails`] reads plus three
+//! effects (`transmit`, `arm_timer`, `complete`) that the fabric must
+//! apply synchronously and in call order, because the next rail choice and
+//! every drain-timer instant are read back from the rail state right after
+//! a `transmit`. An RDMA pull is a timer too: the RTS carried the exposed
+//! buffer, so the read only takes [`rails::RailView::pull_cost`].
 //!
 //! A driver supplies everything else: how the core is shared, what a
 //! request handle is (the core stores it opaquely and returns it in
@@ -72,6 +73,8 @@
 //! discrete-event driver: one `Rc<RefCell<Core>>`, the simulated
 //! [`Network`] as fabric, [`ReqHandle`]s as handles, callbacks run after
 //! the core call has returned so they may re-enter the engine.
+//! [`loopback::Loopback`] is the in-memory one, where the caller delivers
+//! each frame, fires each timer and decides who polls.
 //!
 //! [`Bytes`]: bytes::Bytes
 //! [`Rope`]: bytes::Rope
@@ -85,10 +88,11 @@ use piom_net::{Message, Network};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+pub mod loopback;
 pub mod protocol;
 pub mod rails;
 pub mod wire;
-use protocol::{Core, Fabric, Outgoing, PullId, Tables, Timer};
+use protocol::{Core, Fabric, Outgoing, Tables, Timer};
 use rails::{NodeRails, RailView};
 
 /// Engine configuration.
@@ -269,6 +273,9 @@ impl RailView for Io<'_> {
     fn tx_cost(&self, len: usize) -> u64 {
         self.rails.tx_cost(len)
     }
+    fn pull_cost(&self, size: usize) -> u64 {
+        self.rails.pull_cost(size)
+    }
 }
 
 impl Fabric<ReqHandle> for Io<'_> {
@@ -282,15 +289,6 @@ impl Fabric<ReqHandle> for Io<'_> {
             data: Some(frame),
         };
         self.engine.net.send(self.sim, msg);
-    }
-
-    fn rdma_read(&mut self, target: usize, rail: usize, size: usize, id: PullId) {
-        let (engine, node) = (self.engine.clone(), self.engine.node);
-        let landed =
-            move |sim: &mut Sim| engine.drive(sim, |core, _, io| core.on_rdma_done(io, id));
-        self.engine
-            .net
-            .rdma_read(self.sim, node, target, rail, size, landed);
     }
 
     fn arm_timer(&mut self, at: u64, what: Timer<ReqHandle>) {

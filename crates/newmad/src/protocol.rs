@@ -3,7 +3,7 @@
 //! [`Core`] owns one node's matching queues, per-destination eager flows
 //! (pooled messages + pipeline window) and rendezvous tables. Every entry
 //! point is given `now` in nanoseconds and a [`Fabric`]: the rail state
-//! the scheduler reads plus the four effects the protocol produces. The
+//! the scheduler reads plus the three effects the protocol produces. The
 //! core never calls back into its caller, so a driver decides alone how it
 //! is shared and what a request handle `R` is; the core only stores `R`
 //! and hands it back in [`Fabric::complete`].
@@ -29,6 +29,12 @@ pub enum Timer<R> {
         /// The send request to complete.
         req: R,
     },
+    /// The one-sided read of an RDMA rendezvous has landed: the receive
+    /// completes and the sender gets its FIN.
+    PullLanded {
+        /// The pull, as its RTS named it.
+        id: PullId,
+    },
 }
 
 /// The one seam between the protocol and whatever moves its bytes.
@@ -43,9 +49,6 @@ pub trait Fabric<R>: RailView {
     /// Submits `frame` to `rail` towards `dst`; `size` is the byte count
     /// the wire is charged for.
     fn transmit(&mut self, dst: usize, rail: usize, size: usize, frame: Rope);
-    /// Starts a one-sided read of `size` bytes from `target`; the driver
-    /// answers with [`Core::on_rdma_done`]`(id)` when the data has landed.
-    fn rdma_read(&mut self, target: usize, rail: usize, size: usize, id: PullId);
     /// Asks for [`Core::on_timer`]`(what)` at instant `at`.
     fn arm_timer(&mut self, at: u64, what: Timer<R>);
     /// `req` is finished; a receive carries the peer's payload, a send
@@ -318,7 +321,7 @@ impl<R> Core<R> {
         let (dst, app_tag, size) = (msg.dst, msg.app_tag, msg.data.len() as u64);
         // RDMA flavour: the RTS carries a reference to the exposed source
         // buffer (modelling memory registration — the descriptor rides the
-        // control packet, the bytes move in the fabric's rdma_read);
+        // control packet, the bytes move in the receiver's pull);
         // two-sided keeps the buffer until CTS and streams it as DATA
         // chunks.
         let (state, rts_payload) = if rdma {
@@ -379,17 +382,14 @@ impl<R> Core<R> {
                 self.flush_sends(now, fab);
             }
             Timer::SendDrained { req } => fab.complete(req, None),
+            Timer::PullLanded { id } => {
+                let at = self.rdma_pulls.iter().position(|p| p.key == id);
+                let pull = self.rdma_pulls.swap_remove(at.expect("pull tracked"));
+                fab.complete(pull.req, Some(pull.payload));
+                let (src, sender_req) = id;
+                self.send_wire(fab, src, pull.rail, Wire::Fin { req: sender_req });
+            }
         }
-    }
-
-    /// The read started by [`Fabric::rdma_read`]`(.., id)` has landed:
-    /// complete the receive and tell the sender it may reuse its buffer.
-    pub fn on_rdma_done(&mut self, fab: &mut impl Fabric<R>, id: PullId) {
-        let at = self.rdma_pulls.iter().position(|p| p.key == id);
-        let pull = self.rdma_pulls.swap_remove(at.expect("pull tracked"));
-        fab.complete(pull.req, Some(pull.payload));
-        let (src, sender_req) = id;
-        self.send_wire(fab, src, pull.rail, Wire::Fin { req: sender_req });
     }
 
     fn take_posted(&mut self, src: usize, app_tag: u64) -> Option<R> {
@@ -559,7 +559,8 @@ impl<R> Core<R> {
                 payload,
             };
             self.rdma_pulls.push(pull);
-            fab.rdma_read(src, rail, rts.size as usize, key);
+            let landed = now + fab.pull_cost(rts.size as usize);
+            fab.arm_timer(landed, Timer::PullLanded { id: key });
         } else {
             // The *sender* decides the chunking (stripe plan against its
             // local rail load); the receiver just counts chunks against

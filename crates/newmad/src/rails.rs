@@ -2,7 +2,7 @@
 //!
 //! NewMadeleine's optimization layer does not just *use* several rails; it
 //! schedules over them. This module is that scheduler. It reads rail
-//! state through the three-method [`RailView`]; [`stripe_plan`] is
+//! state through [`RailView`]; [`stripe_plan`] is
 //! [`stripe_plan_in`] over a simulated [`piom_net::Network`]:
 //!
 //! * [`pick_rail_in`] — least-loaded rail selection for eager/control
@@ -60,6 +60,8 @@ pub trait RailView {
     fn rail_eta(&self, rail: usize, now: u64) -> u64;
     /// Time one packet of `len` bytes occupies a rail's send engine.
     fn tx_cost(&self, len: usize) -> u64;
+    /// Time an RDMA rendezvous' one-sided read of `size` bytes takes.
+    fn pull_cost(&self, size: usize) -> u64;
 }
 
 /// `node`'s rails on a simulated [`Network`].
@@ -79,6 +81,9 @@ impl RailView for NodeRails<'_> {
     fn tx_cost(&self, len: usize) -> u64 {
         let p = self.net.params();
         p.occupancy().as_ns() + p.byte_time(len).as_ns()
+    }
+    fn pull_cost(&self, size: usize) -> u64 {
+        self.net.params().pull_time(size).as_ns()
     }
 }
 
@@ -269,6 +274,9 @@ mod tests {
         }
         fn tx_cost(&self, len: usize) -> u64 {
             1_000 + len as u64
+        }
+        fn pull_cost(&self, _size: usize) -> u64 {
+            unreachable!("a stripe plan pulls nothing")
         }
     }
 

@@ -1,18 +1,19 @@
-//! The protocol core driven with no simulator: an in-memory [`Fabric`]
-//! records every effect, and the test moves frames between two cores by
-//! hand — rail by rail for the size ladder, and reordered across rails,
-//! duplicated, mixed with garbage and with frame bodies cut for the chaos
-//! proptests (a fabric the in-order, lossless DES cannot express).
+//! The protocol core driven with no simulator: two cores on the in-memory
+//! [`Loopback`] medium, whose frames the test moves — rail by rail for the
+//! size ladder, and reordered across rails, duplicated, mixed with garbage
+//! and with frame bodies cut for the chaos proptests (a fabric the
+//! in-order, lossless DES cannot express).
 //!
 //! Runs under Miri in CI (sizes and case counts shrink under `cfg(miri)`).
 
 use bytes::{Bytes, Rope};
-use newmadeleine::protocol::{Core, Fabric, Outgoing, PullId, Timer};
+use newmadeleine::loopback::Loopback;
+use newmadeleine::protocol::{Core, Fabric, Outgoing, Timer};
 use newmadeleine::rails::RailView;
 use newmadeleine::wire::{EagerPart, Wire};
 use newmadeleine::EngineConfig;
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Largest chaos message: past the stripe threshold either way.
 const MAX_SIZE: usize = if cfg!(miri) { 48 << 10 } else { 128 << 10 };
@@ -20,49 +21,11 @@ const MAX_SIZE: usize = if cfg!(miri) { 48 << 10 } else { 128 << 10 };
 /// Request handle of these tests: a bare integer.
 type Req = usize;
 
-/// One node's fabric: effects pile up until the test applies them.
-#[derive(Default)]
-struct Mem {
-    /// Transmitted frames, one FIFO per rail.
-    rails: [VecDeque<Rope>; 2],
-    timers: VecDeque<Timer<Req>>,
-    pulls: VecDeque<PullId>,
-    done: Vec<(Req, Option<Rope>)>,
-}
-
-impl RailView for Mem {
-    fn n_rails(&self) -> usize {
-        self.rails.len()
-    }
-    fn rail_eta(&self, _rail: usize, now: u64) -> u64 {
-        now
-    }
-    fn tx_cost(&self, len: usize) -> u64 {
-        len as u64
-    }
-}
-
-impl Fabric<Req> for Mem {
-    fn transmit(&mut self, _dst: usize, rail: usize, _size: usize, frame: Rope) {
-        self.rails[rail].push_back(frame);
-    }
-    fn rdma_read(&mut self, _target: usize, _rail: usize, _size: usize, id: PullId) {
-        self.pulls.push_back(id);
-    }
-    fn arm_timer(&mut self, _at: u64, what: Timer<Req>) {
-        self.timers.push_back(what);
-    }
-    fn complete(&mut self, req: Req, payload: Option<Rope>) {
-        self.done.push((req, payload));
-    }
-}
-
-/// Two nodes, each a core plus its fabric. Message `i` is send request
-/// `2i` and receive request `2i + 1`, tagged `i`.
-struct Pair {
-    core: [Core<Req>; 2],
-    fab: [Mem; 2],
-    now: u64,
+/// Two nodes on the loopback medium, and what the test knows of the
+/// messages between them. Message `i` is send request `2i` and receive
+/// request `2i + 1`, tagged `i`.
+struct Chaos {
+    lb: Loopback<Req>,
     /// The buffer each message was sent from, by message index.
     sent: Vec<Option<Bytes>>,
     /// Messages one of whose frames arrived with its body cut.
@@ -111,12 +74,10 @@ fn body(i: usize, size: usize) -> Bytes {
     Bytes::from((0..size).map(|k| (k * 31 + i) as u8).collect::<Vec<u8>>())
 }
 
-impl Pair {
+impl Chaos {
     fn new(cfg: &EngineConfig) -> Self {
-        Pair {
-            core: [Core::new(cfg.clone()), Core::new(cfg.clone())],
-            fab: Default::default(),
-            now: 0,
+        Chaos {
+            lb: Loopback::new(2, 2, cfg),
             sent: Vec::new(),
             cut: Vec::new(),
             cut_frames: [0; 2],
@@ -137,11 +98,11 @@ impl Pair {
             app_tag: i as u64,
             data,
         };
-        self.core[from].isend(self.now, &mut self.fab[from], msg, 2 * i);
+        self.lb.isend(from, msg, 2 * i);
     }
 
     fn irecv(&mut self, at: usize, i: usize) {
-        self.core[at].irecv(self.now, &mut self.fab[at], 1 - at, i as u64, 2 * i + 1);
+        self.lb.irecv(at, 1 - at, i as u64, 2 * i + 1);
     }
 
     /// The messages whose bytes or rendezvous `wire`, arriving at node
@@ -161,15 +122,16 @@ impl Pair {
         }
     }
 
-    /// Applies one pending effect or poll of node `n`, chosen by `pick`;
-    /// returns how many copies of a frame it delivered beyond the first.
-    /// A delivered frame gets its body cut by `cut` unless one of its
-    /// messages already had a frame cut; a cut frame is delivered once.
+    /// One step at node `n`, chosen by `pick`: deliver a frame to it,
+    /// fire the earliest timer, or poll it. Returns how many copies of a
+    /// frame it delivered beyond the first. A delivered frame gets its
+    /// body cut by `cut` unless one of its messages already had a frame
+    /// cut; a cut frame is delivered once.
     fn step(&mut self, n: usize, pick: u64, dup: bool, cut: Option<Cut>) -> u64 {
-        self.now += 1;
+        self.lb.advance(1);
         let rail = (pick % 2) as usize;
         if pick % 5 < 2 {
-            let Some(frame) = self.fab[1 - n].rails[rail].pop_front() else {
+            let Some(frame) = self.lb.take(1 - n, n, rail) else {
                 return 0;
             };
             let wire = Wire::decode(&mut frame.clone()).expect("the core sends canonical frames");
@@ -183,41 +145,20 @@ impl Pair {
                     self.cut[i] = true;
                 }
                 self.cut_frames[n] += 1;
-                self.core[n].on_frame(1 - n, cut.apply(&frame));
+                self.lb.receive(1 - n, n, cut.apply(&frame));
                 return 0;
             }
             let control = !matches!(wire, Wire::Eager { .. } | Wire::EagerAggregate { .. });
             let copies = 1 + u64::from(dup && control);
             for _ in 0..copies {
-                self.core[n].on_frame(1 - n, frame.clone());
+                self.lb.receive(1 - n, n, frame.clone());
             }
             return copies - 1;
         }
-        let (core, fab) = (&mut self.core[n], &mut self.fab[n]);
-        match pick % 5 {
-            2 if !fab.timers.is_empty() => {
-                let what = fab.timers.pop_front().expect("checked");
-                core.on_timer(self.now, fab, what);
-            }
-            3 if !fab.pulls.is_empty() => {
-                let id = fab.pulls.pop_front().expect("checked");
-                core.on_rdma_done(fab, id);
-            }
-            _ => {
-                core.poll(self.now, fab);
-            }
+        if !(matches!(pick % 5, 2 | 3) && self.lb.fire_next()) {
+            self.lb.poll(n);
         }
         0
-    }
-
-    fn quiet(&self) -> bool {
-        (0..2).all(|n| {
-            let f = &self.fab[n];
-            f.rails.iter().all(VecDeque::is_empty)
-                && f.timers.is_empty()
-                && f.pulls.is_empty()
-                && self.core[n].rx_backlog() == 0
-        })
     }
 
     /// Every request of a message with no cut frame finished exactly once,
@@ -226,7 +167,7 @@ impl Pair {
     fn check(&self, msgs: &[(usize, usize)]) {
         let mut seen = vec![0u32; 2 * msgs.len()];
         for n in 0..2 {
-            for (req, payload) in &self.fab[n].done {
+            for (req, payload) in self.lb.completions(n) {
                 seen[*req] += 1;
                 let (i, recv) = (req / 2, req % 2 == 1);
                 let (from, size) = msgs[i];
@@ -260,24 +201,31 @@ fn core_is_send() {
     assert_send::<Core<Req>>();
 }
 
+/// The medium moves to other threads with its cores.
+#[test]
+fn loopback_is_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<Loopback<Req>>();
+}
+
 #[test]
 fn size_ladder_round_trips() {
     let top = if cfg!(miri) { 128 << 10 } else { 1 << 20 };
     let msgs: Vec<(usize, usize)> = [64, 4 << 10, 64 << 10, top].map(|s| (0, s)).into();
     for cfg in [EngineConfig::newmadeleine(), EngineConfig::baseline_mpi()] {
-        let mut p = Pair::new(&cfg);
+        let mut p = Chaos::new(&cfg);
         for (i, &(from, size)) in msgs.iter().enumerate() {
             p.irecv(1 - from, i);
             p.isend(from, i, size);
         }
-        while !p.quiet() {
+        while !p.lb.is_quiet() {
             for pick in 0..10 {
                 p.step((pick / 5) as usize, pick, false, None);
             }
         }
         p.check(&msgs);
         for n in 0..2 {
-            assert_eq!(p.core[n].stats().stale_control_packets, 0);
+            assert_eq!(p.lb.core(n).stats().stale_control_packets, 0);
         }
     }
 }
@@ -295,32 +243,35 @@ fn length_mismatched_eager_frames_are_counted_drops() {
         parts: [0, 1].map(|app_tag| EagerPart { app_tag, size: 4 }).into(),
     };
     for (wire, n_msgs) in [(single, 1), (aggregate, 2)] {
-        let mut p = Pair::new(&EngineConfig::newmadeleine());
+        let mut lb = Loopback::<Req>::new(2, 1, &EngineConfig::newmadeleine());
         let frame = |body: usize| {
             let mut f = Rope::from(wire.encode());
             f.push(Bytes::from(vec![0xAB; body]));
             f
         };
         for i in 0..n_msgs {
-            p.irecv(1, i);
+            lb.irecv(1, 0, i as u64, i);
         }
         for (k, bad) in [0, 1, 7, 9, 64].into_iter().enumerate() {
-            p.core[1].on_frame(0, frame(bad));
-            p.core[1].poll(0, &mut p.fab[1]);
-            assert!(p.fab[1].done.is_empty(), "{wire:?} with a {bad}-byte body");
-            assert_eq!(p.core[1].stats().undecodable_packets, k as u64 + 1);
+            lb.receive(0, 1, frame(bad));
+            lb.poll(1);
+            assert!(
+                lb.completions(1).is_empty(),
+                "{wire:?} with a {bad}-byte body"
+            );
+            assert_eq!(lb.core(1).stats().undecodable_packets, k as u64 + 1);
         }
         // The receives are still posted: a whole frame completes them with
         // its bytes.
-        p.core[1].on_frame(0, frame(8));
-        p.core[1].poll(0, &mut p.fab[1]);
-        let got: Vec<usize> = p.fab[1]
-            .done
+        lb.receive(0, 1, frame(8));
+        lb.poll(1);
+        let got: Vec<usize> = lb
+            .completions(1)
             .iter()
             .map(|(_, b)| b.as_ref().map_or(0, Rope::len))
             .collect();
         assert_eq!(got, vec![8 / n_msgs; n_msgs]);
-        assert_eq!(p.core[1].stats().undecodable_packets, 5);
+        assert_eq!(lb.core(1).stats().undecodable_packets, 5);
     }
 }
 
@@ -343,6 +294,9 @@ impl RailView for Log {
     fn tx_cost(&self, len: usize) -> u64 {
         len as u64
     }
+    fn pull_cost(&self, size: usize) -> u64 {
+        size as u64
+    }
 }
 
 impl Fabric<Req> for Log {
@@ -358,9 +312,6 @@ impl Fabric<Req> for Log {
         assert_eq!(frame.len(), announced, "the body is every part's bytes");
         assert_eq!(size, header + announced, "charged for header and payload");
         self.sent.push((dst, parts));
-    }
-    fn rdma_read(&mut self, _target: usize, _rail: usize, _size: usize, _id: PullId) {
-        unreachable!("eager traffic only");
     }
     fn arm_timer(&mut self, _at: u64, what: Timer<Req>) {
         self.timers.push(what);
@@ -432,14 +383,14 @@ struct Tally {
 /// rails, delivers control frames (RTS included) twice and mixes garbage
 /// in. Sends go out in runs from one node, so its window fills and the
 /// sends it pools leave as an aggregate. With `cuts`, about one delivery in
-/// four also cuts its frame's body (see [`Pair::step`]). Every request of a
+/// four also cuts its frame's body (see [`Chaos::step`]). Every request of a
 /// message with no cut frame finishes exactly once, every receive with the
 /// sent bytes, and every bad frame is a counted drop.
 fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) -> Tally {
     let msgs: Vec<(usize, usize)> = sizes.iter().map(|&(b, s)| (usize::from(b), s)).collect();
     let mut cfg = EngineConfig::newmadeleine();
     cfg.rdma_rendezvous = rdma;
-    let mut p = Pair::new(&cfg);
+    let mut p = Chaos::new(&cfg);
     let mut rng = move || {
         seed ^= seed << 13;
         seed ^= seed >> 7;
@@ -450,7 +401,7 @@ fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) -> Tall
     let mut ops: Vec<usize> = (0..2 * msgs.len()).collect();
     let (mut dups, mut garbage) = ([0u64; 2], [0u64; 2]);
     let mut steps = 0u32;
-    while !(ops.is_empty() && p.quiet()) {
+    while !(ops.is_empty() && p.lb.is_quiet()) {
         steps += 1;
         assert!(steps < 1_000_000, "no quiescence");
         let (r, n) = (rng(), (rng() % 2) as usize);
@@ -473,7 +424,7 @@ fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) -> Tall
                 }
             }
             2 => {
-                p.core[n].on_frame(1 - n, Rope::from(Bytes::from(vec![0xFF; 8])));
+                p.lb.receive(1 - n, n, Rope::from(Bytes::from(vec![0xFF; 8])));
                 garbage[n] += 1;
             }
             _ => {
@@ -489,7 +440,7 @@ fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) -> Tall
     }
     p.check(&msgs);
     for n in 0..2 {
-        let st = p.core[n].stats();
+        let st = p.lb.core(n).stats();
         if !cuts {
             assert_eq!(st.stale_control_packets, dups[n]);
             assert_eq!(st.undecodable_packets, garbage[n]);

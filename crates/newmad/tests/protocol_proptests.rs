@@ -1,10 +1,12 @@
 //! Property tests: protocol-level delivery invariants hold for any message
 //! mix, polling cadence, and configuration.
 
-use bytes::Bytes;
-use newmadeleine::{CommEngine, EngineConfig};
-use piom_des::{Sim, SimTime};
-use piom_net::{NetParams, Network};
+mod common;
+
+use common::{pair, zeros};
+use newmadeleine::EngineConfig;
+use piom_des::SimTime;
+use piom_net::NetParams;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -54,17 +56,13 @@ proptest! {
         cfg in arb_config(),
         poll_step_ns in 100u64..3_000,
     ) {
-        let net = Network::new(2, 2, NetParams::infiniband());
-        let a = CommEngine::new(0, net.clone(), cfg.clone());
-        let b = CommEngine::new(1, net.clone(), cfg);
-        let mut sim = Sim::new();
+        let (_net, a, b, mut sim) = pair(cfg);
 
         let mut recvs = Vec::new();
-        let zeros = Bytes::from(vec![0u8; 200_000]);
         for (i, m) in msgs.iter().enumerate() {
             recvs.push((b.irecv(&mut sim, 0, i as u64), m.size));
             let a2 = a.clone();
-            let (tag, data, delay) = (i as u64, zeros.slice(0..m.size), m.delay_ns);
+            let (tag, data, delay) = (i as u64, zeros(m.size), m.delay_ns);
             sim.schedule_abs(SimTime::from_ns(delay), move |sim| {
                 a2.isend_bytes(sim, 1, tag, data);
             });
@@ -106,11 +104,7 @@ proptest! {
         cfg in arb_config(),
     ) {
         let run = || {
-            let net = Network::new(2, 2, NetParams::infiniband());
-            let a = CommEngine::new(0, net.clone(), cfg.clone());
-            let b = CommEngine::new(1, net, cfg.clone());
-            let mut sim = Sim::new();
-            let zeros = Bytes::from(vec![0u8; 200_000]);
+            let (_net, a, b, mut sim) = pair(cfg.clone());
             let recvs: Vec<_> = msgs
                 .iter()
                 .enumerate()
@@ -118,7 +112,7 @@ proptest! {
                 .collect();
             for (i, m) in msgs.iter().enumerate() {
                 let a2 = a.clone();
-                let (tag, data) = (i as u64, zeros.slice(0..m.size));
+                let (tag, data) = (i as u64, zeros(m.size));
                 sim.schedule_abs(SimTime::from_ns(m.delay_ns), move |sim| {
                     a2.isend_bytes(sim, 1, tag, data);
                 });

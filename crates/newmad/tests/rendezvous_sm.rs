@@ -10,55 +10,25 @@
 //! These tests also run under Miri in CI: the reassembly path juggles
 //! shared `Rope` segments and must stay free of aliasing surprises.
 
+mod common;
+
 use bytes::{Bytes, Rope};
+use common::{drive, pair, pattern, settle, zeros, BULK};
 use newmadeleine::wire::Wire;
-use newmadeleine::{CommEngine, EngineConfig, EngineStats, ReqHandle};
+use newmadeleine::{EngineConfig, EngineStats, ReqHandle};
 use piom_des::{Sim, SimTime};
-use piom_net::{Message, NetParams, Network};
+use piom_net::{Message, Network};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 type Timeline = Rc<RefCell<Vec<(u64, &'static str)>>>;
 
-/// Bulk-transfer size: shrunk 8× under Miri (the interpreter is orders of
-/// magnitude slower; every protocol path stays exercised — all assertions
-/// here are ordering/counting, never absolute simulated times).
-const BULK: usize = if cfg!(miri) { 1 << 17 } else { 1 << 20 };
 /// Poll horizon for a bulk rendezvous to fully drain.
 const BULK_SPAN: SimTime = if cfg!(miri) {
     SimTime::from_ms(1)
 } else {
     SimTime::from_ms(5)
 };
-
-/// `len` zero bytes, sliced from one buffer all sends share.
-fn zeros(len: usize) -> Bytes {
-    static ZEROS: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
-    ZEROS.get_or_init(|| vec![0; 3 * BULK].into()).slice(0..len)
-}
-
-fn pair(cfg: EngineConfig) -> (Rc<Network>, CommEngine, CommEngine, Sim) {
-    let net = Network::new(2, 2, NetParams::infiniband());
-    let a = CommEngine::new(0, net.clone(), cfg.clone());
-    let b = CommEngine::new(1, net.clone(), cfg);
-    (net, a, b, Sim::new())
-}
-
-/// Polls both engines every 500 ns over `span`, starting from `sim.now()`.
-fn drive(sim: &mut Sim, engines: &[&CommEngine], span: SimTime) {
-    let start = sim.now();
-    let mut t = SimTime::ZERO;
-    while t < span {
-        for e in engines {
-            let e = (*e).clone();
-            sim.schedule_abs(start + t, move |sim| {
-                e.poll(sim);
-            });
-        }
-        t += SimTime::from_ns(500);
-    }
-    sim.run();
-}
 
 fn mark(tl: &Timeline, label: &'static str) -> impl FnOnce(&mut Sim) + 'static {
     let tl = tl.clone();
@@ -404,23 +374,6 @@ fn skewed_polling_cadences_are_deterministic() {
     assert_eq!(first.3.stale_control_packets, 0);
 }
 
-/// Runs the simulation to quiescence, polling every engine that has a
-/// frame waiting after each event.
-fn settle(sim: &mut Sim, engines: &[&CommEngine]) {
-    while sim.step() {
-        for e in engines {
-            if e.rx_backlog() > 0 {
-                e.poll(sim);
-            }
-        }
-    }
-}
-
-/// A payload whose every byte depends on its offset.
-fn pattern(len: usize) -> Bytes {
-    Bytes::from((0..len).map(|k| (k * 31 + 7) as u8).collect::<Vec<u8>>())
-}
-
 /// The sender's table hands a finished rendezvous' slot to the next one,
 /// under a new id. A CTS or FIN naming the retired id must not reach the
 /// live rendezvous in that slot: it is a counted stale drop, and the live
@@ -434,7 +387,7 @@ fn retired_id_in_a_reused_slot_is_stale(cfg: EngineConfig, stale: fn(u32) -> Wir
     assert!(s1.is_complete() && r1.is_complete());
 
     // No receive yet: the RTS parks at node 1 and the send stays live.
-    let data = pattern(size);
+    let data = pattern(size, 7);
     let s2 = a.isend_bytes(&mut sim, 1, 2, data.clone());
     settle(&mut sim, &[&a, &b]);
     assert_eq!(
@@ -535,7 +488,7 @@ fn an_rts_flood_without_receives_parks_in_the_unexpected_queue() {
 #[test]
 fn a_short_rendezvous_completes_nothing_and_a_resend_completes_the_receive() {
     let size = 4096;
-    let data = pattern(size);
+    let data = pattern(size, 7);
     let rts = |req, rdma| Wire::Rts {
         req,
         app_tag: 9,

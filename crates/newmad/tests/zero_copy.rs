@@ -9,65 +9,16 @@
 //! a reassembled chunk stream) leaves some segment in a fresh buffer and
 //! fails the check.
 
-use bytes::{Bytes, Rope};
-use newmadeleine::{CommEngine, EngineConfig};
-use piom_des::{Sim, SimTime};
-use piom_net::{NetParams, Network};
+mod common;
 
-fn pair(cfg: EngineConfig) -> (CommEngine, CommEngine, Sim) {
-    let net = Network::new(2, 2, NetParams::infiniband());
-    let a = CommEngine::new(0, net.clone(), cfg.clone());
-    let b = CommEngine::new(1, net, cfg);
-    (a, b, Sim::new())
-}
-
-fn drive(sim: &mut Sim, engines: &[&CommEngine], span: SimTime) {
-    let start = sim.now();
-    let mut t = SimTime::ZERO;
-    while t < span {
-        for e in engines {
-            let e = (*e).clone();
-            sim.schedule_abs(start + t, move |sim| {
-                e.poll(sim);
-            });
-        }
-        t += SimTime::from_ns(500);
-    }
-    sim.run();
-}
-
-/// Deterministic pseudo-random payload: position-dependent, so chunk
-/// reordering or mis-slicing shows up as a content mismatch.
-fn pattern(len: usize, seed: u8) -> Bytes {
-    Bytes::from(
-        (0..len)
-            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
-            .collect::<Vec<u8>>(),
-    )
-}
-
-/// Asserts that `received` is `source`, moved without a copy: the bytes
-/// match, and every segment's address range lies inside `source`'s.
-fn assert_same_buffer(tag: &str, received: &Rope, source: &Bytes) {
-    assert_eq!(
-        received.to_vec().as_slice(),
-        source.as_ref(),
-        "{tag}: payload corrupted"
-    );
-    let src = source.as_ptr_range();
-    for seg in received.segments() {
-        let s = seg.as_ptr_range();
-        assert!(
-            src.start <= s.start && s.end <= src.end,
-            "{tag}: a {}-byte segment lies outside the sender's buffer",
-            seg.len()
-        );
-    }
-}
+use bytes::Bytes;
+use common::{assert_same_buffer, drive, pair, pattern};
+use newmadeleine::EngineConfig;
+use piom_des::SimTime;
 
 #[test]
 fn eager_path_is_zero_copy() {
-    let (a, b, mut sim) = pair(EngineConfig::newmadeleine());
+    let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     let data = pattern(1024, 7);
     let r = b.irecv(&mut sim, 0, 1);
     a.isend_bytes(&mut sim, 1, 1, data.clone());
@@ -78,7 +29,7 @@ fn eager_path_is_zero_copy() {
 
 #[test]
 fn aggregated_path_is_zero_copy() {
-    let (a, b, mut sim) = pair(EngineConfig::newmadeleine());
+    let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     let payloads: Vec<Bytes> = (0..8).map(|i| pattern(512, i)).collect();
     let recvs: Vec<_> = (0..8).map(|t| b.irecv(&mut sim, 0, t)).collect();
     let (a2, ps) = (a.clone(), payloads.clone());
@@ -97,7 +48,7 @@ fn aggregated_path_is_zero_copy() {
 
 #[test]
 fn striped_rendezvous_is_zero_copy() {
-    let (a, b, mut sim) = pair(EngineConfig::newmadeleine());
+    let (_net, a, b, mut sim) = pair(EngineConfig::newmadeleine());
     let data = pattern(1 << 20, 3);
     let r = b.irecv(&mut sim, 0, 1);
     let s = a.isend_bytes(&mut sim, 1, 1, data.clone());
@@ -117,7 +68,7 @@ fn striped_rendezvous_is_zero_copy() {
 
 #[test]
 fn rdma_rendezvous_is_zero_copy() {
-    let (a, b, mut sim) = pair(EngineConfig::baseline_mpi());
+    let (_net, a, b, mut sim) = pair(EngineConfig::baseline_mpi());
     let data = pattern(1 << 20, 5);
     let r = b.irecv(&mut sim, 0, 1);
     let s = a.isend_bytes(&mut sim, 1, 1, data.clone());
