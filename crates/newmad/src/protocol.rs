@@ -341,6 +341,14 @@ impl<R> Core<R> {
     }
 
     /// Posts a receive matching `(src, app_tag)`.
+    ///
+    /// Receives of one key match its messages in **arrival order**: a
+    /// message takes the oldest posted receive of its key when it arrives,
+    /// and carries no sequence number. One rail with a window of one packet
+    /// (`baseline_mpi`) delivers a destination's packets in send order, so
+    /// there it is send order too; with two rails and a window of two
+    /// (`newmadeleine`), two same-key eager messages in flight at once can
+    /// ride different rails and match out of send order.
     pub fn irecv(&mut self, now: u64, fab: &mut impl Fabric<R>, src: usize, app_tag: u64, req: R) {
         // Check the unexpected queue first.
         let pos = self

@@ -1,8 +1,8 @@
 //! The protocol core driven with no simulator: two cores on the in-memory
 //! [`Loopback`] medium, whose frames the test moves — rail by rail for the
-//! size ladder, and reordered across rails, duplicated, mixed with garbage
-//! and with frame bodies cut for the chaos proptests (a fabric the
-//! in-order, lossless DES cannot express).
+//! size ladder, and reordered across rails, duplicated, mixed with garbage,
+//! with frame bodies cut and header fields rewritten for the chaos
+//! proptests (a fabric the in-order, lossless DES cannot express).
 //!
 //! Runs under Miri in CI (sizes and case counts shrink under `cfg(miri)`).
 
@@ -28,9 +28,9 @@ struct Chaos {
     lb: Loopback<Req>,
     /// The buffer each message was sent from, by message index.
     sent: Vec<Option<Bytes>>,
-    /// Messages one of whose frames arrived with its body cut.
+    /// Messages one of whose frames arrived cut (see [`Cut`]).
     cut: Vec<bool>,
-    /// Frames that arrived at each node with their body cut.
+    /// Frames that arrived cut at each node.
     cut_frames: [u64; 2],
     /// The message of each rendezvous, by (sender, sender-side id).
     rndv: HashMap<(usize, u32), usize>,
@@ -38,7 +38,8 @@ struct Chaos {
     aggregates: [u64; 2],
 }
 
-/// How a chaos step corrupts the body of the frame it delivers.
+/// How a chaos step corrupts the frame it delivers: its body, or one
+/// field of its header.
 #[derive(Debug, Clone, Copy)]
 enum Cut {
     /// Drop the body's last bytes, this many or all.
@@ -47,14 +48,32 @@ enum Cut {
     Pad(usize),
     /// Drop the whole body.
     Empty,
+    /// Add this much to the header's `size` (an eager frame's, an
+    /// aggregate's first part's or an RTS's), a DATA frame's `chunk` (if
+    /// even) or its `of` (if odd).
+    Rewrite(u32),
 }
 
 impl Cut {
-    /// `frame` with its body cut: its length always changes, so a body
-    /// that is empty already is padded by one byte instead.
-    fn apply(self, frame: &Rope) -> Rope {
+    /// `frame` cut: a body's length always changes, so a body that is
+    /// empty already is padded by one byte instead. `None` for a header
+    /// rewrite of a CTS or FIN, which have no such field.
+    fn apply(self, frame: &Rope) -> Option<Rope> {
         let mut body = frame.clone();
-        let wire = Wire::decode(&mut body).expect("the core sends canonical frames");
+        let mut wire = Wire::decode(&mut body).expect("the core sends canonical frames");
+        if let Cut::Rewrite(k) = self {
+            match &mut wire {
+                Wire::Eager { size, .. } => *size += k,
+                Wire::EagerAggregate { parts } => parts[0].size += k,
+                Wire::Rts { size, .. } => *size += u64::from(k),
+                Wire::Data { chunk, .. } if k % 2 == 0 => *chunk += k,
+                Wire::Data { of, .. } => *of += k,
+                Wire::Cts { .. } | Wire::Fin { .. } => return None,
+            }
+            let mut out = Rope::from(wire.encode());
+            out.append(body);
+            return Some(out);
+        }
         let len = body.len();
         let mut out = Rope::from(wire.encode());
         match self {
@@ -65,8 +84,9 @@ impl Cut {
                 out.append(body);
                 out.push(Bytes::from(vec![0x5A; k]));
             }
+            Cut::Rewrite(_) => unreachable!("rewritten above"),
         }
-        out
+        Some(out)
     }
 }
 
@@ -124,9 +144,9 @@ impl Chaos {
 
     /// One step at node `n`, chosen by `pick`: deliver a frame to it,
     /// fire the earliest timer, or poll it. Returns how many copies of a
-    /// frame it delivered beyond the first. A delivered frame gets its
-    /// body cut by `cut` unless one of its messages already had a frame
-    /// cut; a cut frame is delivered once.
+    /// frame it delivered beyond the first. A delivered frame is cut by
+    /// `cut` unless one of its messages already had a frame cut; a cut
+    /// frame is delivered once.
     fn step(&mut self, n: usize, pick: u64, dup: bool, cut: Option<Cut>) -> u64 {
         self.lb.advance(1);
         let rail = (pick % 2) as usize;
@@ -136,7 +156,9 @@ impl Chaos {
             };
             let wire = Wire::decode(&mut frame.clone()).expect("the core sends canonical frames");
             let msgs = self.messages_of(n, &wire);
-            let cut = cut.filter(|_| msgs.iter().all(|&i| !self.cut[i]));
+            let cut = cut
+                .filter(|_| msgs.iter().all(|&i| !self.cut[i]))
+                .and_then(|cut| cut.apply(&frame));
             if let Wire::EagerAggregate { .. } = wire {
                 self.aggregates[usize::from(cut.is_some())] += 1;
             }
@@ -145,7 +167,7 @@ impl Chaos {
                     self.cut[i] = true;
                 }
                 self.cut_frames[n] += 1;
-                self.lb.receive(1 - n, n, cut.apply(&frame));
+                self.lb.receive(1 - n, n, cut);
                 return 0;
             }
             let control = !matches!(wire, Wire::Eager { .. } | Wire::EagerAggregate { .. });
@@ -191,6 +213,21 @@ impl Chaos {
         for (req, &c) in seen.iter().enumerate() {
             let cut = self.cut.get(req / 2) == Some(&true);
             assert!(c == 1 || (cut && c == 0), "completions: {seen:?}");
+        }
+        // After the drain the tables hold only what cut messages left: a
+        // receive whose transfer lost a frame or its CTS, or took a DATA
+        // frame with a rewritten `chunk`, waits for the rest forever.
+        // Nothing is left unexpected: every message had its receive posted.
+        for n in 0..2 {
+            let tables = self.lb.core(n).tables();
+            let cut_into = (0..msgs.len())
+                .filter(|&i| self.cut[i] && msgs[i].0 != n)
+                .count();
+            assert_eq!(tables.unexpected, 0, "node {n}: {tables:?}");
+            assert!(
+                tables.recv_rndv <= cut_into,
+                "node {n}: {tables:?}, {cut_into} cut messages to it"
+            );
         }
     }
 }
@@ -383,9 +420,10 @@ struct Tally {
 /// rails, delivers control frames (RTS included) twice and mixes garbage
 /// in. Sends go out in runs from one node, so its window fills and the
 /// sends it pools leave as an aggregate. With `cuts`, about one delivery in
-/// four also cuts its frame's body (see [`Chaos::step`]). Every request of a
-/// message with no cut frame finishes exactly once, every receive with the
-/// sent bytes, and every bad frame is a counted drop.
+/// three also cuts its frame: its body, or a header field (see [`Cut`] and
+/// [`Chaos::step`]). Every request of a message with no cut frame finishes
+/// exactly once, every receive with the sent bytes, every bad frame is a
+/// counted drop, and the tables hold nothing else after the drain.
 fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) -> Tally {
     let msgs: Vec<(usize, usize)> = sizes.iter().map(|&(b, s)| (usize::from(b), s)).collect();
     let mut cfg = EngineConfig::newmadeleine();
@@ -430,9 +468,14 @@ fn chaos(sizes: &[(bool, usize)], rdma: bool, mut seed: u64, cuts: bool) -> Tall
             _ => {
                 let cut = cuts.then(&mut rng).and_then(|c| {
                     let k = 1 + (c >> 8) as usize % MAX_CUT;
-                    [Cut::Truncate(k), Cut::Pad(k), Cut::Empty]
-                        .get((c % 12) as usize)
-                        .copied()
+                    [
+                        Cut::Truncate(k),
+                        Cut::Pad(k),
+                        Cut::Empty,
+                        Cut::Rewrite(k as u32),
+                    ]
+                    .get((c % 12) as usize)
+                    .copied()
                 });
                 dups[n] += p.step(n, r >> 8, r % 16 < 6, cut);
             }
@@ -563,10 +606,12 @@ proptest! {
         chaos(&sizes, rdma, seed, false);
     }
 
-    /// The same chaos with at most one frame per message cut: truncated,
-    /// padded or emptied. No receive completes with other bytes than the
-    /// sent ones, every message with no cut frame completes exactly once,
-    /// and every cut frame is a counted drop. Over half the messages are
+    /// The same chaos with at most one frame per message cut: its body
+    /// truncated, padded or emptied, or its `size`, `chunk` or `of`
+    /// rewritten. No receive completes with other bytes than the sent
+    /// ones, every message with no cut frame completes exactly once, every
+    /// cut frame is a counted drop, and the tables hold only what the cut
+    /// messages left behind. Over half the messages are
     /// eager and there are more of them, so eager frames get cut too.
     #[test]
     fn chaos_fabric_drops_cut_bodies(

@@ -10,13 +10,12 @@
 
 use crate::manager::PendingTask;
 use crate::pool;
+use crate::sync::{AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use crate::task::{TaskContext, TaskStatus};
 use core::alloc::Layout;
 use core::cell::UnsafeCell;
 use core::mem::{take, ManuallyDrop};
 use core::ptr::NonNull;
-use core::sync::atomic::{AtomicUsize, Ordering};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -31,6 +30,21 @@ const PHASE: usize = 0b11;
 const SLOW: usize = 0b100;
 /// One reference (the task's, a handle's or the slow path's): `refs * REF`.
 const REF: usize = 0b1000;
+/// The unused phase: debug builds stamp it on a freed block, so an access
+/// after the last reference, or a second release, reads it.
+const FREED: usize = 0b11;
+
+/// Debug builds: fails `access` unless `word` is a live block's. A thread
+/// that is already unwinding from such a failure does not fail again in
+/// its handles' drops, which would abort the process instead of reporting
+/// the first.
+#[inline]
+fn live(word: usize, access: &str) {
+    debug_assert!(
+        word & PHASE != FREED || std::thread::panicking(),
+        "{access} of a freed block"
+    );
+}
 
 /// Error returned by [`TaskHandle::wait`] family when the task body panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,6 +128,7 @@ impl Block<Body> {
     fn register(&self) -> Option<MutexGuard<'_, SlowInner>> {
         let guard = self.slow().inner.lock();
         let prev = self.state.fetch_or(SLOW, Ordering::AcqRel);
+        live(prev, "a registration");
         if prev & PHASE != PENDING {
             return None;
         }
@@ -135,7 +150,9 @@ impl Block<Body> {
     }
 
     fn phase(&self) -> usize {
-        self.state.load(Ordering::Acquire) & PHASE
+        let word = self.state.load(Ordering::Acquire);
+        live(word, "a read");
+        word & PHASE
     }
 
     fn result_now(&self) -> Option<Result<(), TaskError>> {
@@ -164,6 +181,7 @@ unsafe fn release(block: NonNull<Block<Body>>, n: usize) {
     let prev = unsafe { block.as_ref() }
         .state
         .fetch_sub(n * REF, Ordering::AcqRel);
+    live(prev, "a release");
     if prev / REF == n {
         // SAFETY: those were the last references, and the body is already
         // dropped (the task's reference goes only after it).
@@ -185,26 +203,14 @@ unsafe fn free(block: NonNull<Block<Body>>) {
     // SAFETY: as above; this drops the slow block, while the `ManuallyDrop`
     // keeps the body from being dropped twice.
     unsafe { block.as_ptr().drop_in_place() };
+    if cfg!(debug_assertions) {
+        // SAFETY: the block is still allocated, and its word, which has no
+        // destructor, is still an atomic.
+        unsafe { (*block.as_ptr()).state.store(FREED, Ordering::Relaxed) };
+    }
     // SAFETY: `TaskBody::new` took it from `pool::alloc` with the layout of
     // its `Block<F>`, which `for_value` reads back through the vtable.
     unsafe { pool::free(block.cast(), layout) };
-}
-
-/// `body` with an over-aligned capture, which keeps its block out of the
-/// pool: Miri and AddressSanitizer then see the block's allocation and
-/// free, so a use after its last reference or a second free fails them.
-#[cfg(test)]
-pub(crate) fn unpooled<F>(mut body: F) -> impl FnMut(&TaskContext<'_>) -> TaskStatus + Send
-where
-    F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
-{
-    #[repr(align(16))]
-    struct Unpooled;
-    let unpooled = Unpooled;
-    move |ctx| {
-        let _ = &unpooled;
-        body(ctx)
-    }
 }
 
 /// The task's own reference to its block and the only way to the body.
@@ -350,7 +356,8 @@ impl std::panic::RefUnwindSafe for TaskHandle {}
 impl Clone for TaskHandle {
     fn clone(&self) -> Self {
         // Relaxed: this handle's reference keeps the block alive.
-        self.block().state.fetch_add(REF, Ordering::Relaxed);
+        let prev = self.block().state.fetch_add(REF, Ordering::Relaxed);
+        live(prev, "a clone");
         TaskHandle { ptr: self.ptr }
     }
 }
@@ -440,7 +447,7 @@ impl core::fmt::Debug for TaskHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::queue::QueueId;
     use crate::task::{Task, TaskClass, TaskSet};
@@ -453,6 +460,22 @@ mod tests {
     /// How long a test waits for threads that can only be late if a wake
     /// or a release was lost.
     const DEADLINE: Duration = Duration::from_secs(60);
+
+    /// `body` with an over-aligned capture, which keeps its block out of the
+    /// pool: Miri and AddressSanitizer then see the block's allocation and
+    /// free, so a use after its last reference or a second free fails them.
+    pub(crate) fn unpooled<F>(mut body: F) -> impl FnMut(&TaskContext<'_>) -> TaskStatus + Send
+    where
+        F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
+    {
+        #[repr(align(16))]
+        struct Unpooled;
+        let unpooled = Unpooled;
+        move |ctx| {
+            let _ = &unpooled;
+            body(ctx)
+        }
+    }
 
     /// A block outside the pool, so the sanitizers check its references.
     fn block() -> (TaskBody, TaskHandle) {
@@ -883,7 +906,7 @@ mod tests {
     }
 
     /// Where a task's block lies.
-    fn addr(h: &TaskHandle) -> usize {
+    pub(crate) fn addr(h: &TaskHandle) -> usize {
         h.ptr.as_ptr().cast::<u8>().addr()
     }
 
@@ -952,5 +975,32 @@ mod tests {
             assert!(body.finish(None).is_empty());
             assert_eq!(next.poll(), Some(Ok(())));
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already on this thread's stack")]
+    fn a_pooled_block_freed_twice_panics() {
+        let (body, h) = TaskBody::new(|_| TaskStatus::Done);
+        let block = h.ptr;
+        assert!(body.finish(None).is_empty());
+        drop(h);
+        // SAFETY: none: the handle's drop freed the block. Without the
+        // debug check the pool holds it twice, and two later tasks share
+        // it.
+        unsafe { free(block) };
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a release of a freed block")]
+    fn a_reference_released_after_the_free_panics() {
+        let (body, h) = TaskBody::new(|_| TaskStatus::Done);
+        let block = h.ptr;
+        assert!(body.finish(None).is_empty());
+        drop(h);
+        // SAFETY: none: the handle's reference went with it. Without the
+        // debug check the stray RMW lands, unseen, in a block of the pool.
+        unsafe { release(block, 1) };
     }
 }

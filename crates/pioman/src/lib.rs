@@ -93,6 +93,7 @@ mod pool;
 mod progression;
 mod queue;
 mod stats;
+mod sync;
 mod task;
 
 pub use completion::{TaskError, TaskHandle};

@@ -7,7 +7,7 @@ use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{Task, TaskClass, TaskContext, TaskSet, TaskStatus};
 use crate::TaskHandle;
 use core::cmp::Reverse;
-use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::Mutex;
 use piom_cpuset::CpuSet;
 use piom_topology::{Level, NodeId, Topology};

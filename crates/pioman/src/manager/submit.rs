@@ -2,30 +2,49 @@
 //! the dependency waitlist ([`PendingTask`]) behind [`SubmitSpec::after`].
 
 use super::*;
+use crate::sync;
 
 /// A task parked on the **dependency waitlist**: submitted with
 /// [`SubmitSpec::after`] while at least one predecessor was still pending.
 ///
-/// One `PendingTask` is registered as a waiter on *every* pending
-/// predecessor's completion; each completion drain calls
+/// [`park`](Self::park) registers one `PendingTask` as a waiter on *every*
+/// pending predecessor's completion; each completion drain calls
 /// [`satisfy_one`](Self::satisfy_one), and the call that observes the last
 /// outstanding predecessor takes the task out of the slot — exactly once,
 /// however the predecessor completions race.
 pub(crate) struct PendingTask {
     /// Predecessors not yet known complete. The releasing decrement is the
     /// one that brings this to zero.
-    remaining: AtomicUsize,
+    remaining: sync::AtomicUsize,
     /// The parked task, taken by the single releasing decrement.
-    slot: Mutex<Option<Task>>,
+    slot: sync::Mutex<Option<Task>>,
 }
 
 impl PendingTask {
     /// Parks `task` until `predecessors` satisfactions have arrived.
     pub(crate) fn new(task: Task, predecessors: usize) -> Arc<Self> {
         Arc::new(PendingTask {
-            remaining: AtomicUsize::new(predecessors),
-            slot: Mutex::new(Some(task)),
+            remaining: sync::AtomicUsize::new(predecessors),
+            slot: sync::Mutex::new(Some(task)),
         })
+    }
+
+    /// Parks `task` until every one of `deps` completes: registers it as a
+    /// waiter with each, and satisfies here the share of each predecessor
+    /// already complete, which will never drain it. Wherever the *last*
+    /// satisfaction lands — here or on a completion path — it releases the
+    /// task exactly once; the task comes back iff it lands here.
+    pub(crate) fn park(task: Task, deps: Vec<TaskHandle>) -> Option<Task> {
+        let pending = PendingTask::new(task, deps.len());
+        let mut released = None;
+        for dep in &deps {
+            if !dep.add_waiter(pending.clone()) {
+                if let Some(task) = pending.satisfy_one() {
+                    released = Some(task);
+                }
+            }
+        }
+        released
     }
 
     /// Records that one predecessor completed. Returns the parked task iff
@@ -124,17 +143,8 @@ impl TaskManager {
     /// Parks `task` on the waitlist until every one of `deps` completes:
     /// the submission half of [`SubmitSpec::after`].
     fn waitlist(&self, task: Task, deps: Vec<TaskHandle>) {
-        let pending = PendingTask::new(task, deps.len());
-        // A predecessor already complete at registration time will never
-        // drain this waiter; satisfy its share here. Wherever the *last*
-        // satisfaction lands — here or on a completion path — it releases
-        // the task exactly once.
-        let already_complete = deps
-            .iter()
-            .filter(|dep| !dep.add_waiter(pending.clone()))
-            .count();
-        if already_complete > 0 {
-            self.release_waiters(vec![pending; already_complete]);
+        if let Some(task) = PendingTask::park(task, deps) {
+            self.release(task);
         }
     }
 
@@ -144,10 +154,15 @@ impl TaskManager {
     pub(super) fn release_waiters(&self, waiters: Vec<Arc<PendingTask>>) {
         for waiter in waiters {
             if let Some(task) = waiter.satisfy_one() {
-                self.released.fetch_add(1, Ordering::Relaxed);
-                self.dispatch(task);
+                self.release(task);
             }
         }
+    }
+
+    /// Dispatches a task the waitlist released.
+    fn release(&self, task: Task) {
+        self.released.fetch_add(1, Ordering::Relaxed);
+        self.dispatch(task);
     }
 }
 
@@ -325,7 +340,8 @@ impl core::fmt::Debug for SubmitSpec<'_> {
 mod tests {
     use super::super::tests::kwak_mgr;
     use super::*;
-    use crate::completion::unpooled;
+    use crate::completion::tests::unpooled;
+    use core::sync::atomic::AtomicUsize;
 
     #[test]
     #[should_panic(expected = "selects no core")]

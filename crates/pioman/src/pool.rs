@@ -67,12 +67,21 @@ impl Stack {
     /// Pushes a free block; a full stack first gives its top batch to
     /// `depot`.
     fn push(&mut self, depot: &Depot, block: NonNull<u8>) {
+        debug_assert!(
+            !self.holds(block),
+            "a block freed twice: already on this thread's stack"
+        );
         if self.len == CACHED {
             self.len = BATCH;
             depot.give(&self.slots[BATCH..]);
         }
         self.slots[self.len] = Some(block);
         self.len += 1;
+    }
+
+    /// Whether `block` is on the stack.
+    fn holds(&self, block: NonNull<u8>) -> bool {
+        self.slots[..self.len].contains(&Some(block))
     }
 
     /// Gives every block to `depot`.
@@ -219,9 +228,21 @@ pub(crate) unsafe fn free(block: NonNull<u8>, layout: Layout) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::thread;
+
+    /// Whether the block at address `block` is on this thread's stack.
+    #[cfg(interleave)]
+    pub(crate) fn cached(block: usize) -> bool {
+        with_stack(|stack| {
+            stack.slots[..stack.len]
+                .iter()
+                .flatten()
+                .any(|b| b.addr().get() == block)
+        })
+        .unwrap_or(false)
+    }
 
     /// A block handed to another thread.
     struct Handoff(NonNull<u8>);
